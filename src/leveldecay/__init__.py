@@ -36,6 +36,7 @@ from .quadrature import (
 )
 from .spectrum import (
     BracketFailureError,
+    ClosedFormMismatchError,
     DensityGridSpec,
     ModelParams,
     NoEigenvalueError,
@@ -65,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplitudeSeries",
     "BracketFailureError",
+    "ClosedFormMismatchError",
     "CouplingFamily",
     "CouplingModel",
     "DensityGridSpec",

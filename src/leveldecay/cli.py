@@ -29,11 +29,13 @@ from .evolution import (
     asymptotic_limit,
     weak_coupling_rate,
 )
-from .quadrature import NonConvergenceError, QuadratureConfig
+from .quadrature import NonConvergenceError, QuadratureConfig, _check_tail
 from .spectrum import (
     BracketFailureError,
+    ClosedFormMismatchError,
     ModelParams,
     NormalizationFailureError,
+    SpectralData,
     ThresholdMarginalError,
     build_spectral_data,
     eigen_weight,
@@ -208,13 +210,17 @@ def load_scenario(path: Path) -> Scenario:
     return parse_scenario_text(text)
 
 
-def decay_series(scenario: Scenario) -> tuple[AmplitudeSeries, AmplitudeSeries, float]:
-    """Spectral and time-domain series on a shared grid, plus max |C_s - C_v|.
+def decay_series(
+    scenario: Scenario,
+) -> tuple[AmplitudeSeries, AmplitudeSeries, float, SpectralData]:
+    """Spectral and time-domain series on a shared grid, max |C_s - C_v|, and
+    the spectral data the spectral series was built from.
 
     The solver step is chosen as an exact divisor of the output spacing so
     both series sample identical times.
     """
     params = scenario.params
+    spec_data = build_spectral_data(params, cfg=scenario.quadrature)
     n_out = scenario.series_points
     dt = scenario.horizon / (n_out - 1)
     h_target = scenario.volterra_step or default_step(params)
@@ -222,10 +228,9 @@ def decay_series(scenario: Scenario) -> tuple[AmplitudeSeries, AmplitudeSeries, 
     step = dt / per_output
     vol_full = solve_ide(params, horizon=scenario.horizon, step=step)
     vol = artifacts.subsample(vol_full, per_output)
-    spec_data = build_spectral_data(params, cfg=scenario.quadrature)
     spectral = amplitude_spectral(spec_data, vol.times, scenario.quadrature)
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
-    return spectral, vol, deviation
+    return spectral, vol, deviation, spec_data
 
 
 def cmd_spectrum(scenario: Scenario, out_dir: Path) -> int:
@@ -236,8 +241,7 @@ def cmd_spectrum(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
-    spectral, vol, deviation = decay_series(scenario)
-    spec_data = build_spectral_data(scenario.params, cfg=scenario.quadrature)
+    spectral, vol, deviation, spec_data = decay_series(scenario)
     artifacts.write_series_csv(out_dir / f"{scenario.name}_spectral.csv", spectral)
     artifacts.write_series_csv(out_dir / f"{scenario.name}_volterra.csv", vol)
     artifacts.write_decay_json(
@@ -323,6 +327,21 @@ def cmd_verify(out_dir: Path, jobs: int) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
+def _certify_truncation(scenario: Scenario) -> None:
+    """Reject a tail_cut too short for the model's cutoff (every sweep point too)."""
+    models = [scenario.params]
+    if scenario.sweep is not None:
+        models += [
+            _apply_sweep_value(scenario.params, scenario.sweep.parameter, v)
+            for v in scenario.sweep.values
+        ]
+    for params in models:
+        try:
+            _check_tail(params, 0.0, scenario.quadrature)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
 def _resolve_out_dir(args, scenario: Scenario | None) -> Path:
     if args.out is not None:
         out = Path(args.out)
@@ -346,6 +365,7 @@ def _dispatch(args) -> int:
         if args.horizon <= 0:
             raise ConfigError("--horizon must be positive")
         scenario = replace(scenario, horizon=args.horizon)
+    _certify_truncation(scenario)
     out_dir = _resolve_out_dir(args, scenario)
     if args.command == "spectrum":
         return cmd_spectrum(scenario, out_dir)
@@ -392,6 +412,7 @@ def main(argv=None) -> int:
     except (
         NonConvergenceError,
         BracketFailureError,
+        ClosedFormMismatchError,
         NormalizationFailureError,
         ThresholdMarginalError,
         KernelMismatchError,

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .coupling import coupling_sq
-from .quadrature import QuadratureConfig, k_pv
-from .spectrum import ModelParams, SpectralData
+from .quadrature import QuadratureConfig
+from .spectrum import ModelParams, SpectralData, k_pv_closed
 
 
 class OscillatoryBudgetExceededError(RuntimeError):
@@ -187,11 +187,11 @@ def weak_coupling_rate(
     """Resonance width 2*pi*|V(e2 - e1)|^2 and shift -PV k(e2), for diagnostics.
 
     In the weak-coupling decaying regime, ln P(t) falls with slope -gamma over
-    the first few lifetimes; the estimate degrades as coupling grows.
+    the first few lifetimes; the estimate degrades as coupling grows.  ``cfg``
+    is accepted for interface uniformity; the shift is a closed form.
     """
-    cfg = cfg or QuadratureConfig()
     gamma = 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
-    shift = -k_pv(params, params.e2, cfg) if params.coupling.strength_sq > 0.0 else 0.0
+    shift = -float(k_pv_closed(params, params.e2)) if params.coupling.strength_sq > 0.0 else 0.0
     return WeakCouplingRate(gamma=gamma, shift_estimate=shift)
 
 

@@ -11,13 +11,20 @@ Principal values are computed by symmetric subtraction: on a window
 f(c) * ln((b - c)/(c - a)) is added (zero for a symmetric window), and the
 remaining outer pieces are regular adaptive integrals.
 
+For the built-in coupling families the spectral layer evaluates k, its
+principal value and the weight integral from exponential-integral closed
+forms (see ``leveldecay.spectrum``).  ``k_regular``, ``k_pv`` and
+``weight_integral`` here compute the same integrals by adaptive quadrature:
+they are the gate those closed forms must pass before first use, the
+reference the tests compare against, and the route for any other integrand.
+
 Integrands must be vectorized (accept and return numpy arrays).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -343,3 +350,27 @@ def k_pv(params: ModelParams, t: float, cfg: QuadratureConfig) -> float:
         return coupling_sq(model, x)
 
     return principal_value(f, c, cfg, upper=None, scale=model.cutoff)
+
+
+def weight_integral(params: ModelParams, a: float, cfg: QuadratureConfig) -> float:
+    """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0.
+
+    Evaluated in the substitution u = ln(x + a), which keeps the integrand on
+    an O(1) scale however small ``a`` is, at a relative tolerance of at most
+    1e-11.
+    """
+    model = params.coupling
+    if not a > 0.0:
+        raise ValueError(f"weight_integral requires a > 0, got a={a!r}")
+    upper = cfg.tail_cut * model.cutoff
+    u_lo, u_hi = math.log(a), math.log(upper + a)
+
+    def integrand(u):
+        x = np.maximum(np.exp(u) - a, 0.0)
+        return np.exp(-u) * coupling_sq(model, x)
+
+    wcfg = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-11))
+    n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
+    edges = np.linspace(u_lo, u_hi, n_seed + 1)
+    value, _ = _adapt(integrand, edges, wcfg.abs_tol, wcfg.rel_tol, wcfg.max_subdivisions)
+    return value

@@ -15,14 +15,30 @@ w = 1 / (1 + integral of |V(x)|^2 / (x + e1 - e0)^2), and the density is
 
 for t > e1, zero below.  The measure is normalized: w plus the integrated
 density equals 1, which every assembled table is checked against.
+
+For both built-in families k, PV k and the weight integral are closed forms in
+the exponential integrals Ei and E1 (Abramowitz & Stegun 5.1), so e0, w and
+rho are computed from those.  With s the distance from the edge in units of
+the cutoff L:
+
+    2d:  PV k = -g2 e^{-s} Ei(s),         k = g2 e^{s} E1(s),
+         weight integral = (g2/L) (1/s - e^{s} E1(s));
+    3d:  PV k = g2 L (1 - s e^{-s} Ei(s)), k = g2 L (1 - s e^{s} E1(s)),
+         weight integral = g2 ((1 + s) e^{s} E1(s) - 1).
+
+Before a family's closed forms are first used they must agree with the
+adaptive quadrature of ``quadrature.k_regular``, ``k_pv`` and
+``weight_integral``; a mismatch raises ``ClosedFormMismatchError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -33,14 +49,15 @@ from .coupling import (
     sq_over_x_integral,
 )
 from .quadrature import (
+    _EPS,
     NonConvergenceError,
     QuadratureConfig,
-    _adapt,
+    _check_tail,
     _edges_toward,
     _gk15,
-    integrate_interval,
     k_pv,
     k_regular,
+    weight_integral,
 )
 
 
@@ -58,6 +75,10 @@ class NormalizationFailureError(RuntimeError):
 
 class ThresholdMarginalError(ValueError):
     """Model sits numerically on the bound-state threshold; refusing to resolve it."""
+
+
+class ClosedFormMismatchError(RuntimeError):
+    """Closed-form k, PV k or weight integral disagrees with adaptive quadrature."""
 
 
 @dataclass(frozen=True)
@@ -115,93 +136,114 @@ def threshold_check(params: ModelParams) -> ThresholdResult:
     return ThresholdResult(exists=rhs > lhs, lhs=lhs, rhs=rhs, marginal=marginal)
 
 
-def _polish_root(f, x: float, lo: float, hi: float, res_tol: float, span: float) -> float:
-    """Secant-polish a near-converged root until |f| <= res_tol."""
-    fx = f(x)
-    if abs(fx) <= res_tol:
-        return x
-    x0 = min(max(x - span, lo), hi)
-    x1 = min(max(x + span, lo), hi)
-    f0, f1 = f(x0), f(x1)
-    for _ in range(16):
-        if abs(f1) <= res_tol:
-            return x1
-        denom = f1 - f0
-        if denom == 0.0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / denom
-        x2 = min(max(x2, lo), hi)
-        x0, f0 = x1, f1
-        x1, f1 = x2, f(x2)
-    if abs(f1) <= res_tol:
-        return x1
-    raise BracketFailureError(
-        f"root residual {f1!r} did not reach tolerance {res_tol!r}; "
-        "quadrature and coupling appear inconsistent"
-    )
+# Beyond this s the scaled exponential integrals are 0 * inf in double
+# precision, and their asymptotic series is exact to far below rounding.
+_ASYMPTOTIC_S = 700.0
+_ASYMPTOTIC_TERMS = 12
+# Below this ln s the edge distance underflows; e^{s} E1(s) -> -gamma - ln s.
+_EDGE_LN_S = -700.0
+_GATE_POINTS = tuple(float(s) for s in np.geomspace(1e-8, 1e3, 12))
+_GATE_TOL = 1e-8
 
 
-def _solver_config(cfg: QuadratureConfig, res_tol: float) -> QuadratureConfig:
-    return replace(
-        cfg,
-        abs_tol=min(cfg.abs_tol, 0.01 * res_tol),
-        rel_tol=min(cfg.rel_tol, 1e-12),
-    )
+def _asymptotic_series(s: np.ndarray, sign: float) -> np.ndarray:
+    """Sum over n < 12 of sign^n n! / s^(n+1), evaluated at max(s, 700)."""
+    inv = 1.0 / np.maximum(s, _ASYMPTOTIC_S)
+    term = inv
+    total = inv
+    for n in range(1, _ASYMPTOTIC_TERMS):
+        term = term * (sign * n) * inv
+        total = total + term
+    return total
 
 
-def _find_eigenvalue_near_edge(
-    params: ModelParams,
-    qcfg: QuadratureConfig,
-    res_tol: float,
-    delta: float,
-) -> float:
-    """Root search in u = ln(e1 - lam) for roots within delta of the edge.
+def _scaled_ei(s):
+    """e^{-s} Ei(s) for s > 0."""
+    near = np.minimum(s, _ASYMPTOTIC_S)
+    out = np.exp(-near) * special.expi(near)
+    far = s > _ASYMPTOTIC_S
+    return np.where(far, _asymptotic_series(s, 1.0), out) if np.any(far) else out
 
-    k is evaluated with its edge logarithm split off analytically:
-    k(e1 - a) = |V(0)|^2 * ln((X + a)/a) + regular remainders, which stays
-    well conditioned down to distances ``a`` that underflow double precision
-    (the log term is then a linear function of u).
+
+def _scaled_e1(s):
+    """e^{s} E1(s) for s > 0."""
+    near = np.minimum(s, _ASYMPTOTIC_S)
+    out = np.exp(near) * special.exp1(near)
+    far = s > _ASYMPTOTIC_S
+    return np.where(far, _asymptotic_series(s, -1.0), out) if np.any(far) else out
+
+
+# The closed forms at g2 = L = 1, as functions of the scaled distance s from
+# the edge.  k and PV k scale as g2 * L**p (p = 1 for 3d, 0 for 2d), the
+# weight integral as g2 * L**(p - 1); see ``_k_scale``.
+def _k_unit(family: CouplingFamily, s):
+    """k(e1 - s) below the edge."""
+    e = _scaled_e1(s)
+    return e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
+
+
+def _pv_k_unit(family: CouplingFamily, s):
+    """PV k(e1 + s) inside the continuum."""
+    e = _scaled_ei(s)
+    return -e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
+
+
+def _weight_unit(family: CouplingFamily, s):
+    """Integral of |V(x)|^2 / (x + s)^2 over [0, inf)."""
+    e = _scaled_e1(s)
+    if family is CouplingFamily.TWO_DIM_EXP:
+        return 1.0 / s - e
+    return (1.0 + s) * e - 1.0
+
+
+def _k_scale(model: CouplingModel) -> float:
+    """g2 * L**p, the factor between k (or PV k) and its g2 = L = 1 form."""
+    if model.family is CouplingFamily.THREE_DIM_EXP:
+        return model.strength_sq * model.cutoff
+    return model.strength_sq
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_gate(family: CouplingFamily) -> bool:
+    """Gate one family's closed forms against adaptive quadrature.
+
+    Every closed form is a power of L times g2 times a function of s alone, so
+    one check at g2 = L = 1 over s in [1e-8, 1e3] covers every model of the
+    family.  Raises ``ClosedFormMismatchError`` on a deviation above
+    1e-8 * max(1, |value|).
     """
+    params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
+    cfg = QuadratureConfig()
+    for s in _GATE_POINTS:
+        for name, closed, quad in (
+            ("k", _k_unit(family, s), k_regular(params, -s, cfg)),
+            ("PV k", _pv_k_unit(family, s), k_pv(params, s, cfg)),
+            ("weight integral", _weight_unit(family, s), weight_integral(params, s, cfg)),
+        ):
+            closed = float(closed)
+            if not abs(closed - quad) <= _GATE_TOL * max(1.0, abs(closed)):
+                raise ClosedFormMismatchError(
+                    f"{family.value} closed-form {name} {closed!r} deviates from "
+                    f"quadrature {quad!r} at s={s!r}; refusing to use it"
+                )
+    return True
+
+
+def k_pv_closed(params: ModelParams, t):
+    """Principal value of k at energies t > e1 (scalar or array), in closed form."""
     model = params.coupling
-    gap = params.level_gap
-    cut = model.cutoff
-    v0 = coupling_sq(model, 0.0)
-    upper = qcfg.tail_cut * cut
+    _closed_form_gate(model.family)
+    s = (np.asarray(t, dtype=float) - params.e1) / model.cutoff
+    return _k_scale(model) * _pv_k_unit(model.family, s)
 
-    def remainder(a: float) -> float:
-        near, _ = integrate_interval(
-            lambda x: (coupling_sq(model, x) - v0) / (x + a), 0.0, cut, qcfg, toward=0.0
-        )
-        far, _ = integrate_interval(
-            lambda x: coupling_sq(model, x) / (x + a), cut, upper, qcfg, toward=cut
-        )
-        return near + far
 
-    def g(u: float) -> float:
-        a = math.exp(u) if u > -745.0 else 0.0
-        k_val = v0 * (math.log(cut + a) - u) + remainder(a)
-        return gap + a - k_val
-
-    u_hi = math.log(delta)
-    if g(u_hi) <= 0.0:
-        raise BracketFailureError("near-edge branch entered without a sign change")
-    d = 1.0
-    u_lo = u_hi - d
-    doublings = 0
-    while g(u_lo) >= 0.0:
-        doublings += 1
-        if doublings > 60:
-            raise BracketFailureError("near-edge lower bracket expansion exhausted")
-        d *= 2.0
-        u_lo = u_hi - d
-    u_root = brentq(g, u_lo, u_hi, xtol=1e-12, rtol=1e-15, maxiter=200)
-    u_root = _polish_root(g, u_root, u_lo, u_hi, res_tol, span=1e-11)
-    a_root = math.exp(u_root) if u_root > -745.0 else 0.0
-    e0 = params.e1 - a_root
-    if not e0 < params.e1:
-        # Distance to the edge underflows; report the closest float below e1.
-        e0 = float(np.nextafter(params.e1, -math.inf))
-    return e0
+def _k_unit_log(family: CouplingFamily, ln_s: float) -> float:
+    """``_k_unit`` from ln s, finite also where s itself underflows."""
+    if ln_s > _EDGE_LN_S:
+        return float(_k_unit(family, math.exp(ln_s)))
+    if family is CouplingFamily.TWO_DIM_EXP:
+        return -np.euler_gamma - ln_s
+    return 1.0
 
 
 def find_eigenvalue(
@@ -211,19 +253,21 @@ def find_eigenvalue(
 ) -> float:
     """Locate the unique eigenvalue e0 < e1 of the coupled system.
 
-    F(lam) = e2 - lam - k(lam) is strictly decreasing with F -> +inf toward
-    -inf, so a sign-change bracket pins the root uniquely: the lower end is
-    expanded geometrically from e1 (starting ``initial_span`` below, default
-    the level gap), the upper end is e1 itself (3d family) or just below the
-    edge (2d family, where k diverges).  Roots closer to the edge than
-    1e-4 * cutoff are resolved in the variable u = ln(e1 - lam).
+    With a = e1 - lam, F = e2 - lam - k(lam) = gap + a - k(e1 - a) is strictly
+    increasing in a, positive for large a and negative toward the edge, so a
+    sign-change bracket pins the root uniquely.  The root is found by brentq
+    in u = ln a on the closed form of k, which stays well conditioned down to
+    distances that underflow double precision: there k takes its edge
+    asymptote.  The far end of the bracket starts at a = ``initial_span``
+    (default the level gap) and doubles; the near end steps toward the edge
+    in u by doubling steps.  ``cfg`` is accepted for interface uniformity;
+    the closed forms need no quadrature settings.
 
     Raises:
         NoEigenvalueError: threshold test fails (or zero coupling).
         ThresholdMarginalError: model sits on the threshold within 1e-8.
         BracketFailureError: bracketing or residual tolerance failed.
     """
-    cfg = cfg or QuadratureConfig()
     check = threshold_check(params)
     if check.degenerate:
         raise NoEigenvalueError("zero coupling: unperturbed point mass at e2 instead")
@@ -236,45 +280,45 @@ def find_eigenvalue(
         raise NoEigenvalueError(
             f"no bound state: level gap {check.lhs!r} is not below {check.rhs!r}"
         )
+    model = params.coupling
+    _closed_form_gate(model.family)
     gap = params.level_gap
     res_tol = 1e-10 * max(1.0, gap)
-    qcfg = _solver_config(cfg, res_tol)
+    scale = _k_scale(model)
+    ln_cutoff = math.log(model.cutoff)
 
-    def f_of(lam: float) -> float:
-        return (params.e2 - lam) - k_regular(params, lam, qcfg)
-
-    delta = 1e-4 * params.coupling.cutoff
-    if params.coupling.family is CouplingFamily.THREE_DIM_EXP:
-        hi = params.e1
-    else:
-        hi = params.e1 - delta
-    f_hi = f_of(hi)
-    if f_hi > 0.0:
-        if params.coupling.family is CouplingFamily.THREE_DIM_EXP:
-            raise BracketFailureError("F(e1) > 0 although the threshold test passed")
-        return _find_eigenvalue_near_edge(params, qcfg, res_tol, delta)
-    if f_hi == 0.0:
-        return hi
+    def f_of(u: float) -> float:
+        return gap + math.exp(u) - scale * _k_unit_log(model.family, u - ln_cutoff)
 
     d = initial_span if initial_span is not None else gap
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError("initial_span must be positive and finite")
-    lo = params.e1 - d
-    if lo >= hi:
-        lo = hi - d
+    u_hi = math.log(d)
     doublings = 0
-    while f_of(lo) <= 0.0:
+    while f_of(u_hi) < 0.0:
         doublings += 1
         if doublings > 20:
             raise BracketFailureError(
                 "lower bracket expansion exceeded 2^20 of the starting span"
             )
         d *= 2.0
-        lo = params.e1 - d
-        if lo >= hi:
-            lo = hi - d
-    root = brentq(f_of, lo, hi, xtol=1e-13 * max(gap, 1e-8), rtol=1e-15, maxiter=200)
-    return _polish_root(f_of, root, lo, hi, res_tol, span=1e-12 * max(gap, 1e-8))
+        u_hi = math.log(d)
+    step = 1.0
+    while f_of(u_hi - step) > 0.0:
+        step *= 2.0
+        if step > 2.0**60:
+            raise BracketFailureError("near-edge bracket expansion exhausted")
+    u_root = brentq(f_of, u_hi - step, u_hi, xtol=1e-15, rtol=4.0 * _EPS, maxiter=200)
+    residual = f_of(u_root)
+    if not abs(residual) <= res_tol:
+        raise BracketFailureError(
+            f"root residual {residual!r} did not reach tolerance {res_tol!r}"
+        )
+    e0 = params.e1 - math.exp(u_root)
+    if not e0 < params.e1:
+        # Distance to the edge underflows; report the closest float below e1.
+        e0 = float(np.nextafter(params.e1, -math.inf))
+    return e0
 
 
 def eigen_weight(
@@ -285,13 +329,11 @@ def eigen_weight(
     """Weight w of the eigenvalue e0 in the initial state's spectral measure.
 
     w = 1 / (1 + integral of |V(x)|^2 / (x + e1 - e0)^2), strictly inside
-    (0, 1) for g2 > 0.  The integral is evaluated in the substitution
-    u = ln(x + a), a = e1 - e0, which keeps the integrand on an O(1) scale
-    however close the eigenvalue lies to the edge.  For distances below the
-    double-precision representability floor (a < 1e-280, reachable only for
-    extremely weak 2d couplings) the weight underflows and 0.0 is returned.
+    (0, 1) for g2 > 0, with the integral in closed form.  For distances below
+    the double-precision representability floor (a < 1e-280, reachable only
+    for extremely weak 2d couplings) the weight underflows and 0.0 is
+    returned.  ``cfg`` is accepted for interface uniformity.
     """
-    cfg = cfg or QuadratureConfig()
     model = params.coupling
     if model.strength_sq == 0.0:
         return 1.0
@@ -300,18 +342,19 @@ def eigen_weight(
         raise ValueError(f"eigen_weight requires e0 < e1, got e0={e0!r}")
     if a < 1e-280:
         return 0.0
-    upper = cfg.tail_cut * model.cutoff
-    u_lo, u_hi = math.log(a), math.log(upper + a)
-
-    def integrand(u):
-        x = np.maximum(np.exp(u) - a, 0.0)
-        return np.exp(-u) * coupling_sq(model, x)
-
-    wcfg = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-11))
-    n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
-    edges = np.linspace(u_lo, u_hi, n_seed + 1)
-    norm_int, _ = _adapt(integrand, edges, wcfg.abs_tol, wcfg.rel_tol, wcfg.max_subdivisions)
+    _closed_form_gate(model.family)
+    norm_int = _k_scale(model) / model.cutoff * float(_weight_unit(model.family, a / model.cutoff))
     return 1.0 / (1.0 + norm_int)
+
+
+def _density(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """rho at an array of energies t, zero at and below e1."""
+    inside = t > params.e1
+    t_in = np.where(inside, t, params.e1 + params.coupling.cutoff)
+    v = coupling_sq(params.coupling, t_in - params.e1)
+    denom_shift = params.e2 - t_in - k_pv_closed(params, t_in)
+    denom = denom_shift * denom_shift + (math.pi * v) ** 2
+    return np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
 
 
 def spectral_density(
@@ -322,16 +365,10 @@ def spectral_density(
     """Density rho(t) of the absolutely continuous spectral part at energy t.
 
     Zero for t <= e1 (at the edge itself both families give the limit 0: the
-    3d numerator vanishes while the 2d principal value diverges).
+    3d numerator vanishes while the 2d principal value diverges).  ``cfg`` is
+    accepted for interface uniformity.
     """
-    cfg = cfg or QuadratureConfig()
-    if t <= params.e1:
-        return 0.0
-    v = coupling_sq(params.coupling, t - params.e1)
-    if v == 0.0:
-        return 0.0
-    denom_shift = params.e2 - t - k_pv(params, t, cfg)
-    return v / (denom_shift * denom_shift + (math.pi * v) ** 2)
+    return float(_density(params, np.array([float(t)]))[0])
 
 
 @dataclass(frozen=True)
@@ -395,9 +432,9 @@ class SpectralData:
 _NORMALIZATION_GATE = 1e-4
 
 
-def _resonance_seeds(params: ModelParams, lam_max: float, cfg: QuadratureConfig) -> np.ndarray:
+def _resonance_seeds(params: ModelParams, lam_max: float) -> np.ndarray:
     """Seed grid points across the resonance bump of the density."""
-    center = params.e2 - k_pv(params, params.e2, cfg)
+    center = params.e2 - float(k_pv_closed(params, params.e2))
     if not params.e1 < center < lam_max:
         return np.empty(0)
     width = math.pi * coupling_sq(params.coupling, center - params.e1)
@@ -463,6 +500,7 @@ def build_spectral_data(
         raise ThresholdMarginalError(
             "model sits on the bound-state threshold; spectral data is not resolvable"
         )
+    _check_tail(params, 0.0, cfg)
     if check.exists:
         e0 = find_eigenvalue(params, cfg)
         weight = eigen_weight(params, e0, cfg)
@@ -474,22 +512,24 @@ def build_spectral_data(
     seeds = [
         _edges_toward(e1, lam_max, levels=44),
         np.linspace(e1, lam_max, 25),
-        _resonance_seeds(params, lam_max, cfg),
+        _resonance_seeds(params, lam_max),
         _edge_bump_seeds(params, e0, lam_max),
     ]
     edges = np.unique(np.concatenate(seeds))
 
-    cache: dict[float, float] = {}
+    # Every evaluated node, probes included, becomes part of the table.
+    nodes: list[np.ndarray] = []
+    values: list[np.ndarray] = []
 
     def rho_batch(pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape)
-        for i, t in enumerate(pts):
-            val = cache.get(t)
-            if val is None:
-                val = spectral_density(params, float(t), cfg)
-                cache[t] = val
-            out[i] = val
-        return out
+        rho = _density(params, pts)
+        nodes.append(pts)
+        values.append(rho)
+        return rho
+
+    def table() -> tuple[np.ndarray, np.ndarray]:
+        table_t, first = np.unique(np.concatenate(nodes), return_index=True)
+        return table_t, np.concatenate(values)[first]
 
     a = edges[:-1]
     b = edges[1:]
@@ -519,15 +559,13 @@ def build_spectral_data(
     # probe the true density at an off-node point of every panel, compare
     # against the interpolant through the current table, and split panels
     # whose measured interpolation error (times width) is still significant.
-    rho_end = spectral_density(params, lam_max, cfg)
-    cache.setdefault(e1, 0.0)
-    cache.setdefault(lam_max, rho_end)
+    rho_end = float(_density(params, np.array([lam_max]))[0])
+    nodes.append(np.array([e1, lam_max]))
+    values.append(np.array([0.0, rho_end]))
     probe_fracs = (0.55, 0.45, 0.52, 0.48, 0.57, 0.43)
     panel_tol = grid.table_tol / (2.0 * len(vals))
     for probe_frac in probe_fracs:
-        table_t = np.array(sorted(cache.keys()))
-        table_rho = np.array([cache[t] for t in table_t])
-        interp = PchipInterpolator(table_t, table_rho)
+        interp = PchipInterpolator(*table())
         probes = a + probe_frac * (b - a)
         probe_err = np.abs(rho_batch(probes) - interp(probes)) * (b - a)
         if float(probe_err.sum()) <= grid.table_tol:
@@ -565,8 +603,7 @@ def build_spectral_data(
     mass = float(vals.sum())
     tail = rho_end * params.coupling.cutoff
 
-    table_t = np.array(sorted(cache.keys()))
-    table_rho = np.array([cache[t] for t in table_t])
+    table_t, table_rho = table()
 
     defect = abs(weight + mass + tail - 1.0)
     if defect > _NORMALIZATION_GATE:

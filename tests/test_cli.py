@@ -135,6 +135,20 @@ class TestSpectrumCommand:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["spectrum", str(tmp_path / "nope.cfg")]) == 3
 
+    @pytest.mark.parametrize("command", ["spectrum", "decay", "sweep"])
+    def test_uncertified_tail_cut_is_config_error(self, tmp_path, capsys, command):
+        # tail_cut=5 leaves a truncation remainder far above abs_tol at cutoff 1
+        text = BASE_CONFIG + "quadrature.tail_cut = 5\n"
+        if command == "sweep":
+            text += "sweep.parameter = g_sq\nsweep.values = 0.5, 2.0\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "tail_cut" in err
+        assert err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+
     def test_determinism_across_runs(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
