@@ -113,10 +113,13 @@ def write_sweep_csv(path: Path, rows: list[dict]) -> None:
 
 
 def subsample(series: AmplitudeSeries, step: int) -> AmplitudeSeries:
-    """Every ``step``-th sample of a series, as a new series."""
+    """Every ``step``-th sample of a series, as a new series.
+
+    The samples are copied, not viewed, so the full series can be freed.
+    """
     return AmplitudeSeries(
-        np.asarray(series.times)[::step],
-        np.asarray(series.amplitude)[::step],
-        np.asarray(series.probability)[::step],
+        np.asarray(series.times)[::step].copy(),
+        np.asarray(series.amplitude)[::step].copy(),
+        np.asarray(series.probability)[::step].copy(),
         series.method_tag,
     )

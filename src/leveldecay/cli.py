@@ -226,8 +226,9 @@ def decay_series(
     h_target = scenario.volterra_step or default_step(params)
     per_output = max(1, math.ceil(dt / h_target))
     step = dt / per_output
-    vol_full = solve_ide(params, horizon=scenario.horizon, step=step)
-    vol = artifacts.subsample(vol_full, per_output)
+    vol = artifacts.subsample(
+        solve_ide(params, horizon=scenario.horizon, step=step), per_output
+    )
     spectral = amplitude_spectral(spec_data, vol.times, scenario.quadrature)
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
     return spectral, vol, deviation, spec_data

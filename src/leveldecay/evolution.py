@@ -8,10 +8,15 @@ exists, plus the transform of the continuous density,
 
 and P(t) = |C(t)|^2.  The continuous term is evaluated from the tabulated
 density with a phase-aware panel rule: each table segment is split so that no
-panel spans more than a quarter oscillation period 2*pi/t, and a fixed
-Gauss-Legendre rule is applied to the interpolated density times the phase
-factor on every panel.  As t grows the panel count grows linearly; requests
-beyond the configured panel budget raise instead of silently degrading.
+panel spans more than a quarter of the period 2*pi/t_max at the largest
+requested |t|, and a fixed 6-point Gauss-Legendre rule on every panel gives
+one node set x_j with weights a_j = rho(x_j) * w_j * half-width.  Then
+C(t) = sum of a_j exp(-i t x_j) for every requested t.  On a uniform time
+grid the phase vector is advanced by the constant factor exp(-i dt x_j) and
+re-anchored with an exact exp every 64 times, so a series costs one multiply
+and one dot over the nodes per time.  Any other grid takes the exact exp at
+every time.  The panel count grows linearly with t_max; a series that needs
+more panels than the configured budget raises instead of silently degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -27,7 +32,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .coupling import coupling_sq
-from .quadrature import QuadratureConfig
+from .quadrature import _EPS, _GL_W, _GL_X, QuadratureConfig
 from .spectrum import ModelParams, SpectralData, k_pv_closed
 
 
@@ -76,50 +81,43 @@ class AmplitudeSeries:
             raise ValueError(f"P(0) = {p[0]!r} deviates from 1 beyond 1e-6")
 
 
-# 6-point Gauss-Legendre rule on [-1, 1]; with panels capped at a quarter
-# period the phase factor is resolved far below the table's own accuracy.
-_GL_X = np.array([
-    -0.9324695142031521, -0.6612093864662645, -0.2386191860831969,
-    0.2386191860831969, 0.6612093864662645, 0.9324695142031521,
-])
-_GL_W = np.array([
-    0.1713244923791704, 0.3607615730481386, 0.4679139345726910,
-    0.4679139345726910, 0.3607615730481386, 0.1713244923791704,
-])
-
 _SEGMENT_MASS_FLOOR = 1e-15
+# On a uniform time grid the phase vector is advanced by exp(-i dt x) and
+# re-anchored with an exact exp every this many times, which keeps the
+# rounding the recurrence accumulates near machine precision.
+_REANCHOR = 64
 
 
-def _ac_transform_single(
-    interp: PchipInterpolator,
-    edges: np.ndarray,
-    widths: np.ndarray,
-    masses: np.ndarray,
-    t: float,
-    max_panels: int,
-) -> complex:
-    """Transform of the tabulated density at one (possibly negative) time."""
-    if t == 0.0:
+def _transform_nodes(
+    spec: SpectralData, t_max: float, max_panels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights a (rho(x) times the rule weight) of one panel set.
+
+    Every table segment is cut into equal panels no wider than a quarter
+    period 0.5 * pi / t_max (one panel when t_max = 0 or the segment's mass is
+    negligible), so the set resolves exp(-i t x) for every |t| <= t_max.
+    """
+    widths = np.diff(spec.segments)
+    if t_max == 0.0:
         reps = np.ones(widths.shape, dtype=np.int64)
     else:
-        quarter = 0.5 * math.pi / abs(t)
+        quarter = 0.5 * math.pi / t_max
         reps = np.ceil(widths / quarter).astype(np.int64)
         np.clip(reps, 1, None, out=reps)
-        reps[masses < _SEGMENT_MASS_FLOOR] = 1
+        reps[spec.segment_mass < _SEGMENT_MASS_FLOOR] = 1
     total = int(reps.sum())
     if total > max_panels:
         raise OscillatoryBudgetExceededError(
-            f"t={t!r} needs {total} panels, budget is {max_panels}; "
+            f"t={t_max!r} needs {total} panels, budget is {max_panels}; "
             "raise the budget or report the asymptotic level instead"
         )
     sub_w = np.repeat(widths / reps, reps)
     offset = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
-    sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
+    sub_a = np.repeat(spec.segments[:-1], reps) + offset * sub_w
     half = 0.5 * sub_w
-    nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
-    dens = interp(nodes.ravel()).reshape(nodes.shape)
-    phase = np.exp(-1j * t * nodes)
-    return complex(((dens * phase) @ _GL_W * half).sum())
+    nodes = ((sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    dens = PchipInterpolator(spec.grid, spec.density)(nodes)
+    return nodes, dens * (half[:, None] * _GL_W[None, :]).ravel()
 
 
 def _amplitude_points(
@@ -127,19 +125,41 @@ def _amplitude_points(
     times: np.ndarray,
     max_panels: int,
 ) -> np.ndarray:
-    """C(t) at arbitrary (signed) times; no series-level validation."""
+    """C(t) at arbitrary (signed) times; no series-level validation.
+
+    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set resolved at max |t|.
+    On a uniform grid the phase vector is advanced by a constant factor
+    between exact re-anchors; on any other grid every time is anchored.
+    """
     if spec.normalization_defect > 1e-4:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
     if spec.degenerate:
         return np.exp(-1j * spec.eigenvalue * times)
-    interp = PchipInterpolator(spec.grid, spec.density)
-    widths = np.diff(spec.segments)
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    x, a = _transform_nodes(spec, t_max, max_panels)
+    n = times.size
+    dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    # Uniform means increasing and off a straight line by rounding only.
+    uniform = dt > 0.0 and float(
+        np.max(np.abs(times - (times[0] + dt * np.arange(n))))
+    ) <= 64.0 * _EPS * t_max
+    anchor_every = _REANCHOR if uniform else 1
+    phase = np.empty(x.shape, dtype=complex)
+    if anchor_every > 1:
+        step = np.multiply(x, -1j * dt)
+        np.exp(step, out=step)
+    # a @ (real, imag) pairs sums both parts in one real product, in place.
+    phase_re_im = phase.view(np.float64).reshape(-1, 2)
     out = np.empty(times.shape, dtype=complex)
     for i, t in enumerate(times):
-        out[i] = _ac_transform_single(
-            interp, spec.segments, widths, spec.segment_mass, float(t), max_panels
-        )
+        if i % anchor_every == 0:
+            np.multiply(x, -1j * t, out=phase)
+            np.exp(phase, out=phase)
+        else:
+            phase *= step
+        re, im = a @ phase_re_im
+        out[i] = complex(re, im)
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
     return out
@@ -155,8 +175,8 @@ def amplitude_spectral(
 
     ``times`` must be nonnegative and strictly increasing.  The spectral data
     must have passed its normalization check (build_spectral_data enforces
-    this).  Raises OscillatoryBudgetExceededError for times whose panel count
-    exceeds ``max_panels_per_time``.
+    this).  Raises OscillatoryBudgetExceededError when the panel set that
+    resolves the largest time exceeds ``max_panels_per_time`` panels.
     """
     del cfg  # tolerances are baked into the density table; kept for symmetry
     times = np.asarray(times, dtype=float)

@@ -104,6 +104,19 @@ _WGK_FULL = np.concatenate([_WK, [_WK0], _WK[::-1]])
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG_FULL = np.array([_WG[0], _WG[1], _WG[2], _WG0, _WG[2], _WG[1], _WG[0]])
 
+# 6-point Gauss-Legendre rule on [-1, 1], for the oscillatory panel rules of
+# ``evolution`` (the spectral transform) and ``volterra`` (the kernel gate).
+# With panels capped at a quarter period the phase factor is resolved far
+# below the density table's own accuracy.
+_GL_X = np.array([
+    -0.9324695142031521, -0.6612093864662645, -0.2386191860831969,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031521,
+])
+_GL_W = np.array([
+    0.1713244923791704, 0.3607615730481386, 0.4679139345726910,
+    0.4679139345726910, 0.3607615730481386, 0.1713244923791704,
+])
+
 _EPS = float(np.finfo(float).eps)
 
 

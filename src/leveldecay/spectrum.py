@@ -449,7 +449,11 @@ def _resonance_seeds(params: ModelParams, lam_max: float) -> np.ndarray:
 def _edge_bump_seeds(
     params: ModelParams, e0: float | None, lam_max: float
 ) -> np.ndarray:
-    """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0."""
+    """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0.
+
+    Seeds closer to e1 than the rounding of the table's span cannot be told
+    apart from e1 (at e0 = nextafter(e1) a0 is subnormal) and are dropped.
+    """
     if e0 is None or params.coupling.family is not CouplingFamily.TWO_DIM_EXP:
         return np.empty(0)
     a0 = params.e1 - e0
@@ -457,7 +461,8 @@ def _edge_bump_seeds(
         return np.empty(0)
     mu = a0 * np.exp(np.linspace(-8.0, 8.0, 33))
     pts = params.e1 + mu
-    return pts[(pts > params.e1) & (pts < lam_max)]
+    resolvable = mu > _EPS * (lam_max - params.e1)
+    return pts[resolvable & (pts > params.e1) & (pts < lam_max)]
 
 
 def build_spectral_data(

@@ -95,8 +95,9 @@ def _compute_run(ms: MatrixScenario, cfg: QuadratureConfig) -> ScenarioRun:
     horizon = 2.0 * _WINDOW_T / params.level_gap
     dt = horizon / (_SERIES_POINTS - 1)
     per_output = max(1, int(math.ceil(dt / _VOLTERRA_STEP)))
-    vol_full = solve_ide(params, horizon=horizon, step=dt / per_output)
-    vol = artifacts.subsample(vol_full, per_output)
+    vol = artifacts.subsample(
+        solve_ide(params, horizon=horizon, step=dt / per_output), per_output
+    )
     spectral = amplitude_spectral(spec, vol.times, cfg)
     return ScenarioRun(ms, params, spec, spectral, vol)
 

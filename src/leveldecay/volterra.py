@@ -12,8 +12,12 @@ silently corrupt this route.  No spectral data enters anywhere, which is what
 makes the solution an independent cross-check of the spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
-update (Heun), second-order accurate.  The full history is retained, so a
-solve costs O(N^2) in the number of steps.
+update (Heun), second-order accurate.  Each step needs the lagged history sum
+over every earlier sample.  Lags below 128 steps are summed directly; longer
+lags come in dyadic bands [L, 2L), each from FFT products of aligned L-sample
+blocks of the solution, added ahead of time as each block completes (Hairer,
+Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput. 6:532).  A solve of N
+steps costs O(N log^2 N) and gives the direct O(N^2) sums to rounding.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .coupling import CouplingFamily, CouplingModel, coupling_sq
 from .evolution import AmplitudeSeries, MethodTag
+from .quadrature import _GL_W, _GL_X
 from .spectrum import ModelParams
 
 
@@ -62,17 +68,6 @@ def kernel(params: ModelParams, t) -> complex | np.ndarray:
         raise ValueError("kernel requires t >= 0")
     out = -np.exp(1j * params.level_gap * ta) * _fourier_closed_form(params.coupling, ta)
     return complex(out) if out.ndim == 0 else out
-
-
-# 6-point Gauss-Legendre rule, used by the kernel self-check quadrature.
-_GL_X = np.array([
-    -0.9324695142031521, -0.6612093864662645, -0.2386191860831969,
-    0.2386191860831969, 0.6612093864662645, 0.9324695142031521,
-])
-_GL_W = np.array([
-    0.1713244923791704, 0.3607615730481386, 0.4679139345726910,
-    0.4679139345726910, 0.3607615730481386, 0.1713244923791704,
-])
 
 
 def _fourier_quad(model: CouplingModel, t: float, tail_cut: float = 80.0) -> complex:
@@ -121,6 +116,30 @@ def default_step(params: ModelParams) -> float:
     return min(0.01 / params.coupling.cutoff, 0.01 / params.level_gap)
 
 
+# Lags below this come from one direct dot per step; the band [L, 2L) of
+# longer lags, L = _SHORT_LAGS * 2**p, from FFT products of aligned blocks of
+# L samples of y (Hairer, Lubich & Schlichte 1985), O(N log^2 N) in total.
+_SHORT_LAGS = 128
+
+
+def _add_block_products(k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int) -> None:
+    """Add the band [L, 2L) of lags from the block y[m - L:m] to out[m:].
+
+    Runs for every band whose aligned block ends at m.  Each product is
+    truncated to the outputs left in ``out``, which also truncates its inputs.
+    """
+    size = _SHORT_LAGS
+    while m % size == 0:
+        n_out = min(2 * size - 1, out.size - m)
+        take = min(size, n_out)
+        block = y[m - size:m - size + take]
+        band = k[size:size + take]
+        n_fft = next_fast_len(2 * take - 1)
+        product = np.fft.ifft(np.fft.fft(block, n_fft) * np.fft.fft(band, n_fft))
+        out[m:m + n_out] += product[:n_out]
+        size *= 2
+
+
 def solve_ide(
     params: ModelParams,
     horizon: float,
@@ -130,8 +149,9 @@ def solve_ide(
     """Solve the memory-kernel equation and return C(t) on the full step grid.
 
     Trapezoidal convolution with a Heun predictor-corrector step: second-order
-    accurate, O(N^2) total cost in the step count since the entire history is
-    convolved at every step.  ``step`` defaults to ``default_step(params)``.
+    accurate.  The history sums take O(N log^2 N) in the step count N (short
+    lags directly, long lags by blocked FFT products).  ``step`` defaults to
+    ``default_step(params)``.
 
     With ``step_check_tol`` set, the solve is repeated at half the step and a
     StepTooLargeError is raised if any |y| sample moved by more than
@@ -147,27 +167,27 @@ def solve_ide(
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j
-    k_rev = k[::-1].copy()
-
-    def history_integral(n: int, extra: complex | None = None) -> complex:
-        # Trapezoidal convolution of K against y over [0, n h] (or [0, (n+1) h]
-        # when ``extra`` supplies the provisional newest sample).
-        if extra is None:
-            if n == 0:
-                return 0.0 + 0.0j
-            dot = np.dot(k_rev[n_steps - n: n_steps + 1], y[: n + 1])
-            return h * (dot - 0.5 * (k[n] * y[0] + k[0] * y[n]))
-        m = n + 1
-        dot = np.dot(k_rev[n_steps - m: n_steps], y[:m]) + k[0] * extra
-        return h * (dot - 0.5 * (k[m] * y[0] + k[0] * extra))
-
-    phi_n = history_integral(0)
-    for n in range(n_steps):
-        predictor = y[n] + h * phi_n
-        phi_next = history_integral(n, extra=predictor)
-        y[n + 1] = y[n] + 0.5 * h * (phi_n + phi_next)
-        if n + 1 < n_steps:
-            phi_n = history_integral(n + 1)
+    # The predictor and corrector trapezoid sums of step m differ only in the
+    # newest sample; both contain sum over j < m of K[m-j] y[j] and the end
+    # correction -K[m] y[0] / 2.  ``history`` starts as the end corrections
+    # and collects the lags >= _SHORT_LAGS block by block; the shorter lags
+    # come from one dot per step.
+    k_short = k[_SHORT_LAGS - 1:0:-1].copy()
+    history = -0.5 * y[0] * k
+    half_k0 = 0.5 * complex(k[0])
+    y_n = complex(y[0])
+    phi = 0.0 + 0.0j
+    for m in range(1, n_steps + 1):
+        if m % _SHORT_LAGS == 0:
+            _add_block_products(k, y, history, m)
+        near = min(m, _SHORT_LAGS - 1)
+        s = complex(history[m] + np.dot(k_short[-near:], y[m - near:m]))
+        predictor = y_n + h * phi
+        phi_next = h * (s + half_k0 * predictor)
+        y_n = y_n + 0.5 * h * (phi + phi_next)
+        y[m] = y_n
+        phi = h * (s + half_k0 * y_n)
+    del history
 
     if step_check_tol is not None:
         fine = _halved_step_solution(params, h, n_steps)

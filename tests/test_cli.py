@@ -203,6 +203,24 @@ class TestDecayCommand:
         summary = json.loads((out / "demo_decay.json").read_text())
         assert summary["p_infinity"] > 0.0
 
+    def test_two_dim_eigenvalue_at_nextafter_edge(self, tmp_path, capsys):
+        # e0 = nextafter(e1): the edge distance is subnormal, and so were the
+        # near-edge table seeds placed around it.
+        cfg = _write(
+            tmp_path,
+            BASE_CONFIG.replace("3d-exp", "2d-exp").replace(
+                "coupling.g_sq = 2.0", "coupling.g_sq = 1e-3"
+            ),
+        )
+        out = tmp_path / "out"
+        assert main(["decay", str(cfg), "--out", str(out)]) == 0, capsys.readouterr().err
+        summary = json.loads((out / "demo_decay.json").read_text())
+        assert summary["max_deviation_vs_volterra"] <= 1e-3
+        assert summary["p_infinity"] == 0.0  # w underflows at a subnormal distance
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 0
+        spectral = json.loads((out / "demo_spectral.json").read_text())
+        assert spectral["normalization_defect"] <= 1e-6
+
 
 class TestSweepCommand:
     SWEEP_CONFIG = BASE_CONFIG + "sweep.parameter = g_sq\nsweep.values = 0.5, 0.9, 1.1, 2.0\n"

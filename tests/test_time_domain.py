@@ -1,0 +1,154 @@
+"""The time-domain layers against direct references kept here.
+
+``_direct_heun`` is the O(N^2) stepper with two full history dots per step,
+and ``_per_time_transform`` the spectral transform that builds its own
+quarter-period panels for every time.  The solver and the transform must
+reproduce them to rounding (the solver) or to the panel rule's own error
+(the transform, whose single node set is finer than the per-time one at
+every time but the largest).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from scipy.interpolate import PchipInterpolator
+
+from leveldecay import (
+    CouplingFamily,
+    CouplingModel,
+    ModelParams,
+    OscillatoryBudgetExceededError,
+    amplitude_spectral,
+    build_kernel_table,
+    build_spectral_data,
+    conjugate_symmetry_check,
+    solve_ide,
+)
+from leveldecay.evolution import _amplitude_points
+from leveldecay.quadrature import _GL_W, _GL_X
+from leveldecay.volterra import _SHORT_LAGS
+
+TWO = CouplingFamily.TWO_DIM_EXP
+THREE = CouplingFamily.THREE_DIM_EXP
+
+
+def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
+    return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
+
+
+def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
+    """C(t) from trapezoidal convolution with both history sums as full dots."""
+    table = build_kernel_table(params, horizon, h)
+    k = table.values
+    n_steps = len(k) - 1
+    y = np.empty(n_steps + 1, dtype=complex)
+    y[0] = 1.0
+    k_rev = k[::-1].copy()
+
+    def history_integral(n, extra=None):
+        if extra is None:
+            if n == 0:
+                return 0.0 + 0.0j
+            dot = np.dot(k_rev[n_steps - n:n_steps + 1], y[:n + 1])
+            return h * (dot - 0.5 * (k[n] * y[0] + k[0] * y[n]))
+        m = n + 1
+        dot = np.dot(k_rev[n_steps - m:n_steps], y[:m]) + k[0] * extra
+        return h * (dot - 0.5 * (k[m] * y[0] + k[0] * extra))
+
+    phi_n = history_integral(0)
+    for n in range(n_steps):
+        predictor = y[n] + h * phi_n
+        phi_next = history_integral(n, extra=predictor)
+        y[n + 1] = y[n] + 0.5 * h * (phi_n + phi_next)
+        if n + 1 < n_steps:
+            phi_n = history_integral(n + 1)
+    return y * np.exp(-1j * params.e2 * table.times)
+
+
+def _panel_counts(spec, t: float) -> np.ndarray:
+    widths = np.diff(spec.segments)
+    if t == 0.0:
+        return np.ones(widths.shape, dtype=np.int64)
+    reps = np.ceil(widths / (0.5 * math.pi / abs(t))).astype(np.int64)
+    np.clip(reps, 1, None, out=reps)
+    reps[spec.segment_mass < 1e-15] = 1
+    return reps
+
+
+def _per_time_transform(spec, times) -> np.ndarray:
+    """C(t) with quarter-period panels rebuilt for every t."""
+    interp = PchipInterpolator(spec.grid, spec.density)
+    edges = spec.segments
+    widths = np.diff(edges)
+    out = np.empty(len(times), dtype=complex)
+    for i, t in enumerate(times):
+        reps = _panel_counts(spec, float(t))
+        total = int(reps.sum())
+        sub_w = np.repeat(widths / reps, reps)
+        offset = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
+        sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
+        half = 0.5 * sub_w
+        nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
+        dens = interp(nodes.ravel()).reshape(nodes.shape)
+        out[i] = complex(((dens * np.exp(-1j * t * nodes)) @ _GL_W * half).sum())
+    if spec.eigenvalue is not None:
+        out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(times))
+    return out
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    return {
+        "2d": build_spectral_data(_params(TWO, 0.5)),
+        "3d": build_spectral_data(_params(THREE, 2.0)),
+    }
+
+
+class TestSolver:
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    def test_matches_direct_history_sums(self, family, g_sq):
+        n_steps = 1500  # not a power of two; blocks of 128..1024 samples
+        assert n_steps > 4 * _SHORT_LAGS
+        params = _params(family, g_sq)
+        h = 0.01
+        got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
+        ref = _direct_heun(params, n_steps * h, h)
+        assert got.shape == ref.shape == (n_steps + 1,)
+        assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+    def test_repeat_solve_is_byte_identical(self):
+        params = _params(THREE, 1.2)
+        first = solve_ide(params, horizon=30.0, step=0.01)
+        second = solve_ide(params, horizon=30.0, step=0.01)
+        assert first.amplitude.tobytes() == second.amplitude.tobytes()
+
+
+class TestTransform:
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_uniform_grid_matches_per_time_panels(self, spectra, name):
+        spec = spectra[name]
+        times = np.linspace(0.0, 60.0, 301)  # several re-anchor intervals
+        got = amplitude_spectral(spec, times).amplitude
+        ref = _per_time_transform(spec, times)
+        assert float(np.max(np.abs(got - ref))) <= 1e-7
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_signed_nonuniform_grid_matches_per_time_panels(self, spectra, name):
+        spec = spectra[name]
+        times = np.array([0.0, 3.7, -3.7, 0.25, 41.0, -17.5, 9.9])
+        got = _amplitude_points(spec, times, 500_000)
+        ref = _per_time_transform(spec, times)
+        assert float(np.max(np.abs(got - ref))) <= 1e-7
+        assert conjugate_symmetry_check(spec, 41.0)
+
+    def test_budget_applies_at_the_largest_time(self, spectra):
+        spec = spectra["3d"]
+        times = np.linspace(0.0, 500.0, 11)
+        needed = int(_panel_counts(spec, 500.0).sum())
+        assert needed > int(_panel_counts(spec, 450.0).sum())
+        amplitude_spectral(spec, times, max_panels_per_time=needed)
+        with pytest.raises(OscillatoryBudgetExceededError):
+            amplitude_spectral(spec, times, max_panels_per_time=needed - 1)
