@@ -229,7 +229,7 @@ def decay_series(
     vol = artifacts.subsample(
         solve_ide(params, horizon=scenario.horizon, step=step), per_output
     )
-    spectral = amplitude_spectral(spec_data, vol.times, scenario.quadrature)
+    spectral = amplitude_spectral(spec_data, vol.times)
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
     return spectral, vol, deviation, spec_data
 
@@ -248,7 +248,7 @@ def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
     artifacts.write_decay_json(
         out_dir / f"{scenario.name}_decay.json",
         p_infinity=asymptotic_limit(spec_data),
-        gamma_estimate=weak_coupling_rate(scenario.params, scenario.quadrature).gamma,
+        gamma_estimate=weak_coupling_rate(scenario.params).gamma,
         max_deviation=deviation,
     )
     if deviation > _DEVIATION_GATE:
@@ -269,9 +269,11 @@ def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> Mod
     return replace(params, e2=params.e1 + value)
 
 
-def sweep_point(scenario: Scenario, value: float) -> dict:
-    """Threshold data for one sweep point; marginal points are flagged, not solved."""
-    params = _apply_sweep_value(scenario.params, scenario.sweep.parameter, value)
+def sweep_point(scenario: Scenario, value: float, params: ModelParams | None = None) -> dict:
+    """Threshold data for one sweep point (``params``: its model, if already built);
+    marginal points are flagged, not solved."""
+    if params is None:
+        params = _apply_sweep_value(scenario.params, scenario.sweep.parameter, value)
     check = threshold_check(params)
     row = {
         "sweep_value": value,
@@ -289,24 +291,24 @@ def sweep_point(scenario: Scenario, value: float) -> dict:
         row.update(weight=1.0, p_infinity=1.0)
         return row
     if check.exists:
-        e0 = find_eigenvalue(params, scenario.quadrature)
-        weight = eigen_weight(params, e0, scenario.quadrature)
+        e0 = find_eigenvalue(params)
+        weight = eigen_weight(params, e0)
         row.update(e0=e0, weight=weight, p_infinity=weight**2)
     else:
         row.update(weight=0.0, p_infinity=0.0)
     return row
 
 
-def cmd_sweep(scenario: Scenario, out_dir: Path, jobs: int) -> int:
+def cmd_sweep(scenario: Scenario, swept: list[ModelParams], out_dir: Path, jobs: int) -> int:
     if scenario.sweep is None:
         raise ConfigError("sweep command requires sweep.parameter and sweep.values")
     values = scenario.sweep.values
     worker = partial(sweep_point, scenario)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, values))
+            rows = list(pool.map(worker, values, swept))
     else:
-        rows = [worker(v) for v in values]
+        rows = list(map(worker, values, swept))
     for row in rows:
         if row["exists"] == "skipped":
             print(
@@ -318,25 +320,18 @@ def cmd_sweep(scenario: Scenario, out_dir: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_verify(out_dir: Path, jobs: int) -> int:
+def cmd_verify(out_dir: Path) -> int:
     from .verification import run_matrix
 
     results = run_matrix(out_dir)
-    del jobs  # scenario pipeline is sequential; kept for interface uniformity
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2
 
 
-def _certify_truncation(scenario: Scenario) -> None:
-    """Reject a tail_cut too short for the model's cutoff (every sweep point too)."""
-    models = [scenario.params]
-    if scenario.sweep is not None:
-        models += [
-            _apply_sweep_value(scenario.params, scenario.sweep.parameter, v)
-            for v in scenario.sweep.values
-        ]
-    for params in models:
+def _certify_truncation(scenario: Scenario, swept: list[ModelParams]) -> None:
+    """Reject a tail_cut too short for the model's cutoff or any swept model."""
+    for params in [scenario.params, *swept]:
         try:
             _check_tail(params, 0.0, scenario.quadrature)
         except ValueError as exc:
@@ -356,7 +351,7 @@ def _resolve_out_dir(args, scenario: Scenario | None) -> Path:
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        return cmd_verify(_resolve_out_dir(args, None), args.jobs)
+        return cmd_verify(_resolve_out_dir(args, None))
     scenario = load_scenario(args.config)
     if args.tol is not None:
         scenario = replace(
@@ -366,13 +361,16 @@ def _dispatch(args) -> int:
         if args.horizon <= 0:
             raise ConfigError("--horizon must be positive")
         scenario = replace(scenario, horizon=args.horizon)
-    _certify_truncation(scenario)
+    swept = []  # the model at each sweep value, built once
+    if (spec := scenario.sweep) is not None:
+        swept = [_apply_sweep_value(scenario.params, spec.parameter, v) for v in spec.values]
+    _certify_truncation(scenario, swept)
     out_dir = _resolve_out_dir(args, scenario)
     if args.command == "spectrum":
         return cmd_spectrum(scenario, out_dir)
     if args.command == "decay":
         return cmd_decay(scenario, out_dir)
-    return cmd_sweep(scenario, out_dir, args.jobs)
+    return cmd_sweep(scenario, swept, out_dir, args.jobs)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:

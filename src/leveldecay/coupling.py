@@ -97,13 +97,3 @@ def tail_mass(model: CouplingModel, x0: float) -> float:
         return model.strength_sq * model.cutoff * (x0 + model.cutoff) * decay
     return model.strength_sq * model.cutoff * decay
 
-
-def slope_sq_at_zero(model: CouplingModel) -> float:
-    """d|V|^2/dx at x = 0: the linear coefficient of |V|^2 at the edge.
-
-    For the 3d family this is the nonzero edge slope g2 (|V|^2 = x * V1(x) with
-    V1(0) = g2); for the 2d family it is the derivative -g2/L of the envelope.
-    """
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq
-    return -model.strength_sq / model.cutoff

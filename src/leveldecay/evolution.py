@@ -32,7 +32,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .coupling import coupling_sq
-from .quadrature import _EPS, _GL_W, _GL_X, QuadratureConfig
+from .quadrature import _EPS, _GL_W, _GL_X
 from .spectrum import ModelParams, SpectralData, k_pv_closed
 
 
@@ -166,10 +166,7 @@ def _amplitude_points(
 
 
 def amplitude_spectral(
-    spec: SpectralData,
-    times,
-    cfg: QuadratureConfig | None = None,
-    max_panels_per_time: int = 500_000,
+    spec: SpectralData, times, *, max_panels_per_time: int = 500_000
 ) -> AmplitudeSeries:
     """Survival amplitude series over ``times`` from assembled spectral data.
 
@@ -178,7 +175,6 @@ def amplitude_spectral(
     this).  Raises OscillatoryBudgetExceededError when the panel set that
     resolves the largest time exceeds ``max_panels_per_time`` panels.
     """
-    del cfg  # tolerances are baked into the density table; kept for symmetry
     times = np.asarray(times, dtype=float)
     amp = _amplitude_points(spec, times, max_panels_per_time)
     prob = np.abs(amp) ** 2
@@ -200,15 +196,12 @@ class WeakCouplingRate:
     shift_estimate: float
 
 
-def weak_coupling_rate(
-    params: ModelParams,
-    cfg: QuadratureConfig | None = None,
-) -> WeakCouplingRate:
+def weak_coupling_rate(params: ModelParams) -> WeakCouplingRate:
     """Resonance width 2*pi*|V(e2 - e1)|^2 and shift -PV k(e2), for diagnostics.
 
     In the weak-coupling decaying regime, ln P(t) falls with slope -gamma over
-    the first few lifetimes; the estimate degrades as coupling grows.  ``cfg``
-    is accepted for interface uniformity; the shift is a closed form.
+    the first few lifetimes; the estimate degrades as coupling grows.  The
+    shift is a closed form.
     """
     gamma = 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
     shift = -float(k_pv_closed(params, params.e2)) if params.coupling.strength_sq > 0.0 else 0.0

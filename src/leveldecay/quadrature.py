@@ -132,6 +132,20 @@ def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return kron, np.maximum(err, 50.0 * _EPS * np.abs(kron))
 
 
+def _split_panels(f: Callable, a, b, vals, errs, mask) -> tuple[np.ndarray, ...]:
+    """Bisect the panels picked by ``mask``; all panels, sorted by left edge."""
+    mid = 0.5 * (a[mask] + b[mask])
+    split_a = np.concatenate([a[mask], mid])
+    split_b = np.concatenate([mid, b[mask]])
+    new_vals, new_errs = _gk15(f, split_a, split_b)
+    a = np.concatenate([a[~mask], split_a])
+    b = np.concatenate([b[~mask], split_b])
+    vals = np.concatenate([vals[~mask], new_vals])
+    errs = np.concatenate([errs[~mask], new_errs])
+    order = np.argsort(a, kind="stable")
+    return a[order], b[order], vals[order], errs[order]
+
+
 def _adapt(
     f: Callable,
     edges: np.ndarray,
@@ -159,14 +173,7 @@ def _adapt(
                 total, err,
             )
         n_splits += n_new
-        mid = 0.5 * (a[mask] + b[mask])
-        new_a = np.concatenate([a[~mask], a[mask], mid])
-        new_b = np.concatenate([b[~mask], mid, b[mask]])
-        new_vals, new_errs = _gk15(f, np.concatenate([a[mask], mid]), np.concatenate([mid, b[mask]]))
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        order = np.argsort(new_a, kind="stable")
-        a, b, vals, errs = new_a[order], new_b[order], vals[order], errs[order]
+        a, b, vals, errs = _split_panels(f, a, b, vals, errs, mask)
 
 
 def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> np.ndarray:

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .coupling import (
     CouplingFamily,
@@ -55,6 +54,7 @@ from .quadrature import (
     _check_tail,
     _edges_toward,
     _gk15,
+    _split_panels,
     k_pv,
     k_regular,
     weight_integral,
@@ -165,21 +165,26 @@ def _scaled_ei(s):
     return np.where(far, _asymptotic_series(s, 1.0), out) if np.any(far) else out
 
 
-def _scaled_e1(s):
-    """e^{s} E1(s) for s > 0."""
-    near = np.minimum(s, _ASYMPTOTIC_S)
-    out = np.exp(near) * special.exp1(near)
-    far = s > _ASYMPTOTIC_S
-    return np.where(far, _asymptotic_series(s, -1.0), out) if np.any(far) else out
+def _scaled_e1(s: float) -> float:
+    """e^{s} E1(s) for a scalar s > 0 (only e0 and w need it, one value at a time)."""
+    if s > _ASYMPTOTIC_S:
+        return float(_asymptotic_series(s, -1.0))
+    return math.exp(s) * float(special.exp1(s))
 
 
 # The closed forms at g2 = L = 1, as functions of the scaled distance s from
 # the edge.  k and PV k scale as g2 * L**p (p = 1 for 3d, 0 for 2d), the
 # weight integral as g2 * L**(p - 1); see ``_k_scale``.
-def _k_unit(family: CouplingFamily, s):
+def _k_unit_and_slope(family: CouplingFamily, s: float, e: float) -> tuple[float, float]:
+    """k(e1 - s) below the edge and s dk/ds, from e = e^{s} E1(s) with de/ds = e - 1/s."""
+    if family is CouplingFamily.TWO_DIM_EXP:
+        return e, s * e - 1.0
+    return 1.0 - s * e, s * (1.0 - (1.0 + s) * e)
+
+
+def _k_unit(family: CouplingFamily, s: float) -> float:
     """k(e1 - s) below the edge."""
-    e = _scaled_e1(s)
-    return e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
+    return _k_unit_and_slope(family, s, _scaled_e1(s))[0]
 
 
 def _pv_k_unit(family: CouplingFamily, s):
@@ -188,7 +193,7 @@ def _pv_k_unit(family: CouplingFamily, s):
     return -e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
 
 
-def _weight_unit(family: CouplingFamily, s):
+def _weight_unit(family: CouplingFamily, s: float) -> float:
     """Integral of |V(x)|^2 / (x + s)^2 over [0, inf)."""
     e = _scaled_e1(s)
     if family is CouplingFamily.TWO_DIM_EXP:
@@ -237,36 +242,77 @@ def k_pv_closed(params: ModelParams, t):
     return _k_scale(model) * _pv_k_unit(model.family, s)
 
 
-def _k_unit_log(family: CouplingFamily, ln_s: float) -> float:
-    """``_k_unit`` from ln s, finite also where s itself underflows."""
+def _eigen_equation(family, gap, scale, ln_cutoff, u) -> tuple[float, float]:
+    """F(u) = gap + e^u - g2 L^p k_unit(s) and dF/du at s = e^u / L.  Below
+    ln s = -700, where s underflows, s = 0 and e^{s} E1(s) = -gamma - ln s."""
+    ln_s = u - ln_cutoff
     if ln_s > _EDGE_LN_S:
-        return float(_k_unit(family, math.exp(ln_s)))
-    if family is CouplingFamily.TWO_DIM_EXP:
-        return -np.euler_gamma - ln_s
-    return 1.0
+        s = math.exp(ln_s)
+        k, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
+    else:
+        k, s_dk = _k_unit_and_slope(family, 0.0, -np.euler_gamma - ln_s)
+    a = math.exp(u)
+    return gap + a - scale * k, a - scale * s_dk
 
 
-def find_eigenvalue(
-    params: ModelParams,
-    cfg: QuadratureConfig | None = None,
-    initial_span: float | None = None,
-) -> float:
+def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]:
+    """Root u and F(u) of an increasing F with F(lo) <= 0 <= F(hi).
+
+    Newton from the end with the smaller |F|; a step that would leave the
+    bracket or is longer than half the previous one becomes bisection, and
+    one shorter than half the tolerance is lengthened to it, so the bracket
+    closes on the root.  Once it is narrower than 1e-15 + 4 eps |u|, the end or
+    secant point between them with the smallest |F| is returned.
+    """
+    f_lo, f_hi = fd_lo[0], fd_hi[0]
+    u, (f, df) = (lo, fd_lo) if -f_lo < f_hi else (hi, fd_hi)
+    step = math.inf
+    for _ in range(200):
+        if f == 0.0:
+            return u, f
+        tol = 1e-15 + 4.0 * _EPS * abs(u)
+        if hi - lo < tol:
+            break
+        newton = -f / df if df != 0.0 else math.inf
+        if abs(newton) < 0.5 * tol:
+            newton = math.copysign(0.5 * tol, newton)
+        ok = lo < u + newton < hi and abs(newton) <= 0.5 * abs(step)
+        step = newton if ok else 0.5 * (lo + hi) - u
+        u += step
+        f, df = f_and_slope(u)
+        if f < 0.0:
+            lo, f_lo = u, f
+        else:
+            hi, f_hi = u, f
+    else:
+        raise BracketFailureError("root iteration did not converge in 200 steps")
+    # Where F is steep in u, both ends can miss the root by a few ulps.
+    u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    if lo < u < hi and abs(f := f_and_slope(u)[0]) < min(-f_lo, f_hi):
+        return u, f
+    return (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+
+
+def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -> float:
     """Locate the unique eigenvalue e0 < e1 of the coupled system.
 
     With a = e1 - lam, F = e2 - lam - k(lam) = gap + a - k(e1 - a) is strictly
     increasing in a, positive for large a and negative toward the edge, so a
-    sign-change bracket pins the root uniquely.  The root is found by brentq
-    in u = ln a on the closed form of k, which stays well conditioned down to
+    sign-change bracket pins the root uniquely.  The root is solved in
+    u = ln a on the closed form of k, which stays well conditioned down to
     distances that underflow double precision: there k takes its edge
     asymptote.  The far end of the bracket starts at a = ``initial_span``
     (default the level gap) and doubles; the near end steps toward the edge
-    in u by doubling steps.  ``cfg`` is accepted for interface uniformity;
-    the closed forms need no quadrature settings.
+    in u by doubling steps.  Inside the bracket Newton steps in u (slope
+    from d/ds [e^s E1(s)] = e^s E1(s) - 1/s), safeguarded by bisection, run
+    until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
+    certified by the residual gate |F| <= 1e-10 max(1, gap), which does not
+    use the slope.
 
     Raises:
         NoEigenvalueError: threshold test fails (or zero coupling).
         ThresholdMarginalError: model sits on the threshold within 1e-8.
-        BracketFailureError: bracketing or residual tolerance failed.
+        BracketFailureError: bracketing, iteration or residual tolerance failed.
     """
     check = threshold_check(params)
     if check.degenerate:
@@ -284,18 +330,16 @@ def find_eigenvalue(
     _closed_form_gate(model.family)
     gap = params.level_gap
     res_tol = 1e-10 * max(1.0, gap)
-    scale = _k_scale(model)
-    ln_cutoff = math.log(model.cutoff)
-
-    def f_of(u: float) -> float:
-        return gap + math.exp(u) - scale * _k_unit_log(model.family, u - ln_cutoff)
+    f_and_slope = functools.partial(
+        _eigen_equation, model.family, gap, _k_scale(model), math.log(model.cutoff)
+    )
 
     d = initial_span if initial_span is not None else gap
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError("initial_span must be positive and finite")
     u_hi = math.log(d)
     doublings = 0
-    while f_of(u_hi) < 0.0:
+    while (fd_hi := f_and_slope(u_hi))[0] < 0.0:
         doublings += 1
         if doublings > 20:
             raise BracketFailureError(
@@ -304,12 +348,11 @@ def find_eigenvalue(
         d *= 2.0
         u_hi = math.log(d)
     step = 1.0
-    while f_of(u_hi - step) > 0.0:
+    while (fd_lo := f_and_slope(u_hi - step))[0] > 0.0:
         step *= 2.0
         if step > 2.0**60:
             raise BracketFailureError("near-edge bracket expansion exhausted")
-    u_root = brentq(f_of, u_hi - step, u_hi, xtol=1e-15, rtol=4.0 * _EPS, maxiter=200)
-    residual = f_of(u_root)
+    u_root, residual = _newton_in_bracket(f_and_slope, u_hi - step, fd_lo, u_hi, fd_hi)
     if not abs(residual) <= res_tol:
         raise BracketFailureError(
             f"root residual {residual!r} did not reach tolerance {res_tol!r}"
@@ -321,18 +364,14 @@ def find_eigenvalue(
     return e0
 
 
-def eigen_weight(
-    params: ModelParams,
-    e0: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def eigen_weight(params: ModelParams, e0: float) -> float:
     """Weight w of the eigenvalue e0 in the initial state's spectral measure.
 
     w = 1 / (1 + integral of |V(x)|^2 / (x + e1 - e0)^2), strictly inside
     (0, 1) for g2 > 0, with the integral in closed form.  For distances below
     the double-precision representability floor (a < 1e-280, reachable only
     for extremely weak 2d couplings) the weight underflows and 0.0 is
-    returned.  ``cfg`` is accepted for interface uniformity.
+    returned.
     """
     model = params.coupling
     if model.strength_sq == 0.0:
@@ -343,7 +382,7 @@ def eigen_weight(
     if a < 1e-280:
         return 0.0
     _closed_form_gate(model.family)
-    norm_int = _k_scale(model) / model.cutoff * float(_weight_unit(model.family, a / model.cutoff))
+    norm_int = _k_scale(model) / model.cutoff * _weight_unit(model.family, a / model.cutoff)
     return 1.0 / (1.0 + norm_int)
 
 
@@ -357,16 +396,11 @@ def _density(params: ModelParams, t: np.ndarray) -> np.ndarray:
     return np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
 
 
-def spectral_density(
-    params: ModelParams,
-    t: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def spectral_density(params: ModelParams, t: float) -> float:
     """Density rho(t) of the absolutely continuous spectral part at energy t.
 
     Zero for t <= e1 (at the edge itself both families give the limit 0: the
-    3d numerator vanishes while the 2d principal value diverges).  ``cfg`` is
-    accepted for interface uniformity.
+    3d numerator vanishes while the 2d principal value diverges).
     """
     return float(_density(params, np.array([float(t)]))[0])
 
@@ -507,8 +541,8 @@ def build_spectral_data(
         )
     _check_tail(params, 0.0, cfg)
     if check.exists:
-        e0 = find_eigenvalue(params, cfg)
-        weight = eigen_weight(params, e0, cfg)
+        e0 = find_eigenvalue(params)
+        weight = eigen_weight(params, e0)
     else:
         e0, weight = None, 0.0
 
@@ -549,16 +583,7 @@ def build_spectral_data(
                 float(vals.sum()), float(errs.sum()),
             )
         n_splits += n_new
-        mid = 0.5 * (a[mask] + b[mask])
-        split_a = np.concatenate([a[mask], mid])
-        split_b = np.concatenate([mid, b[mask]])
-        new_vals, new_errs = _gk15(rho_batch, split_a, split_b)
-        a = np.concatenate([a[~mask], split_a])
-        b = np.concatenate([b[~mask], split_b])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        order = np.argsort(a, kind="stable")
-        a, b, vals, errs = a[order], b[order], vals[order], errs[order]
+        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, mask)
 
     # Integration has converged, but the table must also interpolate well:
     # probe the true density at an off-node point of every panel, compare
@@ -585,25 +610,10 @@ def build_spectral_data(
                 float(vals.sum()), float(probe_err.sum()),
             )
         n_splits += n_new
-        mid = 0.5 * (a[mask] + b[mask])
-        split_a = np.concatenate([a[mask], mid])
-        split_b = np.concatenate([mid, b[mask]])
-        new_vals, new_errs = _gk15(rho_batch, split_a, split_b)
-        a = np.concatenate([a[~mask], split_a])
-        b = np.concatenate([b[~mask], split_b])
-        vals = np.concatenate([vals[~mask], new_vals])
-        errs = np.concatenate([errs[~mask], new_errs])
-        order = np.argsort(a, kind="stable")
-        a, b, vals, errs = a[order], b[order], vals[order], errs[order]
+        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, mask)
 
     for _ in range(int(grid.extra_refine)):
-        mid = 0.5 * (a + b)
-        split_a = np.concatenate([a, mid])
-        split_b = np.concatenate([mid, b])
-        vals, errs = _gk15(rho_batch, split_a, split_b)
-        order = np.argsort(split_a, kind="stable")
-        a, b = split_a[order], split_b[order]
-        vals, errs = vals[order], errs[order]
+        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, np.ones(a.size, bool))
 
     mass = float(vals.sum())
     tail = rho_end * params.coupling.cutoff

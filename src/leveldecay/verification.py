@@ -98,7 +98,7 @@ def _compute_run(ms: MatrixScenario, cfg: QuadratureConfig) -> ScenarioRun:
     vol = artifacts.subsample(
         solve_ide(params, horizon=horizon, step=dt / per_output), per_output
     )
-    spectral = amplitude_spectral(spec, vol.times, cfg)
+    spectral = amplitude_spectral(spec, vol.times)
     return ScenarioRun(ms, params, spec, spectral, vol)
 
 
@@ -116,25 +116,25 @@ def _check_normalization(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _eigenvalue_exists(params: ModelParams, cfg: QuadratureConfig) -> bool:
+def _eigenvalue_exists(params: ModelParams) -> bool:
     try:
-        e0 = find_eigenvalue(params, cfg)
+        e0 = find_eigenvalue(params)
     except NoEigenvalueError:
         return False
     return e0 < params.e1
 
 
-def _check_threshold(cfg: QuadratureConfig) -> CriterionResult:
+def _check_threshold() -> CriterionResult:
     failures = []
     for g_sq, expected in ((0.9, False), (1.1, True)):
         params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, g_sq, 1.0))
-        got = _eigenvalue_exists(params, cfg)
+        got = _eigenvalue_exists(params)
         agrees = got == expected == threshold_check(params).exists
         if not agrees:
             failures.append(f"3d g2={g_sq}: solver={got}, expected={expected}")
     for g_sq in (1e-3, 0.1, 1.0):
         params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.TWO_DIM_EXP, g_sq, 1.0))
-        if not _eigenvalue_exists(params, cfg):
+        if not _eigenvalue_exists(params):
             failures.append(f"2d g2={g_sq}: no eigenvalue found")
     return CriterionResult(
         2, "threshold reproduction",
@@ -205,14 +205,14 @@ def _check_cross_route(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _check_short_time(runs: list[ScenarioRun], cfg: QuadratureConfig) -> CriterionResult:
+def _check_short_time(runs: list[ScenarioRun]) -> CriterionResult:
     details, ok = [], True
     for run in runs:
         l2 = l2_norm_sq(run.params.coupling)
         t_star = 1e-2 / math.sqrt(l2)
         predicted = 1.0 - l2 * t_star**2
         vol = solve_ide(run.params, horizon=t_star, step=t_star / 16.0)
-        spec_series = amplitude_spectral(run.spec, np.array([0.0, t_star]), cfg)
+        spec_series = amplitude_spectral(run.spec, np.array([0.0, t_star]))
         for got, tag in (
             (float(vol.probability[-1]), "volterra"),
             (float(spec_series.probability[-1]), "spectral"),
@@ -231,9 +231,9 @@ def _check_short_time(runs: list[ScenarioRun], cfg: QuadratureConfig) -> Criteri
     )
 
 
-def _check_weak_coupling(runs: list[ScenarioRun], cfg: QuadratureConfig) -> CriterionResult:
+def _check_weak_coupling(runs: list[ScenarioRun]) -> CriterionResult:
     run = next(r for r in runs if r.scenario.name == "3d-below-small")
-    gamma = weak_coupling_rate(run.params, cfg).gamma
+    gamma = weak_coupling_rate(run.params).gamma
     fitted = fitted_decay_rate(run.spectral)
     rel = abs(fitted - gamma) / gamma
     return CriterionResult(
@@ -291,7 +291,7 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_eigenvalue_oracle(runs: list[ScenarioRun], cfg: QuadratureConfig) -> CriterionResult:
+def _check_eigenvalue_oracle(runs: list[ScenarioRun]) -> CriterionResult:
     details, ok = [], True
     worst = 0.0
     for run in runs:
@@ -311,7 +311,7 @@ def _check_eigenvalue_oracle(runs: list[ScenarioRun], cfg: QuadratureConfig) -> 
     grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     roots = [
         find_eigenvalue(
-            ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, g, 1.0)), cfg
+            ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, g, 1.0))
         )
         for g in grid
     ]
@@ -378,7 +378,7 @@ def _write_artifacts(out_dir: Path, runs: list[ScenarioRun], cfg: QuadratureConf
         artifacts.write_decay_json(
             Path(f"{stem}_decay.json"),
             p_infinity=asymptotic_limit(run.spec),
-            gamma_estimate=weak_coupling_rate(run.params, cfg).gamma,
+            gamma_estimate=weak_coupling_rate(run.params).gamma,
             max_deviation=deviation,
         )
     for _label, scenario in _sweep_scenarios(cfg):
@@ -392,13 +392,13 @@ def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
     runs = [_compute_run(ms, cfg) for ms in MATRIX]
     results = [
         _check_normalization(runs),
-        _check_threshold(cfg),
+        _check_threshold(),
         _check_plateau(runs),
         _check_decay(runs),
         _check_cross_route(runs),
-        _check_short_time(runs, cfg),
-        _check_weak_coupling(runs, cfg),
-        _check_eigenvalue_oracle(runs, cfg),
+        _check_short_time(runs),
+        _check_weak_coupling(runs),
+        _check_eigenvalue_oracle(runs),
         _check_determinism(cfg),
     ]
     if out_dir is not None:

@@ -1,38 +1,51 @@
-"""Closed-form k, PV k, rho and w against the adaptive-quadrature reference."""
+"""Closed-form k, PV k, rho and w against the adaptive-quadrature reference,
+and the Newton eigenvalue solve against brentq on the same closed form."""
 
 from __future__ import annotations
 
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
+from scipy.optimize import brentq
 
 from leveldecay import (
+    BracketFailureError,
     ClosedFormMismatchError,
     CouplingFamily,
     CouplingModel,
     ModelParams,
+    NoEigenvalueError,
     QuadratureConfig,
+    ThresholdMarginalError,
     coupling_sq,
     eigen_weight,
+    find_eigenvalue,
     k_pv,
     k_regular,
     spectral_density,
     spectrum,
+    threshold_check,
 )
 from leveldecay.cli import main
 from leveldecay.quadrature import weight_integral
 
 CFG = QuadratureConfig()
 TOL = 1e-8
+TWO = CouplingFamily.TWO_DIM_EXP
+THREE = CouplingFamily.THREE_DIM_EXP
+E0_TOL = 1e-12
 
 
 def _close(got: float, ref: float, slack: float = 0.0) -> bool:
     return math.isfinite(got) and abs(got - ref) <= TOL * max(1.0, abs(ref)) + slack
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     family=st.sampled_from(list(CouplingFamily)),
     g_sq=st.floats(1e-3, 10.0),
@@ -45,7 +58,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     s = 10.0**log10_s
     x = s * cutoff
 
-    k_below = spectrum._k_scale(model) * spectrum._k_unit_log(family, math.log(s))
+    k_below = spectrum._k_scale(model) * spectrum._k_unit(family, s)
     assert _close(k_below, k_regular(params, -x, CFG))
 
     pv = float(spectrum.k_pv_closed(params, x))
@@ -58,10 +71,10 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     shift = 1.0 - x - pv_ref
     rho_ref = v / (shift * shift + (math.pi * v) ** 2) if v > 0.0 else 0.0
     slope = 2.0 * rho_ref**2 * abs(shift) / v if v > 0.0 else 0.0
-    assert _close(spectral_density(params, x, CFG), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
+    assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
     w_ref = 1.0 / (1.0 + weight_integral(params, x, CFG))
-    assert _close(eigen_weight(params, -x, CFG), w_ref)
+    assert _close(eigen_weight(params, -x), w_ref)
 
 
 def test_mismatch_detected(tmp_path, monkeypatch, capsys):
@@ -72,7 +85,7 @@ def test_mismatch_detected(tmp_path, monkeypatch, capsys):
     )
     params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, 0.5, 1.0))
     with pytest.raises(ClosedFormMismatchError):
-        spectral_density(params, 0.7, CFG)
+        spectral_density(params, 0.7)
     cfg = tmp_path / "scen.cfg"
     cfg.write_text(
         "name = demo\nmodel.e1 = 0.0\nmodel.e2 = 1.0\ncoupling.family = 3d-exp\n"
@@ -83,3 +96,166 @@ def test_mismatch_detected(tmp_path, monkeypatch, capsys):
     assert main(["decay", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: numerical:")
     spectrum._closed_form_gate.cache_clear()
+
+
+def _scaled_e1_array(s):
+    """e^s E1(s) on arrays, apart from spectrum's scalar form: the 12-term
+    asymptotic series above s = 700."""
+    near = np.minimum(s, 700.0)
+    out = np.exp(near) * special.exp1(near)
+    far = s > 700.0
+    if np.any(far):
+        inv = 1.0 / np.maximum(s, 700.0)
+        term = total = inv
+        for n in range(1, 12):
+            term = term * (-n) * inv
+            total = total + term
+        out = np.where(far, total, out)
+    return out
+
+
+def _brentq_eigenvalue(params: ModelParams) -> float:
+    """e0 by brentq in u = ln(e1 - e0) on an array closed form of k, with the
+    bracket search, residual gate and underflow rule of ``find_eigenvalue``."""
+    check = threshold_check(params)
+    if check.degenerate:
+        raise NoEigenvalueError("zero coupling")
+    if check.marginal:
+        raise ThresholdMarginalError("on the threshold")
+    if not check.exists:
+        raise NoEigenvalueError("no bound state")
+    model = params.coupling
+    two = model.family is TWO
+    gap = params.level_gap
+    scale = model.strength_sq * (1.0 if two else model.cutoff)
+    ln_cutoff = math.log(model.cutoff)
+
+    def k_unit(ln_s):
+        if ln_s > -700.0:
+            s = math.exp(ln_s)
+            e = float(_scaled_e1_array(s))
+            return e if two else 1.0 - s * e
+        return -np.euler_gamma - ln_s if two else 1.0
+
+    def f_of(u):
+        return gap + math.exp(u) - scale * k_unit(u - ln_cutoff)
+
+    d = gap
+    u_hi = math.log(d)
+    doublings = 0
+    while f_of(u_hi) < 0.0:
+        doublings += 1
+        if doublings > 20:
+            raise BracketFailureError("lower bracket expansion")
+        d *= 2.0
+        u_hi = math.log(d)
+    step = 1.0
+    while f_of(u_hi - step) > 0.0:
+        step *= 2.0
+        if step > 2.0**60:
+            raise BracketFailureError("near-edge bracket expansion")
+    eps = float(np.finfo(float).eps)
+    u_root = brentq(f_of, u_hi - step, u_hi, xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+    if not abs(f_of(u_root)) <= 1e-10 * max(1.0, gap):
+        raise BracketFailureError("root residual")
+    e0 = params.e1 - math.exp(u_root)
+    return e0 if e0 < params.e1 else float(np.nextafter(params.e1, -math.inf))
+
+
+def _outcome(solve, params):
+    try:
+        return solve(params)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+@st.composite
+def _eigen_models(draw):
+    """Both families over several decades of g2, L and gap.  3d draws g2 * L
+    in [1e-3, 1e3] (both sides of the threshold g2 * L = gap), which keeps
+    the rounding noise of F = gap + a - k below 1e-12 in e0."""
+    family = draw(st.sampled_from(list(CouplingFamily)))
+    cutoff = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gap = 10.0 ** draw(st.floats(-3.0, 3.0))
+    e1 = draw(st.floats(-10.0, 10.0))
+    if family is TWO:
+        g_sq = 10.0 ** draw(st.floats(-4.0, 3.0))
+    else:
+        g_sq = 10.0 ** draw(st.floats(-3.0, 3.0)) / cutoff
+    return ModelParams(e1, e1 + gap, CouplingModel(family, g_sq, cutoff))
+
+
+# ln s < -700 at the root: the first gives e0 = nextafter(e1), the second an
+# e1 - e0 that is still a normal float.
+_EDGE_MODELS = (
+    ModelParams(0.0, 1.0, CouplingModel(TWO, 1e-3, 1.0)),
+    ModelParams(0.0, 1.0, CouplingModel(TWO, 1.4e-3, 1e3)),
+)
+# s > 700 at the root, where e^s E1(s) is its asymptotic series.
+_FAR_MODELS = (
+    ModelParams(0.0, 1e-3, CouplingModel(TWO, 1e3, 1e-3)),
+    ModelParams(0.0, 1e-3, CouplingModel(THREE, 1e6, 1e-3)),
+)
+# g2 * L = 4.8e5: F moves by 6e-11 per ulp of u at the root, so only a u
+# within about one ulp of it passes the 1e-10 residual gate.
+_STEEP_MODEL = ModelParams(
+    1.320764717716587, 1.3387045514152902,
+    CouplingModel(THREE, 706.6133845345073, 677.9526213095294),
+)
+
+
+@settings(max_examples=300)
+@given(params=_eigen_models())
+@example(params=_EDGE_MODELS[0])
+@example(params=_EDGE_MODELS[1])
+@example(params=_FAR_MODELS[0])
+@example(params=_FAR_MODELS[1])
+@example(params=_STEEP_MODEL)
+def test_newton_solve_matches_brentq_route(params):
+    got = _outcome(find_eigenvalue, params)
+    want = _outcome(_brentq_eigenvalue, params)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert isinstance(got, float)
+    assert abs(got - want) <= E0_TOL * max(1.0, abs(want))
+    if params.e1 == 0.0 and -want >= sys.float_info.min:
+        # e0 = -(e1 - e0) exactly: the edge distance itself must agree too.
+        assert abs(got - want) <= 1e-11 * -want
+
+
+_SAFEGUARD_MODELS = (
+    ModelParams(0.0, 1.0, CouplingModel(THREE, 2.0, 1.0)),
+    ModelParams(0.0, 1.0, CouplingModel(TWO, 0.5, 1.0)),
+    ModelParams(-3.0, 7.0, CouplingModel(THREE, 30.0, 0.5)),
+) + _EDGE_MODELS + _FAR_MODELS
+
+
+@pytest.mark.parametrize("slope", [1e3, 1e-3, -1.0, 0.0, math.nan])
+def test_wrong_slope_only_costs_evaluations(monkeypatch, slope):
+    true_equation = spectrum._eigen_equation
+    monkeypatch.setattr(
+        spectrum, "_eigen_equation", lambda *args: (true_equation(*args)[0], slope)
+    )
+    for params in _SAFEGUARD_MODELS:
+        want = _brentq_eigenvalue(params)
+        assert abs(find_eigenvalue(params) - want) <= E0_TOL * max(1.0, abs(want))
+
+
+def test_no_root_in_bracket_raises(monkeypatch):
+    params = _SAFEGUARD_MODELS[0]
+    true_equation = spectrum._eigen_equation
+
+    def jump(*args):
+        # Changes sign where F does, but never comes closer to 0 than 1.
+        f, df = true_equation(*args)
+        return math.copysign(max(abs(f), 1.0), f), df
+
+    monkeypatch.setattr(spectrum, "_eigen_equation", jump)
+    with pytest.raises(BracketFailureError, match="residual"):
+        find_eigenvalue(params)
+    monkeypatch.setattr(
+        spectrum, "_eigen_equation", lambda *args: (abs(true_equation(*args)[0]) + 1.0, 1.0)
+    )
+    with pytest.raises(BracketFailureError, match="near-edge"):
+        find_eigenvalue(params)

@@ -51,30 +51,30 @@ def spec_degenerate():
 
 class TestAmplitude:
     def test_initial_probability_is_total_mass(self, spec_3d_above):
-        series = amplitude_spectral(spec_3d_above, np.array([0.0, 1.0]), CFG)
+        series = amplitude_spectral(spec_3d_above, np.array([0.0, 1.0]))
         assert series.probability[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_pure_phase(self, spec_degenerate):
         ts = np.linspace(0.0, 10.0, 21)
-        series = amplitude_spectral(spec_degenerate, ts, CFG)
+        series = amplitude_spectral(spec_degenerate, ts)
         assert np.allclose(series.probability, 1.0, atol=1e-14)
         assert np.allclose(series.amplitude, np.exp(-1j * 1.0 * ts))
 
     def test_amplitude_stays_inside_unit_disk(self, spec_3d_above):
         ts = np.linspace(0.0, 40.0, 201)
-        series = amplitude_spectral(spec_3d_above, ts, CFG)
+        series = amplitude_spectral(spec_3d_above, ts)
         assert np.all(np.abs(series.amplitude) <= 1.0 + 1e-6)
         assert series.method_tag is MethodTag.SPECTRAL
 
     def test_matches_volterra_pointwise(self, spec_3d_above):
         params = _params(THREE, 2.0)
         vol = solve_ide(params, horizon=5.0, step=0.005)
-        series = amplitude_spectral(spec_3d_above, np.array([0.0, 5.0]), CFG)
+        series = amplitude_spectral(spec_3d_above, np.array([0.0, 5.0]))
         assert abs(series.amplitude[-1] - vol.amplitude[-1]) <= 1e-3
 
     def test_budget_exceeded_for_tiny_budget(self, spec_3d_above):
         with pytest.raises(OscillatoryBudgetExceededError):
-            amplitude_spectral(spec_3d_above, np.array([500.0]), CFG, max_panels_per_time=50)
+            amplitude_spectral(spec_3d_above, np.array([500.0]), max_panels_per_time=50)
 
     def test_stable_under_grid_doubling(self):
         params = _params(TWO, 0.5)
@@ -82,8 +82,8 @@ class TestAmplitude:
         fine = build_spectral_data(params, grid=DensityGridSpec(extra_refine=1), cfg=CFG)
         assert len(fine.grid) > len(base.grid)
         ts = np.linspace(0.0, 50.0, 101)
-        p_base = amplitude_spectral(base, ts, CFG).probability
-        p_fine = amplitude_spectral(fine, ts, CFG).probability
+        p_base = amplitude_spectral(base, ts).probability
+        p_fine = amplitude_spectral(fine, ts).probability
         assert float(np.max(np.abs(p_base - p_fine))) <= 1e-4
 
     def test_requires_normalized_input(self, spec_3d_above):
@@ -91,7 +91,7 @@ class TestAmplitude:
 
         broken = replace(spec_3d_above, normalization_defect=1e-2)
         with pytest.raises(ValueError):
-            amplitude_spectral(broken, np.array([0.0]), CFG)
+            amplitude_spectral(broken, np.array([0.0]))
 
 
 class TestAsymptotics:
@@ -106,37 +106,37 @@ class TestAsymptotics:
         target = spec_2d_moderate.weight**2
         assert asymptotic_limit(spec_2d_moderate) == pytest.approx(target)
         ts = np.linspace(0.0, 120.0, 601)
-        series = amplitude_spectral(spec_2d_moderate, ts, CFG)
+        series = amplitude_spectral(spec_2d_moderate, ts)
         window = ts >= 60.0
         assert float(series.probability[window].mean()) == pytest.approx(target, abs=1e-2)
 
 
 class TestWeakCoupling:
     def test_zero_coupling_rate(self):
-        rate = weak_coupling_rate(_params(THREE, 0.0), CFG)
+        rate = weak_coupling_rate(_params(THREE, 0.0))
         assert rate.gamma == 0.0
 
     def test_rate_closed_form(self):
-        rate = weak_coupling_rate(_params(THREE, 0.01), CFG)
+        rate = weak_coupling_rate(_params(THREE, 0.01))
         assert rate.gamma == pytest.approx(GAMMA_WEAK_3D, rel=1e-12)
 
     def test_shift_is_minus_pv_at_upper_level(self):
         from leveldecay import k_pv
 
         params = _params(THREE, 0.5)
-        rate = weak_coupling_rate(params, CFG)
+        rate = weak_coupling_rate(params)
         assert rate.shift_estimate == pytest.approx(-k_pv(params, params.e2, CFG), abs=1e-12)
 
     def test_fitted_slope_matches_rate(self):
         params = _params(THREE, 0.01)
         spec = build_spectral_data(params, cfg=CFG)
         ts = np.linspace(0.0, 150.0, 751)
-        series = amplitude_spectral(spec, ts, CFG)
+        series = amplitude_spectral(spec, ts)
         fitted = fitted_decay_rate(series)
         assert fitted == pytest.approx(GAMMA_WEAK_3D, rel=0.15)
 
     def test_fit_needs_window_samples(self, spec_degenerate):
-        series = amplitude_spectral(spec_degenerate, np.linspace(0.0, 5.0, 11), CFG)
+        series = amplitude_spectral(spec_degenerate, np.linspace(0.0, 5.0, 11))
         with pytest.raises(ValueError):
             fitted_decay_rate(series)
 

@@ -71,7 +71,7 @@ class TestThreshold:
 
     def test_marginal_rejected_by_solver(self):
         with pytest.raises(ThresholdMarginalError):
-            find_eigenvalue(_params(THREE, 1.0), CFG)
+            find_eigenvalue(_params(THREE, 1.0))
 
     def test_marginal_rejected_by_builder(self):
         with pytest.raises(ThresholdMarginalError):
@@ -80,101 +80,101 @@ class TestThreshold:
 
 class TestEigenvalue:
     def test_three_dim_matches_reference(self):
-        got = find_eigenvalue(_params(THREE, 2.0), CFG)
+        got = find_eigenvalue(_params(THREE, 2.0))
         assert got == pytest.approx(E0_3D_G2, abs=1e-10)
 
     def test_two_dim_matches_reference(self):
-        got = find_eigenvalue(_params(TWO, 0.5), CFG)
+        got = find_eigenvalue(_params(TWO, 0.5))
         assert got == pytest.approx(E0_2D_G05, abs=1e-10)
 
     def test_two_dim_near_edge_matches_reference(self):
-        got = find_eigenvalue(_params(TWO, 0.1), CFG)
+        got = find_eigenvalue(_params(TWO, 0.1))
         assert got == pytest.approx(E0_2D_G01, rel=1e-8)
 
     def test_two_dim_underflow_regime_stays_below_edge(self):
-        got = find_eigenvalue(_params(TWO, 1e-3), CFG)
+        got = find_eigenvalue(_params(TWO, 1e-3))
         assert got < 0.0
 
     def test_below_threshold_raises(self):
         with pytest.raises(NoEigenvalueError):
-            find_eigenvalue(_params(THREE, 0.9), CFG)
+            find_eigenvalue(_params(THREE, 0.9))
 
     def test_zero_coupling_raises(self):
         with pytest.raises(NoEigenvalueError):
-            find_eigenvalue(_params(THREE, 0.0), CFG)
+            find_eigenvalue(_params(THREE, 0.0))
 
     def test_independent_of_initial_bracket(self):
         params = _params(THREE, 2.0)
-        a = find_eigenvalue(params, CFG, initial_span=None)
-        b = find_eigenvalue(params, CFG, initial_span=7.0)
+        a = find_eigenvalue(params, initial_span=None)
+        b = find_eigenvalue(params, initial_span=7.0)
         assert abs(a - b) <= 1e-10
 
     def test_ordering_below_both_levels(self):
         for params in (_params(THREE, 1.5), _params(TWO, 0.7), _params(TWO, 2.0)):
-            e0 = find_eigenvalue(params, CFG)
+            e0 = find_eigenvalue(params)
             assert e0 < params.e1 < params.e2
 
     def test_monotone_repulsion_in_strength(self):
-        roots = [find_eigenvalue(_params(THREE, g), CFG) for g in (1.2, 1.5, 2.0, 3.0, 4.0)]
+        roots = [find_eigenvalue(_params(THREE, g)) for g in (1.2, 1.5, 2.0, 3.0, 4.0)]
         assert all(b < a for a, b in zip(roots[:-1], roots[1:]))
 
     def test_two_dim_root_moves_toward_edge_as_coupling_shrinks(self):
-        roots = [find_eigenvalue(_params(TWO, g), CFG) for g in (0.3, 0.1, 0.03)]
+        roots = [find_eigenvalue(_params(TWO, g)) for g in (0.3, 0.1, 0.03)]
         assert roots[0] < roots[1] < roots[2] < 0.0
 
     def test_shifted_levels(self):
         # same scenario translated by +5 in energy: root translates along
         params = _params(THREE, 2.0, e1=5.0, e2=6.0)
-        got = find_eigenvalue(params, CFG)
+        got = find_eigenvalue(params)
         assert got == pytest.approx(5.0 + E0_3D_G2, abs=1e-9)
 
 
 class TestWeight:
     def test_zero_coupling_weight_is_one(self):
-        assert eigen_weight(_params(THREE, 0.0), -1.0, CFG) == 1.0
+        assert eigen_weight(_params(THREE, 0.0), -1.0) == 1.0
 
     def test_three_dim_matches_reference(self):
         params = _params(THREE, 2.0)
-        e0 = find_eigenvalue(params, CFG)
-        assert eigen_weight(params, e0, CFG) == pytest.approx(W_3D_G2, abs=1e-9)
+        e0 = find_eigenvalue(params)
+        assert eigen_weight(params, e0) == pytest.approx(W_3D_G2, abs=1e-9)
 
     def test_two_dim_matches_reference(self):
         params = _params(TWO, 0.5)
-        e0 = find_eigenvalue(params, CFG)
-        assert eigen_weight(params, e0, CFG) == pytest.approx(W_2D_G05, abs=1e-9)
+        e0 = find_eigenvalue(params)
+        assert eigen_weight(params, e0) == pytest.approx(W_2D_G05, abs=1e-9)
 
     def test_two_dim_near_edge_matches_reference(self):
         params = _params(TWO, 0.1)
-        e0 = find_eigenvalue(params, CFG)
-        assert eigen_weight(params, e0, CFG) == pytest.approx(W_2D_G01, rel=1e-7)
+        e0 = find_eigenvalue(params)
+        assert eigen_weight(params, e0) == pytest.approx(W_2D_G01, rel=1e-7)
 
     def test_strictly_inside_unit_interval(self):
         for family, g in ((THREE, 1.2), (THREE, 4.0), (TWO, 0.05), (TWO, 3.0)):
             params = _params(family, g)
-            e0 = find_eigenvalue(params, CFG)
-            assert 0.0 < eigen_weight(params, e0, CFG) < 1.0
+            e0 = find_eigenvalue(params)
+            assert 0.0 < eigen_weight(params, e0) < 1.0
 
     def test_requires_e0_below_edge(self):
         with pytest.raises(ValueError):
-            eigen_weight(_params(THREE, 2.0), 0.5, CFG)
+            eigen_weight(_params(THREE, 2.0), 0.5)
 
 
 class TestDensity:
     def test_zero_below_edge(self):
-        assert spectral_density(_params(THREE, 2.0), -0.5, CFG) == 0.0
-        assert spectral_density(_params(TWO, 0.5), -1e-9, CFG) == 0.0
+        assert spectral_density(_params(THREE, 2.0), -0.5) == 0.0
+        assert spectral_density(_params(TWO, 0.5), -1e-9) == 0.0
 
     def test_zero_at_edge(self):
-        assert spectral_density(_params(THREE, 2.0), 0.0, CFG) == 0.0
-        assert spectral_density(_params(TWO, 0.5), 0.0, CFG) == 0.0
+        assert spectral_density(_params(THREE, 2.0), 0.0) == 0.0
+        assert spectral_density(_params(TWO, 0.5), 0.0) == 0.0
 
     def test_zero_coupling(self):
-        assert spectral_density(_params(THREE, 0.0), 1.3, CFG) == 0.0
+        assert spectral_density(_params(THREE, 0.0), 1.3) == 0.0
 
     def test_nonnegative_on_grid(self):
         params = _params(TWO, 0.5)
         for t in np.linspace(0.001, 20.0, 40):
-            assert spectral_density(params, float(t), CFG) >= 0.0
+            assert spectral_density(params, float(t)) >= 0.0
 
     @pytest.mark.parametrize("t", [0.4, 0.9, 1.0, 1.4, 3.0])
     def test_matches_independent_pv_oracle(self, t):
@@ -187,13 +187,13 @@ class TestDensity:
             limit=400,
         )
         oracle = v / ((1.0 - t - pv) ** 2 + (math.pi * v) ** 2)
-        assert spectral_density(params, t, CFG) == pytest.approx(oracle, rel=1e-8)
+        assert spectral_density(params, t) == pytest.approx(oracle, rel=1e-8)
 
     def test_weak_coupling_peak_location_and_height(self):
         # narrow resonance near the shifted upper level
         params = _params(THREE, 0.01)
         ts = np.linspace(0.9, 1.1, 81)
-        rho = [spectral_density(params, float(t), CFG) for t in ts]
+        rho = [spectral_density(params, float(t)) for t in ts]
         t_peak = ts[int(np.argmax(rho))]
         assert abs(t_peak - 1.0) < 0.02
         v_peak = 0.01 * t_peak * math.exp(-t_peak)
