@@ -15,7 +15,7 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +386,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="leveldecay",
         description="Spectral simulator for decay of a level coupled to a continuum",
@@ -402,7 +404,11 @@ def main(argv=None) -> int:
         _add_common_flags(cmd)
     verify = sub.add_parser("verify", help="run the built-in verification matrix")
     _add_common_flags(verify)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -6,11 +6,12 @@ exists, plus the transform of the continuous density,
 
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
-and P(t) = |C(t)|^2.  The continuous term is evaluated from the tabulated
-density with a phase-aware panel rule: each table segment is split so that no
-panel spans more than a quarter of the period 2*pi/t_max at the largest
-requested |t|, and a fixed 6-point Gauss-Legendre rule on every panel gives
-one node set x_j with weights a_j = rho(x_j) * w_j * half-width.  Then
+and P(t) = |C(t)|^2.  The continuous term is evaluated with a phase-aware
+panel rule on the exact (closed-form) density: each converged segment of the
+density table is split so that no panel spans more than a quarter of the
+period 2*pi/t_max at the largest requested |t|, and a fixed 6-point
+Gauss-Legendre rule on every panel gives one node set x_j with weights
+a_j = rho(x_j) * w_j * half-width.  Then
 C(t) = sum of a_j exp(-i t x_j) for every requested t.  On a uniform time
 grid the phase vector is advanced by the constant factor exp(-i dt x_j) and
 re-anchored with an exact exp every 64 times, so a series costs one multiply
@@ -29,11 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .coupling import coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X
-from .spectrum import ModelParams, SpectralData, k_pv_closed
+from .spectrum import ModelParams, SpectralData, _density, k_pv_closed
 
 
 class OscillatoryBudgetExceededError(RuntimeError):
@@ -116,7 +116,7 @@ def _transform_nodes(
     sub_a = np.repeat(spec.segments[:-1], reps) + offset * sub_w
     half = 0.5 * sub_w
     nodes = ((sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    dens = PchipInterpolator(spec.grid, spec.density)(nodes)
+    dens = _density(spec.params, nodes)
     return nodes, dens * (half[:, None] * _GL_W[None, :]).ravel()
 
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .coupling import (
     CouplingFamily,
@@ -158,9 +157,10 @@ def _asymptotic_series(s: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _scaled_ei(s):
-    """e^{-s} Ei(s) for s > 0."""
+    """e^{-s} Ei(s) for s > 0, with Ei = Shi + Chi (Abramowitz & Stegun 5.2)."""
     near = np.minimum(s, _ASYMPTOTIC_S)
-    out = np.exp(-near) * special.expi(near)
+    shi, chi = special.shichi(near)
+    out = np.exp(-near) * (shi + chi)
     far = s > _ASYMPTOTIC_S
     return np.where(far, _asymptotic_series(s, 1.0), out) if np.any(far) else out
 
@@ -302,12 +302,15 @@ def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -
     u = ln a on the closed form of k, which stays well conditioned down to
     distances that underflow double precision: there k takes its edge
     asymptote.  The far end of the bracket starts at a = ``initial_span``
-    (default the level gap) and doubles; the near end steps toward the edge
-    in u by doubling steps.  Inside the bracket Newton steps in u (slope
-    from d/ds [e^s E1(s)] = e^s E1(s) - 1/s), safeguarded by bisection, run
+    (default the level gap) and doubles; F > 0 is certain from a = g2 L on
+    (3d, since k < g2 L) or a = sqrt(g2 L) on (2d, since e^s E1(s) < 1/s),
+    so the search gives up only beyond twice the larger of that bound and
+    the starting span.  The near end steps toward the edge in u by doubling
+    steps.  Inside the bracket Newton steps in u (slope from
+    d/ds [e^s E1(s)] = e^s E1(s) - 1/s), safeguarded by bisection, run
     until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
-    certified by the residual gate |F| <= 1e-10 max(1, gap), which does not
-    use the slope.
+    certified by the residual gate |F| <= 1e-10 max(1, gap + a), the scale
+    of the terms F cancels, which does not use the slope.
 
     Raises:
         NoEigenvalueError: threshold test fails (or zero coupling).
@@ -329,23 +332,27 @@ def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -
     model = params.coupling
     _closed_form_gate(model.family)
     gap = params.level_gap
-    res_tol = 1e-10 * max(1.0, gap)
+    scale = _k_scale(model)
     f_and_slope = functools.partial(
-        _eigen_equation, model.family, gap, _k_scale(model), math.log(model.cutoff)
+        _eigen_equation, model.family, gap, scale, math.log(model.cutoff)
     )
 
     d = initial_span if initial_span is not None else gap
     if not (d > 0.0 and math.isfinite(d)):
         raise ValueError("initial_span must be positive and finite")
+    if model.family is CouplingFamily.THREE_DIM_EXP:
+        positive_from = scale
+    else:
+        positive_from = math.sqrt(scale * model.cutoff)
+    d_limit = 2.0 * max(positive_from, d)
     u_hi = math.log(d)
-    doublings = 0
     while (fd_hi := f_and_slope(u_hi))[0] < 0.0:
-        doublings += 1
-        if doublings > 20:
-            raise BracketFailureError(
-                "lower bracket expansion exceeded 2^20 of the starting span"
-            )
         d *= 2.0
+        if d > d_limit:
+            raise BracketFailureError(
+                f"F < 0 at a = {d / 2.0!r}, beyond {positive_from!r} where it "
+                "must be positive"
+            )
         u_hi = math.log(d)
     step = 1.0
     while (fd_lo := f_and_slope(u_hi - step))[0] > 0.0:
@@ -353,6 +360,7 @@ def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -
         if step > 2.0**60:
             raise BracketFailureError("near-edge bracket expansion exhausted")
     u_root, residual = _newton_in_bracket(f_and_slope, u_hi - step, fd_lo, u_hi, fd_hi)
+    res_tol = 1e-10 * max(1.0, gap + math.exp(u_root))
     if not abs(residual) <= res_tol:
         raise BracketFailureError(
             f"root residual {residual!r} did not reach tolerance {res_tol!r}"
@@ -410,25 +418,18 @@ class DensityGridSpec:
     """Controls for the adaptive density table.
 
     ``mass_tol`` is the absolute tolerance on the integrated density used to
-    drive refinement; ``table_tol`` bounds the disagreement between the
-    quadrature mass and the integral of the interpolant through the table
-    (panels where the two differ are split, so the table is dense enough for
-    downstream interpolation, not just for integration); ``max_panels``
-    bounds the total subdivisions; ``extra_refine`` uniformly halves every
-    converged panel that many extra times (used to test grid-resolution
-    invariance).
+    drive refinement; ``max_panels`` bounds the total subdivisions;
+    ``extra_refine`` uniformly halves every converged panel that many extra
+    times (used to test grid-resolution invariance).
     """
 
     mass_tol: float = 1e-9
-    table_tol: float = 1e-7
     max_panels: int = 12000
     extra_refine: int = 0
 
     def __post_init__(self) -> None:
         if not (self.mass_tol > 0.0 and math.isfinite(self.mass_tol)):
             raise ValueError("mass_tol must be positive and finite")
-        if not (self.table_tol > 0.0 and math.isfinite(self.table_tol)):
-            raise ValueError("table_tol must be positive and finite")
         if int(self.max_panels) < 1:
             raise ValueError("max_panels must be a positive integer")
         if int(self.extra_refine) < 0:
@@ -439,17 +440,19 @@ class DensityGridSpec:
 class SpectralData:
     """Complete spectral data of one scenario.
 
-    ``grid``/``density`` tabulate rho on [e1, e1 + tail_cut * cutoff];
+    ``params`` is the model the data belongs to; the spectral transform
+    evaluates rho from it exactly.  ``grid``/``density`` tabulate rho at the
+    nodes the mass integration evaluated on [e1, e1 + tail_cut * cutoff];
     ``density_tail_mass`` estimates the integrated density beyond the table.
     ``segments``/``segment_mass`` record the converged integration panels and
-    their masses (the natural coarse partition for downstream transforms; the
-    dense table exists for interpolation between them).  ``eigenvalue`` is
-    None when no bound state exists; for the degenerate zero-coupling model it
-    holds the surviving unperturbed level e2 with weight 1 (flagged via
-    ``degenerate``), the one case where it is not below e1.
-    ``normalization_defect`` is |weight + mass + tail - 1|.
+    their masses (the coarse partition the transform cuts into its panels).
+    ``eigenvalue`` is None when no bound state exists; for the degenerate
+    zero-coupling model it holds the surviving unperturbed level e2 with
+    weight 1 (flagged via ``degenerate``), the one case where it is not
+    below e1.  ``normalization_defect`` is |weight + mass + tail - 1|.
     """
 
+    params: ModelParams
     eigenvalue: float | None
     weight: float
     grid: np.ndarray
@@ -523,6 +526,7 @@ def build_spectral_data(
     check = threshold_check(params)
     if check.degenerate:
         return SpectralData(
+            params=params,
             eigenvalue=params.e2,
             weight=1.0,
             grid=np.empty(0),
@@ -556,7 +560,7 @@ def build_spectral_data(
     ]
     edges = np.unique(np.concatenate(seeds))
 
-    # Every evaluated node, probes included, becomes part of the table.
+    # Every node the mass integration evaluates becomes part of the table.
     nodes: list[np.ndarray] = []
     values: list[np.ndarray] = []
 
@@ -565,10 +569,6 @@ def build_spectral_data(
         nodes.append(pts)
         values.append(rho)
         return rho
-
-    def table() -> tuple[np.ndarray, np.ndarray]:
-        table_t, first = np.unique(np.concatenate(nodes), return_index=True)
-        return table_t, np.concatenate(values)[first]
 
     a = edges[:-1]
     b = edges[1:]
@@ -585,40 +585,16 @@ def build_spectral_data(
         n_splits += n_new
         a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, mask)
 
-    # Integration has converged, but the table must also interpolate well:
-    # probe the true density at an off-node point of every panel, compare
-    # against the interpolant through the current table, and split panels
-    # whose measured interpolation error (times width) is still significant.
-    rho_end = float(_density(params, np.array([lam_max]))[0])
-    nodes.append(np.array([e1, lam_max]))
-    values.append(np.array([0.0, rho_end]))
-    probe_fracs = (0.55, 0.45, 0.52, 0.48, 0.57, 0.43)
-    panel_tol = grid.table_tol / (2.0 * len(vals))
-    for probe_frac in probe_fracs:
-        interp = PchipInterpolator(*table())
-        probes = a + probe_frac * (b - a)
-        probe_err = np.abs(rho_batch(probes) - interp(probes)) * (b - a)
-        if float(probe_err.sum()) <= grid.table_tol:
-            break
-        mask = probe_err > panel_tol
-        n_new = int(mask.sum())
-        if n_new == 0:
-            break
-        if n_splits + n_new > grid.max_panels:
-            raise NonConvergenceError(
-                "density table refinement exhausted its panel budget",
-                float(vals.sum()), float(probe_err.sum()),
-            )
-        n_splits += n_new
-        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, mask)
-
     for _ in range(int(grid.extra_refine)):
         a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, np.ones(a.size, bool))
 
+    rho_end = float(_density(params, np.array([lam_max]))[0])
+    nodes.append(np.array([e1, lam_max]))
+    values.append(np.array([0.0, rho_end]))
+    table_t, first = np.unique(np.concatenate(nodes), return_index=True)
+    table_rho = np.concatenate(values)[first]
     mass = float(vals.sum())
     tail = rho_end * params.coupling.cutoff
-
-    table_t, table_rho = table()
 
     defect = abs(weight + mass + tail - 1.0)
     if defect > _NORMALIZATION_GATE:
@@ -627,6 +603,7 @@ def build_spectral_data(
             f"{_NORMALIZATION_GATE}; quadrature inconsistent or eigenvalue missed"
         )
     return SpectralData(
+        params=params,
         eigenvalue=e0,
         weight=weight,
         grid=table_t,

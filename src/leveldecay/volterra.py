@@ -49,7 +49,6 @@ class KernelTable:
 
     times: np.ndarray
     values: np.ndarray
-    closed_form_flag: bool
 
 
 def _fourier_closed_form(model: CouplingModel, t) -> np.ndarray:
@@ -108,7 +107,7 @@ def build_kernel_table(params: ModelParams, horizon: float, step: float) -> Kern
     _self_check(params.coupling)
     n = int(round(horizon / step))
     times = np.arange(n + 1) * step
-    return KernelTable(times=times, values=np.asarray(kernel(params, times)), closed_form_flag=True)
+    return KernelTable(times=times, values=np.asarray(kernel(params, times)))
 
 
 def default_step(params: ModelParams) -> float:

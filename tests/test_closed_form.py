@@ -116,7 +116,8 @@ def _scaled_e1_array(s):
 
 def _brentq_eigenvalue(params: ModelParams) -> float:
     """e0 by brentq in u = ln(e1 - e0) on an array closed form of k, with the
-    bracket search, residual gate and underflow rule of ``find_eigenvalue``."""
+    bracket search, its give-up bound, the residual gate and the underflow
+    rule of ``find_eigenvalue``."""
     check = threshold_check(params)
     if check.degenerate:
         raise NoEigenvalueError("zero coupling")
@@ -141,13 +142,13 @@ def _brentq_eigenvalue(params: ModelParams) -> float:
         return gap + math.exp(u) - scale * k_unit(u - ln_cutoff)
 
     d = gap
+    # F > 0 from a = g2 L (3d: k < g2 L) or a = sqrt(g2 L) (2d: k < g2 L / a).
+    d_limit = 2.0 * max(math.sqrt(scale * model.cutoff) if two else scale, d)
     u_hi = math.log(d)
-    doublings = 0
     while f_of(u_hi) < 0.0:
-        doublings += 1
-        if doublings > 20:
-            raise BracketFailureError("lower bracket expansion")
         d *= 2.0
+        if d > d_limit:
+            raise BracketFailureError("far-end bracket expansion")
         u_hi = math.log(d)
     step = 1.0
     while f_of(u_hi - step) > 0.0:
@@ -156,7 +157,7 @@ def _brentq_eigenvalue(params: ModelParams) -> float:
             raise BracketFailureError("near-edge bracket expansion")
     eps = float(np.finfo(float).eps)
     u_root = brentq(f_of, u_hi - step, u_hi, xtol=1e-15, rtol=4.0 * eps, maxiter=200)
-    if not abs(f_of(u_root)) <= 1e-10 * max(1.0, gap):
+    if not abs(f_of(u_root)) <= 1e-10 * max(1.0, gap + math.exp(u_root)):
         raise BracketFailureError("root residual")
     e0 = params.e1 - math.exp(u_root)
     return e0 if e0 < params.e1 else float(np.nextafter(params.e1, -math.inf))
@@ -203,6 +204,22 @@ _STEEP_MODEL = ModelParams(
     CouplingModel(THREE, 706.6133845345073, 677.9526213095294),
 )
 
+# Roots far from the level gap: the doubling search from a = gap needs more
+# than 2^20 steps (the first two), or F rounds to more than 1e-10 at the root
+# because a and k are 1e5 (the last two).  e0 is frozen from a 40-digit
+# mpmath root of gap + a = k(e1 - a) on the same closed form of k.
+_WIDE_MODELS = (
+    (ModelParams(0.0, 1e-3, CouplingModel(TWO, 2e5, 10.0)), -1409.2565237831525),
+    (ModelParams(0.0, 2e-3, CouplingModel(THREE, 1.0, 5e3)), -2640.167276576533),
+    (ModelParams(0.0, 1.0, CouplingModel(THREE, 200.0, 1e4)), -132324.7970526621),
+    (ModelParams(0.0, 1.0, CouplingModel(THREE, 1e3, 1e4)), -306666.13860173407),
+)
+
+
+@pytest.mark.parametrize("params, e0", _WIDE_MODELS)
+def test_wide_models_match_frozen_roots(params, e0):
+    assert abs(find_eigenvalue(params) - e0) <= E0_TOL * abs(e0)
+
 
 @settings(max_examples=300)
 @given(params=_eigen_models())
@@ -211,6 +228,8 @@ _STEEP_MODEL = ModelParams(
 @example(params=_FAR_MODELS[0])
 @example(params=_FAR_MODELS[1])
 @example(params=_STEEP_MODEL)
+@example(params=_WIDE_MODELS[0][0])
+@example(params=_WIDE_MODELS[3][0])
 def test_newton_solve_matches_brentq_route(params):
     got = _outcome(find_eigenvalue, params)
     want = _outcome(_brentq_eigenvalue, params)
@@ -258,4 +277,9 @@ def test_no_root_in_bracket_raises(monkeypatch):
         spectrum, "_eigen_equation", lambda *args: (abs(true_equation(*args)[0]) + 1.0, 1.0)
     )
     with pytest.raises(BracketFailureError, match="near-edge"):
+        find_eigenvalue(params)
+    monkeypatch.setattr(
+        spectrum, "_eigen_equation", lambda *args: (-abs(true_equation(*args)[0]) - 1.0, 1.0)
+    )
+    with pytest.raises(BracketFailureError, match="must be positive"):
         find_eigenvalue(params)

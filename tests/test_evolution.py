@@ -86,6 +86,18 @@ class TestAmplitude:
         p_fine = amplitude_spectral(fine, ts).probability
         assert float(np.max(np.abs(p_base - p_fine))) <= 1e-4
 
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    def test_transform_is_exact_on_the_converged_segments(self, family, g_sq):
+        # rho is evaluated exactly at the transform nodes, so refining the
+        # segments three more times moves C(t) by rounding only.
+        params = _params(family, g_sq)
+        base = build_spectral_data(params, cfg=CFG)
+        fine = build_spectral_data(params, grid=DensityGridSpec(extra_refine=3), cfg=CFG)
+        ts = np.linspace(0.0, 50.0, 101)
+        c_base = amplitude_spectral(base, ts).amplitude
+        c_fine = amplitude_spectral(fine, ts).amplitude
+        assert float(np.max(np.abs(c_base - c_fine))) <= 1e-12
+
     def test_requires_normalized_input(self, spec_3d_above):
         from dataclasses import replace
 

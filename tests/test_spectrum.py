@@ -221,9 +221,10 @@ class TestSpectralData:
         assert spec.normalization_defect <= 1e-6
 
     def test_panel_budget_exhaustion_raises(self):
+        # The narrow resonance of this model needs more than three splits.
         grid = DensityGridSpec(max_panels=3)
         with pytest.raises(NonConvergenceError):
-            build_spectral_data(_params(TWO, 0.5), grid=grid, cfg=CFG)
+            build_spectral_data(_params(THREE, 0.5, cutoff=0.1), grid=grid, cfg=CFG)
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValueError):

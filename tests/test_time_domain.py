@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from leveldecay import (
     CouplingFamily,
@@ -29,6 +28,7 @@ from leveldecay import (
 )
 from leveldecay.evolution import _amplitude_points
 from leveldecay.quadrature import _GL_W, _GL_X
+from leveldecay.spectrum import _density
 from leveldecay.volterra import _SHORT_LAGS
 
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -80,7 +80,6 @@ def _panel_counts(spec, t: float) -> np.ndarray:
 
 def _per_time_transform(spec, times) -> np.ndarray:
     """C(t) with quarter-period panels rebuilt for every t."""
-    interp = PchipInterpolator(spec.grid, spec.density)
     edges = spec.segments
     widths = np.diff(edges)
     out = np.empty(len(times), dtype=complex)
@@ -92,7 +91,7 @@ def _per_time_transform(spec, times) -> np.ndarray:
         sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
         half = 0.5 * sub_w
         nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
-        dens = interp(nodes.ravel()).reshape(nodes.shape)
+        dens = _density(spec.params, nodes.ravel()).reshape(nodes.shape)
         out[i] = complex(((dens * np.exp(-1j * t * nodes)) @ _GL_W * half).sum())
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(times))

