@@ -53,7 +53,6 @@ from .spectrum import (
 from .volterra import (
     KernelMismatchError,
     KernelTable,
-    StepTooLargeError,
     build_kernel_table,
     default_step,
     kernel,
@@ -82,7 +81,6 @@ __all__ = [
     "OscillatoryBudgetExceededError",
     "QuadratureConfig",
     "SpectralData",
-    "StepTooLargeError",
     "ThresholdMarginalError",
     "ThresholdResult",
     "WeakCouplingRate",

@@ -7,9 +7,10 @@ reproduction, late-time plateau vs decay, cross-route agreement, short-time
 law, weak-coupling exponential rate, eigenvalue correctness against a
 brute-force oracle, and byte determinism of rendered artifacts.
 
-``run_matrix`` computes every scenario once, evaluates all criteria, writes
-the scenario artifacts plus a verify_report.json into the output directory,
-and returns the per-criterion results.
+``run_matrix`` runs each matrix row once through ``scenario.run_decay``, the
+pipeline of the ``decay`` command, evaluates all criteria, writes the same
+artifacts as ``spectrum`` and ``decay`` plus a verify_report.json, and returns
+the per-criterion results.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .cli import Scenario, SweepSpec, sweep_point
 from .coupling import CouplingFamily, CouplingModel, coupling_sq, l2_norm_sq
 from .evolution import (
     AmplitudeSeries,
@@ -31,10 +31,19 @@ from .evolution import (
     weak_coupling_rate,
 )
 from .quadrature import QuadratureConfig
+from .scenario import (
+    DecayRun,
+    Scenario,
+    SweepSpec,
+    run_decay,
+    sweep_point,
+    write_decay,
+    write_spectrum,
+    write_sweep,
+)
 from .spectrum import (
     ModelParams,
     NoEigenvalueError,
-    SpectralData,
     build_spectral_data,
     find_eigenvalue,
     threshold_check,
@@ -49,8 +58,13 @@ class MatrixScenario:
     g_sq: float
     has_eigenvalue: bool
 
-    def params(self) -> ModelParams:
-        return ModelParams(0.0, 1.0, CouplingModel(self.family, self.g_sq, 1.0))
+    def scenario(self, cfg: QuadratureConfig) -> Scenario:
+        """The row as a decay scenario: horizon 2T, 2001 points, step 0.01."""
+        params = ModelParams(0.0, 1.0, CouplingModel(self.family, self.g_sq, 1.0))
+        return Scenario(
+            self.name, params, cfg, horizon=2.0 * _WINDOW_T / params.level_gap,
+            series_points=2001, volterra_step=0.01,
+        )
 
 
 MATRIX: tuple[MatrixScenario, ...] = (
@@ -64,8 +78,6 @@ MATRIX: tuple[MatrixScenario, ...] = (
 
 _WINDOW_T = 200.0          # window start in units of 1/gap; window is [T, 2T]
 _CROSS_T = 50.0            # cross-route comparison horizon
-_SERIES_POINTS = 2001
-_VOLTERRA_STEP = 0.01
 
 
 @dataclass(frozen=True)
@@ -80,35 +92,13 @@ class CriterionResult:
         return f"criterion {self.cid} [{status}] {self.name}: {self.detail}"
 
 
-@dataclass
-class ScenarioRun:
-    scenario: MatrixScenario
-    params: ModelParams
-    spec: SpectralData
-    spectral: AmplitudeSeries
-    vol: AmplitudeSeries
-
-
-def _compute_run(ms: MatrixScenario, cfg: QuadratureConfig) -> ScenarioRun:
-    params = ms.params()
-    spec = build_spectral_data(params, cfg=cfg)
-    horizon = 2.0 * _WINDOW_T / params.level_gap
-    dt = horizon / (_SERIES_POINTS - 1)
-    per_output = max(1, int(math.ceil(dt / _VOLTERRA_STEP)))
-    vol = artifacts.subsample(
-        solve_ide(params, horizon=horizon, step=dt / per_output), per_output
-    )
-    spectral = amplitude_spectral(spec, vol.times)
-    return ScenarioRun(ms, params, spec, spectral, vol)
-
-
 def _window_mean(series: AmplitudeSeries, t_lo: float, t_hi: float) -> float:
     mask = (series.times >= t_lo) & (series.times <= t_hi)
     return float(series.probability[mask].mean())
 
 
-def _check_normalization(runs: list[ScenarioRun]) -> CriterionResult:
-    worst = max(r.spec.normalization_defect for r in runs)
+def _check_normalization(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
+    worst = max(r.spec.normalization_defect for r in runs.values())
     return CriterionResult(
         1, "spectral-measure normalization",
         worst <= 1e-6,
@@ -144,17 +134,17 @@ def _check_threshold() -> CriterionResult:
     )
 
 
-def _check_plateau(runs: list[ScenarioRun]) -> CriterionResult:
+def _check_plateau(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     details, ok = [], True
-    for run in runs:
-        if not run.scenario.has_eigenvalue:
+    for ms, run in runs.items():
+        if not ms.has_eigenvalue:
             continue
         target = asymptotic_limit(run.spec)
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
             if abs(got - target) > 1e-2:
                 ok = False
-                details.append(f"{run.scenario.name}/{tag}: |{got:.4f} - {target:.4f}| > 1e-2")
+                details.append(f"{ms.name}/{tag}: |{got:.4f} - {target:.4f}| > 1e-2")
     return CriterionResult(
         3, "non-decay above threshold",
         ok,
@@ -163,16 +153,16 @@ def _check_plateau(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _check_decay(runs: list[ScenarioRun]) -> CriterionResult:
+def _check_decay(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     details, ok = [], True
-    for run in runs:
-        if run.scenario.has_eigenvalue:
+    for ms, run in runs.items():
+        if ms.has_eigenvalue:
             continue
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
             if got >= 1e-2:
                 ok = False
-                details.append(f"{run.scenario.name}/{tag}: window mean {got:.3e} >= 1e-2")
+                details.append(f"{ms.name}/{tag}: window mean {got:.3e} >= 1e-2")
     return CriterionResult(
         4, "decay below threshold",
         ok,
@@ -181,22 +171,23 @@ def _check_decay(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _check_cross_route(runs: list[ScenarioRun]) -> CriterionResult:
+def _check_cross_route(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     details, ok = [], True
     worst = 0.0
-    for run in runs:
-        mask = run.spectral.times <= _CROSS_T / run.params.level_gap
+    for ms, run in runs.items():
+        params = run.spec.params
+        mask = run.spectral.times <= _CROSS_T / params.level_gap
         dev = float(np.max(np.abs(
             run.spectral.amplitude[mask] - run.vol.amplitude[mask]
         )))
         worst = max(worst, dev)
         if dev > 1e-3:
             ok = False
-            details.append(f"{run.scenario.name}: max |C_s - C_v| = {dev:.2e} > 1e-3")
-        ratio = richardson_ratio(run.params, _CROSS_T / run.params.level_gap, 0.04)
+            details.append(f"{ms.name}: max |C_s - C_v| = {dev:.2e} > 1e-3")
+        ratio = richardson_ratio(params, _CROSS_T / params.level_gap, 0.04)
         if not 3.0 <= ratio <= 5.0:
             ok = False
-            details.append(f"{run.scenario.name}: Richardson ratio {ratio:.2f} outside [3, 5]")
+            details.append(f"{ms.name}: Richardson ratio {ratio:.2f} outside [3, 5]")
     return CriterionResult(
         5, "cross-route agreement",
         ok,
@@ -205,13 +196,14 @@ def _check_cross_route(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _check_short_time(runs: list[ScenarioRun]) -> CriterionResult:
+def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     details, ok = [], True
-    for run in runs:
-        l2 = l2_norm_sq(run.params.coupling)
+    for ms, run in runs.items():
+        params = run.spec.params
+        l2 = l2_norm_sq(params.coupling)
         t_star = 1e-2 / math.sqrt(l2)
         predicted = 1.0 - l2 * t_star**2
-        vol = solve_ide(run.params, horizon=t_star, step=t_star / 16.0)
+        vol = solve_ide(params, horizon=t_star, step=t_star / 16.0)
         spec_series = amplitude_spectral(run.spec, np.array([0.0, t_star]))
         for got, tag in (
             (float(vol.probability[-1]), "volterra"),
@@ -220,7 +212,7 @@ def _check_short_time(runs: list[ScenarioRun]) -> CriterionResult:
             if abs(got - predicted) > 1e-5:
                 ok = False
                 details.append(
-                    f"{run.scenario.name}/{tag}: |P({t_star:.4f}) - {predicted:.8f}| "
+                    f"{ms.name}/{tag}: |P({t_star:.4f}) - {predicted:.8f}| "
                     f"= {abs(got - predicted):.2e} > 1e-5"
                 )
     return CriterionResult(
@@ -231,9 +223,9 @@ def _check_short_time(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _check_weak_coupling(runs: list[ScenarioRun]) -> CriterionResult:
-    run = next(r for r in runs if r.scenario.name == "3d-below-small")
-    gamma = weak_coupling_rate(run.params).gamma
+def _check_weak_coupling(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
+    run = next(r for ms, r in runs.items() if ms.name == "3d-below-small")
+    gamma = weak_coupling_rate(run.spec.params).gamma
     fitted = fitted_decay_rate(run.spectral)
     rel = abs(fitted - gamma) / gamma
     return CriterionResult(
@@ -291,23 +283,23 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_eigenvalue_oracle(runs: list[ScenarioRun]) -> CriterionResult:
+def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     details, ok = [], True
     worst = 0.0
-    for run in runs:
-        if not run.scenario.has_eigenvalue:
+    for ms, run in runs.items():
+        if not ms.has_eigenvalue:
             continue
         e0 = run.spec.eigenvalue
-        if not e0 < run.params.e1:
+        if not e0 < run.spec.params.e1:
             ok = False
-            details.append(f"{run.scenario.name}: e0 not strictly below e1")
+            details.append(f"{ms.name}: e0 not strictly below e1")
             continue
-        oracle = _oracle_eigenvalue(run.params)
+        oracle = _oracle_eigenvalue(run.spec.params)
         err = abs(e0 - oracle)
         worst = max(worst, err)
         if err > 1e-8:
             ok = False
-            details.append(f"{run.scenario.name}: |e0 - oracle| = {err:.2e} > 1e-8")
+            details.append(f"{ms.name}: |e0 - oracle| = {err:.2e} > 1e-8")
     grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     roots = [
         find_eigenvalue(
@@ -326,22 +318,17 @@ def _check_eigenvalue_oracle(runs: list[ScenarioRun]) -> CriterionResult:
     )
 
 
-def _sweep_scenarios(cfg: QuadratureConfig) -> list[tuple[str, Scenario]]:
-    base3 = Scenario(
-        name="verify-sweep-3d",
-        params=ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, 1.0, 1.0)),
-        quadrature=cfg,
-        horizon=1.0,
-        sweep=SweepSpec("g_sq", (0.5, 0.9, 1.0, 1.1, 2.0)),
-    )
-    base2 = Scenario(
-        name="verify-sweep-2d",
-        params=ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.TWO_DIM_EXP, 1.0, 1.0)),
-        quadrature=cfg,
-        horizon=1.0,
-        sweep=SweepSpec("g_sq", (1e-3, 0.1, 1.0)),
-    )
-    return [("3d", base3), ("2d", base2)]
+def _sweep_scenarios(cfg: QuadratureConfig) -> list[Scenario]:
+    return [
+        Scenario(
+            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)), cfg,
+            horizon=1.0, sweep=SweepSpec("g_sq", values),
+        )
+        for name, family, values in (
+            ("verify-sweep-3d", CouplingFamily.THREE_DIM_EXP, (0.5, 0.9, 1.0, 1.1, 2.0)),
+            ("verify-sweep-2d", CouplingFamily.TWO_DIM_EXP, (1e-3, 0.1, 1.0)),
+        )
+    ]
 
 
 def _check_determinism(cfg: QuadratureConfig) -> CriterionResult:
@@ -349,8 +336,8 @@ def _check_determinism(cfg: QuadratureConfig) -> CriterionResult:
     ms = next(m for m in MATRIX if m.name == "3d-below-moderate")
 
     def render() -> tuple[str, str, str]:
-        spec = build_spectral_data(ms.params(), cfg=cfg)
-        scenario = _sweep_scenarios(cfg)[0][1]
+        spec = build_spectral_data(ms.scenario(cfg).params, cfg=cfg)
+        scenario = _sweep_scenarios(cfg)[0]
         rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
         return (
             artifacts.render_density_csv(spec),
@@ -367,29 +354,21 @@ def _check_determinism(cfg: QuadratureConfig) -> CriterionResult:
     )
 
 
-def _write_artifacts(out_dir: Path, runs: list[ScenarioRun], cfg: QuadratureConfig) -> None:
-    for run in runs:
-        stem = out_dir / run.scenario.name
-        artifacts.write_density_csv(Path(f"{stem}_density.csv"), run.spec)
-        artifacts.write_spectral_json(Path(f"{stem}_spectral.json"), run.spec)
-        artifacts.write_series_csv(Path(f"{stem}_spectral.csv"), run.spectral)
-        artifacts.write_series_csv(Path(f"{stem}_volterra.csv"), run.vol)
-        deviation = float(np.max(np.abs(run.spectral.amplitude - run.vol.amplitude)))
-        artifacts.write_decay_json(
-            Path(f"{stem}_decay.json"),
-            p_infinity=asymptotic_limit(run.spec),
-            gamma_estimate=weak_coupling_rate(run.params).gamma,
-            max_deviation=deviation,
-        )
-    for _label, scenario in _sweep_scenarios(cfg):
+def _write_artifacts(
+    out_dir: Path, runs: dict[MatrixScenario, DecayRun], cfg: QuadratureConfig
+) -> None:
+    for ms, run in runs.items():
+        write_spectrum(out_dir, ms.name, run.spec)
+        write_decay(out_dir, ms.name, run)
+    for scenario in _sweep_scenarios(cfg):
         rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
-        artifacts.write_sweep_csv(out_dir / f"{scenario.name}_sweep.csv", rows)
+        write_sweep(out_dir, scenario.name, rows)
 
 
 def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
     """Compute the scenario matrix, evaluate all criteria, write artifacts."""
     cfg = QuadratureConfig()
-    runs = [_compute_run(ms, cfg) for ms in MATRIX]
+    runs = {ms: run_decay(ms.scenario(cfg)) for ms in MATRIX}
     results = [
         _check_normalization(runs),
         _check_threshold(),

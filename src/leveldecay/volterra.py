@@ -39,10 +39,6 @@ class KernelMismatchError(RuntimeError):
     """Closed-form kernel disagrees with direct quadrature of its definition."""
 
 
-class StepTooLargeError(RuntimeError):
-    """Halving the step changed the solution beyond the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Kernel samples K(j h) on a uniform grid, K(0) = -l2_norm_sq."""
@@ -139,22 +135,13 @@ def _add_block_products(k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int) -
         size *= 2
 
 
-def solve_ide(
-    params: ModelParams,
-    horizon: float,
-    step: float | None = None,
-    step_check_tol: float | None = None,
-) -> AmplitudeSeries:
+def solve_ide(params: ModelParams, horizon: float, step: float | None = None) -> AmplitudeSeries:
     """Solve the memory-kernel equation and return C(t) on the full step grid.
 
     Trapezoidal convolution with a Heun predictor-corrector step: second-order
     accurate.  The history sums take O(N log^2 N) in the step count N (short
     lags directly, long lags by blocked FFT products).  ``step`` defaults to
-    ``default_step(params)``.
-
-    With ``step_check_tol`` set, the solve is repeated at half the step and a
-    StepTooLargeError is raised if any |y| sample moved by more than
-    10 * step_check_tol (this multiplies the cost by five).
+    ``default_step(params)``.  ``richardson_ratio`` is the step-halving check.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -188,23 +175,9 @@ def solve_ide(
         phi = h * (s + half_k0 * y_n)
     del history
 
-    if step_check_tol is not None:
-        fine = _halved_step_solution(params, h, n_steps)
-        drift = float(np.max(np.abs(np.abs(fine) - np.abs(y))))
-        if drift > 10.0 * step_check_tol:
-            raise StepTooLargeError(
-                f"|y| moved by {drift!r} under step halving (budget {10.0 * step_check_tol!r})"
-            )
-
     amp = y * np.exp(-1j * params.e2 * table.times)
     prob = np.abs(amp) ** 2
     return AmplitudeSeries(table.times, amp, prob, MethodTag.VOLTERRA)
-
-
-def _halved_step_solution(params: ModelParams, h: float, n_steps: int) -> np.ndarray:
-    """y from a half-step solve, sampled back onto the coarse grid."""
-    fine = solve_ide(params, horizon=n_steps * h, step=0.5 * h)
-    return fine.amplitude[::2] * np.exp(1j * params.e2 * fine.times[::2])
 
 
 def richardson_ratio(params: ModelParams, horizon: float, step: float) -> float:

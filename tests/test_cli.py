@@ -1,17 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from leveldecay.cli import (
-    ConfigError,
-    main,
-    parse_scenario_text,
-    sweep_point,
-)
+import leveldecay.scenario as scenario
+from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
+from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_point
 
 BASE_CONFIG = """
 # minimal valid scenario
@@ -221,6 +222,25 @@ class TestDecayCommand:
         spectral = json.loads((out / "demo_spectral.json").read_text())
         assert spectral["normalization_defect"] <= 1e-6
 
+    def test_transform_budget_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # At gap 1e-3 the default horizon asks for 2e7 solver steps, and the
+        # transform at t = 2e5 for 4.1e6 panels against a budget of 5e5.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_ide ran before the transform budget was checked")
+
+        monkeypatch.setattr(scenario, "solve_ide", no_solve)
+        cfg = _write(
+            tmp_path,
+            BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e-3").replace(
+                "coupling.g_sq = 2.0", "coupling.g_sq = 0.5"
+            ),
+        )
+        out = tmp_path / "out"
+        assert main(["decay", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "budget" in err
+        assert not list(out.glob("*.csv"))
+
 
 class TestSweepCommand:
     SWEEP_CONFIG = BASE_CONFIG + "sweep.parameter = g_sq\nsweep.values = 0.5, 0.9, 1.1, 2.0\n"
@@ -312,6 +332,15 @@ class TestVerifyCommand:
         )
         assert main(["verify", "--out", str(tmp_path)]) == 2
         assert "criterion 2 [FAIL] beta" in capsys.readouterr().out
+
+    def test_verification_does_not_import_cli(self):
+        code = "import sys, leveldecay.verification; print('leveldecay.cli' in sys.modules)"
+        src = str(Path(scenario.__file__).parents[1])  # the package's own root
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestFlags:

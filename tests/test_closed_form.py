@@ -172,17 +172,18 @@ def _outcome(solve, params):
 
 @st.composite
 def _eigen_models(draw):
-    """Both families over several decades of g2, L and gap.  3d draws g2 * L
-    in [1e-3, 1e3] (both sides of the threshold g2 * L = gap), which keeps
-    the rounding noise of F = gap + a - k below 1e-12 in e0."""
+    """Both families over the solvable envelope: L in [1e-3, 1e4], gap in
+    [1e-3, 1e3], 2d g2 in [1e-4, 1e6] and 3d g2 * L in [1e-3, 1e6] (both
+    sides of the threshold g2 * L = gap).  Both routes gate the residual
+    relative to gap + a, so roots far below e1 are solved, not refused."""
     family = draw(st.sampled_from(list(CouplingFamily)))
-    cutoff = 10.0 ** draw(st.floats(-3.0, 3.0))
+    cutoff = 10.0 ** draw(st.floats(-3.0, 4.0))
     gap = 10.0 ** draw(st.floats(-3.0, 3.0))
     e1 = draw(st.floats(-10.0, 10.0))
     if family is TWO:
-        g_sq = 10.0 ** draw(st.floats(-4.0, 3.0))
+        g_sq = 10.0 ** draw(st.floats(-4.0, 6.0))
     else:
-        g_sq = 10.0 ** draw(st.floats(-3.0, 3.0)) / cutoff
+        g_sq = 10.0 ** draw(st.floats(-3.0, 6.0)) / cutoff
     return ModelParams(e1, e1 + gap, CouplingModel(family, g_sq, cutoff))
 
 

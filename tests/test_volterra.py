@@ -10,7 +10,6 @@ from leveldecay import (
     CouplingModel,
     KernelMismatchError,
     ModelParams,
-    StepTooLargeError,
     build_kernel_table,
     kernel,
     l2_norm_sq,
@@ -107,14 +106,6 @@ class TestSolver:
         window = series.times >= 100.0
         plateau = float(np.abs(series.amplitude[window]).mean())
         assert plateau == pytest.approx(w, abs=1e-2)
-
-    def test_step_check_passes_for_small_step(self):
-        series = solve_ide(_params(THREE, 1.5), horizon=2.0, step=0.01, step_check_tol=1e-4)
-        assert len(series.times) == 201
-
-    def test_step_check_rejects_coarse_step(self):
-        with pytest.raises(StepTooLargeError):
-            solve_ide(_params(THREE, 2.0), horizon=10.0, step=0.5, step_check_tol=1e-7)
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
