@@ -12,12 +12,17 @@ density table is split so that no panel spans more than a quarter of the
 period 2*pi/t_max at the largest requested |t|, and a fixed 6-point
 Gauss-Legendre rule on every panel gives one node set x_j with weights
 a_j = rho(x_j) * w_j * half-width.  Then
-C(t) = sum of a_j exp(-i t x_j) for every requested t.  On a uniform time
-grid the phase vector is advanced by the constant factor exp(-i dt x_j) and
-re-anchored with an exact exp every 64 times, so a series costs one multiply
-and one dot over the nodes per time.  Any other grid takes the exact exp at
-every time.  The panel count grows linearly with t_max; a series that needs
-more panels than the configured budget raises instead of silently degrading.
+C(t) = sum of a_j exp(-i t x_j) for every requested t.  A segment cut into r
+panels of width w holds six arithmetic progressions x = c_g + p w, so on a
+uniform grid t_k = t0 + k dt its sum is
+sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
+W = exp(-i dt w): a chirp-z transform (Rabiner, Schafer & Rader 1969), which
+Bluestein's kp = (k^2 + p^2 - (k - p)^2) / 2 turns into one FFT convolution
+per segment.  A series of n times then costs O((n + r) log(n + r)) per
+segment instead of one exp per node and time.  Any other grid (signed, or
+off a straight line) takes the exact exp at every node and time.  The panel
+count grows linearly with t_max; a series that needs more panels than the
+configured budget raises instead of silently degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -30,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .coupling import coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X
@@ -82,20 +88,17 @@ class AmplitudeSeries:
 
 
 _SEGMENT_MASS_FLOOR = 1e-15
-# On a uniform time grid the phase vector is advanced by exp(-i dt x) and
-# re-anchored with an exact exp every this many times, which keeps the
-# rounding the recurrence accumulates near machine precision.
-_REANCHOR = 64
 
 
 def _transform_nodes(
     spec: SpectralData, t_max: float, max_panels: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x and weights a (rho(x) times the rule weight) of one panel set.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights a (rho(x) times the rule weight) and panel counts.
 
     Every table segment is cut into equal panels no wider than a quarter
     period 0.5 * pi / t_max (one panel when t_max = 0 or the segment's mass is
-    negligible), so the set resolves exp(-i t x) for every |t| <= t_max.
+    negligible), so the set resolves exp(-i t x) for every |t| <= t_max.  The
+    nodes run segment by segment and panel by panel, six to a panel.
     """
     widths = np.diff(spec.segments)
     if t_max == 0.0:
@@ -109,7 +112,8 @@ def _transform_nodes(
     if total > max_panels:
         raise OscillatoryBudgetExceededError(
             f"t={t_max!r} needs {total} panels, budget is {max_panels}; "
-            "raise the budget or report the asymptotic level instead"
+            "the panel count grows with the largest time, so shorten the series "
+            "with --horizon (or horizon = in the config)"
         )
     sub_w = np.repeat(widths / reps, reps)
     offset = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
@@ -117,7 +121,70 @@ def _transform_nodes(
     half = 0.5 * sub_w
     nodes = ((sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]).ravel()
     dens = _density(spec.params, nodes)
-    return nodes, dens * (half[:, None] * _GL_W[None, :]).ravel()
+    return nodes, dens * (half[:, None] * _GL_W[None, :]).ravel(), reps
+
+
+def _chirp_z(b: np.ndarray, theta: float, n: int) -> np.ndarray:
+    """sum over p of b[:, p] exp(-i theta k p) for k < n, row by row.
+
+    With kp = (k^2 + p^2 - (k - p)^2) / 2 the sum is
+    exp(-i theta k^2/2) times the convolution of b[:, p] exp(-i theta p^2/2)
+    with the chirp exp(i theta m^2/2), m = -(r-1)..n-1, done as one FFT
+    product of a length that holds it without wrap-around.
+    """
+    r = b.shape[1]
+    size = next_fast_len(n + r - 1)
+    m = np.arange(max(n, r), dtype=float)
+    chirp = np.exp(0.5j * theta * (m * m))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = chirp[:n]
+    kernel[size - r + 1:] = chirp[r - 1:0:-1]  # m = -(r-1)..-1, wrapped
+    rows = np.zeros((b.shape[0], size), dtype=complex)
+    np.multiply(b, chirp[:r].conj(), out=rows[:, :r])
+    conv = np.fft.ifft(np.fft.fft(rows, axis=1) * np.fft.fft(kernel), axis=1)
+    return conv[:, :n] * chirp[:n].conj()
+
+
+def _grid_phases(c: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i t_k c) on a uniform grid, as (len(c), n).
+
+    Every m-th time (m^2 >= n) takes its exact exp and the times between it
+    and the next add exp(-i s dt c), s < m: two short exp tables and one
+    outer product, with no rounding carried from one time to the next.
+    """
+    n = times.size
+    m = math.isqrt(n - 1) + 1
+    coarse = np.exp(np.multiply.outer(c, -1j * times[::m]))
+    fine = np.exp(np.multiply.outer(c, -1j * dt * np.arange(m)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(c.size, -1)[:, :n]
+
+
+def _uniform_sums(
+    spec: SpectralData, x: np.ndarray, a: np.ndarray, reps: np.ndarray,
+    times: np.ndarray, dt: float,
+) -> np.ndarray:
+    """sum of a_j exp(-i t_k x_j) on a uniform grid, one segment at a time.
+
+    A segment of r panels of width w has nodes c_g + p w (c_g its first
+    panel's nodes), so its sum is the chirp-z transform of
+    a_gp exp(-i t0 p w) at W = exp(-i dt w), each row g turned by
+    exp(-i t_k c_g).  A one-panel segment's inner sum is a_g0 (W^0 = 1).
+    """
+    widths = np.diff(spec.segments)
+    rule = _GL_X.size
+    t0 = float(times[0])
+    out = np.zeros(times.shape, dtype=complex)
+    start = 0
+    for width, r in zip(widths, reps.tolist()):
+        stop = start + rule * r
+        c = x[start:start + rule]
+        b = a[start:stop].reshape(r, rule).T
+        if r > 1:
+            w = width / r
+            b = _chirp_z(b * np.exp(-1j * t0 * w * np.arange(r)), dt * w, times.size)
+        out += (_grid_phases(c, times, dt) * b).sum(axis=0)
+        start = stop
+    return out
 
 
 def _amplitude_points(
@@ -128,8 +195,9 @@ def _amplitude_points(
     """C(t) at arbitrary (signed) times; no series-level validation.
 
     C(t_k) = sum of a_j exp(-i t_k x_j) over one node set resolved at max |t|.
-    On a uniform grid the phase vector is advanced by a constant factor
-    between exact re-anchors; on any other grid every time is anchored.
+    On a uniform grid every segment's sum is a chirp-z transform
+    (``_uniform_sums``); on any other grid every node and time takes the
+    exact exp.
     """
     if spec.normalization_defect > 1e-4:
         raise ValueError("spectral data failed its normalization check")
@@ -137,29 +205,25 @@ def _amplitude_points(
     if spec.degenerate:
         return np.exp(-1j * spec.eigenvalue * times)
     t_max = float(np.max(np.abs(times), initial=0.0))
-    x, a = _transform_nodes(spec, t_max, max_panels)
+    x, a, reps = _transform_nodes(spec, t_max, max_panels)
     n = times.size
     dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     # Uniform means increasing and off a straight line by rounding only.
     uniform = dt > 0.0 and float(
         np.max(np.abs(times - (times[0] + dt * np.arange(n))))
     ) <= 64.0 * _EPS * t_max
-    anchor_every = _REANCHOR if uniform else 1
-    phase = np.empty(x.shape, dtype=complex)
-    if anchor_every > 1:
-        step = np.multiply(x, -1j * dt)
-        np.exp(step, out=step)
-    # a @ (real, imag) pairs sums both parts in one real product, in place.
-    phase_re_im = phase.view(np.float64).reshape(-1, 2)
-    out = np.empty(times.shape, dtype=complex)
-    for i, t in enumerate(times):
-        if i % anchor_every == 0:
+    if uniform:
+        out = _uniform_sums(spec, x, a, reps, times, dt)
+    else:
+        phase = np.empty(x.shape, dtype=complex)
+        # a @ (real, imag) pairs sums both parts in one real product, in place.
+        phase_re_im = phase.view(np.float64).reshape(-1, 2)
+        out = np.empty(times.shape, dtype=complex)
+        for i, t in enumerate(times):
             np.multiply(x, -1j * t, out=phase)
             np.exp(phase, out=phase)
-        else:
-            phase *= step
-        re, im = a @ phase_re_im
-        out[i] = complex(re, im)
+            re, im = a @ phase_re_im
+            out[i] = complex(re, im)
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
     return out

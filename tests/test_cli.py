@@ -239,6 +239,7 @@ class TestDecayCommand:
         assert main(["decay", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and "budget" in err
+        assert "--horizon" in err
         assert not list(out.glob("*.csv"))
 
 
@@ -341,6 +342,22 @@ class TestVerifyCommand:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+
+    def test_cli_loads_only_the_scipy_modules_it_needs(self):
+        # scipy.special (Ei, E1) and scipy.fft (next_fast_len); a public
+        # subpackage beyond these, such as scipy.signal or scipy.interpolate,
+        # adds its import time to every process.
+        code = (
+            "import sys, leveldecay.cli\n"
+            "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
+            "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
+        )
+        src = str(Path(scenario.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert set(done.stdout.split()) - {"version"} == {"fft", "special"}
 
 
 class TestFlags:

@@ -1,11 +1,12 @@
 """The time-domain layers against direct references kept here.
 
 ``_direct_heun`` is the O(N^2) stepper with two full history dots per step,
-and ``_per_time_transform`` the spectral transform that builds its own
-quarter-period panels for every time.  The solver and the transform must
-reproduce them to rounding (the solver) or to the panel rule's own error
-(the transform, whose single node set is finer than the per-time one at
-every time but the largest).
+``_per_time_transform`` the spectral transform that builds its own
+quarter-period panels for every time, and ``_node_sum`` the transform's own
+node sum with an exact exp at every node and time.  The solver must reproduce
+its reference to rounding, the transform the per-time panels to the panel
+rule's own error (its single node set is finer than the per-time one at
+every time but the largest) and its node sum to rounding.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from leveldecay import (
     build_kernel_table,
     build_spectral_data,
     conjugate_symmetry_check,
+    evolution,
     solve_ide,
 )
-from leveldecay.evolution import _amplitude_points
+from leveldecay.evolution import _amplitude_points, _transform_nodes
 from leveldecay.quadrature import _GL_W, _GL_X
 from leveldecay.spectrum import _density
 from leveldecay.volterra import _SHORT_LAGS
@@ -98,6 +100,26 @@ def _per_time_transform(spec, times) -> np.ndarray:
     return out
 
 
+def _node_sum(spec, times) -> np.ndarray:
+    """sum of a_j exp(-i t x_j) over the transform's node set, one t at a time."""
+    x, a, _ = _transform_nodes(spec, float(np.max(np.abs(times))), 500_000)
+    out = np.array([a @ np.exp(-1j * t * x) for t in times])
+    if spec.eigenvalue is not None:
+        out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
+    return out
+
+
+# At these largest times the 2d and 3d fixtures' longest segment has 96
+# (t = 60) and 478 (t = 300) panels.
+UNIFORM_GRIDS = {
+    "t0=0, more times than panels": np.linspace(0.0, 60.0, 301),
+    "t0>0, fewer times than panels": np.linspace(20.0, 300.0, 41),
+    "t0=0, two times": np.array([0.0, 250.0]),
+    "t0>0, two times": np.array([7.5, 120.0]),
+    "t0>0, three times": np.array([40.0, 70.0, 100.0]),
+}
+
+
 @pytest.fixture(scope="module")
 def spectra():
     return {
@@ -129,7 +151,7 @@ class TestTransform:
     @pytest.mark.parametrize("name", ["2d", "3d"])
     def test_uniform_grid_matches_per_time_panels(self, spectra, name):
         spec = spectra[name]
-        times = np.linspace(0.0, 60.0, 301)  # several re-anchor intervals
+        times = np.linspace(0.0, 60.0, 301)  # uniform: the chirp-z path
         got = amplitude_spectral(spec, times).amplitude
         ref = _per_time_transform(spec, times)
         assert float(np.max(np.abs(got - ref))) <= 1e-7
@@ -142,6 +164,34 @@ class TestTransform:
         ref = _per_time_transform(spec, times)
         assert float(np.max(np.abs(got - ref))) <= 1e-7
         assert conjugate_symmetry_check(spec, 41.0)
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    @pytest.mark.parametrize("grid", list(UNIFORM_GRIDS))
+    def test_uniform_grid_matches_exact_node_sum(self, spectra, name, grid, monkeypatch):
+        spec = spectra[name]
+        times = UNIFORM_GRIDS[grid]
+        calls = []
+        chirp_z = evolution._uniform_sums
+        monkeypatch.setattr(
+            evolution, "_uniform_sums", lambda *args: calls.append(1) or chirp_z(*args)
+        )
+        got = _amplitude_points(spec, times, 500_000)
+        assert calls == [1]
+        assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_uniform_grids_straddle_the_largest_panel_count(self, spectra, name):
+        for grid, more in (("t0=0, more times than panels", True),
+                           ("t0>0, fewer times than panels", False)):
+            times = UNIFORM_GRIDS[grid]
+            _, _, reps = _transform_nodes(spectra[name], float(times[-1]), 500_000)
+            assert (times.size > int(reps.max())) is more
+
+    def test_uniform_transform_is_byte_identical(self, spectra):
+        times = np.linspace(0.0, 300.0, 1001)
+        first = _amplitude_points(spectra["3d"], times, 500_000)
+        second = _amplitude_points(spectra["3d"], times, 500_000)
+        assert first.tobytes() == second.tobytes()
 
     def test_budget_applies_at_the_largest_time(self, spectra):
         spec = spectra["3d"]
