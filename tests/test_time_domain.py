@@ -1,6 +1,7 @@
 """The time-domain layers against direct references kept here.
 
 ``_direct_heun`` is the O(N^2) stepper with two full history dots per step,
+``_extended_heun`` the step-by-step recurrence in extended precision,
 ``_per_time_transform`` the spectral transform that builds its own
 quarter-period panels for every time, and ``_node_sum`` the transform's own
 node sum with an exact exp at every node and time.  The solver must reproduce
@@ -12,6 +13,7 @@ every time but the largest) and its node sum to rounding.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +70,29 @@ def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
         if n + 1 < n_steps:
             phi_n = history_integral(n + 1)
     return y * np.exp(-1j * params.e2 * table.times)
+
+
+def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
+    """C(t) from the Heun recurrence one step at a time in np.clongdouble.
+
+    The kernel samples are the solver's own doubles, so this differs from the
+    solver only by the solver's rounding.
+    """
+    table = build_kernel_table(params, horizon, h)
+    k = table.values.astype(np.clongdouble)
+    hl = np.longdouble(h)
+    n_steps = len(k) - 1
+    y = np.zeros(n_steps + 1, dtype=np.clongdouble)
+    y[0] = 1
+    k_rev = k[::-1].copy()
+    half_k0 = k[0] / 2
+    phi = np.clongdouble(0)
+    for m in range(1, n_steps + 1):
+        s = np.dot(k_rev[n_steps - m:n_steps], y[:m]) - k[m] * y[0] / 2
+        phi_next = hl * (s + half_k0 * (y[m - 1] + hl * phi))
+        y[m] = y[m - 1] + hl / 2 * (phi + phi_next)
+        phi = hl * (s + half_k0 * y[m])
+    return y.astype(complex) * np.exp(-1j * params.e2 * table.times)
 
 
 def _panel_counts(spec, t: float) -> np.ndarray:
@@ -139,6 +164,44 @@ class TestSolver:
         ref = _direct_heun(params, n_steps * h, h)
         assert got.shape == ref.shape == (n_steps + 1,)
         assert float(np.max(np.abs(got - ref))) <= 1e-12
+
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    @pytest.mark.parametrize("n_steps", [1, 2, 127, 128, 129, 255, 256, 1000])
+    def test_chunk_edges_match_direct_history_sums(self, family, g_sq, n_steps):
+        params = _params(family, g_sq)
+        h = 0.01
+        got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
+        ref = _direct_heun(params, n_steps * h, h)
+        assert got.shape == ref.shape == (n_steps + 1,)
+        assert float(np.max(np.abs(got - ref))) <= 1e-13
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
+    )
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 1.0), (THREE, 2.0)])
+    def test_no_drift_against_extended_precision(self, family, g_sq):
+        # 3000 steps span 24 chunks and end inside one.  Solving each chunk
+        # for y instead of for its increments drifts past the bound here.
+        n_steps = 3000
+        assert n_steps % _SHORT_LAGS
+        params = _params(family, g_sq)
+        h = 0.01
+        got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
+        ref = _extended_heun(params, n_steps * h, h)
+        assert float(np.max(np.abs(got - ref))) <= 1e-14
+
+    def test_memory_peak_is_a_few_arrays(self):
+        n_steps = 20_000
+        params = _params(THREE, 2.0)
+        h = 0.01
+        solve_ide(params, horizon=10.0, step=h)  # the kernel self-check runs once
+        tracemalloc.start()
+        try:
+            solve_ide(params, horizon=n_steps * h, step=h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 16 * (n_steps + 1) + 0.5e6
 
     def test_repeat_solve_is_byte_identical(self):
         params = _params(THREE, 1.2)
