@@ -2,8 +2,9 @@
 
 Commands: ``spectrum <config>``, ``decay <config>``, ``sweep <config>``,
 ``verify``.  Scenario configs are parsed, computed and written by
-``leveldecay.scenario``, the same pipeline that ``verify`` runs.  Exit codes:
-0 ok, 2 numerical inconsistency, 3 config error.
+``leveldecay.scenario``, the same pipeline that ``verify`` runs.  Each command
+takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency,
+3 config or usage error.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _dispatch(args) -> int:
         scenario = replace(
             scenario, quadrature=replace(scenario.quadrature, abs_tol=args.tol)
         )
-    if args.horizon is not None:
+    if args.command == "decay" and args.horizon is not None:
         if args.horizon <= 0:
             raise ConfigError("--horizon must be positive")
         scenario = replace(scenario, horizon=args.horizon)
@@ -126,42 +127,41 @@ def _dispatch(args) -> int:
     return cmd_sweep(scenario, swept, out_dir, args.jobs)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", type=Path, default=None, help="output directory")
-    parser.add_argument(
-        "--tol", type=float, default=None, help="override quadrature abs_tol"
-    )
-    parser.add_argument(
-        "--horizon", type=float, default=None, help="override time horizon"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for sweeps"
-    )
-
-
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process; each command gets only
+    the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="leveldecay",
         description="Spectral simulator for decay of a level coupled to a continuum",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("spectrum", "eigenvalue, weight, threshold, and density table"),
-        ("decay", "survival probability via both routes, cross-checked"),
-        ("sweep", "threshold scan over a model parameter"),
-    ):
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("config", type=Path, help="scenario config file")
-        _add_common_flags(cmd)
+    spectrum = sub.add_parser(
+        "spectrum", help="eigenvalue, weight, threshold, and density table"
+    )
+    decay = sub.add_parser("decay", help="survival probability via both routes, cross-checked")
+    sweep = sub.add_parser("sweep", help="threshold scan over a model parameter")
     verify = sub.add_parser("verify", help="run the built-in verification matrix")
-    _add_common_flags(verify)
+    for cmd in (spectrum, decay, sweep, verify):
+        cmd.add_argument("--out", type=Path, default=None, help="output directory")
+    for cmd in (spectrum, decay, sweep):
+        cmd.add_argument("config", type=Path, help="scenario config file")
+        cmd.add_argument(
+            "--tol", type=float, default=None,
+            help="override quadrature.abs_tol, the bound on the truncation remainder",
+        )
+    decay.add_argument("--horizon", type=float, default=None, help="override time horizon")
+    sweep.add_argument("--jobs", type=int, default=1, help="worker processes for sweep points")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error, after printing the usage
+            return 3
+        raise
     try:
         return _dispatch(args)
     except ConfigError as exc:

@@ -15,8 +15,8 @@ For the built-in coupling families the spectral layer evaluates k, its
 principal value and the weight integral from exponential-integral closed
 forms (see ``leveldecay.spectrum``).  ``k_regular``, ``k_pv`` and
 ``weight_integral`` here compute the same integrals by adaptive quadrature:
-they are the gate those closed forms must pass before first use, the
-reference the tests compare against, and the route for any other integrand.
+they are the gate those closed forms must pass before first use and the
+reference the tests compare against.
 
 Integrands must be vectorized (accept and return numpy arrays).
 """
@@ -209,28 +209,6 @@ def integrate_semiinf(
         raise ValueError("scale must be positive and finite")
     upper = cfg.tail_cut * scale
     edges = _edges_toward(0.0, upper, levels=42)
-    return _adapt(f, edges, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
-
-
-def integrate_interval(
-    f: Callable,
-    a: float,
-    b: float,
-    cfg: QuadratureConfig,
-    toward: float | None = None,
-) -> tuple[float, float]:
-    """Adaptive integral of a vectorized f over the finite interval [a, b].
-
-    ``toward`` optionally names an endpoint to seed geometrically refined
-    panels against (useful when the integrand varies fastest there).
-    """
-    if not (b > a):
-        raise ValueError("integrate_interval requires b > a")
-    if toward is None:
-        mids = a + (b - a) * np.linspace(0.0, 1.0, 9)
-        edges = mids
-    else:
-        edges = _edges_toward(a, b, levels=30, toward_lo=(toward <= a))
     return _adapt(f, edges, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
 
 

@@ -122,19 +122,10 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
     quad_kwargs = {}
-    for field, key in (
-        ("abs_tol", "quadrature.abs_tol"),
-        ("rel_tol", "quadrature.rel_tol"),
-        ("pv_window", "quadrature.pv_window"),
-        ("tail_cut", "quadrature.tail_cut"),
-    ):
-        value = _take_float(table, key, required=False)
+    for field in ("abs_tol", "tail_cut"):
+        value = _take_float(table, f"quadrature.{field}", required=False)
         if value is not None:
             quad_kwargs[field] = value
-    if "quadrature.max_subdivisions" in table:
-        quad_kwargs["max_subdivisions"] = int(
-            _take_float(table, "quadrature.max_subdivisions")
-        )
     try:
         quadrature = QuadratureConfig(**quad_kwargs)
     except ValueError as exc:

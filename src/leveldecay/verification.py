@@ -58,11 +58,11 @@ class MatrixScenario:
     g_sq: float
     has_eigenvalue: bool
 
-    def scenario(self, cfg: QuadratureConfig) -> Scenario:
+    def scenario(self) -> Scenario:
         """The row as a decay scenario: horizon 2T, 2001 points, step 0.01."""
         params = ModelParams(0.0, 1.0, CouplingModel(self.family, self.g_sq, 1.0))
         return Scenario(
-            self.name, params, cfg, horizon=2.0 * _WINDOW_T / params.level_gap,
+            self.name, params, _QUADRATURE, horizon=2.0 * _WINDOW_T / params.level_gap,
             series_points=2001, volterra_step=0.01,
         )
 
@@ -76,6 +76,7 @@ MATRIX: tuple[MatrixScenario, ...] = (
     MatrixScenario("3d-below-small", CouplingFamily.THREE_DIM_EXP, 0.01, False),
 )
 
+_QUADRATURE = QuadratureConfig()  # every matrix and sweep scenario's tolerances
 _WINDOW_T = 200.0          # window start in units of 1/gap; window is [T, 2T]
 _CROSS_T = 50.0            # cross-route comparison horizon
 
@@ -318,10 +319,10 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
     )
 
 
-def _sweep_scenarios(cfg: QuadratureConfig) -> list[Scenario]:
+def _sweep_scenarios() -> list[Scenario]:
     return [
         Scenario(
-            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)), cfg,
+            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)), _QUADRATURE,
             horizon=1.0, sweep=SweepSpec("g_sq", values),
         )
         for name, family, values in (
@@ -331,13 +332,13 @@ def _sweep_scenarios(cfg: QuadratureConfig) -> list[Scenario]:
     ]
 
 
-def _check_determinism(cfg: QuadratureConfig) -> CriterionResult:
+def _check_determinism() -> CriterionResult:
     """Recompute one scenario's artifacts from scratch and byte-compare."""
     ms = next(m for m in MATRIX if m.name == "3d-below-moderate")
 
     def render() -> tuple[str, str, str]:
-        spec = build_spectral_data(ms.scenario(cfg).params, cfg=cfg)
-        scenario = _sweep_scenarios(cfg)[0]
+        spec = build_spectral_data(ms.scenario().params, cfg=_QUADRATURE)
+        scenario = _sweep_scenarios()[0]
         rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
         return (
             artifacts.render_density_csv(spec),
@@ -354,21 +355,18 @@ def _check_determinism(cfg: QuadratureConfig) -> CriterionResult:
     )
 
 
-def _write_artifacts(
-    out_dir: Path, runs: dict[MatrixScenario, DecayRun], cfg: QuadratureConfig
-) -> None:
+def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> None:
     for ms, run in runs.items():
         write_spectrum(out_dir, ms.name, run.spec)
         write_decay(out_dir, ms.name, run)
-    for scenario in _sweep_scenarios(cfg):
+    for scenario in _sweep_scenarios():
         rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
         write_sweep(out_dir, scenario.name, rows)
 
 
 def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
     """Compute the scenario matrix, evaluate all criteria, write artifacts."""
-    cfg = QuadratureConfig()
-    runs = {ms: run_decay(ms.scenario(cfg)) for ms in MATRIX}
+    runs = {ms: run_decay(ms.scenario()) for ms in MATRIX}
     results = [
         _check_normalization(runs),
         _check_threshold(),
@@ -378,11 +376,11 @@ def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
         _check_short_time(runs),
         _check_weak_coupling(runs),
         _check_eigenvalue_oracle(runs),
-        _check_determinism(cfg),
+        _check_determinism(),
     ]
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(out_dir, runs, cfg)
+        _write_artifacts(out_dir, runs)
         artifacts.write_json(out_dir / "verify_report.json", {
             "all_passed": all(r.passed for r in results),
             "criteria": [

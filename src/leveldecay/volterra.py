@@ -7,9 +7,10 @@ With y(t) = C(t) * exp(i e2 t), the survival amplitude satisfies
 with the memory kernel K(t) = -exp(i (e2 - e1) t) * F(t), F the Fourier
 transform of |V|^2 over the continuum.  For the built-in exponential families
 F has a closed form (a rational function of 1 + i L t), which is verified
-against direct oscillatory quadrature at startup so a family mismatch cannot
-silently corrupt this route.  No spectral data enters anywhere, which is what
-makes the solution an independent cross-check of the spectral route.
+against direct oscillatory quadrature before a family's first use, so a
+mismatch cannot silently corrupt this route.  No spectral data enters
+anywhere, which is what makes the solution an independent cross-check of the
+spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
@@ -73,9 +74,13 @@ def kernel(params: ModelParams, t) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
-def _fourier_quad(model: CouplingModel, t: float, tail_cut: float = 80.0) -> complex:
+# The gate's quadrature truncates |V|^2 at _GATE_TAIL_CUT cutoffs.
+_GATE_TAIL_CUT = 80.0
+
+
+def _fourier_quad(model: CouplingModel, t: float) -> complex:
     """Direct oscillatory quadrature of the |V|^2 Fourier transform at one t."""
-    upper = tail_cut * model.cutoff
+    upper = _GATE_TAIL_CUT * model.cutoff
     width = upper / 64.0
     if t != 0.0:
         width = min(width, 0.5 * math.pi / abs(t))
@@ -89,17 +94,23 @@ def _fourier_quad(model: CouplingModel, t: float, tail_cut: float = 80.0) -> com
     return complex(((fx * phase) @ _GL_W * half).sum())
 
 
-@functools.lru_cache(maxsize=128)
-def _self_check(model: CouplingModel, tol: float = 1e-8) -> bool:
-    """Gate the closed-form kernel against direct quadrature at 10 sample times."""
-    samples = np.linspace(0.0, 4.0 / model.cutoff, 10)
-    for t in samples:
+@functools.cache
+def _self_check(family: CouplingFamily) -> bool:
+    """Gate a family's closed-form kernel against direct quadrature.
+
+    F(t) = g2 L^(p+1) F_1(L t), and the quadrature's panels depend on L t
+    alone, so one check at g2 = L = 1 over 10 times in [0, 4] covers every
+    model of the family.  Raises ``KernelMismatchError`` on a deviation above
+    1e-8 * max(1, |value|).
+    """
+    model = CouplingModel(family, 1.0, 1.0)
+    for t in np.linspace(0.0, 4.0, 10):
         cf = complex(_fourier_closed_form(model, t))
         quad = _fourier_quad(model, float(t))
-        if abs(cf - quad) > tol * max(1.0, abs(cf)):
+        if abs(cf - quad) > 1e-8 * max(1.0, abs(cf)):
             raise KernelMismatchError(
-                f"closed-form kernel deviates from quadrature by {abs(cf - quad)!r} "
-                f"at t={t!r}; refusing to use it"
+                f"{family.value} closed-form kernel deviates from quadrature by "
+                f"{abs(cf - quad)!r} at L t={t!r}; refusing to use it"
             )
     return True
 
@@ -108,7 +119,7 @@ def build_kernel_table(params: ModelParams, horizon: float, step: float) -> Kern
     """Tabulate the kernel on the uniform solver grid after the self-check gate."""
     if not (step > 0.0 and horizon >= step):
         raise ValueError("need step > 0 and horizon >= step")
-    _self_check(params.coupling)
+    _self_check(params.coupling.family)
     n = int(round(horizon / step))
     times = np.arange(n + 1) * step
     return KernelTable(times=times, values=np.asarray(kernel(params, times)))

@@ -48,9 +48,6 @@ class TestParsing:
             BASE_CONFIG
             + """
 quadrature.abs_tol = 1e-9
-quadrature.rel_tol = 1e-7
-quadrature.max_subdivisions = 500
-quadrature.pv_window = 0.25
 quadrature.tail_cut = 50
 horizon = 80
 series.points = 401
@@ -61,7 +58,6 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
 """
         )
         assert scen.quadrature.abs_tol == 1e-9
-        assert scen.quadrature.max_subdivisions == 500
         assert scen.horizon == 80.0
         assert scen.series_points == 401
         assert scen.volterra_step == 0.02
@@ -381,3 +377,60 @@ class TestFlags:
         assert main(["sweep", str(cfg), "--out", str(out)]) == 0
         rows = (out / "demo_sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[2] for r in rows] == ["true", "false"]
+
+
+class TestInputSurface:
+    """Every setting is read: unread keys and flags are usage errors (exit 3)."""
+
+    @pytest.mark.parametrize(
+        "line",
+        ["quadrature.rel_tol = 1e-3", "quadrature.pv_window = 0.01",
+         "quadrature.max_subdivisions = 1"],
+    )
+    def test_removed_quadrature_keys_are_unknown(self, tmp_path, capsys, line):
+        cfg = _write(tmp_path, BASE_CONFIG + line + "\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and line.split(" = ")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--horizon", "5"],
+            ["spectrum", "scen.cfg", "--jobs", "2"],
+            ["decay", "scen.cfg", "--jobs", "2"],
+            ["sweep", "scen.cfg", "--horizon", "5"],
+            ["decay", "scen.cfg", "--bogus"],
+            ["decay"],  # the config argument is missing
+        ],
+    )
+    def test_usage_errors_exit_three(self, capsys, argv):
+        assert main(argv) == 3
+        assert "usage: leveldecay" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decay", "--help"])
+        assert exc.value.code == 0
+        assert "--horizon" in capsys.readouterr().out
+
+    def test_each_command_has_only_the_flags_it_reads(self):
+        from argparse import _SubParsersAction
+
+        from leveldecay.cli import _parser
+
+        sub = next(a for a in _parser()._actions if isinstance(a, _SubParsersAction))
+        flags = {
+            name: {
+                opt for action in cmd._actions for opt in action.option_strings
+            } - {"-h", "--help"}
+            for name, cmd in sub.choices.items()
+        }
+        assert flags == {
+            "verify": {"--out"},
+            "spectrum": {"--out", "--tol"},
+            "decay": {"--out", "--tol", "--horizon"},
+            "sweep": {"--out", "--tol", "--jobs"},
+        }
