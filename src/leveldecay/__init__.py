@@ -28,7 +28,6 @@ from .quadrature import (
     DivergentAtE1Error,
     InvalidSingularityError,
     NonConvergenceError,
-    QuadratureConfig,
     integrate_semiinf,
     k_pv,
     k_regular,
@@ -37,7 +36,6 @@ from .quadrature import (
 from .spectrum import (
     BracketFailureError,
     ClosedFormMismatchError,
-    DensityGridSpec,
     ModelParams,
     NoEigenvalueError,
     NormalizationFailureError,
@@ -68,7 +66,6 @@ __all__ = [
     "ClosedFormMismatchError",
     "CouplingFamily",
     "CouplingModel",
-    "DensityGridSpec",
     "DivergentAtE1Error",
     "InvalidSingularityError",
     "KernelMismatchError",
@@ -79,7 +76,6 @@ __all__ = [
     "NonConvergenceError",
     "NormalizationFailureError",
     "OscillatoryBudgetExceededError",
-    "QuadratureConfig",
     "SpectralData",
     "ThresholdMarginalError",
     "ThresholdResult",

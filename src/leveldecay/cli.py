@@ -10,6 +10,7 @@ takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -43,7 +44,7 @@ _DEVIATION_GATE = 1e-2
 
 
 def cmd_spectrum(scenario: Scenario, out_dir: Path) -> int:
-    spec = build_spectral_data(scenario.params, cfg=scenario.quadrature)
+    spec = build_spectral_data(scenario.params)
     write_spectrum(out_dir, scenario.name, spec)
     return 0
 
@@ -63,6 +64,7 @@ def cmd_sweep(scenario: Scenario, swept: list[ModelParams], out_dir: Path, jobs:
         raise ConfigError("sweep command requires sweep.parameter and sweep.values")
     values = scenario.sweep.values
     worker = partial(sweep_point, scenario)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(worker, values, swept))
@@ -89,10 +91,11 @@ def cmd_verify(out_dir: Path) -> int:
 
 
 def _certify_truncation(scenario: Scenario, swept: list[ModelParams]) -> None:
-    """Reject a tail_cut too short for the model's cutoff or any swept model."""
+    """Reject a model, or any swept model, whose |V|^2 remainder beyond the
+    truncation exceeds its bound (3d g2 L >= 1.1e16, 2d g2 >= 6.9e17)."""
     for params in [scenario.params, *swept]:
         try:
-            _check_tail(params, 0.0, scenario.quadrature)
+            _check_tail(params, 0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -107,14 +110,12 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         return cmd_verify(_resolve_out_dir(args, None))
     scenario = load_scenario(args.config)
-    if args.tol is not None:
-        scenario = replace(
-            scenario, quadrature=replace(scenario.quadrature, abs_tol=args.tol)
-        )
     if args.command == "decay" and args.horizon is not None:
         if args.horizon <= 0:
             raise ConfigError("--horizon must be positive")
         scenario = replace(scenario, horizon=args.horizon)
+    if args.command == "sweep" and args.jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     swept = []  # the model at each sweep value, built once
     if (spec := scenario.sweep) is not None:
         swept = [_apply_sweep_value(scenario.params, spec.parameter, v) for v in spec.values]
@@ -146,12 +147,11 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=None, help="output directory")
     for cmd in (spectrum, decay, sweep):
         cmd.add_argument("config", type=Path, help="scenario config file")
-        cmd.add_argument(
-            "--tol", type=float, default=None,
-            help="override quadrature.abs_tol, the bound on the truncation remainder",
-        )
     decay.add_argument("--horizon", type=float, default=None, help="override time horizon")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes for sweep points")
+    sweep.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for sweep points (at most the CPU count)",
+    )
     return parser
 
 

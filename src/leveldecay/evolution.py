@@ -21,8 +21,8 @@ Bluestein's kp = (k^2 + p^2 - (k - p)^2) / 2 turns into one FFT convolution
 per segment.  A series of n times then costs O((n + r) log(n + r)) per
 segment instead of one exp per node and time.  Any other grid (signed, or
 off a straight line) takes the exact exp at every node and time.  The panel
-count grows linearly with t_max; a series that needs more panels than the
-configured budget raises instead of silently degrading.
+count grows linearly with t_max; a series that needs more than 500,000 panels
+raises instead of silently degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -39,11 +39,17 @@ from scipy.fft import next_fast_len
 
 from .coupling import coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X
-from .spectrum import ModelParams, SpectralData, _density, k_pv_closed
+from .spectrum import (
+    _NORMALIZATION_GATE,
+    ModelParams,
+    SpectralData,
+    _density,
+    k_pv_closed,
+)
 
 
 class OscillatoryBudgetExceededError(RuntimeError):
-    """Requested time needs more oscillation panels than the configured budget."""
+    """Requested time needs more oscillation panels than the transform's budget."""
 
 
 class MethodTag(enum.Enum):
@@ -88,10 +94,12 @@ class AmplitudeSeries:
 
 
 _SEGMENT_MASS_FLOOR = 1e-15
+# Panels in the node set that resolves the largest time.
+_MAX_PANELS = 500_000
 
 
 def _transform_nodes(
-    spec: SpectralData, t_max: float, max_panels: int
+    spec: SpectralData, t_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes x, weights a (rho(x) times the rule weight) and panel counts.
 
@@ -109,9 +117,9 @@ def _transform_nodes(
         np.clip(reps, 1, None, out=reps)
         reps[spec.segment_mass < _SEGMENT_MASS_FLOOR] = 1
     total = int(reps.sum())
-    if total > max_panels:
+    if total > _MAX_PANELS:
         raise OscillatoryBudgetExceededError(
-            f"t={t_max!r} needs {total} panels, budget is {max_panels}; "
+            f"t={t_max!r} needs {total} panels, budget is {_MAX_PANELS}; "
             "the panel count grows with the largest time, so shorten the series "
             "with --horizon (or horizon = in the config)"
         )
@@ -187,11 +195,7 @@ def _uniform_sums(
     return out
 
 
-def _amplitude_points(
-    spec: SpectralData,
-    times: np.ndarray,
-    max_panels: int,
-) -> np.ndarray:
+def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
     """C(t) at arbitrary (signed) times; no series-level validation.
 
     C(t_k) = sum of a_j exp(-i t_k x_j) over one node set resolved at max |t|.
@@ -199,13 +203,13 @@ def _amplitude_points(
     (``_uniform_sums``); on any other grid every node and time takes the
     exact exp.
     """
-    if spec.normalization_defect > 1e-4:
+    if spec.normalization_defect > _NORMALIZATION_GATE:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
     if spec.degenerate:
         return np.exp(-1j * spec.eigenvalue * times)
     t_max = float(np.max(np.abs(times), initial=0.0))
-    x, a, reps = _transform_nodes(spec, t_max, max_panels)
+    x, a, reps = _transform_nodes(spec, t_max)
     n = times.size
     dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     # Uniform means increasing and off a straight line by rounding only.
@@ -229,18 +233,16 @@ def _amplitude_points(
     return out
 
 
-def amplitude_spectral(
-    spec: SpectralData, times, *, max_panels_per_time: int = 500_000
-) -> AmplitudeSeries:
+def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     """Survival amplitude series over ``times`` from assembled spectral data.
 
     ``times`` must be nonnegative and strictly increasing.  The spectral data
     must have passed its normalization check (build_spectral_data enforces
     this).  Raises OscillatoryBudgetExceededError when the panel set that
-    resolves the largest time exceeds ``max_panels_per_time`` panels.
+    resolves the largest time exceeds 500,000 panels.
     """
     times = np.asarray(times, dtype=float)
-    amp = _amplitude_points(spec, times, max_panels_per_time)
+    amp = _amplitude_points(spec, times)
     prob = np.abs(amp) ** 2
     return AmplitudeSeries(times, amp, prob, MethodTag.SPECTRAL)
 
@@ -272,18 +274,13 @@ def weak_coupling_rate(params: ModelParams) -> WeakCouplingRate:
     return WeakCouplingRate(gamma=gamma, shift_estimate=shift)
 
 
-def conjugate_symmetry_check(
-    spec: SpectralData,
-    t: float,
-    tol: float = 1e-8,
-    max_panels_per_time: int = 500_000,
-) -> bool:
+def conjugate_symmetry_check(spec: SpectralData, t: float, tol: float = 1e-8) -> bool:
     """Verify C(-t) equals the complex conjugate of C(t) within ``tol``.
 
     Holds exactly for any real spectral measure, so a failure indicates a
     defect in the transform evaluation, not in the data.
     """
-    pair = _amplitude_points(spec, np.array([t, -t]), max_panels_per_time)
+    pair = _amplitude_points(spec, np.array([t, -t]))
     return bool(abs(pair[1] - np.conj(pair[0])) <= tol)
 
 

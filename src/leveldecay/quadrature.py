@@ -3,7 +3,7 @@
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
 the panel error estimate, and panels carrying the bulk of the error are
-bisected until the total estimate meets the configured tolerance.
+bisected until the total estimate meets the tolerance.
 
 Principal values are computed by symmetric subtraction: on a window
 [c - h, c + h] around the pole the regularized integrand
@@ -24,7 +24,6 @@ Integrands must be vectorized (accept and return numpy arrays).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -52,36 +51,17 @@ class DivergentAtE1Error(ValueError):
     """k(lambda) requested at the continuum edge for a coupling with V(0) != 0."""
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and truncation policy for the adaptive integrators.
-
-    ``tail_cut`` is a dimensionless multiplier: semi-infinite integrals are
-    truncated at tail_cut * scale, where the scale is the coupling cutoff for
-    model integrands.  The closed-form tail remainder of the exponential
-    families is checked against ``abs_tol`` wherever a model is integrated.
-    ``pv_window`` is the half-width of the symmetric subtraction window around
-    a principal-value singularity (shrunk when the window would leave the
-    integration domain).
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 4000
-    pv_window: float = 0.5
-    tail_cut: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError("abs_tol must be positive and finite")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError("rel_tol must be positive and finite")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
-        if not (self.pv_window > 0.0 and math.isfinite(self.pv_window)):
-            raise ValueError("pv_window must be positive and finite")
-        if not (self.tail_cut > 0.0 and math.isfinite(self.tail_cut)):
-            raise ValueError("tail_cut must be positive and finite")
+# Integrator tolerances and budget, the half-width of the principal-value
+# subtraction window (shrunk where it would leave the domain), and the
+# truncation: semi-infinite integrals stop at TAIL_CUT times their scale (the
+# coupling cutoff for model integrands), where the closed-form tail remainder
+# of the exponential families must stay below TAIL_TOL.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-8
+_MAX_SUBDIVISIONS = 4000
+_PV_WINDOW = 0.5
+TAIL_CUT = 60.0
+TAIL_TOL = 1e-10
 
 
 # Gauss-Kronrod (G7, K15) abscissae and weights on [-1, 1].
@@ -146,14 +126,19 @@ def _split_panels(f: Callable, a, b, vals, errs, mask) -> tuple[np.ndarray, ...]
     return a[order], b[order], vals[order], errs[order]
 
 
-def _adapt(
+def _refine(
     f: Callable,
     edges: np.ndarray,
     abs_tol: float,
     rel_tol: float,
-    max_subdivisions: int,
-) -> tuple[float, float]:
-    """Adaptive driver: bisect the panels dominating the error until converged."""
+    budget: int,
+) -> tuple[np.ndarray, ...]:
+    """Bisect the panels dominating the error until the summed estimate meets
+    max(abs_tol, rel_tol * |sum|); returns the converged panels (a, b, vals, errs).
+
+    Raises:
+        NonConvergenceError: more than ``budget`` bisections needed.
+    """
     edges = np.asarray(edges, dtype=float)
     a = edges[:-1]
     b = edges[1:]
@@ -164,16 +149,24 @@ def _adapt(
         err = float(errs.sum())
         tol = max(abs_tol, rel_tol * abs(total))
         if err <= tol:
-            return total, err
+            return a, b, vals, errs
         mask = errs > tol / (2.0 * len(vals))
         n_new = int(mask.sum())
-        if n_splits + n_new > max_subdivisions:
+        if n_splits + n_new > budget:
             raise NonConvergenceError(
                 "adaptive quadrature did not converge within the subdivision budget",
                 total, err,
             )
         n_splits += n_new
         a, b, vals, errs = _split_panels(f, a, b, vals, errs, mask)
+
+
+def _adapt(
+    f: Callable, edges: np.ndarray, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL
+) -> tuple[float, float]:
+    """Integral of f over [edges[0], edges[-1]] and its error estimate."""
+    _, _, vals, errs = _refine(f, edges, abs_tol, rel_tol, _MAX_SUBDIVISIONS)
+    return float(vals.sum()), float(errs.sum())
 
 
 def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> np.ndarray:
@@ -186,45 +179,38 @@ def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> 
     return np.unique(np.concatenate([[lo], inner, [hi]]))
 
 
-def integrate_semiinf(
-    f: Callable,
-    cfg: QuadratureConfig,
-    scale: float = 1.0,
-) -> tuple[float, float]:
-    """Integrate a vectorized f over [0, inf), truncated at tail_cut * scale.
+def integrate_semiinf(f: Callable, scale: float = 1.0) -> tuple[float, float]:
+    """Integrate a vectorized f over [0, inf), truncated at TAIL_CUT * scale.
 
     The integrand must be continuous and absolutely integrable with a decaying
     tail; the caller is responsible for choosing ``scale`` so that the
-    truncation remainder is below ``cfg.abs_tol`` (for the built-in coupling
+    truncation remainder is below TAIL_TOL (for the built-in coupling
     families this is certified via their closed-form tail bound).
 
     Returns:
         (value, error_estimate) with |value - exact| bounded by
-        max(abs_tol, rel_tol * |value|) on convergence.
+        max(1e-10, 1e-8 * |value|) on convergence.
 
     Raises:
         NonConvergenceError: subdivision budget exhausted.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("scale must be positive and finite")
-    upper = cfg.tail_cut * scale
-    edges = _edges_toward(0.0, upper, levels=42)
-    return _adapt(f, edges, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    return _adapt(f, _edges_toward(0.0, TAIL_CUT * scale, levels=42))
 
 
 def principal_value(
     f: Callable,
     c: float,
-    cfg: QuadratureConfig,
     upper: float | None = None,
     scale: float = 1.0,
 ) -> float:
     """Cauchy principal value of the integral of f(x)/(x - c) over [0, upper).
 
     ``f`` must be vectorized and continuous at the pole c > 0.  With
-    ``upper=None`` the domain is [0, inf), truncated at c + tail_cut * scale.
+    ``upper=None`` the domain is [0, inf), truncated at c + TAIL_CUT * scale.
     The pole is handled on a symmetric window by subtraction of f(c); the
-    window half-width is cfg.pv_window, shrunk to stay inside the domain.
+    window half-width is _PV_WINDOW, shrunk to stay inside the domain.
 
     Raises:
         InvalidSingularityError: c <= 0, or c outside a finite domain.
@@ -233,12 +219,12 @@ def principal_value(
     if not (c > 0.0 and math.isfinite(c)):
         raise InvalidSingularityError(f"singularity must lie in (0, upper), got c={c!r}")
     if upper is None:
-        domain_hi = c + cfg.tail_cut * scale
+        domain_hi = c + TAIL_CUT * scale
     else:
         if c >= upper:
             raise InvalidSingularityError(f"singularity c={c!r} not interior to (0, {upper!r})")
         domain_hi = upper
-    h = min(cfg.pv_window, 0.5 * c, 0.5 * (domain_hi - c))
+    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
     lo, hi = c - h, c + h
 
     fc = float(np.asarray(f(np.array([c])), dtype=float)[0])
@@ -246,11 +232,9 @@ def principal_value(
     def regularized(x):
         return (np.asarray(f(x), dtype=float) - fc) / (x - c)
 
-    abs_share = 0.25 * cfg.abs_tol
-    rel_share = 0.25 * cfg.rel_tol
-    window, _ = _adapt(
-        regularized, np.array([lo, c, hi]), abs_share, rel_share, cfg.max_subdivisions
-    )
+    abs_share = 0.25 * _ABS_TOL
+    rel_share = 0.25 * _REL_TOL
+    window, _ = _adapt(regularized, np.array([lo, c, hi]), abs_share, rel_share)
     # Analytic log term; identically zero for the symmetric window used here.
     log_term = fc * math.log((hi - c) / (c - lo))
 
@@ -261,28 +245,29 @@ def principal_value(
     if lo > 0.0:
         left, _ = _adapt(
             cauchy, _edges_toward(0.0, lo, levels=30, toward_lo=False),
-            abs_share, rel_share, cfg.max_subdivisions,
+            abs_share, rel_share,
         )
     right, _ = _adapt(
         cauchy, _edges_toward(hi, domain_hi, levels=42, toward_lo=True),
-        abs_share, rel_share, cfg.max_subdivisions,
+        abs_share, rel_share,
     )
     return window + log_term + left + right
 
 
-def _check_tail(params: ModelParams, a: float, cfg: QuadratureConfig) -> float:
+def _check_tail(params: ModelParams, a: float) -> float:
     """Truncation point for k integrands, certified against the tail bound."""
-    upper = cfg.tail_cut * params.coupling.cutoff
-    bound = tail_mass(params.coupling, upper) / (upper + a)
-    if bound > cfg.abs_tol:
+    model = params.coupling
+    upper = TAIL_CUT * model.cutoff
+    bound = tail_mass(model, upper) / (upper + a)
+    if bound > TAIL_TOL:
         raise ValueError(
-            f"tail_cut={cfg.tail_cut!r} leaves a truncation remainder {bound!r} "
-            f"above abs_tol={cfg.abs_tol!r}"
+            f"coupling g_sq={model.strength_sq!r} leaves a truncation remainder "
+            f"{bound!r} beyond {TAIL_CUT:g} cutoffs, above the bound {TAIL_TOL!r}"
         )
     return upper
 
 
-def k_regular(params: ModelParams, lam: float, cfg: QuadratureConfig) -> float:
+def k_regular(params: ModelParams, lam: float) -> float:
     """The transform k(lambda): integral of |V(x)|^2 / (x + e1 - lambda) over [0, inf).
 
     Requires lambda < e1 (below the continuum edge), where the integrand is
@@ -304,17 +289,14 @@ def k_regular(params: ModelParams, lam: float, cfg: QuadratureConfig) -> float:
         raise DivergentAtE1Error(
             "k(lambda) diverges at the continuum edge when V(0) != 0"
         )
-    upper = _check_tail(params, a, cfg)
+    upper = _check_tail(params, a)
     cutoff = model.cutoff
     if a == 0.0 or a >= 1e-6 * cutoff:
 
         def integrand(x):
             return coupling_sq(model, x) / (x + a)
 
-        value, _ = _adapt(
-            integrand, _edges_toward(0.0, upper, levels=48),
-            cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions,
-        )
+        value, _ = _adapt(integrand, _edges_toward(0.0, upper, levels=48))
         return value
     # Very close to the edge the integrand mass piles up at x ~ a; the
     # substitution u = ln(x + a) flattens it into an O(1)-scale integrand.
@@ -326,11 +308,11 @@ def k_regular(params: ModelParams, lam: float, cfg: QuadratureConfig) -> float:
 
     n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
     edges = np.linspace(u_lo, u_hi, n_seed + 1)
-    value, _ = _adapt(integrand_u, edges, cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions)
+    value, _ = _adapt(integrand_u, edges)
     return value
 
 
-def k_pv(params: ModelParams, t: float, cfg: QuadratureConfig) -> float:
+def k_pv(params: ModelParams, t: float) -> float:
     """Principal value of the k transform at a point t > e1 inside the continuum.
 
     Computes PV of the integral of |V(x)|^2 / (x + e1 - t) over [0, inf) via
@@ -342,15 +324,15 @@ def k_pv(params: ModelParams, t: float, cfg: QuadratureConfig) -> float:
     c = t - params.e1
     if c <= 0.0:
         raise InvalidSingularityError(f"k_pv requires t > e1, got t={t!r}")
-    _check_tail(params, 0.0, cfg)
+    _check_tail(params, 0.0)
 
     def f(x):
         return coupling_sq(model, x)
 
-    return principal_value(f, c, cfg, upper=None, scale=model.cutoff)
+    return principal_value(f, c, upper=None, scale=model.cutoff)
 
 
-def weight_integral(params: ModelParams, a: float, cfg: QuadratureConfig) -> float:
+def weight_integral(params: ModelParams, a: float) -> float:
     """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0.
 
     Evaluated in the substitution u = ln(x + a), which keeps the integrand on
@@ -360,15 +342,14 @@ def weight_integral(params: ModelParams, a: float, cfg: QuadratureConfig) -> flo
     model = params.coupling
     if not a > 0.0:
         raise ValueError(f"weight_integral requires a > 0, got a={a!r}")
-    upper = cfg.tail_cut * model.cutoff
+    upper = TAIL_CUT * model.cutoff
     u_lo, u_hi = math.log(a), math.log(upper + a)
 
     def integrand(u):
         x = np.maximum(np.exp(u) - a, 0.0)
         return np.exp(-u) * coupling_sq(model, x)
 
-    wcfg = replace(cfg, rel_tol=min(cfg.rel_tol, 1e-11))
     n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
     edges = np.linspace(u_lo, u_hi, n_seed + 1)
-    value, _ = _adapt(integrand, edges, wcfg.abs_tol, wcfg.rel_tol, wcfg.max_subdivisions)
+    value, _ = _adapt(integrand, edges, rel_tol=1e-11)
     return value

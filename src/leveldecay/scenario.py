@@ -25,7 +25,6 @@ from .evolution import (
     asymptotic_limit,
     weak_coupling_rate,
 )
-from .quadrature import QuadratureConfig
 from .spectrum import (
     ModelParams,
     SpectralData,
@@ -51,11 +50,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario: model, tolerances, horizon, output, optional sweep."""
+    """A parsed scenario: model, horizon, output, optional sweep."""
 
     name: str
     params: ModelParams
-    quadrature: QuadratureConfig
     horizon: float
     output_dir: Path | None = None
     sweep: SweepSpec | None = None
@@ -121,16 +119,6 @@ def parse_scenario_text(text: str) -> Scenario:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    quad_kwargs = {}
-    for field in ("abs_tol", "tail_cut"):
-        value = _take_float(table, f"quadrature.{field}", required=False)
-        if value is not None:
-            quad_kwargs[field] = value
-    try:
-        quadrature = QuadratureConfig(**quad_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     horizon = _take_float(table, "horizon", required=False)
     if horizon is None:
         horizon = 200.0 / params.level_gap
@@ -175,7 +163,6 @@ def parse_scenario_text(text: str) -> Scenario:
     return Scenario(
         name=name,
         params=params,
-        quadrature=quadrature,
         horizon=horizon,
         output_dir=Path(output_dir) if output_dir else None,
         sweep=sweep,
@@ -209,7 +196,7 @@ def run_decay(scenario: Scenario) -> DecayRun:
     ``per_output``-th solver sample is an output time.  The transform runs
     first: a horizon past its panel budget fails before the solve.
     """
-    spec = build_spectral_data(scenario.params, cfg=scenario.quadrature)
+    spec = build_spectral_data(scenario.params)
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
     per_output = max(1, math.ceil(dt / h_target))

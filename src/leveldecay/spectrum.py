@@ -48,12 +48,10 @@ from .coupling import (
 )
 from .quadrature import (
     _EPS,
-    NonConvergenceError,
-    QuadratureConfig,
+    TAIL_CUT,
     _check_tail,
     _edges_toward,
-    _gk15,
-    _split_panels,
+    _refine,
     k_pv,
     k_regular,
     weight_integral,
@@ -218,12 +216,11 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
     1e-8 * max(1, |value|).
     """
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
-    cfg = QuadratureConfig()
     for s in _GATE_POINTS:
         for name, closed, quad in (
-            ("k", _k_unit(family, s), k_regular(params, -s, cfg)),
-            ("PV k", _pv_k_unit(family, s), k_pv(params, s, cfg)),
-            ("weight integral", _weight_unit(family, s), weight_integral(params, s, cfg)),
+            ("k", _k_unit(family, s), k_regular(params, -s)),
+            ("PV k", _pv_k_unit(family, s), k_pv(params, s)),
+            ("weight integral", _weight_unit(family, s), weight_integral(params, s)),
         ):
             closed = float(closed)
             if not abs(closed - quad) <= _GATE_TOL * max(1.0, abs(closed)):
@@ -293,7 +290,7 @@ def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]
     return (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
 
 
-def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -> float:
+def find_eigenvalue(params: ModelParams) -> float:
     """Locate the unique eigenvalue e0 < e1 of the coupled system.
 
     With a = e1 - lam, F = e2 - lam - k(lam) = gap + a - k(e1 - a) is strictly
@@ -301,12 +298,11 @@ def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -
     sign-change bracket pins the root uniquely.  The root is solved in
     u = ln a on the closed form of k, which stays well conditioned down to
     distances that underflow double precision: there k takes its edge
-    asymptote.  The far end of the bracket starts at a = ``initial_span``
-    (default the level gap) and doubles; F > 0 is certain from a = g2 L on
-    (3d, since k < g2 L) or a = sqrt(g2 L) on (2d, since e^s E1(s) < 1/s),
-    so the search gives up only beyond twice the larger of that bound and
-    the starting span.  The near end steps toward the edge in u by doubling
-    steps.  Inside the bracket Newton steps in u (slope from
+    asymptote.  The far end of the bracket starts at a = e2 - e1 and
+    doubles; F > 0 is certain from a = g2 L on (3d, since k < g2 L) or
+    a = sqrt(g2 L) on (2d, since e^s E1(s) < 1/s), so the search gives up
+    only beyond twice the larger of that bound and the level gap.  The near
+    end steps toward the edge in u by doubling steps.  Inside the bracket Newton steps in u (slope from
     d/ds [e^s E1(s)] = e^s E1(s) - 1/s), safeguarded by bisection, run
     until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
     certified by the residual gate |F| <= 1e-10 max(1, gap + a), the scale
@@ -337,9 +333,7 @@ def find_eigenvalue(params: ModelParams, *, initial_span: float | None = None) -
         _eigen_equation, model.family, gap, scale, math.log(model.cutoff)
     )
 
-    d = initial_span if initial_span is not None else gap
-    if not (d > 0.0 and math.isfinite(d)):
-        raise ValueError("initial_span must be positive and finite")
+    d = gap
     if model.family is CouplingFamily.THREE_DIM_EXP:
         positive_from = scale
     else:
@@ -414,35 +408,12 @@ def spectral_density(params: ModelParams, t: float) -> float:
 
 
 @dataclass(frozen=True)
-class DensityGridSpec:
-    """Controls for the adaptive density table.
-
-    ``mass_tol`` is the absolute tolerance on the integrated density used to
-    drive refinement; ``max_panels`` bounds the total subdivisions;
-    ``extra_refine`` uniformly halves every converged panel that many extra
-    times (used to test grid-resolution invariance).
-    """
-
-    mass_tol: float = 1e-9
-    max_panels: int = 12000
-    extra_refine: int = 0
-
-    def __post_init__(self) -> None:
-        if not (self.mass_tol > 0.0 and math.isfinite(self.mass_tol)):
-            raise ValueError("mass_tol must be positive and finite")
-        if int(self.max_panels) < 1:
-            raise ValueError("max_panels must be a positive integer")
-        if int(self.extra_refine) < 0:
-            raise ValueError("extra_refine must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SpectralData:
     """Complete spectral data of one scenario.
 
     ``params`` is the model the data belongs to; the spectral transform
     evaluates rho from it exactly.  ``grid``/``density`` tabulate rho at the
-    nodes the mass integration evaluated on [e1, e1 + tail_cut * cutoff];
+    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * cutoff];
     ``density_tail_mass`` estimates the integrated density beyond the table.
     ``segments``/``segment_mass`` record the converged integration panels and
     their masses (the coarse partition the transform cuts into its panels).
@@ -467,6 +438,10 @@ class SpectralData:
 
 
 _NORMALIZATION_GATE = 1e-4
+# The density table's absolute tolerance on the integrated density, and its
+# bisection budget.
+_MASS_TOL = 1e-9
+_MAX_PANELS = 12000
 
 
 def _resonance_seeds(params: ModelParams, lam_max: float) -> np.ndarray:
@@ -502,27 +477,22 @@ def _edge_bump_seeds(
     return pts[resolvable & (pts > params.e1) & (pts < lam_max)]
 
 
-def build_spectral_data(
-    params: ModelParams,
-    grid: DensityGridSpec | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> SpectralData:
+def build_spectral_data(params: ModelParams) -> SpectralData:
     """Assemble eigenvalue, weight, and an adaptively refined density table.
 
-    The density is integrated over [e1, e1 + tail_cut * cutoff] with the
+    The density is integrated over [e1, e1 + TAIL_CUT * cutoff] with the
     Gauss-Kronrod machinery; panels are bisected until the integrated-mass
-    error estimate is below ``grid.mass_tol``, with extra seed points placed
+    error estimate is below 1e-9, with extra seed points placed
     geometrically against the edge, across the resonance bump, and (2d case)
     around the near-edge structure mirroring the eigenvalue.  All evaluated
     nodes become the table.  The total measure must come out as a probability
     measure: a normalization defect above 1e-4 raises.
 
     Raises:
+        NonConvergenceError: the table needs more than 12000 bisections.
         NormalizationFailureError: |weight + mass + tail - 1| > 1e-4.
         ThresholdMarginalError: model numerically on threshold.
     """
-    grid = grid or DensityGridSpec()
-    cfg = cfg or QuadratureConfig()
     check = threshold_check(params)
     if check.degenerate:
         return SpectralData(
@@ -543,7 +513,7 @@ def build_spectral_data(
         raise ThresholdMarginalError(
             "model sits on the bound-state threshold; spectral data is not resolvable"
         )
-    _check_tail(params, 0.0, cfg)
+    _check_tail(params, 0.0)
     if check.exists:
         e0 = find_eigenvalue(params)
         weight = eigen_weight(params, e0)
@@ -551,7 +521,7 @@ def build_spectral_data(
         e0, weight = None, 0.0
 
     e1 = params.e1
-    lam_max = e1 + cfg.tail_cut * params.coupling.cutoff
+    lam_max = e1 + TAIL_CUT * params.coupling.cutoff
     seeds = [
         _edges_toward(e1, lam_max, levels=44),
         np.linspace(e1, lam_max, 25),
@@ -570,24 +540,7 @@ def build_spectral_data(
         values.append(rho)
         return rho
 
-    a = edges[:-1]
-    b = edges[1:]
-    vals, errs = _gk15(rho_batch, a, b)
-    n_splits = 0
-    while float(errs.sum()) > grid.mass_tol:
-        mask = errs > grid.mass_tol / (2.0 * len(errs))
-        n_new = int(mask.sum())
-        if n_splits + n_new > grid.max_panels:
-            raise NonConvergenceError(
-                "density refinement exhausted its panel budget",
-                float(vals.sum()), float(errs.sum()),
-            )
-        n_splits += n_new
-        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, mask)
-
-    for _ in range(int(grid.extra_refine)):
-        a, b, vals, errs = _split_panels(rho_batch, a, b, vals, errs, np.ones(a.size, bool))
-
+    a, b, vals, _ = _refine(rho_batch, edges, _MASS_TOL, 0.0, _MAX_PANELS)
     rho_end = float(_density(params, np.array([lam_max]))[0])
     nodes.append(np.array([e1, lam_max]))
     values.append(np.array([0.0, rho_end]))

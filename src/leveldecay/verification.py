@@ -30,7 +30,7 @@ from .evolution import (
     fitted_decay_rate,
     weak_coupling_rate,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import _EPS
 from .scenario import (
     DecayRun,
     Scenario,
@@ -62,7 +62,7 @@ class MatrixScenario:
         """The row as a decay scenario: horizon 2T, 2001 points, step 0.01."""
         params = ModelParams(0.0, 1.0, CouplingModel(self.family, self.g_sq, 1.0))
         return Scenario(
-            self.name, params, _QUADRATURE, horizon=2.0 * _WINDOW_T / params.level_gap,
+            self.name, params, horizon=2.0 * _WINDOW_T / params.level_gap,
             series_points=2001, volterra_step=0.01,
         )
 
@@ -76,7 +76,6 @@ MATRIX: tuple[MatrixScenario, ...] = (
     MatrixScenario("3d-below-small", CouplingFamily.THREE_DIM_EXP, 0.01, False),
 )
 
-_QUADRATURE = QuadratureConfig()  # every matrix and sweep scenario's tolerances
 _WINDOW_T = 200.0          # window start in units of 1/gap; window is [T, 2T]
 _CROSS_T = 50.0            # cross-route comparison horizon
 
@@ -265,7 +264,10 @@ def _oracle_k(params: ModelParams, lam: float) -> float:
 
 
 def _oracle_eigenvalue(params: ModelParams) -> float:
-    """Plain bisection on the brute-force k; independent of the main solver."""
+    """Illinois false position (Dowell & Jarratt 1971) on the brute-force k,
+    independent of the main solver: secant steps inside the bracket, halving
+    the F of an end kept twice in a row so that both ends close on the root,
+    until the bracket is narrower than 1e-15 + 4 eps |lam|."""
     lo = params.e1 - 8.0 * max(1.0, params.level_gap)
     hi = params.e1 - 1e-9 * params.coupling.cutoff
 
@@ -275,13 +277,27 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     f_lo, f_hi = f_of(lo), f_of(hi)
     if not (f_lo > 0.0 > f_hi):
         raise RuntimeError(f"oracle bracket invalid: F(lo)={f_lo!r}, F(hi)={f_hi!r}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if f_of(mid) > 0.0:
-            lo = mid
+    kept = 0  # +1: lo was kept last step, -1: hi was kept
+    for _ in range(200):
+        if hi - lo < 1e-15 + 4.0 * _EPS * max(abs(lo), abs(hi)):
+            return 0.5 * (lo + hi)
+        lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        f = f_of(lam)
+        if f > 0.0:
+            lo, f_lo = lam, f
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
+        elif f < 0.0:
+            hi, f_hi = lam, f
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return lam
+    raise RuntimeError("oracle root search did not converge in 200 steps")
 
 
 def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
@@ -322,7 +338,7 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
 def _sweep_scenarios() -> list[Scenario]:
     return [
         Scenario(
-            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)), _QUADRATURE,
+            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)),
             horizon=1.0, sweep=SweepSpec("g_sq", values),
         )
         for name, family, values in (
@@ -337,7 +353,7 @@ def _check_determinism() -> CriterionResult:
     ms = next(m for m in MATRIX if m.name == "3d-below-moderate")
 
     def render() -> tuple[str, str, str]:
-        spec = build_spectral_data(ms.scenario().params, cfg=_QUADRATURE)
+        spec = build_spectral_data(ms.scenario().params)
         scenario = _sweep_scenarios()[0]
         rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
         return (

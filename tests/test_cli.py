@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import leveldecay.cli as cli
 import leveldecay.scenario as scenario
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
@@ -47,8 +50,6 @@ class TestParsing:
         scen = parse_scenario_text(
             BASE_CONFIG
             + """
-quadrature.abs_tol = 1e-9
-quadrature.tail_cut = 50
 horizon = 80
 series.points = 401
 volterra.step = 0.02
@@ -57,7 +58,6 @@ sweep.parameter = g_sq
 sweep.values = 0.5, 0.9, 1.1, 2.0
 """
         )
-        assert scen.quadrature.abs_tol == 1e-9
         assert scen.horizon == 80.0
         assert scen.series_points == 401
         assert scen.volterra_step == 0.02
@@ -133,18 +133,28 @@ class TestSpectrumCommand:
         assert main(["spectrum", str(tmp_path / "nope.cfg")]) == 3
 
     @pytest.mark.parametrize("command", ["spectrum", "decay", "sweep"])
-    def test_uncertified_tail_cut_is_config_error(self, tmp_path, capsys, command):
-        # tail_cut=5 leaves a truncation remainder far above abs_tol at cutoff 1
-        text = BASE_CONFIG + "quadrature.tail_cut = 5\n"
+    def test_uncertified_truncation_is_config_error(self, tmp_path, capsys, command):
+        # At 3d g2 L = 1e20 the |V|^2 remainder beyond 60 cutoffs is about
+        # 9e-7, far above its 1e-10 bound.
+        text = BASE_CONFIG.replace("coupling.g_sq = 2.0", "coupling.g_sq = 1e20")
         if command == "sweep":
             text += "sweep.parameter = g_sq\nsweep.values = 0.5, 2.0\n"
         cfg = _write(tmp_path, text)
         out = tmp_path / "out"
         assert main([command, str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: config:") and "tail_cut" in err
+        assert err.startswith("error: config:") and "g_sq=1e+20" in err
         assert err.count("\n") == 1
-        assert not list(out.glob("*.csv"))
+        assert not out.exists()
+
+    def test_uncertified_sweep_value_is_config_error(self, tmp_path, capsys):
+        text = BASE_CONFIG + "sweep.parameter = g_sq\nsweep.values = 0.5, 1e20, 2.0\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "g_sq=1e+20" in err
+        assert not out.exists()
 
     def test_determinism_across_runs(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
@@ -360,9 +370,7 @@ class TestFlags:
     def test_horizon_and_tol_overrides(self, tmp_path):
         cfg = _write(tmp_path, DECAY_CONFIG)
         out = tmp_path / "out"
-        rc = main([
-            "decay", str(cfg), "--out", str(out), "--horizon", "5", "--tol", "1e-9",
-        ])
+        rc = main(["decay", str(cfg), "--out", str(out), "--horizon", "5"])
         assert rc == 0
         rows = (out / "demo_spectral.csv").read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[0]) == pytest.approx(5.0)
@@ -385,7 +393,8 @@ class TestInputSurface:
     @pytest.mark.parametrize(
         "line",
         ["quadrature.rel_tol = 1e-3", "quadrature.pv_window = 0.01",
-         "quadrature.max_subdivisions = 1"],
+         "quadrature.max_subdivisions = 1", "quadrature.tail_cut = 50",
+         "quadrature.abs_tol = 1e-9"],
     )
     def test_removed_quadrature_keys_are_unknown(self, tmp_path, capsys, line):
         cfg = _write(tmp_path, BASE_CONFIG + line + "\n")
@@ -403,6 +412,9 @@ class TestInputSurface:
             ["decay", "scen.cfg", "--jobs", "2"],
             ["sweep", "scen.cfg", "--horizon", "5"],
             ["decay", "scen.cfg", "--bogus"],
+            ["spectrum", "scen.cfg", "--tol", "1e-9"],
+            ["decay", "scen.cfg", "--tol", "1e-9"],
+            ["sweep", "scen.cfg", "--tol", "1e-9"],
             ["decay"],  # the config argument is missing
         ],
     )
@@ -417,20 +429,84 @@ class TestInputSurface:
         assert "--horizon" in capsys.readouterr().out
 
     def test_each_command_has_only_the_flags_it_reads(self):
-        from argparse import _SubParsersAction
-
-        from leveldecay.cli import _parser
-
-        sub = next(a for a in _parser()._actions if isinstance(a, _SubParsersAction))
-        flags = {
-            name: {
-                opt for action in cmd._actions for opt in action.option_strings
-            } - {"-h", "--help"}
-            for name, cmd in sub.choices.items()
-        }
-        assert flags == {
+        assert _parser_flags() == {
             "verify": {"--out"},
-            "spectrum": {"--out", "--tol"},
-            "decay": {"--out", "--tol", "--horizon"},
-            "sweep": {"--out", "--tol", "--jobs"},
+            "spectrum": {"--out"},
+            "decay": {"--out", "--horizon"},
+            "sweep": {"--out", "--jobs"},
         }
+
+    def test_readme_matches_the_parser(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = {
+            m.group(1): set(re.findall(r"`(--[a-z]+)`", m.group(2)))
+            for m in re.finditer(r"^\| `(\w+)` +\|(.*)\|$", readme, re.MULTILINE)
+        }
+        assert table == _parser_flags()
+        example = readme.split("### Scenario config format", 1)[1].split("```")[1]
+        keys = set(re.findall(r"^#? *([a-z_][a-z0-9_.]*) *=", example, re.MULTILINE))
+        assert keys == _parser_keys()
+        assert len(keys) == 12
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
+        cfg = _write(tmp_path, TestSweepCommand.SWEEP_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+        assert capsys.readouterr().err.startswith("error: config:")
+        assert not out.exists()
+
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        made = []
+
+        class FakePool:
+            # Records the worker count and maps in-process: starts no process.
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = _write(tmp_path, TestSweepCommand.SWEEP_CONFIG)
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
+        assert made == [2]
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """Each subcommand's option strings, without --help."""
+    from argparse import _SubParsersAction
+
+    sub = next(a for a in cli._parser()._actions if isinstance(a, _SubParsersAction))
+    return {
+        name: {
+            opt for action in cmd._actions for opt in action.option_strings
+        } - {"-h", "--help"}
+        for name, cmd in sub.choices.items()
+    }
+
+
+def _parser_keys() -> set[str]:
+    """The config keys ``parse_scenario_text`` reads: the literal key of every
+    ``table.pop(key, ...)`` and ``_take_float(table, key, ...)`` call."""
+    tree = ast.parse(inspect.getsource(scenario.parse_scenario_text))
+    keys = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "pop":
+            key = node.args[0]
+        elif isinstance(func, ast.Name) and func.id == "_take_float":
+            key = node.args[1]
+        else:
+            continue
+        if isinstance(key, ast.Constant):
+            keys.add(key.value)
+    return keys

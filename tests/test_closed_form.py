@@ -20,7 +20,6 @@ from leveldecay import (
     CouplingModel,
     ModelParams,
     NoEigenvalueError,
-    QuadratureConfig,
     ThresholdMarginalError,
     coupling_sq,
     eigen_weight,
@@ -34,7 +33,6 @@ from leveldecay import (
 from leveldecay.cli import main
 from leveldecay.quadrature import weight_integral
 
-CFG = QuadratureConfig()
 TOL = 1e-8
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -59,10 +57,10 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     x = s * cutoff
 
     k_below = spectrum._k_scale(model) * spectrum._k_unit(family, s)
-    assert _close(k_below, k_regular(params, -x, CFG))
+    assert _close(k_below, k_regular(params, -x))
 
     pv = float(spectrum.k_pv_closed(params, x))
-    pv_ref = k_pv(params, x, CFG)
+    pv_ref = k_pv(params, x)
     assert _close(pv, pv_ref)
 
     # rho inherits the reference principal value's tolerance, amplified by
@@ -73,7 +71,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     slope = 2.0 * rho_ref**2 * abs(shift) / v if v > 0.0 else 0.0
     assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
-    w_ref = 1.0 / (1.0 + weight_integral(params, x, CFG))
+    w_ref = 1.0 / (1.0 + weight_integral(params, x))
     assert _close(eigen_weight(params, -x), w_ref)
 
 

@@ -8,13 +8,13 @@ import pytest
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
-    QuadratureConfig,
     coupling_sq,
     integrate_semiinf,
     l2_norm_sq,
     sq_over_x_integral,
 )
 from leveldecay.coupling import tail_mass
+from leveldecay.quadrature import _ABS_TOL, _REL_TOL, _adapt
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -73,10 +73,9 @@ def test_l2_norm_closed_forms():
 @pytest.mark.parametrize("cutoff", [0.5, 1.0, 2.5])
 def test_l2_norm_matches_quadrature(family, g_sq, cutoff):
     model = CouplingModel(family, g_sq, cutoff)
-    cfg = QuadratureConfig()
-    value, err = integrate_semiinf(lambda x: coupling_sq(model, x), cfg, scale=cutoff)
+    value, err = integrate_semiinf(lambda x: coupling_sq(model, x), scale=cutoff)
     assert value == pytest.approx(l2_norm_sq(model), abs=max(1e-10, 1e-8 * value))
-    assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    assert err <= max(_ABS_TOL, _REL_TOL * abs(value))
 
 
 def test_sq_over_x_closed_forms():
@@ -88,10 +87,7 @@ def test_sq_over_x_closed_forms():
 
 def test_sq_over_x_matches_quadrature_three_dim():
     model = CouplingModel(THREE, 2.0, 1.3)
-    cfg = QuadratureConfig()
-    value, _ = integrate_semiinf(
-        lambda x: coupling_sq(model, x) / x, cfg, scale=model.cutoff
-    )
+    value, _ = integrate_semiinf(lambda x: coupling_sq(model, x) / x, scale=model.cutoff)
     assert value == pytest.approx(sq_over_x_integral(model), rel=1e-9)
 
 
@@ -113,13 +109,7 @@ def test_three_dim_edge_slope_limit():
 
 @pytest.mark.parametrize("family", [TWO, THREE])
 def test_tail_mass_matches_complement(family):
-    from leveldecay.quadrature import _adapt
-
     model = CouplingModel(family, 1.7, 0.9)
-    cfg = QuadratureConfig()
     x0 = 3.0
-    head, _ = _adapt(
-        lambda x: coupling_sq(model, x), np.linspace(0.0, x0, 9),
-        cfg.abs_tol, cfg.rel_tol, cfg.max_subdivisions,
-    )
+    head, _ = _adapt(lambda x: coupling_sq(model, x), np.linspace(0.0, x0, 9))
     assert tail_mass(model, x0) == pytest.approx(l2_norm_sq(model) - head, abs=1e-9)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from leveldecay import (
     AmplitudeSeries,
     CouplingFamily,
     CouplingModel,
-    DensityGridSpec,
     ModelParams,
     OscillatoryBudgetExceededError,
-    QuadratureConfig,
     amplitude_spectral,
     asymptotic_limit,
     build_spectral_data,
@@ -21,9 +20,9 @@ from leveldecay import (
     solve_ide,
     weak_coupling_rate,
 )
+from leveldecay import evolution
 from leveldecay.evolution import MethodTag
 
-CFG = QuadratureConfig()
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
 
@@ -36,17 +35,17 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
 
 @pytest.fixture(scope="module")
 def spec_3d_above():
-    return build_spectral_data(_params(THREE, 2.0), cfg=CFG)
+    return build_spectral_data(_params(THREE, 2.0))
 
 
 @pytest.fixture(scope="module")
 def spec_2d_moderate():
-    return build_spectral_data(_params(TWO, 0.5), cfg=CFG)
+    return build_spectral_data(_params(TWO, 0.5))
 
 
 @pytest.fixture(scope="module")
 def spec_degenerate():
-    return build_spectral_data(_params(THREE, 0.0), cfg=CFG)
+    return build_spectral_data(_params(THREE, 0.0))
 
 
 class TestAmplitude:
@@ -72,35 +71,29 @@ class TestAmplitude:
         series = amplitude_spectral(spec_3d_above, np.array([0.0, 5.0]))
         assert abs(series.amplitude[-1] - vol.amplitude[-1]) <= 1e-3
 
-    def test_budget_exceeded_for_tiny_budget(self, spec_3d_above):
+    def test_budget_exceeded_for_tiny_budget(self, spec_3d_above, monkeypatch):
+        monkeypatch.setattr(evolution, "_MAX_PANELS", 50)
         with pytest.raises(OscillatoryBudgetExceededError):
-            amplitude_spectral(spec_3d_above, np.array([500.0]), max_panels_per_time=50)
-
-    def test_stable_under_grid_doubling(self):
-        params = _params(TWO, 0.5)
-        base = build_spectral_data(params, cfg=CFG)
-        fine = build_spectral_data(params, grid=DensityGridSpec(extra_refine=1), cfg=CFG)
-        assert len(fine.grid) > len(base.grid)
-        ts = np.linspace(0.0, 50.0, 101)
-        p_base = amplitude_spectral(base, ts).probability
-        p_fine = amplitude_spectral(fine, ts).probability
-        assert float(np.max(np.abs(p_base - p_fine))) <= 1e-4
+            amplitude_spectral(spec_3d_above, np.array([500.0]))
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_transform_is_exact_on_the_converged_segments(self, family, g_sq):
-        # rho is evaluated exactly at the transform nodes, so refining the
-        # segments three more times moves C(t) by rounding only.
-        params = _params(family, g_sq)
-        base = build_spectral_data(params, cfg=CFG)
-        fine = build_spectral_data(params, grid=DensityGridSpec(extra_refine=3), cfg=CFG)
+        # rho is evaluated exactly at the transform nodes, so cutting every
+        # segment into 8 moves C(t) by rounding only.
+        base = build_spectral_data(_params(family, g_sq))
+        seg = base.segments
+        cuts = seg[:-1, None] + np.diff(seg)[:, None] * (np.arange(8) / 8.0)
+        fine = replace(
+            base,
+            segments=np.append(cuts.ravel(), seg[-1]),
+            segment_mass=np.repeat(base.segment_mass / 8.0, 8),
+        )
         ts = np.linspace(0.0, 50.0, 101)
         c_base = amplitude_spectral(base, ts).amplitude
         c_fine = amplitude_spectral(fine, ts).amplitude
         assert float(np.max(np.abs(c_base - c_fine))) <= 1e-12
 
     def test_requires_normalized_input(self, spec_3d_above):
-        from dataclasses import replace
-
         broken = replace(spec_3d_above, normalization_defect=1e-2)
         with pytest.raises(ValueError):
             amplitude_spectral(broken, np.array([0.0]))
@@ -108,7 +101,7 @@ class TestAmplitude:
 
 class TestAsymptotics:
     def test_no_eigenvalue_decays_to_zero(self):
-        spec = build_spectral_data(_params(THREE, 0.5), cfg=CFG)
+        spec = build_spectral_data(_params(THREE, 0.5))
         assert asymptotic_limit(spec) == 0.0
 
     def test_degenerate_stays_at_one(self, spec_degenerate):
@@ -137,11 +130,11 @@ class TestWeakCoupling:
 
         params = _params(THREE, 0.5)
         rate = weak_coupling_rate(params)
-        assert rate.shift_estimate == pytest.approx(-k_pv(params, params.e2, CFG), abs=1e-12)
+        assert rate.shift_estimate == pytest.approx(-k_pv(params, params.e2), abs=1e-12)
 
     def test_fitted_slope_matches_rate(self):
         params = _params(THREE, 0.01)
-        spec = build_spectral_data(params, cfg=CFG)
+        spec = build_spectral_data(params)
         ts = np.linspace(0.0, 150.0, 751)
         series = amplitude_spectral(spec, ts)
         fitted = fitted_decay_rate(series)

@@ -9,11 +9,9 @@ from scipy import integrate
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
-    DensityGridSpec,
     ModelParams,
     NoEigenvalueError,
     NonConvergenceError,
-    QuadratureConfig,
     ThresholdMarginalError,
     build_spectral_data,
     eigen_weight,
@@ -21,8 +19,7 @@ from leveldecay import (
     spectral_density,
     threshold_check,
 )
-
-CFG = QuadratureConfig()
+from leveldecay import spectrum
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
 
@@ -75,7 +72,7 @@ class TestThreshold:
 
     def test_marginal_rejected_by_builder(self):
         with pytest.raises(ThresholdMarginalError):
-            build_spectral_data(_params(THREE, 1.0 + 5e-9), cfg=CFG)
+            build_spectral_data(_params(THREE, 1.0 + 5e-9))
 
 
 class TestEigenvalue:
@@ -102,12 +99,6 @@ class TestEigenvalue:
     def test_zero_coupling_raises(self):
         with pytest.raises(NoEigenvalueError):
             find_eigenvalue(_params(THREE, 0.0))
-
-    def test_independent_of_initial_bracket(self):
-        params = _params(THREE, 2.0)
-        a = find_eigenvalue(params, initial_span=None)
-        b = find_eigenvalue(params, initial_span=7.0)
-        assert abs(a - b) <= 1e-10
 
     def test_ordering_below_both_levels(self):
         for params in (_params(THREE, 1.5), _params(TWO, 0.7), _params(TWO, 2.0)):
@@ -202,13 +193,13 @@ class TestDensity:
 
 class TestSpectralData:
     def test_degenerate_record(self):
-        spec = build_spectral_data(_params(THREE, 0.0), cfg=CFG)
+        spec = build_spectral_data(_params(THREE, 0.0))
         assert spec.degenerate
         assert spec.eigenvalue == 1.0 and spec.weight == 1.0
         assert spec.grid.size == 0 and spec.normalization_defect == 0.0
 
     def test_above_threshold_normalization(self):
-        spec = build_spectral_data(_params(TWO, 0.5), cfg=CFG)
+        spec = build_spectral_data(_params(TWO, 0.5))
         assert spec.normalization_defect <= 1e-6
         assert spec.eigenvalue == pytest.approx(E0_2D_G05, abs=1e-9)
         assert spec.weight == pytest.approx(W_2D_G05, abs=1e-8)
@@ -216,18 +207,12 @@ class TestSpectralData:
         assert np.all(np.diff(spec.grid) > 0.0)
 
     def test_below_threshold_normalization(self):
-        spec = build_spectral_data(_params(THREE, 0.5), cfg=CFG)
+        spec = build_spectral_data(_params(THREE, 0.5))
         assert spec.eigenvalue is None and spec.weight == 0.0
         assert spec.normalization_defect <= 1e-6
 
-    def test_panel_budget_exhaustion_raises(self):
+    def test_panel_budget_exhaustion_raises(self, monkeypatch):
         # The narrow resonance of this model needs more than three splits.
-        grid = DensityGridSpec(max_panels=3)
+        monkeypatch.setattr(spectrum, "_MAX_PANELS", 3)
         with pytest.raises(NonConvergenceError):
-            build_spectral_data(_params(THREE, 0.5, cutoff=0.1), grid=grid, cfg=CFG)
-
-    def test_grid_spec_validation(self):
-        with pytest.raises(ValueError):
-            DensityGridSpec(mass_tol=0.0)
-        with pytest.raises(ValueError):
-            DensityGridSpec(extra_refine=-1)
+            build_spectral_data(_params(THREE, 0.5, cutoff=0.1))

@@ -127,7 +127,7 @@ def _per_time_transform(spec, times) -> np.ndarray:
 
 def _node_sum(spec, times) -> np.ndarray:
     """sum of a_j exp(-i t x_j) over the transform's node set, one t at a time."""
-    x, a, _ = _transform_nodes(spec, float(np.max(np.abs(times))), 500_000)
+    x, a, _ = _transform_nodes(spec, float(np.max(np.abs(times))))
     out = np.array([a @ np.exp(-1j * t * x) for t in times])
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
@@ -223,7 +223,7 @@ class TestTransform:
     def test_signed_nonuniform_grid_matches_per_time_panels(self, spectra, name):
         spec = spectra[name]
         times = np.array([0.0, 3.7, -3.7, 0.25, 41.0, -17.5, 9.9])
-        got = _amplitude_points(spec, times, 500_000)
+        got = _amplitude_points(spec, times)
         ref = _per_time_transform(spec, times)
         assert float(np.max(np.abs(got - ref))) <= 1e-7
         assert conjugate_symmetry_check(spec, 41.0)
@@ -238,7 +238,7 @@ class TestTransform:
         monkeypatch.setattr(
             evolution, "_uniform_sums", lambda *args: calls.append(1) or chirp_z(*args)
         )
-        got = _amplitude_points(spec, times, 500_000)
+        got = _amplitude_points(spec, times)
         assert calls == [1]
         assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
 
@@ -247,20 +247,22 @@ class TestTransform:
         for grid, more in (("t0=0, more times than panels", True),
                            ("t0>0, fewer times than panels", False)):
             times = UNIFORM_GRIDS[grid]
-            _, _, reps = _transform_nodes(spectra[name], float(times[-1]), 500_000)
+            _, _, reps = _transform_nodes(spectra[name], float(times[-1]))
             assert (times.size > int(reps.max())) is more
 
     def test_uniform_transform_is_byte_identical(self, spectra):
         times = np.linspace(0.0, 300.0, 1001)
-        first = _amplitude_points(spectra["3d"], times, 500_000)
-        second = _amplitude_points(spectra["3d"], times, 500_000)
+        first = _amplitude_points(spectra["3d"], times)
+        second = _amplitude_points(spectra["3d"], times)
         assert first.tobytes() == second.tobytes()
 
-    def test_budget_applies_at_the_largest_time(self, spectra):
+    def test_budget_applies_at_the_largest_time(self, spectra, monkeypatch):
         spec = spectra["3d"]
         times = np.linspace(0.0, 500.0, 11)
         needed = int(_panel_counts(spec, 500.0).sum())
         assert needed > int(_panel_counts(spec, 450.0).sum())
-        amplitude_spectral(spec, times, max_panels_per_time=needed)
+        monkeypatch.setattr(evolution, "_MAX_PANELS", needed)
+        amplitude_spectral(spec, times)
+        monkeypatch.setattr(evolution, "_MAX_PANELS", needed - 1)
         with pytest.raises(OscillatoryBudgetExceededError):
-            amplitude_spectral(spec, times, max_panels_per_time=needed - 1)
+            amplitude_spectral(spec, times)
