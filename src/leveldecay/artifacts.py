@@ -44,7 +44,8 @@ def write_json(path: Path, obj: dict) -> None:
 def render_density_csv(spec: SpectralData) -> str:
     lines = ["lambda,rho"]
     lines.extend(
-        f"{fmt(lam)},{fmt(rho)}" for lam, rho in zip(spec.grid, spec.density)
+        f"{fmt(lam)},{fmt(rho)}"
+        for lam, rho in zip(spec.grid.tolist(), spec.density.tolist())
     )
     return "\n".join(lines) + "\n"
 
@@ -69,10 +70,13 @@ def write_spectral_json(path: Path, spec: SpectralData) -> None:
 
 
 def render_series_csv(series: AmplitudeSeries) -> str:
+    # Python floats format about twice as fast as numpy scalars.
+    columns = (series.times, series.amplitude.real, series.amplitude.imag,
+               series.probability)
     lines = ["t,re_c,im_c,p"]
     lines.extend(
-        f"{fmt(t)},{fmt(c.real)},{fmt(c.imag)},{fmt(p)}"
-        for t, c, p in zip(series.times, series.amplitude, series.probability)
+        f"{fmt(t)},{fmt(re)},{fmt(im)},{fmt(p)}"
+        for t, re, im, p in zip(*(column.tolist() for column in columns))
     )
     return "\n".join(lines) + "\n"
 

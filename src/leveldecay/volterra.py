@@ -14,19 +14,24 @@ spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
-over every earlier sample.  Lags of 128 steps and more come in dyadic bands
+over every earlier sample.  Lags of 1024 steps and more come in dyadic bands
 [L, 2L), each from FFT products of aligned L-sample blocks of the solution,
 added ahead of time as each block completes (Hairer, Lubich & Schlichte 1985,
-SIAM J. Sci. Stat. Comput. 6:532).  The steps themselves are solved 128 at a
+SIAM J. Sci. Stat. Comput. 6:532).  The steps themselves are solved 1024 at a
 time, in chunks aligned with those blocks: the Heun recurrence is linear, so
 a chunk's unknowns meet one constant lower-triangular Toeplitz matrix, whose
-inverse is computed once per solve.  The unknowns are the increments
-y_m - y_{m-1}, not y: a product with that inverse rounds at the scale of its
-input, O(h) for the increments against O(1) for y, and every chunk carries
-its error into all later ones.  Over 3000 steps a chunked solve for y drifts
-from an extended-precision step-by-step recurrence by up to 4e-14, the
-increment form by about 1e-15.  A solve of N steps costs O(N log^2 N) and
-gives the direct O(N^2) step-by-step recurrence to rounding.
+inverse is computed once per solve.  Every history product is an FFT product
+whose fixed factor (a band of the kernel, the short lags, the inverse) is
+transformed once per solve; the inverse's unit diagonal is applied exactly,
+outside its product.  The unknowns are the increments y_m - y_{m-1}, not y:
+every chunk reuses the inverse, so the rounding of its forward substitution
+is a fixed error that each chunk carries into all later ones, and that
+rounding scales with the matrix's off-diagonal entries, small for the
+increments, of order one for y.  Over 3000 steps a chunked solve for y
+drifts from an extended-precision step-by-step recurrence by up to 3e-14,
+the increment form by at most 4e-15.  A solve of N steps costs
+O(N log^2 N) and gives the direct O(N^2) step-by-step recurrence to
+rounding.
 """
 
 from __future__ import annotations
@@ -131,37 +136,48 @@ def default_step(params: ModelParams) -> float:
 
 
 # Steps are solved in chunks of _SHORT_LAGS, aligned with the blocks below.
-# Lags under _SHORT_LAGS come from two direct convolutions per chunk: the
-# short lags with the _SHORT_LAGS samples before the chunk, and T^-1 (see
-# _chunk_operators) with the chunk's right-hand side, which covers the lags
-# between the chunk's own samples.
+# Lags under _SHORT_LAGS come from two FFT products per chunk, each with a
+# spectrum computed once per solve: the short lags with the _SHORT_LAGS
+# samples before the chunk, and T^-1 (see _chunk_operators) with the chunk's
+# right-hand side, which covers the lags between the chunk's own samples.
+# T^-1's unit diagonal is applied exactly, outside the product.
 # The band [L, 2L) of longer lags, L = _SHORT_LAGS * 2**p, comes from FFT
 # products of aligned blocks of L samples of y (Hairer, Lubich & Schlichte
 # 1985), added before the chunk that starts at the block's end: O(N log^2 N)
 # in total.
-_SHORT_LAGS = 128
+_SHORT_LAGS = 1024
 
 
-def _add_block_products(k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int) -> None:
+def _add_block_products(
+    k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int, spectra: dict
+) -> None:
     """Add the band [L, 2L) of lags from the block y[m - L:m] to out[m:].
 
     Runs for every band whose aligned block ends at m.  Each product is
     truncated to the outputs left in ``out``, which also truncates its inputs.
+    ``spectra`` holds the solve's kernel band spectra by L: a full band's
+    spectrum is computed once and kept while another full block of it lies
+    ahead; a truncated last block transforms its own slice.
     """
     size = _SHORT_LAGS
     while m % size == 0:
         n_out = min(2 * size - 1, out.size - m)
         take = min(size, n_out)
-        block = y[m - size:m - size + take]
-        band = k[size:size + take]
         n_fft = next_fast_len(2 * take - 1)
-        product = np.fft.ifft(np.fft.fft(block, n_fft) * np.fft.fft(band, n_fft))
+        kb = spectra.pop(size, None)
+        if kb is None:
+            kb = np.fft.fft(k[size:size + take], n_fft)
+        if m + 2 * size <= out.size:  # the next block is full as well
+            spectra[size] = kb
+        product = np.fft.fft(y[m - size:m - size + take], n_fft)
+        product *= kb
+        np.fft.ifft(product, out=product)
         out[m:m + n_out] += product[:n_out]
         size *= 2
 
 
-def _chunk_operators(k: np.ndarray, h: float):
-    """The fixed parts of one chunk solve: (delta, b, c, G, u, k_short).
+def _chunk_operators(k: np.ndarray, h: float, n: int):
+    """The fixed parts of an n-step chunk solve: (delta, b, c, G, u, k_short).
 
     With s_m the trapezoid history sum of step m without its newest sample
     (s_0 = -K[0] y_0 / 2), the Heun step is
@@ -173,11 +189,9 @@ def _chunk_operators(k: np.ndarray, h: float):
     whose entries come from the kernel's partial sums G[l] = K[1] + ... + K[l].
     T^-1 is lower-triangular Toeplitz as well, so its first column ``u`` is
     all of it.  ``k_short`` is K[1], ..., K[n - 1], 0: the short lags, which
-    reach back from a chunk into the n samples before it.
+    reach back from a chunk into the n samples before it.  ``k`` holds at
+    least n samples.
     """
-    n = _SHORT_LAGS
-    if k.size < n:  # a solve shorter than one chunk reads none of the padding
-        k = np.concatenate([k, np.zeros(n - k.size, dtype=k.dtype)])
     k0 = complex(k[0])
     b = (0.5 * h + 0.25 * h**3 * k0) * h
     delta = 0.25 * h * h * k0 + b * 0.5 * k0
@@ -203,16 +217,17 @@ def solve_ide(params: ModelParams, horizon: float, step: float | None = None) ->
     """Solve the memory-kernel equation and return C(t) on the full step grid.
 
     Trapezoidal convolution with a Heun predictor-corrector step: second-order
-    accurate.  The steps are solved 128 at a time: the Heun recurrence is
+    accurate.  The steps are solved 1024 at a time: the Heun recurrence is
     linear, so each chunk's increments y_m - y_{m-1} are one product with the
     precomputed inverse of a lower-triangular Toeplitz matrix, and the samples
     are y_{M-1} plus their running sum.  Solving for the increments rather
     than for y keeps each chunk's rounding at the size of the increments, so
     the result stays within rounding of the step-by-step recurrence however
-    many chunks it spans.  The history sums take O(N log^2 N) in the step
-    count N (lags below 128 by direct convolutions in each chunk, longer lags
-    by blocked FFT products).  ``step`` defaults to ``default_step(params)``.
-    ``richardson_ratio`` is the step-halving check.
+    many chunks it spans; the inverse's unit diagonal is applied exactly.  The
+    history sums take O(N log^2 N) in the step count N: every history product
+    is an FFT product whose fixed spectrum (the short lags, T^-1, each band
+    of the kernel) is computed once per solve.  ``step`` defaults to
+    ``default_step(params)``.  ``richardson_ratio`` is the step-halving check.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -228,25 +243,30 @@ def solve_ide(params: ModelParams, horizon: float, step: float | None = None) ->
     # and collects the lags >= _SHORT_LAGS block by block; a chunk's history
     # is complete once the blocks ending at its start are added.
     history = -0.5 * y[0] * k
-    delta, b, c, g, u, k_short = _chunk_operators(k, h)
+    # A solve shorter than one chunk sizes its operators to its own length.
+    n = min(_SHORT_LAGS, n_steps + 1)
+    delta, b, c, g, u, k_short = _chunk_operators(k, h, n)
+    # Both in-chunk products are linear convolutions of at most 2n - 1
+    # terms, so a 2n-point FFT does not wrap.
+    k_hat = np.fft.fft(k_short, 2 * n)
+    u[0] = 0.0  # T^-1's unit diagonal: each chunk adds rhs itself to d
+    u_hat = np.fft.fft(u, 2 * n)
+    spectra = {}
     s_prev = complex(history[0])
-    n = _SHORT_LAGS
     for m in range(0, n_steps + 1, n):
         if m:
-            _add_block_products(k, y, history, m)
+            _add_block_products(k, y, history, m, spectra)
         start, stop = max(m, 1), min(m + n, n_steps + 1)
         r = stop - start
         y_last = y[start - 1]
         # s over the chunk, less the part T carries (the increments' own).
-        # Triangular Toeplitz products are direct convolutions, so no n x n
-        # matrix is stored.
-        reach = np.convolve(y[max(m - n, 0):start], k_short)
+        reach = np.fft.ifft(np.fft.fft(y[max(m - n, 0):start], 2 * n) * k_hat)
         offset = min(start, n) - 1
         s_known = history[start:stop] + reach[offset:offset + r] + y_last * g[:r]
         rhs = c * s_known + delta * y_last
         rhs[0] += b * s_prev
         rhs[1:] += b * s_known[:-1]
-        d = np.convolve(rhs, u[:r])[:r]
+        d = rhs + np.fft.ifft(np.fft.fft(rhs, 2 * n) * u_hat)[:r]
         np.cumsum(d, out=y[start:stop])
         y[start:stop] += y_last
         s_prev = complex(s_known[-1] + g[r - 1:0:-1] @ d[:r - 1])

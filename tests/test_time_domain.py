@@ -156,7 +156,7 @@ def spectra():
 class TestSolver:
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_matches_direct_history_sums(self, family, g_sq):
-        n_steps = 1500  # not a power of two; blocks of 128..1024 samples
+        n_steps = 5000  # not a power of two; blocks of 1024..4096 samples
         assert n_steps > 4 * _SHORT_LAGS
         params = _params(family, g_sq)
         h = 0.01
@@ -166,7 +166,10 @@ class TestSolver:
         assert float(np.max(np.abs(got - ref))) <= 1e-12
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
-    @pytest.mark.parametrize("n_steps", [1, 2, 127, 128, 129, 255, 256, 1000])
+    @pytest.mark.parametrize("n_steps", [
+        1, 2, _SHORT_LAGS - 1, _SHORT_LAGS, _SHORT_LAGS + 1,
+        2 * _SHORT_LAGS - 1, 2 * _SHORT_LAGS, 2 * _SHORT_LAGS + 1,
+    ])
     def test_chunk_edges_match_direct_history_sums(self, family, g_sq, n_steps):
         params = _params(family, g_sq)
         h = 0.01
@@ -180,7 +183,7 @@ class TestSolver:
     )
     @pytest.mark.parametrize("family, g_sq", [(TWO, 1.0), (THREE, 2.0)])
     def test_no_drift_against_extended_precision(self, family, g_sq):
-        # 3000 steps span 24 chunks and end inside one.  Solving each chunk
+        # 3000 steps span 3 chunks and end inside one.  Solving each chunk
         # for y instead of for its increments drifts past the bound here.
         n_steps = 3000
         assert n_steps % _SHORT_LAGS
@@ -202,6 +205,34 @@ class TestSolver:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 16 * (n_steps + 1) + 0.5e6
+
+    def test_kernel_band_spectra_are_computed_once(self, monkeypatch):
+        # 20,000 steps run the bands of 1024 ... 16384 lags, most of them
+        # over several full blocks and a truncated last one.
+        n_steps = 20_000
+        params = _params(THREE, 2.0)
+        h = 0.01
+        k = build_kernel_table(params, n_steps * h, h).values
+        sizes = [_SHORT_LAGS << p for p in range(5)]
+        kernel_slices = []
+        fft = np.fft.fft
+
+        def recording_fft(a, n=None, *args, **kwargs):
+            a = np.asarray(a)
+            kernel_slices.extend(
+                (size, a.size, n) for size in sizes
+                if np.array_equal(a, k[size:size + a.size])
+            )
+            return fft(a, n, *args, **kwargs)
+
+        def no_convolve(*args, **kwargs):
+            raise AssertionError("np.convolve called")
+
+        monkeypatch.setattr(np.fft, "fft", recording_fft)
+        monkeypatch.setattr(np, "convolve", no_convolve)
+        solve_ide(params, horizon=n_steps * h, step=h)
+        assert {size for size, _, _ in kernel_slices} == set(sizes)
+        assert len(set(kernel_slices)) == len(kernel_slices)
 
     def test_repeat_solve_is_byte_identical(self):
         params = _params(THREE, 1.2)
