@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,24 @@ from .evolution import AmplitudeSeries
 from .spectrum import SpectralData
 
 
+# 17 significant digits, lowercase scientific.
+_FLOAT_FORMAT = ".16e"
+
+
 def fmt(x: float) -> str:
     """17-significant-digit lowercase scientific rendering of a float."""
-    return f"{x:.16e}"
+    return format(x, _FLOAT_FORMAT)
+
+
+def _render_columns(header: str, columns) -> str:
+    """CSV of float columns: one format call per row, from Python floats.
+
+    Python floats format about twice as fast as numpy scalars.
+    """
+    row = ",".join(["{:" + _FLOAT_FORMAT + "}"] * len(columns)).format
+    lines = [header]
+    lines.extend(starmap(row, zip(*(c.tolist() for c in columns))))
+    return "\n".join(lines) + "\n"
 
 
 def _json_value(x):
@@ -42,12 +58,7 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def render_density_csv(spec: SpectralData) -> str:
-    lines = ["lambda,rho"]
-    lines.extend(
-        f"{fmt(lam)},{fmt(rho)}"
-        for lam, rho in zip(spec.grid.tolist(), spec.density.tolist())
-    )
-    return "\n".join(lines) + "\n"
+    return _render_columns("lambda,rho", (spec.grid, spec.density))
 
 
 def write_density_csv(path: Path, spec: SpectralData) -> None:
@@ -70,15 +81,9 @@ def write_spectral_json(path: Path, spec: SpectralData) -> None:
 
 
 def render_series_csv(series: AmplitudeSeries) -> str:
-    # Python floats format about twice as fast as numpy scalars.
-    columns = (series.times, series.amplitude.real, series.amplitude.imag,
-               series.probability)
-    lines = ["t,re_c,im_c,p"]
-    lines.extend(
-        f"{fmt(t)},{fmt(re)},{fmt(im)},{fmt(p)}"
-        for t, re, im, p in zip(*(column.tolist() for column in columns))
-    )
-    return "\n".join(lines) + "\n"
+    return _render_columns("t,re_c,im_c,p", (
+        series.times, series.amplitude.real, series.amplitude.imag, series.probability
+    ))
 
 
 def write_series_csv(path: Path, series: AmplitudeSeries) -> None:

@@ -7,22 +7,31 @@ exists, plus the transform of the continuous density,
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
 and P(t) = |C(t)|^2.  The continuous term is evaluated with a phase-aware
-panel rule on the exact (closed-form) density: each converged segment of the
-density table is split so that no panel spans more than a quarter of the
-period 2*pi/t_max at the largest requested |t|, and a fixed 6-point
-Gauss-Legendre rule on every panel gives one node set x_j with weights
-a_j = rho(x_j) * w_j * half-width.  Then
-C(t) = sum of a_j exp(-i t x_j) for every requested t.  A segment cut into r
-panels of width w holds six arithmetic progressions x = c_g + p w, so on a
-uniform grid t_k = t0 + k dt its sum is
-sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
-W = exp(-i dt w): a chirp-z transform (Rabiner, Schafer & Rader 1969), which
-Bluestein's kp = (k^2 + p^2 - (k - p)^2) / 2 turns into one FFT convolution
-per segment.  A series of n times then costs O((n + r) log(n + r)) per
-segment instead of one exp per node and time.  Any other grid (signed, or
-off a straight line) takes the exact exp at every node and time.  The panel
-count grows linearly with t_max; a series that needs more than 500,000 panels
-raises instead of silently degrading.
+panel rule on the exact (closed-form) density.  Panels come from one lattice
+of points e1 + P w, anchored at the threshold, with w no wider than a quarter
+of the period 2*pi/t_max at the largest requested |t|: the lattice points
+inside each converged segment of the density table cut it into full lattice
+panels plus at most a head and a tail remainder, so no panel crosses a
+segment boundary.  A fixed 6-point Gauss-Legendre rule on every panel gives
+one node set x_j with weights a_j = rho(x_j) * w_j * half-width, and
+C(t) = sum of a_j exp(-i t x_j) for every requested t.
+
+On a uniform grid t_k = t0 + k dt the lattice is w = pi / (Q dt) with
+Q = ceil(2 t_max / dt).  The full panels' nodes then form six arithmetic
+progressions e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum
+is sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
+with c_g the first panel's nodes, a_gp the weight of node g of panel
+P_first + p (zero where no lattice panel lies) and W = exp(-i pi / Q): a
+chirp-z transform (Rabiner, Schafer & Rader 1969), which Bluestein's
+kp = (k^2 + p^2 - (k - p)^2) / 2 turns into one FFT convolution.  Its chirp
+exp(i pi m^2 / (2Q)) is periodic in m^2 modulo 4Q, so the exponent is reduced
+in integers and stays exact however long the lattice.  A series of n times
+over a lattice of R panels then costs O((n + R) log(n + R)) once.  The few
+remainder and one-panel nodes are summed directly, as one product of a coarse
+and a fine table of exact exps.  Any other grid (signed, or off a straight
+line) takes the quarter-period lattice and the exact exp at every node and
+time.  The panel count grows linearly with t_max; a series that needs more
+than 500,000 panels raises instead of silently degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -98,100 +107,135 @@ _SEGMENT_MASS_FLOOR = 1e-15
 _MAX_PANELS = 500_000
 
 
-def _transform_nodes(
-    spec: SpectralData, t_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weights a (rho(x) times the rule weight) and panel counts.
+def _lattice(t_max: float, dt: float) -> tuple[int, float]:
+    """(Q, w): the panel lattice that resolves exp(-i t x) for |t| <= t_max.
 
-    Every table segment is cut into equal panels no wider than a quarter
-    period 0.5 * pi / t_max (one panel when t_max = 0 or the segment's mass is
-    negligible), so the set resolves exp(-i t x) for every |t| <= t_max.  The
-    nodes run segment by segment and panel by panel, six to a panel.
+    On a uniform grid of step dt > 0, w = pi / (Q dt) with
+    Q = ceil(2 t_max / dt), so the chirp's ratio exp(-i dt w) is a 2Q-th root
+    of unity; on any other grid (dt = 0) Q = 0 and w is the quarter period
+    0.5 pi / t_max.  Either w is at most a quarter period; it is infinite
+    when t_max = 0.
     """
-    widths = np.diff(spec.segments)
-    if t_max == 0.0:
-        reps = np.ones(widths.shape, dtype=np.int64)
-    else:
-        quarter = 0.5 * math.pi / t_max
-        reps = np.ceil(widths / quarter).astype(np.int64)
-        np.clip(reps, 1, None, out=reps)
-        reps[spec.segment_mass < _SEGMENT_MASS_FLOOR] = 1
-    total = int(reps.sum())
+    if dt > 0.0:
+        q = math.ceil(2.0 * t_max / dt)
+        return q, math.pi / (q * dt)
+    return 0, 0.5 * math.pi / t_max if t_max > 0.0 else math.inf
+
+
+def _transform_nodes(
+    spec: SpectralData, w: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights a (rho(x) times the rule weight) and lattice indices.
+
+    The lattice points e1 + P w inside a segment cut it into the full panels
+    between them plus a head and a tail remainder (none of zero width).  A
+    segment with no lattice point inside, or of negligible mass, is one
+    panel, as is every segment when w is infinite.  The full panels come
+    first, in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), six to a
+    panel; their indices P are the third result.  The other panels follow.
+    """
+    edges = spec.segments
+    e1 = float(edges[0])
+    live = spec.segment_mass >= _SEGMENT_MASS_FLOOR
+    if math.isinf(w):
+        live[:] = False
+    first = np.ceil((edges[:-1][live] - e1) / w).astype(np.int64)
+    last = np.floor((edges[1:][live] - e1) / w).astype(np.int64)
+    cut = first <= last  # a lattice point lies inside the segment
+    first, last = first[cut], last[cut]
+    counts = last - first
+    seg = np.flatnonzero(live)[cut]
+    whole = np.ones(live.shape, dtype=bool)
+    whole[seg] = False
+    # Head and tail remainders, then the segments that stay one panel.
+    left = np.concatenate([edges[seg], e1 + last * w, edges[:-1][whole]])
+    right = np.concatenate([e1 + first * w, edges[seg + 1], edges[1:][whole]])
+    keep = right > left
+    total = int(counts.sum()) + int(keep.sum())
     if total > _MAX_PANELS:
         raise OscillatoryBudgetExceededError(
-            f"t={t_max!r} needs {total} panels, budget is {_MAX_PANELS}; "
+            f"the series needs {total} panels of width {w:.6g}, budget is {_MAX_PANELS}; "
             "the panel count grows with the largest time, so shorten the series "
             "with --horizon (or horizon = in the config)"
         )
-    sub_w = np.repeat(widths / reps, reps)
-    offset = np.arange(total) - np.repeat(np.cumsum(reps) - reps, reps)
-    sub_a = np.repeat(spec.segments[:-1], reps) + offset * sub_w
-    half = 0.5 * sub_w
-    nodes = ((sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]).ravel()
+    # Segment i's panels first_i, first_i + 1, ... in a run starting at offset_i.
+    offset = np.cumsum(counts) - counts
+    lattice = np.arange(counts.sum()) + np.repeat(first - offset, counts)
+    half = 0.5 * (right[keep] - left[keep])
+    mid = left[keep] + half
+    nodes = np.concatenate([
+        (e1 + w * (lattice[:, None] + 0.5 * (1.0 + _GL_X)[None, :])).ravel(),
+        (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
+    ])
+    scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
     dens = _density(spec.params, nodes)
-    return nodes, dens * (half[:, None] * _GL_W[None, :]).ravel(), reps
+    return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
-def _chirp_z(b: np.ndarray, theta: float, n: int) -> np.ndarray:
-    """sum over p of b[:, p] exp(-i theta k p) for k < n, row by row.
+def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:
+    """sum over p of b[:, p] exp(-i pi k p / q) for k < n, row by row.
 
     With kp = (k^2 + p^2 - (k - p)^2) / 2 the sum is
-    exp(-i theta k^2/2) times the convolution of b[:, p] exp(-i theta p^2/2)
-    with the chirp exp(i theta m^2/2), m = -(r-1)..n-1, done as one FFT
-    product of a length that holds it without wrap-around.
+    exp(-i pi k^2 / (2q)) times the convolution of b[:, p] exp(-i pi p^2 / (2q))
+    with the chirp exp(i pi m^2 / (2q)), m = -(r-1)..n-1, done as one FFT
+    product of a length that holds it without wrap-around.  The chirp's
+    exponent is reduced modulo 4q in integers, so it is exact for any m.
     """
     r = b.shape[1]
     size = next_fast_len(n + r - 1)
-    m = np.arange(max(n, r), dtype=float)
-    chirp = np.exp(0.5j * theta * (m * m))
+    m = np.arange(max(n, r), dtype=np.int64)
+    chirp = np.exp((0.5j * math.pi / q) * (m * m % (4 * q)))
     kernel = np.zeros(size, dtype=complex)
     kernel[:n] = chirp[:n]
     kernel[size - r + 1:] = chirp[r - 1:0:-1]  # m = -(r-1)..-1, wrapped
     rows = np.zeros((b.shape[0], size), dtype=complex)
     np.multiply(b, chirp[:r].conj(), out=rows[:, :r])
-    conv = np.fft.ifft(np.fft.fft(rows, axis=1) * np.fft.fft(kernel), axis=1)
-    return conv[:, :n] * chirp[:n].conj()
+    kernel_hat = np.fft.fft(kernel)
+    for row in rows:  # in place, row by row: FFT scratch for one row only
+        np.fft.fft(row, out=row)
+        row *= kernel_hat
+        np.fft.ifft(row, out=row)
+    return rows[:, :n] * chirp[:n].conj()
 
 
-def _grid_phases(c: np.ndarray, times: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i t_k c) on a uniform grid, as (len(c), n).
+def _phase_tables(c: np.ndarray, times: np.ndarray, dt: float):
+    """Coarse and fine exp tables with exp(-i t_(jm+s) c) = coarse[:, j] fine[:, s].
 
     Every m-th time (m^2 >= n) takes its exact exp and the times between it
-    and the next add exp(-i s dt c), s < m: two short exp tables and one
-    outer product, with no rounding carried from one time to the next.
+    and the next add exp(-i s dt c), s < m: two short exp tables, with no
+    rounding carried from one time to the next.
     """
-    n = times.size
-    m = math.isqrt(n - 1) + 1
-    coarse = np.exp(np.multiply.outer(c, -1j * times[::m]))
-    fine = np.exp(np.multiply.outer(c, -1j * dt * np.arange(m)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(c.size, -1)[:, :n]
+    m = math.isqrt(times.size - 1) + 1
+    coarse = np.multiply.outer(c, -1j * times[::m])
+    fine = np.multiply.outer(c, -1j * dt * np.arange(m))
+    return np.exp(coarse, out=coarse), np.exp(fine, out=fine)
 
 
 def _uniform_sums(
-    spec: SpectralData, x: np.ndarray, a: np.ndarray, reps: np.ndarray,
-    times: np.ndarray, dt: float,
+    x: np.ndarray, a: np.ndarray, lattice: np.ndarray,
+    times: np.ndarray, dt: float, q: int, w: float,
 ) -> np.ndarray:
-    """sum of a_j exp(-i t_k x_j) on a uniform grid, one segment at a time.
+    """sum of a_j exp(-i t_k x_j) on a uniform grid: one chirp-z in all.
 
-    A segment of r panels of width w has nodes c_g + p w (c_g its first
-    panel's nodes), so its sum is the chirp-z transform of
-    a_gp exp(-i t0 p w) at W = exp(-i dt w), each row g turned by
-    exp(-i t_k c_g).  A one-panel segment's inner sum is a_g0 (W^0 = 1).
+    The lattice panels' nodes are c_g + p w, p = P - P_first, so their sum is
+    the chirp-z transform of a_gp exp(-i t0 p w) at W = exp(-i pi / q),
+    dt w = pi / q, each row g turned by exp(-i t_k c_g).  The other nodes are
+    contracted directly with their coarse and fine phase tables.
     """
-    widths = np.diff(spec.segments)
+    n = times.size
     rule = _GL_X.size
-    t0 = float(times[0])
-    out = np.zeros(times.shape, dtype=complex)
-    start = 0
-    for width, r in zip(widths, reps.tolist()):
-        stop = start + rule * r
-        c = x[start:start + rule]
-        b = a[start:stop].reshape(r, rule).T
-        if r > 1:
-            w = width / r
-            b = _chirp_z(b * np.exp(-1j * t0 * w * np.arange(r)), dt * w, times.size)
-        out += (_grid_phases(c, times, dt) * b).sum(axis=0)
-        start = stop
+    split = rule * lattice.size
+    coarse, fine = _phase_tables(x[split:], times, dt)
+    coarse *= a[split:, None]
+    out = (coarse.T @ fine).ravel()[:n]
+    if lattice.size:
+        p = lattice - lattice[0]
+        b = np.zeros((rule, int(p[-1]) + 1), dtype=complex)
+        b[:, p] = a[:split].reshape(-1, rule).T
+        b *= np.exp(-1j * float(times[0]) * w * np.arange(b.shape[1]))
+        coarse, fine = _phase_tables(x[:rule], times, dt)
+        rows = (coarse[:, :, None] * fine[:, None, :]).reshape(rule, -1)[:, :n]
+        out += (rows * _chirp_z(b, q, n)).sum(axis=0)
     return out
 
 
@@ -199,7 +243,7 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
     """C(t) at arbitrary (signed) times; no series-level validation.
 
     C(t_k) = sum of a_j exp(-i t_k x_j) over one node set resolved at max |t|.
-    On a uniform grid every segment's sum is a chirp-z transform
+    On a uniform grid the lattice panels' sum is one chirp-z transform
     (``_uniform_sums``); on any other grid every node and time takes the
     exact exp.
     """
@@ -209,15 +253,16 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
     if spec.degenerate:
         return np.exp(-1j * spec.eigenvalue * times)
     t_max = float(np.max(np.abs(times), initial=0.0))
-    x, a, reps = _transform_nodes(spec, t_max)
     n = times.size
     dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     # Uniform means increasing and off a straight line by rounding only.
     uniform = dt > 0.0 and float(
         np.max(np.abs(times - (times[0] + dt * np.arange(n))))
     ) <= 64.0 * _EPS * t_max
+    q, w = _lattice(t_max, dt if uniform else 0.0)
+    x, a, lattice = _transform_nodes(spec, w)
     if uniform:
-        out = _uniform_sums(spec, x, a, reps, times, dt)
+        out = _uniform_sums(x, a, lattice, times, dt, q, w)
     else:
         phase = np.empty(x.shape, dtype=complex)
         # a @ (real, imag) pairs sums both parts in one real product, in place.

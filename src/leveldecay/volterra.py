@@ -149,7 +149,8 @@ _SHORT_LAGS = 1024
 
 
 def _add_block_products(
-    k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int, spectra: dict
+    k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int, spectra: dict,
+    y_hat: np.ndarray,
 ) -> None:
     """Add the band [L, 2L) of lags from the block y[m - L:m] to out[m:].
 
@@ -157,7 +158,9 @@ def _add_block_products(
     truncated to the outputs left in ``out``, which also truncates its inputs.
     ``spectra`` holds the solve's kernel band spectra by L: a full band's
     spectrum is computed once and kept while another full block of it lies
-    ahead; a truncated last block transforms its own slice.
+    ahead; a truncated last block transforms its own slice.  ``y_hat`` is the
+    2 _SHORT_LAGS-point spectrum of y[m - _SHORT_LAGS:m], which the first
+    band's block uses when it is full.
     """
     size = _SHORT_LAGS
     while m % size == 0:
@@ -169,8 +172,11 @@ def _add_block_products(
             kb = np.fft.fft(k[size:size + take], n_fft)
         if m + 2 * size <= out.size:  # the next block is full as well
             spectra[size] = kb
-        product = np.fft.fft(y[m - size:m - size + take], n_fft)
-        product *= kb
+        if size == take == _SHORT_LAGS:
+            product = y_hat * kb
+        else:
+            product = np.fft.fft(y[m - size:m - size + take], n_fft)
+            product *= kb
         np.fft.ifft(product, out=product)
         out[m:m + n_out] += product[:n_out]
         size *= 2
@@ -254,13 +260,15 @@ def solve_ide(params: ModelParams, horizon: float, step: float | None = None) ->
     spectra = {}
     s_prev = complex(history[0])
     for m in range(0, n_steps + 1, n):
-        if m:
-            _add_block_products(k, y, history, m, spectra)
         start, stop = max(m, 1), min(m + n, n_steps + 1)
+        # From the second chunk on, y[m - n:m] is the first band's block too.
+        y_hat = np.fft.fft(y[max(m - n, 0):start], 2 * n)
+        if m:
+            _add_block_products(k, y, history, m, spectra, y_hat)
         r = stop - start
         y_last = y[start - 1]
         # s over the chunk, less the part T carries (the increments' own).
-        reach = np.fft.ifft(np.fft.fft(y[max(m - n, 0):start], 2 * n) * k_hat)
+        reach = np.fft.ifft(y_hat * k_hat)
         offset = min(start, n) - 1
         s_known = history[start:stop] + reach[offset:offset + r] + y_last * g[:r]
         rhs = c * s_known + delta * y_last
