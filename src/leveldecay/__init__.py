@@ -25,13 +25,9 @@ from .evolution import (
     weak_coupling_rate,
 )
 from .quadrature import (
-    DivergentAtE1Error,
-    InvalidSingularityError,
     NonConvergenceError,
-    integrate_semiinf,
     k_pv,
     k_regular,
-    principal_value,
 )
 from .spectrum import (
     BracketFailureError,
@@ -66,8 +62,6 @@ __all__ = [
     "ClosedFormMismatchError",
     "CouplingFamily",
     "CouplingModel",
-    "DivergentAtE1Error",
-    "InvalidSingularityError",
     "KernelMismatchError",
     "KernelTable",
     "MethodTag",
@@ -90,12 +84,10 @@ __all__ = [
     "eigen_weight",
     "find_eigenvalue",
     "fitted_decay_rate",
-    "integrate_semiinf",
     "k_pv",
     "k_regular",
     "kernel",
     "l2_norm_sq",
-    "principal_value",
     "richardson_ratio",
     "solve_ide",
     "spectral_density",

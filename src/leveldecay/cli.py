@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 from .evolution import OscillatoryBudgetExceededError
@@ -22,9 +22,9 @@ from .quadrature import NonConvergenceError, _check_tail
 from .scenario import (
     ConfigError,
     Scenario,
-    _apply_sweep_value,
     load_scenario,
     run_decay,
+    sweep_models,
     sweep_point,
     write_decay,
     write_spectrum,
@@ -63,13 +63,12 @@ def cmd_sweep(scenario: Scenario, swept: list[ModelParams], out_dir: Path, jobs:
     if scenario.sweep is None:
         raise ConfigError("sweep command requires sweep.parameter and sweep.values")
     values = scenario.sweep.values
-    worker = partial(sweep_point, scenario)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, values, swept))
+            rows = list(pool.map(sweep_point, swept, values))
     else:
-        rows = list(map(worker, values, swept))
+        rows = list(map(sweep_point, swept, values))
     for row in rows:
         if row["exists"] == "skipped":
             print(
@@ -116,9 +115,7 @@ def _dispatch(args) -> int:
         scenario = replace(scenario, horizon=args.horizon)
     if args.command == "sweep" and args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
-    swept = []  # the model at each sweep value, built once
-    if (spec := scenario.sweep) is not None:
-        swept = [_apply_sweep_value(scenario.params, spec.parameter, v) for v in spec.values]
+    swept = sweep_models(scenario)
     _certify_truncation(scenario, swept)
     out_dir = _resolve_out_dir(args, scenario)
     if args.command == "spectrum":

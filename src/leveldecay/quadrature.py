@@ -1,24 +1,20 @@
-"""Adaptive quadrature for semi-infinite integrals, principal values, and k(lambda).
-
-The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
-panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
-the panel error estimate, and panels carrying the bulk of the error are
-bisected until the total estimate meets the tolerance.
-
-Principal values are computed by symmetric subtraction: on a window
-[c - h, c + h] around the pole the regularized integrand
-(f(x) - f(c)) / (x - c) is integrated, the analytic log term
-f(c) * ln((b - c)/(c - a)) is added (zero for a symmetric window), and the
-remaining outer pieces are regular adaptive integrals.
+"""The gate of the closed forms and its engine: adaptive quadrature of k(lambda),
+its principal value and the weight integral.
 
 For the built-in coupling families the spectral layer evaluates k, its
 principal value and the weight integral from exponential-integral closed
 forms (see ``leveldecay.spectrum``).  ``k_regular``, ``k_pv`` and
-``weight_integral`` here compute the same integrals by adaptive quadrature:
-they are the gate those closed forms must pass before first use and the
-reference the tests compare against.
+``weight_integral`` compute the same integrals by adaptive quadrature: they
+are the gate those closed forms must pass before first use and the reference
+the tests compare against.  k and the weight integral are one integral,
+|V(x)|^2 / (x + a)^p in u = ln(x + a); the principal value subtracts |V(c)|^2
+on a window around the pole.
 
-Integrands must be vectorized (accept and return numpy arrays).
+The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
+panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
+the panel error estimate, and panels carrying the bulk of the error are
+bisected until the total estimate meets the tolerance.  ``_refine`` also
+refines the density table of ``leveldecay.spectrum``.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .coupling import CouplingFamily, coupling_sq, tail_mass
+from .coupling import coupling_sq, tail_mass
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .spectrum import ModelParams
@@ -43,19 +39,11 @@ class NonConvergenceError(RuntimeError):
         self.error = error
 
 
-class InvalidSingularityError(ValueError):
-    """Principal-value singularity location outside the admissible range."""
-
-
-class DivergentAtE1Error(ValueError):
-    """k(lambda) requested at the continuum edge for a coupling with V(0) != 0."""
-
-
 # Integrator tolerances and budget, the half-width of the principal-value
 # subtraction window (shrunk where it would leave the domain), and the
-# truncation: semi-infinite integrals stop at TAIL_CUT times their scale (the
-# coupling cutoff for model integrands), where the closed-form tail remainder
-# of the exponential families must stay below TAIL_TOL.
+# truncation: k and the weight integral stop at TAIL_CUT coupling cutoffs, the
+# principal value that far beyond its pole, where the closed-form tail
+# remainder must stay below TAIL_TOL.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_SUBDIVISIONS = 4000
@@ -179,81 +167,6 @@ def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> 
     return np.unique(np.concatenate([[lo], inner, [hi]]))
 
 
-def integrate_semiinf(f: Callable, scale: float = 1.0) -> tuple[float, float]:
-    """Integrate a vectorized f over [0, inf), truncated at TAIL_CUT * scale.
-
-    The integrand must be continuous and absolutely integrable with a decaying
-    tail; the caller is responsible for choosing ``scale`` so that the
-    truncation remainder is below TAIL_TOL (for the built-in coupling
-    families this is certified via their closed-form tail bound).
-
-    Returns:
-        (value, error_estimate) with |value - exact| bounded by
-        max(1e-10, 1e-8 * |value|) on convergence.
-
-    Raises:
-        NonConvergenceError: subdivision budget exhausted.
-    """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValueError("scale must be positive and finite")
-    return _adapt(f, _edges_toward(0.0, TAIL_CUT * scale, levels=42))
-
-
-def principal_value(
-    f: Callable,
-    c: float,
-    upper: float | None = None,
-    scale: float = 1.0,
-) -> float:
-    """Cauchy principal value of the integral of f(x)/(x - c) over [0, upper).
-
-    ``f`` must be vectorized and continuous at the pole c > 0.  With
-    ``upper=None`` the domain is [0, inf), truncated at c + TAIL_CUT * scale.
-    The pole is handled on a symmetric window by subtraction of f(c); the
-    window half-width is _PV_WINDOW, shrunk to stay inside the domain.
-
-    Raises:
-        InvalidSingularityError: c <= 0, or c outside a finite domain.
-        NonConvergenceError: a regular piece failed to converge.
-    """
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InvalidSingularityError(f"singularity must lie in (0, upper), got c={c!r}")
-    if upper is None:
-        domain_hi = c + TAIL_CUT * scale
-    else:
-        if c >= upper:
-            raise InvalidSingularityError(f"singularity c={c!r} not interior to (0, {upper!r})")
-        domain_hi = upper
-    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
-    lo, hi = c - h, c + h
-
-    fc = float(np.asarray(f(np.array([c])), dtype=float)[0])
-
-    def regularized(x):
-        return (np.asarray(f(x), dtype=float) - fc) / (x - c)
-
-    abs_share = 0.25 * _ABS_TOL
-    rel_share = 0.25 * _REL_TOL
-    window, _ = _adapt(regularized, np.array([lo, c, hi]), abs_share, rel_share)
-    # Analytic log term; identically zero for the symmetric window used here.
-    log_term = fc * math.log((hi - c) / (c - lo))
-
-    def cauchy(x):
-        return np.asarray(f(x), dtype=float) / (x - c)
-
-    left = 0.0
-    if lo > 0.0:
-        left, _ = _adapt(
-            cauchy, _edges_toward(0.0, lo, levels=30, toward_lo=False),
-            abs_share, rel_share,
-        )
-    right, _ = _adapt(
-        cauchy, _edges_toward(hi, domain_hi, levels=42, toward_lo=True),
-        abs_share, rel_share,
-    )
-    return window + log_term + left + right
-
-
 def _check_tail(params: ModelParams, a: float) -> float:
     """Truncation point for k integrands, certified against the tail bound."""
     model = params.coupling
@@ -267,89 +180,77 @@ def _check_tail(params: ModelParams, a: float) -> float:
     return upper
 
 
-def k_regular(params: ModelParams, lam: float) -> float:
-    """The transform k(lambda): integral of |V(x)|^2 / (x + e1 - lambda) over [0, inf).
-
-    Requires lambda < e1 (below the continuum edge), where the integrand is
-    nonsingular; lambda = e1 is additionally admitted for the 3d family, whose
-    |V|^2 vanishes linearly at the edge so the integral still converges.
-    k is positive for g2 > 0 and strictly increasing in lambda.
-
-    Raises:
-        DivergentAtE1Error: lambda = e1 requested for a 2d-family model.
-        ValueError: lambda > e1.
-    """
-    model = params.coupling
-    a = params.e1 - lam
-    if a < 0.0:
-        raise ValueError(f"k_regular requires lambda <= e1, got lambda={lam!r}")
-    if model.strength_sq == 0.0:
-        return 0.0
-    if a == 0.0 and model.family is CouplingFamily.TWO_DIM_EXP:
-        raise DivergentAtE1Error(
-            "k(lambda) diverges at the continuum edge when V(0) != 0"
-        )
-    upper = _check_tail(params, a)
-    cutoff = model.cutoff
-    if a == 0.0 or a >= 1e-6 * cutoff:
-
-        def integrand(x):
-            return coupling_sq(model, x) / (x + a)
-
-        value, _ = _adapt(integrand, _edges_toward(0.0, upper, levels=48))
-        return value
-    # Very close to the edge the integrand mass piles up at x ~ a; the
-    # substitution u = ln(x + a) flattens it into an O(1)-scale integrand.
-    u_lo, u_hi = math.log(a), math.log(upper + a)
-
-    def integrand_u(u):
-        x = np.maximum(np.exp(u) - a, 0.0)
-        return coupling_sq(model, x)
-
-    n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
-    edges = np.linspace(u_lo, u_hi, n_seed + 1)
-    value, _ = _adapt(integrand_u, edges)
-    return value
-
-
-def k_pv(params: ModelParams, t: float) -> float:
-    """Principal value of the k transform at a point t > e1 inside the continuum.
-
-    Computes PV of the integral of |V(x)|^2 / (x + e1 - t) over [0, inf) via
-    ``principal_value`` with pole c = t - e1.
-    """
-    model = params.coupling
-    if model.strength_sq == 0.0:
-        return 0.0
-    c = t - params.e1
-    if c <= 0.0:
-        raise InvalidSingularityError(f"k_pv requires t > e1, got t={t!r}")
-    _check_tail(params, 0.0)
-
-    def f(x):
-        return coupling_sq(model, x)
-
-    return principal_value(f, c, upper=None, scale=model.cutoff)
-
-
-def weight_integral(params: ModelParams, a: float) -> float:
-    """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0.
+def _log_integral(params: ModelParams, a: float, p: int) -> float:
+    """Integral of |V(x)|^2 / (x + a)^p over [0, inf) for a distance a > 0.
 
     Evaluated in the substitution u = ln(x + a), which keeps the integrand on
-    an O(1) scale however small ``a`` is, at a relative tolerance of at most
-    1e-11.
+    an O(1) scale however small ``a`` is, at a relative tolerance of 1e-11.
     """
-    model = params.coupling
     if not a > 0.0:
-        raise ValueError(f"weight_integral requires a > 0, got a={a!r}")
-    upper = TAIL_CUT * model.cutoff
+        raise ValueError(f"requires lambda < e1, i.e. a = e1 - lambda > 0; got a={a!r}")
+    model = params.coupling
+    upper = _check_tail(params, a)
     u_lo, u_hi = math.log(a), math.log(upper + a)
 
     def integrand(u):
         x = np.maximum(np.exp(u) - a, 0.0)
-        return np.exp(-u) * coupling_sq(model, x)
+        return np.exp((1 - p) * u) * coupling_sq(model, x)
 
     n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
     edges = np.linspace(u_lo, u_hi, n_seed + 1)
     value, _ = _adapt(integrand, edges, rel_tol=1e-11)
     return value
+
+
+def k_regular(params: ModelParams, lam: float) -> float:
+    """The transform k(lambda): integral of |V(x)|^2 / (x + e1 - lambda) over [0, inf).
+
+    Requires lambda < e1 (below the continuum edge), where the integrand is
+    nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
+    """
+    return _log_integral(params, params.e1 - lam, 1)
+
+
+def k_pv(params: ModelParams, t: float) -> float:
+    """Principal value of the k transform at a point t > e1 inside the continuum.
+
+    PV of the integral of |V(x)|^2 / (x - c) over [0, inf), c = t - e1,
+    truncated at c + TAIL_CUT cutoffs.  On a window [c - h, c + h] the
+    regularized integrand (|V(x)|^2 - |V(c)|^2) / (x - c) is integrated; the
+    outer pieces are regular adaptive integrals.  The window half-width h is
+    _PV_WINDOW, shrunk to stay inside the domain.
+    """
+    model = params.coupling
+    c = t - params.e1
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError(f"k_pv requires e1 < t < inf, got t={t!r}")
+    domain_hi = c + _check_tail(params, 0.0)
+    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
+    lo, hi = c - h, c + h
+    fc = float(coupling_sq(model, np.array([c]))[0])
+
+    def regularized(x):
+        return (coupling_sq(model, x) - fc) / (x - c)
+
+    def cauchy(x):
+        return coupling_sq(model, x) / (x - c)
+
+    abs_share = 0.25 * _ABS_TOL
+    rel_share = 0.25 * _REL_TOL
+    window, _ = _adapt(regularized, np.array([lo, c, hi]), abs_share, rel_share)
+    # Analytic log term of the subtracted |V(c)|^2 / (x - c).  It corrects for
+    # the rounded window ends: c - h and c + h are rounded, so (hi - c)/(c - lo)
+    # can differ from 1 by an ulp.
+    log_term = fc * math.log((hi - c) / (c - lo))
+    left, _ = _adapt(
+        cauchy, _edges_toward(0.0, lo, levels=30, toward_lo=False), abs_share, rel_share
+    )
+    right, _ = _adapt(
+        cauchy, _edges_toward(hi, domain_hi, levels=42, toward_lo=True), abs_share, rel_share
+    )
+    return window + log_term + left + right
+
+
+def weight_integral(params: ModelParams, a: float) -> float:
+    """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0."""
+    return _log_integral(params, a, 2)

@@ -243,11 +243,16 @@ def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> Mod
     return replace(params, e2=params.e1 + value)
 
 
-def sweep_point(scenario: Scenario, value: float, params: ModelParams | None = None) -> dict:
-    """Threshold data for one sweep point (``params``: its model, if already built);
+def sweep_models(scenario: Scenario) -> list[ModelParams]:
+    """The model at each sweep value, in order; [] without a sweep."""
+    if (spec := scenario.sweep) is None:
+        return []
+    return [_apply_sweep_value(scenario.params, spec.parameter, v) for v in spec.values]
+
+
+def sweep_point(params: ModelParams, value: float) -> dict:
+    """Threshold data for the sweep point ``value`` with model ``params``;
     marginal points are flagged, not solved."""
-    if params is None:
-        params = _apply_sweep_value(scenario.params, scenario.sweep.parameter, value)
     check = threshold_check(params)
     row = {
         "sweep_value": value,

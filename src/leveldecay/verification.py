@@ -36,6 +36,7 @@ from .scenario import (
     Scenario,
     SweepSpec,
     run_decay,
+    sweep_models,
     sweep_point,
     write_decay,
     write_spectrum,
@@ -355,7 +356,7 @@ def _check_determinism() -> CriterionResult:
     def render() -> tuple[str, str, str]:
         spec = build_spectral_data(ms.scenario().params)
         scenario = _sweep_scenarios()[0]
-        rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
+        rows = list(map(sweep_point, sweep_models(scenario), scenario.sweep.values))
         return (
             artifacts.render_density_csv(spec),
             artifacts.render_spectral_json(spec),
@@ -376,7 +377,7 @@ def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> Non
         write_spectrum(out_dir, ms.name, run.spec)
         write_decay(out_dir, ms.name, run)
     for scenario in _sweep_scenarios():
-        rows = [sweep_point(scenario, v) for v in scenario.sweep.values]
+        rows = list(map(sweep_point, sweep_models(scenario), scenario.sweep.values))
         write_sweep(out_dir, scenario.name, rows)
 
 

@@ -15,7 +15,7 @@ import leveldecay.cli as cli
 import leveldecay.scenario as scenario
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
-from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_point
+from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_models, sweep_point
 
 BASE_CONFIG = """
 # minimal valid scenario
@@ -302,7 +302,7 @@ class TestSweepCommand:
             BASE_CONFIG.replace("3d-exp", "2d-exp")
             + "sweep.parameter = g_sq\nsweep.values = 0.1, 0.3, 0.6\n"
         )
-        rows = [sweep_point(scen, v) for v in scen.sweep.values]
+        rows = list(map(sweep_point, sweep_models(scen), scen.sweep.values))
         weights = [r["weight"] for r in rows]
         assert all(0.0 < w < 1.0 for w in weights)
         # observed monotone increase; reported as data, never asserted in-library

@@ -9,17 +9,13 @@ from scipy import special
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
-    DivergentAtE1Error,
-    InvalidSingularityError,
     ModelParams,
     NonConvergenceError,
-    integrate_semiinf,
     k_pv,
     k_regular,
-    principal_value,
 )
 from leveldecay import quadrature
-from leveldecay.quadrature import _ABS_TOL, TAIL_CUT, _edges_toward, _refine
+from leveldecay.quadrature import _ABS_TOL, TAIL_CUT, _adapt, _edges_toward, _refine
 
 # Frozen oracle values.  SEMIINF_RATIONAL comes from composite Simpson with
 # 1e7 points on [0, 50] (regenerated below); the PV constants come from
@@ -28,6 +24,19 @@ from leveldecay.quadrature import _ABS_TOL, TAIL_CUT, _edges_toward, _refine
 SEMIINF_RATIONAL = 0.4036526376766784
 PV_EXP_AT_1 = -0.6971748832350662
 PV_XEXP_AT_1 = 0.30282511676493384
+
+
+def semiinf(f):
+    """The engine on [0, TAIL_CUT], its panels graded toward 0."""
+    return _adapt(f, _edges_toward(0.0, TAIL_CUT, levels=42))
+
+
+def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
+    return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
+
+
+# |V(x)|^2 = exp(-x): k_pv at t = 1 is the PV of exp(-x)/(x - 1).
+EXP_UNIT = _params(CouplingFamily.TWO_DIM_EXP, 1.0)
 
 
 def simpson_oracle(f, a, b, n):
@@ -44,16 +53,16 @@ def test_semiinf_oracle_value_regenerates():
 
 
 def test_semiinf_standard_integrals():
-    value, err = integrate_semiinf(lambda x: np.exp(-x))
+    value, err = semiinf(lambda x: np.exp(-x))
     assert value == pytest.approx(1.0, abs=1e-10)
     assert abs(value - 1.0) <= max(err, 1e-12)
-    value, err = integrate_semiinf(lambda x: x * np.exp(-x))
+    value, err = semiinf(lambda x: x * np.exp(-x))
     assert value == pytest.approx(1.0, abs=1e-8)
     assert abs(value - 1.0) <= max(err, 1e-12)
 
 
 def test_semiinf_rational_matches_frozen_oracle():
-    value, _ = integrate_semiinf(lambda x: np.exp(-x) / (x + 1.0) ** 2)
+    value, _ = semiinf(lambda x: np.exp(-x) / (x + 1.0) ** 2)
     assert value == pytest.approx(SEMIINF_RATIONAL, abs=1e-9)
 
 
@@ -64,7 +73,7 @@ def test_error_estimate_bounds_true_error_on_closed_forms():
         (lambda x: x * x * np.exp(-2.0 * x), 0.25),
     ]
     for f, exact in cases:
-        value, err = integrate_semiinf(f)
+        value, err = semiinf(f)
         assert abs(value - exact) <= err + 1e-14
 
 
@@ -74,18 +83,8 @@ def test_semiinf_nonconvergence_on_tiny_budget():
         _refine(lambda x: np.exp(-x) / (x + 1e-5), edges, 1e-14, 1e-14, 2)
 
 
-def test_pv_antisymmetric_interval_is_zero():
-    got = principal_value(lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, upper=2.0)
-    assert got == pytest.approx(0.0, abs=1e-10)
-
-
-def test_pv_zero_integrand_is_zero():
-    got = principal_value(lambda x: np.zeros_like(np.asarray(x, dtype=float)), 0.7)
-    assert got == 0.0
-
-
 def test_pv_exponential_matches_frozen_oracle():
-    got = principal_value(lambda x: np.exp(-x), 1.0)
+    got = k_pv(EXP_UNIT, 1.0)
     assert got == pytest.approx(PV_EXP_AT_1, abs=1e-9)
     # independent closed form
     assert got == pytest.approx(-math.exp(-1.0) * special.expi(1.0), abs=1e-10)
@@ -109,24 +108,15 @@ def test_pv_window_independence(monkeypatch):
     results = []
     for w in (0.125, 0.25, 0.5):
         monkeypatch.setattr(quadrature, "_PV_WINDOW", w)
-        results.append(principal_value(lambda x: np.exp(-x), 1.0))
+        results.append(k_pv(EXP_UNIT, 1.0))
     for r in results[1:]:
         assert abs(r - results[0]) <= 10.0 * _ABS_TOL
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0])
 def test_pv_invalid_singularity(c):
-    with pytest.raises(InvalidSingularityError):
-        principal_value(lambda x: np.exp(-x), c)
-
-
-def test_pv_singularity_outside_finite_domain():
-    with pytest.raises(InvalidSingularityError):
-        principal_value(lambda x: np.exp(-x), 3.0, upper=2.0)
-
-
-def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
-    return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
+    with pytest.raises(ValueError):
+        k_pv(EXP_UNIT, c)
 
 
 def test_k_regular_zero_coupling():
@@ -134,21 +124,19 @@ def test_k_regular_zero_coupling():
     assert k_regular(params, -3.0) == 0.0
 
 
-def test_k_regular_at_edge_three_dim_is_sq_over_x():
+def test_k_regular_near_edge_three_dim_is_sq_over_x():
+    # 3d: k(e1-) is the finite integral of |V|^2 / x, g2 L
     params = _params(CouplingFamily.THREE_DIM_EXP, 2.0, cutoff=1.0)
-    assert k_regular(params, 0.0) == pytest.approx(2.0, rel=1e-9)
+    assert k_regular(params, -1e-14) == pytest.approx(2.0, rel=1e-9)
 
 
-def test_k_regular_at_edge_two_dim_diverges():
-    params = _params(CouplingFamily.TWO_DIM_EXP, 1.0)
-    with pytest.raises(DivergentAtE1Error):
-        k_regular(params, 0.0)
-
-
-def test_k_regular_above_edge_rejected():
-    params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
+@pytest.mark.parametrize("family", list(CouplingFamily))
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_k_regular_above_edge_rejected(family, lam):
+    # lambda = e1 as well: 2d's k diverges there, and the integral needs e1 - lambda > 0
+    params = _params(family, 1.0)
     with pytest.raises(ValueError):
-        k_regular(params, 0.5)
+        k_regular(params, lam)
 
 
 def test_k_regular_far_below_edge_is_small():
@@ -216,7 +204,7 @@ def test_k_pv_matches_closed_form_both_families():
 
 def test_k_pv_below_edge_rejected():
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    with pytest.raises(InvalidSingularityError):
+    with pytest.raises(ValueError):
         k_pv(params, -0.5)
 
 
