@@ -20,7 +20,6 @@ from .evolution import (
     WeakCouplingRate,
     amplitude_spectral,
     asymptotic_limit,
-    conjugate_symmetry_check,
     fitted_decay_rate,
     weak_coupling_rate,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "asymptotic_limit",
     "build_kernel_table",
     "build_spectral_data",
-    "conjugate_symmetry_check",
     "coupling_sq",
     "default_step",
     "eigen_weight",

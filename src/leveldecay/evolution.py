@@ -7,19 +7,21 @@ exists, plus the transform of the continuous density,
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
 and P(t) = |C(t)|^2.  The continuous term is evaluated with a phase-aware
-panel rule on the exact (closed-form) density.  Panels come from one lattice
-of points e1 + P w, anchored at the threshold, with w no wider than a quarter
-of the period 2*pi/t_max at the largest requested |t|: the lattice points
-inside each converged segment of the density table cut it into full lattice
-panels plus at most a head and a tail remainder, so no panel crosses a
-segment boundary.  A fixed 6-point Gauss-Legendre rule on every panel gives
+panel rule on the exact (closed-form) density, on a uniform grid
+t_k = t0 + k dt only: at least two increasing times, off a straight line by
+at most 64 eps max|t|, signed times allowed.  Any other grid raises
+ValueError.  Panels come from one lattice of points e1 + P w, anchored at the
+threshold, with w = pi / (Q dt), Q = ceil(2 t_max / dt), no wider than a
+quarter of the period 2*pi/t_max at the largest requested |t|: the lattice
+points inside each converged segment of the density table cut it into full
+lattice panels plus at most a head and a tail remainder, so no panel crosses
+a segment boundary.  A fixed 6-point Gauss-Legendre rule on every panel gives
 one node set x_j with weights a_j = rho(x_j) * w_j * half-width, and
 C(t) = sum of a_j exp(-i t x_j) for every requested t.
 
-On a uniform grid t_k = t0 + k dt the lattice is w = pi / (Q dt) with
-Q = ceil(2 t_max / dt).  The full panels' nodes then form six arithmetic
-progressions e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum
-is sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
+The full panels' nodes form six arithmetic progressions
+e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum is
+sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
 with c_g the first panel's nodes, a_gp the weight of node g of panel
 P_first + p (zero where no lattice panel lies) and W = exp(-i pi / Q): a
 chirp-z transform (Rabiner, Schafer & Rader 1969), which Bluestein's
@@ -28,10 +30,9 @@ exp(i pi m^2 / (2Q)) is periodic in m^2 modulo 4Q, so the exponent is reduced
 in integers and stays exact however long the lattice.  A series of n times
 over a lattice of R panels then costs O((n + R) log(n + R)) once.  The few
 remainder and one-panel nodes are summed directly, as one product of a coarse
-and a fine table of exact exps.  Any other grid (signed, or off a straight
-line) takes the quarter-period lattice and the exact exp at every node and
-time.  The panel count grows linearly with t_max; a series that needs more
-than 500,000 panels raises instead of silently degrading.
+and a fine table of exact exps.  The panel count grows linearly with t_max; a
+series that needs more than 500,000 panels raises instead of silently
+degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -107,21 +108,6 @@ _SEGMENT_MASS_FLOOR = 1e-15
 _MAX_PANELS = 500_000
 
 
-def _lattice(t_max: float, dt: float) -> tuple[int, float]:
-    """(Q, w): the panel lattice that resolves exp(-i t x) for |t| <= t_max.
-
-    On a uniform grid of step dt > 0, w = pi / (Q dt) with
-    Q = ceil(2 t_max / dt), so the chirp's ratio exp(-i dt w) is a 2Q-th root
-    of unity; on any other grid (dt = 0) Q = 0 and w is the quarter period
-    0.5 pi / t_max.  Either w is at most a quarter period; it is infinite
-    when t_max = 0.
-    """
-    if dt > 0.0:
-        q = math.ceil(2.0 * t_max / dt)
-        return q, math.pi / (q * dt)
-    return 0, 0.5 * math.pi / t_max if t_max > 0.0 else math.inf
-
-
 def _transform_nodes(
     spec: SpectralData, w: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,15 +116,13 @@ def _transform_nodes(
     The lattice points e1 + P w inside a segment cut it into the full panels
     between them plus a head and a tail remainder (none of zero width).  A
     segment with no lattice point inside, or of negligible mass, is one
-    panel, as is every segment when w is infinite.  The full panels come
-    first, in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), six to a
-    panel; their indices P are the third result.  The other panels follow.
+    panel.  The full panels come first, in increasing P, with nodes
+    e1 + w (P + (1 + x_g) / 2), six to a panel; their indices P are the third
+    result.  The other panels follow.
     """
     edges = spec.segments
     e1 = float(edges[0])
     live = spec.segment_mass >= _SEGMENT_MASS_FLOOR
-    if math.isinf(w):
-        live[:] = False
     first = np.ceil((edges[:-1][live] - e1) / w).astype(np.int64)
     last = np.floor((edges[1:][live] - e1) / w).astype(np.int64)
     cut = first <= last  # a lattice point lies inside the segment
@@ -240,39 +224,35 @@ def _uniform_sums(
 
 
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
-    """C(t) at arbitrary (signed) times; no series-level validation.
+    """C(t) on a uniform, possibly signed, grid; no series-level validation.
 
-    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set resolved at max |t|.
-    On a uniform grid the lattice panels' sum is one chirp-z transform
-    (``_uniform_sums``); on any other grid every node and time takes the
-    exact exp.
+    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set on the lattice
+    w = pi / (Q dt), Q = ceil(2 max|t| / dt); the lattice panels' sum is one
+    chirp-z transform (``_uniform_sums``).  Raises ValueError unless the grid
+    holds at least two times, increases, and lies off a straight line by at
+    most 64 eps max|t|.
     """
     if spec.normalization_defect > _NORMALIZATION_GATE:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
-    if spec.degenerate:
-        return np.exp(-1j * spec.eigenvalue * times)
-    t_max = float(np.max(np.abs(times), initial=0.0))
     n = times.size
     dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
+    t_max = float(np.max(np.abs(times), initial=0.0))
     # Uniform means increasing and off a straight line by rounding only.
     uniform = dt > 0.0 and float(
         np.max(np.abs(times - (times[0] + dt * np.arange(n))))
     ) <= 64.0 * _EPS * t_max
-    q, w = _lattice(t_max, dt if uniform else 0.0)
+    if not uniform:
+        raise ValueError(
+            "the spectral transform needs a uniform grid: at least two increasing "
+            "times t0 + k dt, off a straight line by at most 64 eps max|t|"
+        )
+    if spec.degenerate:
+        return np.exp(-1j * spec.eigenvalue * times)
+    q = math.ceil(2.0 * t_max / dt)
+    w = math.pi / (q * dt)
     x, a, lattice = _transform_nodes(spec, w)
-    if uniform:
-        out = _uniform_sums(x, a, lattice, times, dt, q, w)
-    else:
-        phase = np.empty(x.shape, dtype=complex)
-        # a @ (real, imag) pairs sums both parts in one real product, in place.
-        phase_re_im = phase.view(np.float64).reshape(-1, 2)
-        out = np.empty(times.shape, dtype=complex)
-        for i, t in enumerate(times):
-            np.multiply(x, -1j * t, out=phase)
-            np.exp(phase, out=phase)
-            re, im = a @ phase_re_im
-            out[i] = complex(re, im)
+    out = _uniform_sums(x, a, lattice, times, dt, q, w)
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
     return out
@@ -281,10 +261,11 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
 def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     """Survival amplitude series over ``times`` from assembled spectral data.
 
-    ``times`` must be nonnegative and strictly increasing.  The spectral data
-    must have passed its normalization check (build_spectral_data enforces
-    this).  Raises OscillatoryBudgetExceededError when the panel set that
-    resolves the largest time exceeds 500,000 panels.
+    ``times`` must be a uniform grid of at least two nonnegative, increasing
+    times (ValueError otherwise).  The spectral data must have passed its
+    normalization check (build_spectral_data enforces this).  Raises
+    OscillatoryBudgetExceededError when the panel set that resolves the
+    largest time exceeds 500,000 panels.
     """
     times = np.asarray(times, dtype=float)
     amp = _amplitude_points(spec, times)
@@ -317,16 +298,6 @@ def weak_coupling_rate(params: ModelParams) -> WeakCouplingRate:
     gamma = 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
     shift = -float(k_pv_closed(params, params.e2)) if params.coupling.strength_sq > 0.0 else 0.0
     return WeakCouplingRate(gamma=gamma, shift_estimate=shift)
-
-
-def conjugate_symmetry_check(spec: SpectralData, t: float, tol: float = 1e-8) -> bool:
-    """Verify C(-t) equals the complex conjugate of C(t) within ``tol``.
-
-    Holds exactly for any real spectral measure, so a failure indicates a
-    defect in the transform evaluation, not in the data.
-    """
-    pair = _amplitude_points(spec, np.array([t, -t]))
-    return bool(abs(pair[1] - np.conj(pair[0])) <= tol)
 
 
 def fitted_decay_rate(series: AmplitudeSeries, p_lo: float = 0.1, p_hi: float = 0.9) -> float:

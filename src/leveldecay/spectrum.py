@@ -28,7 +28,8 @@ the cutoff L:
 
 Before a family's closed forms are first used they must agree with the
 adaptive quadrature of ``quadrature.k_regular``, ``k_pv`` and
-``weight_integral``; a mismatch raises ``ClosedFormMismatchError``.
+``weight_integral`` to a relative 1e-8; a mismatch raises
+``ClosedFormMismatchError``.
 """
 
 from __future__ import annotations
@@ -212,8 +213,9 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
 
     Every closed form is a power of L times g2 times a function of s alone, so
     one check at g2 = L = 1 over s in [1e-8, 1e3] covers every model of the
-    family.  Raises ``ClosedFormMismatchError`` on a deviation above
-    1e-8 * max(1, |value|).
+    family.  Raises ``ClosedFormMismatchError`` on a relative deviation above
+    1e-8, so values far below 1, such as the weight integral at s = 1e3
+    (about 1e-6), are checked to the same digits as the rest.
     """
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
     for s in _GATE_POINTS:
@@ -223,7 +225,7 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
             ("weight integral", _weight_unit(family, s), weight_integral(params, s)),
         ):
             closed = float(closed)
-            if not abs(closed - quad) <= _GATE_TOL * max(1.0, abs(closed)):
+            if not abs(closed - quad) <= _GATE_TOL * abs(closed):
                 raise ClosedFormMismatchError(
                     f"{family.value} closed-form {name} {closed!r} deviates from "
                     f"quadrature {quad!r} at s={s!r}; refusing to use it"
@@ -256,14 +258,18 @@ def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]
     """Root u and F(u) of an increasing F with F(lo) <= 0 <= F(hi).
 
     Newton from the end with the smaller |F|; a step that would leave the
-    bracket or is longer than half the previous one becomes bisection, and
-    one shorter than half the tolerance is lengthened to it, so the bracket
-    closes on the root.  Once it is narrower than 1e-15 + 4 eps |u|, the end or
-    secant point between them with the smallest |F| is returned.
+    bracket or is longer than half the previous one becomes bisection.  A
+    step shorter than the tolerance means Newton has converged from one side,
+    where F's rounding can hold it: it becomes a probe across the root of one
+    tolerance, doubled on each consecutive probe and exempt from the
+    half-step rule, so the bracket closes on the root from both sides.  Once
+    it is narrower than 1e-15 + 4 eps |u|, the end or secant point between
+    them with the smallest |F| is returned.
     """
     f_lo, f_hi = fd_lo[0], fd_hi[0]
     u, (f, df) = (lo, fd_lo) if -f_lo < f_hi else (hi, fd_hi)
     step = math.inf
+    probes = 0  # consecutive probes across the root
     for _ in range(200):
         if f == 0.0:
             return u, f
@@ -271,9 +277,13 @@ def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]
         if hi - lo < tol:
             break
         newton = -f / df if df != 0.0 else math.inf
-        if abs(newton) < 0.5 * tol:
-            newton = math.copysign(0.5 * tol, newton)
-        ok = lo < u + newton < hi and abs(newton) <= 0.5 * abs(step)
+        if abs(newton) < tol:
+            newton = math.copysign(tol * 2.0**probes, newton)
+            probes += 1
+            ok = lo < u + newton < hi
+        else:
+            probes = 0
+            ok = lo < u + newton < hi and abs(newton) <= 0.5 * abs(step)
         step = newton if ok else 0.5 * (lo + hi) - u
         u += step
         f, df = f_and_slope(u)
@@ -302,11 +312,13 @@ def find_eigenvalue(params: ModelParams) -> float:
     doubles; F > 0 is certain from a = g2 L on (3d, since k < g2 L) or
     a = sqrt(g2 L) on (2d, since e^s E1(s) < 1/s), so the search gives up
     only beyond twice the larger of that bound and the level gap.  The near
-    end steps toward the edge in u by doubling steps.  Inside the bracket Newton steps in u (slope from
-    d/ds [e^s E1(s)] = e^s E1(s) - 1/s), safeguarded by bisection, run
-    until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
-    certified by the residual gate |F| <= 1e-10 max(1, gap + a), the scale
-    of the terms F cancels, which does not use the slope.
+    end steps toward the edge in u by doubling steps.  Inside the bracket
+    Newton steps in u (slope from d/ds [e^s E1(s)] = e^s E1(s) - 1/s),
+    safeguarded by bisection and closed by a probe across the root once
+    Newton has converged from one side, run until the bracket is narrower
+    than 1e-15 + 4 eps |u|.  The root is certified by the residual gate
+    |F| <= 1e-10 max(1, gap + a), the scale of the terms F cancels, which
+    does not use the slope.
 
     Raises:
         NoEigenvalueError: threshold test fails (or zero coupling).

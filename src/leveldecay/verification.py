@@ -264,18 +264,28 @@ def _oracle_k(params: ModelParams, lam: float) -> float:
     return _simpson_blocks(integrand, edges)
 
 
-def _oracle_eigenvalue(params: ModelParams) -> float:
+def _oracle_eigenvalue(params: ModelParams, e0: float) -> float:
     """Illinois false position (Dowell & Jarratt 1971) on the brute-force k,
     independent of the main solver: secant steps inside the bracket, halving
     the F of an end kept twice in a row so that both ends close on the root,
-    until the bracket is narrower than 1e-15 + 4 eps |lam|."""
-    lo = params.e1 - 8.0 * max(1.0, params.level_gap)
-    hi = params.e1 - 1e-9 * params.coupling.cutoff
+    until the bracket is narrower than 1e-15 + 4 eps |lam|.
+
+    It starts on [e0 - d, e0 + d], d = 1e-9 max(1, |e0|), clipped to the wide
+    bracket [e1 - 8 max(1, gap), e1 - 1e-9 L], if F changes sign across it:
+    F is monotone, so the oracle's own root then lies inside.  Otherwise it
+    starts on the wide bracket, so a wrong e0 still fails the comparison."""
+    wide_lo = params.e1 - 8.0 * max(1.0, params.level_gap)
+    wide_hi = params.e1 - 1e-9 * params.coupling.cutoff
 
     def f_of(lam: float) -> float:
         return params.e2 - lam - _oracle_k(params, lam)
 
+    delta = 1e-9 * max(1.0, abs(e0))
+    lo, hi = max(e0 - delta, wide_lo), min(e0 + delta, wide_hi)
     f_lo, f_hi = f_of(lo), f_of(hi)
+    if not (f_lo > 0.0 > f_hi):
+        lo, hi = wide_lo, wide_hi
+        f_lo, f_hi = f_of(lo), f_of(hi)
     if not (f_lo > 0.0 > f_hi):
         raise RuntimeError(f"oracle bracket invalid: F(lo)={f_lo!r}, F(hi)={f_hi!r}")
     kept = 0  # +1: lo was kept last step, -1: hi was kept
@@ -312,7 +322,7 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
             ok = False
             details.append(f"{ms.name}: e0 not strictly below e1")
             continue
-        oracle = _oracle_eigenvalue(run.spec.params)
+        oracle = _oracle_eigenvalue(run.spec.params, e0)
         err = abs(e0 - oracle)
         worst = max(worst, err)
         if err > 1e-8:

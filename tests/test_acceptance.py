@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from leveldecay import verification
+from leveldecay.spectrum import find_eigenvalue
 from leveldecay.verification import MATRIX, run_matrix
 
 
@@ -73,6 +75,22 @@ def test_criterion_7_weak_coupling_rate(verify_run):
 def test_criterion_8_eigenvalue_solver_correctness(verify_run):
     res = _criterion(verify_run[0], 8)
     assert res.passed, res.detail
+
+
+@pytest.mark.parametrize("name", ["2d-moderate", "3d-above-moderate"])
+def test_oracle_seeded_at_e0_and_falls_back_from_a_wrong_one(monkeypatch, name):
+    params = next(m for m in MATRIX if m.name == name).scenario().params
+    e0 = find_eigenvalue(params)
+    calls = []
+    oracle_k = verification._oracle_k
+    monkeypatch.setattr(
+        verification, "_oracle_k", lambda *args: calls.append(1) or oracle_k(*args)
+    )
+    assert abs(verification._oracle_eigenvalue(params, e0) - e0) <= 1e-13
+    assert len(calls) <= 10  # the seed held: the wide bracket takes 18
+    # No sign change across e0 + 1e-6 +- 1e-9: the wide bracket finds the
+    # oracle's own root, so criterion 8 would see the 1e-6 error.
+    assert abs(verification._oracle_eigenvalue(params, e0 + 1e-6) - e0) <= 1e-13
 
 
 def test_criterion_9_determinism(verify_run, tmp_path_factory):

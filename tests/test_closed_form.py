@@ -96,6 +96,25 @@ def test_mismatch_detected(tmp_path, monkeypatch, capsys):
     spectrum._closed_form_gate.cache_clear()
 
 
+@pytest.mark.parametrize("family", [TWO, THREE])
+def test_gate_is_relative_where_the_value_is_small(monkeypatch, family):
+    # At s = 1e3 the weight integral is about 1e-6, so an error of 1e-6 of
+    # it is far below 1e-8 in absolute terms; a relative gate still sees it.
+    far = spectrum._GATE_POINTS[-1]
+    assert far == 1e3
+    true_form = spectrum._weight_unit
+    monkeypatch.setattr(
+        spectrum, "_weight_unit",
+        lambda fam, s: true_form(fam, s) * (1.0 + 1e-6 if s == far else 1.0),
+    )
+    spectrum._closed_form_gate.cache_clear()
+    try:
+        with pytest.raises(ClosedFormMismatchError, match="weight integral"):
+            spectrum._closed_form_gate(family)
+    finally:
+        spectrum._closed_form_gate.cache_clear()
+
+
 def _scaled_e1_array(s):
     """e^s E1(s) on arrays, apart from spectrum's scalar form: the 12-term
     asymptotic series above s = 700."""
@@ -282,3 +301,25 @@ def test_no_root_in_bracket_raises(monkeypatch):
     )
     with pytest.raises(BracketFailureError, match="must be positive"):
         find_eigenvalue(params)
+
+
+# Newton reaches |F| of about 1e-15 from above at these roots, and F's
+# rounding keeps it there; without a probe across the root the loop bisects
+# the far end of the bracket for 56 and 58 evaluations.
+_ONE_SIDED_MODELS = (
+    ModelParams(0.0, 1.0, CouplingModel(THREE, 1.2148264828527866, 1.8904675637650066)),
+    ModelParams(0.0, 1.0, CouplingModel(THREE, 2.163343490180788, 2.283479149488851)),
+)
+
+
+@pytest.mark.parametrize("params", _ONE_SIDED_MODELS)
+def test_one_sided_convergence_closes_in_few_evaluations(monkeypatch, params):
+    calls = []
+    true_equation = spectrum._eigen_equation
+    monkeypatch.setattr(
+        spectrum, "_eigen_equation", lambda *args: calls.append(1) or true_equation(*args)
+    )
+    got = find_eigenvalue(params)
+    assert len(calls) <= 12
+    want = _brentq_eigenvalue(params)
+    assert abs(got - want) <= E0_TOL * max(1.0, abs(want))

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from leveldecay import (
     AmplitudeSeries,
@@ -15,13 +17,12 @@ from leveldecay import (
     amplitude_spectral,
     asymptotic_limit,
     build_spectral_data,
-    conjugate_symmetry_check,
     fitted_decay_rate,
     solve_ide,
     weak_coupling_rate,
 )
 from leveldecay import evolution
-from leveldecay.evolution import MethodTag
+from leveldecay.evolution import MethodTag, _amplitude_points
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -74,7 +75,7 @@ class TestAmplitude:
     def test_budget_exceeded_for_tiny_budget(self, spec_3d_above, monkeypatch):
         monkeypatch.setattr(evolution, "_MAX_PANELS", 50)
         with pytest.raises(OscillatoryBudgetExceededError):
-            amplitude_spectral(spec_3d_above, np.array([500.0]))
+            amplitude_spectral(spec_3d_above, np.array([0.0, 500.0]))
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_transform_is_exact_on_the_converged_segments(self, family, g_sq):
@@ -95,8 +96,20 @@ class TestAmplitude:
 
     def test_requires_normalized_input(self, spec_3d_above):
         broken = replace(spec_3d_above, normalization_defect=1e-2)
-        with pytest.raises(ValueError):
-            amplitude_spectral(broken, np.array([0.0]))
+        with pytest.raises(ValueError, match="normalization"):
+            amplitude_spectral(broken, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("times", [
+        [5.0],
+        [0.0, 2.0, 1.0, 3.0],
+        [3.0, 2.0, 1.0, 0.0],
+        [0.0, 1.0, 2.5, 3.0],
+        [0.0, 1.0, 2.0 + 1e-9, 3.0],
+    ], ids=["one time", "not increasing", "decreasing", "off a line", "off by 1e-9"])
+    def test_rejects_a_grid_that_is_not_uniform(self, spec_3d_above, spec_degenerate, times):
+        for spec in (spec_3d_above, spec_degenerate):
+            with pytest.raises(ValueError, match="uniform grid"):
+                _amplitude_points(spec, np.array(times))
 
 
 class TestAsymptotics:
@@ -147,15 +160,23 @@ class TestWeakCoupling:
 
 
 class TestConjugateSymmetry:
-    def test_at_zero(self, spec_3d_above):
-        assert conjugate_symmetry_check(spec_3d_above, 0.0)
-
-    def test_generic_time(self, spec_3d_above, spec_2d_moderate):
-        assert conjugate_symmetry_check(spec_3d_above, 3.7)
-        assert conjugate_symmetry_check(spec_2d_moderate, 3.7)
-
-    def test_degenerate_exact(self, spec_degenerate):
-        assert conjugate_symmetry_check(spec_degenerate, 11.3, tol=0.0)
+    # A real spectral measure gives C(-t) = conj C(t); the signed grid
+    # [-t, t] is uniform, so it runs the transform's one path.
+    @given(
+        family=st.sampled_from([TWO, THREE]),
+        scale=st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
+        cutoff=st.floats(0.25, 4.0),
+        t=st.floats(1e-3, 50.0),
+    )
+    def test_negative_time_is_the_conjugate(self, family, scale, cutoff, t):
+        # scale is g2 L^p (p = 1 for 3d, 0 for 2d); 3d at g2 L = 1 sits on
+        # the bound-state threshold of the gap-1 model.
+        assume(family is TWO or abs(scale - 1.0) > 1e-6)
+        p = 1 if family is THREE else 0
+        spec = build_spectral_data(_params(family, scale / cutoff**p, cutoff))
+        pair = _amplitude_points(spec, np.array([-t, t]))
+        tol = 0.0 if scale == 0.0 else 1e-12
+        assert abs(pair[0] - np.conj(pair[1])) <= tol
 
 
 class TestSeriesValidation:
