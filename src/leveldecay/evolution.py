@@ -108,17 +108,17 @@ _SEGMENT_MASS_FLOOR = 1e-15
 _MAX_PANELS = 500_000
 
 
-def _transform_nodes(
+def _panel_cuts(
     spec: SpectralData, w: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weights a (rho(x) times the rule weight) and lattice indices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The panels of the lattice e1 + P w, held to the panel budget.
 
-    The lattice points e1 + P w inside a segment cut it into the full panels
-    between them plus a head and a tail remainder (none of zero width).  A
-    segment with no lattice point inside, or of negligible mass, is one
-    panel.  The full panels come first, in increasing P, with nodes
-    e1 + w (P + (1 + x_g) / 2), six to a panel; their indices P are the third
-    result.  The other panels follow.
+    The lattice points inside a segment cut it into the full panels between
+    them plus a head and a tail remainder (none of zero width).  A segment
+    with no lattice point inside, or of negligible mass, is one panel.
+    Returns (first, counts, left, right): ``counts`` full panels from index
+    ``first`` per cut segment, then the edges of the other panels.  Raises
+    OscillatoryBudgetExceededError past 500,000 panels in all.
     """
     edges = spec.segments
     e1 = float(edges[0])
@@ -142,11 +142,25 @@ def _transform_nodes(
             "the panel count grows with the largest time, so shorten the series "
             "with --horizon (or horizon = in the config)"
         )
+    return first, counts, left[keep], right[keep]
+
+
+def _transform_nodes(
+    spec: SpectralData, w: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x, weights a (rho(x) times the rule weight) and lattice indices.
+
+    The panels are those ``_panel_cuts`` gives.  The full panels come first,
+    in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), six to a panel;
+    their indices P are the third result.  The other panels follow.
+    """
+    first, counts, left, right = _panel_cuts(spec, w)
+    e1 = float(spec.segments[0])
     # Segment i's panels first_i, first_i + 1, ... in a run starting at offset_i.
     offset = np.cumsum(counts) - counts
     lattice = np.arange(counts.sum()) + np.repeat(first - offset, counts)
-    half = 0.5 * (right[keep] - left[keep])
-    mid = left[keep] + half
+    half = 0.5 * (right - left)
+    mid = left + half
     nodes = np.concatenate([
         (e1 + w * (lattice[:, None] + 0.5 * (1.0 + _GL_X)[None, :])).ravel(),
         (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
@@ -223,18 +237,12 @@ def _uniform_sums(
     return out
 
 
-def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
-    """C(t) on a uniform, possibly signed, grid; no series-level validation.
+def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
+    """(dt, Q, w) of a uniform grid: Q = ceil(2 max|t| / dt), w = pi / (Q dt).
 
-    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set on the lattice
-    w = pi / (Q dt), Q = ceil(2 max|t| / dt); the lattice panels' sum is one
-    chirp-z transform (``_uniform_sums``).  Raises ValueError unless the grid
-    holds at least two times, increases, and lies off a straight line by at
-    most 64 eps max|t|.
+    Raises ValueError unless the grid holds at least two times, increases,
+    and lies off a straight line by at most 64 eps max|t|.
     """
-    if spec.normalization_defect > _NORMALIZATION_GATE:
-        raise ValueError("spectral data failed its normalization check")
-    times = np.asarray(times, dtype=float)
     n = times.size
     dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
     t_max = float(np.max(np.abs(times), initial=0.0))
@@ -247,10 +255,36 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
             "the spectral transform needs a uniform grid: at least two increasing "
             "times t0 + k dt, off a straight line by at most 64 eps max|t|"
         )
+    q = math.ceil(2.0 * t_max / dt)
+    return dt, q, math.pi / (q * dt)
+
+
+def check_panel_budget(spec: SpectralData, times) -> None:
+    """Raise what ``amplitude_spectral(spec, times)`` raises for its grid or
+    its panel budget, without building the node set.
+
+    ValueError for a grid that is not uniform; OscillatoryBudgetExceededError
+    when the panel set that resolves the largest time exceeds 500,000 panels.
+    """
+    _, _, w = _uniform_lattice(np.asarray(times, dtype=float))
+    if not spec.degenerate:
+        _panel_cuts(spec, w)
+
+
+def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
+    """C(t) on a uniform, possibly signed, grid; no series-level validation.
+
+    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set on the lattice
+    ``_uniform_lattice`` gives; the lattice panels' sum is one chirp-z
+    transform (``_uniform_sums``).  Raises ValueError unless the grid is
+    uniform.
+    """
+    if spec.normalization_defect > _NORMALIZATION_GATE:
+        raise ValueError("spectral data failed its normalization check")
+    times = np.asarray(times, dtype=float)
+    dt, q, w = _uniform_lattice(times)
     if spec.degenerate:
         return np.exp(-1j * spec.eigenvalue * times)
-    q = math.ceil(2.0 * t_max / dt)
-    w = math.pi / (q * dt)
     x, a, lattice = _transform_nodes(spec, w)
     out = _uniform_sums(x, a, lattice, times, dt, q, w)
     if spec.eigenvalue is not None:

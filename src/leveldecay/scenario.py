@@ -5,13 +5,18 @@ comments allowed.  Keys use dotted paths (model.e1, coupling.family, ...);
 the full schema is documented in the README.
 
 ``run_decay`` computes C(t) from the spectral data and from the time-domain
-solver on one shared grid; ``write_spectrum``, ``write_decay`` and
-``write_sweep`` name the artifact files.  The CLI and ``verify`` share them.
+solver on one shared grid.  The two routes share no data, so once the
+transform's panel budget is checked they run at once: the solve on one worker
+thread that lives only for the call, the transform on the calling thread.
+``write_spectrum``, ``write_decay`` and ``write_sweep`` name the artifact
+files.  The CLI and ``verify`` share them.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +28,7 @@ from .evolution import (
     AmplitudeSeries,
     amplitude_spectral,
     asymptotic_limit,
+    check_panel_budget,
     weak_coupling_rate,
 )
 from .spectrum import (
@@ -193,8 +199,12 @@ def run_decay(scenario: Scenario) -> DecayRun:
     """The spectral and the time-domain series of a scenario on a shared grid.
 
     The solver step is an exact divisor of the output spacing, so every
-    ``per_output``-th solver sample is an output time.  The transform runs
-    first: a horizon past its panel budget fails before the solve.
+    ``per_output``-th solver sample is an output time.  The transform's panel
+    budget is checked first, so a horizon past it fails before any solve
+    starts.  Then the solve runs on one worker thread, in a copy of the
+    caller's context, while the transform runs on this one; numpy's FFTs and
+    ufuncs release the GIL, so the two overlap.  The worker's thread ends
+    before this returns or raises.
     """
     spec = build_spectral_data(scenario.params)
     dt = scenario.horizon / (scenario.series_points - 1)
@@ -202,10 +212,15 @@ def run_decay(scenario: Scenario) -> DecayRun:
     per_output = max(1, math.ceil(dt / h_target))
     step = dt / per_output
     n = (scenario.series_points - 1) * per_output
-    spectral = amplitude_spectral(spec, np.arange(0, n + 1, per_output) * step)
-    vol = artifacts.subsample(
-        solve_ide(scenario.params, horizon=scenario.horizon, step=step), per_output
-    )
+    times = np.arange(0, n + 1, per_output) * step
+    check_panel_budget(spec, times)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        solve = pool.submit(
+            contextvars.copy_context().run,
+            solve_ide, scenario.params, horizon=scenario.horizon, step=step,
+        )
+        spectral = amplitude_spectral(spec, times)
+        vol = artifacts.subsample(solve.result(), per_output)
     if not np.array_equal(vol.times, spectral.times):
         raise RuntimeError("solver grid does not contain the output grid")
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))

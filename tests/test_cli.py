@@ -1,18 +1,31 @@
 from __future__ import annotations
 
 import ast
+import contextvars
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leveldecay.cli as cli
 import leveldecay.scenario as scenario
+import leveldecay.volterra as volterra
+from leveldecay import (
+    KernelMismatchError,
+    amplitude_spectral,
+    build_spectral_data,
+    default_step,
+    solve_ide,
+)
+from leveldecay.artifacts import subsample
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
 from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_models, sweep_point
@@ -166,6 +179,9 @@ class TestSpectrumCommand:
 
 
 DECAY_CONFIG = BASE_CONFIG + "horizon = 10\nseries.points = 51\n"
+OVER_BUDGET_CONFIG = BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e-3").replace(
+    "coupling.g_sq = 2.0", "coupling.g_sq = 0.5"
+)
 
 
 class TestDecayCommand:
@@ -230,23 +246,88 @@ class TestDecayCommand:
 
     def test_transform_budget_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
         # At gap 1e-3 the default horizon asks for 2e7 solver steps, and the
-        # transform at t = 2e5 for 4.1e6 panels against a budget of 5e5.
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solve_ide ran before the transform budget was checked")
-
-        monkeypatch.setattr(scenario, "solve_ide", no_solve)
-        cfg = _write(
-            tmp_path,
-            BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e-3").replace(
-                "coupling.g_sq = 2.0", "coupling.g_sq = 0.5"
-            ),
-        )
+        # transform at t = 2e5 for 4.1e6 panels against a budget of 5e5.  The
+        # stub records its calls: an exception raised in a worker thread
+        # would be lost in a future nobody reads.
+        calls = []
+        monkeypatch.setattr(scenario, "solve_ide", lambda *a, **kw: calls.append(a))
         out = tmp_path / "out"
-        assert main(["decay", str(cfg), "--out", str(out)]) == 2
+        assert main(["decay", str(_write(tmp_path, OVER_BUDGET_CONFIG)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and "budget" in err
         assert "--horizon" in err
         assert not list(out.glob("*.csv"))
+        assert calls == []
+
+
+def _refuse_kernel(family):
+    raise KernelMismatchError(f"{family.value} kernel refused")
+
+
+class TestDecayRoutesAtOnce:
+    """``run_decay`` solves on a worker thread while the transform runs."""
+
+    @staticmethod
+    def _serial(scen):
+        # The composition run_decay overlaps, called one after the other.
+        spec = build_spectral_data(scen.params)
+        per_output = math.ceil(
+            scen.horizon / (scen.series_points - 1) / default_step(scen.params)
+        )
+        step = scen.horizon / (scen.series_points - 1) / per_output
+        times = np.arange(0, (scen.series_points - 1) * per_output + 1, per_output) * step
+        vol = solve_ide(scen.params, horizon=scen.horizon, step=step)
+        return amplitude_spectral(spec, times), subsample(vol, per_output)
+
+    @pytest.mark.parametrize("family", ["2d-exp", "3d-exp"])
+    def test_series_are_bit_identical_to_the_serial_routes(self, family):
+        scen = parse_scenario_text(DECAY_CONFIG.replace("3d-exp", family))
+        run = scenario.run_decay(scen)
+        spectral, vol = self._serial(scen)
+        for got, want in ((run.spectral, spectral), (run.vol, vol)):
+            for field in ("times", "amplitude", "probability"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert run.deviation == float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
+
+    def test_solve_runs_on_another_thread_in_the_callers_context(self, monkeypatch):
+        var = contextvars.ContextVar("var", default="unset")
+        seen = []
+
+        def solve(*args, **kwargs):
+            seen.append((threading.get_ident(), var.get()))
+            return solve_ide(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "solve_ide", solve)
+        token = var.set("caller")
+        try:
+            scenario.run_decay(parse_scenario_text(DECAY_CONFIG))
+        finally:
+            var.reset(token)
+        [(ident, value)] = seen
+        assert value == "caller" and ident != threading.get_ident()
+
+    def test_error_in_the_solve_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(volterra, "_self_check", _refuse_kernel)
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, DECAY_CONFIG)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "kernel refused" in err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("outcome", ["success", "solve error", "budget error"])
+    def test_no_thread_outlives_the_call(self, tmp_path, monkeypatch, outcome):
+        config, expected = DECAY_CONFIG, 0
+        if outcome == "solve error":
+            monkeypatch.setattr(volterra, "_self_check", _refuse_kernel)
+            expected = 2
+        elif outcome == "budget error":
+            # Stubbed, so a solve started before the check is not 2e7 steps.
+            monkeypatch.setattr(scenario, "solve_ide", lambda *a, **kw: None)
+            config, expected = OVER_BUDGET_CONFIG, 2
+        before = threading.active_count()
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, config)), "--out", str(out)]) == expected
+        assert threading.active_count() == before
 
 
 class TestSweepCommand:
