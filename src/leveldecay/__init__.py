@@ -17,7 +17,6 @@ from .evolution import (
     AmplitudeSeries,
     MethodTag,
     OscillatoryBudgetExceededError,
-    WeakCouplingRate,
     amplitude_spectral,
     asymptotic_limit,
     fitted_decay_rate,
@@ -45,7 +44,6 @@ from .spectrum import (
 )
 from .volterra import (
     KernelMismatchError,
-    KernelTable,
     build_kernel_table,
     default_step,
     kernel,
@@ -62,7 +60,6 @@ __all__ = [
     "CouplingFamily",
     "CouplingModel",
     "KernelMismatchError",
-    "KernelTable",
     "MethodTag",
     "ModelParams",
     "NoEigenvalueError",
@@ -72,7 +69,6 @@ __all__ = [
     "SpectralData",
     "ThresholdMarginalError",
     "ThresholdResult",
-    "WeakCouplingRate",
     "amplitude_spectral",
     "asymptotic_limit",
     "build_kernel_table",

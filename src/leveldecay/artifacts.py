@@ -69,7 +69,7 @@ def render_spectral_json(spec: SpectralData) -> str:
     return render_json({
         "e0": spec.eigenvalue,
         "weight": spec.weight,
-        "threshold_lhs": spec.threshold_lhs,
+        "threshold_lhs": spec.params.level_gap,
         "threshold_rhs": spec.threshold_rhs,
         "normalization_defect": spec.normalization_defect,
         "degenerate": spec.degenerate,
@@ -129,6 +129,5 @@ def subsample(series: AmplitudeSeries, step: int) -> AmplitudeSeries:
     return AmplitudeSeries(
         np.asarray(series.times)[::step].copy(),
         np.asarray(series.amplitude)[::step].copy(),
-        np.asarray(series.probability)[::step].copy(),
         series.method_tag,
     )

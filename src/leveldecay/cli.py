@@ -22,6 +22,7 @@ from .quadrature import NonConvergenceError, _check_tail
 from .scenario import (
     ConfigError,
     Scenario,
+    check_positive_finite,
     load_scenario,
     run_decay,
     sweep_models,
@@ -110,8 +111,7 @@ def _dispatch(args) -> int:
         return cmd_verify(_resolve_out_dir(args, None))
     scenario = load_scenario(args.config)
     if args.command == "decay" and args.horizon is not None:
-        if args.horizon <= 0:
-            raise ConfigError("--horizon must be positive")
+        check_positive_finite("--horizon", args.horizon)
         scenario = replace(scenario, horizon=args.horizon)
     if args.command == "sweep" and args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")

@@ -54,7 +54,6 @@ from .spectrum import (
     ModelParams,
     SpectralData,
     _density,
-    k_pv_closed,
 )
 
 
@@ -77,25 +76,30 @@ _P_BOUND = {MethodTag.SPECTRAL: 1e-6, MethodTag.VOLTERRA: 2.1e-4}
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """Survival amplitude C(t) and probability P(t) on an increasing time grid."""
+    """Survival amplitude C(t) on an increasing time grid, and which route made it.
+
+    The survival probability P(t) = |C(t)|^2 is derived, not stored.
+    """
 
     times: np.ndarray
     amplitude: np.ndarray
-    probability: np.ndarray
     method_tag: MethodTag
+
+    @property
+    def probability(self) -> np.ndarray:
+        """P(t) = |C(t)|^2."""
+        return np.abs(self.amplitude) ** 2
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
         c = np.asarray(self.amplitude)
-        p = np.asarray(self.probability, dtype=float)
-        if not (t.ndim == 1 and t.shape == c.shape == p.shape):
-            raise ValueError("times, amplitude, probability must be 1-d and congruent")
+        if not (t.ndim == 1 and t.shape == c.shape):
+            raise ValueError("times and amplitude must be 1-d and congruent")
         if t.size == 0:
             raise ValueError("empty series")
         if t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be nonnegative and strictly increasing")
-        if np.max(np.abs(np.abs(c) ** 2 - p)) > 1e-12:
-            raise ValueError("probability is not |amplitude|^2")
+        p = self.probability
         bound = 1.0 + _P_BOUND[self.method_tag]
         if np.any(p > bound) or np.any(p < 0.0):
             raise ValueError(f"probability leaves [0, {bound}]: overshoot or bad series")
@@ -302,9 +306,7 @@ def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     largest time exceeds 500,000 panels.
     """
     times = np.asarray(times, dtype=float)
-    amp = _amplitude_points(spec, times)
-    prob = np.abs(amp) ** 2
-    return AmplitudeSeries(times, amp, prob, MethodTag.SPECTRAL)
+    return AmplitudeSeries(times, _amplitude_points(spec, times), MethodTag.SPECTRAL)
 
 
 def asymptotic_limit(spec: SpectralData) -> float:
@@ -314,35 +316,29 @@ def asymptotic_limit(spec: SpectralData) -> float:
     return spec.weight**2
 
 
-@dataclass(frozen=True)
-class WeakCouplingRate:
-    """Lorentzian-approximation decay width and level-shift estimate."""
-
-    gamma: float
-    shift_estimate: float
-
-
-def weak_coupling_rate(params: ModelParams) -> WeakCouplingRate:
-    """Resonance width 2*pi*|V(e2 - e1)|^2 and shift -PV k(e2), for diagnostics.
+def weak_coupling_rate(params: ModelParams) -> float:
+    """Resonance width gamma = 2*pi*|V(e2 - e1)|^2, the golden-rule decay rate.
 
     In the weak-coupling decaying regime, ln P(t) falls with slope -gamma over
-    the first few lifetimes; the estimate degrades as coupling grows.  The
-    shift is a closed form.
+    the first few lifetimes; the estimate degrades as coupling grows.
     """
-    gamma = 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
-    shift = -float(k_pv_closed(params, params.e2)) if params.coupling.strength_sq > 0.0 else 0.0
-    return WeakCouplingRate(gamma=gamma, shift_estimate=shift)
+    return 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
 
 
-def fitted_decay_rate(series: AmplitudeSeries, p_lo: float = 0.1, p_hi: float = 0.9) -> float:
-    """Decay rate from a linear fit of ln P(t) where p_lo < P < p_hi.
+# fitted_decay_rate's window: the samples with _FIT_P_LO < P < _FIT_P_HI.
+_FIT_P_LO = 0.1
+_FIT_P_HI = 0.9
+
+
+def fitted_decay_rate(series: AmplitudeSeries) -> float:
+    """Decay rate from a linear fit of ln P(t) where 0.1 < P < 0.9.
 
     Returns the positive rate (minus the fitted slope).  Raises if fewer than
     two samples fall inside the window.
     """
     t = np.asarray(series.times, dtype=float)
-    p = np.asarray(series.probability, dtype=float)
-    mask = (p > p_lo) & (p < p_hi) & (t > 0.0)
+    p = series.probability
+    mask = (p > _FIT_P_LO) & (p < _FIT_P_HI) & (t > 0.0)
     if int(mask.sum()) < 2:
         raise ValueError("not enough samples inside the fit window")
     slope = np.polyfit(t[mask], np.log(p[mask]), 1)[0]

@@ -101,6 +101,12 @@ def _take_float(table: dict[str, str], key: str, required: bool = True) -> float
         raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
 
 
+def check_positive_finite(what: str, value: float) -> None:
+    """Raise ConfigError unless ``value`` is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConfigError(f"{what} must be positive and finite, got {value!r}")
+
+
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario config from flat key-value text."""
     table = _parse_kv(text)
@@ -128,17 +134,17 @@ def parse_scenario_text(text: str) -> Scenario:
     horizon = _take_float(table, "horizon", required=False)
     if horizon is None:
         horizon = 200.0 / params.level_gap
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ConfigError(f"horizon must be positive and finite, got {horizon!r}")
+    check_positive_finite("horizon", horizon)
 
     series_points = 2000
     if "series.points" in table:
-        series_points = int(_take_float(table, "series.points"))
-        if series_points < 2:
-            raise ConfigError("series.points must be at least 2")
+        points = _take_float(table, "series.points")
+        if not (points.is_integer() and points >= 2):
+            raise ConfigError(f"series.points must be a finite integer >= 2, got {points!r}")
+        series_points = int(points)
     volterra_step = _take_float(table, "volterra.step", required=False)
-    if volterra_step is not None and volterra_step <= 0.0:
-        raise ConfigError("volterra.step must be positive")
+    if volterra_step is not None:
+        check_positive_finite("volterra.step", volterra_step)
 
     output_dir = table.pop("output_dir", None)
 
@@ -240,7 +246,7 @@ def write_decay(out_dir: Path, name: str, run: DecayRun) -> None:
     artifacts.write_decay_json(
         out_dir / f"{name}_decay.json",
         p_infinity=asymptotic_limit(run.spec),
-        gamma_estimate=weak_coupling_rate(run.spec.params).gamma,
+        gamma_estimate=weak_coupling_rate(run.spec.params),
         max_deviation=run.deviation,
     )
 

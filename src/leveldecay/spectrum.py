@@ -102,17 +102,16 @@ class ModelParams:
 class ThresholdResult:
     """Outcome of the bound-state threshold test.
 
-    ``exists`` reports whether the eigenvalue below the continuum edge exists.
-    ``lhs`` is the level gap e2 - e1 and ``rhs`` the integral of |V|^2/x
+    ``exists`` reports whether the eigenvalue below the continuum edge exists:
+    whether ``rhs``, the integral of |V|^2/x, exceeds the level gap e2 - e1
     (``inf`` marks the divergent 2d case, where the eigenvalue always exists).
     ``degenerate`` flags the zero-coupling model, for which the test is
     meaningless (the unperturbed level e2 survives as a point mass instead).
-    ``marginal`` flags |lhs - rhs| < 1e-8: numerically on the threshold, which
+    ``marginal`` flags |gap - rhs| < 1e-8: numerically on the threshold, which
     downstream solvers refuse to resolve.
     """
 
     exists: bool
-    lhs: float
     rhs: float
     degenerate: bool = False
     marginal: bool = False
@@ -123,15 +122,15 @@ _MARGINAL_BAND = 1e-8
 
 def threshold_check(params: ModelParams) -> ThresholdResult:
     """Decide whether the discrete eigenvalue below the edge exists."""
-    lhs = params.level_gap
+    gap = params.level_gap
     model = params.coupling
     if model.strength_sq == 0.0:
-        return ThresholdResult(exists=False, lhs=lhs, rhs=0.0, degenerate=True)
+        return ThresholdResult(exists=False, rhs=0.0, degenerate=True)
     rhs = sq_over_x_integral(model)
     if math.isinf(rhs):
-        return ThresholdResult(exists=True, lhs=lhs, rhs=rhs)
-    marginal = abs(lhs - rhs) < _MARGINAL_BAND
-    return ThresholdResult(exists=rhs > lhs, lhs=lhs, rhs=rhs, marginal=marginal)
+        return ThresholdResult(exists=True, rhs=rhs)
+    marginal = abs(gap - rhs) < _MARGINAL_BAND
+    return ThresholdResult(exists=rhs > gap, rhs=rhs, marginal=marginal)
 
 
 # Beyond this s the scaled exponential integrals are 0 * inf in double
@@ -330,12 +329,12 @@ def find_eigenvalue(params: ModelParams) -> float:
         raise NoEigenvalueError("zero coupling: unperturbed point mass at e2 instead")
     if check.marginal:
         raise ThresholdMarginalError(
-            f"|lhs - rhs| = {abs(check.lhs - check.rhs)!r} is inside the "
+            f"|gap - rhs| = {abs(params.level_gap - check.rhs)!r} is inside the "
             f"{_MARGINAL_BAND} marginal band; eigenvalue at the edge is excluded"
         )
     if not check.exists:
         raise NoEigenvalueError(
-            f"no bound state: level gap {check.lhs!r} is not below {check.rhs!r}"
+            f"no bound state: level gap {params.level_gap!r} is not below {check.rhs!r}"
         )
     model = params.coupling
     _closed_form_gate(model.family)
@@ -425,14 +424,16 @@ class SpectralData:
 
     ``params`` is the model the data belongs to; the spectral transform
     evaluates rho from it exactly.  ``grid``/``density`` tabulate rho at the
-    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * cutoff];
-    ``density_tail_mass`` estimates the integrated density beyond the table.
+    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * cutoff].
     ``segments``/``segment_mass`` record the converged integration panels and
     their masses (the coarse partition the transform cuts into its panels).
     ``eigenvalue`` is None when no bound state exists; for the degenerate
     zero-coupling model it holds the surviving unperturbed level e2 with
     weight 1 (flagged via ``degenerate``), the one case where it is not
-    below e1.  ``normalization_defect`` is |weight + mass + tail - 1|.
+    below e1.  ``threshold_rhs`` is the threshold test's integral of |V|^2/x
+    (the level gap it is compared with is ``params.level_gap``).
+    ``normalization_defect`` is |weight + mass + tail - 1|, the tail being the
+    density's estimated mass beyond the table.
     """
 
     params: ModelParams
@@ -442,8 +443,6 @@ class SpectralData:
     density: np.ndarray
     segments: np.ndarray
     segment_mass: np.ndarray
-    density_tail_mass: float
-    threshold_lhs: float
     threshold_rhs: float
     normalization_defect: float
     degenerate: bool = False
@@ -515,8 +514,6 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
             density=np.empty(0),
             segments=np.empty(0),
             segment_mass=np.empty(0),
-            density_tail_mass=0.0,
-            threshold_lhs=check.lhs,
             threshold_rhs=check.rhs,
             normalization_defect=0.0,
             degenerate=True,
@@ -575,8 +572,6 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         density=table_rho,
         segments=np.append(a, b[-1]),
         segment_mass=vals,
-        density_tail_mass=tail,
-        threshold_lhs=check.lhs,
         threshold_rhs=check.rhs,
         normalization_defect=defect,
     )

@@ -226,7 +226,7 @@ def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
 
 def _check_weak_coupling(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     run = next(r for ms, r in runs.items() if ms.name == "3d-below-small")
-    gamma = weak_coupling_rate(run.spec.params).gamma
+    gamma = weak_coupling_rate(run.spec.params)
     fitted = fitted_decay_rate(run.spectral)
     rel = abs(fitted - gamma) / gamma
     return CriterionResult(

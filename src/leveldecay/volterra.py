@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -51,14 +50,6 @@ from .spectrum import ModelParams
 
 class KernelMismatchError(RuntimeError):
     """Closed-form kernel disagrees with direct quadrature of its definition."""
-
-
-@dataclass(frozen=True)
-class KernelTable:
-    """Kernel samples K(j h) on a uniform grid, K(0) = -l2_norm_sq."""
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 def _fourier_closed_form(model: CouplingModel, t) -> np.ndarray:
@@ -120,14 +111,16 @@ def _self_check(family: CouplingFamily) -> bool:
     return True
 
 
-def build_kernel_table(params: ModelParams, horizon: float, step: float) -> KernelTable:
-    """Tabulate the kernel on the uniform solver grid after the self-check gate."""
+def build_kernel_table(params: ModelParams, horizon: float, step: float) -> np.ndarray:
+    """Kernel samples K(j h), j = 0..round(horizon / h), after the self-check gate.
+
+    K(0) = -l2_norm_sq; the samples lie on the solver grid j * step.
+    """
     if not (step > 0.0 and horizon >= step):
         raise ValueError("need step > 0 and horizon >= step")
     _self_check(params.coupling.family)
     n = int(round(horizon / step))
-    times = np.arange(n + 1) * step
-    return KernelTable(times=times, values=np.asarray(kernel(params, times)))
+    return np.asarray(kernel(params, np.arange(n + 1) * step))
 
 
 def default_step(params: ModelParams) -> float:
@@ -240,8 +233,7 @@ def solve_ide(params: ModelParams, horizon: float, step: float | None = None) ->
         raise ValueError("step must be positive and finite")
     if horizon < h:
         raise ValueError("horizon must cover at least one step")
-    table = build_kernel_table(params, horizon, h)
-    k = table.values
+    k = build_kernel_table(params, horizon, h)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j
@@ -280,9 +272,8 @@ def solve_ide(params: ModelParams, horizon: float, step: float | None = None) ->
         s_prev = complex(s_known[-1] + g[r - 1:0:-1] @ d[:r - 1])
     del history
 
-    amp = y * np.exp(-1j * params.e2 * table.times)
-    prob = np.abs(amp) ** 2
-    return AmplitudeSeries(table.times, amp, prob, MethodTag.VOLTERRA)
+    times = np.arange(n_steps + 1) * h
+    return AmplitudeSeries(times, y * np.exp(-1j * params.e2 * times), MethodTag.VOLTERRA)
 
 
 def richardson_ratio(params: ModelParams, horizon: float, step: float) -> float:

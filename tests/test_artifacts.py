@@ -22,7 +22,7 @@ def test_series_csv_equals_per_element_fmt():
     c = np.empty(4, dtype=complex)
     c.real = [1.0, 0.75, -0.0, 1e-300]
     c.imag = [-0.0, 2.5e-310, 0.5, -0.0]
-    series = AmplitudeSeries(t, c, np.abs(c) ** 2, MethodTag.SPECTRAL)
+    series = AmplitudeSeries(t, c, MethodTag.SPECTRAL)
     rows = (
         (s, a.real, a.imag, p)
         for s, a, p in zip(series.times, series.amplitude, series.probability)

@@ -92,6 +92,15 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
             BASE_CONFIG + "horizon = -5\n",
             BASE_CONFIG + "model.e1 = oops\n",
             BASE_CONFIG + "name = twice\n",  # duplicate key
+            BASE_CONFIG + "series.points = nan\n",
+            BASE_CONFIG + "series.points = inf\n",
+            BASE_CONFIG + "series.points = 2.9\n",
+            BASE_CONFIG + "series.points = 1\n",
+            BASE_CONFIG + "volterra.step = nan\n",
+            BASE_CONFIG + "volterra.step = inf\n",
+            BASE_CONFIG + "volterra.step = 0\n",
+            BASE_CONFIG + "horizon = nan\n",
+            BASE_CONFIG + "horizon = inf\n",
         ],
     )
     def test_invalid_configs_rejected(self, mutation):
@@ -456,6 +465,14 @@ class TestFlags:
         rows = (out / "demo_spectral.csv").read_text().splitlines()[1:]
         assert float(rows[-1].split(",")[0]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "0", "-5"])
+    def test_horizon_must_be_positive_and_finite(self, tmp_path, capsys, horizon):
+        cfg = _write(tmp_path, DECAY_CONFIG)
+        out = tmp_path / "out"
+        assert main(["decay", str(cfg), "--out", str(out), "--horizon", horizon]) == 3
+        assert capsys.readouterr().err.startswith("error: config: --horizon")
+        assert not out.exists()
+
     def test_level_gap_sweep(self, tmp_path):
         cfg = _write(
             tmp_path,
@@ -528,6 +545,13 @@ class TestInputSurface:
         keys = set(re.findall(r"^#? *([a-z_][a-z0-9_.]*) *=", example, re.MULTILINE))
         assert keys == _parser_keys()
         assert len(keys) == 12
+
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library entry points", 1)[1].split("```python\n", 1)[1]
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        printed = [float(x) for x in capsys.readouterr().out.split()]
+        assert len(printed) == 3 and all(map(math.isfinite, printed))
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):

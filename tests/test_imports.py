@@ -1,4 +1,4 @@
-"""Import hygiene of the package, read from its source with ``ast`` alone."""
+"""Import and record hygiene of the package, read from its source with ``ast``."""
 
 from __future__ import annotations
 
@@ -47,3 +47,49 @@ def test_all_is_exactly_what_init_imports():
     names = [ast.literal_eval(elt) for elt in declared.elts]
     assert len(names) == len(set(names))
     assert set(names) == imported_names(tree)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def unread_fields(sources: list[str]) -> set[str]:
+    """``Class.field`` for every dataclass field no attribute read names.
+
+    Name-level: a field counts as read if any ``x.field`` is loaded anywhere
+    in ``sources``, whatever ``x`` is.
+    """
+    trees = [ast.parse(src) for src in sources]
+    fields = {
+        f"{node.name}.{stmt.target.id}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {f for f in fields if f.split(".")[1] not in read}
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_fields(sources) == set()
+
+
+def test_detects_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+        "@dataclass\nclass B:\n    z: int\n"
+        "print(A(1, 2).x)\n"
+    )
+    assert unread_fields([source]) == {"A.y", "B.z"}

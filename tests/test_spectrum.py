@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from leveldecay import (
@@ -48,7 +50,7 @@ def test_params_validation():
 class TestThreshold:
     def test_three_dim_above(self):
         res = threshold_check(_params(THREE, 2.0))
-        assert res.exists and res.rhs == pytest.approx(2.0) and res.lhs == pytest.approx(1.0)
+        assert res.exists and res.rhs == pytest.approx(2.0)
 
     def test_three_dim_below(self):
         res = threshold_check(_params(THREE, 0.1))
@@ -118,6 +120,35 @@ class TestEigenvalue:
         params = _params(THREE, 2.0, e1=5.0, e2=6.0)
         got = find_eigenvalue(params)
         assert got == pytest.approx(5.0 + E0_3D_G2, abs=1e-9)
+
+    # scale is g2 L^p (p = 1 for 3d, 0 for 2d); the 3d threshold is
+    # g2 L = gap, and points within 1e-6 of it are left out.
+    @settings(max_examples=300)
+    @given(
+        family=st.sampled_from([TWO, THREE]),
+        scale=st.floats(0.01, 10.0),
+        cutoff=st.floats(0.1, 10.0),
+        gap=st.floats(0.01, 10.0),
+        factor=st.floats(1.01, 2.0),
+    )
+    @example(family=TWO, scale=0.01, cutoff=1.0, gap=10.0, factor=1.01)  # underflow
+    def test_threshold_agrees_with_the_solver(self, family, scale, cutoff, gap, factor):
+        assume(family is TWO or abs(scale - gap) > 1e-6)
+        p = 1 if family is THREE else 0
+        params = _params(family, scale / cutoff**p, cutoff, e2=gap)
+        exists = threshold_check(params).exists
+        try:
+            e0 = find_eigenvalue(params)
+        except NoEigenvalueError:
+            assert not exists
+            return
+        assert exists and e0 < params.e1
+        stronger = find_eigenvalue(_params(family, factor * scale / cutoff**p, cutoff, e2=gap))
+        # Strictly lower, unless the edge distance underflows (weak 2d
+        # coupling, gap / g2 beyond about 700): then both are the closest
+        # float below e1.
+        floor = np.nextafter(params.e1, -np.inf)
+        assert stronger < e0 or stronger == e0 == floor
 
 
 class TestWeight:

@@ -45,8 +45,7 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
 
 def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
     """C(t) from trapezoidal convolution with both history sums as full dots."""
-    table = build_kernel_table(params, horizon, h)
-    k = table.values
+    k = build_kernel_table(params, horizon, h)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0
@@ -69,7 +68,7 @@ def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
         y[n + 1] = y[n] + 0.5 * h * (phi_n + phi_next)
         if n + 1 < n_steps:
             phi_n = history_integral(n + 1)
-    return y * np.exp(-1j * params.e2 * table.times)
+    return y * np.exp(-1j * params.e2 * (np.arange(n_steps + 1) * h))
 
 
 def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
@@ -78,8 +77,7 @@ def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
     The kernel samples are the solver's own doubles, so this differs from the
     solver only by the solver's rounding.
     """
-    table = build_kernel_table(params, horizon, h)
-    k = table.values.astype(np.clongdouble)
+    k = build_kernel_table(params, horizon, h).astype(np.clongdouble)
     hl = np.longdouble(h)
     n_steps = len(k) - 1
     y = np.zeros(n_steps + 1, dtype=np.clongdouble)
@@ -92,7 +90,7 @@ def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
         phi_next = hl * (s + half_k0 * (y[m - 1] + hl * phi))
         y[m] = y[m - 1] + hl / 2 * (phi + phi_next)
         phi = hl * (s + half_k0 * y[m])
-    return y.astype(complex) * np.exp(-1j * params.e2 * table.times)
+    return y.astype(complex) * np.exp(-1j * params.e2 * (np.arange(n_steps + 1) * h))
 
 
 def _lattice_width(times) -> float:
@@ -259,7 +257,7 @@ class TestSolver:
         n_steps = 20_000
         params = _params(THREE, 2.0)
         h = 0.01
-        k = build_kernel_table(params, n_steps * h, h).values
+        k = build_kernel_table(params, n_steps * h, h)
         sizes = [_SHORT_LAGS << p for p in range(5)]
         kernel_slices = []
         inputs = []
