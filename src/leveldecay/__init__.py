@@ -17,6 +17,7 @@ from .evolution import (
     AmplitudeSeries,
     MethodTag,
     OscillatoryBudgetExceededError,
+    ProbabilityBoundError,
     amplitude_spectral,
     asymptotic_limit,
     fitted_decay_rate,
@@ -24,6 +25,7 @@ from .evolution import (
 )
 from .quadrature import (
     NonConvergenceError,
+    NumericalError,
     k_pv,
     k_regular,
 )
@@ -39,6 +41,7 @@ from .spectrum import (
     build_spectral_data,
     eigen_weight,
     find_eigenvalue,
+    point_mass,
     spectral_density,
     threshold_check,
 )
@@ -65,7 +68,9 @@ __all__ = [
     "NoEigenvalueError",
     "NonConvergenceError",
     "NormalizationFailureError",
+    "NumericalError",
     "OscillatoryBudgetExceededError",
+    "ProbabilityBoundError",
     "SpectralData",
     "ThresholdMarginalError",
     "ThresholdResult",
@@ -82,6 +87,7 @@ __all__ = [
     "k_regular",
     "kernel",
     "l2_norm_sq",
+    "point_mass",
     "richardson_ratio",
     "solve_ide",
     "spectral_density",

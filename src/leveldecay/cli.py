@@ -3,13 +3,15 @@
 Commands: ``spectrum <config>``, ``decay <config>``, ``sweep <config>``,
 ``verify``.  Scenario configs are parsed, computed and written by
 ``leveldecay.scenario``, the same pipeline that ``verify`` runs.  Each command
-takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency,
-3 config or usage error.
+takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency
+(any ``NumericalError``), 3 config or usage error (``ConfigError``, or a usage
+error from argparse).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -17,8 +19,7 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from .evolution import OscillatoryBudgetExceededError
-from .quadrature import NonConvergenceError, _check_tail
+from .quadrature import NumericalError, _check_tail
 from .scenario import (
     ConfigError,
     Scenario,
@@ -31,15 +32,7 @@ from .scenario import (
     write_spectrum,
     write_sweep,
 )
-from .spectrum import (
-    BracketFailureError,
-    ClosedFormMismatchError,
-    ModelParams,
-    NormalizationFailureError,
-    ThresholdMarginalError,
-    build_spectral_data,
-)
-from .volterra import KernelMismatchError
+from .spectrum import ModelParams, build_spectral_data
 
 _DEVIATION_GATE = 1e-2
 
@@ -54,9 +47,9 @@ def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
     run = run_decay(scenario)
     write_decay(out_dir, scenario.name, run)
     if run.deviation > _DEVIATION_GATE:
-        msg = f"cross-method deviation {run.deviation!r} exceeds {_DEVIATION_GATE}"
-        print(f"error: numerical: {msg}", file=sys.stderr)
-        return 2
+        raise NumericalError(
+            f"cross-method deviation {run.deviation!r} exceeds {_DEVIATION_GATE}"
+        )
     return 0
 
 
@@ -67,7 +60,9 @@ def cmd_sweep(scenario: Scenario, swept: list[ModelParams], out_dir: Path, jobs:
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(sweep_point, swept, values))
+            # One chunk per worker: a task per point costs more than the point.
+            chunk = math.ceil(len(values) / jobs)
+            rows = list(pool.map(sweep_point, swept, values, chunksize=chunk))
     else:
         rows = list(map(sweep_point, swept, values))
     for row in rows:
@@ -164,15 +159,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 3
-    except (
-        NonConvergenceError,
-        BracketFailureError,
-        ClosedFormMismatchError,
-        NormalizationFailureError,
-        ThresholdMarginalError,
-        KernelMismatchError,
-        OscillatoryBudgetExceededError,
-    ) as exc:
+    except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,7 @@ import numpy as np
 from scipy.fft import next_fast_len
 
 from .coupling import coupling_sq
-from .quadrature import _EPS, _GL_W, _GL_X
+from .quadrature import _EPS, _GL_W, _GL_X, NumericalError
 from .spectrum import (
     _NORMALIZATION_GATE,
     ModelParams,
@@ -57,8 +57,12 @@ from .spectrum import (
 )
 
 
-class OscillatoryBudgetExceededError(RuntimeError):
+class OscillatoryBudgetExceededError(NumericalError):
     """Requested time needs more oscillation panels than the transform's budget."""
+
+
+class ProbabilityBoundError(NumericalError, ValueError):
+    """A series' P(t) leaves [0, 1] by more than its route's overshoot budget."""
 
 
 class MethodTag(enum.Enum):
@@ -102,7 +106,8 @@ class AmplitudeSeries:
         p = self.probability
         bound = 1.0 + _P_BOUND[self.method_tag]
         if np.any(p > bound) or np.any(p < 0.0):
-            raise ValueError(f"probability leaves [0, {bound}]: overshoot or bad series")
+            tag = self.method_tag.value
+            raise ProbabilityBoundError(f"{tag} probability leaves [0, {bound}]: overshoot")
         if t[0] == 0.0 and abs(p[0] - 1.0) > 1e-6:
             raise ValueError(f"P(0) = {p[0]!r} deviates from 1 beyond 1e-6")
 
@@ -125,10 +130,11 @@ def _panel_cuts(
     OscillatoryBudgetExceededError past 500,000 panels in all.
     """
     edges = spec.segments
-    e1 = float(edges[0])
+    e1 = spec.params.e1
     live = spec.segment_mass >= _SEGMENT_MASS_FLOOR
-    first = np.ceil((edges[:-1][live] - e1) / w).astype(np.int64)
-    last = np.floor((edges[1:][live] - e1) / w).astype(np.int64)
+    # Floats until the budget is met: a count past 2**63 would wrap in int64.
+    first = np.ceil((edges[:-1][live] - e1) / w)
+    last = np.floor((edges[1:][live] - e1) / w)
     cut = first <= last  # a lattice point lies inside the segment
     first, last = first[cut], last[cut]
     counts = last - first
@@ -139,14 +145,14 @@ def _panel_cuts(
     left = np.concatenate([edges[seg], e1 + last * w, edges[:-1][whole]])
     right = np.concatenate([e1 + first * w, edges[seg + 1], edges[1:][whole]])
     keep = right > left
-    total = int(counts.sum()) + int(keep.sum())
-    if total > _MAX_PANELS:
+    total = float(counts.sum()) + float(keep.sum())
+    if not total <= _MAX_PANELS:
         raise OscillatoryBudgetExceededError(
-            f"the series needs {total} panels of width {w:.6g}, budget is {_MAX_PANELS}; "
-            "the panel count grows with the largest time, so shorten the series "
-            "with --horizon (or horizon = in the config)"
+            f"the series needs {total:.7g} panels of width {w:.6g}, budget is "
+            f"{_MAX_PANELS}; the panel count grows with the largest time, so "
+            "shorten the series with --horizon (or horizon = in the config)"
         )
-    return first, counts, left[keep], right[keep]
+    return first.astype(np.int64), counts.astype(np.int64), left[keep], right[keep]
 
 
 def _transform_nodes(
@@ -159,7 +165,7 @@ def _transform_nodes(
     their indices P are the third result.  The other panels follow.
     """
     first, counts, left, right = _panel_cuts(spec, w)
-    e1 = float(spec.segments[0])
+    e1 = spec.params.e1
     # Segment i's panels first_i, first_i + 1, ... in a run starting at offset_i.
     offset = np.cumsum(counts) - counts
     lattice = np.arange(counts.sum()) + np.repeat(first - offset, counts)
@@ -271,8 +277,7 @@ def check_panel_budget(spec: SpectralData, times) -> None:
     when the panel set that resolves the largest time exceeds 500,000 panels.
     """
     _, _, w = _uniform_lattice(np.asarray(times, dtype=float))
-    if not spec.degenerate:
-        _panel_cuts(spec, w)
+    _panel_cuts(spec, w)
 
 
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
@@ -287,8 +292,6 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
     dt, q, w = _uniform_lattice(times)
-    if spec.degenerate:
-        return np.exp(-1j * spec.eigenvalue * times)
     x, a, lattice = _transform_nodes(spec, w)
     out = _uniform_sums(x, a, lattice, times, dt, q, w)
     if spec.eigenvalue is not None:
@@ -310,9 +313,8 @@ def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
 
 
 def asymptotic_limit(spec: SpectralData) -> float:
-    """Late-time limit of P(t): the squared eigenvalue weight, or 0 without one."""
-    if spec.eigenvalue is None:
-        return 0.0
+    """Late-time limit of P(t): w^2, the squared weight of the point part
+    (0 without a bound state, 1 at zero coupling)."""
     return spec.weight**2
 
 

@@ -30,7 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .spectrum import ModelParams
 
 
-class NonConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """Base of every numerical failure: a tolerance, budget or gate not met."""
+
+
+class NonConvergenceError(NumericalError):
     """Subdivision budget exhausted before the tolerance was met."""
 
     def __init__(self, message: str, value: float, error: float):

@@ -31,14 +31,8 @@ from .evolution import (
     check_panel_budget,
     weak_coupling_rate,
 )
-from .spectrum import (
-    ModelParams,
-    SpectralData,
-    build_spectral_data,
-    eigen_weight,
-    find_eigenvalue,
-    threshold_check,
-)
+from .quadrature import NumericalError
+from .spectrum import ModelParams, SpectralData, build_spectral_data, point_mass
 from .volterra import default_step, solve_ide
 
 
@@ -191,6 +185,10 @@ def load_scenario(path: Path) -> Scenario:
     return parse_scenario_text(text)
 
 
+# The most solver steps ``run_decay`` accepts (one complex array is then 1 GiB).
+_MAX_STEPS = 2**26
+
+
 @dataclass(frozen=True)
 class DecayRun:
     """Both routes' series on one grid, max |C_s - C_v|, and the spectral data."""
@@ -205,16 +203,25 @@ def run_decay(scenario: Scenario) -> DecayRun:
     """The spectral and the time-domain series of a scenario on a shared grid.
 
     The solver step is an exact divisor of the output spacing, so every
-    ``per_output``-th solver sample is an output time.  The transform's panel
-    budget is checked first, so a horizon past it fails before any solve
+    ``per_output``-th solver sample is an output time.  A grid of more than
+    2**26 solver steps is a ConfigError before any work; the transform's panel
+    budget is checked next, so a horizon past it fails before any solve
     starts.  Then the solve runs on one worker thread, in a copy of the
     caller's context, while the transform runs on this one; numpy's FFTs and
     ufuncs release the GIL, so the two overlap.  The worker's thread ends
     before this returns or raises.
     """
-    spec = build_spectral_data(scenario.params)
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
+    # In floating point, where an infinite ratio does not raise as in ceil.
+    steps = (scenario.series_points - 1) * max(1.0, dt / h_target)
+    if not steps <= _MAX_STEPS:
+        raise ConfigError(
+            f"the time-domain solve needs {steps:.4g} steps, more than "
+            f"{_MAX_STEPS:,}; lower --horizon (horizon =) or series.points, "
+            "or raise volterra.step"
+        )
+    spec = build_spectral_data(scenario.params)
     per_output = max(1, math.ceil(dt / h_target))
     step = dt / per_output
     n = (scenario.series_points - 1) * per_output
@@ -228,7 +235,7 @@ def run_decay(scenario: Scenario) -> DecayRun:
         spectral = amplitude_spectral(spec, times)
         vol = artifacts.subsample(solve.result(), per_output)
     if not np.array_equal(vol.times, spectral.times):
-        raise RuntimeError("solver grid does not contain the output grid")
+        raise NumericalError("solver grid does not contain the output grid")
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
     return DecayRun(spec, spectral, vol, deviation)
 
@@ -272,28 +279,14 @@ def sweep_models(scenario: Scenario) -> list[ModelParams]:
 
 
 def sweep_point(params: ModelParams, value: float) -> dict:
-    """Threshold data for the sweep point ``value`` with model ``params``;
-    marginal points are flagged, not solved."""
-    check = threshold_check(params)
-    row = {
+    """The sweep row of ``point_mass(params)`` at ``value``: a marginal point is
+    "skipped", all empty; at zero coupling e0 is empty, weight and p_infinity 1."""
+    check, e0, weight = point_mass(params)
+    return {
         "sweep_value": value,
         "threshold_rhs": check.rhs,
-        "exists": "true" if check.exists else "false",
-        "e0": None,
-        "weight": None,
-        "p_infinity": None,
+        "exists": "skipped" if check.marginal else str(check.exists).lower(),
+        "e0": None if check.degenerate else e0,
+        "weight": weight,
+        "p_infinity": None if weight is None else weight**2,
     }
-    if check.marginal:
-        row["exists"] = "skipped"
-        return row
-    if check.degenerate:
-        # Zero coupling: the unperturbed level survives as a point mass.
-        row.update(weight=1.0, p_infinity=1.0)
-        return row
-    if check.exists:
-        e0 = find_eigenvalue(params)
-        weight = eigen_weight(params, e0)
-        row.update(e0=e0, weight=weight, p_infinity=weight**2)
-    else:
-        row.update(weight=0.0, p_infinity=0.0)
-    return row

@@ -50,6 +50,7 @@ from .coupling import (
 from .quadrature import (
     _EPS,
     TAIL_CUT,
+    NumericalError,
     _check_tail,
     _edges_toward,
     _refine,
@@ -59,23 +60,23 @@ from .quadrature import (
 )
 
 
-class NoEigenvalueError(RuntimeError):
+class NoEigenvalueError(NumericalError):
     """Eigenvalue requested for a model whose threshold condition fails."""
 
 
-class BracketFailureError(RuntimeError):
+class BracketFailureError(NumericalError):
     """Root bracketing or residual polishing failed; coupling and k disagree."""
 
 
-class NormalizationFailureError(RuntimeError):
+class NormalizationFailureError(NumericalError):
     """Assembled spectral measure is not a probability measure within tolerance."""
 
 
-class ThresholdMarginalError(ValueError):
+class ThresholdMarginalError(NumericalError, ValueError):
     """Model sits numerically on the bound-state threshold; refusing to resolve it."""
 
 
-class ClosedFormMismatchError(RuntimeError):
+class ClosedFormMismatchError(NumericalError):
     """Closed-form k, PV k or weight integral disagrees with adaptive quadrature."""
 
 
@@ -399,6 +400,21 @@ def eigen_weight(params: ModelParams, e0: float) -> float:
     return 1.0 / (1.0 + norm_int)
 
 
+def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
+    """The point part of the spectral measure, (threshold test, e0, w): (e2, 1.0)
+    at zero coupling, (None, None) on the threshold (``marginal``), (None, 0.0)
+    without a bound state, else ``find_eigenvalue`` and its ``eigen_weight``."""
+    check = threshold_check(params)
+    if check.degenerate:
+        return check, params.e2, 1.0
+    if check.marginal:
+        return check, None, None
+    if not check.exists:
+        return check, None, 0.0
+    e0 = find_eigenvalue(params)
+    return check, e0, eigen_weight(params, e0)
+
+
 def _density(params: ModelParams, t: np.ndarray) -> np.ndarray:
     """rho at an array of energies t, zero at and below e1."""
     inside = t > params.e1
@@ -491,43 +507,33 @@ def _edge_bump_seeds(
 def build_spectral_data(params: ModelParams) -> SpectralData:
     """Assemble eigenvalue, weight, and an adaptively refined density table.
 
-    The density is integrated over [e1, e1 + TAIL_CUT * cutoff] with the
-    Gauss-Kronrod machinery; panels are bisected until the integrated-mass
-    error estimate is below 1e-9, with extra seed points placed
-    geometrically against the edge, across the resonance bump, and (2d case)
-    around the near-edge structure mirroring the eigenvalue.  All evaluated
-    nodes become the table.  The total measure must come out as a probability
-    measure: a normalization defect above 1e-4 raises.
+    Eigenvalue and weight are ``point_mass``'s; at zero coupling they are the
+    whole record, with an empty table.  The density is integrated over
+    [e1, e1 + TAIL_CUT * cutoff] with the Gauss-Kronrod machinery; panels are
+    bisected until the integrated-mass error estimate is below 1e-9, with
+    extra seed points placed geometrically against the edge, across the
+    resonance bump, and (2d case) around the near-edge structure mirroring
+    the eigenvalue.  All evaluated nodes become the table.  The total measure
+    must come out as a probability measure: a normalization defect above 1e-4
+    raises.
 
     Raises:
         NonConvergenceError: the table needs more than 12000 bisections.
         NormalizationFailureError: |weight + mass + tail - 1| > 1e-4.
         ThresholdMarginalError: model numerically on threshold.
     """
-    check = threshold_check(params)
-    if check.degenerate:
-        return SpectralData(
-            params=params,
-            eigenvalue=params.e2,
-            weight=1.0,
-            grid=np.empty(0),
-            density=np.empty(0),
-            segments=np.empty(0),
-            segment_mass=np.empty(0),
-            threshold_rhs=check.rhs,
-            normalization_defect=0.0,
-            degenerate=True,
-        )
+    _check_tail(params, 0.0)
+    check, e0, weight = point_mass(params)
     if check.marginal:
         raise ThresholdMarginalError(
             "model sits on the bound-state threshold; spectral data is not resolvable"
         )
-    _check_tail(params, 0.0)
-    if check.exists:
-        e0 = find_eigenvalue(params)
-        weight = eigen_weight(params, e0)
-    else:
-        e0, weight = None, 0.0
+    if check.degenerate:
+        empty = np.empty(0)
+        return SpectralData(
+            params, e0, weight, empty, empty, empty, empty,
+            threshold_rhs=check.rhs, normalization_defect=0.0, degenerate=True,
+        )
 
     e1 = params.e1
     lam_max = e1 + TAIL_CUT * params.coupling.cutoff

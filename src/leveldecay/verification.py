@@ -30,7 +30,7 @@ from .evolution import (
     fitted_decay_rate,
     weak_coupling_rate,
 )
-from .quadrature import _EPS
+from .quadrature import _EPS, NumericalError
 from .scenario import (
     DecayRun,
     Scenario,
@@ -287,7 +287,7 @@ def _oracle_eigenvalue(params: ModelParams, e0: float) -> float:
         lo, hi = wide_lo, wide_hi
         f_lo, f_hi = f_of(lo), f_of(hi)
     if not (f_lo > 0.0 > f_hi):
-        raise RuntimeError(f"oracle bracket invalid: F(lo)={f_lo!r}, F(hi)={f_hi!r}")
+        raise NumericalError(f"oracle bracket invalid: F(lo)={f_lo!r}, F(hi)={f_hi!r}")
     kept = 0  # +1: lo was kept last step, -1: hi was kept
     for _ in range(200):
         if hi - lo < 1e-15 + 4.0 * _EPS * max(abs(lo), abs(hi)):
@@ -308,7 +308,7 @@ def _oracle_eigenvalue(params: ModelParams, e0: float) -> float:
             kept = 1
         else:
             return lam
-    raise RuntimeError("oracle root search did not converge in 200 steps")
+    raise NumericalError("oracle root search did not converge in 200 steps")
 
 
 def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:

@@ -44,11 +44,11 @@ from scipy.fft import next_fast_len
 
 from .coupling import CouplingFamily, CouplingModel, coupling_sq
 from .evolution import AmplitudeSeries, MethodTag
-from .quadrature import _GL_W, _GL_X
+from .quadrature import _GL_W, _GL_X, NumericalError
 from .spectrum import ModelParams
 
 
-class KernelMismatchError(RuntimeError):
+class KernelMismatchError(NumericalError):
     """Closed-form kernel disagrees with direct quadrature of its definition."""
 
 

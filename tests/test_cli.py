@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +20,18 @@ import leveldecay.cli as cli
 import leveldecay.scenario as scenario
 import leveldecay.volterra as volterra
 from leveldecay import (
+    CouplingModel,
     KernelMismatchError,
+    ModelParams,
+    NonConvergenceError,
+    NumericalError,
     amplitude_spectral,
+    asymptotic_limit,
     build_spectral_data,
     default_step,
     solve_ide,
 )
-from leveldecay.artifacts import subsample
+from leveldecay.artifacts import render_sweep_csv, subsample
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
 from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_models, sweep_point
@@ -112,6 +118,17 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
         assert scen.name == "demo"
 
 
+def _subclasses(cls: type) -> list[type]:
+    """``cls`` and every class derived from it, depth first."""
+    return [cls, *(sub for child in cls.__subclasses__() for sub in _subclasses(child))]
+
+
+# Every numerical error class of the package (all its modules are imported).
+NUMERICAL_ERRORS = [
+    cls for cls in _subclasses(NumericalError) if cls.__module__.startswith("leveldecay.")
+]
+
+
 class TestSpectrumCommand:
     def test_writes_artifacts(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
@@ -177,6 +194,28 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "g_sq=1e+20" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("cls", NUMERICAL_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_numerical_error_exits_two(self, tmp_path, capsys, monkeypatch, cls):
+        args = ("refused", 0.0, 0.0) if cls is NonConvergenceError else ("refused",)
+
+        def refuse(params):
+            raise cls(*args)
+
+        monkeypatch.setattr(cli, "build_spectral_data", refuse)
+        out = tmp_path / "out"
+        assert main(["spectrum", str(_write(tmp_path, BASE_CONFIG)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "refused" in err
+        assert err.count("\n") == 1
+
+    def test_the_numerical_errors_are_all_found(self):
+        assert {cls.__name__ for cls in NUMERICAL_ERRORS} >= {
+            "NumericalError", "NonConvergenceError", "NoEigenvalueError",
+            "BracketFailureError", "NormalizationFailureError", "ThresholdMarginalError",
+            "ClosedFormMismatchError", "KernelMismatchError",
+            "OscillatoryBudgetExceededError", "ProbabilityBoundError",
+        }
 
     def test_determinism_across_runs(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
@@ -267,6 +306,46 @@ class TestDecayCommand:
         assert "--horizon" in err
         assert not list(out.glob("*.csv"))
         assert calls == []
+
+    @pytest.mark.parametrize("g_sq, step", [("2.0", "2.0"), ("20.0", "0.5")])
+    def test_volterra_overshoot_exits_two(self, tmp_path, capsys, g_sq, step):
+        # Steps this coarse overshoot |y| <= 1 past the solver's budget.
+        text = BASE_CONFIG.replace("coupling.g_sq = 2.0", f"coupling.g_sq = {g_sq}")
+        text += f"horizon = 50\nseries.points = 3\nvolterra.step = {step}\n"
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: volterra probability leaves")
+        assert err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "line, argv",
+        [("series.points = 1e20", []), ("volterra.step = 1e-300", []),
+         ("volterra.step = 5e-324", []), ("", ["--horizon", "1e300"])],
+        ids=["points", "step", "subnormal-step", "horizon"],
+    )
+    def test_oversized_solver_grid_is_config_error(self, tmp_path, capsys, line, argv):
+        cfg = _write(tmp_path, BASE_CONFIG + line + "\n")
+        out = tmp_path / "out"
+        assert main(["decay", str(cfg), "--out", str(out), *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert all(name in err for name in ("--horizon", "series.points", "volterra.step"))
+        assert not list(out.glob("*.csv"))
+
+    def test_deviation_above_the_gate_writes_then_exits_two(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cli, "run_decay", lambda scen: replace(scenario.run_decay(scen), deviation=0.5)
+        )
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, DECAY_CONFIG)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: numerical: cross-method deviation 0.5 exceeds 0.01\n"
+        summary = json.loads((out / "demo_decay.json").read_text())
+        assert summary["max_deviation_vs_volterra"] == 0.5
 
 
 def _refuse_kernel(family):
@@ -386,6 +465,25 @@ class TestSweepCommand:
     def test_sweep_without_spec_rejected(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
         assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize(
+        "family, g_sq",
+        [(CouplingFamily.THREE_DIM_EXP, 0.0), (CouplingFamily.THREE_DIM_EXP, 0.5),
+         (CouplingFamily.THREE_DIM_EXP, 2.0), (CouplingFamily.TWO_DIM_EXP, 0.0),
+         (CouplingFamily.TWO_DIM_EXP, 0.1)],
+    )
+    def test_row_and_record_report_one_point_mass(self, family, g_sq):
+        params = ModelParams(0.0, 1.0, CouplingModel(family, g_sq, 1.0))
+        row = sweep_point(params, g_sq)
+        spec = build_spectral_data(params)
+        assert row["weight"] == spec.weight
+        assert row["p_infinity"] == asymptotic_limit(spec)
+        if g_sq == 0.0:
+            # e2 is no eigenvalue below the edge: the sweep's e0 stays empty.
+            assert row["e0"] is None
+            assert render_sweep_csv([row]).splitlines()[1].split(",")[3] == ""
+        else:
+            assert row["e0"] == spec.eigenvalue
 
     def test_weight_reported_as_data_on_two_dim_grid(self):
         scen = parse_scenario_text(
@@ -575,7 +673,9 @@ class TestInputSurface:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            @staticmethod
+            def map(fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)

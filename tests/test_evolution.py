@@ -13,7 +13,9 @@ from leveldecay import (
     CouplingFamily,
     CouplingModel,
     ModelParams,
+    NumericalError,
     OscillatoryBudgetExceededError,
+    ProbabilityBoundError,
     amplitude_spectral,
     asymptotic_limit,
     build_spectral_data,
@@ -76,6 +78,14 @@ class TestAmplitude:
         monkeypatch.setattr(evolution, "_MAX_PANELS", 50)
         with pytest.raises(OscillatoryBudgetExceededError):
             amplitude_spectral(spec_3d_above, np.array([0.0, 500.0]))
+
+    def test_budget_holds_where_the_panel_count_passes_int64(self, spec_3d_above):
+        # About 2e301 panels: an int64 count would wrap and pass the budget.
+        times = np.array([0.0, 1e300])
+        with pytest.raises(OscillatoryBudgetExceededError):
+            evolution.check_panel_budget(spec_3d_above, times)
+        with pytest.raises(OscillatoryBudgetExceededError):
+            amplitude_spectral(spec_3d_above, times)
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_transform_is_exact_on_the_converged_segments(self, family, g_sq):
@@ -195,6 +205,14 @@ class TestSeriesValidation:
         c = np.array([1.0 + 0.0j, 1.01 + 0.0j])
         with pytest.raises(ValueError):
             AmplitudeSeries(t, c, MethodTag.SPECTRAL)
+
+    @pytest.mark.parametrize("tag", list(MethodTag))
+    def test_overshoot_is_a_numerical_error(self, tag):
+        # Both bases: callers that catch ValueError still see it.
+        c = np.array([1.0 + 0.0j, 1.01 + 0.0j])
+        with pytest.raises(ProbabilityBoundError, match=f"{tag.value} probability") as exc:
+            AmplitudeSeries(np.array([0.0, 1.0]), c, tag)
+        assert isinstance(exc.value, NumericalError) and isinstance(exc.value, ValueError)
 
     def test_volterra_tag_allows_discretization_budget(self):
         t = np.array([0.0, 1.0])

@@ -18,6 +18,7 @@ from leveldecay import (
     build_spectral_data,
     eigen_weight,
     find_eigenvalue,
+    point_mass,
     spectral_density,
     threshold_check,
 )
@@ -220,6 +221,27 @@ class TestDensity:
         assert abs(t_peak - 1.0) < 0.02
         v_peak = 0.01 * t_peak * math.exp(-t_peak)
         assert max(rho) == pytest.approx(1.0 / (math.pi**2 * v_peak), rel=0.05)
+
+
+class TestPointMass:
+    def test_zero_coupling_keeps_the_unperturbed_level(self):
+        check, e0, w = point_mass(_params(THREE, 0.0, e2=1.5))
+        assert check.degenerate and (e0, w) == (1.5, 1.0)
+
+    def test_marginal_resolves_nothing(self):
+        check, e0, w = point_mass(_params(THREE, 1.0))
+        assert check.marginal and (e0, w) == (None, None)
+
+    def test_no_bound_state_has_no_weight(self):
+        check, e0, w = point_mass(_params(THREE, 0.5))
+        assert not check.exists and (e0, w) == (None, 0.0)
+
+    def test_bound_state_is_the_solvers(self):
+        params = _params(TWO, 0.5)
+        check, e0, w = point_mass(params)
+        assert check.exists and e0 == find_eigenvalue(params)
+        assert w == eigen_weight(params, e0)
+        assert e0 == pytest.approx(E0_2D_G05, abs=1e-9)
 
 
 class TestSpectralData:
