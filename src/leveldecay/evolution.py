@@ -78,6 +78,13 @@ class MethodTag(enum.Enum):
 _P_BOUND = {MethodTag.SPECTRAL: 1e-6, MethodTag.VOLTERRA: 2.1e-4}
 
 
+def check_probability(tag: MethodTag, p: np.ndarray) -> None:
+    """Raise ProbabilityBoundError if P leaves [0, 1] by more than the route's budget."""
+    bound = 1.0 + _P_BOUND[tag]
+    if np.any(p > bound) or np.any(p < 0.0):
+        raise ProbabilityBoundError(f"{tag.value} probability leaves [0, {bound}]: overshoot")
+
+
 @dataclass(frozen=True)
 class AmplitudeSeries:
     """Survival amplitude C(t) on an increasing time grid, and which route made it.
@@ -104,10 +111,7 @@ class AmplitudeSeries:
         if t[0] < 0.0 or np.any(np.diff(t) <= 0.0):
             raise ValueError("times must be nonnegative and strictly increasing")
         p = self.probability
-        bound = 1.0 + _P_BOUND[self.method_tag]
-        if np.any(p > bound) or np.any(p < 0.0):
-            tag = self.method_tag.value
-            raise ProbabilityBoundError(f"{tag} probability leaves [0, {bound}]: overshoot")
+        check_probability(self.method_tag, p)
         if t[0] == 0.0 and abs(p[0] - 1.0) > 1e-6:
             raise ValueError(f"P(0) = {p[0]!r} deviates from 1 beyond 1e-6")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +203,8 @@ def run_decay(scenario: Scenario) -> DecayRun:
     """The spectral and the time-domain series of a scenario on a shared grid.
 
     The solver step is an exact divisor of the output spacing, so every
-    ``per_output``-th solver sample is an output time.  A grid of more than
+    ``per_output``-th solver sample is an output time, and the solver returns
+    only those.  A grid of more than
     2**26 solver steps is a ConfigError before any work; the transform's panel
     budget is checked next, so a horizon past it fails before any solve
     starts.  Then the solve runs on one worker thread, in a copy of the
@@ -231,9 +232,10 @@ def run_decay(scenario: Scenario) -> DecayRun:
         solve = pool.submit(
             contextvars.copy_context().run,
             solve_ide, scenario.params, horizon=scenario.horizon, step=step,
+            stride=per_output,
         )
         spectral = amplitude_spectral(spec, times)
-        vol = artifacts.subsample(solve.result(), per_output)
+        vol = solve.result()
     if not np.array_equal(vol.times, spectral.times):
         raise NumericalError("solver grid does not contain the output grid")
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
@@ -263,19 +265,17 @@ def write_sweep(out_dir: Path, name: str, rows: list[dict]) -> None:
     artifacts.write_sweep_csv(out_dir / f"{name}_sweep.csv", rows)
 
 
-def _apply_sweep_value(params: ModelParams, parameter: str, value: float) -> ModelParams:
-    if parameter == "g_sq":
-        return replace(params, coupling=replace(params.coupling, strength_sq=value))
-    if parameter == "lambda_cutoff":
-        return replace(params, coupling=replace(params.coupling, cutoff=value))
-    return replace(params, e2=params.e1 + value)
-
-
 def sweep_models(scenario: Scenario) -> list[ModelParams]:
     """The model at each sweep value, in order; [] without a sweep."""
     if (spec := scenario.sweep) is None:
         return []
-    return [_apply_sweep_value(scenario.params, spec.parameter, v) for v in spec.values]
+    e1, e2, coupling = scenario.params.e1, scenario.params.e2, scenario.params.coupling
+    family, g_sq, cutoff = coupling.family, coupling.strength_sq, coupling.cutoff
+    if spec.parameter == "g_sq":
+        return [ModelParams(e1, e2, CouplingModel(family, v, cutoff)) for v in spec.values]
+    if spec.parameter == "lambda_cutoff":
+        return [ModelParams(e1, e2, CouplingModel(family, g_sq, v)) for v in spec.values]
+    return [ModelParams(e1, e1 + v, coupling) for v in spec.values]
 
 
 def sweep_point(params: ModelParams, value: float) -> dict:

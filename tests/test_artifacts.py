@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leveldecay import AmplitudeSeries, CouplingFamily, CouplingModel, ModelParams
-from leveldecay.artifacts import fmt, render_density_csv, render_series_csv
+from leveldecay.artifacts import _render_columns, fmt, render_density_csv, render_series_csv
 from leveldecay.evolution import MethodTag
 from leveldecay.spectrum import build_spectral_data
 
@@ -40,3 +42,73 @@ def test_density_csv_equals_per_element_fmt():
     )
     rows = zip(spec.grid, spec.density)
     assert render_density_csv(spec) == _per_element("lambda,rho", rows)
+
+
+@given(st.data())
+def test_render_columns_equals_per_element_fmt(data):
+    # st.floats draws NaN, +-inf, +-0 and subnormals as well.
+    n_cols = data.draw(st.integers(1, 4), label="n_cols")
+    rows = data.draw(st.lists(st.tuples(*[st.floats()] * n_cols), max_size=40), label="rows")
+    columns = [np.array([row[j] for row in rows], dtype=float) for j in range(n_cols)]
+    assert _render_columns("h", columns) == _per_element("h", rows)
+
+
+def _near_ties() -> list[float]:
+    """Doubles x with x 10^k = N + 1/2 +- 2^-b exactly, N of 17 digits.
+
+    For k >= 23, 10^k is not a double, and these lie within the scaled
+    value's rounding error of a tie, on either side.
+    """
+    values = []
+    for k in range(23, 40):
+        five = 5**k
+        for b in range(48, 56):
+            for sign in (1, -1):
+                tail = 2 ** (b - 1) + sign
+                # The least N >= 1e16 with 5^k | N 2^b + tail makes x dyadic.
+                n = (-tail * pow(2**b, -1, five)) % five
+                n += five * -(-(10**16 - n) // five)
+                mantissa = (n * 2**b + tail) // five
+                if n < 10**17 and mantissa < 2**53:
+                    values.append(mantissa * 2.0 ** -(b + k))
+    return values
+
+
+def _structured_values() -> np.ndarray:
+    values = []
+    for k in range(-300, 301):
+        power = float(f"1e{k}")
+        values += [power, np.nextafter(power, 0.0), np.nextafter(power, np.inf)]
+        # Rounding carries into the next decade, and just short of them.
+        values += [float(f"9.9999999999999999e{k}"), float(f"9.9999999999999995e{k}")]
+    # Dyadic m 2^+-j.  Those whose decimal expansion has 18 significant
+    # digits are exact ties of the 17-digit rounding, both where the scaling
+    # power 10^(16 - E) is a double (E >= -6) and where it is not.
+    values += [m * 2.0**-j for j in range(1, 81) for m in range(1, 128, 2)]
+    values += [m * 2.0**j for j in range(1, 81) for m in range(1, 128, 2)]
+    values += _near_ties()
+    for edge in (1e-250, 1e250):  # the fast path's edges
+        below = above = edge
+        for _ in range(4):
+            values += [below, above]
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+    values += [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_render_columns_structured_values():
+    values = _structured_values()
+    for n_cols in (1, 4):
+        rows = values[: values.size // n_cols * n_cols].reshape(-1, n_cols)
+        assert _render_columns("h", list(rows.T)) == _per_element("h", rows)
+
+
+def test_render_columns_random_bit_patterns():
+    bits = np.random.default_rng(20260).integers(0, 2**64, size=200_000, dtype=np.uint64)
+    rows = bits.view(np.float64).reshape(-1, 4)
+    assert _render_columns("h", list(rows.T)) == _per_element("h", rows)
+
+
+def test_render_columns_without_rows_is_the_header():
+    assert _render_columns("t,re_c,im_c,p", [np.empty(0)] * 4) == "t,re_c,im_c,p\n"

@@ -31,7 +31,7 @@ from leveldecay import (
     default_step,
     solve_ide,
 )
-from leveldecay.artifacts import render_sweep_csv, subsample
+from leveldecay.artifacts import render_sweep_csv
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
 from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_models, sweep_point
@@ -364,8 +364,8 @@ class TestDecayRoutesAtOnce:
         )
         step = scen.horizon / (scen.series_points - 1) / per_output
         times = np.arange(0, (scen.series_points - 1) * per_output + 1, per_output) * step
-        vol = solve_ide(scen.params, horizon=scen.horizon, step=step)
-        return amplitude_spectral(spec, times), subsample(vol, per_output)
+        vol = solve_ide(scen.params, horizon=scen.horizon, step=step, stride=per_output)
+        return amplitude_spectral(spec, times), vol
 
     @pytest.mark.parametrize("family", ["2d-exp", "3d-exp"])
     def test_series_are_bit_identical_to_the_serial_routes(self, family):

@@ -16,7 +16,7 @@ from leveldecay import (
     richardson_ratio,
     solve_ide,
 )
-from leveldecay.evolution import MethodTag
+from leveldecay.evolution import MethodTag, ProbabilityBoundError
 import leveldecay.volterra as volterra
 
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -112,6 +112,25 @@ class TestSolver:
             solve_ide(_params(THREE, 1.0), horizon=1.0, step=0.0)
         with pytest.raises(ValueError):
             solve_ide(_params(THREE, 1.0), horizon=0.05, step=0.1)
+
+    @pytest.mark.parametrize("horizon", [50.0, 200.0], ids=["5k-steps", "20k-steps"])
+    def test_stride_keeps_every_stride_th_row_bit_identically(self, horizon):
+        params = _params(THREE, 2.0)
+        full = solve_ide(params, horizon=horizon, step=0.01)
+        for stride in (7, 100):
+            rows = solve_ide(params, horizon=horizon, step=0.01, stride=stride)
+            assert rows.times.tobytes() == full.times[::stride].tobytes()
+            assert rows.amplitude.tobytes() == full.amplitude[::stride].tobytes()
+
+    def test_stride_hides_no_overshoot(self):
+        # Steps this coarse overshoot |y| <= 1 from the first step on, and a
+        # stride past the last step returns only t = 0, where P = 1.
+        with pytest.raises(ProbabilityBoundError, match="volterra probability"):
+            solve_ide(_params(THREE, 2.0), horizon=50.0, step=2.0, stride=26)
+
+    def test_invalid_stride_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            solve_ide(_params(THREE, 1.0), horizon=1.0, step=0.1, stride=0)
 
     def test_interoperates_with_gap_scaling(self):
         # doubling all energies halves the natural time scale but not |y|
