@@ -11,28 +11,24 @@ error from argparse).
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from .quadrature import NumericalError, _check_tail
+from .quadrature import NumericalError
 from .scenario import (
     ConfigError,
     Scenario,
     check_positive_finite,
     load_scenario,
     run_decay,
-    sweep_models,
     sweep_point,
     write_decay,
     write_spectrum,
     write_sweep,
 )
-from .spectrum import ModelParams, build_spectral_data
+from .spectrum import build_spectral_data
 
 _DEVIATION_GATE = 1e-2
 
@@ -53,18 +49,8 @@ def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(scenario: Scenario, swept: list[ModelParams], out_dir: Path, jobs: int) -> int:
-    if scenario.sweep is None:
-        raise ConfigError("sweep command requires sweep.parameter and sweep.values")
-    values = scenario.sweep.values
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # One chunk per worker: a task per point costs more than the point.
-            chunk = math.ceil(len(values) / jobs)
-            rows = list(pool.map(sweep_point, swept, values, chunksize=chunk))
-    else:
-        rows = list(map(sweep_point, swept, values))
+def cmd_sweep(scenario: Scenario, out_dir: Path) -> int:
+    rows = list(map(sweep_point, scenario.sweep.models, scenario.sweep.values))
     for row in rows:
         if row["exists"] == "skipped":
             print(
@@ -85,16 +71,6 @@ def cmd_verify(out_dir: Path) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _certify_truncation(scenario: Scenario, swept: list[ModelParams]) -> None:
-    """Reject a model, or any swept model, whose |V|^2 remainder beyond the
-    truncation exceeds its bound (3d g2 L >= 1.1e16, 2d g2 >= 6.9e17)."""
-    for params in [scenario.params, *swept]:
-        try:
-            _check_tail(params, 0.0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
 def _resolve_out_dir(args, scenario: Scenario | None) -> Path:
     out = args.out or (scenario and scenario.output_dir) or Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
@@ -108,16 +84,19 @@ def _dispatch(args) -> int:
     if args.command == "decay" and args.horizon is not None:
         check_positive_finite("--horizon", args.horizon)
         scenario = replace(scenario, horizon=args.horizon)
-    if args.command == "sweep" and args.jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    swept = sweep_models(scenario)
-    _certify_truncation(scenario, swept)
+    if args.command == "sweep":
+        if args.jobs != 1:
+            raise ConfigError(
+                f"--jobs must be 1 (sweep points run in one process), got {args.jobs}"
+            )
+        if scenario.sweep is None:
+            raise ConfigError("sweep command requires sweep.parameter and sweep.values")
     out_dir = _resolve_out_dir(args, scenario)
     if args.command == "spectrum":
         return cmd_spectrum(scenario, out_dir)
     if args.command == "decay":
         return cmd_decay(scenario, out_dir)
-    return cmd_sweep(scenario, swept, out_dir, args.jobs)
+    return cmd_sweep(scenario, out_dir)
 
 
 @cache
@@ -142,7 +121,7 @@ def _parser() -> argparse.ArgumentParser:
     decay.add_argument("--horizon", type=float, default=None, help="override time horizon")
     sweep.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep points (at most the CPU count)",
+        help="must be 1: sweep points run in one process (kept for existing command lines)",
     )
     return parser
 

@@ -31,7 +31,7 @@ from .evolution import (
     check_panel_budget,
     weak_coupling_rate,
 )
-from .quadrature import NumericalError
+from .quadrature import NumericalError, _check_tail
 from .spectrum import ModelParams, SpectralData, build_spectral_data, point_mass
 from .volterra import default_step, solve_ide
 
@@ -42,10 +42,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A one-parameter scan: which knob to move and the values to visit."""
+    """A one-parameter scan: the values visited and the model at each."""
 
-    parameter: str
     values: tuple[float, ...]
+    models: tuple[ModelParams, ...]
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,26 @@ def check_positive_finite(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, got {value!r}")
 
 
+def _swept_model(base: ModelParams, parameter: str, value: float) -> ModelParams:
+    """``base`` with ``parameter`` set to ``value`` (level_gap: e2 = e1 + value),
+    its truncation certified; raises ValueError."""
+    e1, coupling = base.e1, base.coupling
+    if parameter == "g_sq":
+        coupling = CouplingModel(coupling.family, value, coupling.cutoff)
+    elif parameter == "lambda_cutoff":
+        coupling = CouplingModel(coupling.family, coupling.strength_sq, value)
+    params = ModelParams(e1, e1 + value if parameter == "level_gap" else base.e2, coupling)
+    _check_tail(params, 0.0)
+    return params
+
+
 def parse_scenario_text(text: str) -> Scenario:
-    """Parse a scenario config from flat key-value text."""
+    """Parse a scenario config from flat key-value text.
+
+    The model and every swept model are built here, once, and each must pass
+    the truncation check (its |V|^2 remainder beyond 60 cutoffs below 1e-10:
+    3d g2 L < 1.1e16, 2d g2 < 6.9e17); any invalid model is a ConfigError.
+    """
     table = _parse_kv(text)
     name = table.pop("name", "")
     if not name:
@@ -142,7 +160,6 @@ def parse_scenario_text(text: str) -> Scenario:
 
     output_dir = table.pop("output_dir", None)
 
-    sweep = None
     sweep_param = table.pop("sweep.parameter", None)
     sweep_values_raw = table.pop("sweep.values", None)
     if (sweep_param is None) != (sweep_values_raw is None):
@@ -162,10 +179,16 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ConfigError(f"sweep over {sweep_param} requires positive values")
         if sweep_param == "g_sq" and any(v < 0 for v in values):
             raise ConfigError("sweep over g_sq requires nonnegative values")
-        sweep = SweepSpec(sweep_param, values)
 
     if table:
         raise ConfigError(f"unknown keys: {sorted(table)}")
+    sweep = None
+    try:
+        _check_tail(params, 0.0)
+        if sweep_param is not None:
+            sweep = SweepSpec(values, tuple(_swept_model(params, sweep_param, v) for v in values))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return Scenario(
         name=name,
         params=params,
@@ -263,19 +286,6 @@ def write_decay(out_dir: Path, name: str, run: DecayRun) -> None:
 def write_sweep(out_dir: Path, name: str, rows: list[dict]) -> None:
     """The threshold table of one sweep."""
     artifacts.write_sweep_csv(out_dir / f"{name}_sweep.csv", rows)
-
-
-def sweep_models(scenario: Scenario) -> list[ModelParams]:
-    """The model at each sweep value, in order; [] without a sweep."""
-    if (spec := scenario.sweep) is None:
-        return []
-    e1, e2, coupling = scenario.params.e1, scenario.params.e2, scenario.params.coupling
-    family, g_sq, cutoff = coupling.family, coupling.strength_sq, coupling.cutoff
-    if spec.parameter == "g_sq":
-        return [ModelParams(e1, e2, CouplingModel(family, v, cutoff)) for v in spec.values]
-    if spec.parameter == "lambda_cutoff":
-        return [ModelParams(e1, e2, CouplingModel(family, g_sq, v)) for v in spec.values]
-    return [ModelParams(e1, e1 + v, coupling) for v in spec.values]
 
 
 def sweep_point(params: ModelParams, value: float) -> dict:

@@ -337,6 +337,12 @@ def find_eigenvalue(params: ModelParams) -> float:
         raise NoEigenvalueError(
             f"no bound state: level gap {params.level_gap!r} is not below {check.rhs!r}"
         )
+    return _solve_eigenvalue(params)
+
+
+def _solve_eigenvalue(params: ModelParams) -> float:
+    """``find_eigenvalue`` without its threshold test, for a model the test
+    has found a bound state in (neither degenerate nor marginal)."""
     model = params.coupling
     _closed_form_gate(model.family)
     gap = params.level_gap
@@ -403,7 +409,8 @@ def eigen_weight(params: ModelParams, e0: float) -> float:
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
     """The point part of the spectral measure, (threshold test, e0, w): (e2, 1.0)
     at zero coupling, (None, None) on the threshold (``marginal``), (None, 0.0)
-    without a bound state, else ``find_eigenvalue`` and its ``eigen_weight``."""
+    without a bound state, else ``find_eigenvalue``'s e0 (its solve, run
+    without a second threshold test) and its ``eigen_weight``."""
     check = threshold_check(params)
     if check.degenerate:
         return check, params.e2, 1.0
@@ -411,7 +418,7 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
         return check, None, None
     if not check.exists:
         return check, None, 0.0
-    e0 = find_eigenvalue(params)
+    e0 = _solve_eigenvalue(params)
     return check, e0, eigen_weight(params, e0)
 
 

@@ -36,7 +36,6 @@ from .scenario import (
     Scenario,
     SweepSpec,
     run_decay,
-    sweep_models,
     sweep_point,
     write_decay,
     write_spectrum,
@@ -346,12 +345,13 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
     )
 
 
-def _sweep_scenarios() -> list[Scenario]:
+def _sweeps() -> list[tuple[str, SweepSpec]]:
+    """The named g_sq sweeps of the artifacts, at e1 = 0, e2 = 1, L = 1."""
     return [
-        Scenario(
-            name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)),
-            horizon=1.0, sweep=SweepSpec("g_sq", values),
-        )
+        (name, SweepSpec(
+            values,
+            tuple(ModelParams(0.0, 1.0, CouplingModel(family, v, 1.0)) for v in values),
+        ))
         for name, family, values in (
             ("verify-sweep-3d", CouplingFamily.THREE_DIM_EXP, (0.5, 0.9, 1.0, 1.1, 2.0)),
             ("verify-sweep-2d", CouplingFamily.TWO_DIM_EXP, (1e-3, 0.1, 1.0)),
@@ -365,8 +365,8 @@ def _check_determinism() -> CriterionResult:
 
     def render() -> tuple[str, str, str]:
         spec = build_spectral_data(ms.scenario().params)
-        scenario = _sweep_scenarios()[0]
-        rows = list(map(sweep_point, sweep_models(scenario), scenario.sweep.values))
+        _name, sweep = _sweeps()[0]
+        rows = list(map(sweep_point, sweep.models, sweep.values))
         return (
             artifacts.render_density_csv(spec),
             artifacts.render_spectral_json(spec),
@@ -386,9 +386,8 @@ def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> Non
     for ms, run in runs.items():
         write_spectrum(out_dir, ms.name, run.spec)
         write_decay(out_dir, ms.name, run)
-    for scenario in _sweep_scenarios():
-        rows = list(map(sweep_point, sweep_models(scenario), scenario.sweep.values))
-        write_sweep(out_dir, scenario.name, rows)
+    for name, sweep in _sweeps():
+        write_sweep(out_dir, name, list(map(sweep_point, sweep.models, sweep.values)))
 
 
 def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:

@@ -34,7 +34,7 @@ from leveldecay import (
 from leveldecay.artifacts import render_sweep_csv
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
-from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_models, sweep_point
+from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_point
 
 BASE_CONFIG = """
 # minimal valid scenario
@@ -81,8 +81,27 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
         assert scen.series_points == 401
         assert scen.volterra_step == 0.02
         assert scen.output_dir.name == "results"
-        assert scen.sweep.parameter == "g_sq"
         assert scen.sweep.values == (0.5, 0.9, 1.1, 2.0)
+        assert [m.coupling.strength_sq for m in scen.sweep.models] == [0.5, 0.9, 1.1, 2.0]
+
+    @pytest.mark.parametrize(
+        "parameter, key",
+        [("g_sq", "coupling.g_sq = 2.0"), ("lambda_cutoff", "coupling.lambda_cutoff = 1.0"),
+         ("level_gap", "model.e2 = 1.0")],
+    )
+    def test_each_swept_model_is_the_config_with_its_value(self, parameter, key):
+        values = (0.25, 1.0, 3.5)
+        scen = parse_scenario_text(
+            BASE_CONFIG.replace("model.e1 = 0.0", "model.e1 = 0.5")
+            + f"sweep.parameter = {parameter}\nsweep.values = {', '.join(map(str, values))}\n"
+        )
+        assert scen.sweep.values == values
+        for value, model in zip(values, scen.sweep.models, strict=True):
+            # level_gap sets e2 = e1 + value
+            setting = 0.5 + value if parameter == "level_gap" else value
+            line = f"{key.split(' = ')[0]} = {setting!r}"
+            text = BASE_CONFIG.replace("model.e1 = 0.0", "model.e1 = 0.5").replace(key, line)
+            assert model == parse_scenario_text(text).params
 
     @pytest.mark.parametrize(
         "mutation",
@@ -455,16 +474,47 @@ class TestSweepCommand:
         assert rows[0].split(",")[2] == "skipped"
         assert rows[0].split(",")[3] == ""
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_jobs_one_writes_the_same_bytes_as_no_flag(self, tmp_path):
         cfg = _write(tmp_path, self.SWEEP_CONFIG)
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["sweep", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["sweep", str(cfg), "--out", str(out2), "--jobs", "2"]) == 0
+        out1, out2 = tmp_path / "default", tmp_path / "jobs1"
+        assert main(["sweep", str(cfg), "--out", str(out1)]) == 0
+        assert main(["sweep", str(cfg), "--out", str(out2), "--jobs", "1"]) == 0
         assert (out1 / "demo_sweep.csv").read_bytes() == (out2 / "demo_sweep.csv").read_bytes()
+
+    def test_jobs_above_one_is_config_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, self.SWEEP_CONFIG)
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out), "--jobs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --jobs") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_sweep_without_spec_rejected(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG)
-        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "e1, e2, values, message",
+        [("1e17", "1e20", "1, 2", "e2 must exceed e1"),
+         ("1e308", "1.5e308", "1e308", "level energies must be finite")],
+        ids=["collapse", "overflow"],
+    )
+    def test_level_gap_value_off_the_float_grid_is_config_error(
+        self, tmp_path, capsys, e1, e2, values, message
+    ):
+        # e1 + v rounds back to e1 = 1e17 (v = 1, 2 are below its half-ulp of
+        # 8), or overflows to inf: neither is a model with e2 > e1.
+        text = BASE_CONFIG.replace("model.e1 = 0.0", f"model.e1 = {e1}").replace(
+            "model.e2 = 1.0", f"model.e2 = {e2}"
+        )
+        cfg = _write(tmp_path, text + f"sweep.parameter = level_gap\nsweep.values = {values}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "family, g_sq",
@@ -490,7 +540,7 @@ class TestSweepCommand:
             BASE_CONFIG.replace("3d-exp", "2d-exp")
             + "sweep.parameter = g_sq\nsweep.values = 0.1, 0.3, 0.6\n"
         )
-        rows = list(map(sweep_point, sweep_models(scen), scen.sweep.values))
+        rows = list(map(sweep_point, scen.sweep.models, scen.sweep.values))
         weights = [r["weight"] for r in rows]
         assert all(0.0 < w < 1.0 for w in weights)
         # observed monotone increase; reported as data, never asserted in-library
@@ -540,18 +590,23 @@ class TestVerifyCommand:
     def test_cli_loads_only_the_scipy_modules_it_needs(self):
         # scipy.special (Ei, E1) and scipy.fft (next_fast_len); a public
         # subpackage beyond these, such as scipy.signal or scipy.interpolate,
-        # adds its import time to every process.
+        # adds its import time to every process.  No process pool either:
+        # multiprocessing costs about 5 ms of import.
         code = (
             "import sys, leveldecay.cli\n"
             "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
-            "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))"
+            "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))\n"
+            "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "    if m in sys.modules))"
         )
         src = str(Path(scenario.__file__).parents[1])
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": src},
         )
-        assert set(done.stdout.split()) - {"version"} == {"fft", "special"}
+        scipy_line, pool_line = done.stdout.split("\n")[:2]
+        assert set(scipy_line.split()) - {"version"} == {"fft", "special"}
+        assert pool_line == ""
 
 
 class TestFlags:
@@ -658,30 +713,6 @@ class TestInputSurface:
         assert main(["sweep", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
         assert capsys.readouterr().err.startswith("error: config:")
         assert not out.exists()
-
-    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        made = []
-
-        class FakePool:
-            # Records the worker count and maps in-process: starts no process.
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            @staticmethod
-            def map(fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cfg = _write(tmp_path, TestSweepCommand.SWEEP_CONFIG)
-        assert main(["sweep", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
-        assert made == [2]
 
 
 def _parser_flags() -> dict[str, set[str]]:
