@@ -11,15 +11,15 @@ panel rule on the exact (closed-form) density, on a uniform grid
 t_k = t0 + k dt only: at least two increasing times, off a straight line by
 at most 64 eps max|t|, signed times allowed.  Any other grid raises
 ValueError.  Panels come from one lattice of points e1 + P w, anchored at the
-threshold, with w = pi / (Q dt), Q = ceil(2 t_max / dt), no wider than a
-quarter of the period 2*pi/t_max at the largest requested |t|: the lattice
-points inside each converged segment of the density table cut it into full
-lattice panels plus at most a head and a tail remainder, so no panel crosses
-a segment boundary.  A fixed 6-point Gauss-Legendre rule on every panel gives
-one node set x_j with weights a_j = rho(x_j) * w_j * half-width, and
+threshold, with w = pi / (Q dt), Q = ceil(t_max / (2 dt)), no wider than one
+period 2*pi/t_max at the largest requested |t|: the lattice points inside
+each converged segment of the density table cut it into full lattice panels
+plus at most a head and a tail remainder, so no panel crosses a segment
+boundary.  A fixed 10-point Gauss-Legendre rule on every panel gives one node
+set x_j with weights a_j = rho(x_j) * w_j * half-width, and
 C(t) = sum of a_j exp(-i t x_j) for every requested t.
 
-The full panels' nodes form six arithmetic progressions
+The full panels' nodes form ten arithmetic progressions
 e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum is
 sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
 with c_g the first panel's nodes, a_gp the weight of node g of panel
@@ -31,7 +31,7 @@ in integers and stays exact however long the lattice.  A series of n times
 over a lattice of R panels then costs O((n + R) log(n + R)) once.  The few
 remainder and one-panel nodes are summed directly, as one product of a coarse
 and a fine table of exact exps.  The panel count grows linearly with t_max; a
-series that needs more than 500,000 panels raises instead of silently
+series that needs more than 125,000 panels raises instead of silently
 degrading.
 
 The point term survives at late times while the continuous term decays, so
@@ -41,11 +41,11 @@ P(t) tends to w^2 (zero when no bound state exists).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .coupling import coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X, NumericalError
@@ -118,7 +118,7 @@ class AmplitudeSeries:
 
 _SEGMENT_MASS_FLOOR = 1e-15
 # Panels in the node set that resolves the largest time.
-_MAX_PANELS = 500_000
+_MAX_PANELS = 125_000
 
 
 def _panel_cuts(
@@ -131,7 +131,7 @@ def _panel_cuts(
     with no lattice point inside, or of negligible mass, is one panel.
     Returns (first, counts, left, right): ``counts`` full panels from index
     ``first`` per cut segment, then the edges of the other panels.  Raises
-    OscillatoryBudgetExceededError past 500,000 panels in all.
+    OscillatoryBudgetExceededError past 125,000 panels in all.
     """
     edges = spec.segments
     e1 = spec.params.e1
@@ -165,7 +165,7 @@ def _transform_nodes(
     """Nodes x, weights a (rho(x) times the rule weight) and lattice indices.
 
     The panels are those ``_panel_cuts`` gives.  The full panels come first,
-    in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), six to a panel;
+    in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), ten to a panel;
     their indices P are the third result.  The other panels follow.
     """
     first, counts, left, right = _panel_cuts(spec, w)
@@ -184,6 +184,28 @@ def _transform_nodes(
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
+@functools.cache
+def _fast_lengths(bits: int) -> np.ndarray:
+    """Every 2^a 3^b 5^c 7^d 11^e <= 2^bits, sorted."""
+    limit = 1 << bits
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        grown = []
+        for m in lengths:
+            while m <= limit:
+                grown.append(m)
+                m *= prime
+        lengths = grown
+    return np.array(sorted(lengths), dtype=np.int64)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, an FFT length numpy transforms
+    fast: what ``scipy.fft.next_fast_len(n)`` gives for complex input."""
+    lengths = _fast_lengths((n - 1).bit_length())
+    return int(lengths[np.searchsorted(lengths, n)])
+
+
 def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:
     """sum over p of b[:, p] exp(-i pi k p / q) for k < n, row by row.
 
@@ -194,7 +216,7 @@ def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:
     exponent is reduced modulo 4q in integers, so it is exact for any m.
     """
     r = b.shape[1]
-    size = next_fast_len(n + r - 1)
+    size = _next_fast_len(n + r - 1)
     m = np.arange(max(n, r), dtype=np.int64)
     chirp = np.exp((0.5j * math.pi / q) * (m * m % (4 * q)))
     kernel = np.zeros(size, dtype=complex)
@@ -252,7 +274,7 @@ def _uniform_sums(
 
 
 def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
-    """(dt, Q, w) of a uniform grid: Q = ceil(2 max|t| / dt), w = pi / (Q dt).
+    """(dt, Q, w) of a uniform grid: Q = ceil(max|t| / (2 dt)), w = pi / (Q dt).
 
     Raises ValueError unless the grid holds at least two times, increases,
     and lies off a straight line by at most 64 eps max|t|.
@@ -269,7 +291,7 @@ def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
             "the spectral transform needs a uniform grid: at least two increasing "
             "times t0 + k dt, off a straight line by at most 64 eps max|t|"
         )
-    q = math.ceil(2.0 * t_max / dt)
+    q = math.ceil(0.5 * t_max / dt)
     return dt, q, math.pi / (q * dt)
 
 
@@ -278,7 +300,7 @@ def check_panel_budget(spec: SpectralData, times) -> None:
     its panel budget, without building the node set.
 
     ValueError for a grid that is not uniform; OscillatoryBudgetExceededError
-    when the panel set that resolves the largest time exceeds 500,000 panels.
+    when the panel set that resolves the largest time exceeds 125,000 panels.
     """
     _, _, w = _uniform_lattice(np.asarray(times, dtype=float))
     _panel_cuts(spec, w)
@@ -310,7 +332,7 @@ def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     times (ValueError otherwise).  The spectral data must have passed its
     normalization check (build_spectral_data enforces this).  Raises
     OscillatoryBudgetExceededError when the panel set that resolves the
-    largest time exceeds 500,000 panels.
+    largest time exceeds 125,000 panels.
     """
     times = np.asarray(times, dtype=float)
     return AmplitudeSeries(times, _amplitude_points(spec, times), MethodTag.SPECTRAL)

@@ -40,10 +40,9 @@ import functools
 import math
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .coupling import CouplingFamily, CouplingModel, coupling_sq
-from .evolution import AmplitudeSeries, MethodTag, check_probability
+from .evolution import AmplitudeSeries, MethodTag, _next_fast_len, check_probability
 from .quadrature import _GL_W, _GL_X, NumericalError
 from .spectrum import ModelParams
 
@@ -75,11 +74,12 @@ _GATE_TAIL_CUT = 80.0
 
 
 def _fourier_quad(model: CouplingModel, t: float) -> complex:
-    """Direct oscillatory quadrature of the |V|^2 Fourier transform at one t."""
+    """Direct oscillatory quadrature of the |V|^2 Fourier transform at one t:
+    the transform's Gauss-Legendre rule on panels of at most one period."""
     upper = _GATE_TAIL_CUT * model.cutoff
     width = upper / 64.0
     if t != 0.0:
-        width = min(width, 0.5 * math.pi / abs(t))
+        width = min(width, 2.0 * math.pi / abs(t))
     n = int(math.ceil(upper / width))
     edges = np.linspace(0.0, upper, n + 1)
     half = 0.5 * np.diff(edges)
@@ -159,7 +159,7 @@ def _add_block_products(
     while m % size == 0:
         n_out = min(2 * size - 1, out.size - m)
         take = min(size, n_out)
-        n_fft = next_fast_len(2 * take - 1)
+        n_fft = _next_fast_len(2 * take - 1)
         kb = spectra.pop(size, None)
         if kb is None:
             kb = np.fft.fft(k[size:size + take], n_fft)

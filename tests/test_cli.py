@@ -311,18 +311,26 @@ class TestDecayCommand:
         spectral = json.loads((out / "demo_spectral.json").read_text())
         assert spectral["normalization_defect"] <= 1e-6
 
-    def test_transform_budget_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
-        # At gap 1e-3 the default horizon asks for 2e7 solver steps, and the
-        # transform at t = 2e5 for 4.1e6 panels against a budget of 5e5.  The
-        # stub records its calls: an exception raised in a worker thread
-        # would be lost in a future nobody reads.
+    @pytest.mark.parametrize("config, panels", [
+        (OVER_BUDGET_CONFIG, 1035089),
+        (OVER_BUDGET_CONFIG.replace("model.e2 = 1e-3", "model.e2 = 0.003").replace(
+            "coupling.g_sq = 0.5", "coupling.g_sq = 0.001"
+        ), 265489),
+    ], ids=["gap 1e-3, g2 0.5", "gap 0.003, g2 0.001"])
+    def test_transform_budget_fails_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, config, panels
+    ):
+        # At the default horizon 200 / gap the transform needs more panels
+        # than its budget of 125,000.  The stub records its calls: an
+        # exception raised in a worker thread would be lost in a future
+        # nobody reads.
         calls = []
         monkeypatch.setattr(scenario, "solve_ide", lambda *a, **kw: calls.append(a))
         out = tmp_path / "out"
-        assert main(["decay", str(_write(tmp_path, OVER_BUDGET_CONFIG)), "--out", str(out)]) == 2
+        assert main(["decay", str(_write(tmp_path, config)), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and "budget" in err
-        assert "--horizon" in err
+        assert f"needs {panels} panels" in err and "--horizon" in err
         assert not list(out.glob("*.csv"))
         assert calls == []
 
@@ -588,9 +596,9 @@ class TestVerifyCommand:
         assert done.stdout.strip() == "False"
 
     def test_cli_loads_only_the_scipy_modules_it_needs(self):
-        # scipy.special (Ei, E1) and scipy.fft (next_fast_len); a public
-        # subpackage beyond these, such as scipy.signal or scipy.interpolate,
-        # adds its import time to every process.  No process pool either:
+        # scipy.special (Ei, E1) alone; a public subpackage beyond it, such
+        # as scipy.fft or scipy.interpolate, adds its import time to every
+        # process.  No process pool either:
         # multiprocessing costs about 5 ms of import.
         code = (
             "import sys, leveldecay.cli\n"
@@ -605,7 +613,7 @@ class TestVerifyCommand:
             env={**os.environ, "PYTHONPATH": src},
         )
         scipy_line, pool_line = done.stdout.split("\n")[:2]
-        assert set(scipy_line.split()) - {"version"} == {"fft", "special"}
+        assert set(scipy_line.split()) - {"version"} == {"special"}
         assert pool_line == ""
 
 

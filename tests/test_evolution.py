@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from leveldecay import (
     AmplitudeSeries,
@@ -120,6 +121,12 @@ class TestAmplitude:
         for spec in (spec_3d_above, spec_degenerate):
             with pytest.raises(ValueError, match="uniform grid"):
                 _amplitude_points(spec, np.array(times))
+
+
+def test_next_fast_len_matches_scipy_for_complex_input():
+    # Same FFT lengths as scipy's, so the transform and the solver keep their bits.
+    n = range(1, 2**17 + 1)
+    assert [evolution._next_fast_len(k) for k in n] == [next_fast_len(k) for k in n]
 
 
 class TestAsymptotics:

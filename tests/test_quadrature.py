@@ -216,3 +216,9 @@ def test_uncertified_truncation_rejected(monkeypatch):
         k_regular(params, -1.0)
     with pytest.raises(ValueError):
         k_pv(params, 2.0)
+
+
+def test_gauss_legendre_literals_are_the_ten_point_rule():
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert float(np.max(np.abs(quadrature._GL_X - x))) <= 1e-15
+    assert float(np.max(np.abs(quadrature._GL_W - w))) <= 1e-15

@@ -3,11 +3,12 @@
 ``_direct_heun`` is the O(N^2) stepper with two full history dots per step,
 ``_extended_heun`` the step-by-step recurrence in extended precision,
 ``_per_time_transform`` the spectral transform that cuts every segment into
-its own equal quarter-period panels for every time, and ``_node_sum`` the
-transform's own node sum with an exact exp at every node and time.  The
-solver must reproduce its reference to rounding, the transform the per-time
-panels to the panel rule's own error (its single node set is finer than the
-per-time one at every time but the largest) and its node sum to rounding.
+its own equal quarter-period panels for every time, ``_quarter_period_sum``
+a 6-point rule on the lattice of quarter periods of the largest time, summed
+directly, and ``_node_sum`` the transform's own node sum with an exact exp at
+every node and time.  The solver must reproduce its reference to rounding,
+the transform the per-time panels to the panel rule's own error, the
+quarter-period sums and its own node sum to rounding.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
 
 
 def _lattice_width(times) -> float:
-    """Panel width pi / (Q dt), Q = ceil(2 max|t| / dt), of a uniform grid."""
+    """Panel width pi / (Q dt), Q = ceil(max|t| / (2 dt)), of a uniform grid."""
     dt = float(times[-1] - times[0]) / (times.size - 1)
-    return math.pi / (math.ceil(2.0 * float(np.max(np.abs(times))) / dt) * dt)
+    return math.pi / (math.ceil(0.5 * float(np.max(np.abs(times))) / dt) * dt)
 
 
 def _panel_counts(spec, times) -> np.ndarray:
@@ -138,6 +139,42 @@ def _per_time_transform(spec, times) -> np.ndarray:
     return out
 
 
+def _quarter_period_sum(spec, times, at) -> np.ndarray:
+    """C(t) at the times ``at`` from the 6-point rule on the lattice e1 + P w,
+    w = pi / (Q dt), Q = ceil(2 max|t| / dt): a quarter of the period of the
+    largest time of ``times``, four times finer than the transform's.  Each
+    live segment is cut at the lattice points inside it; the sum is direct.
+    """
+    dt = float(times[-1] - times[0]) / (times.size - 1)
+    w = math.pi / (math.ceil(2.0 * float(np.max(np.abs(times))) / dt) * dt)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(6)
+    e1 = spec.params.e1
+    lattice, left, right = [], [], []
+    for lo, hi, mass in zip(spec.segments[:-1], spec.segments[1:], spec.segment_mass):
+        first, last = math.ceil((lo - e1) / w), math.floor((hi - e1) / w)
+        if mass < 1e-15 or first > last:
+            left.append(lo)
+            right.append(hi)
+            continue
+        lattice.append(np.arange(first, last))
+        left += [lo, e1 + last * w]
+        right += [e1 + first * w, hi]
+    lattice = np.concatenate(lattice)
+    left, right = np.array(left), np.array(right)
+    keep = right > left
+    half = 0.5 * (right - left)[keep]
+    nodes = np.concatenate([
+        (e1 + w * (lattice[:, None] + 0.5 * (1.0 + gl_x)[None, :])).ravel(),
+        ((left[keep] + half)[:, None] + half[:, None] * gl_x[None, :]).ravel(),
+    ])
+    scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
+    a = _density(spec.params, nodes) * (scale[:, None] * gl_w[None, :]).ravel()
+    out = np.array([a @ np.exp(-1j * t * nodes) for t in at])
+    if spec.eigenvalue is not None:
+        out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(at))
+    return out
+
+
 def _node_sum(spec, times) -> np.ndarray:
     """sum of a_j exp(-i t x_j) over a uniform grid's node set, one t at a time."""
     x, a, _ = _transform_nodes(spec, _lattice_width(times))
@@ -155,10 +192,12 @@ def _split_segments(spec, cuts):
     return replace(spec, segments=edges, segment_mass=spec.segment_mass[owner] * share)
 
 
-# The 2d and 3d fixtures' lattices hold R = 1044 and 1238 panels at the
-# first grid, 5265 and 6224 at the second, and 347 and 410 at the third.
+# The 2d and 3d fixtures' lattices span R = 256 and 305 panels at the first
+# grid, 522 and 617 at the second, 1345 and 1590 at the third, and 77 and 99
+# at the fourth.
 UNIFORM_GRIDS = {
     "t0=0, 301 times": np.linspace(0.0, 60.0, 301),
+    "t0=0, 201 times": np.linspace(0.0, 120.0, 201),
     "t0>0, 41 times": np.linspace(20.0, 300.0, 41),
     "t0=0, more times than lattice panels": np.linspace(0.0, 20.0, 1001),
     "t0<0": np.linspace(-30.0, 60.0, 301),
@@ -181,6 +220,8 @@ def spectra():
     return {
         "2d": build_spectral_data(_params(TWO, 0.5)),
         "3d": build_spectral_data(_params(THREE, 2.0)),
+        "2d, gap 0.25": build_spectral_data(_params(TWO, 0.3, e2=0.25)),
+        "3d, gap 0.25": build_spectral_data(_params(THREE, 0.1, e2=0.25)),
     }
 
 
@@ -312,6 +353,21 @@ class TestTransform:
         assert calls == [1]
         assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
 
+    @pytest.mark.parametrize("name, grid", [
+        *((name, grid) for name in ("2d", "3d") for grid in UNIFORM_GRIDS),
+        ("2d, gap 0.25", "t0=0, horizon 3200"),
+        ("3d, gap 0.25", "t0=0, horizon 3200"),
+    ])
+    def test_matches_quarter_period_rule(self, spectra, name, grid):
+        # Ten nodes a full period wide against six a quarter period wide: the
+        # two rules differ by rounding only, at 8 times including the largest.
+        spec = spectra[name]
+        times = UNIFORM_GRIDS.get(grid, np.linspace(0.0, 3200.0, 2000))
+        at = np.linspace(0, times.size - 1, 8).round().astype(int)
+        got = _amplitude_points(spec, times)[at]
+        ref = _quarter_period_sum(spec, times, times[at])
+        assert float(np.max(np.abs(got - ref))) <= 1e-13
+
     @pytest.mark.parametrize("name", ["2d", "3d"])
     @pytest.mark.parametrize("cuts", list(LATTICE_CUTS))
     def test_segment_edges_at_and_between_lattice_points(self, spectra, name, cuts):
@@ -326,15 +382,15 @@ class TestTransform:
         edges = [e1 + (p + c) * w for c in LATTICE_CUTS[cuts]]
         spec = _split_segments(base, edges)
         x, _, _ = _transform_nodes(spec, w)
-        assert x.size == 6 * int(_panel_counts(spec, times).sum())
+        assert x.size == _GL_X.size * int(_panel_counts(spec, times).sum())
         if len(edges) == 2:  # the new segment between the cuts is one panel
-            assert np.count_nonzero((x > edges[0]) & (x < edges[1])) == 6
+            assert np.count_nonzero((x > edges[0]) & (x < edges[1])) == _GL_X.size
         got = _amplitude_points(spec, times)
         assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
 
     @pytest.mark.parametrize("name", ["2d", "3d"])
     def test_uniform_grids_straddle_the_largest_panel_count(self, spectra, name):
-        for grid, more in (("t0=0, 301 times", False),
+        for grid, more in (("t0=0, 201 times", False),
                            ("t0>0, 41 times", False),
                            ("t0=0, more times than lattice panels", True)):
             times = UNIFORM_GRIDS[grid]
