@@ -295,17 +295,6 @@ def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
     return dt, q, math.pi / (q * dt)
 
 
-def check_panel_budget(spec: SpectralData, times) -> None:
-    """Raise what ``amplitude_spectral(spec, times)`` raises for its grid or
-    its panel budget, without building the node set.
-
-    ValueError for a grid that is not uniform; OscillatoryBudgetExceededError
-    when the panel set that resolves the largest time exceeds 125,000 panels.
-    """
-    _, _, w = _uniform_lattice(np.asarray(times, dtype=float))
-    _panel_cuts(spec, w)
-
-
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
     """C(t) on a uniform, possibly signed, grid; no series-level validation.
 

@@ -5,18 +5,17 @@ comments allowed.  Keys use dotted paths (model.e1, coupling.family, ...);
 the full schema is documented in the README.
 
 ``run_decay`` computes C(t) from the spectral data and from the time-domain
-solver on one shared grid.  The two routes share no data, so once the
-transform's panel budget is checked they run at once: the solve on one worker
-thread that lives only for the call, the transform on the calling thread.
+solver on one shared grid, one route after the other: the transform first,
+so that a series past its panel budget fails before the far longer solve
+starts.
 ``write_spectrum``, ``write_decay`` and ``write_sweep`` name the artifact
 files.  The CLI and ``verify`` share them.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .evolution import (
     AmplitudeSeries,
     amplitude_spectral,
     asymptotic_limit,
-    check_panel_budget,
     weak_coupling_rate,
 )
 from .quadrature import NumericalError, _check_tail
@@ -125,6 +123,12 @@ def parse_scenario_text(text: str) -> Scenario:
     name = table.pop("name", "")
     if not name:
         raise ConfigError("missing required key 'name' (must be nonempty)")
+    # Every artifact path is <out>/<name>_<kind>, so the name must stay a file name.
+    if name in (".", "..") or any(c and c in name for c in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(
+            f"name must be a plain file name (no path separator or NUL, not . or ..), "
+            f"got {name!r}"
+        )
 
     e1 = _take_float(table, "model.e1")
     e2 = _take_float(table, "model.e2")
@@ -227,13 +231,10 @@ def run_decay(scenario: Scenario) -> DecayRun:
 
     The solver step is an exact divisor of the output spacing, so every
     ``per_output``-th solver sample is an output time, and the solver returns
-    only those.  A grid of more than
-    2**26 solver steps is a ConfigError before any work; the transform's panel
-    budget is checked next, so a horizon past it fails before any solve
-    starts.  Then the solve runs on one worker thread, in a copy of the
-    caller's context, while the transform runs on this one; numpy's FFTs and
-    ufuncs release the GIL, so the two overlap.  The worker's thread ends
-    before this returns or raises.
+    only those.  A grid of more than 2**26 solver steps is a ConfigError
+    before any work.  The transform runs first: it checks its panel budget
+    before it builds a node, so a horizon past the budget raises before the
+    solve starts.  Then the solve runs.
     """
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
@@ -250,15 +251,8 @@ def run_decay(scenario: Scenario) -> DecayRun:
     step = dt / per_output
     n = (scenario.series_points - 1) * per_output
     times = np.arange(0, n + 1, per_output) * step
-    check_panel_budget(spec, times)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        solve = pool.submit(
-            contextvars.copy_context().run,
-            solve_ide, scenario.params, horizon=scenario.horizon, step=step,
-            stride=per_output,
-        )
-        spectral = amplitude_spectral(spec, times)
-        vol = solve.result()
+    spectral = amplitude_spectral(spec, times)
+    vol = solve_ide(scenario.params, horizon=scenario.horizon, step=step, stride=per_output)
     if not np.array_equal(vol.times, spectral.times):
         raise NumericalError("solver grid does not contain the output grid")
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))

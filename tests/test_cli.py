@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import contextvars
 import inspect
 import json
 import math
@@ -214,6 +213,21 @@ class TestSpectrumCommand:
         assert err.startswith("error: config:") and "g_sq=1e+20" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", ".", "..", "a\0b"])
+    def test_name_that_is_not_a_file_name_is_config_error(self, tmp_path, capsys, name):
+        # Every artifact path is <out>/<name>_<kind>.
+        cfg = _write(tmp_path, BASE_CONFIG.replace("name = demo", f"name = {name}"))
+        out = tmp_path / "run" / "out"
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: name") and err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == [cfg]
+
+    @pytest.mark.parametrize("name", ["demo", "i00000", "a.b", "..x", "x.."])
+    def test_plain_file_names_parse(self, name):
+        text = BASE_CONFIG.replace("name = demo", f"name = {name}")
+        assert parse_scenario_text(text).name == name
+
     @pytest.mark.parametrize("cls", NUMERICAL_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_numerical_error_exits_two(self, tmp_path, capsys, monkeypatch, cls):
         args = ("refused", 0.0, 0.0) if cls is NonConvergenceError else ("refused",)
@@ -321,9 +335,8 @@ class TestDecayCommand:
         self, tmp_path, capsys, monkeypatch, config, panels
     ):
         # At the default horizon 200 / gap the transform needs more panels
-        # than its budget of 125,000.  The stub records its calls: an
-        # exception raised in a worker thread would be lost in a future
-        # nobody reads.
+        # than its budget of 125,000.  The stub records its calls, so a
+        # solve started before the transform raised would show.
         calls = []
         monkeypatch.setattr(scenario, "solve_ide", lambda *a, **kw: calls.append(a))
         out = tmp_path / "out"
@@ -379,12 +392,12 @@ def _refuse_kernel(family):
     raise KernelMismatchError(f"{family.value} kernel refused")
 
 
-class TestDecayRoutesAtOnce:
-    """``run_decay`` solves on a worker thread while the transform runs."""
+class TestDecayRoutesInOrder:
+    """``run_decay`` runs the transform, then the solve, on the calling thread."""
 
     @staticmethod
     def _serial(scen):
-        # The composition run_decay overlaps, called one after the other.
+        # The two routes on run_decay's grid, called directly.
         spec = build_spectral_data(scen.params)
         per_output = math.ceil(
             scen.horizon / (scen.series_points - 1) / default_step(scen.params)
@@ -404,22 +417,20 @@ class TestDecayRoutesAtOnce:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert run.deviation == float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
 
-    def test_solve_runs_on_another_thread_in_the_callers_context(self, monkeypatch):
-        var = contextvars.ContextVar("var", default="unset")
-        seen = []
+    def test_transform_then_solve_on_the_calling_thread(self, monkeypatch):
+        calls = []
 
-        def solve(*args, **kwargs):
-            seen.append((threading.get_ident(), var.get()))
-            return solve_ide(*args, **kwargs)
+        def spy(route):
+            def call(*args, **kwargs):
+                calls.append((route.__name__, threading.get_ident()))
+                return route(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(scenario, "solve_ide", solve)
-        token = var.set("caller")
-        try:
-            scenario.run_decay(parse_scenario_text(DECAY_CONFIG))
-        finally:
-            var.reset(token)
-        [(ident, value)] = seen
-        assert value == "caller" and ident != threading.get_ident()
+        monkeypatch.setattr(scenario, "amplitude_spectral", spy(amplitude_spectral))
+        monkeypatch.setattr(scenario, "solve_ide", spy(solve_ide))
+        scenario.run_decay(parse_scenario_text(DECAY_CONFIG))
+        caller = threading.get_ident()
+        assert calls == [("amplitude_spectral", caller), ("solve_ide", caller)]
 
     def test_error_in_the_solve_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(volterra, "_self_check", _refuse_kernel)
@@ -598,13 +609,15 @@ class TestVerifyCommand:
     def test_cli_loads_only_the_scipy_modules_it_needs(self):
         # scipy.special (Ei, E1) alone; a public subpackage beyond it, such
         # as scipy.fft or scipy.interpolate, adds its import time to every
-        # process.  No process pool either:
-        # multiprocessing costs about 5 ms of import.
+        # process.  No process pool or thread pool either:
+        # multiprocessing costs about 5 ms of import.  concurrent.futures
+        # itself comes in through scipy.
         code = (
             "import sys, leveldecay.cli\n"
             "print(' '.join(sorted({m.split('.')[1] for m in sys.modules\n"
             "    if m.startswith('scipy.') and not m.split('.')[1].startswith('_')})))\n"
-            "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process')\n"
+            "print(' '.join(m for m in ('multiprocessing', 'concurrent.futures.process',\n"
+            "                           'concurrent.futures.thread')\n"
             "    if m in sys.modules))"
         )
         src = str(Path(scenario.__file__).parents[1])
