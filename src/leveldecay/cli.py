@@ -4,8 +4,9 @@ Commands: ``spectrum <config>``, ``decay <config>``, ``sweep <config>``,
 ``verify``.  Scenario configs are parsed, computed and written by
 ``leveldecay.scenario``, the same pipeline that ``verify`` runs.  Each command
 takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency
-(any ``NumericalError``), 3 config or usage error (``ConfigError``, or a usage
-error from argparse).
+(any ``NumericalError``), 3 config, usage or output error (``ConfigError``,
+which covers an output directory that cannot be made, a usage error from
+argparse, or an ``OSError`` while writing an artifact).
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ def cmd_verify(out_dir: Path) -> int:
 
 def _resolve_out_dir(args, scenario: Scenario | None) -> Path:
     out = args.out or (scenario and scenario.output_dir) or Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot make output directory {str(out)!r}: {exc.strerror or exc}"
+        ) from exc
     return out
 
 
@@ -141,6 +147,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ principal value and the weight integral from exponential-integral closed
 forms (see ``leveldecay.spectrum``).  ``k_regular``, ``k_pv`` and
 ``weight_integral`` compute the same integrals by adaptive quadrature: they
 are the gate those closed forms must pass before first use and the reference
-the tests compare against.  k and the weight integral are one integral,
+the tests compare against, and ``k_regular`` is the k of the eigenvalue
+oracle of ``verify`` criterion 8, which the eigenvalue solver's steps never
+evaluate.  k and the weight integral are one integral,
 |V(x)|^2 / (x + a)^p in u = ln(x + a); the principal value subtracts |V(c)|^2
 on a window around the pole.
 

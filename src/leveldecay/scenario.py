@@ -60,6 +60,10 @@ class Scenario:
 
 
 _FAMILIES = {f.value: f for f in CouplingFamily}
+# The longest artifact file suffix (``write_spectrum``) and the file-name limit
+# in bytes of common file systems.
+_LONGEST_SUFFIX = "_spectral.json"
+_NAME_MAX = 255
 _SWEEP_PARAMETERS = ("g_sq", "lambda_cutoff", "level_gap")
 
 
@@ -128,6 +132,12 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ConfigError(
             f"name must be a plain file name (no path separator or NUL, not . or ..), "
             f"got {name!r}"
+        )
+    n_bytes = len(f"{name}{_LONGEST_SUFFIX}".encode())
+    if n_bytes > _NAME_MAX:
+        raise ConfigError(
+            f"name too long: <name>{_LONGEST_SUFFIX} takes {n_bytes} UTF-8 bytes, "
+            f"above the file-name limit of {_NAME_MAX}"
         )
 
     e1 = _take_float(table, "model.e1")

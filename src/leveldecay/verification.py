@@ -4,8 +4,11 @@ The matrix covers {2d, 3d-above-threshold, 3d-below-threshold} x {moderate,
 small} couplings, all with e1 = 0, e2 = 1, cutoff 1.  Each criterion checks a
 distinct property at a fixed tolerance: measure normalization, threshold
 reproduction, late-time plateau vs decay, cross-route agreement, short-time
-law, weak-coupling exponential rate, eigenvalue correctness against a
-brute-force oracle, and byte determinism of rendered artifacts.
+law, weak-coupling exponential rate, eigenvalue correctness against an
+independent root search on the adaptive quadrature of k, and byte determinism
+of rendered artifacts.  Criterion 2 reads ``point_mass``, the pipeline's own
+threshold test and e0; criterion 8's oracle solves on ``quadrature.k_regular``
+from its own bracket and never sees the solver's e0.
 
 ``run_matrix`` runs each matrix row once through ``scenario.run_decay``, the
 pipeline of the ``decay`` command, evaluates all criteria, writes the same
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel, coupling_sq, l2_norm_sq
+from .coupling import CouplingFamily, CouplingModel, l2_norm_sq
 from .evolution import (
     AmplitudeSeries,
     amplitude_spectral,
@@ -30,7 +33,7 @@ from .evolution import (
     fitted_decay_rate,
     weak_coupling_rate,
 )
-from .quadrature import _EPS, NumericalError
+from .quadrature import _EPS, NumericalError, k_regular
 from .scenario import (
     DecayRun,
     Scenario,
@@ -41,13 +44,7 @@ from .scenario import (
     write_spectrum,
     write_sweep,
 )
-from .spectrum import (
-    ModelParams,
-    NoEigenvalueError,
-    build_spectral_data,
-    find_eigenvalue,
-    threshold_check,
-)
+from .spectrum import ModelParams, build_spectral_data, find_eigenvalue, point_mass
 from .volterra import richardson_ratio, solve_ide
 
 
@@ -106,26 +103,21 @@ def _check_normalization(runs: dict[MatrixScenario, DecayRun]) -> CriterionResul
     )
 
 
-def _eigenvalue_exists(params: ModelParams) -> bool:
-    try:
-        e0 = find_eigenvalue(params)
-    except NoEigenvalueError:
-        return False
-    return e0 < params.e1
-
-
 def _check_threshold() -> CriterionResult:
+    """The solver's e0 exists exactly where the threshold test says so."""
     failures = []
-    for g_sq, expected in ((0.9, False), (1.1, True)):
-        params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, g_sq, 1.0))
-        got = _eigenvalue_exists(params)
-        agrees = got == expected == threshold_check(params).exists
-        if not agrees:
-            failures.append(f"3d g2={g_sq}: solver={got}, expected={expected}")
-    for g_sq in (1e-3, 0.1, 1.0):
-        params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.TWO_DIM_EXP, g_sq, 1.0))
-        if not _eigenvalue_exists(params):
-            failures.append(f"2d g2={g_sq}: no eigenvalue found")
+    for family, tag, g_sq, expected in (
+        (CouplingFamily.THREE_DIM_EXP, "3d", 0.9, False),
+        (CouplingFamily.THREE_DIM_EXP, "3d", 1.1, True),
+        (CouplingFamily.TWO_DIM_EXP, "2d", 1e-3, True),
+        (CouplingFamily.TWO_DIM_EXP, "2d", 0.1, True),
+        (CouplingFamily.TWO_DIM_EXP, "2d", 1.0, True),
+    ):
+        params = ModelParams(0.0, 1.0, CouplingModel(family, g_sq, 1.0))
+        check, e0, _ = point_mass(params)
+        got = e0 is not None and e0 < params.e1
+        if not got == expected == check.exists:
+            failures.append(f"{tag} g2={g_sq}: solver={got}, expected={expected}")
     return CriterionResult(
         2, "threshold reproduction",
         not failures,
@@ -236,55 +228,25 @@ def _check_weak_coupling(runs: dict[MatrixScenario, DecayRun]) -> CriterionResul
     )
 
 
-def _simpson_blocks(f, edges: np.ndarray, n_per_block: int = 4097) -> float:
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = np.linspace(a, b, n_per_block)
-        weights = np.ones(n_per_block)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += (xs[1] - xs[0]) / 3.0 * float(np.dot(weights, f(xs)))
-    return total
+def _oracle_eigenvalue(params: ModelParams) -> float:
+    """Illinois false position (Dowell & Jarratt 1971) on F(lam) = e2 - lam -
+    k_regular(lam): secant steps inside the bracket, halving the F of an end
+    kept twice in a row so that both ends close on the root, until the
+    bracket is narrower than 1e-15 + 4 eps |lam|.  It starts on the wide
+    bracket [e1 - 8 max(1, gap), e1 - 1e-9 L] and never sees the solver's e0.
 
-
-def _oracle_k(params: ModelParams, lam: float) -> float:
-    """Brute-force k(lam): fixed graded composite Simpson, no adaptivity."""
-    model = params.coupling
-    a = params.e1 - lam
-    upper = 60.0 * model.cutoff
-    geo = a * 2.0 ** np.arange(0, 64)
-    geo = geo[geo < model.cutoff]
-    tail = model.cutoff * np.arange(1.0, upper / model.cutoff + 1.0)
-    edges = np.unique(np.concatenate([[0.0, a], geo, tail, [upper]]))
-
-    def integrand(x):
-        return coupling_sq(model, x) / (x + a)
-
-    return _simpson_blocks(integrand, edges)
-
-
-def _oracle_eigenvalue(params: ModelParams, e0: float) -> float:
-    """Illinois false position (Dowell & Jarratt 1971) on the brute-force k,
-    independent of the main solver: secant steps inside the bracket, halving
-    the F of an end kept twice in a row so that both ends close on the root,
-    until the bracket is narrower than 1e-15 + 4 eps |lam|.
-
-    It starts on [e0 - d, e0 + d], d = 1e-9 max(1, |e0|), clipped to the wide
-    bracket [e1 - 8 max(1, gap), e1 - 1e-9 L], if F changes sign across it:
-    F is monotone, so the oracle's own root then lies inside.  Otherwise it
-    starts on the wide bracket, so a wrong e0 still fails the comparison."""
-    wide_lo = params.e1 - 8.0 * max(1.0, params.level_gap)
-    wide_hi = params.e1 - 1e-9 * params.coupling.cutoff
+    It is independent of ``find_eigenvalue``: ``k_regular`` is adaptive
+    (G7, K15) quadrature of |V|^2 / (x + a) in u = ln(x + a), built from
+    ``coupling_sq`` alone, while the solver takes Newton steps in u = ln a on
+    the scipy exp1 closed forms of k and never evaluates ``k_regular`` (only
+    the one-time gate of those closed forms, at g2 = L = 1, does)."""
+    lo = params.e1 - 8.0 * max(1.0, params.level_gap)
+    hi = params.e1 - 1e-9 * params.coupling.cutoff
 
     def f_of(lam: float) -> float:
-        return params.e2 - lam - _oracle_k(params, lam)
+        return params.e2 - lam - k_regular(params, lam)
 
-    delta = 1e-9 * max(1.0, abs(e0))
-    lo, hi = max(e0 - delta, wide_lo), min(e0 + delta, wide_hi)
     f_lo, f_hi = f_of(lo), f_of(hi)
-    if not (f_lo > 0.0 > f_hi):
-        lo, hi = wide_lo, wide_hi
-        f_lo, f_hi = f_of(lo), f_of(hi)
     if not (f_lo > 0.0 > f_hi):
         raise NumericalError(f"oracle bracket invalid: F(lo)={f_lo!r}, F(hi)={f_hi!r}")
     kept = 0  # +1: lo was kept last step, -1: hi was kept
@@ -321,7 +283,7 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
             ok = False
             details.append(f"{ms.name}: e0 not strictly below e1")
             continue
-        oracle = _oracle_eigenvalue(run.spec.params, e0)
+        oracle = _oracle_eigenvalue(run.spec.params)
         err = abs(e0 - oracle)
         worst = max(worst, err)
         if err > 1e-8:

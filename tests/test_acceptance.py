@@ -9,10 +9,13 @@ matrix into a second directory and compares every artifact byte for byte.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from leveldecay import verification
-from leveldecay.spectrum import find_eigenvalue
+from leveldecay.scenario import DecayRun
+from leveldecay.spectrum import build_spectral_data, find_eigenvalue
 from leveldecay.verification import MATRIX, run_matrix
 
 
@@ -77,20 +80,38 @@ def test_criterion_8_eigenvalue_solver_correctness(verify_run):
     assert res.passed, res.detail
 
 
-@pytest.mark.parametrize("name", ["2d-moderate", "3d-above-moderate"])
-def test_oracle_seeded_at_e0_and_falls_back_from_a_wrong_one(monkeypatch, name):
-    params = next(m for m in MATRIX if m.name == name).scenario().params
-    e0 = find_eigenvalue(params)
+_BOUND_ROWS = [m for m in MATRIX if m.has_eigenvalue]
+
+
+@pytest.fixture(scope="module")
+def bound_state_runs():
+    """The bound-state rows with their spectral data; criterion 8 reads no series."""
+    return {
+        ms: DecayRun(build_spectral_data(ms.scenario().params), None, None, 0.0)
+        for ms in _BOUND_ROWS
+    }
+
+
+@pytest.mark.parametrize("ms", _BOUND_ROWS, ids=lambda ms: ms.name)
+def test_oracle_finds_e0_from_its_own_bracket(monkeypatch, ms):
+    params = ms.scenario().params
     calls = []
-    oracle_k = verification._oracle_k
+    k_regular = verification.k_regular
     monkeypatch.setattr(
-        verification, "_oracle_k", lambda *args: calls.append(1) or oracle_k(*args)
+        verification, "k_regular", lambda *args: calls.append(1) or k_regular(*args)
     )
-    assert abs(verification._oracle_eigenvalue(params, e0) - e0) <= 1e-13
-    assert len(calls) <= 10  # the seed held: the wide bracket takes 18
-    # No sign change across e0 + 1e-6 +- 1e-9: the wide bracket finds the
-    # oracle's own root, so criterion 8 would see the 1e-6 error.
-    assert abs(verification._oracle_eigenvalue(params, e0 + 1e-6) - e0) <= 1e-13
+    assert abs(verification._oracle_eigenvalue(params) - find_eigenvalue(params)) <= 1e-15
+    assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("ms", _BOUND_ROWS, ids=lambda ms: ms.name)
+def test_criterion_8_fails_on_a_shifted_eigenvalue(bound_state_runs, ms):
+    assert verification._check_eigenvalue_oracle(bound_state_runs).passed
+    run = bound_state_runs[ms]
+    shifted = replace(run, spec=replace(run.spec, eigenvalue=run.spec.eigenvalue + 1e-6))
+    res = verification._check_eigenvalue_oracle({**bound_state_runs, ms: shifted})
+    assert not res.passed
+    assert f"{ms.name}: |e0 - oracle| = 1.00e-06 > 1e-8" in res.detail
 
 
 def test_criterion_9_determinism(verify_run, tmp_path_factory):

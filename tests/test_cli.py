@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import errno
 import inspect
 import json
 import math
@@ -227,6 +228,52 @@ class TestSpectrumCommand:
     def test_plain_file_names_parse(self, name):
         text = BASE_CONFIG.replace("name = demo", f"name = {name}")
         assert parse_scenario_text(text).name == name
+
+    @pytest.mark.parametrize("name", ["a" * 242, "\u00e9" * 121], ids=["ascii", "two-byte"])
+    def test_name_too_long_for_a_file_name_is_config_error(self, tmp_path, capsys, name):
+        # <name>_spectral.json, the longest artifact name, is 256 UTF-8 bytes.
+        cfg = _write(tmp_path, BASE_CONFIG.replace("name = demo", f"name = {name}"))
+        out = tmp_path / "out"
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: name too long") and err.count("\n") == 1
+        assert "256 UTF-8 bytes" in err
+        assert not out.exists()
+
+    def test_longest_name_that_fits_writes(self, tmp_path):
+        name = "a" * 241
+        cfg = _write(tmp_path, BASE_CONFIG.replace("name = demo", f"name = {name}"))
+        out = tmp_path / "out"
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 0
+        assert (out / f"{name}_spectral.json").is_file()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_directory_that_cannot_be_made_is_config_error(
+        self, tmp_path, capsys, below
+    ):
+        taken = _write(tmp_path, "not a directory", name="taken")
+        out = taken / "sub" if below else taken
+        cfg = _write(tmp_path, BASE_CONFIG)
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot make output directory")
+        assert repr(str(out)) in err and err.count("\n") == 1
+        assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command", ["spectrum", "decay", "sweep"])
+    def test_failing_artifact_write_exits_three(self, tmp_path, capsys, monkeypatch, command):
+        # Tests may run as root, so the write is made to fail, not the directory.
+        text = BASE_CONFIG + "sweep.parameter = g_sq\nsweep.values = 0.5, 2.0\n"
+        cfg = _write(tmp_path, text)
+
+        def full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(self))
+
+        monkeypatch.setattr(Path, "write_text", full)
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: output: [Errno 28] No space left on device")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("cls", NUMERICAL_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_numerical_error_exits_two(self, tmp_path, capsys, monkeypatch, cls):
