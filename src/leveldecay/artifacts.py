@@ -4,7 +4,9 @@ Floats are rendered with 17 significant digits in lowercase scientific
 notation, byte for byte as ``format(x, '.16e')``, so that repeated runs
 produce byte-identical files.  CSV files are comma-separated with a header
 row and UNIX newlines.  JSON summaries are flat objects; divergent (infinite)
-quantities are encoded as null, since JSON has no literal for them.
+quantities are encoded as null, since JSON has no literal for them.  The
+sweep CSV renders each line from a sweep value and its ``spectrum.point_mass``
+result directly, one ``fmt`` call per float cell.
 
 The float columns of the series and density CSVs are rendered in one numpy
 pass instead of one ``format`` call per float.  For x with |x| in
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -257,23 +260,26 @@ def write_decay_json(
     })
 
 
-def render_sweep_csv(rows: list[dict]) -> str:
+def render_sweep_csv(values: Iterable[float], points: Iterable[tuple]) -> str:
+    """The threshold table of one sweep: a line per value and its
+    ``point_mass`` result (threshold test, e0, w).
+
+    A marginal point is ``skipped``, with e0, weight and p_infinity empty;
+    at zero coupling e0 is empty and weight and p_infinity are 1.  The 2d
+    threshold_rhs is ``inf``.
+    """
     lines = ["sweep_value,threshold_rhs,exists,e0,weight,p_infinity"]
-    for row in rows:
-        rhs = row["threshold_rhs"]
-        rhs_txt = "inf" if math.isinf(rhs) else fmt(rhs)
-        e0 = row["e0"]
+    for value, (check, e0, weight) in zip(values, points, strict=True):
         lines.append(",".join([
-            fmt(row["sweep_value"]),
-            rhs_txt,
-            row["exists"],
-            fmt(e0) if e0 is not None else "",
-            fmt(row["weight"]) if row["weight"] is not None else "",
-            fmt(row["p_infinity"]) if row["p_infinity"] is not None else "",
+            fmt(value),
+            "inf" if math.isinf(check.rhs) else fmt(check.rhs),
+            "skipped" if check.marginal else str(check.exists).lower(),
+            "" if e0 is None or check.degenerate else fmt(e0),
+            "" if weight is None else fmt(weight),
+            "" if weight is None else fmt(weight**2),
         ]))
     return "\n".join(lines) + "\n"
 
 
-def write_sweep_csv(path: Path, rows: list[dict]) -> None:
-    path.write_text(render_sweep_csv(rows), encoding="utf-8", newline="\n")
-
+def write_sweep_csv(path: Path, values: Iterable[float], points: Iterable[tuple]) -> None:
+    path.write_text(render_sweep_csv(values, points), encoding="utf-8", newline="\n")

@@ -24,12 +24,11 @@ from .scenario import (
     check_positive_finite,
     load_scenario,
     run_decay,
-    sweep_point,
     write_decay,
     write_spectrum,
     write_sweep,
 )
-from .spectrum import build_spectral_data
+from .spectrum import build_spectral_data, point_mass
 
 _DEVIATION_GATE = 1e-2
 
@@ -51,15 +50,15 @@ def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
 
 
 def cmd_sweep(scenario: Scenario, out_dir: Path) -> int:
-    rows = list(map(sweep_point, scenario.sweep.models, scenario.sweep.values))
-    for row in rows:
-        if row["exists"] == "skipped":
+    values = scenario.sweep.values
+    points = list(map(point_mass, scenario.sweep.models))
+    for value, (check, _, _) in zip(values, points):
+        if check.marginal:
             print(
-                f"note: sweep point {row['sweep_value']!r} sits on the threshold "
-                "within 1e-8; skipped",
+                f"note: sweep point {value!r} sits on the threshold within 1e-8; skipped",
                 file=sys.stderr,
             )
-    write_sweep(out_dir, scenario.name, rows)
+    write_sweep(out_dir, scenario.name, values, points)
     return 0
 
 

@@ -9,13 +9,15 @@ solver on one shared grid, one route after the other: the transform first,
 so that a series past its panel budget fails before the far longer solve
 starts.
 ``write_spectrum``, ``write_decay`` and ``write_sweep`` name the artifact
-files.  The CLI and ``verify`` share them.
+files.  The CLI and ``verify`` share them; a sweep's rows are the
+``point_mass`` results of its models, rendered by ``artifacts``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .evolution import (
     weak_coupling_rate,
 )
 from .quadrature import NumericalError, _check_tail
-from .spectrum import ModelParams, SpectralData, build_spectral_data, point_mass
+from .spectrum import ModelParams, SpectralData, build_spectral_data
 from .volterra import default_step, solve_ide
 
 
@@ -248,8 +250,10 @@ def run_decay(scenario: Scenario) -> DecayRun:
     """
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
-    # In floating point, where an infinite ratio does not raise as in ceil.
-    steps = (scenario.series_points - 1) * max(1.0, dt / h_target)
+    # The steps the solver takes, ceiled as a float, so that an infinite
+    # ratio is refused below instead of raising in math.ceil.
+    per_output = max(1.0, np.ceil(dt / h_target))
+    steps = (scenario.series_points - 1) * per_output
     if not steps <= _MAX_STEPS:
         raise ConfigError(
             f"the time-domain solve needs {steps:.4g} steps, more than "
@@ -257,7 +261,7 @@ def run_decay(scenario: Scenario) -> DecayRun:
             "or raise volterra.step"
         )
     spec = build_spectral_data(scenario.params)
-    per_output = max(1, math.ceil(dt / h_target))
+    per_output = int(per_output)
     step = dt / per_output
     n = (scenario.series_points - 1) * per_output
     times = np.arange(0, n + 1, per_output) * step
@@ -287,20 +291,8 @@ def write_decay(out_dir: Path, name: str, run: DecayRun) -> None:
     )
 
 
-def write_sweep(out_dir: Path, name: str, rows: list[dict]) -> None:
-    """The threshold table of one sweep."""
-    artifacts.write_sweep_csv(out_dir / f"{name}_sweep.csv", rows)
-
-
-def sweep_point(params: ModelParams, value: float) -> dict:
-    """The sweep row of ``point_mass(params)`` at ``value``: a marginal point is
-    "skipped", all empty; at zero coupling e0 is empty, weight and p_infinity 1."""
-    check, e0, weight = point_mass(params)
-    return {
-        "sweep_value": value,
-        "threshold_rhs": check.rhs,
-        "exists": "skipped" if check.marginal else str(check.exists).lower(),
-        "e0": None if check.degenerate else e0,
-        "weight": weight,
-        "p_infinity": None if weight is None else weight**2,
-    }
+def write_sweep(
+    out_dir: Path, name: str, values: Iterable[float], points: Iterable[tuple]
+) -> None:
+    """The threshold table of one sweep: each value and its ``point_mass``."""
+    artifacts.write_sweep_csv(out_dir / f"{name}_sweep.csv", values, points)

@@ -8,7 +8,9 @@ law, weak-coupling exponential rate, eigenvalue correctness against an
 independent root search on the adaptive quadrature of k, and byte determinism
 of rendered artifacts.  Criterion 2 reads ``point_mass``, the pipeline's own
 threshold test and e0; criterion 8's oracle solves on ``quadrature.k_regular``
-from its own bracket and never sees the solver's e0.
+from its own bracket and never sees the solver's e0.  Criteria 2 to 6 and 8
+list their failures, and ``_result`` makes each pass exactly when its list is
+empty.
 
 ``run_matrix`` runs each matrix row once through ``scenario.run_decay``, the
 pipeline of the ``decay`` command, evaluates all criteria, writes the same
@@ -39,7 +41,6 @@ from .scenario import (
     Scenario,
     SweepSpec,
     run_decay,
-    sweep_point,
     write_decay,
     write_spectrum,
     write_sweep,
@@ -94,6 +95,12 @@ def _window_mean(series: AmplitudeSeries, t_lo: float, t_hi: float) -> float:
     return float(series.probability[mask].mean())
 
 
+def _result(cid: int, name: str, failures: list[str], pass_text: str) -> CriterionResult:
+    """Criterion ``cid``, passed exactly when it lists no failure: its detail
+    is the failures joined by "; ", or ``pass_text``."""
+    return CriterionResult(cid, name, not failures, "; ".join(failures) or pass_text)
+
+
 def _check_normalization(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     worst = max(r.spec.normalization_defect for r in runs.values())
     return CriterionResult(
@@ -118,16 +125,14 @@ def _check_threshold() -> CriterionResult:
         got = e0 is not None and e0 < params.e1
         if not got == expected == check.exists:
             failures.append(f"{tag} g2={g_sq}: solver={got}, expected={expected}")
-    return CriterionResult(
-        2, "threshold reproduction",
-        not failures,
-        "; ".join(failures) if failures else
+    return _result(
+        2, "threshold reproduction", failures,
         "3d exists iff g2 above gap at +-10%; 2d exists for g2 in {1e-3, 0.1, 1}",
     )
 
 
 def _check_plateau(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
-    details, ok = [], True
+    failures = []
     for ms, run in runs.items():
         if not ms.has_eigenvalue:
             continue
@@ -135,36 +140,30 @@ def _check_plateau(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
             if abs(got - target) > 1e-2:
-                ok = False
-                details.append(f"{ms.name}/{tag}: |{got:.4f} - {target:.4f}| > 1e-2")
-    return CriterionResult(
-        3, "non-decay above threshold",
-        ok,
-        "; ".join(details) if details else
+                failures.append(f"{ms.name}/{tag}: |{got:.4f} - {target:.4f}| > 1e-2")
+    return _result(
+        3, "non-decay above threshold", failures,
         "window mean of P on [T, 2T] matches w^2 within 1e-2 on both routes",
     )
 
 
 def _check_decay(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
-    details, ok = [], True
+    failures = []
     for ms, run in runs.items():
         if ms.has_eigenvalue:
             continue
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
             if got >= 1e-2:
-                ok = False
-                details.append(f"{ms.name}/{tag}: window mean {got:.3e} >= 1e-2")
-    return CriterionResult(
-        4, "decay below threshold",
-        ok,
-        "; ".join(details) if details else
+                failures.append(f"{ms.name}/{tag}: window mean {got:.3e} >= 1e-2")
+    return _result(
+        4, "decay below threshold", failures,
         "window mean of P on [T, 2T] below 1e-2 on both routes",
     )
 
 
 def _check_cross_route(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
-    details, ok = [], True
+    failures = []
     worst = 0.0
     for ms, run in runs.items():
         params = run.spec.params
@@ -174,22 +173,18 @@ def _check_cross_route(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
         )))
         worst = max(worst, dev)
         if dev > 1e-3:
-            ok = False
-            details.append(f"{ms.name}: max |C_s - C_v| = {dev:.2e} > 1e-3")
+            failures.append(f"{ms.name}: max |C_s - C_v| = {dev:.2e} > 1e-3")
         ratio = richardson_ratio(params, _CROSS_T / params.level_gap, 0.04)
         if not 3.0 <= ratio <= 5.0:
-            ok = False
-            details.append(f"{ms.name}: Richardson ratio {ratio:.2f} outside [3, 5]")
-    return CriterionResult(
-        5, "cross-route agreement",
-        ok,
-        "; ".join(details) if details else
+            failures.append(f"{ms.name}: Richardson ratio {ratio:.2f} outside [3, 5]")
+    return _result(
+        5, "cross-route agreement", failures,
         f"max deviation {worst:.2e} <= 1e-3; step-halving ratios in [3, 5]",
     )
 
 
 def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
-    details, ok = [], True
+    failures = []
     for ms, run in runs.items():
         params = run.spec.params
         l2 = l2_norm_sq(params.coupling)
@@ -202,15 +197,12 @@ def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
             (float(spec_series.probability[-1]), "spectral"),
         ):
             if abs(got - predicted) > 1e-5:
-                ok = False
-                details.append(
+                failures.append(
                     f"{ms.name}/{tag}: |P({t_star:.4f}) - {predicted:.8f}| "
                     f"= {abs(got - predicted):.2e} > 1e-5"
                 )
-    return CriterionResult(
-        6, "short-time quadratic law",
-        ok,
-        "; ".join(details) if details else
+    return _result(
+        6, "short-time quadratic law", failures,
         "P(t*) = 1 - l2 t*^2 within 1e-5 on both routes for every scenario",
     )
 
@@ -273,22 +265,20 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
 
 
 def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
-    details, ok = [], True
+    failures = []
     worst = 0.0
     for ms, run in runs.items():
         if not ms.has_eigenvalue:
             continue
         e0 = run.spec.eigenvalue
         if not e0 < run.spec.params.e1:
-            ok = False
-            details.append(f"{ms.name}: e0 not strictly below e1")
+            failures.append(f"{ms.name}: e0 not strictly below e1")
             continue
         oracle = _oracle_eigenvalue(run.spec.params)
         err = abs(e0 - oracle)
         worst = max(worst, err)
         if err > 1e-8:
-            ok = False
-            details.append(f"{ms.name}: |e0 - oracle| = {err:.2e} > 1e-8")
+            failures.append(f"{ms.name}: |e0 - oracle| = {err:.2e} > 1e-8")
     grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     roots = [
         find_eigenvalue(
@@ -297,12 +287,9 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
         for g in grid
     ]
     if not all(b < a for a, b in zip(roots[:-1], roots[1:])):
-        ok = False
-        details.append(f"e0 not strictly decreasing over g2 grid {grid}: {roots}")
-    return CriterionResult(
-        8, "eigenvalue solver correctness",
-        ok,
-        "; ".join(details) if details else
+        failures.append(f"e0 not strictly decreasing over g2 grid {grid}: {roots}")
+    return _result(
+        8, "eigenvalue solver correctness", failures,
         f"max |e0 - oracle| = {worst:.2e} <= 1e-8; e0 < e1; e0 strictly decreasing in g2",
     )
 
@@ -328,11 +315,10 @@ def _check_determinism() -> CriterionResult:
     def render() -> tuple[str, str, str]:
         spec = build_spectral_data(ms.scenario().params)
         _name, sweep = _sweeps()[0]
-        rows = list(map(sweep_point, sweep.models, sweep.values))
         return (
             artifacts.render_density_csv(spec),
             artifacts.render_spectral_json(spec),
-            artifacts.render_sweep_csv(rows),
+            artifacts.render_sweep_csv(sweep.values, list(map(point_mass, sweep.models))),
         )
 
     first, second = render(), render()
@@ -349,10 +335,10 @@ def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> Non
         write_spectrum(out_dir, ms.name, run.spec)
         write_decay(out_dir, ms.name, run)
     for name, sweep in _sweeps():
-        write_sweep(out_dir, name, list(map(sweep_point, sweep.models, sweep.values)))
+        write_sweep(out_dir, name, sweep.values, list(map(point_mass, sweep.models)))
 
 
-def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
+def run_matrix(out_dir: Path) -> list[CriterionResult]:
     """Compute the scenario matrix, evaluate all criteria, write artifacts."""
     runs = {ms: run_decay(ms.scenario()) for ms in MATRIX}
     results = [
@@ -366,14 +352,13 @@ def run_matrix(out_dir: Path | None = None) -> list[CriterionResult]:
         _check_eigenvalue_oracle(runs),
         _check_determinism(),
     ]
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(out_dir, runs)
-        artifacts.write_json(out_dir / "verify_report.json", {
-            "all_passed": all(r.passed for r in results),
-            "criteria": [
-                {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        })
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_artifacts(out_dir, runs)
+    artifacts.write_json(out_dir / "verify_report.json", {
+        "all_passed": all(r.passed for r in results),
+        "criteria": [
+            {"id": r.cid, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ],
+    })
     return results

@@ -9,9 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leveldecay import AmplitudeSeries, CouplingFamily, CouplingModel, ModelParams
-from leveldecay.artifacts import _render_columns, fmt, render_density_csv, render_series_csv
+from leveldecay.artifacts import (
+    _render_columns,
+    fmt,
+    render_density_csv,
+    render_series_csv,
+    render_sweep_csv,
+)
 from leveldecay.evolution import MethodTag
-from leveldecay.spectrum import build_spectral_data
+from leveldecay.spectrum import build_spectral_data, point_mass
+from leveldecay.verification import _sweeps
 
 
 def _per_element(header: str, rows) -> str:
@@ -112,3 +119,29 @@ def test_render_columns_random_bit_patterns():
 
 def test_render_columns_without_rows_is_the_header():
     assert _render_columns("t,re_c,im_c,p", [np.empty(0)] * 4) == "t,re_c,im_c,p\n"
+
+
+# The two verify sweep CSVs, frozen byte for byte: no bound state (0.5, 0.9),
+# marginal (1.0), bound state (1.1, 2.0), and 2d, whose threshold_rhs is inf.
+FROZEN_SWEEPS = {
+    "verify-sweep-3d": """\
+sweep_value,threshold_rhs,exists,e0,weight,p_infinity
+5.0000000000000000e-01,5.0000000000000000e-01,false,,0.0000000000000000e+00,0.0000000000000000e+00
+9.0000000000000002e-01,9.0000000000000002e-01,false,,0.0000000000000000e+00,0.0000000000000000e+00
+1.0000000000000000e+00,1.0000000000000000e+00,skipped,,,
+1.1000000000000001e+00,1.1000000000000001e+00,true,-2.1268344030426774e-02,2.7169814190088748e-01,7.3819880312394795e-02
+2.0000000000000000e+00,2.0000000000000000e+00,true,-2.8477924771676288e-01,4.4909253697788509e-01,2.0168410676923310e-01
+""",
+    "verify-sweep-2d": """\
+sweep_value,threshold_rhs,exists,e0,weight,p_infinity
+1.0000000000000000e-03,inf,true,-4.9406564584124654e-324,0.0000000000000000e+00,0.0000000000000000e+00
+1.0000000000000001e-01,inf,true,-2.5490870973312463e-05,2.5490871138948192e-04,6.4978451142246183e-08
+1.0000000000000000e+00,inf,true,-2.7598409657299200e-01,2.9873815155096051e-01,8.9244483192084653e-02
+""",
+}
+
+
+def test_verify_sweep_csvs_are_frozen():
+    for name, sweep in _sweeps():
+        points = list(map(point_mass, sweep.models))
+        assert render_sweep_csv(sweep.values, points) == FROZEN_SWEEPS[name]

@@ -31,10 +31,11 @@ from leveldecay import (
     default_step,
     solve_ide,
 )
-from leveldecay.artifacts import render_sweep_csv
+from leveldecay.artifacts import fmt, render_sweep_csv
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
-from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_point
+from leveldecay.scenario import ConfigError, parse_scenario_text
+from leveldecay.spectrum import point_mass
 
 BASE_CONFIG = """
 # minimal valid scenario
@@ -421,6 +422,24 @@ class TestDecayCommand:
         assert all(name in err for name in ("--horizon", "series.points", "volterra.step"))
         assert not list(out.glob("*.csv"))
 
+    def test_step_guard_counts_the_ceiled_steps(self, tmp_path, capsys, monkeypatch):
+        # dt / h = 100.4: the solver takes ceil(100.4) = 101 steps per output
+        # interval, 1,010 in all, above a bound of 1,005 that 10 * 100.4
+        # would pass.
+        def solve(*args, **kwargs):
+            calls.append(args)
+            raise NumericalError("solve started")
+
+        calls = []
+        monkeypatch.setattr(scenario, "_MAX_STEPS", 1005)
+        monkeypatch.setattr(scenario, "solve_ide", solve)
+        text = BASE_CONFIG + "horizon = 10.04\nseries.points = 11\nvolterra.step = 0.01\n"
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, text)), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: the time-domain solve needs 1010 steps")
+        assert calls == []
+
     def test_deviation_above_the_gate_writes_then_exits_two(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -590,24 +609,25 @@ class TestSweepCommand:
     )
     def test_row_and_record_report_one_point_mass(self, family, g_sq):
         params = ModelParams(0.0, 1.0, CouplingModel(family, g_sq, 1.0))
-        row = sweep_point(params, g_sq)
+        point = point_mass(params)
+        _, e0, weight = point
         spec = build_spectral_data(params)
-        assert row["weight"] == spec.weight
-        assert row["p_infinity"] == asymptotic_limit(spec)
+        row = render_sweep_csv([g_sq], [point]).splitlines()[1].split(",")
+        assert weight == spec.weight and row[4] == fmt(spec.weight)
+        assert row[5] == fmt(asymptotic_limit(spec))
         if g_sq == 0.0:
             # e2 is no eigenvalue below the edge: the sweep's e0 stays empty.
-            assert row["e0"] is None
-            assert render_sweep_csv([row]).splitlines()[1].split(",")[3] == ""
+            assert row[3] == ""
         else:
-            assert row["e0"] == spec.eigenvalue
+            assert e0 == spec.eigenvalue
+            assert row[3] == ("" if e0 is None else fmt(e0))
 
     def test_weight_reported_as_data_on_two_dim_grid(self):
         scen = parse_scenario_text(
             BASE_CONFIG.replace("3d-exp", "2d-exp")
             + "sweep.parameter = g_sq\nsweep.values = 0.1, 0.3, 0.6\n"
         )
-        rows = list(map(sweep_point, scen.sweep.models, scen.sweep.values))
-        weights = [r["weight"] for r in rows]
+        weights = [weight for _, _, weight in map(point_mass, scen.sweep.models)]
         assert all(0.0 < w < 1.0 for w in weights)
         # observed monotone increase; reported as data, never asserted in-library
         assert weights == sorted(weights)
