@@ -57,7 +57,8 @@ class MatrixScenario:
     has_eigenvalue: bool
 
     def scenario(self) -> Scenario:
-        """The row as a decay scenario: horizon 2T, 2001 points, step 0.01."""
+        """The row as a decay scenario: horizon 2T, 2001 points, nominal step
+        0.01 (``run_decay`` solves at 0.02 and 0.04)."""
         params = ModelParams(0.0, 1.0, CouplingModel(self.family, self.g_sq, 1.0))
         return Scenario(
             self.name, params, horizon=2.0 * _WINDOW_T / params.level_gap,
@@ -113,6 +114,7 @@ def _check_normalization(runs: dict[MatrixScenario, DecayRun]) -> CriterionResul
 def _check_threshold() -> CriterionResult:
     """The solver's e0 exists exactly where the threshold test says so."""
     failures = []
+    margin = math.inf
     for family, tag, g_sq, expected in (
         (CouplingFamily.THREE_DIM_EXP, "3d", 0.9, False),
         (CouplingFamily.THREE_DIM_EXP, "3d", 1.1, True),
@@ -122,43 +124,50 @@ def _check_threshold() -> CriterionResult:
     ):
         params = ModelParams(0.0, 1.0, CouplingModel(family, g_sq, 1.0))
         check, e0, _ = point_mass(params)
+        margin = min(margin, abs(params.level_gap - check.rhs))
         got = e0 is not None and e0 < params.e1
         if not got == expected == check.exists:
             failures.append(f"{tag} g2={g_sq}: solver={got}, expected={expected}")
     return _result(
         2, "threshold reproduction", failures,
-        "3d exists iff g2 above gap at +-10%; 2d exists for g2 in {1e-3, 0.1, 1}",
+        "3d exists iff g2 above gap at +-10%; 2d exists for g2 in {1e-3, 0.1, 1}; "
+        f"min |gap - rhs| = {margin:.3e}",
     )
 
 
 def _check_plateau(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     failures = []
+    worst = 0.0
     for ms, run in runs.items():
         if not ms.has_eigenvalue:
             continue
         target = asymptotic_limit(run.spec)
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
+            worst = max(worst, abs(got - target))
             if abs(got - target) > 1e-2:
                 failures.append(f"{ms.name}/{tag}: |{got:.4f} - {target:.4f}| > 1e-2")
     return _result(
         3, "non-decay above threshold", failures,
-        "window mean of P on [T, 2T] matches w^2 within 1e-2 on both routes",
+        "window mean of P on [T, 2T] matches w^2 within 1e-2 on both routes: "
+        f"max |mean - w^2| = {worst:.2e}",
     )
 
 
 def _check_decay(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     failures = []
+    worst = 0.0
     for ms, run in runs.items():
         if ms.has_eigenvalue:
             continue
         for series, tag in ((run.spectral, "spectral"), (run.vol, "volterra")):
             got = _window_mean(series, _WINDOW_T, 2.0 * _WINDOW_T)
+            worst = max(worst, got)
             if got >= 1e-2:
                 failures.append(f"{ms.name}/{tag}: window mean {got:.3e} >= 1e-2")
     return _result(
         4, "decay below threshold", failures,
-        "window mean of P on [T, 2T] below 1e-2 on both routes",
+        f"window mean of P on [T, 2T] below 1e-2 on both routes: max {worst:.2e}",
     )
 
 
@@ -185,6 +194,7 @@ def _check_cross_route(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
 
 def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
     failures = []
+    worst = 0.0
     for ms, run in runs.items():
         params = run.spec.params
         l2 = l2_norm_sq(params.coupling)
@@ -196,6 +206,7 @@ def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
             (float(vol.probability[-1]), "volterra"),
             (float(spec_series.probability[-1]), "spectral"),
         ):
+            worst = max(worst, abs(got - predicted))
             if abs(got - predicted) > 1e-5:
                 failures.append(
                     f"{ms.name}/{tag}: |P({t_star:.4f}) - {predicted:.8f}| "
@@ -203,7 +214,8 @@ def _check_short_time(runs: dict[MatrixScenario, DecayRun]) -> CriterionResult:
                 )
     return _result(
         6, "short-time quadratic law", failures,
-        "P(t*) = 1 - l2 t*^2 within 1e-5 on both routes for every scenario",
+        "P(t*) = 1 - l2 t*^2 within 1e-5 on both routes for every scenario: "
+        f"max |P(t*) - predicted| = {worst:.2e}",
     )
 
 
@@ -322,12 +334,10 @@ def _check_determinism() -> CriterionResult:
         )
 
     first, second = render(), render()
+    compared = f"{len(first)} files, {sum(len(text.encode()) for text in first):,} bytes"
     same = first == second
-    return CriterionResult(
-        9, "artifact determinism",
-        same,
-        "repeated renders byte-identical" if same else "renders differ between runs",
-    )
+    verdict = "repeated renders byte-identical" if same else "renders differ between runs"
+    return CriterionResult(9, "artifact determinism", same, f"{verdict} ({compared})")
 
 
 def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> None:

@@ -9,14 +9,17 @@ matrix into a second directory and compares every artifact byte for byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from leveldecay import verification
-from leveldecay.scenario import DecayRun
+from leveldecay.scenario import DecayRun, run_decay
 from leveldecay.spectrum import build_spectral_data, find_eigenvalue
 from leveldecay.verification import MATRIX, run_matrix
+from leveldecay.volterra import solve_ide
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,52 @@ def test_criterion_7_weak_coupling_rate(verify_run):
 def test_criterion_8_eigenvalue_solver_correctness(verify_run):
     res = _criterion(verify_run[0], 8)
     assert res.passed, res.detail
+
+
+# max |C_s - C_v| up to 50 / gap of the extrapolated Volterra series, about
+# twice the measured 1.21e-6, 1.66e-8, 6.69e-5, 1.17e-5, 2.37e-7 and 2.84e-9.
+# The spectral route is exact to 2e-15 here, so this is the Volterra route's
+# own error.
+_EXTRAPOLATED_BOUND = {
+    "2d-moderate": 2.5e-6,
+    "2d-small": 3.5e-8,
+    "3d-above-moderate": 1e-4,
+    "3d-above-small": 2.5e-5,
+    "3d-below-moderate": 5e-7,
+    "3d-below-small": 6e-9,
+}
+
+
+@pytest.mark.parametrize("ms", MATRIX, ids=lambda ms: ms.name)
+def test_extrapolated_pair_beats_one_solve_at_h(ms):
+    scen = ms.scenario()
+    run = run_decay(scen)
+    mask = run.spectral.times <= verification._CROSS_T / scen.params.level_gap
+    extrapolated = np.max(np.abs(run.spectral.amplitude[mask] - run.vol.amplitude[mask]))
+    assert extrapolated <= _EXTRAPOLATED_BOUND[ms.name]
+    # The raw 2h solve of the pair (h = 0.01 divides the spacing 0.2 twenty
+    # times).  A second-order scheme at h would be about 4 times closer;
+    # the extrapolation must beat that as well.
+    h = scen.horizon / (scen.series_points - 1) / 20
+    raw = solve_ide(scen.params, scen.horizon, step=2 * h, stride=10)
+    assert raw.times.tobytes() == run.spectral.times.tobytes()
+    raw_2h = np.max(np.abs(run.spectral.amplitude[mask] - raw.amplitude[mask]))
+    assert 4.0 * extrapolated < raw_2h
+
+
+def test_every_criterion_detail_gives_its_margin(verify_run):
+    details = {r.cid: r.detail for r in verify_run[0]}
+    # Criterion 2's nearest threshold test is 3d g2 = 0.9 or 1.1 at gap 1.
+    assert details[2].endswith("; min |gap - rhs| = 1.000e-01")
+    for cid, label, bound in (
+        (3, "max |mean - w^2| = ", 1e-2),
+        (4, "on both routes: max ", 1e-2),
+        (6, "max |P(t*) - predicted| = ", 1e-5),
+    ):
+        margin = float(re.search(re.escape(label) + r"(\S+)$", details[cid]).group(1))
+        assert 0.0 < margin < bound, (cid, details[cid])
+    files, size = re.search(r"\((\d+) files, ([\d,]+) bytes\)$", details[9]).groups()
+    assert files == "3" and int(size.replace(",", "")) > 0
 
 
 _BOUND_ROWS = [m for m in MATRIX if m.has_eigenvalue]

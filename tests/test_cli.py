@@ -423,9 +423,9 @@ class TestDecayCommand:
         assert not list(out.glob("*.csv"))
 
     def test_step_guard_counts_the_ceiled_steps(self, tmp_path, capsys, monkeypatch):
-        # dt / h = 100.4: the solver takes ceil(100.4) = 101 steps per output
-        # interval, 1,010 in all, above a bound of 1,005 that 10 * 100.4
-        # would pass.
+        # dt / h = 100.4: the grid takes 4 * ceil(100.4 / 4) = 104 steps of
+        # h per output interval, 1,040 in all, above a bound of 1,005 that
+        # 10 * 100.4 would pass.
         def solve(*args, **kwargs):
             calls.append(args)
             raise NumericalError("solve started")
@@ -437,7 +437,7 @@ class TestDecayCommand:
         out = tmp_path / "out"
         assert main(["decay", str(_write(tmp_path, text)), "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: config: the time-domain solve needs 1010 steps")
+        assert err.startswith("error: config: the time-domain solve needs 1040 steps")
         assert calls == []
 
     def test_deviation_above_the_gate_writes_then_exits_two(
@@ -459,36 +459,42 @@ def _refuse_kernel(family):
 
 
 class TestDecayRoutesInOrder:
-    """``run_decay`` runs the transform, then the solve, on the calling thread."""
+    """``run_decay`` runs the transform, then the 2h and the 4h solves, on the
+    calling thread."""
 
     @staticmethod
     def _serial(scen):
-        # The two routes on run_decay's grid, called directly.
+        # The two routes on run_decay's grid, called directly: the transform,
+        # and the (4 v_2h - v_4h) / 3 extrapolation of the pair of solves.
         spec = build_spectral_data(scen.params)
-        per_output = math.ceil(
-            scen.horizon / (scen.series_points - 1) / default_step(scen.params)
-        )
-        step = scen.horizon / (scen.series_points - 1) / per_output
+        dt = scen.horizon / (scen.series_points - 1)
+        per_output = 4 * math.ceil(dt / (4 * default_step(scen.params)))
+        step = dt / per_output
         times = np.arange(0, (scen.series_points - 1) * per_output + 1, per_output) * step
-        vol = solve_ide(scen.params, horizon=scen.horizon, step=step, stride=per_output)
-        return amplitude_spectral(spec, times), vol
+        v2 = solve_ide(scen.params, horizon=scen.horizon, step=2 * step,
+                       stride=per_output // 2)
+        v4 = solve_ide(scen.params, horizon=scen.horizon, step=4 * step,
+                       stride=per_output // 4)
+        return amplitude_spectral(spec, times), (4 * v2.amplitude - v4.amplitude) / 3
 
     @pytest.mark.parametrize("family", ["2d-exp", "3d-exp"])
     def test_series_are_bit_identical_to_the_serial_routes(self, family):
         scen = parse_scenario_text(DECAY_CONFIG.replace("3d-exp", family))
         run = scenario.run_decay(scen)
         spectral, vol = self._serial(scen)
-        for got, want in ((run.spectral, spectral), (run.vol, vol)):
-            for field in ("times", "amplitude", "probability"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-        assert run.deviation == float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
+        for field in ("times", "amplitude", "probability"):
+            assert getattr(run.spectral, field).tobytes() == getattr(spectral, field).tobytes()
+        assert run.vol.times.tobytes() == spectral.times.tobytes()
+        assert run.vol.amplitude.tobytes() == vol.tobytes()
+        assert run.vol.probability.tobytes() == (np.abs(vol) ** 2).tobytes()
+        assert run.deviation == float(np.max(np.abs(spectral.amplitude - vol)))
 
     def test_transform_then_solve_on_the_calling_thread(self, monkeypatch):
         calls = []
 
         def spy(route):
             def call(*args, **kwargs):
-                calls.append((route.__name__, threading.get_ident()))
+                calls.append((route.__name__, threading.get_ident(), kwargs.get("step")))
                 return route(*args, **kwargs)
             return call
 
@@ -496,7 +502,31 @@ class TestDecayRoutesInOrder:
         monkeypatch.setattr(scenario, "solve_ide", spy(solve_ide))
         scenario.run_decay(parse_scenario_text(DECAY_CONFIG))
         caller = threading.get_ident()
-        assert calls == [("amplitude_spectral", caller), ("solve_ide", caller)]
+        h = 10 / 50 / 20  # dt / per_output: horizon 10, 51 points, step 0.01
+        assert calls == [
+            ("amplitude_spectral", caller, None),
+            ("solve_ide", caller, 2 * h),
+            ("solve_ide", caller, 4 * h),
+        ]
+
+    def test_steps_per_output_round_up_to_a_multiple_of_four(self, monkeypatch):
+        # Gap 0.25 at L = 1 and the default horizon 800 over 2000 points:
+        # dt / h = 40.02, whose ceiling 41 does not split into four, so each
+        # output interval takes 44 steps of h, 22 of 2h and 11 of 4h.
+        text = BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 0.25")
+        solves = []
+
+        def spy(*args, **kwargs):
+            series = solve_ide(*args, **kwargs)
+            solves.append((kwargs["step"], kwargs["stride"], series.times))
+            return series
+
+        monkeypatch.setattr(scenario, "solve_ide", spy)
+        run = scenario.run_decay(parse_scenario_text(text.replace("g_sq = 2.0", "g_sq = 0.1")))
+        h = 800 / 1999 / 44
+        assert [(step, stride) for step, stride, _ in solves] == [(2 * h, 22), (4 * h, 11)]
+        for _, _, times in solves:
+            assert times.tobytes() == run.spectral.times.tobytes()
 
     def test_error_in_the_solve_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(volterra, "_self_check", _refuse_kernel)
