@@ -33,14 +33,12 @@ from .spectrum import (
     BracketFailureError,
     ClosedFormMismatchError,
     ModelParams,
-    NoEigenvalueError,
     NormalizationFailureError,
     SpectralData,
     ThresholdMarginalError,
     ThresholdResult,
     build_spectral_data,
     eigen_weight,
-    find_eigenvalue,
     point_mass,
     spectral_density,
     threshold_check,
@@ -65,7 +63,6 @@ __all__ = [
     "KernelMismatchError",
     "MethodTag",
     "ModelParams",
-    "NoEigenvalueError",
     "NonConvergenceError",
     "NormalizationFailureError",
     "NumericalError",
@@ -81,7 +78,6 @@ __all__ = [
     "coupling_sq",
     "default_step",
     "eigen_weight",
-    "find_eigenvalue",
     "fitted_decay_rate",
     "k_pv",
     "k_regular",

@@ -53,7 +53,7 @@ from .spectrum import (
     _NORMALIZATION_GATE,
     ModelParams,
     SpectralData,
-    _density,
+    spectral_density,
 )
 
 
@@ -180,7 +180,7 @@ def _transform_nodes(
         (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    dens = _density(spec.params, nodes)
+    dens = spectral_density(spec.params, nodes)
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 

@@ -29,6 +29,7 @@ from .coupling import CouplingFamily, CouplingModel
 from .evolution import (
     AmplitudeSeries,
     MethodTag,
+    ProbabilityBoundError,
     amplitude_spectral,
     asymptotic_limit,
     weak_coupling_rate,
@@ -257,6 +258,8 @@ def run_decay(scenario: Scenario) -> DecayRun:
     ConfigError before any work.  The transform runs first: it checks its
     panel budget before it builds a node, so a horizon past the budget raises
     before either solve starts.  Then the 2h solve runs, then the 4h solve.
+    An extrapolation that leaves the overshoot budget, where each solve kept
+    it, raises ProbabilityBoundError naming the extrapolation and the fix.
     """
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
@@ -284,9 +287,16 @@ def run_decay(scenario: Scenario) -> DecayRun:
     )
     if not (np.array_equal(v2h.times, times) and np.array_equal(v4h.times, times)):
         raise NumericalError("solver grid does not contain the output grid")
-    vol = AmplitudeSeries(
-        times, (4.0 * v2h.amplitude - v4h.amplitude) / 3.0, MethodTag.VOLTERRA
-    )
+    try:
+        vol = AmplitudeSeries(
+            times, (4.0 * v2h.amplitude - v4h.amplitude) / 3.0, MethodTag.VOLTERRA
+        )
+    except ProbabilityBoundError as exc:
+        raise ProbabilityBoundError(
+            f"{exc} in the extrapolation (4 v_2h - v_4h)/3 of two solves that "
+            "each kept their budget; shorten --horizon (horizon =) or lower "
+            "volterra.step"
+        ) from exc
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
     return DecayRun(spec, spectral, vol, deviation)
 

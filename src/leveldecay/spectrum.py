@@ -60,10 +60,6 @@ from .quadrature import (
 )
 
 
-class NoEigenvalueError(NumericalError):
-    """Eigenvalue requested for a model whose threshold condition fails."""
-
-
 class BracketFailureError(NumericalError):
     """Root bracketing or residual polishing failed; coupling and k disagree."""
 
@@ -300,8 +296,9 @@ def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]
     return (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
 
 
-def find_eigenvalue(params: ModelParams) -> float:
-    """Locate the unique eigenvalue e0 < e1 of the coupled system.
+def _solve_eigenvalue(params: ModelParams) -> float:
+    """The unique eigenvalue e0 < e1 of a model the threshold test has found a
+    bound state in (neither degenerate nor marginal).
 
     With a = e1 - lam, F = e2 - lam - k(lam) = gap + a - k(e1 - a) is strictly
     increasing in a, positive for large a and negative toward the edge, so a
@@ -321,28 +318,8 @@ def find_eigenvalue(params: ModelParams) -> float:
     does not use the slope.
 
     Raises:
-        NoEigenvalueError: threshold test fails (or zero coupling).
-        ThresholdMarginalError: model sits on the threshold within 1e-8.
         BracketFailureError: bracketing, iteration or residual tolerance failed.
     """
-    check = threshold_check(params)
-    if check.degenerate:
-        raise NoEigenvalueError("zero coupling: unperturbed point mass at e2 instead")
-    if check.marginal:
-        raise ThresholdMarginalError(
-            f"|gap - rhs| = {abs(params.level_gap - check.rhs)!r} is inside the "
-            f"{_MARGINAL_BAND} marginal band; eigenvalue at the edge is excluded"
-        )
-    if not check.exists:
-        raise NoEigenvalueError(
-            f"no bound state: level gap {params.level_gap!r} is not below {check.rhs!r}"
-        )
-    return _solve_eigenvalue(params)
-
-
-def _solve_eigenvalue(params: ModelParams) -> float:
-    """``find_eigenvalue`` without its threshold test, for a model the test
-    has found a bound state in (neither degenerate nor marginal)."""
     model = params.coupling
     _closed_form_gate(model.family)
     gap = params.level_gap
@@ -409,8 +386,13 @@ def eigen_weight(params: ModelParams, e0: float) -> float:
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
     """The point part of the spectral measure, (threshold test, e0, w): (e2, 1.0)
     at zero coupling, (None, None) on the threshold (``marginal``), (None, 0.0)
-    without a bound state, else ``find_eigenvalue``'s e0 (its solve, run
-    without a second threshold test) and its ``eigen_weight``."""
+    without a bound state, else the eigenvalue e0 < e1 and its
+    ``eigen_weight``.  It is the package's one route to e0.
+
+    Raises:
+        BracketFailureError: the eigenvalue solve failed to bracket, converge
+            or meet its residual tolerance.
+    """
     check = threshold_check(params)
     if check.degenerate:
         return check, params.e2, 1.0
@@ -422,23 +404,22 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     return check, e0, eigen_weight(params, e0)
 
 
-def _density(params: ModelParams, t: np.ndarray) -> np.ndarray:
-    """rho at an array of energies t, zero at and below e1."""
+def spectral_density(params: ModelParams, t):
+    """Density rho(t) of the absolutely continuous spectral part at energies t
+    (scalar or array; a float for a scalar).
+
+    Zero for t <= e1 (at the edge itself both families give the limit 0: the
+    3d numerator vanishes while the 2d principal value diverges).
+    """
+    scalar = np.ndim(t) == 0
+    t = np.atleast_1d(np.asarray(t, dtype=float))
     inside = t > params.e1
     t_in = np.where(inside, t, params.e1 + params.coupling.cutoff)
     v = coupling_sq(params.coupling, t_in - params.e1)
     denom_shift = params.e2 - t_in - k_pv_closed(params, t_in)
     denom = denom_shift * denom_shift + (math.pi * v) ** 2
-    return np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
-
-
-def spectral_density(params: ModelParams, t: float) -> float:
-    """Density rho(t) of the absolutely continuous spectral part at energy t.
-
-    Zero for t <= e1 (at the edge itself both families give the limit 0: the
-    3d numerator vanishes while the 2d principal value diverges).
-    """
-    return float(_density(params, np.array([float(t)]))[0])
+    rho = np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
+    return float(rho[0]) if scalar else rho
 
 
 @dataclass(frozen=True)
@@ -533,7 +514,9 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
     check, e0, weight = point_mass(params)
     if check.marginal:
         raise ThresholdMarginalError(
-            "model sits on the bound-state threshold; spectral data is not resolvable"
+            "model sits on the bound-state threshold: |gap - rhs| = "
+            f"{abs(params.level_gap - check.rhs)!r} is inside the {_MARGINAL_BAND} "
+            "marginal band; spectral data is not resolvable"
         )
     if check.degenerate:
         empty = np.empty(0)
@@ -557,13 +540,13 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
     values: list[np.ndarray] = []
 
     def rho_batch(pts: np.ndarray) -> np.ndarray:
-        rho = _density(params, pts)
+        rho = spectral_density(params, pts)
         nodes.append(pts)
         values.append(rho)
         return rho
 
     a, b, vals, _ = _refine(rho_batch, edges, _MASS_TOL, 0.0, _MAX_PANELS)
-    rho_end = float(_density(params, np.array([lam_max]))[0])
+    rho_end = spectral_density(params, lam_max)
     nodes.append(np.array([e1, lam_max]))
     values.append(np.array([0.0, rho_end]))
     table_t, first = np.unique(np.concatenate(nodes), return_index=True)

@@ -6,11 +6,11 @@ distinct property at a fixed tolerance: measure normalization, threshold
 reproduction, late-time plateau vs decay, cross-route agreement, short-time
 law, weak-coupling exponential rate, eigenvalue correctness against an
 independent root search on the adaptive quadrature of k, and byte determinism
-of rendered artifacts.  Criterion 2 reads ``point_mass``, the pipeline's own
-threshold test and e0; criterion 8's oracle solves on ``quadrature.k_regular``
-from its own bracket and never sees the solver's e0.  Criteria 2 to 6 and 8
-list their failures, and ``_result`` makes each pass exactly when its list is
-empty.
+of rendered artifacts.  Criteria 2 and 8 read ``point_mass``, the pipeline's
+one route to the threshold test and e0; criterion 8's oracle solves on
+``quadrature.k_regular`` from its own bracket and never sees the solver's e0.
+Criteria 2 to 6 and 8 list their failures, and ``_result`` makes each pass
+exactly when its list is empty.
 
 ``run_matrix`` runs each matrix row once through ``scenario.run_decay``, the
 pipeline of the ``decay`` command, evaluates all criteria, writes the same
@@ -45,7 +45,7 @@ from .scenario import (
     write_spectrum,
     write_sweep,
 )
-from .spectrum import ModelParams, build_spectral_data, find_eigenvalue, point_mass
+from .spectrum import ModelParams, build_spectral_data, point_mass
 from .volterra import richardson_ratio, solve_ide
 
 
@@ -239,7 +239,7 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     bracket is narrower than 1e-15 + 4 eps |lam|.  It starts on the wide
     bracket [e1 - 8 max(1, gap), e1 - 1e-9 L] and never sees the solver's e0.
 
-    It is independent of ``find_eigenvalue``: ``k_regular`` is adaptive
+    It is independent of ``point_mass``'s solve: ``k_regular`` is adaptive
     (G7, K15) quadrature of |V|^2 / (x + a) in u = ln(x + a), built from
     ``coupling_sq`` alone, while the solver takes Newton steps in u = ln a on
     the scipy exp1 closed forms of k and never evaluates ``k_regular`` (only
@@ -293,9 +293,9 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
             failures.append(f"{ms.name}: |e0 - oracle| = {err:.2e} > 1e-8")
     grid = [1.2, 1.5, 2.0, 3.0, 4.0]
     roots = [
-        find_eigenvalue(
+        point_mass(
             ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, g, 1.0))
-        )
+        )[1]
         for g in grid
     ]
     if not all(b < a for a, b in zip(roots[:-1], roots[1:])):

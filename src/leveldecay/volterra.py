@@ -293,11 +293,17 @@ def richardson_ratio(params: ModelParams, horizon: float, step: float) -> float:
     """Ratio of max solution changes under two successive step halvings.
 
     For a second-order scheme the ratio sits near 4; values far outside
-    [3, 5] indicate the step is outside the asymptotic regime.
+    [3, 5] indicate the step is outside the asymptotic regime.  A zero second
+    difference, an exact solve, raises NumericalError.
     """
     y_h = solve_ide(params, horizon, step)
     y_h2 = solve_ide(params, horizon, 0.5 * step)
     y_h4 = solve_ide(params, horizon, 0.25 * step)
     d1 = float(np.max(np.abs(y_h2.amplitude[::2] - y_h.amplitude)))
     d2 = float(np.max(np.abs(y_h4.amplitude[::2] - y_h2.amplitude)))
+    if d2 == 0.0:
+        raise NumericalError(
+            f"step-halving differences {d1!r} and {d2!r}: the solve is exact at "
+            "these steps (zero coupling keeps y = 1 exactly), so no ratio exists"
+        )
     return d1 / d2

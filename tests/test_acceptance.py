@@ -17,7 +17,7 @@ import pytest
 
 from leveldecay import verification
 from leveldecay.scenario import DecayRun, run_decay
-from leveldecay.spectrum import build_spectral_data, find_eigenvalue
+from leveldecay.spectrum import build_spectral_data, point_mass
 from leveldecay.verification import MATRIX, run_matrix
 from leveldecay.volterra import solve_ide
 
@@ -149,7 +149,7 @@ def test_oracle_finds_e0_from_its_own_bracket(monkeypatch, ms):
     monkeypatch.setattr(
         verification, "k_regular", lambda *args: calls.append(1) or k_regular(*args)
     )
-    assert abs(verification._oracle_eigenvalue(params) - find_eigenvalue(params)) <= 1e-15
+    assert abs(verification._oracle_eigenvalue(params) - point_mass(params)[1]) <= 1e-15
     assert len(calls) <= 25
 
 

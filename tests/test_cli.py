@@ -292,7 +292,7 @@ class TestSpectrumCommand:
 
     def test_the_numerical_errors_are_all_found(self):
         assert {cls.__name__ for cls in NUMERICAL_ERRORS} >= {
-            "NumericalError", "NonConvergenceError", "NoEigenvalueError",
+            "NumericalError", "NonConvergenceError",
             "BracketFailureError", "NormalizationFailureError", "ThresholdMarginalError",
             "ClosedFormMismatchError", "KernelMismatchError",
             "OscillatoryBudgetExceededError", "ProbabilityBoundError",
@@ -405,6 +405,29 @@ class TestDecayCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical: volterra probability leaves")
         assert err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+
+    def test_extrapolated_overshoot_names_the_pair_and_the_fix(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # v_2h = 1 and v_4h = -1 for t > 0 each keep |y| <= 1, but their
+        # extrapolation (4 v_2h - v_4h) / 3 is 5/3 for t > 0.
+        def solve(*args, **kwargs):
+            series = solve_ide(*args, **kwargs)
+            sign = -1.0 if solves else 1.0
+            solves.append(kwargs["step"])
+            amplitude = np.where(series.times > 0.0, sign, 1.0).astype(complex)
+            return replace(series, amplitude=amplitude)
+
+        solves = []
+        monkeypatch.setattr(scenario, "solve_ide", solve)
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, DECAY_CONFIG)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: volterra probability leaves")
+        assert "(4 v_2h - v_4h)/3" in err
+        assert all(fix in err for fix in ("--horizon", "horizon =", "volterra.step"))
+        assert err.count("\n") == 1 and len(solves) == 2
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize(

@@ -19,13 +19,11 @@ from leveldecay import (
     CouplingFamily,
     CouplingModel,
     ModelParams,
-    NoEigenvalueError,
-    ThresholdMarginalError,
     coupling_sq,
     eigen_weight,
-    find_eigenvalue,
     k_pv,
     k_regular,
+    point_mass,
     spectral_density,
     spectrum,
     threshold_check,
@@ -131,17 +129,20 @@ def _scaled_e1_array(s):
     return out
 
 
-def _brentq_eigenvalue(params: ModelParams) -> float:
-    """e0 by brentq in u = ln(e1 - e0) on an array closed form of k, with the
-    bracket search, its give-up bound, the residual gate and the underflow
-    rule of ``find_eigenvalue``."""
+def _e0(params: ModelParams) -> float | None:
+    return point_mass(params)[1]
+
+
+def _brentq_eigenvalue(params: ModelParams) -> float | None:
+    """``point_mass``'s e0 by brentq in u = ln(e1 - e0) on an array closed
+    form of k, with the bracket search, its give-up bound, the residual gate
+    and the underflow rule of ``spectrum._solve_eigenvalue``: e2 at zero
+    coupling, None on the threshold or without a bound state."""
     check = threshold_check(params)
     if check.degenerate:
-        raise NoEigenvalueError("zero coupling")
-    if check.marginal:
-        raise ThresholdMarginalError("on the threshold")
-    if not check.exists:
-        raise NoEigenvalueError("no bound state")
+        return params.e2
+    if check.marginal or not check.exists:
+        return None
     model = params.coupling
     two = model.family is TWO
     gap = params.level_gap
@@ -236,7 +237,7 @@ _WIDE_MODELS = (
 
 @pytest.mark.parametrize("params, e0", _WIDE_MODELS)
 def test_wide_models_match_frozen_roots(params, e0):
-    assert abs(find_eigenvalue(params) - e0) <= E0_TOL * abs(e0)
+    assert abs(_e0(params) - e0) <= E0_TOL * abs(e0)
 
 
 @settings(max_examples=300)
@@ -249,9 +250,9 @@ def test_wide_models_match_frozen_roots(params, e0):
 @example(params=_WIDE_MODELS[0][0])
 @example(params=_WIDE_MODELS[3][0])
 def test_newton_solve_matches_brentq_route(params):
-    got = _outcome(find_eigenvalue, params)
+    got = _outcome(_e0, params)
     want = _outcome(_brentq_eigenvalue, params)
-    if isinstance(want, type):
+    if want is None or isinstance(want, type):
         assert got is want
         return
     assert isinstance(got, float)
@@ -276,7 +277,7 @@ def test_wrong_slope_only_costs_evaluations(monkeypatch, slope):
     )
     for params in _SAFEGUARD_MODELS:
         want = _brentq_eigenvalue(params)
-        assert abs(find_eigenvalue(params) - want) <= E0_TOL * max(1.0, abs(want))
+        assert abs(_e0(params) - want) <= E0_TOL * max(1.0, abs(want))
 
 
 def test_no_root_in_bracket_raises(monkeypatch):
@@ -290,17 +291,17 @@ def test_no_root_in_bracket_raises(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_eigen_equation", jump)
     with pytest.raises(BracketFailureError, match="residual"):
-        find_eigenvalue(params)
+        _e0(params)
     monkeypatch.setattr(
         spectrum, "_eigen_equation", lambda *args: (abs(true_equation(*args)[0]) + 1.0, 1.0)
     )
     with pytest.raises(BracketFailureError, match="near-edge"):
-        find_eigenvalue(params)
+        _e0(params)
     monkeypatch.setattr(
         spectrum, "_eigen_equation", lambda *args: (-abs(true_equation(*args)[0]) - 1.0, 1.0)
     )
     with pytest.raises(BracketFailureError, match="must be positive"):
-        find_eigenvalue(params)
+        _e0(params)
 
 
 # Newton reaches |F| of about 1e-15 from above at these roots, and F's
@@ -319,7 +320,7 @@ def test_one_sided_convergence_closes_in_few_evaluations(monkeypatch, params):
     monkeypatch.setattr(
         spectrum, "_eigen_equation", lambda *args: calls.append(1) or true_equation(*args)
     )
-    got = find_eigenvalue(params)
+    got = _e0(params)
     assert len(calls) <= 12
     want = _brentq_eigenvalue(params)
     assert abs(got - want) <= E0_TOL * max(1.0, abs(want))

@@ -12,12 +12,10 @@ from leveldecay import (
     CouplingFamily,
     CouplingModel,
     ModelParams,
-    NoEigenvalueError,
     NonConvergenceError,
     ThresholdMarginalError,
     build_spectral_data,
     eigen_weight,
-    find_eigenvalue,
     point_mass,
     spectral_density,
     threshold_check,
@@ -39,6 +37,11 @@ W_2D_G01 = 2.549087113894817e-04
 
 def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
     return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
+
+
+def _e0(params):
+    """The eigenvalue of ``point_mass``, the one route to it."""
+    return point_mass(params)[1]
 
 
 def test_params_validation():
@@ -70,56 +73,56 @@ class TestThreshold:
         assert res.marginal
 
     def test_marginal_rejected_by_solver(self):
-        with pytest.raises(ThresholdMarginalError):
-            find_eigenvalue(_params(THREE, 1.0))
+        check, e0, w = point_mass(_params(THREE, 1.0 - 5e-9))
+        assert check.marginal and (e0, w) == (None, None)
 
     def test_marginal_rejected_by_builder(self):
-        with pytest.raises(ThresholdMarginalError):
+        with pytest.raises(ThresholdMarginalError, match=r"\|gap - rhs\| = .* 1e-08"):
             build_spectral_data(_params(THREE, 1.0 + 5e-9))
 
 
 class TestEigenvalue:
     def test_three_dim_matches_reference(self):
-        got = find_eigenvalue(_params(THREE, 2.0))
+        got = _e0(_params(THREE, 2.0))
         assert got == pytest.approx(E0_3D_G2, abs=1e-10)
 
     def test_two_dim_matches_reference(self):
-        got = find_eigenvalue(_params(TWO, 0.5))
+        got = _e0(_params(TWO, 0.5))
         assert got == pytest.approx(E0_2D_G05, abs=1e-10)
 
     def test_two_dim_near_edge_matches_reference(self):
-        got = find_eigenvalue(_params(TWO, 0.1))
+        got = _e0(_params(TWO, 0.1))
         assert got == pytest.approx(E0_2D_G01, rel=1e-8)
 
     def test_two_dim_underflow_regime_stays_below_edge(self):
-        got = find_eigenvalue(_params(TWO, 1e-3))
+        got = _e0(_params(TWO, 1e-3))
         assert got < 0.0
 
-    def test_below_threshold_raises(self):
-        with pytest.raises(NoEigenvalueError):
-            find_eigenvalue(_params(THREE, 0.9))
+    def test_below_threshold_has_none(self):
+        check, e0, w = point_mass(_params(THREE, 0.9))
+        assert not check.exists and not check.marginal and (e0, w) == (None, 0.0)
 
-    def test_zero_coupling_raises(self):
-        with pytest.raises(NoEigenvalueError):
-            find_eigenvalue(_params(THREE, 0.0))
+    def test_zero_coupling_keeps_e2(self):
+        check, e0, w = point_mass(_params(THREE, 0.0))
+        assert check.degenerate and (e0, w) == (1.0, 1.0)
 
     def test_ordering_below_both_levels(self):
         for params in (_params(THREE, 1.5), _params(TWO, 0.7), _params(TWO, 2.0)):
-            e0 = find_eigenvalue(params)
+            e0 = _e0(params)
             assert e0 < params.e1 < params.e2
 
     def test_monotone_repulsion_in_strength(self):
-        roots = [find_eigenvalue(_params(THREE, g)) for g in (1.2, 1.5, 2.0, 3.0, 4.0)]
+        roots = [_e0(_params(THREE, g)) for g in (1.2, 1.5, 2.0, 3.0, 4.0)]
         assert all(b < a for a, b in zip(roots[:-1], roots[1:]))
 
     def test_two_dim_root_moves_toward_edge_as_coupling_shrinks(self):
-        roots = [find_eigenvalue(_params(TWO, g)) for g in (0.3, 0.1, 0.03)]
+        roots = [_e0(_params(TWO, g)) for g in (0.3, 0.1, 0.03)]
         assert roots[0] < roots[1] < roots[2] < 0.0
 
     def test_shifted_levels(self):
         # same scenario translated by +5 in energy: root translates along
         params = _params(THREE, 2.0, e1=5.0, e2=6.0)
-        got = find_eigenvalue(params)
+        got = _e0(params)
         assert got == pytest.approx(5.0 + E0_3D_G2, abs=1e-9)
 
     # scale is g2 L^p (p = 1 for 3d, 0 for 2d); the 3d threshold is
@@ -138,13 +141,12 @@ class TestEigenvalue:
         p = 1 if family is THREE else 0
         params = _params(family, scale / cutoff**p, cutoff, e2=gap)
         exists = threshold_check(params).exists
-        try:
-            e0 = find_eigenvalue(params)
-        except NoEigenvalueError:
-            assert not exists
+        check, e0, w = point_mass(params)
+        if e0 is None:
+            assert not exists and not check.marginal and w == 0.0
             return
         assert exists and e0 < params.e1
-        stronger = find_eigenvalue(_params(family, factor * scale / cutoff**p, cutoff, e2=gap))
+        stronger = _e0(_params(family, factor * scale / cutoff**p, cutoff, e2=gap))
         # Strictly lower, unless the edge distance underflows (weak 2d
         # coupling, gap / g2 beyond about 700): then both are the closest
         # float below e1.
@@ -158,23 +160,23 @@ class TestWeight:
 
     def test_three_dim_matches_reference(self):
         params = _params(THREE, 2.0)
-        e0 = find_eigenvalue(params)
+        e0 = _e0(params)
         assert eigen_weight(params, e0) == pytest.approx(W_3D_G2, abs=1e-9)
 
     def test_two_dim_matches_reference(self):
         params = _params(TWO, 0.5)
-        e0 = find_eigenvalue(params)
+        e0 = _e0(params)
         assert eigen_weight(params, e0) == pytest.approx(W_2D_G05, abs=1e-9)
 
     def test_two_dim_near_edge_matches_reference(self):
         params = _params(TWO, 0.1)
-        e0 = find_eigenvalue(params)
+        e0 = _e0(params)
         assert eigen_weight(params, e0) == pytest.approx(W_2D_G01, rel=1e-7)
 
     def test_strictly_inside_unit_interval(self):
         for family, g in ((THREE, 1.2), (THREE, 4.0), (TWO, 0.05), (TWO, 3.0)):
             params = _params(family, g)
-            e0 = find_eigenvalue(params)
+            e0 = _e0(params)
             assert 0.0 < eigen_weight(params, e0) < 1.0
 
     def test_requires_e0_below_edge(self):
@@ -212,6 +214,17 @@ class TestDensity:
         oracle = v / ((1.0 - t - pv) ** 2 + (math.pi * v) ** 2)
         assert spectral_density(params, t) == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    def test_array_equals_its_scalar_calls_bit_for_bit(self, family, g_sq):
+        params = _params(family, g_sq, e1=0.3, e2=1.3)
+        ts = np.array([-1.0, 0.3 - 1e-12, 0.3, 0.3 + 1e-12, 0.31, 1.0, 1.3, 5.0, 40.0])
+        scalars = [spectral_density(params, float(t)) for t in ts]
+        assert all(type(rho) is float for rho in scalars)
+        assert type(spectral_density(params, np.float64(1.0))) is float
+        assert spectral_density(params, ts).tobytes() == np.array(scalars).tobytes()
+        grid = ts.reshape(3, 3)
+        assert spectral_density(params, grid).tobytes() == np.array(scalars).tobytes()
+
     def test_weak_coupling_peak_location_and_height(self):
         # narrow resonance near the shifted upper level
         params = _params(THREE, 0.01)
@@ -239,7 +252,7 @@ class TestPointMass:
     def test_bound_state_is_the_solvers(self):
         params = _params(TWO, 0.5)
         check, e0, w = point_mass(params)
-        assert check.exists and e0 == find_eigenvalue(params)
+        assert check.exists and e0 == spectrum._solve_eigenvalue(params)
         assert w == eigen_weight(params, e0)
         assert e0 == pytest.approx(E0_2D_G05, abs=1e-9)
 

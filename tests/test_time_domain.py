@@ -30,10 +30,10 @@ from leveldecay import (
     build_spectral_data,
     evolution,
     solve_ide,
+    spectral_density,
 )
 from leveldecay.evolution import _amplitude_points, _transform_nodes
 from leveldecay.quadrature import _GL_W, _GL_X
-from leveldecay.spectrum import _density
 from leveldecay.volterra import _SHORT_LAGS
 
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -132,7 +132,7 @@ def _per_time_transform(spec, times) -> np.ndarray:
         sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
         half = 0.5 * sub_w
         nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
-        dens = _density(spec.params, nodes.ravel()).reshape(nodes.shape)
+        dens = spectral_density(spec.params, nodes)
         out[i] = complex(((dens * np.exp(-1j * t * nodes)) @ _GL_W * half).sum())
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(times))
@@ -168,7 +168,7 @@ def _quarter_period_sum(spec, times, at) -> np.ndarray:
         ((left[keep] + half)[:, None] + half[:, None] * gl_x[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    a = _density(spec.params, nodes) * (scale[:, None] * gl_w[None, :]).ravel()
+    a = spectral_density(spec.params, nodes) * (scale[:, None] * gl_w[None, :]).ravel()
     out = np.array([a @ np.exp(-1j * t * nodes) for t in at])
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(at))

@@ -10,6 +10,7 @@ from leveldecay import (
     CouplingModel,
     KernelMismatchError,
     ModelParams,
+    NumericalError,
     build_kernel_table,
     kernel,
     l2_norm_sq,
@@ -96,12 +97,16 @@ class TestSolver:
         ratio = richardson_ratio(_params(THREE, 2.0), horizon=20.0, step=0.04)
         assert 3.0 <= ratio <= 5.0
 
+    def test_richardson_ratio_of_an_exact_solve_is_a_numerical_error(self):
+        # At zero coupling y = 1 at every step, so both differences are 0.
+        with pytest.raises(NumericalError, match=r"0\.0 and 0\.0: the solve is exact"):
+            richardson_ratio(_params(THREE, 0.0), horizon=5.0, step=0.04)
+
     def test_late_plateau_matches_eigen_weight(self):
-        from leveldecay import eigen_weight, find_eigenvalue
+        from leveldecay import point_mass
 
         params = _params(THREE, 2.0)
-        e0 = find_eigenvalue(params)
-        w = eigen_weight(params, e0)
+        _, _, w = point_mass(params)
         series = solve_ide(params, horizon=200.0, step=0.02)
         window = series.times >= 100.0
         plateau = float(np.abs(series.amplitude[window]).mean())
