@@ -48,7 +48,6 @@ from .volterra import (
     build_kernel_table,
     default_step,
     kernel,
-    richardson_ratio,
     solve_ide,
 )
 
@@ -84,7 +83,6 @@ __all__ = [
     "kernel",
     "l2_norm_sq",
     "point_mass",
-    "richardson_ratio",
     "solve_ide",
     "spectral_density",
     "sq_over_x_integral",

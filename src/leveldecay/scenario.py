@@ -237,12 +237,15 @@ _MAX_STEPS = 2**26
 
 @dataclass(frozen=True)
 class DecayRun:
-    """Both routes' series on one grid, max |C_s - C_v|, and the spectral data."""
+    """Both routes' series on one grid, max |C_s - C_v|, the spectral data,
+    and the (v_2h, v_4h) pair of solves on that grid that ``vol`` is
+    extrapolated from."""
 
     spec: SpectralData
     spectral: AmplitudeSeries
     vol: AmplitudeSeries
     deviation: float
+    pair: tuple[AmplitudeSeries, AmplitudeSeries]
 
 
 def run_decay(scenario: Scenario) -> DecayRun:
@@ -254,12 +257,13 @@ def run_decay(scenario: Scenario) -> DecayRun:
     h.  h is an exact divisor of the output spacing with ``per_output`` a
     multiple of 4, so every ``per_output // 2``-th sample of the 2h solve and
     every ``per_output // 4``-th of the 4h solve is an output time, and the
-    solves return only those.  A grid of more than 2**26 steps at h is a
-    ConfigError before any work.  The transform runs first: it checks its
-    panel budget before it builds a node, so a horizon past the budget raises
-    before either solve starts.  Then the 2h solve runs, then the 4h solve.
-    An extrapolation that leaves the overshoot budget, where each solve kept
-    it, raises ProbabilityBoundError naming the extrapolation and the fix.
+    solves return only those; the run keeps them as its ``pair``.  A grid of
+    more than 2**26 steps at h is a ConfigError before any work.  The
+    transform runs first: it checks its panel budget before it builds a node,
+    so a horizon past the budget raises before either solve starts.  Then the
+    2h solve runs, then the 4h solve.  An extrapolation that leaves the
+    overshoot budget, where each solve kept it, raises ProbabilityBoundError
+    naming the extrapolation and the fix.
     """
     dt = scenario.horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
@@ -298,7 +302,7 @@ def run_decay(scenario: Scenario) -> DecayRun:
             "volterra.step"
         ) from exc
     deviation = float(np.max(np.abs(spectral.amplitude - vol.amplitude)))
-    return DecayRun(spec, spectral, vol, deviation)
+    return DecayRun(spec, spectral, vol, deviation, (v2h, v4h))
 
 
 def write_spectrum(out_dir: Path, name: str, spec: SpectralData) -> None:

@@ -89,6 +89,10 @@ class ModelParams:
             raise ValueError("level energies must be finite")
         if not self.e2 > self.e1:
             raise ValueError(f"e2 must exceed e1, got e1={self.e1!r}, e2={self.e2!r}")
+        if not math.isfinite(self.level_gap):
+            raise ValueError(
+                f"level gap e2 - e1 must be finite, got e1={self.e1!r}, e2={self.e2!r}"
+            )
 
     @property
     def level_gap(self) -> float:

@@ -230,8 +230,7 @@ def solve_ide(
     of the kernel) is computed once per solve.  ``step`` defaults to
     ``default_step(params)``.  The overshoot budget on |C|^2 = |y|^2 is
     checked at every step before the output rows t = 0, stride h, 2 stride h,
-    ... are taken, so a stride hides no overshoot.  ``richardson_ratio`` is
-    the step-halving check.
+    ... are taken, so a stride hides no overshoot.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -287,23 +286,3 @@ def solve_ide(
     return AmplitudeSeries(
         times, np.exp(-1j * params.e2 * times) * y[::stride], MethodTag.VOLTERRA
     )
-
-
-def richardson_ratio(params: ModelParams, horizon: float, step: float) -> float:
-    """Ratio of max solution changes under two successive step halvings.
-
-    For a second-order scheme the ratio sits near 4; values far outside
-    [3, 5] indicate the step is outside the asymptotic regime.  A zero second
-    difference, an exact solve, raises NumericalError.
-    """
-    y_h = solve_ide(params, horizon, step)
-    y_h2 = solve_ide(params, horizon, 0.5 * step)
-    y_h4 = solve_ide(params, horizon, 0.25 * step)
-    d1 = float(np.max(np.abs(y_h2.amplitude[::2] - y_h.amplitude)))
-    d2 = float(np.max(np.abs(y_h4.amplitude[::2] - y_h2.amplitude)))
-    if d2 == 0.0:
-        raise NumericalError(
-            f"step-halving differences {d1!r} and {d2!r}: the solve is exact at "
-            "these steps (zero coupling keeps y = 1 exactly), so no ratio exists"
-        )
-    return d1 / d2

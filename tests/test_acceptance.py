@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leveldecay import verification
+from leveldecay import scenario, verification, volterra
 from leveldecay.scenario import DecayRun, run_decay
 from leveldecay.spectrum import build_spectral_data, point_mass
 from leveldecay.verification import MATRIX, run_matrix
@@ -26,6 +26,12 @@ from leveldecay.volterra import solve_ide
 def verify_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify-run-1")
     return run_matrix(out), out
+
+
+@pytest.fixture(scope="module")
+def decay_runs():
+    """Each matrix row through ``run_decay``, as ``run_matrix`` computes it."""
+    return {ms: run_decay(ms.scenario()) for ms in MATRIX}
 
 
 def _criterion(results, cid):
@@ -98,20 +104,48 @@ _EXTRAPOLATED_BOUND = {
 
 
 @pytest.mark.parametrize("ms", MATRIX, ids=lambda ms: ms.name)
-def test_extrapolated_pair_beats_one_solve_at_h(ms):
+def test_extrapolated_pair_beats_one_solve_at_h(decay_runs, ms):
     scen = ms.scenario()
-    run = run_decay(scen)
+    run = decay_runs[ms]
     mask = run.spectral.times <= verification._CROSS_T / scen.params.level_gap
     extrapolated = np.max(np.abs(run.spectral.amplitude[mask] - run.vol.amplitude[mask]))
     assert extrapolated <= _EXTRAPOLATED_BOUND[ms.name]
-    # The raw 2h solve of the pair (h = 0.01 divides the spacing 0.2 twenty
-    # times).  A second-order scheme at h would be about 4 times closer;
-    # the extrapolation must beat that as well.
-    h = scen.horizon / (scen.series_points - 1) / 20
-    raw = solve_ide(scen.params, scen.horizon, step=2 * h, stride=10)
+    # The raw 2h solve of the pair.  A second-order scheme at h would be
+    # about 4 times closer; the extrapolation must beat that as well.
+    raw = run.pair[0]
     assert raw.times.tobytes() == run.spectral.times.tobytes()
     raw_2h = np.max(np.abs(run.spectral.amplitude[mask] - raw.amplitude[mask]))
     assert 4.0 * extrapolated < raw_2h
+
+
+@pytest.mark.parametrize("ms", MATRIX, ids=lambda ms: ms.name)
+def test_criterion_5_fails_on_a_pair_that_is_not_second_order(decay_runs, ms):
+    assert verification._check_cross_route(decay_runs).passed
+    # Swapped, the pair's errors grow as the step halves: e_4h/e_2h near 1/4.
+    run = decay_runs[ms]
+    swapped = replace(run, pair=run.pair[::-1])
+    res = verification._check_cross_route({**decay_runs, ms: swapped})
+    assert not res.passed
+    ratio = re.fullmatch(
+        re.escape(f"{ms.name}: step-halving ratio e_4h/e_2h ") + r"(\S+) outside \[3, 5\]",
+        res.detail,
+    ).group(1)
+    assert 0.24 < float(ratio) < 0.26
+
+
+def test_run_matrix_solves_each_row_once(tmp_path, monkeypatch):
+    # Six pairs for the rows and criterion 6's six short solves; criterion 5
+    # reads the rows' pairs and solves nothing.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_ide(*args, **kwargs)
+
+    for module in (scenario, verification, volterra):
+        monkeypatch.setattr(module, "solve_ide", counted)
+    assert all(r.passed for r in run_matrix(tmp_path))
+    assert len(calls) == 18
 
 
 def test_every_criterion_detail_gives_its_margin(verify_run):
@@ -125,6 +159,10 @@ def test_every_criterion_detail_gives_its_margin(verify_run):
     ):
         margin = float(re.search(re.escape(label) + r"(\S+)$", details[cid]).group(1))
         assert 0.0 < margin < bound, (cid, details[cid])
+    low, high = re.search(
+        r"step-halving ratios e_4h/e_2h in \[(\S+), (\S+)\] within \[3, 5\]$", details[5]
+    ).groups()
+    assert 3.0 < float(low) <= float(high) < 5.0, details[5]
     files, size = re.search(r"\((\d+) files, ([\d,]+) bytes\)$", details[9]).groups()
     assert files == "3" and int(size.replace(",", "")) > 0
 
@@ -136,7 +174,7 @@ _BOUND_ROWS = [m for m in MATRIX if m.has_eigenvalue]
 def bound_state_runs():
     """The bound-state rows with their spectral data; criterion 8 reads no series."""
     return {
-        ms: DecayRun(build_spectral_data(ms.scenario().params), None, None, 0.0)
+        ms: DecayRun(build_spectral_data(ms.scenario().params), None, None, 0.0, pair=None)
         for ms in _BOUND_ROWS
     }
 
@@ -182,8 +220,8 @@ def test_expected_artifacts_written(verify_run):
     _, out = verify_run
     names = {p.name for p in out.iterdir()}
     assert "verify_report.json" in names
-    for scenario in MATRIX:
+    for ms in MATRIX:
         for suffix in ("density.csv", "spectral.json", "spectral.csv", "volterra.csv", "decay.json"):
-            assert f"{scenario.name}_{suffix}" in names
+            assert f"{ms.name}_{suffix}" in names
     assert "verify-sweep-3d_sweep.csv" in names
     assert "verify-sweep-2d_sweep.csv" in names

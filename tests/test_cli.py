@@ -206,6 +206,26 @@ class TestSpectrumCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [("spectrum", ""), ("decay", ""), ("decay", "horizon = 1.0\n")],
+        ids=["spectrum", "decay", "decay-horizon"],
+    )
+    def test_level_gap_that_overflows_is_config_error(self, tmp_path, capsys, command, line):
+        # e1 and e2 are finite, but e2 - e1 = 2e308 overflows to inf; the
+        # default step 0.01 / gap would then be 0, the horizon 200 / gap 0.
+        text = BASE_CONFIG.replace("model.e1 = 0.0", "model.e1 = -1e308").replace(
+            "model.e2 = 1.0", "model.e2 = 1e308"
+        )
+        cfg = _write(tmp_path, text + line)
+        out = tmp_path / "out"
+        assert main([command, str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: config: level gap e2 - e1 must be finite, got e1=-1e+308, e2=1e+308\n"
+        )
+        assert not out.exists()
+
     def test_uncertified_sweep_value_is_config_error(self, tmp_path, capsys):
         text = BASE_CONFIG + "sweep.parameter = g_sq\nsweep.values = 0.5, 1e20, 2.0\n"
         cfg = _write(tmp_path, text)
@@ -523,7 +543,8 @@ class TestDecayRoutesInOrder:
 
         monkeypatch.setattr(scenario, "amplitude_spectral", spy(amplitude_spectral))
         monkeypatch.setattr(scenario, "solve_ide", spy(solve_ide))
-        scenario.run_decay(parse_scenario_text(DECAY_CONFIG))
+        scen = parse_scenario_text(DECAY_CONFIG)
+        run = scenario.run_decay(scen)
         caller = threading.get_ident()
         h = 10 / 50 / 20  # dt / per_output: horizon 10, 51 points, step 0.01
         assert calls == [
@@ -531,6 +552,11 @@ class TestDecayRoutesInOrder:
             ("solve_ide", caller, 2 * h),
             ("solve_ide", caller, 4 * h),
         ]
+        # The run keeps the pair it solved: each equals its direct solve.
+        for series, f in zip(run.pair, (2, 4), strict=True):
+            direct = solve_ide(scen.params, horizon=scen.horizon, step=f * h, stride=20 // f)
+            assert series.times.tobytes() == direct.times.tobytes()
+            assert series.amplitude.tobytes() == direct.amplitude.tobytes()
 
     def test_steps_per_output_round_up_to_a_multiple_of_four(self, monkeypatch):
         # Gap 0.25 at L = 1 and the default horizon 800 over 2000 points:

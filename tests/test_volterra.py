@@ -10,11 +10,11 @@ from leveldecay import (
     CouplingModel,
     KernelMismatchError,
     ModelParams,
-    NumericalError,
+    amplitude_spectral,
     build_kernel_table,
+    build_spectral_data,
     kernel,
     l2_norm_sq,
-    richardson_ratio,
     solve_ide,
 )
 from leveldecay.evolution import MethodTag, ProbabilityBoundError
@@ -94,13 +94,15 @@ class TestSolver:
         assert np.all(y_mag <= 1.0 + 1e-4)
 
     def test_richardson_consistency(self):
-        ratio = richardson_ratio(_params(THREE, 2.0), horizon=20.0, step=0.04)
-        assert 3.0 <= ratio <= 5.0
-
-    def test_richardson_ratio_of_an_exact_solve_is_a_numerical_error(self):
-        # At zero coupling y = 1 at every step, so both differences are 0.
-        with pytest.raises(NumericalError, match=r"0\.0 and 0\.0: the solve is exact"):
-            richardson_ratio(_params(THREE, 0.0), horizon=5.0, step=0.04)
+        # Halving the step from 0.04 to 0.02 quarters a second-order solve's
+        # error against the spectral route, which is exact to 2e-15 here.
+        params = _params(THREE, 2.0)
+        v_4h = solve_ide(params, horizon=20.0, step=0.04)
+        v_2h = solve_ide(params, horizon=20.0, step=0.02, stride=2)
+        assert v_2h.times.tobytes() == v_4h.times.tobytes()
+        c_s = amplitude_spectral(build_spectral_data(params), v_4h.times).amplitude
+        e_2h, e_4h = (np.max(np.abs(v.amplitude - c_s)) for v in (v_2h, v_4h))
+        assert 3.0 <= e_4h / e_2h <= 5.0
 
     def test_late_plateau_matches_eigen_weight(self):
         from leveldecay import point_mass
