@@ -12,12 +12,15 @@ t_k = t0 + k dt only: at least two increasing times, off a straight line by
 at most 64 eps max|t|, signed times allowed.  Any other grid raises
 ValueError.  Panels come from one lattice of points e1 + P w, anchored at the
 threshold, with w = pi / (Q dt), Q = ceil(t_max / (2 dt)), no wider than one
-period 2*pi/t_max at the largest requested |t|: the lattice points inside
-each converged segment of the density table cut it into full lattice panels
-plus at most a head and a tail remainder, so no panel crosses a segment
-boundary.  A fixed 10-point Gauss-Legendre rule on every panel gives one node
-set x_j with weights a_j = rho(x_j) * w_j * half-width, and
-C(t) = sum of a_j exp(-i t x_j) for every requested t.
+period 2*pi/t_max at the largest requested |t|.  The converged segments of
+the density table with a lattice point inside come in runs of consecutive
+segments, and the lattice points cut each run into full lattice panels plus
+at most a head and a tail remainder; every other segment is one panel.  So
+a lattice panel may cross a boundary between two segments of a run, where
+the density is smooth, but never a run's ends.  A fixed 10-point
+Gauss-Legendre rule on every panel gives one node set x_j with weights
+a_j = rho(x_j) * w_j * half-width, and C(t) = sum of a_j exp(-i t x_j) for
+every requested t.
 
 The full panels' nodes form ten arithmetic progressions
 e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum is
@@ -41,7 +44,6 @@ P(t) tends to w^2 (zero when no bound state exists).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -126,28 +128,31 @@ def _panel_cuts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The panels of the lattice e1 + P w, held to the panel budget.
 
-    The lattice points inside a segment cut it into the full panels between
-    them plus a head and a tail remainder (none of zero width).  A segment
-    with no lattice point inside, or of negligible mass, is one panel.
-    Returns (first, counts, left, right): ``counts`` full panels from index
-    ``first`` per cut segment, then the edges of the other panels.  Raises
-    OscillatoryBudgetExceededError past 125,000 panels in all.
+    A segment of negligible mass, or with no lattice point inside, is one
+    panel.  The other segments are cut, and each run of consecutive cut
+    segments is cut as one: into the full lattice panels between its first
+    and last lattice point plus a head and a tail remainder (none of zero
+    width), so where two of its segments meet off a lattice point the
+    lattice panel across that edge is whole.  Returns (first, counts, left,
+    right): ``counts`` full panels from index ``first`` per run, then the
+    edges of the other panels.  Raises OscillatoryBudgetExceededError past
+    125,000 panels in all.
     """
     edges = spec.segments
     e1 = spec.params.e1
     live = spec.segment_mass >= _SEGMENT_MASS_FLOOR
     # Floats until the budget is met: a count past 2**63 would wrap in int64.
-    first = np.ceil((edges[:-1][live] - e1) / w)
-    last = np.floor((edges[1:][live] - e1) / w)
-    cut = first <= last  # a lattice point lies inside the segment
-    first, last = first[cut], last[cut]
+    first = np.ceil((edges[:-1] - e1) / w)
+    last = np.floor((edges[1:] - e1) / w)
+    cut = live & (first <= last)  # a lattice point lies inside the segment
+    # Runs of cut segments: where one starts, the segment before is not cut.
+    starts = np.flatnonzero(cut & ~np.append(False, cut[:-1]))
+    ends = np.flatnonzero(cut & ~np.append(cut[1:], False))
+    first, last = first[starts], last[ends]
     counts = last - first
-    seg = np.flatnonzero(live)[cut]
-    whole = np.ones(live.shape, dtype=bool)
-    whole[seg] = False
     # Head and tail remainders, then the segments that stay one panel.
-    left = np.concatenate([edges[seg], e1 + last * w, edges[:-1][whole]])
-    right = np.concatenate([e1 + first * w, edges[seg + 1], edges[1:][whole]])
+    left = np.concatenate([edges[starts], e1 + last * w, edges[:-1][~cut]])
+    right = np.concatenate([e1 + first * w, edges[ends + 1], edges[1:][~cut]])
     keep = right > left
     total = float(counts.sum()) + float(keep.sum())
     if not total <= _MAX_PANELS:
@@ -184,26 +189,20 @@ def _transform_nodes(
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
-@functools.cache
-def _fast_lengths(bits: int) -> np.ndarray:
-    """Every 2^a 3^b 5^c 7^d 11^e <= 2^bits, sorted."""
-    limit = 1 << bits
-    lengths = [1]
-    for prime in (2, 3, 5, 7, 11):
-        grown = []
-        for m in lengths:
-            while m <= limit:
-                grown.append(m)
-                m *= prime
-        lengths = grown
-    return np.array(sorted(lengths), dtype=np.int64)
-
-
 def _next_fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c 7^d 11^e >= n, an FFT length numpy transforms
-    fast: what ``scipy.fft.next_fast_len(n)`` gives for complex input."""
-    lengths = _fast_lengths((n - 1).bit_length())
-    return int(lengths[np.searchsorted(lengths, n)])
+    fast: what ``scipy.fft.next_fast_len(n)`` gives for complex input.
+    Raises ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"FFT length must be positive, got {n!r}")
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
 
 
 def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -15,18 +15,22 @@ on a window around the pole.
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
 the panel error estimate, and panels carrying the bulk of the error are
-bisected until the total estimate meets the tolerance.  ``_refine`` also
-refines the density table of ``leveldecay.spectrum``.
+bisected until the total estimate meets the tolerance.  ``_refine`` is the one
+refinement loop.  It refines many integrals at once, each to its own
+tolerance, budget and error total: ``gate_integrals`` takes the gate's five
+integrals at each of its twelve points in one pass, and the scalar
+``k_regular``, ``k_pv`` and ``weight_integral`` and the density table of
+``leveldecay.spectrum`` are its one-integral case.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import coupling_sq, tail_mass
+from .coupling import CouplingModel, coupling_sq, tail_mass
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from .spectrum import ModelParams
@@ -99,73 +103,84 @@ _GL_W = np.array([
 _EPS = float(np.finfo(float).eps)
 
 
-def _gk15(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the (G7, K15) pair on panels [a_i, b_i]; returns (values, errors)."""
+def _gk15(
+    f: Callable, a: np.ndarray, b: np.ndarray, which: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the (G7, K15) pair on panels [a_i, b_i] of integrals ``which``;
+    returns (values, errors)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     nodes = mid[:, None] + half[:, None] * _XGK_FULL[None, :]
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    fx = np.asarray(f(nodes.ravel(), which), dtype=float).reshape(nodes.shape)
     kron = half * (fx @ _WGK_FULL)
     gauss = half * (fx[:, _G_IDX] @ _WG_FULL)
     err = np.abs(kron - gauss)
     return kron, np.maximum(err, 50.0 * _EPS * np.abs(kron))
 
 
-def _split_panels(f: Callable, a, b, vals, errs, mask) -> tuple[np.ndarray, ...]:
-    """Bisect the panels picked by ``mask``; all panels, sorted by left edge."""
+def _split_panels(f: Callable, a, b, vals, errs, which, mask) -> tuple[np.ndarray, ...]:
+    """Bisect the panels picked by ``mask``, each replaced in place by its two
+    halves, so the panels stay grouped by integral and sorted by left edge."""
     mid = 0.5 * (a[mask] + b[mask])
-    split_a = np.concatenate([a[mask], mid])
-    split_b = np.concatenate([mid, b[mask]])
-    new_vals, new_errs = _gk15(f, split_a, split_b)
-    a = np.concatenate([a[~mask], split_a])
-    b = np.concatenate([b[~mask], split_b])
-    vals = np.concatenate([vals[~mask], new_vals])
-    errs = np.concatenate([errs[~mask], new_errs])
-    order = np.argsort(a, kind="stable")
-    return a[order], b[order], vals[order], errs[order]
+    new_vals, new_errs = _gk15(
+        f, np.concatenate([a[mask], mid]), np.concatenate([mid, b[mask]]),
+        np.tile(which[mask], 2),
+    )
+    at = np.repeat(np.arange(a.size), mask + 1)
+    left = np.flatnonzero(mask)
+    left += np.arange(left.size)
+    a, b, vals, errs, which = a[at], b[at], vals[at], errs[at], which[at]
+    b[left] = a[left + 1] = mid
+    vals[left], vals[left + 1] = np.split(new_vals, 2)
+    errs[left], errs[left + 1] = np.split(new_errs, 2)
+    return a, b, vals, errs, which
 
 
-def _refine(
-    f: Callable,
-    edges: np.ndarray,
-    abs_tol: float,
-    rel_tol: float,
-    budget: int,
-) -> tuple[np.ndarray, ...]:
-    """Bisect the panels dominating the error until the summed estimate meets
-    max(abs_tol, rel_tol * |sum|); returns the converged panels (a, b, vals, errs).
+def _refine(f: Callable, seeds, abs_tol, rel_tol, budget) -> tuple[np.ndarray, ...]:
+    """Refine m integrals at once, integral i seeded with the panels between
+    the edges ``seeds[i]``: bisect the panels dominating each integral's error
+    until its summed estimate meets max(abs_tol_i, rel_tol_i * |sum_i|).
+
+    ``abs_tol``, ``rel_tol`` and ``budget`` are one value for all integrals or
+    one per integral.  ``f(x, which)`` evaluates the integrands at the nodes
+    x, fifteen to a panel: panel j's nodes x[15 j:15 j + 15] belong to
+    integral which[j].  The convergence test sums each integral's panels in
+    order; an integral that has met its tolerance is not bisected again.
+    Returns the converged panels (a, b, vals, errs, which),
+    grouped by integral in order and sorted by left edge within each.
 
     Raises:
-        NonConvergenceError: more than ``budget`` bisections needed.
+        NonConvergenceError: an integral needs more than its budget of
+            bisections.
     """
-    edges = np.asarray(edges, dtype=float)
-    a = edges[:-1]
-    b = edges[1:]
-    vals, errs = _gk15(f, a, b)
-    n_splits = 0
+    m = len(seeds)
+    abs_tol, rel_tol, budget = (np.broadcast_to(v, (m,)) for v in (abs_tol, rel_tol, budget))
+    seeds = [np.asarray(edges, dtype=float) for edges in seeds]
+    a = np.concatenate([edges[:-1] for edges in seeds])
+    b = np.concatenate([edges[1:] for edges in seeds])
+    which = np.repeat(np.arange(m), [edges.size - 1 for edges in seeds])
+    vals, errs = _gk15(f, a, b, which)
+    n_splits = np.zeros(m, dtype=np.int64)
     while True:
-        total = float(vals.sum())
-        err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if err <= tol:
-            return a, b, vals, errs
-        mask = errs > tol / (2.0 * len(vals))
-        n_new = int(mask.sum())
-        if n_splits + n_new > budget:
+        total = np.bincount(which, vals, m)
+        err = np.bincount(which, errs, m)
+        tol = np.fmax(abs_tol, rel_tol * np.abs(total))  # a NaN sum: abs_tol
+        done = err <= tol
+        if done.all():
+            return a, b, vals, errs, which
+        limit = np.where(done, np.inf, tol / (2.0 * np.bincount(which, minlength=m)))
+        mask = errs > limit[which]
+        n_new = np.bincount(which[mask], minlength=m)
+        # An open integral with no panel to bisect (a NaN error) never closes.
+        over = np.flatnonzero((n_splits + n_new > budget) | (~done & (n_new == 0)))
+        if over.size:
+            own = which == over[0]
             raise NonConvergenceError(
                 "adaptive quadrature did not converge within the subdivision budget",
-                total, err,
+                float(vals[own].sum()), float(errs[own].sum()),
             )
         n_splits += n_new
-        a, b, vals, errs = _split_panels(f, a, b, vals, errs, mask)
-
-
-def _adapt(
-    f: Callable, edges: np.ndarray, abs_tol: float = _ABS_TOL, rel_tol: float = _REL_TOL
-) -> tuple[float, float]:
-    """Integral of f over [edges[0], edges[-1]] and its error estimate."""
-    _, _, vals, errs = _refine(f, edges, abs_tol, rel_tol, _MAX_SUBDIVISIONS)
-    return float(vals.sum()), float(errs.sum())
+        a, b, vals, errs, which = _split_panels(f, a, b, vals, errs, which, mask)
 
 
 def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> np.ndarray:
@@ -191,26 +206,87 @@ def _check_tail(params: ModelParams, a: float) -> float:
     return upper
 
 
-def _log_integral(params: ModelParams, a: float, p: int) -> float:
-    """Integral of |V(x)|^2 / (x + a)^p over [0, inf) for a distance a > 0.
+class _Integral(NamedTuple):
+    """One integral for ``_integrals``: seed edges, tolerances and integrand.
 
-    Evaluated in the substitution u = ln(x + a), which keeps the integrand on
-    an O(1) scale however small ``a`` is, at a relative tolerance of 1e-11.
+    With a > 0 the integral of |V(x)|^2 / (x + a)^p over x >= 0, taken in the
+    substitution u = ln(x + a), which keeps the integrand exp((1 - p) u)
+    |V(e^u - a)|^2 on an O(1) scale however small a is.  With a NaN the
+    integral of (|V(x)|^2 - f0) / (x - c) in x.
     """
+
+    edges: np.ndarray
+    abs_tol: float
+    rel_tol: float
+    a: float = math.nan
+    p: int = 0
+    c: float = 0.0
+    f0: float = 0.0
+
+
+def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
+    """Every integral of ``parts`` over its edges, refined in one pass of
+    ``_refine``; each sums its own converged panels."""
+    a, p, c, f0 = np.array([(q.a, q.p, q.c, q.f0) for q in parts]).T
+    in_u = ~np.isnan(a)
+
+    def integrand(x, which):
+        x = x.reshape(which.size, -1)
+        out = np.empty_like(x)
+        # 256 panels at a time: the temporaries stay small in a large pass.
+        for lo in range(0, which.size, 256):
+            x_b, w_b, out_b = x[lo:lo + 256], which[lo:lo + 256], out[lo:lo + 256]
+            rows = in_u[w_b]
+            if rows.any():
+                u, j = x_b[rows], w_b[rows][:, None]
+                x_u = np.maximum(np.exp(u) - a[j], 0.0)
+                out_b[rows] = np.exp((1 - p[j]) * u) * coupling_sq(model, x_u)
+            if not rows.all():
+                x_c, j = x_b[~rows], w_b[~rows][:, None]
+                out_b[~rows] = (coupling_sq(model, x_c) - f0[j]) / (x_c - c[j])
+        return out.ravel()
+
+    _, _, vals, _, which = _refine(
+        integrand, [q.edges for q in parts], [q.abs_tol for q in parts],
+        [q.rel_tol for q in parts], _MAX_SUBDIVISIONS,
+    )
+    return [float(v.sum()) for v in np.split(vals, np.flatnonzero(np.diff(which)) + 1)]
+
+
+def _log_part(params: ModelParams, a: float, p: int) -> _Integral:
+    """The integral of |V(x)|^2 / (x + a)^p over [0, inf), for a distance a > 0,
+    in u = ln(x + a), at a relative tolerance of 1e-11."""
     if not a > 0.0:
         raise ValueError(f"requires lambda < e1, i.e. a = e1 - lambda > 0; got a={a!r}")
-    model = params.coupling
     upper = _check_tail(params, a)
     u_lo, u_hi = math.log(a), math.log(upper + a)
-
-    def integrand(u):
-        x = np.maximum(np.exp(u) - a, 0.0)
-        return np.exp((1 - p) * u) * coupling_sq(model, x)
-
     n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
-    edges = np.linspace(u_lo, u_hi, n_seed + 1)
-    value, _ = _adapt(integrand, edges, rel_tol=1e-11)
-    return value
+    return _Integral(np.linspace(u_lo, u_hi, n_seed + 1), _ABS_TOL, 1e-11, a=a, p=p)
+
+
+def _pv_parts(params: ModelParams, t: float) -> tuple[list[_Integral], float]:
+    """The window, left and right integrals of ``k_pv`` at t, and its log term."""
+    model = params.coupling
+    c = t - params.e1
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError(f"k_pv requires e1 < t < inf, got t={t!r}")
+    domain_hi = c + _check_tail(params, 0.0)
+    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
+    lo, hi = c - h, c + h
+    fc = float(coupling_sq(model, np.array([c]))[0])
+    abs_share = 0.25 * _ABS_TOL
+    rel_share = 0.25 * _REL_TOL
+    # Analytic log term of the subtracted |V(c)|^2 / (x - c).  It corrects for
+    # the rounded window ends: c - h and c + h are rounded, so (hi - c)/(c - lo)
+    # can differ from 1 by an ulp.
+    log_term = fc * math.log((hi - c) / (c - lo))
+    left = _edges_toward(0.0, lo, levels=30, toward_lo=False)
+    right = _edges_toward(hi, domain_hi, levels=42, toward_lo=True)
+    return [
+        _Integral(np.array([lo, c, hi]), abs_share, rel_share, c=c, f0=fc),
+        _Integral(left, abs_share, rel_share, c=c),
+        _Integral(right, abs_share, rel_share, c=c),
+    ], log_term
 
 
 def k_regular(params: ModelParams, lam: float) -> float:
@@ -219,7 +295,7 @@ def k_regular(params: ModelParams, lam: float) -> float:
     Requires lambda < e1 (below the continuum edge), where the integrand is
     nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
     """
-    return _log_integral(params, params.e1 - lam, 1)
+    return _integrals(params.coupling, [_log_part(params, params.e1 - lam, 1)])[0]
 
 
 def k_pv(params: ModelParams, t: float) -> float:
@@ -231,37 +307,24 @@ def k_pv(params: ModelParams, t: float) -> float:
     outer pieces are regular adaptive integrals.  The window half-width h is
     _PV_WINDOW, shrunk to stay inside the domain.
     """
-    model = params.coupling
-    c = t - params.e1
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"k_pv requires e1 < t < inf, got t={t!r}")
-    domain_hi = c + _check_tail(params, 0.0)
-    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
-    lo, hi = c - h, c + h
-    fc = float(coupling_sq(model, np.array([c]))[0])
-
-    def regularized(x):
-        return (coupling_sq(model, x) - fc) / (x - c)
-
-    def cauchy(x):
-        return coupling_sq(model, x) / (x - c)
-
-    abs_share = 0.25 * _ABS_TOL
-    rel_share = 0.25 * _REL_TOL
-    window, _ = _adapt(regularized, np.array([lo, c, hi]), abs_share, rel_share)
-    # Analytic log term of the subtracted |V(c)|^2 / (x - c).  It corrects for
-    # the rounded window ends: c - h and c + h are rounded, so (hi - c)/(c - lo)
-    # can differ from 1 by an ulp.
-    log_term = fc * math.log((hi - c) / (c - lo))
-    left, _ = _adapt(
-        cauchy, _edges_toward(0.0, lo, levels=30, toward_lo=False), abs_share, rel_share
-    )
-    right, _ = _adapt(
-        cauchy, _edges_toward(hi, domain_hi, levels=42, toward_lo=True), abs_share, rel_share
-    )
+    parts, log_term = _pv_parts(params, t)
+    window, left, right = (_integrals(params.coupling, [part])[0] for part in parts)
     return window + log_term + left + right
 
 
 def weight_integral(params: ModelParams, a: float) -> float:
     """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0."""
-    return _log_integral(params, a, 2)
+    return _integrals(params.coupling, [_log_part(params, a, 2)])[0]
+
+
+def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
+    """k_regular at e1 - s, k_pv at e1 + s and weight_integral at s, for every
+    distance s: the closed forms' gate, its five adaptive integrals per s
+    refined together in one pass of ``_refine``.  Returns the three arrays."""
+    parts, log_terms = [], []
+    for s in distances:
+        pv_parts, log_term = _pv_parts(params, params.e1 + s)
+        parts += [_log_part(params, s, 1), *pv_parts, _log_part(params, s, 2)]
+        log_terms.append(log_term)
+    v = np.array(_integrals(params.coupling, parts)).reshape(-1, 5)
+    return v[:, 0], v[:, 1] + np.array(log_terms) + v[:, 2] + v[:, 3], v[:, 4]

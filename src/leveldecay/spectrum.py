@@ -28,8 +28,9 @@ the cutoff L:
 
 Before a family's closed forms are first used they must agree with the
 adaptive quadrature of ``quadrature.k_regular``, ``k_pv`` and
-``weight_integral`` to a relative 1e-8; a mismatch raises
-``ClosedFormMismatchError``.
+``weight_integral`` to a relative 1e-8 at twelve points; the gate refines
+those 60 integrals in one pass (``quadrature.gate_integrals``).  A mismatch
+raises ``ClosedFormMismatchError``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,7 @@ from .quadrature import (
     _check_tail,
     _edges_toward,
     _refine,
-    k_pv,
-    k_regular,
-    weight_integral,
+    gate_integrals,
 )
 
 
@@ -213,16 +212,18 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
 
     Every closed form is a power of L times g2 times a function of s alone, so
     one check at g2 = L = 1 over s in [1e-8, 1e3] covers every model of the
-    family.  Raises ``ClosedFormMismatchError`` on a relative deviation above
-    1e-8, so values far below 1, such as the weight integral at s = 1e3
-    (about 1e-6), are checked to the same digits as the rest.
+    family.  The quadrature side is ``gate_integrals``: all 60 adaptive
+    integrals in one pass.  Raises ``ClosedFormMismatchError`` on a relative
+    deviation above 1e-8, so values far below 1, such as the weight integral
+    at s = 1e3 (about 1e-6), are checked to the same digits as the rest.
     """
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
-    for s in _GATE_POINTS:
+    k, pv, weight = (q.tolist() for q in gate_integrals(params, _GATE_POINTS))
+    for s, k_s, pv_s, weight_s in zip(_GATE_POINTS, k, pv, weight):
         for name, closed, quad in (
-            ("k", _k_unit(family, s), k_regular(params, -s)),
-            ("PV k", _pv_k_unit(family, s), k_pv(params, s)),
-            ("weight integral", _weight_unit(family, s), weight_integral(params, s)),
+            ("k", _k_unit(family, s), k_s),
+            ("PV k", _pv_k_unit(family, s), pv_s),
+            ("weight integral", _weight_unit(family, s), weight_s),
         ):
             closed = float(closed)
             if not abs(closed - quad) <= _GATE_TOL * abs(closed):
@@ -421,7 +422,10 @@ def spectral_density(params: ModelParams, t):
     t_in = np.where(inside, t, params.e1 + params.coupling.cutoff)
     v = coupling_sq(params.coupling, t_in - params.e1)
     denom_shift = params.e2 - t_in - k_pv_closed(params, t_in)
-    denom = denom_shift * denom_shift + (math.pi * v) ** 2
+    # A shift beyond about 1e154 squares to inf, and v / inf = 0 is rho's
+    # exact limit there.
+    with np.errstate(over="ignore"):
+        denom = denom_shift * denom_shift + (math.pi * v) ** 2
     rho = np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
     return float(rho[0]) if scalar else rho
 
@@ -549,7 +553,9 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         values.append(rho)
         return rho
 
-    a, b, vals, _ = _refine(rho_batch, edges, _MASS_TOL, 0.0, _MAX_PANELS)
+    a, b, vals, _, _ = _refine(
+        lambda x, _: rho_batch(x), [edges], _MASS_TOL, 0.0, _MAX_PANELS
+    )
     rho_end = spectral_density(params, lam_max)
     nodes.append(np.array([e1, lam_max]))
     values.append(np.array([0.0, rho_end]))

@@ -20,14 +20,15 @@ added ahead of time as each block completes (Hairer, Lubich & Schlichte 1985,
 SIAM J. Sci. Stat. Comput. 6:532).  The steps themselves are solved 1024 at a
 time, in chunks aligned with those blocks: the Heun recurrence is linear, so
 a chunk's unknowns meet one constant lower-triangular Toeplitz matrix, whose
-inverse is computed once per solve.  Every history product is an FFT product
-whose fixed factor (a band of the kernel, the short lags, the inverse) is
-transformed once per solve; the inverse's unit diagonal is applied exactly,
-outside its product.  The unknowns are the increments y_m - y_{m-1}, not y:
-every chunk reuses the inverse, so the rounding of its forward substitution
-is a fixed error that each chunk carries into all later ones, and that
-rounding scales with the matrix's off-diagonal entries, small for the
-increments, of order one for y.  Over 3000 steps a chunked solve for y
+inverse is built once per solve: its first column by doubling, with direct
+convolutions (Brent & Kung 1978, J. ACM 25:581).  Every history product is an
+FFT product whose fixed factor (a band of the kernel, the short lags, the
+inverse) is transformed once per solve; the inverse's unit diagonal is
+applied exactly, outside its product.  The unknowns are the increments
+y_m - y_{m-1}, not y: every chunk reuses the inverse, so the rounding of its
+first column is a fixed error that each chunk carries into all later ones,
+and that rounding scales with the matrix's off-diagonal entries, small for
+the increments, of order one for y.  Over 3000 steps a chunked solve for y
 drifts from an extended-precision step-by-step recurrence by up to 3e-14,
 the increment form by at most 4e-15.  A solve of N steps costs
 O(N log^2 N) and gives the direct O(N^2) step-by-step recurrence to
@@ -202,11 +203,15 @@ def _chunk_operators(k: np.ndarray, h: float, n: int):
     t = np.empty(n, dtype=complex)
     t[0] = 1.0
     t[1:] = -delta - b * g[:-1] - c * g[1:]
-    # First column of T^-1 by forward substitution; T^-1 is Toeplitz too.
-    u = np.empty(n, dtype=complex)
-    u[0] = 1.0
-    for i in range(1, n):
-        u[i] = -np.dot(t[1:i + 1], u[i - 1::-1])
+    # First column of T^-1 by doubling (Brent & Kung 1978): with u that of
+    # the leading j x j block's inverse, the next entries are -T_j^-1 (B u),
+    # B the block below it, whose product with u is the "valid" part of a
+    # convolution.  Direct products keep dot-product rounding.
+    u = np.ones(1, dtype=complex)
+    while (j := u.size) < n:
+        m = min(j, n - j)
+        below = np.convolve(t[1:j + m], u, "valid")
+        u = np.concatenate([u, -np.convolve(u[:m], below)[:m]])
     k_short = np.zeros(n, dtype=complex)
     k_short[:-1] = k[1:n]
     return delta, b, c, g, u, k_short

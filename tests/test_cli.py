@@ -166,6 +166,22 @@ class TestSpectrumCommand:
         assert summary["e0"] == pytest.approx(-0.2847792477167630, abs=1e-9)
         assert 0.0 < summary["weight"] < 1.0
 
+    def test_gap_whose_square_overflows_is_a_numerical_error(self, tmp_path):
+        # At gap 1e200 rho is 0 everywhere: its denominator squares to inf.
+        # Under warnings as errors, as CI runs the CLI, that is a normalization
+        # failure (exit 2, one line), not an overflow warning's traceback.
+        cfg = _write(tmp_path, BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e200"))
+        src = str(Path(scenario.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "leveldecay.cli", "spectrum", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error"},
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: numerical:") and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+
     def test_divergent_threshold_encoded_as_null(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG.replace("3d-exp", "2d-exp"))
         out = tmp_path / "out"
@@ -394,10 +410,10 @@ class TestDecayCommand:
         assert spectral["normalization_defect"] <= 1e-6
 
     @pytest.mark.parametrize("config, panels", [
-        (OVER_BUDGET_CONFIG, 1035089),
+        (OVER_BUDGET_CONFIG, 1035060),
         (OVER_BUDGET_CONFIG.replace("model.e2 = 1e-3", "model.e2 = 0.003").replace(
             "coupling.g_sq = 0.5", "coupling.g_sq = 0.001"
-        ), 265489),
+        ), 265458),
     ], ids=["gap 1e-3, g2 0.5", "gap 0.003, g2 0.001"])
     def test_transform_budget_fails_before_the_solve(
         self, tmp_path, capsys, monkeypatch, config, panels

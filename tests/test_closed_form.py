@@ -4,6 +4,7 @@ and the Newton eigenvalue solve against brentq on the same closed form."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay.cli import main
-from leveldecay.quadrature import weight_integral
+from leveldecay.quadrature import gate_integrals, weight_integral
 
 TOL = 1e-8
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -108,6 +109,39 @@ def test_gate_is_relative_where_the_value_is_small(monkeypatch, family):
     spectrum._closed_form_gate.cache_clear()
     try:
         with pytest.raises(ClosedFormMismatchError, match="weight integral"):
+            spectrum._closed_form_gate(family)
+    finally:
+        spectrum._closed_form_gate.cache_clear()
+
+
+@pytest.mark.parametrize("family", [TWO, THREE])
+def test_gate_integrals_equal_the_scalar_integrals(family):
+    # One pass over all 60 integrals against one pass per integral.
+    params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
+    k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
+    for i, s in enumerate(spectrum._GATE_POINTS):
+        for got, ref in ((k[i], k_regular(params, -s)), (pv[i], k_pv(params, s)),
+                         (weight[i], weight_integral(params, s))):
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("family", [TWO, THREE])
+@pytest.mark.parametrize("name, form", [
+    ("k", "_k_unit"), ("PV k", "_pv_k_unit"), ("weight integral", "_weight_unit"),
+])
+def test_gate_names_the_integral_and_s(monkeypatch, family, name, form):
+    # Any closed form 1e-6 off at one gate point fails the batched gate there.
+    s = spectrum._GATE_POINTS[5]
+    true_form = getattr(spectrum, form)
+    monkeypatch.setattr(
+        spectrum, form,
+        lambda fam, x: true_form(fam, x) * (1.0 + 1e-6 if x == s else 1.0),
+    )
+    spectrum._closed_form_gate.cache_clear()
+    try:
+        with pytest.raises(
+            ClosedFormMismatchError, match=f"closed-form {name} .* at s={re.escape(repr(s))};"
+        ):
             spectrum._closed_form_gate(family)
     finally:
         spectrum._closed_form_gate.cache_clear()

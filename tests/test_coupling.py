@@ -13,7 +13,14 @@ from leveldecay import (
     sq_over_x_integral,
 )
 from leveldecay.coupling import tail_mass
-from leveldecay.quadrature import _ABS_TOL, _REL_TOL, TAIL_CUT, _adapt, _edges_toward
+from leveldecay.quadrature import (
+    _ABS_TOL,
+    _MAX_SUBDIVISIONS,
+    _REL_TOL,
+    TAIL_CUT,
+    _edges_toward,
+    _refine,
+)
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -21,6 +28,15 @@ THREE = CouplingFamily.THREE_DIM_EXP
 
 def _semiinf_edges(cutoff):
     return _edges_toward(0.0, TAIL_CUT * cutoff, levels=42)
+
+
+def _adapt(f, edges):
+    """The engine on one integral of f over [edges[0], edges[-1]]: its value
+    and error estimate."""
+    _, _, vals, errs, _ = _refine(
+        lambda x, _: f(x), [edges], _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS
+    )
+    return float(vals.sum()), float(errs.sum())
 
 
 def test_three_dim_vanishes_at_zero():

@@ -120,10 +120,36 @@ class TestAmplitude:
                 _amplitude_points(spec, np.array(times))
 
 
-def test_next_fast_len_matches_scipy_for_complex_input():
+@pytest.fixture(scope="module")
+def fast_lengths():
+    """_next_fast_len(n) for n = 1 .. 2**17, computed once for both checks."""
+    return [evolution._next_fast_len(k) for k in range(1, 2**17 + 1)]
+
+
+def test_next_fast_len_matches_scipy_for_complex_input(fast_lengths):
     # Same FFT lengths as scipy's, so the transform and the solver keep their bits.
-    n = range(1, 2**17 + 1)
-    assert [evolution._next_fast_len(k) for k in n] == [next_fast_len(k) for k in n]
+    assert fast_lengths == [next_fast_len(k) for k in range(1, 2**17 + 1)]
+
+
+def test_next_fast_len_is_the_next_11_smooth_number(fast_lengths):
+    # A sieve over m <= 2**17 (itself 11-smooth): strip every factor 2, 3, 5,
+    # 7 and 11; the smooth m are left at 1.  The next one at or after n is a
+    # running minimum from the top.
+    top = 2**17
+    rest = np.arange(top + 1)
+    for prime in (2, 3, 5, 7, 11):
+        while np.any(whole := (rest % prime == 0) & (rest > 0)):
+            rest[whole] //= prime
+    smooth_at = np.where(rest == 1, np.arange(top + 1), top + 1)
+    following = np.minimum.accumulate(smooth_at[::-1])[::-1]
+    assert fast_lengths == following[1:].tolist()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_next_fast_len_needs_a_positive_length(n):
+    # Trial division would never end on 0.
+    with pytest.raises(ValueError, match="positive"):
+        evolution._next_fast_len(n)
 
 
 class TestAsymptotics:

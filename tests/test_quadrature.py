@@ -15,7 +15,14 @@ from leveldecay import (
     k_regular,
 )
 from leveldecay import quadrature
-from leveldecay.quadrature import _ABS_TOL, TAIL_CUT, _adapt, _edges_toward, _refine
+from leveldecay.quadrature import (
+    _ABS_TOL,
+    _MAX_SUBDIVISIONS,
+    _REL_TOL,
+    TAIL_CUT,
+    _edges_toward,
+    _refine,
+)
 
 # Frozen oracle values.  SEMIINF_RATIONAL comes from composite Simpson with
 # 1e7 points on [0, 50] (regenerated below); the PV constants come from
@@ -27,8 +34,13 @@ PV_XEXP_AT_1 = 0.30282511676493384
 
 
 def semiinf(f):
-    """The engine on [0, TAIL_CUT], its panels graded toward 0."""
-    return _adapt(f, _edges_toward(0.0, TAIL_CUT, levels=42))
+    """The engine on [0, TAIL_CUT], its panels graded toward 0: the integral
+    of f and its error estimate."""
+    edges = _edges_toward(0.0, TAIL_CUT, levels=42)
+    _, _, vals, errs, _ = _refine(
+        lambda x, _: f(x), [edges], _ABS_TOL, _REL_TOL, _MAX_SUBDIVISIONS
+    )
+    return float(vals.sum()), float(errs.sum())
 
 
 def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
@@ -80,7 +92,37 @@ def test_error_estimate_bounds_true_error_on_closed_forms():
 def test_semiinf_nonconvergence_on_tiny_budget():
     edges = _edges_toward(0.0, TAIL_CUT, levels=42)
     with pytest.raises(NonConvergenceError):
-        _refine(lambda x: np.exp(-x) / (x + 1e-5), edges, 1e-14, 1e-14, 2)
+        _refine(lambda x, _: np.exp(-x) / (x + 1e-5), [edges], 1e-14, 1e-14, 2)
+
+
+def test_nan_integrand_is_nonconvergence_not_a_hang():
+    # A panel whose error is NaN is never picked for bisection; once every
+    # other panel is below its share, nothing is left to bisect.
+    with pytest.raises(NonConvergenceError):
+        _refine(
+            lambda x, _: np.where(x < 0.5, np.nan, np.exp(-x)), [np.linspace(0.0, 1.0, 5)],
+            1e-10, 1e-8, 4000,
+        )
+
+
+def test_many_integrals_keep_their_own_tolerance_and_budget():
+    # Three integrals refined at once: each meets its own tolerance and
+    # equals its one-integral refinement, and a budget of 2 fails one alone.
+    edges = _edges_toward(0.0, TAIL_CUT, levels=42)
+    funcs = [lambda x: np.exp(-x), lambda x: x * np.exp(-x), lambda x: np.exp(-x) / (x + 1e-5)]
+    rel = [1e-10, 1e-12, 1e-9]
+
+    def f(x, which):
+        return np.choose(np.repeat(which, x.size // which.size), [g(x) for g in funcs])
+
+    _, _, vals, errs, which = _refine(f, [edges] * 3, 1e-12, rel, 4000)
+    for i, g in enumerate(funcs):
+        value, err = vals[which == i].sum(), errs[which == i].sum()
+        assert err <= max(1e-12, rel[i] * value)
+        alone = _refine(lambda x, _: g(x), [edges], 1e-12, rel[i], 4000)[2].sum()
+        assert abs(value - alone) <= 1e-15 * abs(alone)
+    with pytest.raises(NonConvergenceError, match=r"value=10\.9"):  # the third
+        _refine(f, [edges] * 3, 1e-14, 1e-14, [4000, 4000, 2])
 
 
 def test_pv_exponential_matches_frozen_oracle():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ class TestDensity:
         assert spectral_density(params, ts).tobytes() == np.array(scalars).tobytes()
         grid = ts.reshape(3, 3)
         assert spectral_density(params, grid).tobytes() == np.array(scalars).tobytes()
+
+    @pytest.mark.parametrize("e2", [1e155, 1e200, 1e300])
+    def test_shift_that_squares_past_overflow_gives_zero(self, e2):
+        # (e2 - t - PV k)^2 overflows to inf; rho = v / inf = 0 is the exact
+        # limit, reached without an overflow warning.
+        params = _params(THREE, 2.0, e2=e2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_density(params, 1.0) == 0.0
+            assert not np.any(spectral_density(params, np.linspace(0.5, 60.0, 7)))
 
     def test_weak_coupling_peak_location_and_height(self):
         # narrow resonance near the shifted upper level

@@ -14,6 +14,7 @@ quarter-period sums and its own node sum to rounding.
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -34,7 +35,7 @@ from leveldecay import (
 )
 from leveldecay.evolution import _amplitude_points, _transform_nodes
 from leveldecay.quadrature import _GL_W, _GL_X
-from leveldecay.volterra import _SHORT_LAGS
+from leveldecay.volterra import _SHORT_LAGS, _chunk_operators
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -101,18 +102,21 @@ def _lattice_width(times) -> float:
 
 
 def _panel_counts(spec, times) -> np.ndarray:
-    """Panels per segment on a uniform grid: the lattice cells a segment meets.
+    """Panels per run of cut segments, then per other segment, on a uniform grid.
 
-    An edge within rounding of a lattice point lies on it; a segment of
-    negligible mass is one panel.
+    A segment of negligible mass, or that meets one lattice cell only, is one
+    panel.  The others are cut, and a run of consecutive cut segments has a
+    panel for every lattice cell it meets.  An edge within rounding of a
+    lattice point lies on it.
     """
     u = (spec.segments - spec.segments[0]) / _lattice_width(times)
     nearest = np.round(u)
     on_point = np.abs(u - nearest) <= 8.0 * np.finfo(float).eps * nearest
     u[on_point] = nearest[on_point]
-    reps = (np.ceil(u[1:]) - np.floor(u[:-1])).astype(np.int64)
-    reps[spec.segment_mass < 1e-15] = 1
-    return reps
+    cut = (np.ceil(u[1:]) - np.floor(u[:-1]) > 1) & (spec.segment_mass >= 1e-15)
+    runs = np.split(np.flatnonzero(cut), np.flatnonzero(np.diff(np.flatnonzero(cut)) > 1) + 1)
+    cells = [int(np.ceil(u[run[-1] + 1]) - np.floor(u[run[0]])) for run in runs if run.size]
+    return np.array(cells + [1] * int(np.count_nonzero(~cut)), dtype=np.int64)
 
 
 def _per_time_transform(spec, times) -> np.ndarray:
@@ -313,15 +317,73 @@ class TestSolver:
             inputs.append((a.tobytes(), n))
             return fft(a, n, *args, **kwargs)
 
-        def no_convolve(*args, **kwargs):
-            raise AssertionError("np.convolve called")
+        convolve = np.convolve
+
+        def chunk_operator_convolve(a, v, *args, **kwargs):
+            # The history sums are FFT products: only the chunk operator's
+            # doubling convolves directly, on inputs of at most one chunk.
+            caller = sys._getframe(1).f_code.co_name
+            if caller != "_chunk_operators" or max(np.size(a), np.size(v)) > _SHORT_LAGS:
+                raise AssertionError(f"np.convolve called from {caller}")
+            return convolve(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", recording_fft)
-        monkeypatch.setattr(np, "convolve", no_convolve)
+        monkeypatch.setattr(np, "convolve", chunk_operator_convolve)
         solve_ide(params, horizon=n_steps * h, step=h)
         assert {size for size, _, _ in kernel_slices} == set(sizes)
         assert len(set(kernel_slices)) == len(kernel_slices)
         assert len(set(inputs)) == len(inputs)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
+    )
+    @pytest.mark.parametrize("family, g_sq, h", [
+        (THREE, 2.0, 0.02), (THREE, 2.0, 0.04), (TWO, 0.5, 0.01),
+        (THREE, 0.02, 0.02), (TWO, 1.0, 0.03),
+    ])
+    def test_chunk_operator_column_against_extended_precision(self, family, g_sq, h):
+        # T^-1's first column by doubling against forward substitution in
+        # np.clongdouble on the same T.  Doubling reads 2.6e-18 to 6.1e-17
+        # here (forward substitution in doubles read 9.7e-20 to 4.2e-17, a
+        # Newton reciprocal by FFT products 7.1e-17 to 2.1e-16).
+        n = _SHORT_LAGS
+        k = build_kernel_table(_params(family, g_sq), n * h, h)
+        delta, b, c, g, u, _ = _chunk_operators(k, h, n)
+        t = np.empty(n, dtype=np.clongdouble)
+        t[0] = 1
+        t[1:] = -delta - b * g[:-1] - c * g[1:]
+        ref = np.empty(n, dtype=np.clongdouble)
+        ref[0] = 1
+        for i in range(1, n):
+            ref[i] = -np.dot(t[1:i + 1], ref[i - 1::-1])
+        assert float(np.max(np.abs(u - ref))) <= 1e-16
+
+    def test_chunk_operator_is_log_n_convolutions(self, monkeypatch):
+        # No loop of n Python steps: two direct products per doubling, and
+        # a few lines of Python each.
+        n = _SHORT_LAGS
+        k = build_kernel_table(_params(THREE, 2.0), n * 0.01, 0.01)
+        calls = []
+        convolve = np.convolve
+        monkeypatch.setattr(
+            np, "convolve", lambda *args: calls.append(1) or convolve(*args)
+        )
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is _chunk_operators.__code__:
+                lines.append(event)
+                return trace
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            _chunk_operators(k, 0.01, n)
+        finally:
+            sys.settrace(previous)
+        assert 0 < len(calls) <= 2 * math.log2(n)
+        assert lines.count("line") < n // 8
 
     def test_repeat_solve_is_byte_identical(self):
         params = _params(THREE, 1.2)
@@ -385,6 +447,28 @@ class TestTransform:
         assert x.size == _GL_X.size * int(_panel_counts(spec, times).sum())
         if len(edges) == 2:  # the new segment between the cuts is one panel
             assert np.count_nonzero((x > edges[0]) & (x < edges[1])) == _GL_X.size
+        got = _amplitude_points(spec, times)
+        assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_off_lattice_edge_inside_a_run_is_one_lattice_panel(self, spectra, name):
+        # Split a wide segment halfway between two lattice points: both
+        # halves are cut segments of one run, so the cell across the new
+        # edge stays one lattice panel of ten nodes, not a tail and a head
+        # remainder of ten nodes each, and the split adds no panel.
+        base = spectra[name]
+        times = UNIFORM_GRIDS["t0=0, 301 times"]
+        w = _lattice_width(times)
+        seg = base.segments
+        e1 = float(seg[0])
+        wide = np.flatnonzero((np.diff(seg) > 4.0 * w) & (base.segment_mass >= 1e-15))[0]
+        p = math.ceil((seg[wide] - e1) / w) + 1
+        spec = _split_segments(base, [e1 + (p + 0.5) * w])
+        x, _, lattice = _transform_nodes(spec, w)
+        cell = np.flatnonzero((x > e1 + p * w) & (x < e1 + (p + 1) * w))
+        assert cell.size == _GL_X.size
+        assert p in lattice and cell.max() < _GL_X.size * lattice.size
+        assert x.size == _transform_nodes(base, w)[0].size
         got = _amplitude_points(spec, times)
         assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
 
