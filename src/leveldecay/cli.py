@@ -6,7 +6,8 @@ Commands: ``spectrum <config>``, ``decay <config>``, ``sweep <config>``,
 takes only the flags it reads.  Exit codes: 0 ok, 2 numerical inconsistency
 (any ``NumericalError``), 3 config, usage or output error (``ConfigError``,
 which covers an output directory that cannot be made, a usage error from
-argparse, or an ``OSError`` while writing an artifact).
+argparse, or an ``OSError`` while writing an artifact).  A command that
+fails leaves no output directory it made behind, unless it wrote into it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from .quadrature import NumericalError
@@ -71,20 +72,40 @@ def cmd_verify(out_dir: Path) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _resolve_out_dir(args, scenario: Scenario | None) -> Path:
+def _resolve_out_dir(args, scenario: Scenario | None) -> tuple[Path, list[Path]]:
+    """The output directory, made if missing, and the directories this call
+    made for it, innermost first."""
     out = args.out or (scenario and scenario.output_dir) or Path.cwd()
+    made = [d for d in (out, *out.parents) if not d.is_dir()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(
             f"cannot make output directory {str(out)!r}: {exc.strerror or exc}"
         ) from exc
-    return out
+    return out, made
+
+
+def _run(command, args, scenario: Scenario | None) -> int:
+    """Run ``command`` on the output directory.  If it fails, the directories
+    made for it are removed again as far as they are empty."""
+    out_dir, made = _resolve_out_dir(args, scenario)
+    code = 1
+    try:
+        code = command(out_dir)
+        return code
+    finally:
+        if code:
+            for directory in made:
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break
 
 
 def _dispatch(args) -> int:
     if args.command == "verify":
-        return cmd_verify(_resolve_out_dir(args, None))
+        return _run(cmd_verify, args, None)
     scenario = load_scenario(args.config)
     if args.command == "decay" and args.horizon is not None:
         check_positive_finite("--horizon", args.horizon)
@@ -96,12 +117,8 @@ def _dispatch(args) -> int:
             )
         if scenario.sweep is None:
             raise ConfigError("sweep command requires sweep.parameter and sweep.values")
-    out_dir = _resolve_out_dir(args, scenario)
-    if args.command == "spectrum":
-        return cmd_spectrum(scenario, out_dir)
-    if args.command == "decay":
-        return cmd_decay(scenario, out_dir)
-    return cmd_sweep(scenario, out_dir)
+    command = {"spectrum": cmd_spectrum, "decay": cmd_decay, "sweep": cmd_sweep}[args.command]
+    return _run(partial(command, scenario), args, scenario)
 
 
 @cache

@@ -14,17 +14,18 @@ spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
-over every earlier sample.  Lags of 1024 steps and more come in dyadic bands
-[L, 2L), each from FFT products of aligned L-sample blocks of the solution,
-added ahead of time as each block completes (Hairer, Lubich & Schlichte 1985,
-SIAM J. Sci. Stat. Comput. 6:532).  The steps themselves are solved 1024 at a
-time, in chunks aligned with those blocks: the Heun recurrence is linear, so
-a chunk's unknowns meet one constant lower-triangular Toeplitz matrix, whose
-inverse is built once per solve: its first column by doubling, with direct
-convolutions (Brent & Kung 1978, J. ACM 25:581).  Every history product is an
-FFT product whose fixed factor (a band of the kernel, the short lags, the
-inverse) is transformed once per solve; the inverse's unit diagonal is
-applied exactly, outside its product.  The unknowns are the increments
+over every earlier sample.  The steps are solved 1024 at a time: the Heun
+recurrence is linear, so a chunk's unknowns meet one constant
+lower-triangular Toeplitz matrix, whose inverse is built once per solve: its
+first column by doubling, with direct convolutions (Brent & Kung 1978, J. ACM
+25:581).  The inverse carries the lags between a chunk's own samples; every
+other lag comes from dyadic bands of aligned blocks of the solution, added
+ahead of time as each block completes (Hairer, Lubich & Schlichte 1985, SIAM
+J. Sci. Stat. Comput. 6:532): lags [1, 2048) of each 1024-sample block, and
+lags [L, 2L) of each L-sample block for L = 2048, 4096, ...  Every history
+product is an FFT product whose fixed factor (the inverse, each band of the
+kernel) is transformed once per solve; the inverse's unit diagonal is applied
+exactly, outside its product.  The unknowns are the increments
 y_m - y_{m-1}, not y: every chunk reuses the inverse, so the rounding of its
 first column is a fixed error that each chunk carries into all later ones,
 and that rounding scales with the matrix's off-diagonal entries, small for
@@ -130,54 +131,51 @@ def default_step(params: ModelParams) -> float:
 
 
 # Steps are solved in chunks of _SHORT_LAGS, aligned with the blocks below.
-# Lags under _SHORT_LAGS come from two FFT products per chunk, each with a
-# spectrum computed once per solve: the short lags with the _SHORT_LAGS
-# samples before the chunk, and T^-1 (see _chunk_operators) with the chunk's
-# right-hand side, which covers the lags between the chunk's own samples.
-# T^-1's unit diagonal is applied exactly, outside the product.
-# The band [L, 2L) of longer lags, L = _SHORT_LAGS * 2**p, comes from FFT
-# products of aligned blocks of L samples of y (Hairer, Lubich & Schlichte
-# 1985), added before the chunk that starts at the block's end: O(N log^2 N)
-# in total.
+# A chunk's own lags come from T^-1 (see _chunk_operators), one FFT product
+# per chunk whose unit diagonal is applied exactly, outside the product.
+# Every other lag comes from band products of aligned blocks of y, added
+# before the chunk that starts at the block's end (Hairer, Lubich & Schlichte
+# 1985): lags [1, 2 _SHORT_LAGS) of each _SHORT_LAGS-sample block, and lags
+# [L, 2L) of each L-sample block for L = 2 _SHORT_LAGS, 4 _SHORT_LAGS, ...
+# O(N log^2 N) in total.
 _SHORT_LAGS = 1024
 
 
 def _add_block_products(
-    k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int, spectra: dict,
-    y_hat: np.ndarray,
+    k: np.ndarray, y: np.ndarray, out: np.ndarray, m: int, spectra: dict
 ) -> None:
-    """Add the band [L, 2L) of lags from the block y[m - L:m] to out[m:].
+    """Add the lags [lo, 2L) of every aligned block y[m - L:m] to out[m:].
 
-    Runs for every band whose aligned block ends at m.  Each product is
-    truncated to the outputs left in ``out``, which also truncates its inputs.
-    ``spectra`` holds the solve's kernel band spectra by L: a full band's
-    spectrum is computed once and kept while another full block of it lies
-    ahead; a truncated last block transforms its own slice.  ``y_hat`` is the
-    2 _SHORT_LAGS-point spectrum of y[m - _SHORT_LAGS:m], which the first
-    band's block uses when it is full.
+    Runs for every band L = _SHORT_LAGS, 2 _SHORT_LAGS, ... whose aligned
+    block ends at m.  The first band takes lags from 1 (lo = 1) and every
+    band above it from L (lo = L), so the bands cover each lag from a sample
+    before an output's own chunk exactly once.  Each product is truncated to
+    the outputs left in ``out``, which also truncates its inputs.  ``spectra``
+    holds the solve's kernel band spectra by L: a full band's spectrum is
+    computed once and kept while another full block of it lies ahead; a
+    truncated last block transforms its own slice.
     """
-    size = _SHORT_LAGS
+    size, lo = _SHORT_LAGS, 1
     while m % size == 0:
         n_out = min(2 * size - 1, out.size - m)
-        take = min(size, n_out)
-        n_fft = _next_fast_len(2 * take - 1)
+        take = min(size, n_out + size - lo)
+        taps = min(2 * size, size + n_out) - lo
+        n_fft = _next_fast_len(take + taps - 1)
         kb = spectra.pop(size, None)
         if kb is None:
-            kb = np.fft.fft(k[size:size + take], n_fft)
+            kb = np.fft.fft(k[lo:lo + taps], n_fft)
         if m + 2 * size <= out.size:  # the next block is full as well
             spectra[size] = kb
-        if size == take == _SHORT_LAGS:
-            product = y_hat * kb
-        else:
-            product = np.fft.fft(y[m - size:m - size + take], n_fft)
-            product *= kb
+        product = np.fft.fft(y[m - size:m - size + take], n_fft)
+        product *= kb
         np.fft.ifft(product, out=product)
-        out[m:m + n_out] += product[:n_out]
+        out[m:m + n_out] += product[size - lo:size - lo + n_out]
         size *= 2
+        lo = size
 
 
 def _chunk_operators(k: np.ndarray, h: float, n: int):
-    """The fixed parts of an n-step chunk solve: (delta, b, c, G, u, k_short).
+    """The fixed parts of an n-step chunk solve: (delta, b, c, G, u).
 
     With s_m the trapezoid history sum of step m without its newest sample
     (s_0 = -K[0] y_0 / 2), the Heun step is
@@ -188,9 +186,9 @@ def _chunk_operators(k: np.ndarray, h: float, n: int):
     unknown increments d meet a constant lower-triangular Toeplitz matrix T
     whose entries come from the kernel's partial sums G[l] = K[1] + ... + K[l].
     T^-1 is lower-triangular Toeplitz as well, so its first column ``u`` is
-    all of it.  ``k_short`` is K[1], ..., K[n - 1], 0: the short lags, which
-    reach back from a chunk into the n samples before it.  ``k`` holds at
-    least n samples.
+    all of it: it carries the lags between the chunk's own samples, and
+    every other lag is in the chunk's known history.  ``k`` holds at least n
+    samples.
     """
     k0 = complex(k[0])
     b = (0.5 * h + 0.25 * h**3 * k0) * h
@@ -212,9 +210,7 @@ def _chunk_operators(k: np.ndarray, h: float, n: int):
         m = min(j, n - j)
         below = np.convolve(t[1:j + m], u, "valid")
         u = np.concatenate([u, -np.convolve(u[:m], below)[:m]])
-    k_short = np.zeros(n, dtype=complex)
-    k_short[:-1] = k[1:n]
-    return delta, b, c, g, u, k_short
+    return delta, b, c, g, u
 
 
 def solve_ide(
@@ -229,10 +225,13 @@ def solve_ide(
     are y_{M-1} plus their running sum.  Solving for the increments rather
     than for y keeps each chunk's rounding at the size of the increments, so
     the result stays within rounding of the step-by-step recurrence however
-    many chunks it spans; the inverse's unit diagonal is applied exactly.  The
+    many chunks it spans; the inverse's unit diagonal is applied exactly.
+    The inverse carries the lags between a chunk's own samples; every other
+    lag comes from band products of the completed blocks of y, added before
+    the chunk, and y[0]'s lags into the first chunk from exact products.  The
     history sums take O(N log^2 N) in the step count N: every history product
-    is an FFT product whose fixed spectrum (the short lags, T^-1, each band
-    of the kernel) is computed once per solve.  ``step`` defaults to
+    is an FFT product whose fixed spectrum (T^-1, each band of the kernel) is
+    computed once per solve.  ``step`` defaults to
     ``default_step(params)``.  The overshoot budget on |C|^2 = |y|^2 is
     checked at every step before the output rows t = 0, stride h, 2 stride h,
     ... are taken, so a stride hides no overshoot.
@@ -248,32 +247,29 @@ def solve_ide(
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j
-    # ``history`` starts as the end corrections -K[m] y[0] / 2 of every s_m
-    # and collects the lags >= _SHORT_LAGS block by block; a chunk's history
-    # is complete once the blocks ending at its start are added.
-    history = -0.5 * y[0] * k
     # A solve shorter than one chunk sizes its operators to its own length.
     n = min(_SHORT_LAGS, n_steps + 1)
-    delta, b, c, g, u, k_short = _chunk_operators(k, h, n)
-    # Both in-chunk products are linear convolutions of at most 2n - 1
-    # terms, so a 2n-point FFT does not wrap.
-    k_hat = np.fft.fft(k_short, 2 * n)
+    # ``history`` starts as the end corrections -K[m] y[0] / 2 of every s_m
+    # and collects the lags from every completed block; a chunk's history is
+    # complete once the blocks ending at its start are added.  No block
+    # holds y[0] before the first chunk, so its lags there are added here.
+    history = -0.5 * y[0] * k
+    history[1:n] += y[0] * k[1:n]
+    delta, b, c, g, u = _chunk_operators(k, h, n)
     u[0] = 0.0  # T^-1's unit diagonal: each chunk adds rhs itself to d
+    # T^-1 (rhs) is a linear convolution of at most 2n - 1 terms, so a
+    # 2n-point FFT does not wrap.
     u_hat = np.fft.fft(u, 2 * n)
     spectra = {}
     s_prev = complex(history[0])
     for m in range(0, n_steps + 1, n):
         start, stop = max(m, 1), min(m + n, n_steps + 1)
-        # From the second chunk on, y[m - n:m] is the first band's block too.
-        y_hat = np.fft.fft(y[max(m - n, 0):start], 2 * n)
         if m:
-            _add_block_products(k, y, history, m, spectra, y_hat)
+            _add_block_products(k, y, history, m, spectra)
         r = stop - start
         y_last = y[start - 1]
         # s over the chunk, less the part T carries (the increments' own).
-        reach = np.fft.ifft(y_hat * k_hat)
-        offset = min(start, n) - 1
-        s_known = history[start:stop] + reach[offset:offset + r] + y_last * g[:r]
+        s_known = history[start:stop] + y_last * g[:r]
         rhs = c * s_known + delta * y_last
         rhs[0] += b * s_prev
         rhs[1:] += b * s_known[:-1]

@@ -166,11 +166,14 @@ class TestSpectrumCommand:
         assert summary["e0"] == pytest.approx(-0.2847792477167630, abs=1e-9)
         assert 0.0 < summary["weight"] < 1.0
 
-    def test_gap_whose_square_overflows_is_a_numerical_error(self, tmp_path):
+    @pytest.mark.parametrize("e2", ["1e200", "40.0"])
+    def test_gap_whose_square_overflows_is_a_numerical_error(self, tmp_path, e2):
         # At gap 1e200 rho is 0 everywhere: its denominator squares to inf.
         # Under warnings as errors, as CI runs the CLI, that is a normalization
-        # failure (exit 2, one line), not an overflow warning's traceback.
-        cfg = _write(tmp_path, BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e200"))
+        # failure (exit 2, one line), not an overflow warning's traceback.  At
+        # gap 40 the level is a resonance narrower than the density table: a
+        # normalization defect of 0.9986.  Neither leaves the --out it made.
+        cfg = _write(tmp_path, BASE_CONFIG.replace("model.e2 = 1.0", f"model.e2 = {e2}"))
         src = str(Path(scenario.__file__).parents[1])
         done = subprocess.run(
             [sys.executable, "-m", "leveldecay.cli", "spectrum", str(cfg),
@@ -181,6 +184,16 @@ class TestSpectrumCommand:
         assert done.returncode == 2
         assert done.stderr.startswith("error: numerical:") and done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_run_keeps_an_existing_out_dir(self, tmp_path):
+        cfg = _write(tmp_path, BASE_CONFIG.replace("model.e2 = 1.0", "model.e2 = 1e200"))
+        out = tmp_path / "out"
+        out.mkdir()
+        # The directories made below it go again; the one that was there stays.
+        for target in (out, out / "new" / "deeper"):
+            assert main(["spectrum", str(cfg), "--out", str(target)]) == 2
+            assert out.is_dir() and not any(out.iterdir())
 
     def test_divergent_threshold_encoded_as_null(self, tmp_path):
         cfg = _write(tmp_path, BASE_CONFIG.replace("3d-exp", "2d-exp"))

@@ -303,19 +303,25 @@ class TestSolver:
         params = _params(THREE, 2.0)
         h = 0.01
         k = build_kernel_table(params, n_steps * h, h)
-        sizes = [_SHORT_LAGS << p for p in range(5)]
+        # The first band's taps start at lag 1, every other band's at L.
+        starts = [1] + [_SHORT_LAGS << p for p in range(1, 5)]
         kernel_slices = []
         inputs = []
-        fft = np.fft.fft
+        inverse_calls = []
+        fft, ifft = np.fft.fft, np.fft.ifft
 
         def recording_fft(a, n=None, *args, **kwargs):
             a = np.asarray(a)
             kernel_slices.extend(
-                (size, a.size, n) for size in sizes
-                if np.array_equal(a, k[size:size + a.size])
+                (start, a.size, n) for start in starts
+                if np.array_equal(a, k[start:start + a.size])
             )
             inputs.append((a.tobytes(), n))
             return fft(a, n, *args, **kwargs)
+
+        def recording_ifft(*args, **kwargs):
+            inverse_calls.append(1)
+            return ifft(*args, **kwargs)
 
         convolve = np.convolve
 
@@ -328,11 +334,22 @@ class TestSolver:
             return convolve(a, v, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", recording_fft)
+        monkeypatch.setattr(np.fft, "ifft", recording_ifft)
         monkeypatch.setattr(np, "convolve", chunk_operator_convolve)
         solve_ide(params, horizon=n_steps * h, step=h)
-        assert {size for size, _, _ in kernel_slices} == set(sizes)
+        assert {start for start, _, _ in kernel_slices} == set(starts)
         assert len(set(kernel_slices)) == len(kernel_slices)
         assert len(set(inputs)) == len(inputs)
+        # The schedule of 20,001 samples: 20 chunks of T^-1 (rhs), two FFT
+        # calls each; blocks ending at 1024 j, j = 1..19, for 19 + 9 + 4 +
+        # 2 + 1 band products of L = 1024 ... 16384, two calls each; two
+        # kernel spectra per band (its full one and a truncated last block),
+        # one for L = 16384; and u_hat.  A second history product per chunk
+        # would add 20 or more.
+        spectra = 2 + 2 + 2 + 2 + 1
+        assert len(kernel_slices) == spectra
+        expected = 2 * 20 + 2 * (19 + 9 + 4 + 2 + 1) + spectra + 1
+        assert len(inputs) + len(inverse_calls) == expected == 120
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
@@ -348,7 +365,7 @@ class TestSolver:
         # Newton reciprocal by FFT products 7.1e-17 to 2.1e-16).
         n = _SHORT_LAGS
         k = build_kernel_table(_params(family, g_sq), n * h, h)
-        delta, b, c, g, u, _ = _chunk_operators(k, h, n)
+        delta, b, c, g, u = _chunk_operators(k, h, n)
         t = np.empty(n, dtype=np.clongdouble)
         t[0] = 1
         t[1:] = -delta - b * g[:-1] - c * g[1:]
