@@ -35,7 +35,7 @@ from leveldecay import (
 )
 from leveldecay.evolution import _amplitude_points, _transform_nodes
 from leveldecay.quadrature import _GL_W, _GL_X
-from leveldecay.volterra import _SHORT_LAGS, _chunk_operators
+from leveldecay.volterra import _CHUNK, _RADIX, _chunk_operators, _target
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -232,8 +232,8 @@ def spectra():
 class TestSolver:
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_matches_direct_history_sums(self, family, g_sq):
-        n_steps = 5000  # not a power of two; blocks of 1024..4096 samples
-        assert n_steps > 4 * _SHORT_LAGS
+        n_steps = 5000  # not a power of two; five chunks, the last partial
+        assert n_steps > 4 * _CHUNK
         params = _params(family, g_sq)
         h = 0.01
         got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
@@ -243,8 +243,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     @pytest.mark.parametrize("n_steps", [
-        1, 2, _SHORT_LAGS - 1, _SHORT_LAGS, _SHORT_LAGS + 1,
-        2 * _SHORT_LAGS - 1, 2 * _SHORT_LAGS, 2 * _SHORT_LAGS + 1,
+        1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+        2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1,
     ])
     def test_chunk_edges_match_direct_history_sums(self, family, g_sq, n_steps):
         params = _params(family, g_sq)
@@ -262,7 +262,7 @@ class TestSolver:
         # 3000 steps span 3 chunks and end inside one.  Solving each chunk
         # for y instead of for its increments drifts past the bound here.
         n_steps = 3000
-        assert n_steps % _SHORT_LAGS
+        assert n_steps % _CHUNK
         params = _params(family, g_sq)
         h = 0.01
         got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
@@ -283,45 +283,92 @@ class TestSolver:
         assert float(np.max(np.abs(got - ref))) <= 1e-14
 
     def test_memory_peak_is_a_few_arrays(self):
-        n_steps = 20_000
+        # 43,978 steps hold the spectra of five blocks of 8192 samples and
+        # of five kernel partitions at their last target block.
         params = _params(THREE, 2.0)
         h = 0.01
         solve_ide(params, horizon=10.0, step=h)  # the kernel self-check runs once
-        tracemalloc.start()
-        try:
-            solve_ide(params, horizon=n_steps * h, step=h)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 16 * (n_steps + 1) + 0.5e6
+        for n_steps in (20_000, 43_978):
+            tracemalloc.start()
+            try:
+                solve_ide(params, horizon=n_steps * h, step=h)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * 16 * (n_steps + 1) + 0.5e6, n_steps
 
-    def test_kernel_band_spectra_are_computed_once(self, monkeypatch):
-        # 20,000 steps run the bands of 1024 ... 16384 lags, most of them
-        # over several full blocks and a truncated last one.  No input, of
-        # the kernel or of y, is transformed twice at the same length.
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    @pytest.mark.parametrize("n_steps, bound", [
+        (_RADIX * _CHUNK - 1, 1e-13), (_RADIX * _CHUNK, 1e-13),
+        (_RADIX * _CHUNK + 1, 1e-13), (2 * _RADIX * _CHUNK + _CHUNK + 1, 1e-12),
+    ])
+    def test_coarse_level_edges_match_direct_history_sums(self, family, g_sq, n_steps, bound):
+        # Across the first block of the second level, and on past a second
+        # such block into a partial chunk.
+        params = _params(family, g_sq)
+        h = 0.01
+        got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
+        ref = _direct_heun(params, n_steps * h, h)
+        assert got.shape == ref.shape == (n_steps + 1,)
+        assert float(np.max(np.abs(got - ref))) <= bound
+
+    def test_schedule_sums_every_earlier_chunk_once(self):
+        # From the schedule's index arithmetic alone: each later chunk's
+        # history takes every earlier chunk exactly once.  A chunk's sources
+        # come from targets that start at or before it, which every longer
+        # solve has as well, so 65,536 chunks (the 2**26-step guard) cover
+        # every shorter solve too.
+        n_chunks = 65_536
+        sources = [[] for _ in range(n_chunks)]
+        for j in range(1, n_chunks):
+            size, first, d = _target(j * _CHUNK)
+            assert size * d == j * _CHUNK
+            span = size // _CHUNK
+            for e in range(j, min(j + span, n_chunks)):
+                sources[e].append((first * span, j))
+        for e, ranges in enumerate(sources):
+            covered = 0
+            for begin, end in sorted(ranges):
+                assert begin == covered, (e, ranges)
+                covered = end
+            assert covered == e, (e, ranges)
+
+    def test_history_transforms_each_input_once(self, monkeypatch):
+        # 20,000 steps run levels of 1024 and 8192 samples, each over full
+        # parents and a truncated last one.  Every kernel partition is
+        # transformed once per solve, every block of y once at its level,
+        # and every block that takes history takes one inverse.
         n_steps = 20_000
         params = _params(THREE, 2.0)
         h = 0.01
         k = build_kernel_table(params, n_steps * h, h)
-        # The first band's taps start at lag 1, every other band's at L.
-        starts = [1] + [_SHORT_LAGS << p for p in range(1, 5)]
-        kernel_slices = []
-        inputs = []
-        inverse_calls = []
+        partitions = {
+            (size, delta): k[(delta - 1) * size + 1:(delta + 1) * size]
+            for size, deltas in ((_CHUNK, range(1, _RADIX)), (_RADIX * _CHUNK, (1, 2)))
+            for delta in deltas
+        }
+        kernel_calls = []
+        block_calls = []
+        other_calls = []
+        inverse_sizes = []
         fft, ifft = np.fft.fft, np.fft.ifft
 
         def recording_fft(a, n=None, *args, **kwargs):
             a = np.asarray(a)
-            kernel_slices.extend(
-                (start, a.size, n) for start in starts
-                if np.array_equal(a, k[start:start + a.size])
-            )
-            inputs.append((a.tobytes(), n))
+            keys = [key for key, taps in partitions.items() if np.array_equal(a, taps)]
+            if keys:
+                kernel_calls.extend(keys)
+            elif a.base is not None and a.base.size == n_steps + 1:
+                # A view of the solution: its level and block.
+                offset = (a.ctypes.data - a.base.ctypes.data) // a.itemsize
+                block_calls.append((a.size, offset, n))
+            else:
+                other_calls.append(n)
             return fft(a, n, *args, **kwargs)
 
-        def recording_ifft(*args, **kwargs):
-            inverse_calls.append(1)
-            return ifft(*args, **kwargs)
+        def recording_ifft(a, *args, **kwargs):
+            inverse_sizes.append(np.size(a))
+            return ifft(a, *args, **kwargs)
 
         convolve = np.convolve
 
@@ -329,7 +376,7 @@ class TestSolver:
             # The history sums are FFT products: only the chunk operator's
             # doubling convolves directly, on inputs of at most one chunk.
             caller = sys._getframe(1).f_code.co_name
-            if caller != "_chunk_operators" or max(np.size(a), np.size(v)) > _SHORT_LAGS:
+            if caller != "_chunk_operators" or max(np.size(a), np.size(v)) > _CHUNK:
                 raise AssertionError(f"np.convolve called from {caller}")
             return convolve(a, v, *args, **kwargs)
 
@@ -337,19 +384,26 @@ class TestSolver:
         monkeypatch.setattr(np.fft, "ifft", recording_ifft)
         monkeypatch.setattr(np, "convolve", chunk_operator_convolve)
         solve_ide(params, horizon=n_steps * h, step=h)
-        assert {start for start, _, _ in kernel_slices} == set(starts)
-        assert len(set(kernel_slices)) == len(kernel_slices)
-        assert len(set(inputs)) == len(inputs)
-        # The schedule of 20,001 samples: 20 chunks of T^-1 (rhs), two FFT
-        # calls each; blocks ending at 1024 j, j = 1..19, for 19 + 9 + 4 +
-        # 2 + 1 band products of L = 1024 ... 16384, two calls each; two
-        # kernel spectra per band (its full one and a truncated last block),
-        # one for L = 16384; and u_hat.  A second history product per chunk
-        # would add 20 or more.
-        spectra = 2 + 2 + 2 + 2 + 1
-        assert len(kernel_slices) == spectra
-        expected = 2 * 20 + 2 * (19 + 9 + 4 + 2 + 1) + spectra + 1
-        assert len(inputs) + len(inverse_calls) == expected == 120
+        # Every partition once: 7 at the first level, 2 at the second.
+        assert sorted(kernel_calls) == sorted(partitions)
+        # One block of y per target: chunks 0-6, 8-14 and 16-18 at the
+        # first level, blocks 0 and 1 of 8192 samples at the second, each
+        # aligned to its level and transformed once, at 2L points.
+        expected_blocks = (
+            [(_CHUNK, c) for c in (*range(0, 7), *range(8, 15), *range(16, 19))]
+            + [(_RADIX * _CHUNK, 0), (_RADIX * _CHUNK, 1)]
+        )
+        assert sorted(block_calls) == sorted(
+            (size, c * size, 2 * size) for size, c in expected_blocks
+        )
+        # The rest: T^-1 (rhs) for each of 20 chunks, and u_hat once.
+        assert other_calls == [2 * _CHUNK] * (20 + 1)
+        # One inverse per target block (19), one per chunk for T^-1 (20).
+        assert sorted(inverse_sizes) == sorted(
+            [2 * _CHUNK] * (17 + 20) + [2 * _RADIX * _CHUNK] * 2
+        )
+        total = len(kernel_calls) + len(block_calls) + len(other_calls) + len(inverse_sizes)
+        assert total == 9 + 19 + 21 + 39 == 88
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double"
@@ -363,7 +417,7 @@ class TestSolver:
         # np.clongdouble on the same T.  Doubling reads 2.6e-18 to 6.1e-17
         # here (forward substitution in doubles read 9.7e-20 to 4.2e-17, a
         # Newton reciprocal by FFT products 7.1e-17 to 2.1e-16).
-        n = _SHORT_LAGS
+        n = _CHUNK
         k = build_kernel_table(_params(family, g_sq), n * h, h)
         delta, b, c, g, u = _chunk_operators(k, h, n)
         t = np.empty(n, dtype=np.clongdouble)
@@ -378,7 +432,7 @@ class TestSolver:
     def test_chunk_operator_is_log_n_convolutions(self, monkeypatch):
         # No loop of n Python steps: two direct products per doubling, and
         # a few lines of Python each.
-        n = _SHORT_LAGS
+        n = _CHUNK
         k = build_kernel_table(_params(THREE, 2.0), n * 0.01, 0.01)
         calls = []
         convolve = np.convolve
