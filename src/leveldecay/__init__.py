@@ -26,7 +26,6 @@ from .evolution import (
 from .quadrature import (
     NonConvergenceError,
     NumericalError,
-    k_pv,
     k_regular,
 )
 from .spectrum import (
@@ -78,7 +77,6 @@ __all__ = [
     "default_step",
     "eigen_weight",
     "fitted_decay_rate",
-    "k_pv",
     "k_regular",
     "kernel",
     "l2_norm_sq",

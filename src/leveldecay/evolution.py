@@ -43,7 +43,9 @@ P(t) tends to w^2 (zero when no bound state exists).
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,20 +191,25 @@ def _transform_nodes(
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
+@functools.cache
+def _smooth_lengths(bits: int) -> list[int]:
+    """Every 2^a 3^b 5^c 7^d 11^e <= 2^bits, sorted; 2^bits > n for n of ``bits`` bits."""
+    lengths = [1]
+    for prime in (2, 3, 5, 7, 11):
+        for m in lengths.copy():
+            while (m := m * prime) <= 1 << bits:
+                lengths.append(m)
+    return sorted(lengths)
+
+
 def _next_fast_len(n: int) -> int:
     """The smallest 2^a 3^b 5^c 7^d 11^e >= n, an FFT length numpy transforms
     fast: what ``scipy.fft.next_fast_len(n)`` gives for complex input.
     Raises ValueError for n < 1."""
     if n < 1:
         raise ValueError(f"FFT length must be positive, got {n!r}")
-    while True:
-        rest = n
-        for prime in (2, 3, 5, 7, 11):
-            while rest % prime == 0:
-                rest //= prime
-        if rest == 1:
-            return n
-        n += 1
+    lengths = _smooth_lengths(n.bit_length())
+    return lengths[bisect.bisect_left(lengths, n)]
 
 
 def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:

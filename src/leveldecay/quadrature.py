@@ -1,26 +1,22 @@
 """The gate of the closed forms and its engine: adaptive quadrature of k(lambda),
 its principal value and the weight integral.
 
-For the built-in coupling families the spectral layer evaluates k, its
-principal value and the weight integral from exponential-integral closed
-forms (see ``leveldecay.spectrum``).  ``k_regular``, ``k_pv`` and
-``weight_integral`` compute the same integrals by adaptive quadrature: they
-are the gate those closed forms must pass before first use and the reference
-the tests compare against, and ``k_regular`` is the k of the eigenvalue
-oracle of ``verify`` criterion 8, which the eigenvalue solver's steps never
-evaluate.  k and the weight integral are one integral,
-|V(x)|^2 / (x + a)^p in u = ln(x + a); the principal value subtracts |V(c)|^2
-on a window around the pole.
+For the built-in coupling families the spectral layer evaluates these three
+integrals from exponential-integral closed forms (see ``leveldecay.spectrum``).
+Quadrature has two entry points: ``gate_integrals`` takes all three at a list
+of distances from the edge in one pass, the gate those closed forms must pass
+before first use and the tests' reference; ``k_regular`` takes k alone, for
+the eigenvalue oracle of ``verify`` criterion 8.  k and the weight integral
+are one integral, |V(x)|^2 / (x + a)^p in u = ln(x + a); the principal value
+subtracts |V(c)|^2 on a window around the pole.
 
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
 the panel error estimate, and panels carrying the bulk of the error are
 bisected until the total estimate meets the tolerance.  ``_refine`` is the one
 refinement loop.  It refines many integrals at once, each to its own
-tolerance, budget and error total: ``gate_integrals`` takes the gate's five
-integrals at each of its twelve points in one pass, and the scalar
-``k_regular``, ``k_pv`` and ``weight_integral`` and the density table of
-``leveldecay.spectrum`` are its one-integral case.
+tolerance, budget and error total: the gate's sixty in one pass, k alone
+for ``k_regular``, and the density table of ``leveldecay.spectrum``.
 """
 
 from __future__ import annotations
@@ -194,14 +190,14 @@ def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> 
 
 
 def _check_tail(params: ModelParams, a: float) -> float:
-    """Truncation point for k integrands, certified against the tail bound."""
+    """Truncation point for k integrands, finite and certified by the tail bound."""
     model = params.coupling
     upper = TAIL_CUT * model.cutoff
     bound = tail_mass(model, upper) / (upper + a)
-    if bound > TAIL_TOL:
+    if not (math.isfinite(upper) and bound <= TAIL_TOL):  # a NaN bound fails
         raise ValueError(
-            f"coupling g_sq={model.strength_sq!r} leaves a truncation remainder "
-            f"{bound!r} beyond {TAIL_CUT:g} cutoffs, above the bound {TAIL_TOL!r}"
+            f"coupling g_sq={model.strength_sq!r}, cutoff={model.cutoff!r}: truncated at x="
+            f"{upper!r}, remainder {bound!r}; x must be finite, the remainder <= {TAIL_TOL!r}"
         )
     return upper
 
@@ -265,11 +261,11 @@ def _log_part(params: ModelParams, a: float, p: int) -> _Integral:
 
 
 def _pv_parts(params: ModelParams, t: float) -> tuple[list[_Integral], float]:
-    """The window, left and right integrals of ``k_pv`` at t, and its log term."""
+    """The window, left and right integrals of PV k at t, and its log term."""
     model = params.coupling
     c = t - params.e1
     if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"k_pv requires e1 < t < inf, got t={t!r}")
+        raise ValueError(f"PV k requires e1 < t < inf, got t={t!r}")
     domain_hi = c + _check_tail(params, 0.0)
     h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
     lo, hi = c - h, c + h
@@ -298,29 +294,9 @@ def k_regular(params: ModelParams, lam: float) -> float:
     return _integrals(params.coupling, [_log_part(params, params.e1 - lam, 1)])[0]
 
 
-def k_pv(params: ModelParams, t: float) -> float:
-    """Principal value of the k transform at a point t > e1 inside the continuum.
-
-    PV of the integral of |V(x)|^2 / (x - c) over [0, inf), c = t - e1,
-    truncated at c + TAIL_CUT cutoffs.  On a window [c - h, c + h] the
-    regularized integrand (|V(x)|^2 - |V(c)|^2) / (x - c) is integrated; the
-    outer pieces are regular adaptive integrals.  The window half-width h is
-    _PV_WINDOW, shrunk to stay inside the domain.
-    """
-    parts, log_term = _pv_parts(params, t)
-    window, left, right = (_integrals(params.coupling, [part])[0] for part in parts)
-    return window + log_term + left + right
-
-
-def weight_integral(params: ModelParams, a: float) -> float:
-    """Integral of |V(x)|^2 / (x + a)^2 over [0, inf) for a distance a > 0."""
-    return _integrals(params.coupling, [_log_part(params, a, 2)])[0]
-
-
 def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
-    """k_regular at e1 - s, k_pv at e1 + s and weight_integral at s, for every
-    distance s: the closed forms' gate, its five adaptive integrals per s
-    refined together in one pass of ``_refine``.  Returns the three arrays."""
+    """The three arrays k at e1 - s, PV k at e1 + s and the weight integral at s
+    over the distances s: five integrals per s, refined in one ``_refine`` pass."""
     parts, log_terms = [], []
     for s in distances:
         pv_parts, log_term = _pv_parts(params, params.e1 + s)

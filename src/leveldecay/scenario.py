@@ -129,8 +129,8 @@ def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario config from flat key-value text.
 
     The model and every swept model are built here, once, and each must pass
-    the truncation check (its |V|^2 remainder beyond 60 cutoffs below 1e-10:
-    3d g2 L < 1.1e16, 2d g2 < 6.9e17); any invalid model is a ConfigError.
+    the truncation check (60 L finite and the |V|^2 remainder past it below
+    1e-10: 3d g2 L < 1.1e16, 2d g2 < 6.9e17); any invalid model is a ConfigError.
     """
     table = _parse_kv(text)
     name = table.pop("name", "")

@@ -26,11 +26,10 @@ the cutoff L:
     3d:  PV k = g2 L (1 - s e^{-s} Ei(s)), k = g2 L (1 - s e^{s} E1(s)),
          weight integral = g2 ((1 + s) e^{s} E1(s) - 1).
 
-Before a family's closed forms are first used they must agree with the
-adaptive quadrature of ``quadrature.k_regular``, ``k_pv`` and
-``weight_integral`` to a relative 1e-8 at twelve points; the gate refines
-those 60 integrals in one pass (``quadrature.gate_integrals``).  A mismatch
-raises ``ClosedFormMismatchError``.
+Before a family's closed forms are first used they must agree with adaptive
+quadrature of all three integrals to a relative 1e-8 at twelve points; the
+gate refines those 60 integrals in one batched pass
+(``quadrature.gate_integrals``).  A mismatch raises ``ClosedFormMismatchError``.
 """
 
 from __future__ import annotations

@@ -235,6 +235,21 @@ class TestSpectrumCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["2d-exp", "3d-exp"])
+    @pytest.mark.parametrize("cutoff", ["3.1e306", "1e307"])
+    def test_cutoff_whose_truncation_overflows_is_config_error(
+        self, tmp_path, capsys, family, cutoff
+    ):
+        # 60 cutoffs overflow to inf: no finite truncation point to certify.
+        text = BASE_CONFIG.replace("3d-exp", family).replace("g_sq = 2.0", "g_sq = 1.0")
+        cfg = _write(tmp_path, text.replace("lambda_cutoff = 1.0", f"lambda_cutoff = {cutoff}"))
+        out = tmp_path / "out"
+        assert main(["spectrum", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and err.count("\n") == 1
+        assert f"cutoff={float(cutoff)!r}" in err and "x=inf" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, line",
         [("spectrum", ""), ("decay", ""), ("decay", "horizon = 1.0\n")],

@@ -22,7 +22,6 @@ from leveldecay import (
     ModelParams,
     coupling_sq,
     eigen_weight,
-    k_pv,
     k_regular,
     point_mass,
     spectral_density,
@@ -30,7 +29,7 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay.cli import main
-from leveldecay.quadrature import gate_integrals, weight_integral
+from leveldecay.quadrature import gate_integrals
 
 TOL = 1e-8
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -55,11 +54,13 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     s = 10.0**log10_s
     x = s * cutoff
 
+    # k at e1 - x, PV k at e1 + x and the weight integral at x, in one pass
+    k_ref, pv_ref, weight_ref = (float(q[0]) for q in gate_integrals(params, [x]))
+
     k_below = spectrum._k_scale(model) * spectrum._k_unit(family, s)
-    assert _close(k_below, k_regular(params, -x))
+    assert _close(k_below, k_ref)
 
     pv = float(spectrum.k_pv_closed(params, x))
-    pv_ref = k_pv(params, x)
     assert _close(pv, pv_ref)
 
     # rho inherits the reference principal value's tolerance, amplified by
@@ -70,7 +71,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     slope = 2.0 * rho_ref**2 * abs(shift) / v if v > 0.0 else 0.0
     assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
-    w_ref = 1.0 / (1.0 + weight_integral(params, x))
+    w_ref = 1.0 / (1.0 + weight_ref)
     assert _close(eigen_weight(params, -x), w_ref)
 
 
@@ -115,13 +116,15 @@ def test_gate_is_relative_where_the_value_is_small(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", [TWO, THREE])
-def test_gate_integrals_equal_the_scalar_integrals(family):
-    # One pass over all 60 integrals against one pass per integral.
+def test_gate_integrals_equal_one_pass_per_point(family):
+    # One pass over all 60 integrals against one pass per distance, and
+    # k against k_regular's pass of the one integral.
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
     k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
     for i, s in enumerate(spectrum._GATE_POINTS):
-        for got, ref in ((k[i], k_regular(params, -s)), (pv[i], k_pv(params, s)),
-                         (weight[i], weight_integral(params, s))):
+        k_s, pv_s, weight_s = (float(q[0]) for q in gate_integrals(params, [s]))
+        for got, ref in ((k[i], k_regular(params, -s)), (k[i], k_s), (pv[i], pv_s),
+                         (weight[i], weight_s)):
             assert abs(got - ref) <= 1e-15 * abs(ref)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -93,3 +94,47 @@ def test_detects_an_unread_field():
         "print(A(1, 2).x)\n"
     )
     assert unread_fields([source]) == {"A.y", "B.z"}
+
+
+def _loaded_names(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def uncalled_definitions(sources: list[str]) -> set[str]:
+    """Every module-level function or class that nothing in ``sources`` names
+    outside its own definition.
+
+    Name-level, like ``unread_fields``: a definition counts as called if its
+    name is loaded, as a name or an attribute, anywhere else in ``sources``,
+    whatever the object.
+    """
+    trees = [ast.parse(src) for src in sources]
+    everywhere = sum((_loaded_names(tree) for tree in trees), Counter())
+    return {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and everywhere[node.name] == _loaded_names(node)[node.name]
+    }
+
+
+def test_every_package_function_has_a_caller():
+    # __init__.py only re-exports: a name it alone imports has no caller.
+    assert uncalled_definitions([p.read_text() for p in MODULES]) == set()
+
+
+def test_detects_a_definition_without_a_caller():
+    sources = [
+        "def used():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "class Unused:\n    pass\n"
+        "print(used())\n",
+        "def remote():\n    pass\n",
+        "import m\nm.remote()\n",
+    ]
+    assert uncalled_definitions(sources) == {"recursive", "Unused"}

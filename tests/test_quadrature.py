@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from leveldecay import (
     CouplingModel,
     ModelParams,
     NonConvergenceError,
-    k_pv,
     k_regular,
 )
 from leveldecay import quadrature
+from leveldecay.coupling import tail_mass
 from leveldecay.quadrature import (
     _ABS_TOL,
     _MAX_SUBDIVISIONS,
@@ -22,6 +23,7 @@ from leveldecay.quadrature import (
     TAIL_CUT,
     _edges_toward,
     _refine,
+    gate_integrals,
 )
 
 # Frozen oracle values.  SEMIINF_RATIONAL comes from composite Simpson with
@@ -47,8 +49,17 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
     return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
 
 
-# |V(x)|^2 = exp(-x): k_pv at t = 1 is the PV of exp(-x)/(x - 1).
+# |V(x)|^2 = exp(-x): PV k at t = 1 is the PV of exp(-x)/(x - 1).
 EXP_UNIT = _params(CouplingFamily.TWO_DIM_EXP, 1.0)
+
+# _pv_parts' refusal of a point not inside the continuum; gate_integrals
+# checks it before _log_part's own.
+NOT_INSIDE = r"PV k requires e1 < t < inf"
+
+
+def pv_k(params, s):
+    """PV k at e1 + s, from the gate's pass at the one distance s."""
+    return float(gate_integrals(params, [s])[1][0])
 
 
 def simpson_oracle(f, a, b, n):
@@ -126,7 +137,7 @@ def test_many_integrals_keep_their_own_tolerance_and_budget():
 
 
 def test_pv_exponential_matches_frozen_oracle():
-    got = k_pv(EXP_UNIT, 1.0)
+    got = pv_k(EXP_UNIT, 1.0)
     assert got == pytest.approx(PV_EXP_AT_1, abs=1e-9)
     # independent closed form
     assert got == pytest.approx(-math.exp(-1.0) * special.expi(1.0), abs=1e-10)
@@ -150,15 +161,15 @@ def test_pv_window_independence(monkeypatch):
     results = []
     for w in (0.125, 0.25, 0.5):
         monkeypatch.setattr(quadrature, "_PV_WINDOW", w)
-        results.append(k_pv(EXP_UNIT, 1.0))
+        results.append(pv_k(EXP_UNIT, 1.0))
     for r in results[1:]:
         assert abs(r - results[0]) <= 10.0 * _ABS_TOL
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0])
 def test_pv_invalid_singularity(c):
-    with pytest.raises(ValueError):
-        k_pv(EXP_UNIT, c)
+    with pytest.raises(ValueError, match=NOT_INSIDE):
+        gate_integrals(EXP_UNIT, [c])
 
 
 def test_k_regular_zero_coupling():
@@ -215,23 +226,23 @@ def test_k_regular_matches_closed_form(family, closed_form, a):
     assert got == pytest.approx(closed_form(g2, a), rel=1e-8)
 
 
-def test_k_pv_zero_coupling():
+def test_pv_k_zero_coupling():
     params = _params(CouplingFamily.TWO_DIM_EXP, 0.0)
-    assert k_pv(params, 2.0) == 0.0
+    assert pv_k(params, 2.0) == 0.0
 
 
-def test_k_pv_matches_frozen_oracle():
+def test_pv_k_matches_frozen_oracle():
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    assert k_pv(params, 1.0) == pytest.approx(PV_XEXP_AT_1, abs=1e-9)
+    assert pv_k(params, 1.0) == pytest.approx(PV_XEXP_AT_1, abs=1e-9)
 
 
-def test_k_pv_negative_in_far_tail():
+def test_pv_k_negative_in_far_tail():
     # beyond the coupling support the transform looks like -l2/(t - e1)
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    assert k_pv(params, 30.0) < 0.0
+    assert pv_k(params, 30.0) < 0.0
 
 
-def test_k_pv_matches_closed_form_both_families():
+def test_pv_k_matches_closed_form_both_families():
     for family, closed in (
         (CouplingFamily.TWO_DIM_EXP, lambda g2, c: -g2 * math.exp(-c) * special.expi(c)),
         (
@@ -241,13 +252,13 @@ def test_k_pv_matches_closed_form_both_families():
     ):
         for c in (0.05, 0.4, 1.7, 6.0):
             params = _params(family, 1.3)
-            assert k_pv(params, c) == pytest.approx(closed(1.3, c), abs=1e-8)
+            assert pv_k(params, c) == pytest.approx(closed(1.3, c), abs=1e-8)
 
 
-def test_k_pv_below_edge_rejected():
+def test_pv_k_below_edge_rejected():
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    with pytest.raises(ValueError):
-        k_pv(params, -0.5)
+    with pytest.raises(ValueError, match=NOT_INSIDE):
+        gate_integrals(params, [-0.5])
 
 
 def test_uncertified_truncation_rejected(monkeypatch):
@@ -256,8 +267,10 @@ def test_uncertified_truncation_rejected(monkeypatch):
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
     with pytest.raises(ValueError):
         k_regular(params, -1.0)
-    with pytest.raises(ValueError):
-        k_pv(params, 2.0)
+    # gate_integrals certifies the principal value's truncation first, at a = 0
+    pv_bound = tail_mass(params.coupling, 5.0) / 5.0
+    with pytest.raises(ValueError, match=re.escape(f"remainder {pv_bound!r};")):
+        gate_integrals(params, [2.0])
 
 
 def test_gauss_legendre_literals_are_the_ten_point_rule():
