@@ -105,7 +105,7 @@ def _gk15(
     """Evaluate the (G7, K15) pair on panels [a_i, b_i] of integrals ``which``;
     returns (values, errors)."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    mid = 0.5 * a + 0.5 * b
     nodes = mid[:, None] + half[:, None] * _XGK_FULL[None, :]
     fx = np.asarray(f(nodes.ravel(), which), dtype=float).reshape(nodes.shape)
     kron = half * (fx @ _WGK_FULL)
@@ -117,7 +117,7 @@ def _gk15(
 def _split_panels(f: Callable, a, b, vals, errs, which, mask) -> tuple[np.ndarray, ...]:
     """Bisect the panels picked by ``mask``, each replaced in place by its two
     halves, so the panels stay grouped by integral and sorted by left edge."""
-    mid = 0.5 * (a[mask] + b[mask])
+    mid = 0.5 * a[mask] + 0.5 * b[mask]
     new_vals, new_errs = _gk15(
         f, np.concatenate([a[mask], mid]), np.concatenate([mid, b[mask]]),
         np.tile(which[mask], 2),

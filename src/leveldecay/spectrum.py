@@ -8,27 +8,25 @@ one simple eigenvalue e0 < e1.  The eigenvalue solves
 
 exists always for the 2d family (k diverges at the edge) and, for the 3d
 family, exactly when e2 - e1 is smaller than the integral of |V(x)|^2 / x.
-Its weight in the spectral measure of the initial excited state is
-w = 1 / (1 + integral of |V(x)|^2 / (x + e1 - e0)^2), and the density is
+Its weight in the spectral measure of the initial excited state is the
+residue w = 1 / (1 + dk/dlam) of the resolvent at e0, and the density is
 
     rho(t) = |V(t - e1)|^2 / [(e2 - t - PV k(t))^2 + pi^2 |V(t - e1)|^4]
 
 for t > e1, zero below.  The measure is normalized: w plus the integrated
 density equals 1, which every assembled table is checked against.
 
-For both built-in families k, PV k and the weight integral are closed forms in
-the exponential integrals Ei and E1 (Abramowitz & Stegun 5.1), so e0, w and
-rho are computed from those.  With s the distance from the edge in units of
-the cutoff L:
+For both built-in families k and PV k are closed forms in the exponential
+integrals Ei and E1 (Abramowitz & Stegun 5.1), so e0, w and rho are computed
+from those.  With s the distance from the edge in units of the cutoff L:
 
-    2d:  PV k = -g2 e^{-s} Ei(s),         k = g2 e^{s} E1(s),
-         weight integral = (g2/L) (1/s - e^{s} E1(s));
-    3d:  PV k = g2 L (1 - s e^{-s} Ei(s)), k = g2 L (1 - s e^{s} E1(s)),
-         weight integral = g2 ((1 + s) e^{s} E1(s) - 1).
+    2d:  PV k = -g2 e^{-s} Ei(s),         k = g2 e^{s} E1(s);
+    3d:  PV k = g2 L (1 - s e^{-s} Ei(s)), k = g2 L (1 - s e^{s} E1(s)).
 
-Before a family's closed forms are first used they must agree with adaptive
-quadrature of all three integrals to a relative 1e-8 at twelve points; the
-gate refines those 60 integrals in one batched pass
+The weight integral dk/dlam, of |V(x)|^2 / (x + e1 - lam)^2, is read from the
+slope s dk/ds that Newton steps on.  Before a family's closed forms are first
+used, k, PV k and that slope must agree with adaptive quadrature to a relative
+1e-8 at twelve points; the gate refines those 60 integrals in one batched pass
 (``quadrature.gate_integrals``).  A mismatch raises ``ClosedFormMismatchError``.
 """
 
@@ -170,8 +168,8 @@ def _scaled_e1(s: float) -> float:
 
 
 # The closed forms at g2 = L = 1, as functions of the scaled distance s from
-# the edge.  k and PV k scale as g2 * L**p (p = 1 for 3d, 0 for 2d), the
-# weight integral as g2 * L**(p - 1); see ``_k_scale``.
+# the edge.  k and PV k scale as g2 * L**p (p = 1 for 3d, 0 for 2d); see
+# ``_k_scale``.  The slope serves Newton, and -dk/ds is the weight integral.
 def _k_unit_and_slope(family: CouplingFamily, s: float, e: float) -> tuple[float, float]:
     """k(e1 - s) below the edge and s dk/ds, from e = e^{s} E1(s) with de/ds = e - 1/s."""
     if family is CouplingFamily.TWO_DIM_EXP:
@@ -179,23 +177,10 @@ def _k_unit_and_slope(family: CouplingFamily, s: float, e: float) -> tuple[float
     return 1.0 - s * e, s * (1.0 - (1.0 + s) * e)
 
 
-def _k_unit(family: CouplingFamily, s: float) -> float:
-    """k(e1 - s) below the edge."""
-    return _k_unit_and_slope(family, s, _scaled_e1(s))[0]
-
-
 def _pv_k_unit(family: CouplingFamily, s):
     """PV k(e1 + s) inside the continuum."""
     e = _scaled_ei(s)
     return -e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
-
-
-def _weight_unit(family: CouplingFamily, s: float) -> float:
-    """Integral of |V(x)|^2 / (x + s)^2 over [0, inf)."""
-    e = _scaled_e1(s)
-    if family is CouplingFamily.TWO_DIM_EXP:
-        return 1.0 / s - e
-    return (1.0 + s) * e - 1.0
 
 
 def _k_scale(model: CouplingModel) -> float:
@@ -219,10 +204,11 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
     k, pv, weight = (q.tolist() for q in gate_integrals(params, _GATE_POINTS))
     for s, k_s, pv_s, weight_s in zip(_GATE_POINTS, k, pv, weight):
+        k_closed, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
         for name, closed, quad in (
-            ("k", _k_unit(family, s), k_s),
+            ("k", k_closed, k_s),
             ("PV k", _pv_k_unit(family, s), pv_s),
-            ("weight integral", _weight_unit(family, s), weight_s),
+            ("weight integral", -s_dk / s, weight_s),
         ):
             closed = float(closed)
             if not abs(closed - quad) <= _GATE_TOL * abs(closed):
@@ -368,8 +354,10 @@ def _solve_eigenvalue(params: ModelParams) -> float:
 def eigen_weight(params: ModelParams, e0: float) -> float:
     """Weight w of the eigenvalue e0 in the initial state's spectral measure.
 
-    w = 1 / (1 + integral of |V(x)|^2 / (x + e1 - e0)^2), strictly inside
-    (0, 1) for g2 > 0, with the integral in closed form.  For distances below
+    w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2) with a = e1 - e0, the
+    residue of the resolvent.  The integral is -dk/da, so with s = a / L,
+    w = a / (a - g2 L^p s dk/ds), strictly inside (0, 1) for g2 > 0, from
+    the slope the eigenvalue solve steps on.  For distances below
     the double-precision representability floor (a < 1e-280, reachable only
     for extremely weak 2d couplings) the weight underflows and 0.0 is
     returned.
@@ -383,8 +371,11 @@ def eigen_weight(params: ModelParams, e0: float) -> float:
     if a < 1e-280:
         return 0.0
     _closed_form_gate(model.family)
-    norm_int = _k_scale(model) / model.cutoff * _weight_unit(model.family, a / model.cutoff)
-    return 1.0 / (1.0 + norm_int)
+    s = a / model.cutoff
+    # Where s underflows to 0, e^s E1(s) takes its edge asymptote, as in the solve.
+    e = _scaled_e1(s) if s > 0.0 else math.log(model.cutoff) - math.log(a) - np.euler_gamma
+    s_dk = _k_unit_and_slope(model.family, s, e)[1]
+    return a / (a - _k_scale(model) * s_dk)
 
 
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
@@ -483,20 +474,14 @@ def _resonance_seeds(params: ModelParams, lam_max: float) -> np.ndarray:
 def _edge_bump_seeds(
     params: ModelParams, e0: float | None, lam_max: float
 ) -> np.ndarray:
-    """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0.
-
-    Seeds closer to e1 than the rounding of the table's span cannot be told
-    apart from e1 (at e0 = nextafter(e1) a0 is subnormal) and are dropped.
-    """
+    """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0."""
     if e0 is None or params.coupling.family is not CouplingFamily.TWO_DIM_EXP:
         return np.empty(0)
     a0 = params.e1 - e0
     if not 0.0 < a0 < params.coupling.cutoff:
         return np.empty(0)
-    mu = a0 * np.exp(np.linspace(-8.0, 8.0, 33))
-    pts = params.e1 + mu
-    resolvable = mu > _EPS * (lam_max - params.e1)
-    return pts[resolvable & (pts > params.e1) & (pts < lam_max)]
+    pts = params.e1 + a0 * np.exp(np.linspace(-8.0, 8.0, 33))
+    return pts[(pts > params.e1) & (pts < lam_max)]
 
 
 def build_spectral_data(params: ModelParams) -> SpectralData:
@@ -564,7 +549,7 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
     tail = rho_end * params.coupling.cutoff
 
     defect = abs(weight + mass + tail - 1.0)
-    if defect > _NORMALIZATION_GATE:
+    if not defect <= _NORMALIZATION_GATE:
         raise NormalizationFailureError(
             f"spectral measure normalization defect {defect!r} exceeds "
             f"{_NORMALIZATION_GATE}; quadrature inconsistent or eigenvalue missed"

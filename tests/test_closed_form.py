@@ -57,7 +57,8 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     # k at e1 - x, PV k at e1 + x and the weight integral at x, in one pass
     k_ref, pv_ref, weight_ref = (float(q[0]) for q in gate_integrals(params, [x]))
 
-    k_below = spectrum._k_scale(model) * spectrum._k_unit(family, s)
+    k_unit = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))[0]
+    k_below = spectrum._k_scale(model) * k_unit
     assert _close(k_below, k_ref)
 
     pv = float(spectrum.k_pv_closed(params, x))
@@ -96,17 +97,28 @@ def test_mismatch_detected(tmp_path, monkeypatch, capsys):
     spectrum._closed_form_gate.cache_clear()
 
 
+def _perturb(monkeypatch, form, part, at):
+    """Put a relative error of 1e-6 into spectrum's closed form ``form`` at
+    s = ``at``: into its ``part``-th component when it returns (k, s dk/ds)."""
+    true_form = getattr(spectrum, form)
+
+    def wrong(family, s, *rest):
+        got = true_form(family, s, *rest)
+        factor = 1.0 + 1e-6 if s == at else 1.0
+        if part is None:
+            return got * factor
+        return tuple(v * factor if i == part else v for i, v in enumerate(got))
+
+    monkeypatch.setattr(spectrum, form, wrong)
+
+
 @pytest.mark.parametrize("family", [TWO, THREE])
 def test_gate_is_relative_where_the_value_is_small(monkeypatch, family):
     # At s = 1e3 the weight integral is about 1e-6, so an error of 1e-6 of
     # it is far below 1e-8 in absolute terms; a relative gate still sees it.
     far = spectrum._GATE_POINTS[-1]
     assert far == 1e3
-    true_form = spectrum._weight_unit
-    monkeypatch.setattr(
-        spectrum, "_weight_unit",
-        lambda fam, s: true_form(fam, s) * (1.0 + 1e-6 if s == far else 1.0),
-    )
+    _perturb(monkeypatch, "_k_unit_and_slope", 1, far)
     spectrum._closed_form_gate.cache_clear()
     try:
         with pytest.raises(ClosedFormMismatchError, match="weight integral"):
@@ -129,21 +141,36 @@ def test_gate_integrals_equal_one_pass_per_point(family):
 
 
 @pytest.mark.parametrize("family", [TWO, THREE])
-@pytest.mark.parametrize("name, form", [
-    ("k", "_k_unit"), ("PV k", "_pv_k_unit"), ("weight integral", "_weight_unit"),
+@pytest.mark.parametrize("name, form, part", [
+    ("k", "_k_unit_and_slope", 0), ("PV k", "_pv_k_unit", None),
+    ("weight integral", "_k_unit_and_slope", 1),
 ])
-def test_gate_names_the_integral_and_s(monkeypatch, family, name, form):
-    # Any closed form 1e-6 off at one gate point fails the batched gate there.
+def test_gate_names_the_integral_and_s(monkeypatch, family, name, form, part):
+    # Any closed form 1e-6 off at one gate point fails the batched gate there;
+    # the weight integral is -(s dk/ds)/s, so the slope is gated through it.
     s = spectrum._GATE_POINTS[5]
-    true_form = getattr(spectrum, form)
-    monkeypatch.setattr(
-        spectrum, form,
-        lambda fam, x: true_form(fam, x) * (1.0 + 1e-6 if x == s else 1.0),
-    )
+    _perturb(monkeypatch, form, part, s)
     spectrum._closed_form_gate.cache_clear()
     try:
         with pytest.raises(
             ClosedFormMismatchError, match=f"closed-form {name} .* at s={re.escape(repr(s))};"
+        ):
+            spectrum._closed_form_gate(family)
+    finally:
+        spectrum._closed_form_gate.cache_clear()
+
+
+@pytest.mark.parametrize("family", [TWO, THREE])
+@pytest.mark.parametrize("s", spectrum._GATE_POINTS)
+def test_gate_checks_the_slope(monkeypatch, family, s):
+    # Newton steps on s dk/ds and eigen_weight reads w from it; a slope 1e-6
+    # off at any one gate point, with k itself exact, fails the gate there.
+    _perturb(monkeypatch, "_k_unit_and_slope", 1, s)
+    spectrum._closed_form_gate.cache_clear()
+    try:
+        with pytest.raises(
+            ClosedFormMismatchError,
+            match=f"closed-form weight integral .* at s={re.escape(repr(s))};",
         ):
             spectrum._closed_form_gate(family)
     finally:
@@ -164,6 +191,38 @@ def _scaled_e1_array(s):
             total = total + term
         out = np.where(far, total, out)
     return out
+
+
+def _weight_from_its_closed_form(model: CouplingModel, a: float) -> float:
+    """w = 1 / (1 + weight integral) at a = e1 - e0, with the integral of
+    |V(x)|^2 / (x + a)^2 in its own closed form at s = a / L: (g2/L)(1/s - e)
+    for 2d and g2((1 + s) e - 1) for 3d, e = e^s E1(s)."""
+    s = a / model.cutoff
+    e = float(_scaled_e1_array(s))
+    if model.family is TWO:
+        return 1.0 / (1.0 + model.strength_sq / model.cutoff * (1.0 / s - e))
+    return 1.0 / (1.0 + model.strength_sq * ((1.0 + s) * e - 1.0))
+
+
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(list(CouplingFamily)),
+    log10_g_sq=st.floats(-3.0, 6.0),
+    log10_cutoff=st.floats(-3.0, 4.0),
+    log10_s=st.floats(-12.0, 1.0),
+)
+def test_weight_from_the_slope_matches_its_closed_form(
+    family, log10_g_sq, log10_cutoff, log10_s
+):
+    # Both forms cancel alike in 1 - (1 + s) e, which is about 1/s^2 (3d),
+    # so they part by up to 4.7e-14 at s in [5.6, 10] and each is as far
+    # from 40-digit mpmath there; below s = 1 they agree to 2e-15.
+    model = CouplingModel(family, 10.0**log10_g_sq, 10.0**log10_cutoff)
+    s = 10.0**log10_s
+    a = s * model.cutoff
+    want = _weight_from_its_closed_form(model, a)
+    got = eigen_weight(ModelParams(0.0, 1.0, model), -a)
+    assert abs(got - want) <= 1e-14 * max(1.0, s * s) * want
 
 
 def _e0(params: ModelParams) -> float | None:

@@ -14,6 +14,7 @@ from leveldecay import (
     CouplingModel,
     ModelParams,
     NonConvergenceError,
+    NormalizationFailureError,
     ThresholdMarginalError,
     build_spectral_data,
     eigen_weight,
@@ -184,6 +185,15 @@ class TestWeight:
         with pytest.raises(ValueError):
             eigen_weight(_params(THREE, 2.0), 0.5)
 
+    @pytest.mark.parametrize("cutoff", [1e300, 1e306])
+    def test_two_dim_where_the_scaled_distance_underflows(self, cutoff):
+        # a = e1 - e0 is about 3e-132 here, so a / L rounds to 0, where
+        # e^s E1(s) is infinite; the 2d slope's limit -1 gives w = a / (a + g2).
+        params = _params(TWO, 1e-3, cutoff=cutoff)
+        a = -_e0(params)
+        assert a > 1e-280 and a / cutoff == 0.0
+        assert eigen_weight(params, -a) == pytest.approx(a / (a + 1e-3), rel=1e-15)
+
 
 class TestDensity:
     def test_zero_below_edge(self):
@@ -287,6 +297,21 @@ class TestSpectralData:
         spec = build_spectral_data(_params(THREE, 0.5))
         assert spec.eigenvalue is None and spec.weight == 0.0
         assert spec.normalization_defect <= 1e-6
+
+    @pytest.mark.parametrize("cutoff", [1e24, 1e50, 1e100, 2.9e306])
+    @pytest.mark.parametrize("g_sq", [0.1, 1.0])
+    def test_two_dim_large_cutoff_normalizes(self, g_sq, cutoff):
+        # a0 = e1 - e0 is 4 to 700 here, below the rounding of the table's
+        # span of 60 cutoffs, yet e1 = 0 resolves every edge-bump seed at
+        # e1 + a0 e^{-8..8}; at 2.9e306 the sum of two panel ends overflows.
+        # Defects read 4.8e-7 to 7.8e-6.
+        spec = build_spectral_data(_params(TWO, g_sq, cutoff=cutoff))
+        assert spec.normalization_defect <= 1e-5
+
+    def test_nan_weight_fails_normalization(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "eigen_weight", lambda params, e0: math.nan)
+        with pytest.raises(NormalizationFailureError, match="defect nan"):
+            build_spectral_data(_params(TWO, 0.5))
 
     def test_panel_budget_exhaustion_raises(self, monkeypatch):
         # The narrow resonance of this model needs more than three splits.
