@@ -7,35 +7,33 @@ exists, plus the transform of the continuous density,
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
 and P(t) = |C(t)|^2.  The continuous term is evaluated with a phase-aware
-panel rule on the exact (closed-form) density, on a uniform grid
-t_k = t0 + k dt only: at least two increasing times, off a straight line by
-at most 64 eps max|t|, signed times allowed.  Any other grid raises
-ValueError.  Panels come from one lattice of points e1 + P w, anchored at the
-threshold, with w = pi / (Q dt), Q = ceil(t_max / (2 dt)), no wider than one
-period 2*pi/t_max at the largest requested |t|.  The converged segments of
-the density table with a lattice point inside come in runs of consecutive
-segments, and the lattice points cut each run into full lattice panels plus
-at most a head and a tail remainder; every other segment is one panel.  So
-a lattice panel may cross a boundary between two segments of a run, where
-the density is smooth, but never a run's ends.  A fixed 10-point
+panel rule on the exact (closed-form) density, on a uniform grid from 0
+only, t_k = k dt: at least two increasing times starting at t = 0, off a
+straight line by at most 64 eps t_max.  Any other grid, an offset or signed
+one included, raises ValueError before any node is built; one late time t
+is the grid [0, t].  Panels come from one lattice of points e1 + P w,
+anchored at the threshold, with w = pi / (Q dt), Q = ceil(t_max / (2 dt)),
+no wider than one period 2*pi/t_max at the largest time.  The converged
+segments of the density table with a lattice point inside come in runs of
+consecutive segments, and the lattice points cut each run into full lattice
+panels plus at most a head and a tail remainder; every other segment is one
+panel.  So a lattice panel may cross a boundary between two segments of a
+run, where the density is smooth, but never a run's ends.  A fixed 10-point
 Gauss-Legendre rule on every panel gives one node set x_j with weights
 a_j = rho(x_j) * w_j * half-width, and C(t) = sum of a_j exp(-i t x_j) for
 every requested t.
 
 The full panels' nodes form ten arithmetic progressions
 e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum is
-sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i t0 p w) W^(kp),
-with c_g the first panel's nodes, a_gp the weight of node g of panel
-P_first + p (zero where no lattice panel lies) and W = exp(-i pi / Q): a
-chirp-z transform (Rabiner, Schafer & Rader 1969), which Bluestein's
-kp = (k^2 + p^2 - (k - p)^2) / 2 turns into one FFT convolution.  Its chirp
-exp(i pi m^2 / (2Q)) is periodic in m^2 modulo 4Q, so the exponent is reduced
-in integers and stays exact however long the lattice.  A series of n times
-over a lattice of R panels then costs O((n + R) log(n + R)) once.  The few
-remainder and one-panel nodes are summed directly, as one product of a coarse
-and a fine table of exact exps.  The panel count grows linearly with t_max; a
-series that needs more than 125,000 panels raises instead of silently
-degrading.
+sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i pi k p / Q),
+with c_g the first panel's nodes and a_gp the weight of node g of panel
+P_first + p.  The phase depends on p modulo 2Q only, so the inner sum is
+the length-2Q DFT of row g's weights folded modulo 2Q, read at k modulo 2Q;
+2Q is within one of n.  A series of n times over a lattice of R panels then
+costs O(R + n log n) once.  The few remainder and one-panel nodes are
+summed directly, as one product of a coarse and a fine table of exact exps.
+The panel count grows linearly with t_max; a series that needs more than
+125,000 panels raises instead of silently degrading.
 
 The point term survives at late times while the continuous term decays, so
 P(t) tends to w^2 (zero when no bound state exists).
@@ -43,9 +41,7 @@ P(t) tends to w^2 (zero when no bound state exists).
 
 from __future__ import annotations
 
-import bisect
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -191,51 +187,19 @@ def _transform_nodes(
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
-@functools.cache
-def _smooth_lengths(bits: int) -> list[int]:
-    """Every 2^a 3^b 5^c 7^d 11^e <= 2^bits, sorted; 2^bits > n for n of ``bits`` bits."""
-    lengths = [1]
-    for prime in (2, 3, 5, 7, 11):
-        for m in lengths.copy():
-            while (m := m * prime) <= 1 << bits:
-                lengths.append(m)
-    return sorted(lengths)
+def _lattice_dft(a: np.ndarray, p: np.ndarray, q: int, n: int) -> np.ndarray:
+    """sum over j of a[:, j] exp(-i pi k p_j / q) for k < n, row by row.
 
-
-def _next_fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, an FFT length numpy transforms
-    fast: what ``scipy.fft.next_fast_len(n)`` gives for complex input.
-    Raises ValueError for n < 1."""
-    if n < 1:
-        raise ValueError(f"FFT length must be positive, got {n!r}")
-    lengths = _smooth_lengths(n.bit_length())
-    return lengths[bisect.bisect_left(lengths, n)]
-
-
-def _chirp_z(b: np.ndarray, q: int, n: int) -> np.ndarray:
-    """sum over p of b[:, p] exp(-i pi k p / q) for k < n, row by row.
-
-    With kp = (k^2 + p^2 - (k - p)^2) / 2 the sum is
-    exp(-i pi k^2 / (2q)) times the convolution of b[:, p] exp(-i pi p^2 / (2q))
-    with the chirp exp(i pi m^2 / (2q)), m = -(r-1)..n-1, done as one FFT
-    product of a length that holds it without wrap-around.  The chirp's
-    exponent is reduced modulo 4q in integers, so it is exact for any m.
+    The p_j are distinct and nonnegative.  The phase depends on p_j modulo
+    2q only, so the sum is the length-2q DFT of the row's weights folded
+    modulo 2q, read at k modulo 2q.  Each bin's weights lie along the last
+    axis, which numpy sums pairwise: a two-time grid (q = 1) folds thousands
+    of panels into each bin.
     """
-    r = b.shape[1]
-    size = _next_fast_len(n + r - 1)
-    m = np.arange(max(n, r), dtype=np.int64)
-    chirp = np.exp((0.5j * math.pi / q) * (m * m % (4 * q)))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:n] = chirp[:n]
-    kernel[size - r + 1:] = chirp[r - 1:0:-1]  # m = -(r-1)..-1, wrapped
-    rows = np.zeros((b.shape[0], size), dtype=complex)
-    np.multiply(b, chirp[:r].conj(), out=rows[:, :r])
-    kernel_hat = np.fft.fft(kernel)
-    for row in rows:  # in place, row by row: FFT scratch for one row only
-        np.fft.fft(row, out=row)
-        row *= kernel_hat
-        np.fft.ifft(row, out=row)
-    return rows[:, :n] * chirp[:n].conj()
+    period = 2 * q
+    bins = np.zeros((a.shape[0], period, int(p[-1]) // period + 1))
+    bins[:, p % period, p // period] = a
+    return np.fft.fft(bins.sum(axis=2))[:, np.arange(n) % period]
 
 
 def _phase_tables(c: np.ndarray, times: np.ndarray, dt: float):
@@ -253,14 +217,15 @@ def _phase_tables(c: np.ndarray, times: np.ndarray, dt: float):
 
 def _uniform_sums(
     x: np.ndarray, a: np.ndarray, lattice: np.ndarray,
-    times: np.ndarray, dt: float, q: int, w: float,
+    times: np.ndarray, dt: float, q: int,
 ) -> np.ndarray:
-    """sum of a_j exp(-i t_k x_j) on a uniform grid: one chirp-z in all.
+    """sum of a_j exp(-i t_k x_j) on a grid t_k = k dt: one lattice DFT in all.
 
-    The lattice panels' nodes are c_g + p w, p = P - P_first, so their sum is
-    the chirp-z transform of a_gp exp(-i t0 p w) at W = exp(-i pi / q),
-    dt w = pi / q, each row g turned by exp(-i t_k c_g).  The other nodes are
-    contracted directly with their coarse and fine phase tables.
+    The lattice panels' nodes are c_g + p w, p = P - P_first, and
+    t_k p w = pi k p / q, so their sum is the length-2q DFT of each row g's
+    weights folded modulo 2q (``_lattice_dft``), turned by exp(-i t_k c_g).
+    The other nodes are contracted directly with their coarse and fine phase
+    tables.
     """
     n = times.size
     rule = _GL_X.size
@@ -269,52 +234,50 @@ def _uniform_sums(
     coarse *= a[split:, None]
     out = (coarse.T @ fine).ravel()[:n]
     if lattice.size:
-        p = lattice - lattice[0]
-        b = np.zeros((rule, int(p[-1]) + 1), dtype=complex)
-        b[:, p] = a[:split].reshape(-1, rule).T
-        b *= np.exp(-1j * float(times[0]) * w * np.arange(b.shape[1]))
         coarse, fine = _phase_tables(x[:rule], times, dt)
         rows = (coarse[:, :, None] * fine[:, None, :]).reshape(rule, -1)[:, :n]
-        out += (rows * _chirp_z(b, q, n)).sum(axis=0)
+        b = a[:split].reshape(-1, rule).T
+        out += (rows * _lattice_dft(b, lattice - lattice[0], q, n)).sum(axis=0)
     return out
 
 
 def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
-    """(dt, Q, w) of a uniform grid: Q = ceil(max|t| / (2 dt)), w = pi / (Q dt).
+    """(dt, Q, w) of a grid t_k = k dt: Q = ceil(t_max / (2 dt)), w = pi / (Q dt).
 
-    Raises ValueError unless the grid holds at least two times, increases,
-    and lies off a straight line by at most 64 eps max|t|.
+    Raises ValueError unless the grid holds at least two increasing times
+    from t = 0, off a straight line by at most 64 eps t_max.
     """
     n = times.size
-    dt = float(times[-1] - times[0]) / (n - 1) if n > 1 else 0.0
-    t_max = float(np.max(np.abs(times), initial=0.0))
+    t_max = float(times[-1]) if n > 1 and times[0] == 0.0 else 0.0
+    dt = t_max / (n - 1) if t_max > 0.0 else 0.0
     # Uniform means increasing and off a straight line by rounding only.
     uniform = dt > 0.0 and float(
-        np.max(np.abs(times - (times[0] + dt * np.arange(n))))
+        np.max(np.abs(times - dt * np.arange(n)))
     ) <= 64.0 * _EPS * t_max
     if not uniform:
         raise ValueError(
-            "the spectral transform needs a uniform grid: at least two increasing "
-            "times t0 + k dt, off a straight line by at most 64 eps max|t|"
+            "the spectral transform needs a uniform grid from 0: at least two "
+            "increasing times t_k = k dt, off a straight line by at most 64 eps "
+            "t_max; for one late time t, pass [0, t]"
         )
     q = math.ceil(0.5 * t_max / dt)
     return dt, q, math.pi / (q * dt)
 
 
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
-    """C(t) on a uniform, possibly signed, grid; no series-level validation.
+    """C(t) on a uniform grid from 0; no series-level validation.
 
     C(t_k) = sum of a_j exp(-i t_k x_j) over one node set on the lattice
-    ``_uniform_lattice`` gives; the lattice panels' sum is one chirp-z
-    transform (``_uniform_sums``).  Raises ValueError unless the grid is
-    uniform.
+    ``_uniform_lattice`` gives; the lattice panels' sum is one fold modulo
+    2Q and one length-2Q DFT (``_uniform_sums``), O(R + n log n) in all.
+    Raises ValueError unless the grid is t_k = k dt, before any node is built.
     """
     if spec.normalization_defect > _NORMALIZATION_GATE:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
     dt, q, w = _uniform_lattice(times)
     x, a, lattice = _transform_nodes(spec, w)
-    out = _uniform_sums(x, a, lattice, times, dt, q, w)
+    out = _uniform_sums(x, a, lattice, times, dt, q)
     if spec.eigenvalue is not None:
         out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
     return out
@@ -323,11 +286,13 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
 def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     """Survival amplitude series over ``times`` from assembled spectral data.
 
-    ``times`` must be a uniform grid of at least two nonnegative, increasing
-    times (ValueError otherwise).  The spectral data must have passed its
-    normalization check (build_spectral_data enforces this).  Raises
-    OscillatoryBudgetExceededError when the panel set that resolves the
-    largest time exceeds 125,000 panels.
+    ``times`` must be a uniform grid t_k = k dt from 0 of at least two
+    increasing times (ValueError otherwise); for one late time t pass
+    [0, t].  The lattice panels' sum is one length-2Q DFT of their folded
+    weights, O(R + n log n) for R panels and n times.  The spectral data must
+    have passed its normalization check (build_spectral_data enforces this).
+    Raises OscillatoryBudgetExceededError when the panel set that resolves
+    the largest time exceeds 125,000 panels.
     """
     times = np.asarray(times, dtype=float)
     return AmplitudeSeries(times, _amplitude_points(spec, times), MethodTag.SPECTRAL)

@@ -5,9 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
-from scipy.fft import next_fast_len
 
 from leveldecay import (
     AmplitudeSeries,
@@ -113,43 +110,21 @@ class TestAmplitude:
         [3.0, 2.0, 1.0, 0.0],
         [0.0, 1.0, 2.5, 3.0],
         [0.0, 1.0, 2.0 + 1e-9, 3.0],
-    ], ids=["one time", "not increasing", "decreasing", "off a line", "off by 1e-9"])
-    def test_rejects_a_grid_that_is_not_uniform(self, spec_3d_above, spec_degenerate, times):
+        np.linspace(20.0, 300.0, 41),
+        np.linspace(-30.0, 60.0, 301),
+        np.linspace(1000.0, 1001.0, 201),
+        np.linspace(3000.0, 3000.1, 201),
+    ], ids=["one time", "not increasing", "decreasing", "off a line", "off by 1e-9",
+            "offset", "signed", "far window", "farther window"])
+    def test_rejects_a_grid_that_is_not_uniform(
+        self, spec_3d_above, spec_degenerate, times, monkeypatch
+    ):
+        # Refused before any node is built: a window far from 0 would fold
+        # a lattice of about t_max / dt panels.
+        monkeypatch.setattr(evolution, "_transform_nodes", None)
         for spec in (spec_3d_above, spec_degenerate):
             with pytest.raises(ValueError, match="uniform grid"):
                 _amplitude_points(spec, np.array(times))
-
-
-@pytest.fixture(scope="module")
-def fast_lengths():
-    """_next_fast_len(n) for n = 1 .. 2**17, computed once for both checks."""
-    return [evolution._next_fast_len(k) for k in range(1, 2**17 + 1)]
-
-
-def test_next_fast_len_matches_scipy_for_complex_input(fast_lengths):
-    # Same FFT lengths as scipy's, so the transform and the solver keep their bits.
-    assert fast_lengths == [next_fast_len(k) for k in range(1, 2**17 + 1)]
-
-
-def test_next_fast_len_is_the_next_11_smooth_number(fast_lengths):
-    # A sieve over m <= 2**17 (itself 11-smooth): strip every factor 2, 3, 5,
-    # 7 and 11; the smooth m are left at 1.  The next one at or after n is a
-    # running minimum from the top.
-    top = 2**17
-    rest = np.arange(top + 1)
-    for prime in (2, 3, 5, 7, 11):
-        while np.any(whole := (rest % prime == 0) & (rest > 0)):
-            rest[whole] //= prime
-    smooth_at = np.where(rest == 1, np.arange(top + 1), top + 1)
-    following = np.minimum.accumulate(smooth_at[::-1])[::-1]
-    assert fast_lengths == following[1:].tolist()
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_next_fast_len_needs_a_positive_length(n):
-    # Trial division would never end on 0.
-    with pytest.raises(ValueError, match="positive"):
-        evolution._next_fast_len(n)
 
 
 class TestAsymptotics:
@@ -211,26 +186,6 @@ class TestWeakCoupling:
         series = amplitude_spectral(spec_degenerate, np.linspace(0.0, 5.0, 11))
         with pytest.raises(ValueError):
             fitted_decay_rate(series)
-
-
-class TestConjugateSymmetry:
-    # A real spectral measure gives C(-t) = conj C(t); the signed grid
-    # [-t, t] is uniform, so it runs the transform's one path.
-    @given(
-        family=st.sampled_from([TWO, THREE]),
-        scale=st.one_of(st.just(0.0), st.floats(0.05, 4.0)),
-        cutoff=st.floats(0.25, 4.0),
-        t=st.floats(1e-3, 50.0),
-    )
-    def test_negative_time_is_the_conjugate(self, family, scale, cutoff, t):
-        # scale is g2 L^p (p = 1 for 3d, 0 for 2d); 3d at g2 L = 1 sits on
-        # the bound-state threshold of the gap-1 model.
-        assume(family is TWO or abs(scale - 1.0) > 1e-6)
-        p = 1 if family is THREE else 0
-        spec = build_spectral_data(_params(family, scale / cutoff**p, cutoff))
-        pair = _amplitude_points(spec, np.array([-t, t]))
-        tol = 0.0 if scale == 0.0 else 1e-12
-        assert abs(pair[0] - np.conj(pair[1])) <= tol
 
 
 class TestSeriesValidation:

@@ -196,20 +196,38 @@ def _split_segments(spec, cuts):
     return replace(spec, segments=edges, segment_mass=spec.segment_mass[owner] * share)
 
 
-# The 2d and 3d fixtures' lattices span R = 256 and 305 panels at the first
-# grid, 522 and 617 at the second, 1345 and 1590 at the third, and 77 and 99
-# at the fourth.
+# Grids t_k = k dt.  The 2d and 3d fixtures' lattices span R = 259 and 309
+# panels at the first grid against 2Q = 300 (one fold block, then a partial
+# second), 522 and 619 at the second (2Q = 200), 80 and 100 at the third
+# (2Q = 1000, one block), 2185 and 2585 at the fourth (2Q = 2) and 1310 and
+# 1550 at the fifth (2Q = 10, an exact multiple).  Every grid but the fourth
+# has n = 2Q + 1 times, so its last k wraps to 0.
 UNIFORM_GRIDS = {
     "t0=0, 301 times": np.linspace(0.0, 60.0, 301),
     "t0=0, 201 times": np.linspace(0.0, 120.0, 201),
-    "t0>0, 41 times": np.linspace(20.0, 300.0, 41),
     "t0=0, more times than lattice panels": np.linspace(0.0, 20.0, 1001),
+    "t0=0, two times": np.array([0.0, 250.0]),
+    "t0=0, span a multiple of 2Q": np.linspace(0.0, 300.0, 11),
+}
+
+# Windows that do not start at 0, which the transform refuses.  Each of their
+# times is read from its own grid [0, |t|] (``_late_points``), the route for
+# one late time.  At t = 1000 that grid's lattice spans about 20,000 panels.
+LATE_WINDOWS = {
+    "t0>0, 41 times": np.linspace(20.0, 300.0, 41),
     "t0<0": np.linspace(-30.0, 60.0, 301),
     "far, narrow window": np.linspace(1000.0, 1001.0, 201),
-    "t0=0, two times": np.array([0.0, 250.0]),
     "t0>0, two times": np.array([7.5, 120.0]),
     "t0>0, three times": np.array([40.0, 70.0, 100.0]),
 }
+
+
+def _late_points(points, times) -> np.ndarray:
+    """``points(grid)`` at every nonzero t of ``times``, each read from the
+    grid [0, |t|] and conjugated where t < 0: a real spectral measure gives
+    C(-t) = conj C(t)."""
+    out = np.array([points(np.array([0.0, abs(t)]))[1] for t in times])
+    return np.where(times < 0.0, out.conj(), out)
 
 # Extra segment boundaries at e1 + (P + c) w, in units of w.
 LATTICE_CUTS = {
@@ -467,37 +485,51 @@ class TestTransform:
     @pytest.mark.parametrize("name", ["2d", "3d"])
     def test_uniform_grid_matches_per_time_panels(self, spectra, name):
         spec = spectra[name]
-        times = np.linspace(0.0, 60.0, 301)  # uniform: the chirp-z path
+        times = np.linspace(0.0, 60.0, 301)  # uniform: the lattice DFT path
         got = amplitude_spectral(spec, times).amplitude
         ref = _per_time_transform(spec, times)
         assert float(np.max(np.abs(got - ref))) <= 1e-7
 
     @pytest.mark.parametrize("name", ["2d", "3d"])
-    @pytest.mark.parametrize("grid", list(UNIFORM_GRIDS))
+    @pytest.mark.parametrize("grid", [*UNIFORM_GRIDS, *LATE_WINDOWS])
     def test_uniform_grid_matches_exact_node_sum(self, spectra, name, grid, monkeypatch):
+        # One lattice DFT per grid: one for a grid from 0, one per time of a
+        # late window, read at the 8 times the quarter-period rule checks.
         spec = spectra[name]
-        times = UNIFORM_GRIDS[grid]
         calls = []
-        chirp_z = evolution._chirp_z
+        lattice_dft = evolution._lattice_dft
         monkeypatch.setattr(
-            evolution, "_chirp_z", lambda *args: calls.append(1) or chirp_z(*args)
+            evolution, "_lattice_dft", lambda *args: calls.append(1) or lattice_dft(*args)
         )
-        got = _amplitude_points(spec, times)
-        assert calls == [1]
-        assert float(np.max(np.abs(got - _node_sum(spec, times)))) <= 1e-13
+        if grid in UNIFORM_GRIDS:
+            times = UNIFORM_GRIDS[grid]
+            got, ref = _amplitude_points(spec, times), _node_sum(spec, times)
+            assert calls == [1]
+        else:
+            window = LATE_WINDOWS[grid]
+            times = window[np.linspace(0, window.size - 1, 8).round().astype(int)]
+            got = _late_points(lambda g: _amplitude_points(spec, g), times)
+            ref = _late_points(lambda g: _node_sum(spec, g), times)
+            assert calls == [1] * times.size
+        assert float(np.max(np.abs(got - ref))) <= 1e-13
 
     @pytest.mark.parametrize("name, grid", [
-        *((name, grid) for name in ("2d", "3d") for grid in UNIFORM_GRIDS),
+        *((name, grid) for name in ("2d", "3d") for grid in [*UNIFORM_GRIDS, *LATE_WINDOWS]),
         ("2d, gap 0.25", "t0=0, horizon 3200"),
         ("3d, gap 0.25", "t0=0, horizon 3200"),
     ])
     def test_matches_quarter_period_rule(self, spectra, name, grid):
         # Ten nodes a full period wide against six a quarter period wide: the
         # two rules differ by rounding only, at 8 times including the largest.
+        # A late window's reference is on the quarter periods of its own
+        # largest time and its own dt, finer than each [0, |t|] lattice.
         spec = spectra[name]
-        times = UNIFORM_GRIDS.get(grid, np.linspace(0.0, 3200.0, 2000))
+        times = {**UNIFORM_GRIDS, **LATE_WINDOWS}.get(grid, np.linspace(0.0, 3200.0, 2000))
         at = np.linspace(0, times.size - 1, 8).round().astype(int)
-        got = _amplitude_points(spec, times)[at]
+        if grid in LATE_WINDOWS:
+            got = _late_points(lambda g: _amplitude_points(spec, g), times[at])
+        else:
+            got = _amplitude_points(spec, times)[at]
         ref = _quarter_period_sum(spec, times, times[at])
         assert float(np.max(np.abs(got - ref))) <= 1e-13
 
@@ -546,11 +578,41 @@ class TestTransform:
     @pytest.mark.parametrize("name", ["2d", "3d"])
     def test_uniform_grids_straddle_the_largest_panel_count(self, spectra, name):
         for grid, more in (("t0=0, 201 times", False),
-                           ("t0>0, 41 times", False),
+                           ("t0=0, span a multiple of 2Q", False),
                            ("t0=0, more times than lattice panels", True)):
             times = UNIFORM_GRIDS[grid]
             _, _, lattice = _transform_nodes(spectra[name], _lattice_width(times))
             assert (times.size > int(lattice[-1] - lattice[0]) + 1) is more
+
+    def test_uniform_grids_cover_every_fold_case(self, spectra):
+        # One fold block, several with a partial last one, a span that is
+        # an exact multiple of 2Q, and more times than 2Q (k wraps).
+        for name in ("2d", "3d"):
+            cases = set()
+            for times in UNIFORM_GRIDS.values():
+                _, _, lattice = _transform_nodes(spectra[name], _lattice_width(times))
+                span = int(lattice[-1] - lattice[0]) + 1
+                dt = float(times[-1]) / (times.size - 1)
+                period = 2 * math.ceil(0.5 * float(times[-1]) / dt)
+                cases.add("one block" if span <= period else
+                          "partial last block" if span % period else "exact multiple")
+                if times.size > period:
+                    cases.add("k wraps")
+            assert cases == {"one block", "partial last block", "exact multiple", "k wraps"}
+
+    @pytest.mark.parametrize("name", ["2d", "3d"])
+    def test_fold_of_many_panels_per_bin_is_rounding_only(self, spectra, name):
+        # [0, 3200] has Q = 1: about 15,000 lattice panels fold into each of
+        # the two bins, and the DFT is their sum and alternating sum.  Added
+        # one after another they drift to 3e-15 of fsum's exact sums.
+        times = np.array([0.0, 3200.0])
+        _, a, lattice = _transform_nodes(spectra[name], _lattice_width(times))
+        p = lattice - lattice[0]
+        rows = a[:_GL_X.size * lattice.size].reshape(-1, _GL_X.size).T
+        got = evolution._lattice_dft(rows, p, 1, 2)
+        sign = np.where(p % 2 == 0, 1.0, -1.0)
+        ref = np.array([[math.fsum(row), math.fsum(row * sign)] for row in rows])
+        assert float(np.max(np.abs(got - ref))) <= 2e-16
 
     def test_uniform_transform_is_byte_identical(self, spectra):
         times = np.linspace(0.0, 300.0, 1001)
