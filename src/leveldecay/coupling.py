@@ -1,13 +1,11 @@
 """Coupling-function families |V(x)|^2 between the discrete level and the continuum.
 
-Two exponential-cutoff families are provided, one per continuum geometry:
-
-* ``TWO_DIM_EXP``:   |V(x)|^2 = g2 * exp(-x/L)        (nonzero at the edge x = 0)
-* ``THREE_DIM_EXP``: |V(x)|^2 = g2 * x * exp(-x/L)    (vanishes linearly at x = 0)
-
-Both are continuous, strictly positive on (0, inf) for g2 > 0, and square
-integrable.  The exponential cutoff makes every downstream integral checkable
-against a closed form, which is why these particular families were chosen.
+Each family is one power law, |V(x)|^2 = g2 x^p exp(-x/L) with p = d - 2 for
+a continuum of dimension d: ``TWO_DIM_EXP`` (p = 0) is nonzero at the edge
+x = 0, ``THREE_DIM_EXP`` (p = 1) vanishes linearly there.  The integral of
+|V|^2 over [0, inf) is g2 L^{p+1} p!, that of |V|^2 / x is g2 L^p (p - 1)!,
+divergent at p = 0.  The exponential cutoff makes every downstream integral
+checkable against a closed form, which is why these families were chosen.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
 modeled.  Natural units throughout (all energies and times dimensionless).
@@ -23,10 +21,13 @@ import numpy as np
 
 
 class CouplingFamily(enum.Enum):
-    """Structural class of the coupling near the continuum edge x = 0."""
+    """The coupling's power law: ``power`` is p = d - 2, d the value's leading digit."""
 
     TWO_DIM_EXP = "2d-exp"
     THREE_DIM_EXP = "3d-exp"
+
+    def __init__(self, value: str) -> None:
+        self.power = int(value[0]) - 2
 
 
 @dataclass(frozen=True)
@@ -53,34 +54,32 @@ def coupling_sq(model: CouplingModel, x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError("coupling_sq requires x >= 0")
-    decay = np.exp(-xa / model.cutoff)
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        out = model.strength_sq * xa * decay
-    else:
-        out = model.strength_sq * decay
+    out = model.strength_sq
+    for _ in range(model.family.power):
+        out = out * xa
+    out = out * np.exp(-xa / model.cutoff)
     return float(out) if out.ndim == 0 else out
 
 
 def l2_norm_sq(model: CouplingModel) -> float:
     """Closed form of the full-line norm integral of |V|^2 over [0, inf)."""
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq * model.cutoff**2
-    return model.strength_sq * model.cutoff
+    p = model.family.power
+    return model.strength_sq * model.cutoff ** (p + 1) * math.factorial(p)
 
 
 def sq_over_x_integral(model: CouplingModel) -> float:
     """Closed form of the integral of |V(x)|^2 / x over [0, inf).
 
-    For the 3d family this converges and equals g2 * L.  For the 2d family the
-    integrand behaves like g2/x near zero and the integral diverges; ``inf`` is
-    returned as an in-band divergence marker (not an error).  The zero-coupling
-    model integrates to 0 for either family.
+    At p = 0 (2d) the integrand behaves like g2/x near zero and the integral
+    diverges; ``inf`` is returned as an in-band divergence marker (not an
+    error).  The zero-coupling model integrates to 0 for every family.
     """
     if model.strength_sq == 0.0:
         return 0.0
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq * model.cutoff
-    return math.inf
+    rhs = model.strength_sq * model.cutoff if model.family.power else math.inf
+    for n in range(1, model.family.power):
+        rhs *= n * model.cutoff
+    return rhs
 
 
 def tail_mass(model: CouplingModel, x0: float) -> float:
@@ -88,12 +87,13 @@ def tail_mass(model: CouplingModel, x0: float) -> float:
 
     Used to certify truncation of semi-infinite integrals: every integrand in
     this package is |V(x)|^2 times a factor bounded on the tail, so its
-    truncation remainder is bounded by a multiple of this value.
+    truncation remainder is bounded by a multiple of this value.  Products,
+    not powers, so a remainder too large for a float is inf, not an error.
     """
     if x0 < 0.0:
         raise ValueError("x0 must be nonnegative")
-    decay = math.exp(-x0 / model.cutoff)
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq * model.cutoff * (x0 + model.cutoff) * decay
-    return model.strength_sq * model.cutoff * decay
-
+    poly, x0_n = 1.0, 1.0
+    for n in range(1, model.family.power + 1):
+        x0_n *= x0
+        poly = x0_n + n * model.cutoff * poly
+    return model.strength_sq * model.cutoff * poly * math.exp(-x0 / model.cutoff)

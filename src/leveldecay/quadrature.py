@@ -7,7 +7,7 @@ Quadrature has two entry points: ``gate_integrals`` takes all three at a list
 of distances from the edge in one pass, the gate those closed forms must pass
 before first use and the tests' reference; ``k_regular`` takes k alone, for
 the eigenvalue oracle of ``verify`` criterion 8.  k and the weight integral
-are one integral, |V(x)|^2 / (x + a)^p in u = ln(x + a); the principal value
+are one integral, |V(x)|^2 / (x + a)^n in u = ln(x + a); the principal value
 subtracts |V(c)|^2 on a window around the pole.
 
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
@@ -205,8 +205,8 @@ def _check_tail(params: ModelParams, a: float) -> float:
 class _Integral(NamedTuple):
     """One integral for ``_integrals``: seed edges, tolerances and integrand.
 
-    With a > 0 the integral of |V(x)|^2 / (x + a)^p over x >= 0, taken in the
-    substitution u = ln(x + a), which keeps the integrand exp((1 - p) u)
+    With a > 0 the integral of |V(x)|^2 / (x + a)^order over x >= 0, taken in
+    the substitution u = ln(x + a), which keeps the integrand exp((1 - order) u)
     |V(e^u - a)|^2 on an O(1) scale however small a is.  With a NaN the
     integral of (|V(x)|^2 - f0) / (x - c) in x.
     """
@@ -215,7 +215,7 @@ class _Integral(NamedTuple):
     abs_tol: float
     rel_tol: float
     a: float = math.nan
-    p: int = 0
+    order: int = 0
     c: float = 0.0
     f0: float = 0.0
 
@@ -223,7 +223,7 @@ class _Integral(NamedTuple):
 def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
     """Every integral of ``parts`` over its edges, refined in one pass of
     ``_refine``; each sums its own converged panels."""
-    a, p, c, f0 = np.array([(q.a, q.p, q.c, q.f0) for q in parts]).T
+    a, order, c, f0 = np.array([(q.a, q.order, q.c, q.f0) for q in parts]).T
     in_u = ~np.isnan(a)
 
     def integrand(x, which):
@@ -236,7 +236,7 @@ def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
             if rows.any():
                 u, j = x_b[rows], w_b[rows][:, None]
                 x_u = np.maximum(np.exp(u) - a[j], 0.0)
-                out_b[rows] = np.exp((1 - p[j]) * u) * coupling_sq(model, x_u)
+                out_b[rows] = np.exp((1 - order[j]) * u) * coupling_sq(model, x_u)
             if not rows.all():
                 x_c, j = x_b[~rows], w_b[~rows][:, None]
                 out_b[~rows] = (coupling_sq(model, x_c) - f0[j]) / (x_c - c[j])
@@ -249,15 +249,15 @@ def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
     return [float(v.sum()) for v in np.split(vals, np.flatnonzero(np.diff(which)) + 1)]
 
 
-def _log_part(params: ModelParams, a: float, p: int) -> _Integral:
-    """The integral of |V(x)|^2 / (x + a)^p over [0, inf), for a distance a > 0,
+def _log_part(params: ModelParams, a: float, order: int) -> _Integral:
+    """The integral of |V(x)|^2 / (x + a)^order over [0, inf), for a distance a > 0,
     in u = ln(x + a), at a relative tolerance of 1e-11."""
     if not a > 0.0:
         raise ValueError(f"requires lambda < e1, i.e. a = e1 - lambda > 0; got a={a!r}")
     upper = _check_tail(params, a)
     u_lo, u_hi = math.log(a), math.log(upper + a)
     n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
-    return _Integral(np.linspace(u_lo, u_hi, n_seed + 1), _ABS_TOL, 1e-11, a=a, p=p)
+    return _Integral(np.linspace(u_lo, u_hi, n_seed + 1), _ABS_TOL, 1e-11, a=a, order=order)
 
 
 def _pv_parts(params: ModelParams, t: float) -> tuple[list[_Integral], float]:

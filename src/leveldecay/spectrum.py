@@ -6,8 +6,8 @@ one simple eigenvalue e0 < e1.  The eigenvalue solves
 
     e2 - lam = k(lam),    k(lam) = integral of |V(x)|^2 / (x + e1 - lam),
 
-exists always for the 2d family (k diverges at the edge) and, for the 3d
-family, exactly when e2 - e1 is smaller than the integral of |V(x)|^2 / x.
+exists always at p = 0 (2d: k diverges at the edge) and, for p >= 1,
+exactly when e2 - e1 is smaller than the integral of |V(x)|^2 / x.
 Its weight in the spectral measure of the initial excited state is the
 residue w = 1 / (1 + dk/dlam) of the resolvent at e0, and the density is
 
@@ -16,17 +16,19 @@ residue w = 1 / (1 + dk/dlam) of the resolvent at e0, and the density is
 for t > e1, zero below.  The measure is normalized: w plus the integrated
 density equals 1, which every assembled table is checked against.
 
-For both built-in families k and PV k are closed forms in the exponential
-integrals Ei and E1 (Abramowitz & Stegun 5.1), so e0, w and rho are computed
-from those.  With s the distance from the edge in units of the cutoff L:
+For |V|^2 = g2 x^p e^{-x/L}, k and PV k are g2 L^p times closed forms in the
+exponential integrals Ei and E1 (Abramowitz & Stegun 5.1) of s, the distance
+from the edge in units of L, so e0, w and rho are computed from those.  Each
+is one step up in p, and so is the slope s k' = s dk/ds that Newton steps on:
 
-    2d:  PV k = -g2 e^{-s} Ei(s),         k = g2 e^{s} E1(s);
-    3d:  PV k = g2 L (1 - s e^{-s} Ei(s)), k = g2 L (1 - s e^{s} E1(s)).
+    k_0 = e^{s} E1(s),     k_{n+1} = n! - s k_n,
+    P_0 = -e^{-s} Ei(s),   P_{n+1} = n! + s P_n      (PV k),
+    s k_0' = s k_0 - 1,    s k_{n+1}' = s (n! - (n + 1 + s) k_n).
 
-The weight integral dk/dlam, of |V(x)|^2 / (x + e1 - lam)^2, is read from the
-slope s dk/ds that Newton steps on.  Before a family's closed forms are first
-used, k, PV k and that slope must agree with adaptive quadrature to a relative
-1e-8 at twelve points; the gate refines those 60 integrals in one batched pass
+The weight integral dk/dlam, of |V(x)|^2 / (x + e1 - lam)^2, is read from
+that slope.  Before a family's closed forms are first used, k, PV k and that
+slope must agree with adaptive quadrature to a relative 1e-8 at twelve
+points; the gate refines those 60 integrals in one batched pass
 (``quadrature.gate_integrals``).  A mismatch raises ``ClosedFormMismatchError``.
 """
 
@@ -39,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .coupling import (
-    CouplingFamily,
-    CouplingModel,
-    coupling_sq,
-    sq_over_x_integral,
-)
+from .coupling import CouplingFamily, CouplingModel, coupling_sq, sq_over_x_integral
 from .quadrature import (
     _EPS,
     TAIL_CUT,
@@ -138,6 +135,9 @@ _ASYMPTOTIC_TERMS = 12
 _EDGE_LN_S = -700.0
 _GATE_POINTS = tuple(float(s) for s in np.geomspace(1e-8, 1e3, 12))
 _GATE_TOL = 1e-8
+# (n, (n - 1)!) for every n whose (n - 1)! is a finite float.  The recurrences
+# in p slice it, which costs less per call than counting n and n! in the loop.
+_STEPS = tuple((n, float(math.factorial(n - 1))) for n in range(1, 172))
 
 
 def _asymptotic_series(s: np.ndarray, sign: float) -> np.ndarray:
@@ -167,27 +167,30 @@ def _scaled_e1(s: float) -> float:
     return math.exp(s) * float(special.exp1(s))
 
 
-# The closed forms at g2 = L = 1, as functions of the scaled distance s from
-# the edge.  k and PV k scale as g2 * L**p (p = 1 for 3d, 0 for 2d); see
-# ``_k_scale``.  The slope serves Newton, and -dk/ds is the weight integral.
+# The closed forms at g2 = L = 1 in the scaled distance s from the edge, by
+# the module docstring's recurrences in p, step n on (n, (n - 1)!) of _STEPS.
 def _k_unit_and_slope(family: CouplingFamily, s: float, e: float) -> tuple[float, float]:
-    """k(e1 - s) below the edge and s dk/ds, from e = e^{s} E1(s) with de/ds = e - 1/s."""
-    if family is CouplingFamily.TWO_DIM_EXP:
-        return e, s * e - 1.0
-    return 1.0 - s * e, s * (1.0 - (1.0 + s) * e)
+    """k_p(s) for k(e1 - s) below the edge and s dk_p/ds, from e = e^{s} E1(s)."""
+    k, s_dk = e, s * e - 1.0
+    for n, fact in _STEPS[:family.power]:
+        k, s_dk = fact - s * k, s * (fact - (n + s) * k)
+    return k, s_dk
 
 
 def _pv_k_unit(family: CouplingFamily, s):
-    """PV k(e1 + s) inside the continuum."""
-    e = _scaled_ei(s)
-    return -e if family is CouplingFamily.TWO_DIM_EXP else 1.0 - s * e
+    """P_p(s), PV k(e1 + s) inside the continuum."""
+    pv = -_scaled_ei(s)
+    for _, fact in _STEPS[:family.power]:
+        pv = fact + s * pv
+    return pv
 
 
 def _k_scale(model: CouplingModel) -> float:
-    """g2 * L**p, the factor between k (or PV k) and its g2 = L = 1 form."""
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq * model.cutoff
-    return model.strength_sq
+    """g2 L^p, the factor between k (or PV k) and its g2 = L = 1 form."""
+    scale = model.strength_sq
+    for _ in range(model.family.power):
+        scale *= model.cutoff
+    return scale
 
 
 @functools.lru_cache(maxsize=None)
@@ -296,16 +299,15 @@ def _solve_eigenvalue(params: ModelParams) -> float:
     u = ln a on the closed form of k, which stays well conditioned down to
     distances that underflow double precision: there k takes its edge
     asymptote.  The far end of the bracket starts at a = e2 - e1 and
-    doubles; F > 0 is certain from a = g2 L on (3d, since k < g2 L) or
-    a = sqrt(g2 L) on (2d, since e^s E1(s) < 1/s), so the search gives up
-    only beyond twice the larger of that bound and the level gap.  The near
-    end steps toward the edge in u by doubling steps.  Inside the bracket
-    Newton steps in u (slope from d/ds [e^s E1(s)] = e^s E1(s) - 1/s),
-    safeguarded by bisection and closed by a probe across the root once
-    Newton has converged from one side, run until the bracket is narrower
-    than 1e-15 + 4 eps |u|.  The root is certified by the residual gate
-    |F| <= 1e-10 max(1, gap + a), the scale of the terms F cancels, which
-    does not use the slope.
+    doubles; F > 0 is certain from a = sqrt(integral of |V|^2) on, since
+    k(e1 - a) < (integral of |V|^2) / a, so the search gives up only beyond
+    twice the larger of that bound and the level gap.  The near end steps
+    toward the edge in u by doubling steps.  Inside the bracket Newton
+    steps in u on the slope s dk/ds, safeguarded by bisection and closed by
+    a probe across the root once Newton has converged from one side, run
+    until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
+    certified by the residual gate |F| <= 1e-10 max(1, gap + a), the scale
+    of the terms F cancels, which does not use the slope.
 
     Raises:
         BracketFailureError: bracketing, iteration or residual tolerance failed.
@@ -319,10 +321,8 @@ def _solve_eigenvalue(params: ModelParams) -> float:
     )
 
     d = gap
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        positive_from = scale
-    else:
-        positive_from = math.sqrt(scale * model.cutoff)
+    # sqrt(g2 L^{p+1} p!) in products, which overflow to inf, not to an error.
+    positive_from = math.sqrt(scale * model.cutoff * math.factorial(model.family.power))
     d_limit = 2.0 * max(positive_from, d)
     u_hi = math.log(d)
     while (fd_hi := f_and_slope(u_hi))[0] < 0.0:
@@ -403,8 +403,8 @@ def spectral_density(params: ModelParams, t):
     """Density rho(t) of the absolutely continuous spectral part at energies t
     (scalar or array; a float for a scalar).
 
-    Zero for t <= e1 (at the edge itself both families give the limit 0: the
-    3d numerator vanishes while the 2d principal value diverges).
+    Zero for t <= e1 (at the edge itself every family gives the limit 0: for
+    p >= 1 the numerator vanishes, at p = 0 the principal value diverges).
     """
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -475,7 +475,7 @@ def _edge_bump_seeds(
     params: ModelParams, e0: float | None, lam_max: float
 ) -> np.ndarray:
     """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0."""
-    if e0 is None or params.coupling.family is not CouplingFamily.TWO_DIM_EXP:
+    if e0 is None or params.coupling.family.power != 0:
         return np.empty(0)
     a0 = params.e1 - e0
     if not 0.0 < a0 < params.coupling.cutoff:

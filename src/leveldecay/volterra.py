@@ -5,8 +5,8 @@ With y(t) = C(t) * exp(i e2 t), the survival amplitude satisfies
     dy/dt = integral over [0, t] of K(t - s) y(s) ds,    y(0) = 1,
 
 with the memory kernel K(t) = -exp(i (e2 - e1) t) * F(t), F the Fourier
-transform of |V|^2 over the continuum.  For the built-in exponential families
-F has a closed form (a rational function of 1 + i L t), which is verified
+transform of |V|^2 over the continuum.  For |V|^2 = g2 x^p e^{-x/L} it is
+the closed form F(t) = g2 L^{p+1} p! / (1 + i L t)^{p+1}, which is verified
 against direct oscillatory quadrature before a family's first use, so a
 mismatch cannot silently corrupt this route.  No spectral data enters
 anywhere, which is what makes the solution an independent cross-check of the
@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from .coupling import CouplingFamily, CouplingModel, coupling_sq
+from .coupling import CouplingFamily, CouplingModel, coupling_sq, l2_norm_sq
 from .evolution import AmplitudeSeries, MethodTag, check_probability
 from .quadrature import _GL_W, _GL_X, NumericalError
 from .spectrum import ModelParams
@@ -57,11 +57,10 @@ class KernelMismatchError(NumericalError):
 
 def _fourier_closed_form(model: CouplingModel, t) -> np.ndarray:
     """Closed form of the |V|^2 Fourier transform over [0, inf) at time(s) t."""
-    t = np.asarray(t, dtype=float)
-    denom = 1.0 + 1j * model.cutoff * t
-    if model.family is CouplingFamily.THREE_DIM_EXP:
-        return model.strength_sq * model.cutoff**2 / (denom * denom)
-    return model.strength_sq * model.cutoff / denom
+    denom = base = 1.0 + 1j * model.cutoff * np.asarray(t, dtype=float)
+    for _ in range(model.family.power):
+        denom = denom * base
+    return l2_norm_sq(model) / denom
 
 
 def kernel(params: ModelParams, t) -> complex | np.ndarray:

@@ -138,3 +138,48 @@ def test_detects_a_definition_without_a_caller():
         "import m\nm.remote()\n",
     ]
     assert uncalled_definitions(sources) == {"recursive", "Unused"}
+
+
+def _family_members() -> set[str]:
+    """The names and values of ``CouplingFamily``'s members, from its source."""
+    tree = ast.parse((PACKAGE / "coupling.py").read_text())
+    enum_class = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "CouplingFamily"
+    )
+    return {
+        part
+        for stmt in enum_class.body if isinstance(stmt, ast.Assign)
+        for part in (stmt.targets[0].id, ast.literal_eval(stmt.value))
+    }
+
+
+def naming_family_members(sources: dict[str, str], members: set[str]) -> set[str]:
+    """The modules of ``sources`` that name a member of ``members``, as a
+    name, an attribute or a string constant."""
+    return {
+        module
+        for module, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if (isinstance(node, ast.Name) and node.id in members)
+        or (isinstance(node, ast.Attribute) and node.attr in members)
+        or (isinstance(node, ast.Constant) and node.value in members)
+    }
+
+
+def test_only_verification_names_a_family_outside_coupling():
+    # The family decides only p, and coupling.py holds that decision; the
+    # verify matrix, its sweeps and its criteria 2 and 8 pick their models.
+    sources = {
+        p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "coupling.py"
+    }
+    assert naming_family_members(sources, _family_members()) == {"verification.py"}
+
+
+def test_detects_a_named_family_member():
+    members = {"TWO", "2d"}
+    sources = {
+        "attr.py": "x = F.TWO\n", "name.py": "from m import TWO\nprint(TWO)\n",
+        "value.py": "F('2d')\n", "none.py": "x = F.THREE\nprint('3d')\n",
+    }
+    assert naming_family_members(sources, members) == {"attr.py", "name.py", "value.py"}
