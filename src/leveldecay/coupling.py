@@ -62,9 +62,20 @@ def coupling_sq(model: CouplingModel, x):
 
 
 def l2_norm_sq(model: CouplingModel) -> float:
-    """Closed form of the full-line norm integral of |V|^2 over [0, inf)."""
+    """Closed form of the full-line norm integral of |V|^2 over [0, inf).
+
+    L ** (p + 1) where it is finite, since the product L ... L differs from it
+    in the last bit for some L; where it alone overflows, g2 L ... L p! in
+    products, finite when g2 brings it back into range, inf otherwise.
+    """
     p = model.family.power
-    return model.strength_sq * model.cutoff ** (p + 1) * math.factorial(p)
+    try:
+        return model.strength_sq * model.cutoff ** (p + 1) * math.factorial(p)
+    except OverflowError:
+        out = model.strength_sq
+        for _ in range(p + 1):
+            out *= model.cutoff
+        return out * math.factorial(p)
 
 
 def sq_over_x_integral(model: CouplingModel) -> float:

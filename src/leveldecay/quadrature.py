@@ -6,16 +6,18 @@ integrals from exponential-integral closed forms (see ``leveldecay.spectrum``).
 Quadrature has two entry points: ``gate_integrals`` takes all three at a list
 of distances from the edge in one pass, the gate those closed forms must pass
 before first use and the tests' reference; ``k_regular`` takes k alone, for
-the eigenvalue oracle of ``verify`` criterion 8.  k and the weight integral
-are one integral, |V(x)|^2 / (x + a)^n in u = ln(x + a); the principal value
-subtracts |V(c)|^2 on a window around the pole.
+the eigenvalue oracle of ``verify`` criterion 8.  All three are one integral
+in x, of (|V(x)|^2 - f0) / (x - c)^n: k and the weight integral at c = -a,
+f0 = 0 and n = 1, 2, seeded geometrically in x + a; the principal value at
+the pole c with f0 = |V(c)|^2, smooth at c, plus the exact log term of the
+subtracted f0 / (x - c).
 
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
 the panel error estimate, and panels carrying the bulk of the error are
 bisected until the total estimate meets the tolerance.  ``_refine`` is the one
 refinement loop.  It refines many integrals at once, each to its own
-tolerance, budget and error total: the gate's sixty in one pass, k alone
+tolerance, budget and error total: the gate's thirty-six in one pass, k alone
 for ``k_regular``, and the density table of ``leveldecay.spectrum``.
 """
 
@@ -45,15 +47,12 @@ class NonConvergenceError(NumericalError):
         self.error = error
 
 
-# Integrator tolerances and budget, the half-width of the principal-value
-# subtraction window (shrunk where it would leave the domain), and the
-# truncation: k and the weight integral stop at TAIL_CUT coupling cutoffs, the
-# principal value that far beyond its pole, where the closed-form tail
-# remainder must stay below TAIL_TOL.
+# Integrator tolerances and budget, and the truncation: k and the weight
+# integral stop at TAIL_CUT coupling cutoffs, the principal value that far
+# beyond its pole, where the closed-form tail remainder must stay below TAIL_TOL.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_SUBDIVISIONS = 4000
-_PV_WINDOW = 0.5
 TAIL_CUT = 60.0
 TAIL_TOL = 1e-10
 
@@ -179,13 +178,9 @@ def _refine(f: Callable, seeds, abs_tol, rel_tol, budget) -> tuple[np.ndarray, .
         a, b, vals, errs, which = _split_panels(f, a, b, vals, errs, which, mask)
 
 
-def _edges_toward(lo: float, hi: float, levels: int, toward_lo: bool = True) -> np.ndarray:
-    """Panel edges on [lo, hi] accumulating geometrically toward one endpoint."""
-    frac = 0.5 ** np.arange(levels, 0, -1)
-    if toward_lo:
-        inner = lo + (hi - lo) * frac
-    else:
-        inner = hi - (hi - lo) * frac[::-1]
+def _edges_toward(lo: float, hi: float, levels: int) -> np.ndarray:
+    """Panel edges on [lo, hi] accumulating geometrically toward lo."""
+    inner = lo + (hi - lo) * 0.5 ** np.arange(levels, 0, -1)
     return np.unique(np.concatenate([[lo], inner, [hi]]))
 
 
@@ -203,86 +198,56 @@ def _check_tail(params: ModelParams, a: float) -> float:
 
 
 class _Integral(NamedTuple):
-    """One integral for ``_integrals``: seed edges, tolerances and integrand.
-
-    With a > 0 the integral of |V(x)|^2 / (x + a)^order over x >= 0, taken in
-    the substitution u = ln(x + a), which keeps the integrand exp((1 - order) u)
-    |V(e^u - a)|^2 on an O(1) scale however small a is.  With a NaN the
-    integral of (|V(x)|^2 - f0) / (x - c) in x.
-    """
+    """One integral for ``_integrals``: of (|V(x)|^2 - f0) / (x - c)^order
+    over its seed edges in x, to the relative tolerance ``rel_tol``."""
 
     edges: np.ndarray
-    abs_tol: float
     rel_tol: float
-    a: float = math.nan
-    order: int = 0
-    c: float = 0.0
+    c: float
+    order: int = 1
     f0: float = 0.0
 
 
 def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
     """Every integral of ``parts`` over its edges, refined in one pass of
     ``_refine``; each sums its own converged panels."""
-    a, order, c, f0 = np.array([(q.a, q.order, q.c, q.f0) for q in parts]).T
-    in_u = ~np.isnan(a)
+    c, order, f0 = np.array([(q.c, q.order, q.f0) for q in parts]).T
 
     def integrand(x, which):
-        x = x.reshape(which.size, -1)
-        out = np.empty_like(x)
-        # 256 panels at a time: the temporaries stay small in a large pass.
-        for lo in range(0, which.size, 256):
-            x_b, w_b, out_b = x[lo:lo + 256], which[lo:lo + 256], out[lo:lo + 256]
-            rows = in_u[w_b]
-            if rows.any():
-                u, j = x_b[rows], w_b[rows][:, None]
-                x_u = np.maximum(np.exp(u) - a[j], 0.0)
-                out_b[rows] = np.exp((1 - order[j]) * u) * coupling_sq(model, x_u)
-            if not rows.all():
-                x_c, j = x_b[~rows], w_b[~rows][:, None]
-                out_b[~rows] = (coupling_sq(model, x_c) - f0[j]) / (x_c - c[j])
-        return out.ravel()
+        x, j = x.reshape(which.size, -1), which[:, None]
+        return ((coupling_sq(model, x) - f0[j]) / (x - c[j]) ** order[j]).ravel()
 
     _, _, vals, _, which = _refine(
-        integrand, [q.edges for q in parts], [q.abs_tol for q in parts],
-        [q.rel_tol for q in parts], _MAX_SUBDIVISIONS,
+        integrand, [q.edges for q in parts], _ABS_TOL, [q.rel_tol for q in parts],
+        _MAX_SUBDIVISIONS,
     )
     return [float(v.sum()) for v in np.split(vals, np.flatnonzero(np.diff(which)) + 1)]
 
 
-def _log_part(params: ModelParams, a: float, order: int) -> _Integral:
-    """The integral of |V(x)|^2 / (x + a)^order over [0, inf), for a distance a > 0,
-    in u = ln(x + a), at a relative tolerance of 1e-11."""
+def _k_part(params: ModelParams, a: float, order: int) -> _Integral:
+    """The integral of |V(x)|^2 / (x + a)^order over [0, inf), for a distance
+    a > 0, at a relative tolerance of 1e-11: seeded geometrically in x + a,
+    1.5 panels an octave from a to the truncation point plus a."""
     if not a > 0.0:
         raise ValueError(f"requires lambda < e1, i.e. a = e1 - lambda > 0; got a={a!r}")
-    upper = _check_tail(params, a)
-    u_lo, u_hi = math.log(a), math.log(upper + a)
-    n_seed = max(16, int(math.ceil((u_hi - u_lo) / math.log(2.0))))
-    return _Integral(np.linspace(u_lo, u_hi, n_seed + 1), _ABS_TOL, 1e-11, a=a, order=order)
+    ln_lo, ln_hi = math.log(a), math.log(_check_tail(params, a) + a)
+    n_seed = max(16, math.ceil(1.5 * (ln_hi - ln_lo) / math.log(2.0)))
+    edges = np.exp(np.linspace(ln_lo, ln_hi, n_seed + 1)) - a
+    edges[0] = 0.0  # exp(ln a) - a can miss 0 by an ulp of a
+    return _Integral(edges, 1e-11, -a, order)
 
 
-def _pv_parts(params: ModelParams, t: float) -> tuple[list[_Integral], float]:
-    """The window, left and right integrals of PV k at t, and its log term."""
-    model = params.coupling
+def _pv_part(params: ModelParams, t: float) -> tuple[_Integral, float]:
+    """PV k at t: the integral of (|V(x)|^2 - |V(c)|^2) / (x - c) over [0, U],
+    c = t - e1, smooth at c, and the exact log term |V(c)|^2 ln((U - c) / c)
+    of the subtracted part."""
     c = t - params.e1
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"PV k requires e1 < t < inf, got t={t!r}")
-    domain_hi = c + _check_tail(params, 0.0)
-    h = min(_PV_WINDOW, 0.5 * c, 0.5 * (domain_hi - c))
-    lo, hi = c - h, c + h
-    fc = float(coupling_sq(model, np.array([c]))[0])
-    abs_share = 0.25 * _ABS_TOL
-    rel_share = 0.25 * _REL_TOL
-    # Analytic log term of the subtracted |V(c)|^2 / (x - c).  It corrects for
-    # the rounded window ends: c - h and c + h are rounded, so (hi - c)/(c - lo)
-    # can differ from 1 by an ulp.
-    log_term = fc * math.log((hi - c) / (c - lo))
-    left = _edges_toward(0.0, lo, levels=30, toward_lo=False)
-    right = _edges_toward(hi, domain_hi, levels=42, toward_lo=True)
-    return [
-        _Integral(np.array([lo, c, hi]), abs_share, rel_share, c=c, f0=fc),
-        _Integral(left, abs_share, rel_share, c=c),
-        _Integral(right, abs_share, rel_share, c=c),
-    ], log_term
+    upper = c + _check_tail(params, 0.0)
+    fc = coupling_sq(params.coupling, c)
+    edges = np.unique(np.append(np.linspace(0.0, upper, 17), c))
+    return _Integral(edges, _REL_TOL, c, f0=fc), fc * math.log((upper - c) / c)
 
 
 def k_regular(params: ModelParams, lam: float) -> float:
@@ -291,16 +256,16 @@ def k_regular(params: ModelParams, lam: float) -> float:
     Requires lambda < e1 (below the continuum edge), where the integrand is
     nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
     """
-    return _integrals(params.coupling, [_log_part(params, params.e1 - lam, 1)])[0]
+    return _integrals(params.coupling, [_k_part(params, params.e1 - lam, 1)])[0]
 
 
 def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
     """The three arrays k at e1 - s, PV k at e1 + s and the weight integral at s
-    over the distances s: five integrals per s, refined in one ``_refine`` pass."""
+    over the distances s: three integrals per s, refined in one ``_refine`` pass."""
     parts, log_terms = [], []
     for s in distances:
-        pv_parts, log_term = _pv_parts(params, params.e1 + s)
-        parts += [_log_part(params, s, 1), *pv_parts, _log_part(params, s, 2)]
+        pv, log_term = _pv_part(params, params.e1 + s)
+        parts += [_k_part(params, s, 1), pv, _k_part(params, s, 2)]
         log_terms.append(log_term)
-    v = np.array(_integrals(params.coupling, parts)).reshape(-1, 5)
-    return v[:, 0], v[:, 1] + np.array(log_terms) + v[:, 2] + v[:, 3], v[:, 4]
+    v = np.array(_integrals(params.coupling, parts)).reshape(-1, 3)
+    return v[:, 0], v[:, 1] + np.array(log_terms), v[:, 2]

@@ -28,7 +28,7 @@ is one step up in p, and so is the slope s k' = s dk/ds that Newton steps on:
 The weight integral dk/dlam, of |V(x)|^2 / (x + e1 - lam)^2, is read from
 that slope.  Before a family's closed forms are first used, k, PV k and that
 slope must agree with adaptive quadrature to a relative 1e-8 at twelve
-points; the gate refines those 60 integrals in one batched pass
+points; the gate refines those 36 integrals in one batched pass
 (``quadrature.gate_integrals``).  A mismatch raises ``ClosedFormMismatchError``.
 """
 
@@ -199,7 +199,7 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
 
     Every closed form is a power of L times g2 times a function of s alone, so
     one check at g2 = L = 1 over s in [1e-8, 1e3] covers every model of the
-    family.  The quadrature side is ``gate_integrals``: all 60 adaptive
+    family.  The quadrature side is ``gate_integrals``: all 36 adaptive
     integrals in one pass.  Raises ``ClosedFormMismatchError`` on a relative
     deviation above 1e-8, so values far below 1, such as the weight integral
     at s = 1e3 (about 1e-6), are checked to the same digits as the rest.

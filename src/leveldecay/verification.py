@@ -249,7 +249,7 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     bracket [e1 - 8 max(1, gap), e1 - 1e-9 L] and never sees the solver's e0.
 
     It is independent of ``point_mass``'s solve: ``k_regular`` is adaptive
-    (G7, K15) quadrature of |V|^2 / (x + a) in u = ln(x + a), built from
+    (G7, K15) quadrature of |V|^2 / (x + a) in x, built from
     ``coupling_sq`` alone, while the solver takes Newton steps in u = ln a on
     the scipy exp1 closed forms of k and never evaluates ``k_regular`` (only
     the one-time gate of those closed forms, at g2 = L = 1, does)."""

@@ -129,7 +129,7 @@ def test_gate_is_relative_where_the_value_is_small(monkeypatch, family):
 
 @pytest.mark.parametrize("family", [TWO, THREE])
 def test_gate_integrals_equal_one_pass_per_point(family):
-    # One pass over all 60 integrals against one pass per distance, and
+    # One pass over all 36 integrals against one pass per distance, and
     # k against k_regular's pass of the one integral.
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
     k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
@@ -138,6 +138,21 @@ def test_gate_integrals_equal_one_pass_per_point(family):
         for got, ref in ((k[i], k_regular(params, -s)), (k[i], k_s), (pv[i], pv_s),
                          (weight[i], weight_s)):
             assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("family", [TWO, THREE])
+def test_gate_integrals_hold_the_closed_forms_to_1e11(family):
+    # The runtime gate allows 1e-8; the engine holds every gate point 1000
+    # times tighter, so a 1000-fold loss of its accuracy fails here first.
+    # The worst, about 2e-12, is the 3d weight integral at s = 1e3, where the
+    # closed-form slope s (1 - (1 + s) e^s E1(s)) cancels.
+    params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
+    k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
+    for i, s in enumerate(spectrum._GATE_POINTS):
+        k_closed, s_dk = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))
+        for quad, closed in ((k[i], k_closed), (pv[i], spectrum._pv_k_unit(family, s)),
+                             (weight[i], -s_dk / s)):
+            assert abs(quad - closed) <= 1e-11 * abs(closed), (s, quad, closed)
 
 
 @pytest.mark.parametrize("family", [TWO, THREE])

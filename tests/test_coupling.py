@@ -8,10 +8,12 @@ import pytest
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
+    ModelParams,
     coupling_sq,
     l2_norm_sq,
     sq_over_x_integral,
 )
+from leveldecay import volterra
 from leveldecay.coupling import tail_mass
 from leveldecay.quadrature import (
     _ABS_TOL,
@@ -85,6 +87,16 @@ def test_l2_norm_closed_forms():
     assert l2_norm_sq(CouplingModel(THREE, 1.0, 1.0)) == pytest.approx(1.0)
     assert l2_norm_sq(CouplingModel(TWO, 0.0, 3.0)) == 0.0
     assert l2_norm_sq(CouplingModel(THREE, 0.0, 3.0)) == 0.0
+
+
+def test_l2_norm_finite_where_the_cutoff_power_overflows():
+    # L**2 overflows at L = 1e160, but g2 L^2 = 1e166 is a float, and the
+    # model passes the truncation check and its point_mass solves.
+    params = ModelParams(0.0, 1.0, CouplingModel(THREE, 1e-154, 1e160))
+    l2 = l2_norm_sq(params.coupling)
+    assert l2 == pytest.approx(1e166, rel=1e-15)
+    assert volterra.kernel(params, 0.0) == -l2
+    assert l2_norm_sq(CouplingModel(THREE, 0.0, 1e160)) == 0.0
 
 
 @pytest.mark.parametrize("family", [TWO, THREE])

@@ -52,8 +52,8 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
 # |V(x)|^2 = exp(-x): PV k at t = 1 is the PV of exp(-x)/(x - 1).
 EXP_UNIT = _params(CouplingFamily.TWO_DIM_EXP, 1.0)
 
-# _pv_parts' refusal of a point not inside the continuum; gate_integrals
-# checks it before _log_part's own.
+# _pv_part's refusal of a point not inside the continuum; gate_integrals
+# checks it before _k_part's own.
 NOT_INSIDE = r"PV k requires e1 < t < inf"
 
 
@@ -157,11 +157,16 @@ def test_pv_oracle_value_regenerates():
     assert extrapolated == pytest.approx(PV_EXP_AT_1, abs=1e-9)
 
 
-def test_pv_window_independence(monkeypatch):
+@pytest.mark.parametrize("family", list(CouplingFamily))
+@pytest.mark.parametrize("s", [1e-8, 1.0, 30.0])
+def test_pv_truncation_independence(monkeypatch, family, s):
+    # The log term carries the subtracted |V(c)|^2 / (x - c) to the cut
+    # exactly, so moving the cut moves PV k only by the certified tail.
+    params = _params(family, 1.0)
     results = []
-    for w in (0.125, 0.25, 0.5):
-        monkeypatch.setattr(quadrature, "_PV_WINDOW", w)
-        results.append(pv_k(EXP_UNIT, 1.0))
+    for cut in (40.0, 60.0, 80.0):
+        monkeypatch.setattr(quadrature, "TAIL_CUT", cut)
+        results.append(pv_k(params, s))
     for r in results[1:]:
         assert abs(r - results[0]) <= 10.0 * _ABS_TOL
 
@@ -181,6 +186,8 @@ def test_k_regular_near_edge_three_dim_is_sq_over_x():
     # 3d: k(e1-) is the finite integral of |V|^2 / x, g2 L
     params = _params(CouplingFamily.THREE_DIM_EXP, 2.0, cutoff=1.0)
     assert k_regular(params, -1e-14) == pytest.approx(2.0, rel=1e-9)
+    # a distance below 60 L / DBL_MAX, where (U + a) / a overflows
+    assert k_regular(params, -1e-310) == pytest.approx(2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("family", list(CouplingFamily))
