@@ -1,4 +1,5 @@
-"""Coupling-function families |V(x)|^2 between the discrete level and the continuum.
+"""Coupling-function families |V(x)|^2 between the discrete level and the continuum,
+and the one map between a caller's units and the package's own.
 
 Each family is one power law, |V(x)|^2 = g2 x^p exp(-x/L) with p = d - 2 for
 a continuum of dimension d: ``TWO_DIM_EXP`` (p = 0) is nonzero at the edge
@@ -6,6 +7,11 @@ x = 0, ``THREE_DIM_EXP`` (p = 1) vanishes linearly there.  The integral of
 |V|^2 over [0, inf) is g2 L^{p+1} p!, that of |V|^2 / x is g2 L^p (p - 1)!,
 divergent at p = 0.  The exponential cutoff makes every downstream integral
 checkable against a closed form, which is why these families were chosen.
+
+Inside the package a model is ``Canonical`` (e1 = 0, L = 1): the family,
+gamma = g2 L^{p-1} and beta = (e2 - e1) / L, on xi = (lambda - e1) / L and
+tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The public entry points map to and
+from it through ``Units``, which is exact at e1 = 0, L = 1.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
 modeled.  Natural units throughout (all energies and times dimensionless).
@@ -16,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,3 +115,95 @@ def tail_mass(model: CouplingModel, x0: float) -> float:
         x0_n *= x0
         poly = x0_n + n * model.cutoff * poly
     return model.strength_sq * model.cutoff * poly * math.exp(-x0 / model.cutoff)
+
+
+def certify_tail(model: CouplingModel, cut: float, tol: float) -> None:
+    """Refuse a model whose |V|^2 integrals cannot be cut at a finite
+    x = cut L with a tail remainder over x of at most ``tol``."""
+    upper = cut * model.cutoff
+    bound = tail_mass(model, upper) / upper
+    if not (math.isfinite(upper) and bound <= tol):  # a NaN bound fails
+        raise ValueError(
+            f"coupling g_sq={model.strength_sq!r}, cutoff={model.cutoff!r}: truncated at x="
+            f"{upper!r}, remainder {bound!r}; x must be finite, the remainder <= {tol!r}"
+        )
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """One physical scenario: level energies e1 < e2 and the coupling model."""
+
+    e1: float
+    e2: float
+    coupling: CouplingModel
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.e1) and math.isfinite(self.e2)):
+            raise ValueError("level energies must be finite")
+        if not self.e2 > self.e1:
+            raise ValueError(f"e2 must exceed e1, got e1={self.e1!r}, e2={self.e2!r}")
+        if not math.isfinite(self.level_gap):
+            raise ValueError(
+                f"level gap e2 - e1 must be finite, got e1={self.e1!r}, e2={self.e2!r}"
+            )
+        if not self.level_gap / self.coupling.cutoff > 0.0:
+            raise ValueError(f"level gap {self.level_gap!r} over the cutoff underflows to 0")
+
+    @property
+    def level_gap(self) -> float:
+        return self.e2 - self.e1
+
+
+class Canonical(NamedTuple):
+    """A model at e1 = 0 and L = 1: the family, gamma and the level gap beta."""
+
+    family: CouplingFamily
+    gamma: float
+    beta: float
+
+    @property
+    def coupling(self) -> CouplingModel:
+        """|V(xi)|^2 = gamma xi^p e^{-xi}, the coupling at L = 1."""
+        return CouplingModel(self.family, self.gamma, 1.0)
+
+    @property
+    def params(self) -> ModelParams:
+        """The model at e1 = 0, L = 1, where every entry point's map is exact."""
+        return ModelParams(0.0, self.beta, self.coupling)
+
+
+class Units:
+    """The map between a caller's model (``coupling`` its |V|^2) and its
+    ``Canonical`` form ``model``: lambda = e1 + L xi, tau = L t, rho = rho~ / L,
+    k = L k~ with gamma = g2 L^{p-1}, e0 = e1 - L s0 from ln s0, w unchanged
+    and C(t) = e^{-i e1 t} C~(L t)."""
+
+    __slots__ = ("model", "e1", "coupling")
+
+    def __init__(self, params: ModelParams) -> None:
+        coupling = self.coupling = params.coupling
+        g2, cutoff, p = coupling.strength_sq, coupling.cutoff, coupling.family.power
+        gamma = g2 / cutoff if p == 0 else g2 * cutoff ** (p - 1)
+        self.model = Canonical(coupling.family, gamma, params.level_gap / cutoff)
+        self.e1 = params.e1
+
+    def up(self, x):
+        return self.coupling.cutoff * x
+
+    def down(self, x):
+        return x / self.coupling.cutoff
+
+    def xi(self, lam):
+        return (lam - self.e1) / self.coupling.cutoff
+
+    def energy(self, xi):
+        return self.e1 + self.coupling.cutoff * xi
+
+    def eigenvalue(self, ln_s: float) -> float:
+        """e1 - exp(ln s0 + ln L), or the closest float below e1 if it underflows."""
+        e0 = self.e1 - math.exp(ln_s + math.log(self.coupling.cutoff))
+        return e0 if e0 < self.e1 else float(np.nextafter(self.e1, -math.inf))
+
+    def phase(self, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """C(t) from C~(L t): e^{-i e1 t} C~, none at e1 = 0."""
+        return c * np.exp(-1j * self.e1 * t) if self.e1 else c

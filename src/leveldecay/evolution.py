@@ -6,26 +6,27 @@ exists, plus the transform of the continuous density,
 
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
-and P(t) = |C(t)|^2.  The continuous term is evaluated with a phase-aware
-panel rule on the exact (closed-form) density, on a uniform grid from 0
-only, t_k = k dt: at least two increasing times starting at t = 0, off a
-straight line by at most 64 eps t_max.  Any other grid, an offset or signed
-one included, raises ValueError before any node is built; one late time t
-is the grid [0, t].  Panels come from one lattice of points e1 + P w,
-anchored at the threshold, with w = pi / (Q dt), Q = ceil(t_max / (2 dt)),
-no wider than one period 2*pi/t_max at the largest time.  The converged
-segments of the density table with a lattice point inside come in runs of
-consecutive segments, and the lattice points cut each run into full lattice
-panels plus at most a head and a tail remainder; every other segment is one
-panel.  So a lattice panel may cross a boundary between two segments of a
-run, where the density is smooth, but never a run's ends.  A fixed 10-point
-Gauss-Legendre rule on every panel gives one node set x_j with weights
-a_j = rho(x_j) * w_j * half-width, and C(t) = sum of a_j exp(-i t x_j) for
-every requested t.
+and P(t) = |C(t)|^2.  The transform is canonical (``coupling``): it takes
+C~(tau) on xi = (lam - e1) / L at tau = L t, and C(t) = e^{-i e1 t} C~(L t).
+The continuous term is evaluated with a phase-aware panel rule on the exact
+(closed-form) density, on a uniform grid from 0 only, t_k = k dt: at least
+two increasing times starting at t = 0, off a straight line by at most 64 eps
+t_max.  Any other grid, an offset or signed one included, raises ValueError
+before any node is built; one late time t is the grid [0, t].  Panels come
+from one lattice of points P w in xi, anchored at the threshold, with
+w = pi / (Q dtau), Q = ceil(t_max / (2 dt)), no wider than one period
+2*pi/tau_max at the largest time.  The converged segments of the density
+table with a lattice point inside come in runs of consecutive segments, and
+the lattice points cut each run into full lattice panels plus at most a head
+and a tail remainder; every other segment is one panel.  So a lattice panel may cross a
+boundary between two segments of a run, where the density is smooth, but
+never a run's ends.  A fixed 10-point Gauss-Legendre rule on every panel
+gives one node set x_j with weights a_j = rho~(x_j) * w_j * half-width, and
+C~(tau) = sum of a_j exp(-i tau x_j) for every requested tau.
 
 The full panels' nodes form ten arithmetic progressions
-e1 + w (P + (1 + x_g) / 2) over the global index P, and their sum is
-sum over g of exp(-i t_k c_g) * sum over p of a_gp exp(-i pi k p / Q),
+w (P + (1 + x_g) / 2) over the global index P, and their sum is
+sum over g of exp(-i tau_k c_g) * sum over p of a_gp exp(-i pi k p / Q),
 with c_g the first panel's nodes and a_gp the weight of node g of panel
 P_first + p.  The phase depends on p modulo 2Q only, so the inner sum is
 the length-2Q DFT of row g's weights folded modulo 2Q, read at k modulo 2Q;
@@ -47,14 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_sq
+from .coupling import Units, coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X, NumericalError
-from .spectrum import (
-    _NORMALIZATION_GATE,
-    ModelParams,
-    SpectralData,
-    spectral_density,
-)
+from .spectrum import _NORMALIZATION_GATE, ModelParams, SpectralData, spectral_density
 
 
 class OscillatoryBudgetExceededError(NumericalError):
@@ -122,26 +118,19 @@ _MAX_PANELS = 125_000
 
 
 def _panel_cuts(
-    spec: SpectralData, w: float
+    edges: np.ndarray, mass: np.ndarray, w: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The panels of the lattice e1 + P w, held to the panel budget.
-
-    A segment of negligible mass, or with no lattice point inside, is one
-    panel.  The other segments are cut, and each run of consecutive cut
-    segments is cut as one: into the full lattice panels between its first
-    and last lattice point plus a head and a tail remainder (none of zero
-    width), so where two of its segments meet off a lattice point the
-    lattice panel across that edge is whole.  Returns (first, counts, left,
+    """The module docstring's panels of the lattice P w over the segments
+    ``edges`` in xi, of masses ``mass``; a segment of negligible mass is one
+    panel, and no remainder has zero width.  Returns (first, counts, left,
     right): ``counts`` full panels from index ``first`` per run, then the
     edges of the other panels.  Raises OscillatoryBudgetExceededError past
     125,000 panels in all.
     """
-    edges = spec.segments
-    e1 = spec.params.e1
-    live = spec.segment_mass >= _SEGMENT_MASS_FLOOR
+    live = mass >= _SEGMENT_MASS_FLOOR
     # Floats until the budget is met: a count past 2**63 would wrap in int64.
-    first = np.ceil((edges[:-1] - e1) / w)
-    last = np.floor((edges[1:] - e1) / w)
+    first = np.ceil(edges[:-1] / w)
+    last = np.floor(edges[1:] / w)
     cut = live & (first <= last)  # a lattice point lies inside the segment
     # Runs of cut segments: where one starts, the segment before is not cut.
     starts = np.flatnonzero(cut & ~np.append(False, cut[:-1]))
@@ -149,8 +138,8 @@ def _panel_cuts(
     first, last = first[starts], last[ends]
     counts = last - first
     # Head and tail remainders, then the segments that stay one panel.
-    left = np.concatenate([edges[starts], e1 + last * w, edges[:-1][~cut]])
-    right = np.concatenate([e1 + first * w, edges[ends + 1], edges[1:][~cut]])
+    left = np.concatenate([edges[starts], last * w, edges[:-1][~cut]])
+    right = np.concatenate([first * w, edges[ends + 1], edges[1:][~cut]])
     keep = right > left
     total = float(counts.sum()) + float(keep.sum())
     if not total <= _MAX_PANELS:
@@ -165,37 +154,30 @@ def _panel_cuts(
 def _transform_nodes(
     spec: SpectralData, w: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, weights a (rho(x) times the rule weight) and lattice indices.
-
-    The panels are those ``_panel_cuts`` gives.  The full panels come first,
-    in increasing P, with nodes e1 + w (P + (1 + x_g) / 2), ten to a panel;
-    their indices P are the third result.  The other panels follow.
-    """
-    first, counts, left, right = _panel_cuts(spec, w)
-    e1 = spec.params.e1
+    """Nodes x in xi, weights a (rho~(x) times the rule weight) and the
+    lattice indices P of ``_panel_cuts``'s full panels, which come first, in
+    increasing P, ten nodes to a panel; the other panels follow."""
+    units = Units(spec.params)
+    first, counts, left, right = _panel_cuts(units.xi(spec.segments), spec.segment_mass, w)
     # Segment i's panels first_i, first_i + 1, ... in a run starting at offset_i.
     offset = np.cumsum(counts) - counts
     lattice = np.arange(counts.sum()) + np.repeat(first - offset, counts)
     half = 0.5 * (right - left)
     mid = left + half
     nodes = np.concatenate([
-        (e1 + w * (lattice[:, None] + 0.5 * (1.0 + _GL_X)[None, :])).ravel(),
+        (w * (lattice[:, None] + 0.5 * (1.0 + _GL_X)[None, :])).ravel(),
         (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    dens = spectral_density(spec.params, nodes)
+    dens = spectral_density(units.model.params, nodes)
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
 def _lattice_dft(a: np.ndarray, p: np.ndarray, q: int, n: int) -> np.ndarray:
-    """sum over j of a[:, j] exp(-i pi k p_j / q) for k < n, row by row.
-
-    The p_j are distinct and nonnegative.  The phase depends on p_j modulo
-    2q only, so the sum is the length-2q DFT of the row's weights folded
-    modulo 2q, read at k modulo 2q.  Each bin's weights lie along the last
-    axis, which numpy sums pairwise: a two-time grid (q = 1) folds thousands
-    of panels into each bin.
-    """
+    """sum over j of a[:, j] exp(-i pi k p_j / q) for k < n, row by row, for
+    distinct p_j >= 0: the fold modulo 2q and its DFT.  Each bin's weights
+    lie along the last axis, which numpy sums pairwise: a two-time grid
+    (q = 1) folds thousands of panels into each bin."""
     period = 2 * q
     bins = np.zeros((a.shape[0], period, int(p[-1]) // period + 1))
     bins[:, p % period, p // period] = a
@@ -219,14 +201,9 @@ def _uniform_sums(
     x: np.ndarray, a: np.ndarray, lattice: np.ndarray,
     times: np.ndarray, dt: float, q: int,
 ) -> np.ndarray:
-    """sum of a_j exp(-i t_k x_j) on a grid t_k = k dt: one lattice DFT in all.
-
-    The lattice panels' nodes are c_g + p w, p = P - P_first, and
-    t_k p w = pi k p / q, so their sum is the length-2q DFT of each row g's
-    weights folded modulo 2q (``_lattice_dft``), turned by exp(-i t_k c_g).
-    The other nodes are contracted directly with their coarse and fine phase
-    tables.
-    """
+    """sum of a_j exp(-i t_k x_j) on a grid t_k = k dt: the lattice nodes by
+    ``_lattice_dft`` turned by exp(-i t_k c_g), the others directly with
+    their coarse and fine phase tables."""
     n = times.size
     rule = _GL_X.size
     split = rule * lattice.size
@@ -265,34 +242,28 @@ def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
 
 
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
-    """C(t) on a uniform grid from 0; no series-level validation.
-
-    C(t_k) = sum of a_j exp(-i t_k x_j) over one node set on the lattice
-    ``_uniform_lattice`` gives; the lattice panels' sum is one fold modulo
-    2Q and one length-2Q DFT (``_uniform_sums``), O(R + n log n) in all.
-    Raises ValueError unless the grid is t_k = k dt, before any node is built.
-    """
+    """C(t) on a uniform grid from 0, from C~ at tau = L t on the lattice
+    ``_uniform_lattice`` gives; no series-level validation."""
     if spec.normalization_defect > _NORMALIZATION_GATE:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
-    dt, q, w = _uniform_lattice(times)
+    units = Units(spec.params)
+    tau = units.up(times)
+    dt, q, w = _uniform_lattice(tau)
     x, a, lattice = _transform_nodes(spec, w)
-    out = _uniform_sums(x, a, lattice, times, dt, q)
+    out = _uniform_sums(x, a, lattice, tau, dt, q)
     if spec.eigenvalue is not None:
-        out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
-    return out
+        out += spec.weight * np.exp(-1j * units.xi(spec.eigenvalue) * tau)
+    return units.phase(out, times)
 
 
 def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
     """Survival amplitude series over ``times`` from assembled spectral data.
 
-    ``times`` must be a uniform grid t_k = k dt from 0 of at least two
-    increasing times (ValueError otherwise); for one late time t pass
-    [0, t].  The lattice panels' sum is one length-2Q DFT of their folded
-    weights, O(R + n log n) for R panels and n times.  The spectral data must
-    have passed its normalization check (build_spectral_data enforces this).
-    Raises OscillatoryBudgetExceededError when the panel set that resolves
-    the largest time exceeds 125,000 panels.
+    ``times`` must be a uniform grid t_k = k dt from 0 (ValueError otherwise),
+    and the spectral data must have passed its normalization check
+    (build_spectral_data enforces this).  Raises
+    OscillatoryBudgetExceededError past 125,000 panels.
     """
     times = np.asarray(times, dtype=float)
     return AmplitudeSeries(times, _amplitude_points(spec, times), MethodTag.SPECTRAL)

@@ -6,11 +6,12 @@ integrals from exponential-integral closed forms (see ``leveldecay.spectrum``).
 Quadrature has two entry points: ``gate_integrals`` takes all three at a list
 of distances from the edge in one pass, the gate those closed forms must pass
 before first use and the tests' reference; ``k_regular`` takes k alone, for
-the eigenvalue oracle of ``verify`` criterion 8.  All three are one integral
-in x, of (|V(x)|^2 - f0) / (x - c)^n: k and the weight integral at c = -a,
-f0 = 0 and n = 1, 2, seeded geometrically in x + a; the principal value at
-the pole c with f0 = |V(c)|^2, smooth at c, plus the exact log term of the
-subtracted f0 / (x - c).
+the eigenvalue oracle of ``verify`` criterion 8.  In the canonical model
+(``coupling``) all three are one integral in xi, of (|V(xi)|^2 - f0) /
+(xi - c)^n: k and the weight integral at c = -s, f0 = 0 and n = 1, 2, seeded
+geometrically in xi + s; the principal value at the pole c = s with
+f0 = |V(s)|^2, smooth at s, plus the exact log term of the subtracted
+f0 / (xi - c).  k and PV k are L times these in the caller's units.
 
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
@@ -24,14 +25,11 @@ for ``k_regular``, and the density table of ``leveldecay.spectrum``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import CouplingModel, coupling_sq, tail_mass
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .spectrum import ModelParams
+from .coupling import Canonical, ModelParams, Units, certify_tail, coupling_sq
 
 
 class NumericalError(RuntimeError):
@@ -48,8 +46,8 @@ class NonConvergenceError(NumericalError):
 
 
 # Integrator tolerances and budget, and the truncation: k and the weight
-# integral stop at TAIL_CUT coupling cutoffs, the principal value that far
-# beyond its pole, where the closed-form tail remainder must stay below TAIL_TOL.
+# integral stop at xi = TAIL_CUT, the principal value that far beyond its
+# pole, where the caller's closed-form tail remainder must stay below TAIL_TOL.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_SUBDIVISIONS = 4000
@@ -184,17 +182,9 @@ def _edges_toward(lo: float, hi: float, levels: int) -> np.ndarray:
     return np.unique(np.concatenate([[lo], inner, [hi]]))
 
 
-def _check_tail(params: ModelParams, a: float) -> float:
-    """Truncation point for k integrands, finite and certified by the tail bound."""
-    model = params.coupling
-    upper = TAIL_CUT * model.cutoff
-    bound = tail_mass(model, upper) / (upper + a)
-    if not (math.isfinite(upper) and bound <= TAIL_TOL):  # a NaN bound fails
-        raise ValueError(
-            f"coupling g_sq={model.strength_sq!r}, cutoff={model.cutoff!r}: truncated at x="
-            f"{upper!r}, remainder {bound!r}; x must be finite, the remainder <= {TAIL_TOL!r}"
-        )
-    return upper
+def _check_tail(params: ModelParams) -> None:
+    """Certify that the model's integrals can be cut at TAIL_CUT cutoffs."""
+    certify_tail(params.coupling, TAIL_CUT, TAIL_TOL)
 
 
 class _Integral(NamedTuple):
@@ -208,14 +198,14 @@ class _Integral(NamedTuple):
     f0: float = 0.0
 
 
-def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
+def _integrals(model: Canonical, parts: list[_Integral]) -> list[float]:
     """Every integral of ``parts`` over its edges, refined in one pass of
     ``_refine``; each sums its own converged panels."""
     c, order, f0 = np.array([(q.c, q.order, q.f0) for q in parts]).T
 
     def integrand(x, which):
         x, j = x.reshape(which.size, -1), which[:, None]
-        return ((coupling_sq(model, x) - f0[j]) / (x - c[j]) ** order[j]).ravel()
+        return ((coupling_sq(model.coupling, x) - f0[j]) / (x - c[j]) ** order[j]).ravel()
 
     _, _, vals, _, which = _refine(
         integrand, [q.edges for q in parts], _ABS_TOL, [q.rel_tol for q in parts],
@@ -224,28 +214,25 @@ def _integrals(model: CouplingModel, parts: list[_Integral]) -> list[float]:
     return [float(v.sum()) for v in np.split(vals, np.flatnonzero(np.diff(which)) + 1)]
 
 
-def _k_part(params: ModelParams, a: float, order: int) -> _Integral:
-    """The integral of |V(x)|^2 / (x + a)^order over [0, inf), for a distance
-    a > 0, at a relative tolerance of 1e-11: seeded geometrically in x + a,
-    1.5 panels an octave from a to the truncation point plus a."""
-    if not a > 0.0:
-        raise ValueError(f"requires lambda < e1, i.e. a = e1 - lambda > 0; got a={a!r}")
-    ln_lo, ln_hi = math.log(a), math.log(_check_tail(params, a) + a)
+def _k_part(s: float, order: int) -> _Integral:
+    """k (order 1) or the weight integral (order 2) at s > 0, to a relative
+    1e-11, seeded with 1.5 panels an octave in xi + s."""
+    if not s > 0.0:
+        raise ValueError(f"requires lambda < e1, i.e. s = (e1 - lambda) / L > 0; got s={s!r}")
+    ln_lo, ln_hi = math.log(s), math.log(TAIL_CUT + s)
     n_seed = max(16, math.ceil(1.5 * (ln_hi - ln_lo) / math.log(2.0)))
-    edges = np.exp(np.linspace(ln_lo, ln_hi, n_seed + 1)) - a
-    edges[0] = 0.0  # exp(ln a) - a can miss 0 by an ulp of a
-    return _Integral(edges, 1e-11, -a, order)
+    edges = np.exp(np.linspace(ln_lo, ln_hi, n_seed + 1)) - s
+    edges[0] = 0.0  # exp(ln s) - s can miss 0 by an ulp of s
+    return _Integral(edges, 1e-11, -s, order)
 
 
-def _pv_part(params: ModelParams, t: float) -> tuple[_Integral, float]:
-    """PV k at t: the integral of (|V(x)|^2 - |V(c)|^2) / (x - c) over [0, U],
-    c = t - e1, smooth at c, and the exact log term |V(c)|^2 ln((U - c) / c)
-    of the subtracted part."""
-    c = t - params.e1
+def _pv_part(model: Canonical, c: float) -> tuple[_Integral, float]:
+    """PV k at xi = c over [0, U], U = c + TAIL_CUT, and the log term
+    |V(c)|^2 ln((U - c) / c) of the subtracted part."""
     if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"PV k requires e1 < t < inf, got t={t!r}")
-    upper = c + _check_tail(params, 0.0)
-    fc = coupling_sq(params.coupling, c)
+        raise ValueError(f"PV k requires e1 < t < inf, got xi = (t - e1) / L = {c!r}")
+    upper = c + TAIL_CUT
+    fc = coupling_sq(model.coupling, c)
     edges = np.unique(np.append(np.linspace(0.0, upper, 17), c))
     return _Integral(edges, _REL_TOL, c, f0=fc), fc * math.log((upper - c) / c)
 
@@ -256,16 +243,20 @@ def k_regular(params: ModelParams, lam: float) -> float:
     Requires lambda < e1 (below the continuum edge), where the integrand is
     nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
     """
-    return _integrals(params.coupling, [_k_part(params, params.e1 - lam, 1)])[0]
+    _check_tail(params)
+    units = Units(params)
+    return units.up(_integrals(units.model, [_k_part(-units.xi(lam), 1)])[0])
 
 
 def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
-    """The three arrays k at e1 - s, PV k at e1 + s and the weight integral at s
-    over the distances s: three integrals per s, refined in one ``_refine`` pass."""
+    """The three arrays k at e1 - d, PV k at e1 + d and the weight integral at d
+    over the distances d: three integrals per d, refined in one ``_refine`` pass."""
+    _check_tail(params)
+    units = Units(params)
     parts, log_terms = [], []
-    for s in distances:
-        pv, log_term = _pv_part(params, params.e1 + s)
-        parts += [_k_part(params, s, 1), pv, _k_part(params, s, 2)]
+    for s in map(units.down, distances):
+        pv, log_term = _pv_part(units.model, s)
+        parts += [_k_part(s, 1), pv, _k_part(s, 2)]
         log_terms.append(log_term)
-    v = np.array(_integrals(params.coupling, parts)).reshape(-1, 3)
-    return v[:, 0], v[:, 1] + np.array(log_terms), v[:, 2]
+    v = np.array(_integrals(units.model, parts)).reshape(-1, 3)
+    return units.up(v[:, 0]), units.up(v[:, 1] + np.array(log_terms)), v[:, 2]

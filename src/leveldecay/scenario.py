@@ -121,7 +121,7 @@ def _swept_model(base: ModelParams, parameter: str, value: float) -> ModelParams
     elif parameter == "lambda_cutoff":
         coupling = CouplingModel(coupling.family, coupling.strength_sq, value)
     params = ModelParams(e1, e1 + value if parameter == "level_gap" else base.e2, coupling)
-    _check_tail(params, 0.0)
+    _check_tail(params)
     return params
 
 
@@ -207,7 +207,7 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ConfigError(f"unknown keys: {sorted(table)}")
     sweep = None
     try:
-        _check_tail(params, 0.0)
+        _check_tail(params)
         if sweep_param is not None:
             sweep = SweepSpec(values, tuple(_swept_model(params, sweep_param, v) for v in values))
     except ValueError as exc:

@@ -2,33 +2,33 @@
 
 For level energies e1 < e2 and a coupling model, the spectrum consists of an
 absolutely continuous part covering [e1, inf) with density rho, plus at most
-one simple eigenvalue e0 < e1.  The eigenvalue solves
+one simple eigenvalue e0 < e1.  In the canonical model (``coupling``), on
+xi = (lam - e1) / L with |V(xi)|^2 = gamma xi^p e^{-xi}, the eigenvalue
+xi0 = -s0 solves
 
-    e2 - lam = k(lam),    k(lam) = integral of |V(x)|^2 / (x + e1 - lam),
+    F(s) = beta + s - gamma k_p(s) = 0,    k_p(s) = integral of xi^p e^{-xi} / (xi + s),
 
-exists always at p = 0 (2d: k diverges at the edge) and, for p >= 1,
-exactly when e2 - e1 is smaller than the integral of |V(x)|^2 / x.
-Its weight in the spectral measure of the initial excited state is the
-residue w = 1 / (1 + dk/dlam) of the resolvent at e0, and the density is
+always at p = 0 (2d: k_0 diverges at the edge) and, for p >= 1, exactly
+when gamma (p - 1)! > beta.  Its weight in the spectral measure of the
+initial excited state is the residue w = s / (s - gamma s k_p'(s)) of the
+resolvent, and the density is
 
-    rho(t) = |V(t - e1)|^2 / [(e2 - t - PV k(t))^2 + pi^2 |V(t - e1)|^4]
+    rho~(xi) = |V(xi)|^2 / [(beta - xi - gamma P_p(xi))^2 + pi^2 |V(xi)|^4]
 
-for t > e1, zero below.  The measure is normalized: w plus the integrated
-density equals 1, which every assembled table is checked against.
-
-For |V|^2 = g2 x^p e^{-x/L}, k and PV k are g2 L^p times closed forms in the
-exponential integrals Ei and E1 (Abramowitz & Stegun 5.1) of s, the distance
-from the edge in units of L, so e0, w and rho are computed from those.  Each
-is one step up in p, and so is the slope s k' = s dk/ds that Newton steps on:
+for xi > 0, zero below.  The measure is normalized: w plus the integrated
+density equals 1, which every assembled table is checked against.  k_p and
+the principal value P_p are closed forms in the exponential integrals Ei and
+E1 (Abramowitz & Stegun 5.1) of s, each one step up in p, and so is the
+slope s k' = s dk/ds that Newton steps on:
 
     k_0 = e^{s} E1(s),     k_{n+1} = n! - s k_n,
     P_0 = -e^{-s} Ei(s),   P_{n+1} = n! + s P_n      (PV k),
     s k_0' = s k_0 - 1,    s k_{n+1}' = s (n! - (n + 1 + s) k_n).
 
-The weight integral dk/dlam, of |V(x)|^2 / (x + e1 - lam)^2, is read from
-that slope.  Before a family's closed forms are first used, k, PV k and that
-slope must agree with adaptive quadrature to a relative 1e-8 at twelve
-points; the gate refines those 36 integrals in one batched pass
+The weight integral -k_p'(s) is read from that slope.  Before a family's
+closed forms are first used, k, PV k and that slope must agree with adaptive
+quadrature to a relative 1e-8 at twelve points, at gamma = 1; the gate
+refines those 36 integrals in one batched pass
 (``quadrature.gate_integrals``).  A mismatch raises ``ClosedFormMismatchError``.
 """
 
@@ -41,7 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .coupling import CouplingFamily, CouplingModel, coupling_sq, sq_over_x_integral
+from .coupling import (
+    Canonical, CouplingFamily, ModelParams, Units, coupling_sq, sq_over_x_integral,
+)
 from .quadrature import (
     _EPS,
     TAIL_CUT,
@@ -67,29 +69,6 @@ class ThresholdMarginalError(NumericalError, ValueError):
 
 class ClosedFormMismatchError(NumericalError):
     """Closed-form k, PV k or weight integral disagrees with adaptive quadrature."""
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """One physical scenario: level energies e1 < e2 and the coupling model."""
-
-    e1: float
-    e2: float
-    coupling: CouplingModel
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.e1) and math.isfinite(self.e2)):
-            raise ValueError("level energies must be finite")
-        if not self.e2 > self.e1:
-            raise ValueError(f"e2 must exceed e1, got e1={self.e1!r}, e2={self.e2!r}")
-        if not math.isfinite(self.level_gap):
-            raise ValueError(
-                f"level gap e2 - e1 must be finite, got e1={self.e1!r}, e2={self.e2!r}"
-            )
-
-    @property
-    def level_gap(self) -> float:
-        return self.e2 - self.e1
 
 
 @dataclass(frozen=True)
@@ -167,7 +146,7 @@ def _scaled_e1(s: float) -> float:
     return math.exp(s) * float(special.exp1(s))
 
 
-# The closed forms at g2 = L = 1 in the scaled distance s from the edge, by
+# The closed forms at gamma = 1 in the scaled distance s from the edge, by
 # the module docstring's recurrences in p, step n on (n, (n - 1)!) of _STEPS.
 def _k_unit_and_slope(family: CouplingFamily, s: float, e: float) -> tuple[float, float]:
     """k_p(s) for k(e1 - s) below the edge and s dk_p/ds, from e = e^{s} E1(s)."""
@@ -185,27 +164,15 @@ def _pv_k_unit(family: CouplingFamily, s):
     return pv
 
 
-def _k_scale(model: CouplingModel) -> float:
-    """g2 L^p, the factor between k (or PV k) and its g2 = L = 1 form."""
-    scale = model.strength_sq
-    for _ in range(model.family.power):
-        scale *= model.cutoff
-    return scale
-
-
 @functools.lru_cache(maxsize=None)
 def _closed_form_gate(family: CouplingFamily) -> bool:
-    """Gate one family's closed forms against adaptive quadrature.
-
-    Every closed form is a power of L times g2 times a function of s alone, so
-    one check at g2 = L = 1 over s in [1e-8, 1e3] covers every model of the
-    family.  The quadrature side is ``gate_integrals``: all 36 adaptive
-    integrals in one pass.  Raises ``ClosedFormMismatchError`` on a relative
-    deviation above 1e-8, so values far below 1, such as the weight integral
-    at s = 1e3 (about 1e-6), are checked to the same digits as the rest.
+    """Gate one family's closed forms against adaptive quadrature, at
+    gamma = 1 over s in [1e-8, 1e3], which covers every model of the family.
+    The relative 1e-8 checks values far below 1, such as the weight integral
+    at s = 1e3 (about 1e-6), to the same digits as the rest.
     """
-    params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
-    k, pv, weight = (q.tolist() for q in gate_integrals(params, _GATE_POINTS))
+    unit = Canonical(family, 1.0, 1.0).params
+    k, pv, weight = (q.tolist() for q in gate_integrals(unit, _GATE_POINTS))
     for s, k_s, pv_s, weight_s in zip(_GATE_POINTS, k, pv, weight):
         k_closed, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
         for name, closed, quad in (
@@ -222,25 +189,21 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
     return True
 
 
-def k_pv_closed(params: ModelParams, t):
-    """Principal value of k at energies t > e1 (scalar or array), in closed form."""
-    model = params.coupling
+def k_pv_closed(model: Canonical, xi):
+    """gamma P_p(xi): the principal value of k at xi > 0 (an array), in closed form."""
     _closed_form_gate(model.family)
-    s = (np.asarray(t, dtype=float) - params.e1) / model.cutoff
-    return _k_scale(model) * _pv_k_unit(model.family, s)
+    return model.gamma * _pv_k_unit(model.family, xi)
 
 
-def _eigen_equation(family, gap, scale, ln_cutoff, u) -> tuple[float, float]:
-    """F(u) = gap + e^u - g2 L^p k_unit(s) and dF/du at s = e^u / L.  Below
-    ln s = -700, where s underflows, s = 0 and e^{s} E1(s) = -gamma - ln s."""
-    ln_s = u - ln_cutoff
-    if ln_s > _EDGE_LN_S:
-        s = math.exp(ln_s)
+def _eigen_equation(family, beta, gamma, u) -> tuple[float, float]:
+    """F(u) = beta + s - gamma k_p(s) and dF/du at s = e^u.  Below
+    u = -700, where s underflows, s = 0 and e^{s} E1(s) = -gamma_E - u."""
+    s = math.exp(u)
+    if u > _EDGE_LN_S:
         k, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
     else:
-        k, s_dk = _k_unit_and_slope(family, 0.0, -np.euler_gamma - ln_s)
-    a = math.exp(u)
-    return gap + a - scale * k, a - scale * s_dk
+        k, s_dk = _k_unit_and_slope(family, 0.0, -np.euler_gamma - u)
+    return beta + s - gamma * k, s - gamma * s_dk
 
 
 def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]:
@@ -293,43 +256,33 @@ def _solve_eigenvalue(params: ModelParams) -> float:
     """The unique eigenvalue e0 < e1 of a model the threshold test has found a
     bound state in (neither degenerate nor marginal).
 
-    With a = e1 - lam, F = e2 - lam - k(lam) = gap + a - k(e1 - a) is strictly
-    increasing in a, positive for large a and negative toward the edge, so a
-    sign-change bracket pins the root uniquely.  The root is solved in
-    u = ln a on the closed form of k, which stays well conditioned down to
-    distances that underflow double precision: there k takes its edge
-    asymptote.  The far end of the bracket starts at a = e2 - e1 and
-    doubles; F > 0 is certain from a = sqrt(integral of |V|^2) on, since
-    k(e1 - a) < (integral of |V|^2) / a, so the search gives up only beyond
-    twice the larger of that bound and the level gap.  The near end steps
-    toward the edge in u by doubling steps.  Inside the bracket Newton
-    steps in u on the slope s dk/ds, safeguarded by bisection and closed by
-    a probe across the root once Newton has converged from one side, run
-    until the bracket is narrower than 1e-15 + 4 eps |u|.  The root is
-    certified by the residual gate |F| <= 1e-10 max(1, gap + a), the scale
-    of the terms F cancels, which does not use the slope.
+    F(s) is strictly increasing, positive for large s and negative toward the
+    edge, so a sign-change bracket pins the root, solved in u = ln s, which
+    holds distances that underflow as s: there k_p takes its edge asymptote.
+    The far end of the bracket starts at s = beta and doubles; F > 0 is
+    certain from s = sqrt(gamma p!) on, since gamma k_p(s) < gamma p! / s.
+    The near end steps toward the edge in u by doubling steps.  Newton steps
+    in u on the slope s dk/ds, safeguarded as ``_newton_in_bracket`` says.
+    The root is certified by the residual gate |F| <= 1e-10 (beta + s), the
+    scale of the terms F cancels.  ln s, not s, crosses the map to e0.
 
     Raises:
         BracketFailureError: bracketing, iteration or residual tolerance failed.
     """
-    model = params.coupling
-    _closed_form_gate(model.family)
-    gap = params.level_gap
-    scale = _k_scale(model)
-    f_and_slope = functools.partial(
-        _eigen_equation, model.family, gap, scale, math.log(model.cutoff)
-    )
+    units = Units(params)
+    family, gamma, beta = units.model
+    _closed_form_gate(family)
+    f_and_slope = functools.partial(_eigen_equation, family, beta, gamma)
 
-    d = gap
-    # sqrt(g2 L^{p+1} p!) in products, which overflow to inf, not to an error.
-    positive_from = math.sqrt(scale * model.cutoff * math.factorial(model.family.power))
+    d = beta
+    positive_from = math.sqrt(gamma * math.factorial(family.power))
     d_limit = 2.0 * max(positive_from, d)
     u_hi = math.log(d)
     while (fd_hi := f_and_slope(u_hi))[0] < 0.0:
         d *= 2.0
         if d > d_limit:
             raise BracketFailureError(
-                f"F < 0 at a = {d / 2.0!r}, beyond {positive_from!r} where it "
+                f"F < 0 at s = {d / 2.0!r}, beyond {positive_from!r} where it "
                 "must be positive"
             )
         u_hi = math.log(d)
@@ -339,28 +292,24 @@ def _solve_eigenvalue(params: ModelParams) -> float:
         if step > 2.0**60:
             raise BracketFailureError("near-edge bracket expansion exhausted")
     u_root, residual = _newton_in_bracket(f_and_slope, u_hi - step, fd_lo, u_hi, fd_hi)
-    res_tol = 1e-10 * max(1.0, gap + math.exp(u_root))
+    res_tol = 1e-10 * (beta + math.exp(u_root))
     if not abs(residual) <= res_tol:
         raise BracketFailureError(
             f"root residual {residual!r} did not reach tolerance {res_tol!r}"
         )
-    e0 = params.e1 - math.exp(u_root)
-    if not e0 < params.e1:
-        # Distance to the edge underflows; report the closest float below e1.
-        e0 = float(np.nextafter(params.e1, -math.inf))
-    return e0
+    return units.eigenvalue(u_root)
 
 
 def eigen_weight(params: ModelParams, e0: float) -> float:
     """Weight w of the eigenvalue e0 in the initial state's spectral measure.
 
     w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2) with a = e1 - e0, the
-    residue of the resolvent.  The integral is -dk/da, so with s = a / L,
-    w = a / (a - g2 L^p s dk/ds), strictly inside (0, 1) for g2 > 0, from
-    the slope the eigenvalue solve steps on.  For distances below
-    the double-precision representability floor (a < 1e-280, reachable only
-    for extremely weak 2d couplings) the weight underflows and 0.0 is
-    returned.
+    residue of the resolvent: w = s / (s - gamma s dk_p/ds) at s = a / L,
+    taken as a / (a - L gamma s dk_p/ds), which stays exact where s
+    underflows (2d at L >= 1e300) and the slope takes its edge limit.  It is
+    strictly inside (0, 1) for g2 > 0.  For distances below the
+    double-precision representability floor (a < 1e-280, reachable only for
+    extremely weak 2d couplings) the weight underflows and 0.0 is returned.
     """
     model = params.coupling
     if model.strength_sq == 0.0:
@@ -372,10 +321,10 @@ def eigen_weight(params: ModelParams, e0: float) -> float:
         return 0.0
     _closed_form_gate(model.family)
     s = a / model.cutoff
-    # Where s underflows to 0, e^s E1(s) takes its edge asymptote, as in the solve.
     e = _scaled_e1(s) if s > 0.0 else math.log(model.cutoff) - math.log(a) - np.euler_gamma
     s_dk = _k_unit_and_slope(model.family, s, e)[1]
-    return a / (a - _k_scale(model) * s_dk)
+    # L gamma = g2 L^p, exact in the caller's units.
+    return a / (a - model.strength_sq * model.cutoff ** model.family.power * s_dk)
 
 
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
@@ -407,16 +356,22 @@ def spectral_density(params: ModelParams, t):
     p >= 1 the numerator vanishes, at p = 0 the principal value diverges).
     """
     scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    inside = t > params.e1
-    t_in = np.where(inside, t, params.e1 + params.coupling.cutoff)
-    v = coupling_sq(params.coupling, t_in - params.e1)
-    denom_shift = params.e2 - t_in - k_pv_closed(params, t_in)
-    # A shift beyond about 1e154 squares to inf, and v / inf = 0 is rho's
-    # exact limit there.
+    units = Units(params)
+    model = units.model
+    xi = units.xi(np.atleast_1d(np.asarray(t, dtype=float)))
+    inside = xi > 0.0
+    xi = np.where(inside, xi, 1.0)
+    v = coupling_sq(model.coupling, xi)
+    shift = model.beta - xi - k_pv_closed(model, xi)
+    # Terms times 2^n, n the exponent of 1 / gamma: exact, and squares of
+    # gamma's size stay in range for any L.  A scaled shift beyond about 1e154
+    # squares to inf, and v / inf = 0 is rho's exact limit there.
+    n = -math.frexp(model.gamma)[1]
     with np.errstate(over="ignore"):
-        denom = denom_shift * denom_shift + (math.pi * v) ** 2
-    rho = np.divide(v, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
+        v_n, shift_n = np.ldexp(v, n), np.ldexp(shift, n)
+        denom = shift_n * shift_n + (math.pi * v_n) ** 2
+        rho = np.divide(v_n, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
+        rho = units.down(np.ldexp(rho, n))
     return float(rho[0]) if scalar else rho
 
 
@@ -426,7 +381,7 @@ class SpectralData:
 
     ``params`` is the model the data belongs to; the spectral transform
     evaluates rho from it exactly.  ``grid``/``density`` tabulate rho at the
-    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * cutoff].
+    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * L].
     ``segments``/``segment_mass`` record the converged integration panels and
     their masses (the coarse partition the transform cuts into its panels).
     ``eigenvalue`` is None when no bound state exists; for the degenerate
@@ -457,31 +412,27 @@ _MASS_TOL = 1e-9
 _MAX_PANELS = 12000
 
 
-def _resonance_seeds(params: ModelParams, lam_max: float) -> np.ndarray:
-    """Seed grid points across the resonance bump of the density."""
-    center = params.e2 - float(k_pv_closed(params, params.e2))
-    if not params.e1 < center < lam_max:
+def _resonance_seeds(model: Canonical, bottom: float) -> np.ndarray:
+    """Seed grid points across the resonance bump of the density, and the
+    octaves from its center up to ``bottom``, the edge ladder's lowest seed."""
+    center = model.beta - float(k_pv_closed(model, model.beta))
+    if not 0.0 < center < TAIL_CUT:
         return np.empty(0)
-    width = math.pi * coupling_sq(params.coupling, center - params.e1)
-    width = max(width, 1e-9 * params.coupling.cutoff)
+    width = max(math.pi * coupling_sq(model.coupling, center), 1e-9)
     offsets = np.array([
         0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0,
     ])
     pts = center + width * np.concatenate([-offsets[:0:-1], offsets])
-    return pts[(pts > params.e1) & (pts < lam_max)]
+    octaves = center * 2.0 ** np.arange(1, math.ceil(math.log2(bottom / center)))
+    return np.concatenate([pts[(pts > 0.0) & (pts < TAIL_CUT)], octaves])
 
 
-def _edge_bump_seeds(
-    params: ModelParams, e0: float | None, lam_max: float
-) -> np.ndarray:
-    """Seed the near-edge density bump mirroring a 2d eigenvalue at e1 - a0."""
-    if e0 is None or params.coupling.family.power != 0:
+def _edge_bump_seeds(family: CouplingFamily, s0: float | None) -> np.ndarray:
+    """Seed the near-edge density bump mirroring a 2d eigenvalue at xi = -s0."""
+    if s0 is None or family.power != 0 or not 0.0 < s0 < 1.0:
         return np.empty(0)
-    a0 = params.e1 - e0
-    if not 0.0 < a0 < params.coupling.cutoff:
-        return np.empty(0)
-    pts = params.e1 + a0 * np.exp(np.linspace(-8.0, 8.0, 33))
-    return pts[(pts > params.e1) & (pts < lam_max)]
+    pts = s0 * np.exp(np.linspace(-8.0, 8.0, 33))
+    return pts[(pts > 0.0) & (pts < TAIL_CUT)]
 
 
 def build_spectral_data(params: ModelParams) -> SpectralData:
@@ -489,12 +440,13 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
 
     Eigenvalue and weight are ``point_mass``'s; at zero coupling they are the
     whole record, with an empty table.  The density is integrated over
-    [e1, e1 + TAIL_CUT * cutoff] with the Gauss-Kronrod machinery; panels are
+    xi in [0, TAIL_CUT] with the Gauss-Kronrod machinery; panels are
     bisected until the integrated-mass error estimate is below 1e-9, with
     extra seed points placed geometrically against the edge, across the
     resonance bump, and (2d case) around the near-edge structure mirroring
-    the eigenvalue.  All evaluated nodes become the table.  The total measure
-    must come out as a probability measure: a normalization defect above 1e-4
+    the eigenvalue.  All evaluated nodes become the table, at the caller's
+    lambda = e1 + L xi and rho = rho~ / L.  The total measure must
+    come out as a probability measure: a normalization defect above 1e-4
     raises.
 
     Raises:
@@ -502,7 +454,7 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         NormalizationFailureError: |weight + mass + tail - 1| > 1e-4.
         ThresholdMarginalError: model numerically on threshold.
     """
-    _check_tail(params, 0.0)
+    _check_tail(params)
     check, e0, weight = point_mass(params)
     if check.marginal:
         raise ThresholdMarginalError(
@@ -517,36 +469,35 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
             threshold_rhs=check.rhs, normalization_defect=0.0, degenerate=True,
         )
 
-    e1 = params.e1
-    lam_max = e1 + TAIL_CUT * params.coupling.cutoff
-    seeds = [
-        _edges_toward(e1, lam_max, levels=44),
-        np.linspace(e1, lam_max, 25),
-        _resonance_seeds(params, lam_max),
-        _edge_bump_seeds(params, e0, lam_max),
-    ]
-    edges = np.unique(np.concatenate(seeds))
+    units = Units(params)
+    model = units.model
+    ladder = _edges_toward(0.0, TAIL_CUT, levels=44)
+    edges = np.unique(np.concatenate([
+        ladder, np.linspace(0.0, TAIL_CUT, 25), _resonance_seeds(model, ladder[1]),
+        _edge_bump_seeds(model.family, None if e0 is None else -units.xi(e0)),
+    ]))
 
-    # Every node the mass integration evaluates becomes part of the table.
+    # Every node the mass integration evaluates becomes part of the table, with
+    # rho in the caller's units: over xi it integrates to mass / L, and it
+    # stays in range where rho~ = L rho would overflow (L near 1e306).
     nodes: list[np.ndarray] = []
     values: list[np.ndarray] = []
 
     def rho_batch(pts: np.ndarray) -> np.ndarray:
-        rho = spectral_density(params, pts)
+        rho = units.down(spectral_density(model.params, pts))
         nodes.append(pts)
         values.append(rho)
         return rho
 
     a, b, vals, _, _ = _refine(
-        lambda x, _: rho_batch(x), [edges], _MASS_TOL, 0.0, _MAX_PANELS
+        lambda x, _: rho_batch(x), [edges], units.down(_MASS_TOL), 0.0, _MAX_PANELS
     )
-    rho_end = spectral_density(params, lam_max)
-    nodes.append(np.array([e1, lam_max]))
-    values.append(np.array([0.0, rho_end]))
-    table_t, first = np.unique(np.concatenate(nodes), return_index=True)
+    rho_end = float(rho_batch(np.array([0.0, TAIL_CUT]))[1])
+    table_t, first = np.unique(units.energy(np.concatenate(nodes)), return_index=True)
     table_rho = np.concatenate(values)[first]
-    mass = float(vals.sum())
-    tail = rho_end * params.coupling.cutoff
+    segment_mass = units.up(vals)
+    mass = float(segment_mass.sum())
+    tail = units.up(rho_end)  # the mass beyond xi = TAIL_CUT, where rho falls like e^{-xi}
 
     defect = abs(weight + mass + tail - 1.0)
     if not defect <= _NORMALIZATION_GATE:
@@ -560,8 +511,8 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         weight=weight,
         grid=table_t,
         density=table_rho,
-        segments=np.append(a, b[-1]),
-        segment_mass=vals,
+        segments=units.energy(np.append(a, b[-1])),
+        segment_mass=segment_mass,
         threshold_rhs=check.rhs,
         normalization_defect=defect,
     )

@@ -249,10 +249,10 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     bracket [e1 - 8 max(1, gap), e1 - 1e-9 L] and never sees the solver's e0.
 
     It is independent of ``point_mass``'s solve: ``k_regular`` is adaptive
-    (G7, K15) quadrature of |V|^2 / (x + a) in x, built from
-    ``coupling_sq`` alone, while the solver takes Newton steps in u = ln a on
+    (G7, K15) quadrature of |V(xi)|^2 / (xi + s) in xi, built from
+    ``coupling_sq`` alone, while the solver takes Newton steps in u = ln s on
     the scipy exp1 closed forms of k and never evaluates ``k_regular`` (only
-    the one-time gate of those closed forms, at g2 = L = 1, does)."""
+    the one-time gate of those closed forms, at gamma = 1, does)."""
     lo = params.e1 - 8.0 * max(1.0, params.level_gap)
     hi = params.e1 - 1e-9 * params.coupling.cutoff
 

@@ -1,16 +1,18 @@
 """Independent time-domain route: memory-kernel integro-differential equation.
 
-With y(t) = C(t) * exp(i e2 t), the survival amplitude satisfies
+The solve is canonical (``coupling``): in tau = L t, with
+y(tau) = C~(tau) * exp(i beta tau), the survival amplitude satisfies
 
-    dy/dt = integral over [0, t] of K(t - s) y(s) ds,    y(0) = 1,
+    dy/dtau = integral over [0, tau] of K(tau - sigma) y(sigma) d sigma,    y(0) = 1,
 
-with the memory kernel K(t) = -exp(i (e2 - e1) t) * F(t), F the Fourier
-transform of |V|^2 over the continuum.  For |V|^2 = g2 x^p e^{-x/L} it is
-the closed form F(t) = g2 L^{p+1} p! / (1 + i L t)^{p+1}, which is verified
-against direct oscillatory quadrature before a family's first use, so a
-mismatch cannot silently corrupt this route.  No spectral data enters
-anywhere, which is what makes the solution an independent cross-check of the
-spectral route.
+with the memory kernel K(tau) = -exp(i beta tau) * F(tau), F the Fourier
+transform of |V(xi)|^2 = gamma xi^p e^{-xi}: the closed form
+F(tau) = gamma p! / (1 + i tau)^{p+1}, verified against direct oscillatory
+quadrature before a family's first use, so a mismatch cannot silently
+corrupt this route.  It runs at the step L h; C(t) = e^{-i e1 t} C~(L t),
+and the caller's kernel L^2 K(L t) has g2 L^{p+1} p! for gamma p!.  No
+spectral data enters anywhere, which is what makes the solution an
+independent cross-check of the spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
@@ -45,7 +47,7 @@ import math
 
 import numpy as np
 
-from .coupling import CouplingFamily, CouplingModel, coupling_sq, l2_norm_sq
+from .coupling import CouplingFamily, CouplingModel, Units, coupling_sq, l2_norm_sq
 from .evolution import AmplitudeSeries, MethodTag, check_probability
 from .quadrature import _GL_W, _GL_X, NumericalError
 from .spectrum import ModelParams
@@ -55,9 +57,10 @@ class KernelMismatchError(NumericalError):
     """Closed-form kernel disagrees with direct quadrature of its definition."""
 
 
-def _fourier_closed_form(model: CouplingModel, t) -> np.ndarray:
-    """Closed form of the |V|^2 Fourier transform over [0, inf) at time(s) t."""
-    denom = base = 1.0 + 1j * model.cutoff * np.asarray(t, dtype=float)
+def _fourier_closed_form(model: CouplingModel, tau) -> np.ndarray:
+    """Closed form of the |V|^2 Fourier transform over [0, inf) at the scaled
+    time(s) tau = L t: the integral of |V|^2 over (1 + i tau)^{p+1}."""
+    denom = base = 1.0 + 1j * np.asarray(tau, dtype=float)
     for _ in range(model.family.power):
         denom = denom * base
     return l2_norm_sq(model) / denom
@@ -68,23 +71,24 @@ def kernel(params: ModelParams, t) -> complex | np.ndarray:
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0):
         raise ValueError("kernel requires t >= 0")
-    out = -np.exp(1j * params.level_gap * ta) * _fourier_closed_form(params.coupling, ta)
+    tau = Units(params).up(ta)
+    out = -np.exp(1j * params.level_gap * ta) * _fourier_closed_form(params.coupling, tau)
     return complex(out) if out.ndim == 0 else out
 
 
-# The gate's quadrature truncates |V|^2 at _GATE_TAIL_CUT cutoffs.
+# The gate's quadrature truncates |V(xi)|^2 at xi = _GATE_TAIL_CUT.
 _GATE_TAIL_CUT = 80.0
 
 
 def _fourier_quad(model: CouplingModel, t: float) -> complex:
-    """Direct oscillatory quadrature of the |V|^2 Fourier transform at one t:
-    the transform's Gauss-Legendre rule on panels of at most one period."""
-    upper = _GATE_TAIL_CUT * model.cutoff
-    width = upper / 64.0
+    """Direct oscillatory quadrature of the |V|^2 Fourier transform at one t,
+    over [0, 80]: the transform's Gauss-Legendre rule on panels of at most
+    one period."""
+    width = _GATE_TAIL_CUT / 64.0
     if t != 0.0:
         width = min(width, 2.0 * math.pi / abs(t))
-    n = int(math.ceil(upper / width))
-    edges = np.linspace(0.0, upper, n + 1)
+    n = int(math.ceil(_GATE_TAIL_CUT / width))
+    edges = np.linspace(0.0, _GATE_TAIL_CUT, n + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
@@ -95,12 +99,10 @@ def _fourier_quad(model: CouplingModel, t: float) -> complex:
 
 @functools.cache
 def _self_check(family: CouplingFamily) -> bool:
-    """Gate a family's closed-form kernel against direct quadrature.
-
-    F(t) = g2 L^(p+1) F_1(L t), and the quadrature's panels depend on L t
-    alone, so one check at g2 = L = 1 over 10 times in [0, 4] covers every
-    model of the family.  Raises ``KernelMismatchError`` on a deviation above
-    1e-8 * max(1, |value|).
+    """Gate a family's closed-form kernel against direct quadrature at
+    gamma = 1 over 10 times in [0, 4], which covers every model of the family
+    (F is gamma times a function of tau).  Raises ``KernelMismatchError`` on
+    a deviation above 1e-8 * max(1, |value|).
     """
     model = CouplingModel(family, 1.0, 1.0)
     for t in np.linspace(0.0, 4.0, 10):
@@ -109,7 +111,7 @@ def _self_check(family: CouplingFamily) -> bool:
         if abs(cf - quad) > 1e-8 * max(1.0, abs(cf)):
             raise KernelMismatchError(
                 f"{family.value} closed-form kernel deviates from quadrature by "
-                f"{abs(cf - quad)!r} at L t={t!r}; refusing to use it"
+                f"{abs(cf - quad)!r} at tau={t!r}; refusing to use it"
             )
     return True
 
@@ -131,18 +133,13 @@ def default_step(params: ModelParams) -> float:
     return min(0.01 / params.coupling.cutoff, 0.01 / params.level_gap)
 
 
-# Steps are solved in chunks of _CHUNK samples.  A chunk's own lags come from
-# T^-1 (see _chunk_operators), one FFT product per chunk whose unit diagonal
-# is applied exactly, outside the product.  Every other lag comes from a
-# partitioned convolution (Gardner 1995, J. Audio Eng. Soc. 43:127): level l
-# has blocks of L = _CHUNK _RADIX^l samples, and for every pair of L-blocks
-# c < d inside one _RADIX L parent, block d's history gains the lags of y's
-# block c through the kernel partition of lags ((d - c - 1) L, (d - c + 1) L).
-# Two chunks first share a parent at exactly one level, so every lag from
-# before a chunk is summed once.  Each block of y is transformed once, each
-# partition once per solve, and each target block takes one inverse; the
-# products are summed in the frequency domain.  O(N log N log_R N) in total,
-# R = _RADIX.  Of R = 4, 8, 16 and 32, 8 timed fastest on solve pairs of
+# Steps are solved in chunks of _CHUNK samples (see _chunk_operators).  In
+# the partitioned convolution level l has blocks of L = _CHUNK _RADIX^l
+# samples, and for every pair of L-blocks c < d inside one _RADIX L parent,
+# block d's history gains the lags of y's block c through the kernel
+# partition of lags ((d - c - 1) L, (d - c + 1) L).  Two chunks first share a
+# parent at exactly one level, so every lag from before a chunk is summed
+# once.  Of the radices R = 4, 8, 16 and 32, 8 timed fastest on solve pairs of
 # 40,000 and 20,000 steps (2-vCPU machine); 16 was faster at 1e6 steps.
 # Besides K and y a solve keeps each level's lags for its current target
 # block only, and the spectra that later targets need: near R L steps that
@@ -259,22 +256,11 @@ def solve_ide(
 ) -> AmplitudeSeries:
     """Solve the memory-kernel equation and return C(t) at every ``stride``-th step.
 
-    Trapezoidal convolution with a Heun predictor-corrector step: second-order
-    accurate.  The steps are solved 1024 at a time: the Heun recurrence is
-    linear, so each chunk's increments y_m - y_{m-1} are one product with the
-    precomputed inverse of a lower-triangular Toeplitz matrix, and the samples
-    are y_{M-1} plus their running sum.  Solving for the increments rather
-    than for y keeps each chunk's rounding at the size of the increments, so
-    the result stays within rounding of the step-by-step recurrence however
-    many chunks it spans; the inverse's unit diagonal is applied exactly.
-    The inverse carries the lags between a chunk's own samples; every other
-    lag comes from the partitioned history of the completed blocks of y (see
-    ``_add_history``), added before the chunk, and y[0]'s lags into the first
-    chunk from exact products.  The history sums take O(N log N log_8 N) in
-    the step count N: each block of y is transformed once, each fixed
-    spectrum (T^-1, each kernel partition) once per solve, and each block
-    that takes history one inverse transform.  ``step`` defaults to
-    ``default_step(params)``.  The overshoot budget on |C|^2 = |y|^2 is
+    The scheme and its cost are the module docstring's: chunks of 1024
+    increments through the inverse of one Toeplitz matrix, the other lags
+    from the partitioned history of completed blocks (``_add_history``), and
+    y[0]'s lags into the first chunk from exact products.  ``step`` defaults
+    to ``default_step(params)``.  The overshoot budget on |C|^2 = |y|^2 is
     checked at every step before the output rows t = 0, stride h, 2 stride h,
     ... are taken, so a stride hides no overshoot.
     """
@@ -285,13 +271,15 @@ def solve_ide(
         raise ValueError("stride must be a positive integer")
     if horizon < h:
         raise ValueError("horizon must cover at least one step")
-    k = build_kernel_table(params, horizon, h)
+    units = Units(params)
+    h_tau = units.up(h)
+    k = build_kernel_table(units.model.params, units.up(horizon), h_tau)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j
     # A solve shorter than one chunk sizes its operators to its own length.
     n = min(_CHUNK, n_steps + 1)
-    delta, b, c, g, u = _chunk_operators(k, h, n)
+    delta, b, c, g, u = _chunk_operators(k, h_tau, n)
     u[0] = 0.0  # T^-1's unit diagonal: each chunk adds rhs itself to d
     # T^-1 (rhs) is a linear convolution of at most 2n - 1 terms, so a
     # 2n-point FFT does not wrap.
@@ -325,9 +313,9 @@ def solve_ide(
 
     check_probability(MethodTag.VOLTERRA, np.abs(y) ** 2)
     times = np.arange(0, n_steps + 1, stride) * h
-    # Phase first: numpy's complex product is not bitwise commutative, and
-    # this is the order the rows of every solve of 16,384 steps or more have
-    # been computed in (numpy swapped the operands of the full-grid product).
-    return AmplitudeSeries(
-        times, np.exp(-1j * params.e2 * times) * y[::stride], MethodTag.VOLTERRA
-    )
+    # C(t) = e^{-i e2 t} y(L t), phase first: numpy's complex product is not
+    # bitwise commutative, and this is the order the rows of every solve of
+    # 16,384 steps or more have been computed in (numpy swapped the operands
+    # of the full-grid product).
+    amplitude = np.exp(-1j * params.e2 * times) * y[::stride]
+    return AmplitudeSeries(times, amplitude, MethodTag.VOLTERRA)

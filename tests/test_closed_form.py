@@ -29,6 +29,7 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay.cli import main
+from leveldecay.coupling import Units
 from leveldecay.quadrature import gate_integrals
 
 TOL = 1e-8
@@ -58,10 +59,10 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     k_ref, pv_ref, weight_ref = (float(q[0]) for q in gate_integrals(params, [x]))
 
     k_unit = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))[0]
-    k_below = spectrum._k_scale(model) * k_unit
+    k_below = cutoff * Units(params).model.gamma * k_unit
     assert _close(k_below, k_ref)
 
-    pv = float(spectrum.k_pv_closed(params, x))
+    pv = cutoff * float(spectrum.k_pv_closed(Units(params).model, s))
     assert _close(pv, pv_ref)
 
     # rho inherits the reference principal value's tolerance, amplified by

@@ -183,3 +183,49 @@ def test_detects_a_named_family_member():
         "value.py": "F('2d')\n", "none.py": "x = F.THREE\nprint('3d')\n",
     }
     assert naming_family_members(sources, members) == {"attr.py", "name.py", "value.py"}
+
+
+# The caller's units: read only where a public entry point maps them to the
+# canonical model (family, gamma, beta) or back, or in the one map helper.
+UNIT_FIELDS = {"cutoff", "e1", "e2", "strength_sq", "level_gap"}
+INNER_MODULES = ("quadrature.py", "spectrum.py", "evolution.py", "volterra.py")
+MAP_HELPER = "Units"
+
+
+def _public_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    declared = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return {ast.literal_eval(elt) for elt in declared.elts}
+
+
+def unit_readers(source: str, allowed: set[str]) -> set[str]:
+    """The top-level definitions of ``source`` outside ``allowed`` that read
+    one of ``UNIT_FIELDS`` as an attribute; module-level code is ``<module>``."""
+    return {
+        getattr(stmt, "name", "<module>")
+        for stmt in ast.parse(source).body
+        if getattr(stmt, "name", "<module>") not in allowed
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in UNIT_FIELDS
+    }
+
+
+@pytest.mark.parametrize("module", INNER_MODULES)
+def test_only_entry_points_and_the_map_read_the_callers_units(module):
+    allowed = _public_names() | {MAP_HELPER}
+    assert unit_readers((PACKAGE / module).read_text(), allowed) == set()
+
+
+def test_detects_a_unit_read_outside_the_entry_points():
+    source = (
+        "def entry(params):\n    return params.e1\n"
+        "def inner(model):\n    return model.cutoff * 2\n"
+        "def writes(model):\n    model.cutoff = 1\n"
+        "x = p.level_gap\n"
+    )
+    assert unit_readers(source, {"entry"}) == {"inner", "<module>"}

@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
+    ModelParams,
     coupling_sq,
     l2_norm_sq,
     spectrum,
     sq_over_x_integral,
     volterra,
 )
-from leveldecay.coupling import tail_mass
+from leveldecay.coupling import Units, tail_mass
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -63,8 +64,8 @@ def _ref_tail_mass(model, x0):
 
 def _ref_k_scale(model):
     if model.family is THREE:
-        return model.strength_sq * model.cutoff
-    return model.strength_sq
+        return model.strength_sq
+    return model.strength_sq / model.cutoff
 
 
 def _ref_k_unit_and_slope(family, s, e):
@@ -146,12 +147,13 @@ def _check_model_forms(model, x):
     assert _same_bits(coupling_sq(model, xs), _ref_coupling_sq(model, xs))
     assert _same_bits(sq_over_x_integral(model), _ref_sq_over_x_integral(model))
     assert _same_bits(tail_mass(model, x), _ref_tail_mass(model, x))
-    assert _same_bits(spectrum._k_scale(model), _ref_k_scale(model))
+    assert _same_bits(Units(ModelParams(0.0, 1.0, model)).model.gamma, _ref_k_scale(model))
     if model.cutoff < 1e154:  # beyond it both square forms raise OverflowError
         assert _same_bits(l2_norm_sq(model), _ref_l2_norm_sq(model))
         for t in (ts[1], ts):
             assert _same_bits(
-                volterra._fourier_closed_form(model, t), _ref_fourier_closed_form(model, t)
+                volterra._fourier_closed_form(model, model.cutoff * t),
+                _ref_fourier_closed_form(model, t),
             )
 
 
@@ -198,7 +200,6 @@ def test_equation_is_positive_from_the_norm_bound(family, g_sq, cutoff, gap):
     # a = sqrt(integral of |V|^2) on, for every family: the bracket's bound.
     model = CouplingModel(family, g_sq, cutoff)
     a = math.sqrt(l2_norm_sq(model))
-    f, _ = spectrum._eigen_equation(
-        family, gap, spectrum._k_scale(model), math.log(cutoff), math.log(a)
-    )
+    gamma = Units(ModelParams(0.0, 1.0, model)).model.gamma
+    f, _ = spectrum._eigen_equation(family, gap / cutoff, gamma, math.log(a) - math.log(cutoff))
     assert f > 0.0

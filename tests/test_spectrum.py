@@ -308,6 +308,17 @@ class TestSpectralData:
         spec = build_spectral_data(_params(TWO, g_sq, cutoff=cutoff))
         assert spec.normalization_defect <= 1e-5
 
+    @pytest.mark.parametrize("g_sq, cutoff", [
+        (1e-3, 1e24), (2e-3, 1e24), (1e-2, 1e24), (1e-3, 1e100), (2e-3, 1e100),
+        (1e-3, 1e300), (1e-3, 1e306),
+    ])
+    def test_two_dim_resonance_below_the_edge_ladder_normalizes(self, g_sq, cutoff):
+        # The resonance sits at xi = (1 - g2 P_0(1 / L)) / L, 0.31 / L to
+        # 0.95 / L, far below the edge ladder's lowest seed 60 * 2^-44; its
+        # octaves up to that seed resolve it.  Defects read 7.7e-12 to 1.8e-10.
+        spec = build_spectral_data(_params(TWO, g_sq, cutoff=cutoff))
+        assert spec.normalization_defect <= 1e-6
+
     def test_nan_weight_fails_normalization(self, monkeypatch):
         monkeypatch.setattr(spectrum, "eigen_weight", lambda params, e0: math.nan)
         with pytest.raises(NormalizationFailureError, match="defect nan"):
