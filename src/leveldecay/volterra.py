@@ -22,22 +22,23 @@ lower-triangular Toeplitz matrix, whose inverse is built once per solve: its
 first column by doubling, with direct convolutions (Brent & Kung 1978, J. ACM
 25:581).  The inverse carries the lags between a chunk's own samples; every
 other lag comes from a partitioned convolution of the solution with the
-kernel, added ahead of time as each block completes (Gardner 1995, J. Audio
-Eng. Soc. 43:127): on levels of blocks of 1024, 8192, 65536, ... samples,
-each block of y meets the later blocks of its parent eight times its size
-through one kernel partition each.  Every history product is an FFT
-product: each block of y is transformed once, each fixed factor (the
-inverse, each kernel partition) once per solve, and each target block takes
-one inverse transform of its summed spectra; the inverse's unit diagonal is
-applied exactly, outside its product.  The unknowns are the increments
-y_m - y_{m-1}, not y: every chunk reuses the inverse, so the rounding of its
-first column is a fixed error that each chunk carries into all later ones,
-and that rounding scales with the matrix's off-diagonal entries, small for
-the increments, of order one for y.  Over 3000 steps a chunked solve for y
-drifts from an extended-precision step-by-step recurrence by up to 3e-14,
-the increment form by at most 4e-15.  A solve of N steps costs
-O(N log N log_8 N) and gives the direct O(N^2) step-by-step recurrence to
-rounding.
+kernel (Gardner 1995, J. Audio Eng. Soc. 43:127), scheduled as a recursion
+over blocks (Hairer, Lubich & Schlichte 1985, SIAM J. Sci. Stat. Comput.
+6:532): a block of 8192, 65536, ... samples solves its eight sub-blocks in
+turn, and before each sub-block it adds the lags into it of the sub-blocks
+already solved, each through one kernel partition.  Every history product
+is an FFT product: each sub-block of y is transformed once, each fixed
+factor (the inverse, each kernel partition) once per solve, and each
+sub-block after the first takes one inverse transform of its summed
+spectra; the inverse's unit diagonal is applied exactly, outside its
+product.  The unknowns are the increments y_m - y_{m-1}, not y: every chunk
+reuses the inverse, so the rounding of its first column is a fixed error
+that each chunk carries into all later ones, and that rounding scales with
+the matrix's off-diagonal entries, small for the increments, of order one
+for y.  Over 3000 steps a chunked solve for y drifts from an
+extended-precision step-by-step recurrence by up to 3e-14, the increment
+form by at most 4e-15.  A solve of N steps costs O(N log N log_8 N) and
+gives the direct O(N^2) step-by-step recurrence to rounding.
 """
 
 from __future__ import annotations
@@ -59,11 +60,20 @@ class KernelMismatchError(NumericalError):
 
 def _fourier_closed_form(model: CouplingModel, tau) -> np.ndarray:
     """Closed form of the |V|^2 Fourier transform over [0, inf) at the scaled
-    time(s) tau = L t: the integral of |V|^2 over (1 + i tau)^{p+1}."""
+    time(s) tau = L t: the integral of |V|^2 over (1 + i tau)^{p+1}, divided
+    by 1 + i tau one factor at a time where that power overflows."""
     denom = base = 1.0 + 1j * np.asarray(tau, dtype=float)
-    for _ in range(model.family.power):
-        denom = denom * base
-    return l2_norm_sq(model) / denom
+    l2 = l2_norm_sq(model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(model.family.power):
+            denom = denom * base
+        out = l2 / denom
+    far = ~np.isfinite(denom)
+    if far.any():
+        for _ in range(model.family.power + 1):
+            l2 = l2 / base
+        out = np.where(far, l2, out)
+    return out
 
 
 def kernel(params: ModelParams, t) -> complex | np.ndarray:
@@ -133,83 +143,20 @@ def default_step(params: ModelParams) -> float:
     return min(0.01 / params.coupling.cutoff, 0.01 / params.level_gap)
 
 
-# Steps are solved in chunks of _CHUNK samples (see _chunk_operators).  In
-# the partitioned convolution level l has blocks of L = _CHUNK _RADIX^l
-# samples, and for every pair of L-blocks c < d inside one _RADIX L parent,
-# block d's history gains the lags of y's block c through the kernel
-# partition of lags ((d - c - 1) L, (d - c + 1) L).  Two chunks first share a
-# parent at exactly one level, so every lag from before a chunk is summed
-# once.  Of the radices R = 4, 8, 16 and 32, 8 timed fastest on solve pairs of
-# 40,000 and 20,000 steps (2-vCPU machine); 16 was faster at 1e6 steps.
-# Besides K and y a solve keeps each level's lags for its current target
-# block only, and the spectra that later targets need: near R L steps that
-# is up to R - 1 blocks and R - 1 partitions of 2L points each, as much as
-# 4 (R - 1) / R arrays of the solve's length.
+# Steps are solved in chunks of _CHUNK samples (see _chunk_operators).  A
+# block of _RADIX L samples, L = _CHUNK _RADIX^l, solves its _RADIX
+# sub-blocks in turn, and sub-block d takes the lags of each earlier
+# sub-block c through the kernel partition of lags ((d - c - 1) L,
+# (d - c + 1) L); every lag from before a chunk is summed once, in the one
+# block where the two first share a parent.  Of the radices R = 4, 8, 16
+# and 32, 8 timed fastest on solve pairs of 40,000 and 20,000 steps (2-vCPU
+# machine); 16 was faster at 1e6 steps.  Besides K and y a solve keeps the
+# lags into each block until it returns and the spectra that later
+# sub-blocks need: near R L steps, up to R - 1 sub-blocks and R - 1
+# partitions of 2L points each, as much as 4 (R - 1) / R arrays of the
+# solve's length.
 _CHUNK = 1024
 _RADIX = 8
-
-
-def _target(m: int) -> tuple[int, int, int]:
-    """The block that takes history at chunk start m > 0: (L, first, d).
-
-    d = m / L, and L is the largest level block size that divides m, the one
-    level at which d is not the first block of its _RADIX L parent; its
-    sources are the blocks first ... d - 1 before it in that parent.
-    """
-    size = _CHUNK
-    while m % (size * _RADIX) == 0:
-        size *= _RADIX
-    d = m // size
-    return size, d - d % _RADIX, d
-
-
-def _add_history(
-    k: np.ndarray, y: np.ndarray, m: int, sources: dict, partitions: dict, windows: dict
-) -> None:
-    """Set ``windows[L]`` to (m, the lags into y[m:m + L] of earlier blocks).
-
-    (L, first, d) = _target(m), and m is a chunk start.  For each source
-    block c = first ... d - 1 the 2L-point spectrum of y[c L:(c + 1) L] meets
-    that of the kernel partition K[(d - c - 1) L + j], 1 <= j < 2L, stored
-    from index 0; points [L - 1, 2L - 1) of their product are a middle
-    product, exact linear convolution with nothing wrapped into them.  The
-    lags are cut at the end of y.  ``sources`` holds y's block spectra by
-    (L, c) until the last target of their parent, ``partitions`` the
-    kernel's by (L, d - c) while a later target needs them, so each goes
-    with its last use.  The windows of this level and of every finer one
-    end at m, and go here.
-    """
-    size, first, d = _target(m)
-    n_fft = 2 * size
-    last = (y.size - 1) // size  # the last block that starts in y
-    tail = last % _RADIX
-    final = d % _RADIX == _RADIX - 1 or d == last  # the parent's last target
-    for key in [key for key in windows if key <= size]:
-        del windows[key]  # this level's and every finer level's end at m
-    acc = None
-    for c in range(first, d):
-        delta = d - c
-        if c == d - 1:
-            x = np.fft.fft(y[m - size:m], n_fft)
-            if not final:
-                sources[size, c] = x
-        else:
-            x = sources.pop((size, c)) if final else sources[size, c]
-        t_hat = partitions.pop((size, delta), None)
-        if t_hat is None:
-            lo = (delta - 1) * size + 1
-            t_hat = np.fft.fft(k[lo:lo + n_fft - 1], n_fft)
-        # The last target at this level with a source delta blocks back.
-        if d < (last if tail >= delta else last - tail - 1):
-            partitions[size, delta] = t_hat
-        if acc is None:  # at the parent's last target x is at its last use
-            acc = np.multiply(x, t_hat, out=x) if final else x * t_hat
-        else:
-            acc += x * t_hat
-        del x, t_hat  # a spectrum at its last use goes before the next
-    np.fft.ifft(acc, out=acc)
-    n_out = min(size, y.size - m)
-    windows[size] = (m, acc[size - 1:size - 1 + n_out].copy())
 
 
 def _chunk_operators(k: np.ndarray, h: float, n: int):
@@ -258,11 +205,12 @@ def solve_ide(
 
     The scheme and its cost are the module docstring's: chunks of 1024
     increments through the inverse of one Toeplitz matrix, the other lags
-    from the partitioned history of completed blocks (``_add_history``), and
-    y[0]'s lags into the first chunk from exact products.  ``step`` defaults
-    to ``default_step(params)``.  The overshoot budget on |C|^2 = |y|^2 is
-    checked at every step before the output rows t = 0, stride h, 2 stride h,
-    ... are taken, so a stride hides no overshoot.
+    from the partitioned history, where a block solves its sub-blocks in
+    turn (``block``), and y[0]'s lags into the first chunk from exact
+    products.  ``step`` defaults to ``default_step(params)``.  The overshoot
+    budget on |C|^2 = |y|^2 is checked at every step before the output rows
+    t = 0, stride h, 2 stride h, ... are taken, so a stride hides no
+    overshoot.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -284,21 +232,20 @@ def solve_ide(
     # T^-1 (rhs) is a linear convolution of at most 2n - 1 terms, so a
     # 2n-point FFT does not wrap.
     u_hat = np.fft.fft(u, 2 * n)
-    sources, partitions, windows = {}, {}, {}
+    partitions = {}
     s_prev = complex(-0.5 * y[0] * k[0])
-    for m in range(0, n_steps + 1, n):
+
+    def chunk(m: int, windows: list) -> None:
+        nonlocal s_prev
         start, stop = max(m, 1), min(m + n, n_steps + 1)
         # s over the chunk, less the part T carries (the increments' own):
         # the end corrections -K[j] y[0] / 2, then the lags of every
-        # completed block, coarsest level first.  No block holds y[0]
-        # before the first chunk, so its lags there are exact products.
+        # earlier block, coarsest first.  No block holds y[0] before the
+        # first chunk, so its lags there are exact products.
         s_known = -0.5 * y[0] * k[start:stop]
-        if m:
-            _add_history(k, y, m, sources, partitions, windows)
-        else:
+        if not m:
             s_known += y[0] * k[start:stop]
-        for size in sorted(windows, reverse=True):
-            m0, lags = windows[size]
+        for m0, lags in windows:
             s_known += lags[start - m0:stop - m0]
         r = stop - start
         y_last = y[start - 1]
@@ -310,6 +257,54 @@ def solve_ide(
         np.cumsum(d, out=y[start:stop])
         y[start:stop] += y_last
         s_prev = complex(s_known[-1] + g[r - 1:0:-1] @ d[:r - 1])
+
+    def block(m: int, size: int, windows: list) -> None:
+        """Solve y[m:m + size], cut at the end of y, given ``windows``: the
+        (start, lags) of every earlier block, coarsest first.
+
+        Its sub-blocks of L = size / _RADIX are solved in turn, sub-block d
+        with one more window: points [L - 1, 2L - 1), a middle product with
+        nothing wrapped into them, of each earlier sub-block c's 2L-point
+        spectrum times that of K[(d - c - 1) L + 1:(d - c + 1) L], summed.
+        ``partitions`` holds a kernel partition's by (L, d - c) while a later
+        sub-block at its level needs it."""
+        if size == n:
+            return chunk(m, windows)
+        size //= _RADIX
+        last = n_steps // size  # the last sub-block at this level that starts in y
+        tail = last % _RADIX
+        spectra = []
+        for d in range(m // size, min(m // size + _RADIX, last + 1)):
+            new = []  # the previous sub-block's window goes before this one's
+            if d % _RADIX:
+                final = d % _RADIX == _RADIX - 1 or d == last
+                spectra.append(np.fft.fft(y[(d - 1) * size:d * size], 2 * size))
+                acc = None
+                for delta in range(len(spectra), 0, -1):
+                    x = spectra.pop(0) if final else spectra[-delta]
+                    t_hat = partitions.pop((size, delta), None)
+                    if t_hat is None:
+                        lo = (delta - 1) * size + 1
+                        t_hat = np.fft.fft(k[lo:lo + 2 * size - 1], 2 * size)
+                    # The last sub-block at this level with a source delta back.
+                    if d < (last if tail >= delta else last - tail - 1):
+                        partitions[size, delta] = t_hat
+                    if acc is None:  # at the last sub-block x is at its last use
+                        acc = np.multiply(x, t_hat, out=x) if final else x * t_hat
+                    else:
+                        acc += x * t_hat
+                    del x, t_hat  # a spectrum at its last use goes before the next
+                np.fft.ifft(acc, out=acc)
+                n_out = min(size, n_steps + 1 - d * size)
+                new = [(d * size, acc[size - 1:size - 1 + n_out].copy())]
+                del acc
+            block(d * size, size, windows + new)
+
+    top = n
+    while top <= n_steps:
+        top *= _RADIX
+    block(0, top, [])
+    del block  # a cycle through itself: it would hold y and K to the next gc
 
     check_probability(MethodTag.VOLTERRA, np.abs(y) ** 2)
     times = np.arange(0, n_steps + 1, stride) * h

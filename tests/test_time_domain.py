@@ -13,6 +13,7 @@ quarter-period sums and its own node sum to rounding.
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 import tracemalloc
@@ -32,10 +33,11 @@ from leveldecay import (
     evolution,
     solve_ide,
     spectral_density,
+    volterra,
 )
 from leveldecay.evolution import _amplitude_points, _transform_nodes
 from leveldecay.quadrature import _GL_W, _GL_X
-from leveldecay.volterra import _CHUNK, _RADIX, _chunk_operators, _target
+from leveldecay.volterra import _CHUNK, _RADIX, _chunk_operators
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -301,12 +303,13 @@ class TestSolver:
         assert float(np.max(np.abs(got - ref))) <= 1e-14
 
     def test_memory_peak_is_a_few_arrays(self):
-        # 43,978 steps hold the spectra of five blocks of 8192 samples and
-        # of five kernel partitions at their last target block.
+        # At the top block's last sub-block 43,978 steps hold the spectra of
+        # five blocks of 8192 samples and of five kernel partitions, 65,535
+        # steps seven of each.
         params = _params(THREE, 2.0)
         h = 0.01
         solve_ide(params, horizon=10.0, step=h)  # the kernel self-check runs once
-        for n_steps in (20_000, 43_978):
+        for n_steps in (20_000, 43_978, 65_535):
             tracemalloc.start()
             try:
                 solve_ide(params, horizon=n_steps * h, step=h)
@@ -314,6 +317,24 @@ class TestSolver:
             finally:
                 tracemalloc.stop()
             assert peak <= 6 * 16 * (n_steps + 1) + 0.5e6, n_steps
+
+    def test_solve_holds_no_array_after_it_returns(self):
+        # The recursion is a local function that refers to itself, a
+        # reference cycle: left in place, it holds y and K (0.64 MB here)
+        # until the next garbage collection.
+        params = _params(THREE, 2.0)
+        h = 0.01
+        solve_ide(params, horizon=10.0, step=h)  # the kernel self-check runs once
+        gc.disable()
+        tracemalloc.start()
+        try:
+            series = solve_ide(params, horizon=20_000 * h, step=h, stride=1000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert series.times.size == 21
+        assert held <= 0.05e6
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     @pytest.mark.parametrize("n_steps, bound", [
@@ -330,26 +351,20 @@ class TestSolver:
         assert got.shape == ref.shape == (n_steps + 1,)
         assert float(np.max(np.abs(got - ref))) <= bound
 
-    def test_schedule_sums_every_earlier_chunk_once(self):
-        # From the schedule's index arithmetic alone: each later chunk's
-        # history takes every earlier chunk exactly once.  A chunk's sources
-        # come from targets that start at or before it, which every longer
-        # solve has as well, so 65,536 chunks (the 2**26-step guard) cover
-        # every shorter solve too.
-        n_chunks = 65_536
-        sources = [[] for _ in range(n_chunks)]
-        for j in range(1, n_chunks):
-            size, first, d = _target(j * _CHUNK)
-            assert size * d == j * _CHUNK
-            span = size // _CHUNK
-            for e in range(j, min(j + span, n_chunks)):
-                sources[e].append((first * span, j))
-        for e, ranges in enumerate(sources):
-            covered = 0
-            for begin, end in sorted(ranges):
-                assert begin == covered, (e, ranges)
-                covered = end
-            assert covered == e, (e, ranges)
+    @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
+    @pytest.mark.parametrize("radix", [2, 3])
+    def test_small_radix_matches_direct_history_sums(self, monkeypatch, family, g_sq, radix):
+        # At a radix of 2 a 5000-step solve runs levels of 1024, 2048 and
+        # 4096 samples, at 3 levels of 1024 and 3072: each sub-block's
+        # window must sum every earlier sub-block of its parent once.
+        monkeypatch.setattr(volterra, "_RADIX", radix)
+        n_steps = 5000
+        params = _params(family, g_sq)
+        h = 0.01
+        got = solve_ide(params, horizon=n_steps * h, step=h).amplitude
+        ref = _direct_heun(params, n_steps * h, h)
+        assert got.shape == ref.shape == (n_steps + 1,)
+        assert float(np.max(np.abs(got - ref))) <= 1e-12
 
     def test_history_transforms_each_input_once(self, monkeypatch):
         # 20,000 steps run levels of 1024 and 8192 samples, each over full

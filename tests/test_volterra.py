@@ -45,6 +45,14 @@ class TestKernel:
     def test_decays_at_long_times(self):
         assert abs(kernel(_params(THREE, 1.0), 100.0)) < 1e-3
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_where_the_denominator_power_overflows(self):
+        # At L = 1e160 and t = 1, (1 + i L t)^2 overflows, but
+        # K(1) = -e^i g2 L^2 / (1 + i L)^2 = e^i 1e-154 is a normal float.
+        got = kernel(_params(THREE, 1e-154, cutoff=1e160), np.array([0.0, 1.0]))
+        want = np.exp(1j) * 1e-154
+        assert abs(got[1] - want) <= 1e-15 * abs(want)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             kernel(_params(TWO, 1.0), -1.0)
