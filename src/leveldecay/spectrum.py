@@ -252,9 +252,9 @@ def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]
     return (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
 
 
-def _solve_eigenvalue(params: ModelParams) -> float:
-    """The unique eigenvalue e0 < e1 of a model the threshold test has found a
-    bound state in (neither degenerate nor marginal).
+def _solve_eigenvalue(model: Canonical) -> float:
+    """ln s0 of the unique eigenvalue xi0 = -s0 of a canonical model the
+    threshold test has found a bound state in (neither degenerate nor marginal).
 
     F(s) is strictly increasing, positive for large s and negative toward the
     edge, so a sign-change bracket pins the root, solved in u = ln s, which
@@ -264,13 +264,12 @@ def _solve_eigenvalue(params: ModelParams) -> float:
     The near end steps toward the edge in u by doubling steps.  Newton steps
     in u on the slope s dk/ds, safeguarded as ``_newton_in_bracket`` says.
     The root is certified by the residual gate |F| <= 1e-10 (beta + s), the
-    scale of the terms F cancels.  ln s, not s, crosses the map to e0.
+    scale of the terms F cancels.  ln s, not s, crosses the map to e0 and w.
 
     Raises:
         BracketFailureError: bracketing, iteration or residual tolerance failed.
     """
-    units = Units(params)
-    family, gamma, beta = units.model
+    family, gamma, beta = model
     _closed_form_gate(family)
     f_and_slope = functools.partial(_eigen_equation, family, beta, gamma)
 
@@ -297,32 +296,28 @@ def _solve_eigenvalue(params: ModelParams) -> float:
         raise BracketFailureError(
             f"root residual {residual!r} did not reach tolerance {res_tol!r}"
         )
-    return units.eigenvalue(u_root)
+    return u_root
 
 
-def eigen_weight(params: ModelParams, e0: float) -> float:
-    """Weight w of the eigenvalue e0 in the initial state's spectral measure.
+def eigen_weight(params: ModelParams, ln_s: float) -> float:
+    """Weight w of the eigenvalue e0 = e1 - a in the initial state's spectral
+    measure, at ln s0 = ln(a / L), the root of the eigenvalue solve.
 
-    w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2) with a = e1 - e0, the
-    residue of the resolvent: w = s / (s - gamma s dk_p/ds) at s = a / L,
-    taken as a / (a - L gamma s dk_p/ds), which stays exact where s
-    underflows (2d at L >= 1e300) and the slope takes its edge limit.  It is
-    strictly inside (0, 1) for g2 > 0.  For distances below the
-    double-precision representability floor (a < 1e-280, reachable only for
-    extremely weak 2d couplings) the weight underflows and 0.0 is returned.
+    w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2), the residue of the
+    resolvent: w = s / (s - gamma s dk_p/ds) at s = s0, taken as
+    a / (a - L gamma s dk_p/ds) at a = exp(ln s0 + ln L), the float e0
+    subtracts from e1.  The slope takes the eigenvalue equation's edge limit
+    where s0 underflows; w is 1.0 at g2 = 0, 0.0 where a underflows, and
+    strictly inside (0, 1) between.
     """
     model = params.coupling
-    if model.strength_sq == 0.0:
-        return 1.0
-    a = params.e1 - e0
-    if not a > 0.0:
-        raise ValueError(f"eigen_weight requires e0 < e1, got e0={e0!r}")
-    if a < 1e-280:
-        return 0.0
     _closed_form_gate(model.family)
-    s = a / model.cutoff
-    e = _scaled_e1(s) if s > 0.0 else math.log(model.cutoff) - math.log(a) - np.euler_gamma
-    s_dk = _k_unit_and_slope(model.family, s, e)[1]
+    a = math.exp(ln_s + math.log(model.cutoff))
+    if ln_s > _EDGE_LN_S:
+        s = math.exp(ln_s)
+        s_dk = _k_unit_and_slope(model.family, s, _scaled_e1(s))[1]
+    else:
+        s_dk = _k_unit_and_slope(model.family, 0.0, -np.euler_gamma - ln_s)[1]
     # L gamma = g2 L^p, exact in the caller's units.
     return a / (a - model.strength_sq * model.cutoff ** model.family.power * s_dk)
 
@@ -344,8 +339,9 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
         return check, None, None
     if not check.exists:
         return check, None, 0.0
-    e0 = _solve_eigenvalue(params)
-    return check, e0, eigen_weight(params, e0)
+    units = Units(params)
+    ln_s = _solve_eigenvalue(units.model)
+    return check, units.eigenvalue(ln_s), eigen_weight(params, ln_s)
 
 
 def spectral_density(params: ModelParams, t):

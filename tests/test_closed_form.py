@@ -74,7 +74,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
     w_ref = 1.0 / (1.0 + weight_ref)
-    assert _close(eigen_weight(params, -x), w_ref)
+    assert _close(eigen_weight(params, math.log(s)), w_ref)
 
 
 def test_mismatch_detected(tmp_path, monkeypatch, capsys):
@@ -237,7 +237,7 @@ def test_weight_from_the_slope_matches_its_closed_form(
     s = 10.0**log10_s
     a = s * model.cutoff
     want = _weight_from_its_closed_form(model, a)
-    got = eigen_weight(ModelParams(0.0, 1.0, model), -a)
+    got = eigen_weight(ModelParams(0.0, 1.0, model), math.log(s))
     assert abs(got - want) <= 1e-14 * max(1.0, s * s) * want
 
 

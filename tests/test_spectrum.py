@@ -23,6 +23,8 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay import spectrum
+from leveldecay.coupling import Units
+
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
 
@@ -44,6 +46,11 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
 def _e0(params):
     """The eigenvalue of ``point_mass``, the one route to it."""
     return point_mass(params)[1]
+
+
+def _ln_s(params):
+    """ln s0 of the eigenvalue solve, the distance ``eigen_weight`` takes."""
+    return spectrum._solve_eigenvalue(Units(params).model)
 
 
 def test_params_validation():
@@ -97,8 +104,10 @@ class TestEigenvalue:
         assert got == pytest.approx(E0_2D_G01, rel=1e-8)
 
     def test_two_dim_underflow_regime_stays_below_edge(self):
-        got = _e0(_params(TWO, 1e-3))
-        assert got < 0.0
+        # e1 - e0 is about e^-1000: e0 is the float below e1, and the weight
+        # a / (a + g2) at the underflowed a = 0 is 0.
+        _, got, w = point_mass(_params(TWO, 1e-3))
+        assert got < 0.0 and w == 0.0
 
     def test_below_threshold_has_none(self):
         check, e0, w = point_mass(_params(THREE, 0.9))
@@ -158,41 +167,43 @@ class TestEigenvalue:
 
 class TestWeight:
     def test_zero_coupling_weight_is_one(self):
-        assert eigen_weight(_params(THREE, 0.0), -1.0) == 1.0
+        assert eigen_weight(_params(THREE, 0.0), 0.0) == 1.0
 
     def test_three_dim_matches_reference(self):
         params = _params(THREE, 2.0)
-        e0 = _e0(params)
-        assert eigen_weight(params, e0) == pytest.approx(W_3D_G2, abs=1e-9)
+        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_3D_G2, abs=1e-9)
 
     def test_two_dim_matches_reference(self):
         params = _params(TWO, 0.5)
-        e0 = _e0(params)
-        assert eigen_weight(params, e0) == pytest.approx(W_2D_G05, abs=1e-9)
+        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_2D_G05, abs=1e-9)
 
     def test_two_dim_near_edge_matches_reference(self):
         params = _params(TWO, 0.1)
-        e0 = _e0(params)
-        assert eigen_weight(params, e0) == pytest.approx(W_2D_G01, rel=1e-7)
+        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_2D_G01, rel=1e-7)
 
     def test_strictly_inside_unit_interval(self):
         for family, g in ((THREE, 1.2), (THREE, 4.0), (TWO, 0.05), (TWO, 3.0)):
             params = _params(family, g)
-            e0 = _e0(params)
-            assert 0.0 < eigen_weight(params, e0) < 1.0
+            assert 0.0 < eigen_weight(params, _ln_s(params)) < 1.0
 
-    def test_requires_e0_below_edge(self):
-        with pytest.raises(ValueError):
-            eigen_weight(_params(THREE, 2.0), 0.5)
+    def test_weight_does_not_depend_on_e1(self):
+        # The weight is taken at the solve's own distance a, not at e1 - e0,
+        # so a weak 2d bound state far below the rounding of e1 keeps the
+        # weight of its e1 = 0 twin, bit for bit.
+        for g in (0.1, 0.05, 0.02, 0.01):
+            w_twin = point_mass(_params(TWO, g))[2]
+            for e1 in (-3.0, 5.0, 1e6):
+                assert point_mass(_params(TWO, g, e1=e1, e2=e1 + 1.0))[2] == w_twin
 
     @pytest.mark.parametrize("cutoff", [1e300, 1e306])
     def test_two_dim_where_the_scaled_distance_underflows(self, cutoff):
-        # a = e1 - e0 is about 3e-132 here, so a / L rounds to 0, where
+        # a = e1 - e0 is about 3e-132 here, so s0 = a / L underflows, where
         # e^s E1(s) is infinite; the 2d slope's limit -1 gives w = a / (a + g2).
         params = _params(TWO, 1e-3, cutoff=cutoff)
+        ln_s = _ln_s(params)
         a = -_e0(params)
-        assert a > 1e-280 and a / cutoff == 0.0
-        assert eigen_weight(params, -a) == pytest.approx(a / (a + 1e-3), rel=1e-15)
+        assert ln_s < spectrum._EDGE_LN_S and a / cutoff == 0.0
+        assert eigen_weight(params, ln_s) == pytest.approx(a / (a + 1e-3), rel=1e-15)
 
 
 class TestDensity:
@@ -273,8 +284,9 @@ class TestPointMass:
     def test_bound_state_is_the_solvers(self):
         params = _params(TWO, 0.5)
         check, e0, w = point_mass(params)
-        assert check.exists and e0 == spectrum._solve_eigenvalue(params)
-        assert w == eigen_weight(params, e0)
+        ln_s = _ln_s(params)
+        assert check.exists and e0 == Units(params).eigenvalue(ln_s)
+        assert w == eigen_weight(params, ln_s)
         assert e0 == pytest.approx(E0_2D_G05, abs=1e-9)
 
 
