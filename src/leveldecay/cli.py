@@ -76,6 +76,8 @@ def _resolve_out_dir(args, scenario: Scenario | None) -> tuple[Path, list[Path]]
     """The output directory, made if missing, and the directories this call
     made for it, innermost first."""
     out = args.out or (scenario and scenario.output_dir) or Path.cwd()
+    if out.is_dir():
+        return out, []
     made = [d for d in (out, *out.parents) if not d.is_dir()]
     try:
         out.mkdir(parents=True, exist_ok=True)

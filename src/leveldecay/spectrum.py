@@ -91,6 +91,8 @@ class ThresholdResult:
 
 
 _MARGINAL_BAND = 1e-8
+# Every 2d test reads the same; a frozen dataclass costs about 1 us to build.
+_DIVERGENT = ThresholdResult(exists=True, rhs=math.inf)
 
 
 def threshold_check(params: ModelParams) -> ThresholdResult:
@@ -101,7 +103,7 @@ def threshold_check(params: ModelParams) -> ThresholdResult:
         return ThresholdResult(exists=False, rhs=0.0, degenerate=True)
     rhs = sq_over_x_integral(model)
     if math.isinf(rhs):
-        return ThresholdResult(exists=True, rhs=rhs)
+        return _DIVERGENT
     marginal = abs(gap - rhs) < _MARGINAL_BAND
     return ThresholdResult(exists=rhs > gap, rhs=rhs, marginal=marginal)
 
@@ -195,89 +197,105 @@ def k_pv_closed(model: Canonical, xi):
     return model.gamma * _pv_k_unit(model.family, xi)
 
 
-def _eigen_equation(family, beta, gamma, u) -> tuple[float, float]:
-    """F(u) = beta + s - gamma k_p(s) and dF/du at s = e^u.  Below
+def _eigen_equation(family, beta, gamma, u) -> tuple[float, float, float]:
+    """F(u) = beta + s - gamma k_p(s), dF/du and s dk_p/ds at s = e^u.  Below
     u = -700, where s underflows, s = 0 and e^{s} E1(s) = -gamma_E - u."""
     s = math.exp(u)
     if u > _EDGE_LN_S:
         k, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
     else:
         k, s_dk = _k_unit_and_slope(family, 0.0, -np.euler_gamma - u)
-    return beta + s - gamma * k, s - gamma * s_dk
+    return beta + s - gamma * k, s - gamma * s_dk, s_dk
 
 
-def _newton_in_bracket(f_and_slope, lo, fd_lo, hi, fd_hi) -> tuple[float, float]:
-    """Root u and F(u) of an increasing F with F(lo) <= 0 <= F(hi).
+def _newton_in_bracket(equation, lo, at_lo, hi, at_hi) -> tuple[float, tuple]:
+    """Root u of an increasing F with F(lo) <= 0 <= F(hi), and ``equation``'s
+    value there; ``at_lo`` and ``at_hi`` are its values (F, dF/du, ...) at
+    the ends.
 
     Newton from the end with the smaller |F|; a step that would leave the
-    bracket or is longer than half the previous one becomes bisection.  A
-    step shorter than the tolerance means Newton has converged from one side,
-    where F's rounding can hold it: it becomes a probe across the root of one
-    tolerance, doubled on each consecutive probe and exempt from the
-    half-step rule, so the bracket closes on the root from both sides.  Once
-    it is narrower than 1e-15 + 4 eps |u|, the end or secant point between
-    them with the smallest |F| is returned.
+    bracket or is longer than half the step before the last one becomes
+    bisection (the safeguard of Numerical Recipes' ``rtsafe``, Press et al.
+    9.4).  A step shorter than the tolerance 1e-15 + 4 eps |u| means Newton
+    has converged from one side, where F's rounding can hold it: it becomes a
+    probe across the root of half the tolerance, doubled on each consecutive
+    probe, so the bracket closes on the root from both sides.  Probes are
+    exempt from the half-step rule and are not steps it compares with.  A
+    bracket narrower than twice the tolerance is bisected, which closes it.
+    Once it is closed, the end or secant point between them with the
+    smallest |F| is returned.
     """
-    f_lo, f_hi = fd_lo[0], fd_hi[0]
-    u, (f, df) = (lo, fd_lo) if -f_lo < f_hi else (hi, fd_hi)
-    step = math.inf
+    u, at = (lo, at_lo) if -at_lo[0] < at_hi[0] else (hi, at_hi)
+    step = before = math.inf  # the last step and the one before it, probes aside
     probes = 0  # consecutive probes across the root
     for _ in range(200):
+        f, df = at[0], at[1]
         if f == 0.0:
-            return u, f
+            return u, at
         tol = 1e-15 + 4.0 * _EPS * abs(u)
         if hi - lo < tol:
             break
         newton = -f / df if df != 0.0 else math.inf
         if abs(newton) < tol:
-            newton = math.copysign(tol * 2.0**probes, newton)
+            newton = math.copysign(0.5 * tol * 2.0**probes, newton)
             probes += 1
             ok = lo < u + newton < hi
         else:
             probes = 0
-            ok = lo < u + newton < hi and abs(newton) <= 0.5 * abs(step)
-        step = newton if ok else 0.5 * (lo + hi) - u
-        u += step
-        f, df = f_and_slope(u)
-        if f < 0.0:
-            lo, f_lo = u, f
+            ok = lo < u + newton < hi and abs(newton) <= 0.5 * abs(before)
+        if ok and hi - lo >= 2.0 * tol:
+            u += newton
+            if not probes:
+                before, step = step, newton
         else:
-            hi, f_hi = u, f
+            before, step = step, 0.5 * (lo + hi) - u
+            u += step
+        at = equation(u)
+        if at[0] < 0.0:
+            lo, at_lo = u, at
+        else:
+            hi, at_hi = u, at
     else:
         raise BracketFailureError("root iteration did not converge in 200 steps")
     # Where F is steep in u, both ends can miss the root by a few ulps.
+    f_lo, f_hi = at_lo[0], at_hi[0]
     u = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    if lo < u < hi and abs(f := f_and_slope(u)[0]) < min(-f_lo, f_hi):
-        return u, f
-    return (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+    if lo < u < hi and abs((at := equation(u))[0]) < min(-f_lo, f_hi):
+        return u, at
+    return (lo, at_lo) if -f_lo < f_hi else (hi, at_hi)
 
 
-def _solve_eigenvalue(model: Canonical) -> float:
+def _solve_eigenvalue(model: Canonical) -> tuple[float, float]:
     """ln s0 of the unique eigenvalue xi0 = -s0 of a canonical model the
-    threshold test has found a bound state in (neither degenerate nor marginal).
+    threshold test has found a bound state in (neither degenerate nor
+    marginal), and the slope s dk/ds at the root, which the weight takes.
 
     F(s) is strictly increasing, positive for large s and negative toward the
     edge, so a sign-change bracket pins the root, solved in u = ln s, which
     holds distances that underflow as s: there k_p takes its edge asymptote.
     The far end of the bracket starts at s = beta and doubles; F > 0 is
     certain from s = sqrt(gamma p!) on, since gamma k_p(s) < gamma p! / s.
-    The near end steps toward the edge in u by doubling steps.  Newton steps
-    in u on the slope s dk/ds, safeguarded as ``_newton_in_bracket`` says.
-    The root is certified by the residual gate |F| <= 1e-10 (beta + s), the
-    scale of the terms F cancels.  ln s, not s, crosses the map to e0 and w.
+    The near end is tried at u_hi - max(d, 2 F / F'), twice the Newton step
+    from u_hi or the reach d = 1, 2, 4, ... if that is longer; a trial with
+    F > 0 becomes the new u_hi.  Where F is about linear in u, as in 2d
+    toward the edge, twice the Newton step lands about as far past the root
+    as u_hi is before it.  Newton steps in u on the slope s dk/ds,
+    safeguarded as ``_newton_in_bracket`` says.  The root is certified by
+    the residual gate |F| <= 1e-10 (beta + s), the scale of the terms F
+    cancels.  ln s, not s, crosses the map to e0 and w.
 
     Raises:
         BracketFailureError: bracketing, iteration or residual tolerance failed.
     """
     family, gamma, beta = model
     _closed_form_gate(family)
-    f_and_slope = functools.partial(_eigen_equation, family, beta, gamma)
+    equation = functools.partial(_eigen_equation, family, beta, gamma)
 
     d = beta
     positive_from = math.sqrt(gamma * math.factorial(family.power))
     d_limit = 2.0 * max(positive_from, d)
     u_hi = math.log(d)
-    while (fd_hi := f_and_slope(u_hi))[0] < 0.0:
+    while (at_hi := equation(u_hi))[0] < 0.0:
         d *= 2.0
         if d > d_limit:
             raise BracketFailureError(
@@ -285,39 +303,43 @@ def _solve_eigenvalue(model: Canonical) -> float:
                 "must be positive"
             )
         u_hi = math.log(d)
-    step = 1.0
-    while (fd_lo := f_and_slope(u_hi - step))[0] > 0.0:
-        step *= 2.0
-        if step > 2.0**60:
+    reach = 1.0
+    while True:
+        f, df = at_hi[0], at_hi[1]
+        u_lo = u_hi - (max(reach, 2.0 * f / df) if df > 0.0 else reach)
+        if (at_lo := equation(u_lo))[0] <= 0.0:
+            break
+        u_hi, at_hi = u_lo, at_lo
+        reach *= 2.0
+        if reach > 2.0**60:
             raise BracketFailureError("near-edge bracket expansion exhausted")
-    u_root, residual = _newton_in_bracket(f_and_slope, u_hi - step, fd_lo, u_hi, fd_hi)
+    u_root, at = _newton_in_bracket(equation, u_lo, at_lo, u_hi, at_hi)
     res_tol = 1e-10 * (beta + math.exp(u_root))
-    if not abs(residual) <= res_tol:
+    if not abs(at[0]) <= res_tol:
         raise BracketFailureError(
-            f"root residual {residual!r} did not reach tolerance {res_tol!r}"
+            f"root residual {at[0]!r} did not reach tolerance {res_tol!r}"
         )
-    return u_root
+    return u_root, at[2]
 
 
-def eigen_weight(params: ModelParams, ln_s: float) -> float:
+def eigen_weight(params: ModelParams, ln_s: float, *, s_dk: float | None = None) -> float:
     """Weight w of the eigenvalue e0 = e1 - a in the initial state's spectral
     measure, at ln s0 = ln(a / L), the root of the eigenvalue solve.
 
     w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2), the residue of the
     resolvent: w = s / (s - gamma s dk_p/ds) at s = s0, taken as
     a / (a - L gamma s dk_p/ds) at a = exp(ln s0 + ln L), the float e0
-    subtracts from e1.  The slope takes the eigenvalue equation's edge limit
-    where s0 underflows; w is 1.0 at g2 = 0, 0.0 where a underflows, and
-    strictly inside (0, 1) between.
+    subtracts from e1.  The slope s dk/ds is the eigenvalue equation's at
+    ln s0, with its edge limit where s0 underflows; ``point_mass`` passes the
+    one the solve took at its root as ``s_dk``, the same bits.  w is
+    1.0 at g2 = 0, 0.0 where a underflows, and strictly inside (0, 1) between.
     """
     model = params.coupling
-    _closed_form_gate(model.family)
+    if s_dk is None:
+        _closed_form_gate(model.family)
+        # s dk/ds depends on neither beta nor gamma.
+        s_dk = _eigen_equation(model.family, 0.0, 0.0, ln_s)[2]
     a = math.exp(ln_s + math.log(model.cutoff))
-    if ln_s > _EDGE_LN_S:
-        s = math.exp(ln_s)
-        s_dk = _k_unit_and_slope(model.family, s, _scaled_e1(s))[1]
-    else:
-        s_dk = _k_unit_and_slope(model.family, 0.0, -np.euler_gamma - ln_s)[1]
     # L gamma = g2 L^p, exact in the caller's units.
     return a / (a - model.strength_sq * model.cutoff ** model.family.power * s_dk)
 
@@ -340,8 +362,8 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     if not check.exists:
         return check, None, 0.0
     units = Units(params)
-    ln_s = _solve_eigenvalue(units.model)
-    return check, units.eigenvalue(ln_s), eigen_weight(params, ln_s)
+    ln_s, s_dk = _solve_eigenvalue(units.model)
+    return check, units.eigenvalue(ln_s), eigen_weight(params, ln_s, s_dk=s_dk)
 
 
 def spectral_density(params: ModelParams, t):

@@ -130,7 +130,7 @@ sweep_value,threshold_rhs,exists,e0,weight,p_infinity
 9.0000000000000002e-01,9.0000000000000002e-01,false,,0.0000000000000000e+00,0.0000000000000000e+00
 1.0000000000000000e+00,1.0000000000000000e+00,skipped,,,
 1.1000000000000001e+00,1.1000000000000001e+00,true,-2.1268344030426774e-02,2.7169814190088748e-01,7.3819880312394795e-02
-2.0000000000000000e+00,2.0000000000000000e+00,true,-2.8477924771676288e-01,4.4909253697788509e-01,2.0168410676923310e-01
+2.0000000000000000e+00,2.0000000000000000e+00,true,-2.8477924771676300e-01,4.4909253697788515e-01,2.0168410676923315e-01
 """,
     "verify-sweep-2d": """\
 sweep_value,threshold_rhs,exists,e0,weight,p_infinity

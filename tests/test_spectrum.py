@@ -50,7 +50,7 @@ def _e0(params):
 
 def _ln_s(params):
     """ln s0 of the eigenvalue solve, the distance ``eigen_weight`` takes."""
-    return spectrum._solve_eigenvalue(Units(params).model)
+    return spectrum._solve_eigenvalue(Units(params).model)[0]
 
 
 def test_params_validation():
@@ -332,7 +332,7 @@ class TestSpectralData:
         assert spec.normalization_defect <= 1e-6
 
     def test_nan_weight_fails_normalization(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "eigen_weight", lambda params, e0: math.nan)
+        monkeypatch.setattr(spectrum, "eigen_weight", lambda params, ln_s, **_: math.nan)
         with pytest.raises(NormalizationFailureError, match="defect nan"):
             build_spectral_data(_params(TWO, 0.5))
 
