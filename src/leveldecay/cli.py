@@ -25,11 +25,12 @@ from .scenario import (
     check_positive_finite,
     load_scenario,
     run_decay,
+    sweep_points,
     write_decay,
     write_spectrum,
     write_sweep,
 )
-from .spectrum import build_spectral_data, point_mass
+from .spectrum import build_spectral_data
 
 _DEVIATION_GATE = 1e-2
 
@@ -52,7 +53,7 @@ def cmd_decay(scenario: Scenario, out_dir: Path) -> int:
 
 def cmd_sweep(scenario: Scenario, out_dir: Path) -> int:
     values = scenario.sweep.values
-    points = list(map(point_mass, scenario.sweep.models))
+    points = sweep_points(scenario.params, scenario.sweep)
     for value, (check, _, _) in zip(values, points):
         if check.marginal:
             print(

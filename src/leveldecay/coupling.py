@@ -11,7 +11,10 @@ checkable against a closed form, which is why these families were chosen.
 Inside the package a model is ``Canonical`` (e1 = 0, L = 1): the family,
 gamma = g2 L^{p-1} and beta = (e2 - e1) / L, on xi = (lambda - e1) / L and
 tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The public entry points map to and
-from it through ``Units``, which is exact at e1 = 0, L = 1.
+from it through ``Units``, which is exact at e1 = 0, L = 1.  ``Canonical.of``
+is that map from bare floats, and the closed forms and checks a sweep reads
+take the model as floats (family, g2, L), so no model object is built per
+point.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
 modeled.  Natural units throughout (all energies and times dimensionless).
@@ -85,23 +88,25 @@ def l2_norm_sq(model: CouplingModel) -> float:
         return out * math.factorial(p)
 
 
-def sq_over_x_integral(model: CouplingModel) -> float:
-    """Closed form of the integral of |V(x)|^2 / x over [0, inf).
+def sq_over_x_integral(family: CouplingFamily, g2: float, cutoff: float) -> float:
+    """Closed form of the integral of |V(x)|^2 / x over [0, inf) for the
+    model (family, g2, L).
 
     At p = 0 (2d) the integrand behaves like g2/x near zero and the integral
     diverges; ``inf`` is returned as an in-band divergence marker (not an
     error).  The zero-coupling model integrates to 0 for every family.
     """
-    if model.strength_sq == 0.0:
+    if g2 == 0.0:
         return 0.0
-    rhs = model.strength_sq * model.cutoff if model.family.power else math.inf
-    for n in range(1, model.family.power):
-        rhs *= n * model.cutoff
+    rhs = g2 * cutoff if family.power else math.inf
+    for n in range(1, family.power):
+        rhs *= n * cutoff
     return rhs
 
 
-def tail_mass(model: CouplingModel, x0: float) -> float:
-    """Closed-form remainder of the |V|^2 integral beyond ``x0`` >= 0.
+def tail_mass(family: CouplingFamily, g2: float, cutoff: float, x0: float) -> float:
+    """Closed-form remainder of the |V|^2 integral of the model (family, g2, L)
+    beyond ``x0`` >= 0.
 
     Used to certify truncation of semi-infinite integrals: every integrand in
     this package is |V(x)|^2 times a factor bounded on the tail, so its
@@ -111,22 +116,48 @@ def tail_mass(model: CouplingModel, x0: float) -> float:
     if x0 < 0.0:
         raise ValueError("x0 must be nonnegative")
     poly, x0_n = 1.0, 1.0
-    for n in range(1, model.family.power + 1):
+    for n in range(1, family.power + 1):
         x0_n *= x0
-        poly = x0_n + n * model.cutoff * poly
-    return model.strength_sq * model.cutoff * poly * math.exp(-x0 / model.cutoff)
+        poly = x0_n + n * cutoff * poly
+    return g2 * cutoff * poly * math.exp(-x0 / cutoff)
 
 
 def certify_tail(model: CouplingModel, cut: float, tol: float) -> None:
     """Refuse a model whose |V|^2 integrals cannot be cut at a finite
     x = cut L with a tail remainder over x of at most ``tol``."""
-    upper = cut * model.cutoff
-    bound = tail_mass(model, upper) / upper
+    certify_cut(model.family, model.strength_sq, model.cutoff, cut, tol)
+
+
+def certify_cut(family: CouplingFamily, g2: float, cutoff: float, cut: float,
+                tol: float) -> None:
+    """``certify_tail`` of the model (family, g2, L), from floats alone.
+
+    For fixed family and L the remainder ((g2 L) poly) e^{-x/L} / x is a chain
+    of roundings, each monotone in g2: a finite remainder within ``tol`` at
+    some g2 holds at every smaller g2 >= 0.
+    """
+    upper = cut * cutoff
+    bound = tail_mass(family, g2, cutoff, upper) / upper
     if not (math.isfinite(upper) and bound <= tol):  # a NaN bound fails
         raise ValueError(
-            f"coupling g_sq={model.strength_sq!r}, cutoff={model.cutoff!r}: truncated at x="
+            f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x="
             f"{upper!r}, remainder {bound!r}; x must be finite, the remainder <= {tol!r}"
         )
+
+
+def check_levels(e1: float, e2: float, cutoff: float) -> None:
+    """Refuse levels that are not finite with e1 < e2, whose gap e2 - e1
+    overflows, or whose gap over the cutoff L underflows to 0; raises
+    ValueError."""
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise ValueError("level energies must be finite")
+    if not e2 > e1:
+        raise ValueError(f"e2 must exceed e1, got e1={e1!r}, e2={e2!r}")
+    gap = e2 - e1
+    if not math.isfinite(gap):
+        raise ValueError(f"level gap e2 - e1 must be finite, got e1={e1!r}, e2={e2!r}")
+    if not gap / cutoff > 0.0:
+        raise ValueError(f"level gap {gap!r} over the cutoff underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -138,16 +169,7 @@ class ModelParams:
     coupling: CouplingModel
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.e1) and math.isfinite(self.e2)):
-            raise ValueError("level energies must be finite")
-        if not self.e2 > self.e1:
-            raise ValueError(f"e2 must exceed e1, got e1={self.e1!r}, e2={self.e2!r}")
-        if not math.isfinite(self.level_gap):
-            raise ValueError(
-                f"level gap e2 - e1 must be finite, got e1={self.e1!r}, e2={self.e2!r}"
-            )
-        if not self.level_gap / self.coupling.cutoff > 0.0:
-            raise ValueError(f"level gap {self.level_gap!r} over the cutoff underflows to 0")
+        check_levels(self.e1, self.e2, self.coupling.cutoff)
 
     @property
     def level_gap(self) -> float:
@@ -160,6 +182,13 @@ class Canonical(NamedTuple):
     family: CouplingFamily
     gamma: float
     beta: float
+
+    @classmethod
+    def of(cls, family: CouplingFamily, g2: float, cutoff: float, gap: float) -> Canonical:
+        """The canonical form of the caller's model (family, g2, L) at level
+        gap e2 - e1: gamma = g2 L^{p-1}, beta = gap / L."""
+        gamma = g2 / cutoff if family.power == 0 else g2 * cutoff ** (family.power - 1)
+        return cls(family, gamma, gap / cutoff)
 
     @property
     def coupling(self) -> CouplingModel:
@@ -175,16 +204,17 @@ class Canonical(NamedTuple):
 class Units:
     """The map between a caller's model (``coupling`` its |V|^2) and its
     ``Canonical`` form ``model``: lambda = e1 + L xi, tau = L t, rho = rho~ / L,
-    k = L k~ with gamma = g2 L^{p-1}, e0 = e1 - L s0 from ln s0, w unchanged
-    and C(t) = e^{-i e1 t} C~(L t)."""
+    k = L k~ with gamma = g2 L^{p-1} and C(t) = e^{-i e1 t} C~(L t).  The
+    eigenvalue e0 = e1 - L s0 and its weight are mapped back from ln s0 in
+    floats, without a ``Units``, by ``spectrum.point_mass``."""
 
     __slots__ = ("model", "e1", "coupling")
 
     def __init__(self, params: ModelParams) -> None:
         coupling = self.coupling = params.coupling
-        g2, cutoff, p = coupling.strength_sq, coupling.cutoff, coupling.family.power
-        gamma = g2 / cutoff if p == 0 else g2 * cutoff ** (p - 1)
-        self.model = Canonical(coupling.family, gamma, params.level_gap / cutoff)
+        self.model = Canonical.of(
+            coupling.family, coupling.strength_sq, coupling.cutoff, params.level_gap
+        )
         self.e1 = params.e1
 
     def up(self, x):
@@ -198,11 +228,6 @@ class Units:
 
     def energy(self, xi):
         return self.e1 + self.coupling.cutoff * xi
-
-    def eigenvalue(self, ln_s: float) -> float:
-        """e1 - exp(ln s0 + ln L), or the closest float below e1 if it underflows."""
-        e0 = self.e1 - math.exp(ln_s + math.log(self.coupling.cutoff))
-        return e0 if e0 < self.e1 else float(np.nextafter(self.e1, -math.inf))
 
     def phase(self, c: np.ndarray, t: np.ndarray) -> np.ndarray:
         """C(t) from C~(L t): e^{-i e1 t} C~, none at e1 = 0."""

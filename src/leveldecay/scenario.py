@@ -10,8 +10,10 @@ so that a series past its panel budget fails before the far longer solves
 start.  The time-domain series is extrapolated from a pair of solves at
 steps 2h and 4h, h the nominal step.
 ``write_spectrum``, ``write_decay`` and ``write_sweep`` name the artifact
-files.  The CLI and ``verify`` share them; a sweep's rows are the
-``point_mass`` results of its models, rendered by ``artifacts``.
+files.  The CLI and ``verify`` share them.  A sweep is a swept parameter
+and its values over a base model; ``sweep_points`` yields its rows, the
+``point_mass`` of the model at each value, through ``spectrum``'s float core
+without a model object per value, and ``artifacts`` renders them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel
+from .coupling import CouplingFamily, CouplingModel, certify_cut, check_levels
 from .evolution import (
     AmplitudeSeries,
     MethodTag,
@@ -34,8 +36,8 @@ from .evolution import (
     asymptotic_limit,
     weak_coupling_rate,
 )
-from .quadrature import NumericalError, _check_tail
-from .spectrum import ModelParams, SpectralData, build_spectral_data
+from .quadrature import TAIL_CUT, TAIL_TOL, NumericalError, _check_tail
+from .spectrum import ModelParams, SpectralData, _point, build_spectral_data
 from .volterra import default_step, solve_ide
 
 
@@ -45,10 +47,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A one-parameter scan: the values visited and the model at each."""
+    """A one-parameter scan of a scenario's model: the swept parameter (one of
+    g_sq, lambda_cutoff, level_gap) and the values it visits, in order."""
 
+    parameter: str
     values: tuple[float, ...]
-    models: tuple[ModelParams, ...]
 
 
 @dataclass(frozen=True)
@@ -112,25 +115,54 @@ def check_positive_finite(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, got {value!r}")
 
 
-def _swept_model(base: ModelParams, parameter: str, value: float) -> ModelParams:
-    """``base`` with ``parameter`` set to ``value`` (level_gap: e2 = e1 + value),
-    its truncation certified; raises ValueError."""
-    e1, coupling = base.e1, base.coupling
+def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...]) -> None:
+    """Refuse a sweep whose model at some value (``params`` with ``parameter``
+    set to it; level_gap: e2 = e1 + value) ``ModelParams`` or the truncation
+    check would refuse, with the message of the first such value in list
+    order; raises ValueError.  Values are finite, and nonnegative (g_sq) or
+    positive, so every swept ``CouplingModel`` is valid."""
+    c, e1 = params.coupling, params.e1
     if parameter == "g_sq":
-        coupling = CouplingModel(coupling.family, value, coupling.cutoff)
-    elif parameter == "lambda_cutoff":
-        coupling = CouplingModel(coupling.family, coupling.strength_sq, value)
-    params = ModelParams(e1, e1 + value if parameter == "level_gap" else base.e2, coupling)
-    _check_tail(params)
-    return params
+        # Only the tail can fail, and its remainder grows with g2 through
+        # monotone roundings: where the largest value passes, every one does.
+        try:
+            certify_cut(c.family, max(values), c.cutoff, TAIL_CUT, TAIL_TOL)
+        except ValueError:
+            for value in values:
+                certify_cut(c.family, value, c.cutoff, TAIL_CUT, TAIL_TOL)
+    elif parameter == "level_gap":
+        # The tail does not depend on the gap: the base model's certificate holds.
+        for value in values:
+            check_levels(e1, e1 + value, c.cutoff)
+    else:
+        # The 2d remainder is not monotone in L in floating point: each value
+        # is certified.
+        for value in values:
+            check_levels(e1, params.e2, value)
+            certify_cut(c.family, c.strength_sq, value, TAIL_CUT, TAIL_TOL)
+
+
+def sweep_points(params: ModelParams, sweep: SweepSpec) -> list[tuple]:
+    """``point_mass`` at each value of ``sweep``, of ``params`` with the swept
+    parameter set to it (level_gap: e2 = e1 + value), without a model object
+    per value: the rows of the sweep CSV, shared by the CLI and ``verify``."""
+    c, e1, e2 = params.coupling, params.e1, params.e2
+    family, g2, cutoff = c.family, c.strength_sq, c.cutoff
+    if sweep.parameter == "g_sq":
+        return [_point(family, v, cutoff, e1, e2) for v in sweep.values]
+    if sweep.parameter == "lambda_cutoff":
+        return [_point(family, g2, v, e1, e2) for v in sweep.values]
+    return [_point(family, g2, cutoff, e1, e1 + v) for v in sweep.values]
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario config from flat key-value text.
 
-    The model and every swept model are built here, once, and each must pass
-    the truncation check (60 L finite and the |V|^2 remainder past it below
-    1e-10: 3d g2 L < 1.1e16, 2d g2 < 6.9e17); any invalid model is a ConfigError.
+    The model is built here, once, and must pass the truncation check (60 L
+    finite and the |V|^2 remainder past it below 1e-10: 3d g2 L < 1.1e16, 2d
+    g2 < 6.9e17).  A sweep keeps its parameter and values; ``_check_sweep``
+    refuses it where the model at a value would be refused, without building
+    one.  Any invalid model is a ConfigError.
     """
     table = _parse_kv(text)
     name = table.pop("name", "")
@@ -209,7 +241,8 @@ def parse_scenario_text(text: str) -> Scenario:
     try:
         _check_tail(params)
         if sweep_param is not None:
-            sweep = SweepSpec(values, tuple(_swept_model(params, sweep_param, v) for v in values))
+            _check_sweep(params, sweep_param, values)
+            sweep = SweepSpec(sweep_param, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return Scenario(

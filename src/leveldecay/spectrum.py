@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -71,8 +72,7 @@ class ClosedFormMismatchError(NumericalError):
     """Closed-form k, PV k or weight integral disagrees with adaptive quadrature."""
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Outcome of the bound-state threshold test.
 
     ``exists`` reports whether the eigenvalue below the continuum edge exists:
@@ -91,21 +91,21 @@ class ThresholdResult:
 
 
 _MARGINAL_BAND = 1e-8
-# Every 2d test reads the same; a frozen dataclass costs about 1 us to build.
+# The tests at zero coupling, and every 2d test, read the same.
+_DEGENERATE = ThresholdResult(exists=False, rhs=0.0, degenerate=True)
 _DIVERGENT = ThresholdResult(exists=True, rhs=math.inf)
 
 
-def threshold_check(params: ModelParams) -> ThresholdResult:
-    """Decide whether the discrete eigenvalue below the edge exists."""
-    gap = params.level_gap
-    model = params.coupling
-    if model.strength_sq == 0.0:
-        return ThresholdResult(exists=False, rhs=0.0, degenerate=True)
-    rhs = sq_over_x_integral(model)
+def threshold_check(family: CouplingFamily, g2: float, cutoff: float,
+                    gap: float) -> ThresholdResult:
+    """Decide whether the discrete eigenvalue below the edge exists, for the
+    model (family, g2, L) at level gap e2 - e1, in the caller's units."""
+    if g2 == 0.0:
+        return _DEGENERATE
+    rhs = sq_over_x_integral(family, g2, cutoff)
     if math.isinf(rhs):
         return _DIVERGENT
-    marginal = abs(gap - rhs) < _MARGINAL_BAND
-    return ThresholdResult(exists=rhs > gap, rhs=rhs, marginal=marginal)
+    return ThresholdResult(rhs > gap, rhs, False, abs(gap - rhs) < _MARGINAL_BAND)
 
 
 # Beyond this s the scaled exponential integrals are 0 * inf in double
@@ -322,9 +322,11 @@ def _solve_eigenvalue(model: Canonical) -> tuple[float, float]:
     return u_root, at[2]
 
 
-def eigen_weight(params: ModelParams, ln_s: float, *, s_dk: float | None = None) -> float:
-    """Weight w of the eigenvalue e0 = e1 - a in the initial state's spectral
-    measure, at ln s0 = ln(a / L), the root of the eigenvalue solve.
+def eigen_weight(family: CouplingFamily, g2: float, cutoff: float, ln_s: float,
+                 s_dk: float | None = None) -> float:
+    """Weight w of the eigenvalue e0 = e1 - a of the model (family, g2, L) in
+    the initial state's spectral measure, at ln s0 = ln(a / L), the root of
+    the eigenvalue solve.
 
     w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2), the residue of the
     resolvent: w = s / (s - gamma s dk_p/ds) at s = s0, taken as
@@ -334,36 +336,49 @@ def eigen_weight(params: ModelParams, ln_s: float, *, s_dk: float | None = None)
     one the solve took at its root as ``s_dk``, the same bits.  w is
     1.0 at g2 = 0, 0.0 where a underflows, and strictly inside (0, 1) between.
     """
-    model = params.coupling
     if s_dk is None:
-        _closed_form_gate(model.family)
+        _closed_form_gate(family)
         # s dk/ds depends on neither beta nor gamma.
-        s_dk = _eigen_equation(model.family, 0.0, 0.0, ln_s)[2]
-    a = math.exp(ln_s + math.log(model.cutoff))
+        s_dk = _eigen_equation(family, 0.0, 0.0, ln_s)[2]
+    a = math.exp(ln_s + math.log(cutoff))
     # L gamma = g2 L^p, exact in the caller's units.
-    return a / (a - model.strength_sq * model.cutoff ** model.family.power * s_dk)
+    return a / (a - g2 * cutoff ** family.power * s_dk)
+
+
+def _point(family: CouplingFamily, g2: float, cutoff: float, e1: float,
+           e2: float) -> tuple[ThresholdResult, float | None, float | None]:
+    """``point_mass`` of the model (family, g2, L) at levels e1 < e2, from
+    floats alone: the threshold test, the solve on ``Canonical.of`` the
+    model, and the map of its ln s0 back to e0 = e1 - exp(ln s0 + ln L) (the
+    closest float below e1 where that rounds to e1) and to ``eigen_weight``."""
+    gap = e2 - e1
+    check = threshold_check(family, g2, cutoff, gap)
+    if check.degenerate:
+        return check, e2, 1.0
+    if check.marginal:
+        return check, None, None
+    if not check.exists:
+        return check, None, 0.0
+    ln_s, s_dk = _solve_eigenvalue(Canonical.of(family, g2, cutoff, gap))
+    e0 = e1 - math.exp(ln_s + math.log(cutoff))
+    if not e0 < e1:
+        e0 = math.nextafter(e1, -math.inf)
+    return check, e0, eigen_weight(family, g2, cutoff, ln_s, s_dk)
 
 
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
     """The point part of the spectral measure, (threshold test, e0, w): (e2, 1.0)
     at zero coupling, (None, None) on the threshold (``marginal``), (None, 0.0)
     without a bound state, else the eigenvalue e0 < e1 and its
-    ``eigen_weight``.  It is the package's one route to e0.
+    ``eigen_weight``.  It is the package's one route to e0, and its float
+    core is every sweep row's (``scenario.sweep_points``).
 
     Raises:
         BracketFailureError: the eigenvalue solve failed to bracket, converge
             or meet its residual tolerance.
     """
-    check = threshold_check(params)
-    if check.degenerate:
-        return check, params.e2, 1.0
-    if check.marginal:
-        return check, None, None
-    if not check.exists:
-        return check, None, 0.0
-    units = Units(params)
-    ln_s, s_dk = _solve_eigenvalue(units.model)
-    return check, units.eigenvalue(ln_s), eigen_weight(params, ln_s, s_dk=s_dk)
+    c = params.coupling
+    return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)
 
 
 def spectral_density(params: ModelParams, t):

@@ -43,6 +43,7 @@ from .scenario import (
     Scenario,
     SweepSpec,
     run_decay,
+    sweep_points,
     write_decay,
     write_spectrum,
     write_sweep,
@@ -315,13 +316,11 @@ def _check_eigenvalue_oracle(runs: dict[MatrixScenario, DecayRun]) -> CriterionR
     )
 
 
-def _sweeps() -> list[tuple[str, SweepSpec]]:
-    """The named g_sq sweeps of the artifacts, at e1 = 0, e2 = 1, L = 1."""
+def _sweeps() -> list[tuple[str, ModelParams, SweepSpec]]:
+    """The named g_sq sweeps of the artifacts and their base models, at
+    e1 = 0, e2 = 1, L = 1."""
     return [
-        (name, SweepSpec(
-            values,
-            tuple(ModelParams(0.0, 1.0, CouplingModel(family, v, 1.0)) for v in values),
-        ))
+        (name, ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0)), SweepSpec("g_sq", values))
         for name, family, values in (
             ("verify-sweep-3d", CouplingFamily.THREE_DIM_EXP, (0.5, 0.9, 1.0, 1.1, 2.0)),
             ("verify-sweep-2d", CouplingFamily.TWO_DIM_EXP, (1e-3, 0.1, 1.0)),
@@ -335,11 +334,11 @@ def _check_determinism() -> CriterionResult:
 
     def render() -> tuple[str, str, str]:
         spec = build_spectral_data(ms.scenario().params)
-        _name, sweep = _sweeps()[0]
+        _name, base, sweep = _sweeps()[0]
         return (
             artifacts.render_density_csv(spec),
             artifacts.render_spectral_json(spec),
-            artifacts.render_sweep_csv(sweep.values, list(map(point_mass, sweep.models))),
+            artifacts.render_sweep_csv(sweep.values, sweep_points(base, sweep)),
         )
 
     first, second = render(), render()
@@ -353,8 +352,8 @@ def _write_artifacts(out_dir: Path, runs: dict[MatrixScenario, DecayRun]) -> Non
     for ms, run in runs.items():
         write_spectrum(out_dir, ms.name, run.spec)
         write_decay(out_dir, ms.name, run)
-    for name, sweep in _sweeps():
-        write_sweep(out_dir, name, sweep.values, list(map(point_mass, sweep.models)))
+    for name, base, sweep in _sweeps():
+        write_sweep(out_dir, name, sweep.values, sweep_points(base, sweep))
 
 
 def run_matrix(out_dir: Path) -> list[CriterionResult]:

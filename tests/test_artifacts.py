@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leveldecay import AmplitudeSeries, CouplingFamily, CouplingModel, ModelParams
@@ -17,6 +17,7 @@ from leveldecay.artifacts import (
     render_sweep_csv,
 )
 from leveldecay.evolution import MethodTag
+from leveldecay.scenario import SweepSpec, sweep_points
 from leveldecay.spectrum import build_spectral_data, point_mass
 from leveldecay.verification import _sweeps
 
@@ -142,6 +143,71 @@ sweep_value,threshold_rhs,exists,e0,weight,p_infinity
 
 
 def test_verify_sweep_csvs_are_frozen():
-    for name, sweep in _sweeps():
-        points = list(map(point_mass, sweep.models))
+    for name, base, sweep in _sweeps():
+        points = sweep_points(base, sweep)
         assert render_sweep_csv(sweep.values, points) == FROZEN_SWEEPS[name]
+
+
+TWO, THREE = CouplingFamily.TWO_DIM_EXP, CouplingFamily.THREE_DIM_EXP
+
+
+def _swept_value(family, parameter, gap, cutoff, g_sq, ratio):
+    """The value of ``parameter`` that puts a 3d model at ``ratio`` times its
+    threshold (rhs / gap = ratio; 1 is on it), and its 2d counterpart on the
+    same scale (g_sq: g2 = ratio * gap)."""
+    three = family is THREE
+    if parameter == "g_sq":
+        return ratio * gap / (cutoff if three else 1.0)
+    if parameter == "lambda_cutoff":
+        return ratio * (gap / g_sq if three and g_sq > 0.0 else cutoff)
+    return g_sq * cutoff / ratio if three and g_sq > 0.0 else ratio * gap
+
+
+def _point_mass_per_model(family, parameter, e1, gap, cutoff, g_sq, values):
+    """Each value's ``point_mass`` of the model built with it set, as a sweep
+    built its models before ``scenario.sweep_points``."""
+    points = []
+    for v in values:
+        model = CouplingModel(family, v if parameter == "g_sq" else g_sq,
+                              v if parameter == "lambda_cutoff" else cutoff)
+        e2 = e1 + (v if parameter == "level_gap" else gap)
+        points.append(point_mass(ModelParams(e1, e2, model)))
+    return points
+
+
+_RATIOS = st.one_of(
+    st.floats(-3.0, 0.5).map(lambda x: 10.0**x),
+    st.floats(1.0 - 1e-9, 1.0 + 1e-9),  # inside the 1e-8 marginal band at gap <= 10
+    st.just(0.0),
+)
+
+
+@given(
+    family=st.sampled_from([TWO, THREE]),
+    parameter=st.sampled_from(["g_sq", "lambda_cutoff", "level_gap"]),
+    e1=st.sampled_from([0.0, 5.0, -3.0]),
+    gap=st.floats(0.1, 10.0),
+    cutoff=st.floats(0.1, 10.0),
+    g_sq=st.floats(0.05, 5.0),
+    ratios=st.lists(_RATIOS, min_size=1, max_size=6),
+)
+@example(THREE, "g_sq", 0.0, 1.0, 1.0, 2.0, [0.0, 0.5, 1.0, 1.0 + 1e-10, 2.0])
+@example(TWO, "g_sq", 5.0, 1.0, 1.0, 0.1, [1e-3, 0.01, 0.0, 1.0])  # e1 - e0 underflows
+@example(TWO, "g_sq", 0.0, 1.0, 1.0, 0.1, [1e-3, 2e-3])
+@example(THREE, "lambda_cutoff", 0.0, 1.0, 1.0, 2.0, [0.25, 1.0, 1.0 - 1e-10, 3.0])
+@example(THREE, "level_gap", -3.0, 1.0, 0.5, 2.0, [0.5, 1.0, 2.0])
+@example(TWO, "lambda_cutoff", 5.0, 1.0, 1.0, 0.0, [0.5, 2.0])  # g2 = 0 at every value
+@example(THREE, "level_gap", 0.0, 1.0, 1.0, 0.0, [0.5, 2.0])
+@example(TWO, "level_gap", 0.0, 1.0, 2.0, 0.3, [1e-3, 0.1, 3.0])
+@settings(max_examples=150)
+def test_sweep_rows_equal_point_mass_per_model(family, parameter, e1, gap, cutoff, g_sq,
+                                               ratios):
+    if parameter != "g_sq":  # only g_sq sweeps take 0
+        ratios = [r for r in ratios if r > 0.0] or [1.0]
+    values = tuple(_swept_value(family, parameter, gap, cutoff, g_sq, r) for r in ratios)
+    params = ModelParams(e1, e1 + gap, CouplingModel(family, g_sq, cutoff))
+    got = render_sweep_csv(values, sweep_points(params, SweepSpec(parameter, values)))
+    want = render_sweep_csv(
+        values, _point_mass_per_model(family, parameter, e1, gap, cutoff, g_sq, values)
+    )
+    assert got == want

@@ -34,7 +34,7 @@ from leveldecay import (
 from leveldecay.artifacts import fmt, render_sweep_csv
 from leveldecay.cli import main
 from leveldecay.coupling import CouplingFamily
-from leveldecay.scenario import ConfigError, parse_scenario_text
+from leveldecay.scenario import ConfigError, parse_scenario_text, sweep_points
 from leveldecay.spectrum import point_mass
 
 BASE_CONFIG = """
@@ -83,7 +83,7 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
         assert scen.volterra_step == 0.02
         assert scen.output_dir.name == "results"
         assert scen.sweep.values == (0.5, 0.9, 1.1, 2.0)
-        assert [m.coupling.strength_sq for m in scen.sweep.models] == [0.5, 0.9, 1.1, 2.0]
+        assert scen.sweep.parameter == "g_sq"
 
     @pytest.mark.parametrize(
         "parameter, key",
@@ -97,12 +97,13 @@ sweep.values = 0.5, 0.9, 1.1, 2.0
             + f"sweep.parameter = {parameter}\nsweep.values = {', '.join(map(str, values))}\n"
         )
         assert scen.sweep.values == values
-        for value, model in zip(values, scen.sweep.models, strict=True):
+        points = sweep_points(scen.params, scen.sweep)
+        for value, point in zip(values, points, strict=True):
             # level_gap sets e2 = e1 + value
             setting = 0.5 + value if parameter == "level_gap" else value
             line = f"{key.split(' = ')[0]} = {setting!r}"
             text = BASE_CONFIG.replace("model.e1 = 0.0", "model.e1 = 0.5").replace(key, line)
-            assert model == parse_scenario_text(text).params
+            assert point == point_mass(parse_scenario_text(text).params)
 
     @pytest.mark.parametrize(
         "mutation",
@@ -724,6 +725,36 @@ class TestSweepCommand:
         assert err.startswith(f"error: config: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    # Each message is the one a sweep refused with when it built a model per
+    # value, frozen in full.
+    @pytest.mark.parametrize(
+        "e2, parameter, values, message",
+        [
+            # Two values fail the tail check: the first in the list is named,
+            # not the largest.
+            ("1.0", "g_sq", "0.5, 1e20, 1e21",
+             "coupling g_sq=1e+20, cutoff=1.0: truncated at x=60.0, remainder "
+             "8.902452608741462e-07; x must be finite, the remainder <= 1e-10"),
+            # The gap check precedes the tail check, which 3d g2 L = 2e30 fails too.
+            ("1e-300", "lambda_cutoff", "1.0, 1e30",
+             "level gap 1e-300 over the cutoff underflows to 0"),
+            # 60 L overflows: no finite point to certify.
+            ("1.0", "lambda_cutoff", "1.0, 1e307",
+             "coupling g_sq=2.0, cutoff=1e+307: truncated at x=inf, remainder nan; "
+             "x must be finite, the remainder <= 1e-10"),
+        ],
+        ids=["g_sq-first-failing", "cutoff-gap-underflow", "cutoff-cut-overflow"],
+    )
+    def test_refused_sweep_value_keeps_its_message(
+        self, tmp_path, capsys, e2, parameter, values, message
+    ):
+        text = BASE_CONFIG.replace("model.e2 = 1.0", f"model.e2 = {e2}")
+        cfg = _write(tmp_path, text + f"sweep.parameter = {parameter}\nsweep.values = {values}\n")
+        out = tmp_path / "out"
+        assert main(["sweep", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "family, g_sq",
         [(CouplingFamily.THREE_DIM_EXP, 0.0), (CouplingFamily.THREE_DIM_EXP, 0.5),
@@ -750,7 +781,7 @@ class TestSweepCommand:
             BASE_CONFIG.replace("3d-exp", "2d-exp")
             + "sweep.parameter = g_sq\nsweep.values = 0.1, 0.3, 0.6\n"
         )
-        weights = [weight for _, _, weight in map(point_mass, scen.sweep.models)]
+        weights = [weight for _, _, weight in sweep_points(scen.params, scen.sweep)]
         assert all(0.0 < w < 1.0 for w in weights)
         # observed monotone increase; reported as data, never asserted in-library
         assert weights == sorted(weights)

@@ -74,7 +74,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
     w_ref = 1.0 / (1.0 + weight_ref)
-    assert _close(eigen_weight(params, math.log(s)), w_ref)
+    assert _close(eigen_weight(family, g_sq, cutoff, math.log(s)), w_ref)
 
 
 def test_mismatch_detected(tmp_path, monkeypatch, capsys):
@@ -237,7 +237,7 @@ def test_weight_from_the_slope_matches_its_closed_form(
     s = 10.0**log10_s
     a = s * model.cutoff
     want = _weight_from_its_closed_form(model, a)
-    got = eigen_weight(ModelParams(0.0, 1.0, model), math.log(s))
+    got = eigen_weight(family, model.strength_sq, model.cutoff, math.log(s))
     assert abs(got - want) <= 1e-14 * max(1.0, s * s) * want
 
 
@@ -250,12 +250,12 @@ def _brentq_eigenvalue(params: ModelParams) -> float | None:
     form of k, with the bracket search, its give-up bound, the residual gate
     and the underflow rule of ``spectrum._solve_eigenvalue``: e2 at zero
     coupling, None on the threshold or without a bound state."""
-    check = threshold_check(params)
+    model = params.coupling
+    check = threshold_check(model.family, model.strength_sq, model.cutoff, params.level_gap)
     if check.degenerate:
         return params.e2
     if check.marginal or not check.exists:
         return None
-    model = params.coupling
     two = model.family is TWO
     gap = params.level_gap
     scale = model.strength_sq * (1.0 if two else model.cutoff)

@@ -110,16 +110,16 @@ def test_l2_norm_matches_quadrature(family, g_sq, cutoff):
 
 
 def test_sq_over_x_closed_forms():
-    assert sq_over_x_integral(CouplingModel(THREE, 2.0, 1.0)) == pytest.approx(2.0)
-    assert sq_over_x_integral(CouplingModel(THREE, 0.0, 1.0)) == 0.0
-    assert math.isinf(sq_over_x_integral(CouplingModel(TWO, 1.0, 1.0)))
-    assert sq_over_x_integral(CouplingModel(TWO, 0.0, 1.0)) == 0.0
+    assert sq_over_x_integral(THREE, 2.0, 1.0) == pytest.approx(2.0)
+    assert sq_over_x_integral(THREE, 0.0, 1.0) == 0.0
+    assert math.isinf(sq_over_x_integral(TWO, 1.0, 1.0))
+    assert sq_over_x_integral(TWO, 0.0, 1.0) == 0.0
 
 
 def test_sq_over_x_matches_quadrature_three_dim():
     model = CouplingModel(THREE, 2.0, 1.3)
     value, _ = _adapt(lambda x: coupling_sq(model, x) / x, _semiinf_edges(model.cutoff))
-    assert value == pytest.approx(sq_over_x_integral(model), rel=1e-9)
+    assert value == pytest.approx(sq_over_x_integral(THREE, 2.0, 1.3), rel=1e-9)
 
 
 @pytest.mark.parametrize("family", [TWO, THREE])
@@ -143,4 +143,4 @@ def test_tail_mass_matches_complement(family):
     model = CouplingModel(family, 1.7, 0.9)
     x0 = 3.0
     head, _ = _adapt(lambda x: coupling_sq(model, x), np.linspace(0.0, x0, 9))
-    assert tail_mass(model, x0) == pytest.approx(l2_norm_sq(model) - head, abs=1e-9)
+    assert tail_mass(family, 1.7, 0.9, x0) == pytest.approx(l2_norm_sq(model) - head, abs=1e-9)

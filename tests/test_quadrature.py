@@ -275,7 +275,7 @@ def test_uncertified_truncation_rejected(monkeypatch):
     with pytest.raises(ValueError):
         k_regular(params, -1.0)
     # gate_integrals certifies the principal value's truncation first, at a = 0
-    pv_bound = tail_mass(params.coupling, 5.0) / 5.0
+    pv_bound = tail_mass(params.coupling.family, 1.0, 1.0, 5.0) / 5.0
     with pytest.raises(ValueError, match=re.escape(f"remainder {pv_bound!r};")):
         gate_integrals(params, [2.0])
 

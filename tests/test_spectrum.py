@@ -53,6 +53,18 @@ def _ln_s(params):
     return spectrum._solve_eigenvalue(Units(params).model)[0]
 
 
+def _threshold(params):
+    """``threshold_check`` of a caller's model."""
+    c = params.coupling
+    return threshold_check(c.family, c.strength_sq, c.cutoff, params.level_gap)
+
+
+def _weight(params, ln_s):
+    """``eigen_weight`` of a caller's model at ln s0."""
+    c = params.coupling
+    return eigen_weight(c.family, c.strength_sq, c.cutoff, ln_s)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, CouplingModel(TWO, 1.0, 1.0))
@@ -62,23 +74,23 @@ def test_params_validation():
 
 class TestThreshold:
     def test_three_dim_above(self):
-        res = threshold_check(_params(THREE, 2.0))
+        res = _threshold(_params(THREE, 2.0))
         assert res.exists and res.rhs == pytest.approx(2.0)
 
     def test_three_dim_below(self):
-        res = threshold_check(_params(THREE, 0.1))
+        res = _threshold(_params(THREE, 0.1))
         assert not res.exists and res.rhs == pytest.approx(0.1)
 
     def test_two_dim_always_exists(self):
-        res = threshold_check(_params(TWO, 0.3))
+        res = _threshold(_params(TWO, 0.3))
         assert res.exists and math.isinf(res.rhs)
 
     def test_degenerate_zero_coupling(self):
-        res = threshold_check(_params(THREE, 0.0))
+        res = _threshold(_params(THREE, 0.0))
         assert res.degenerate and not res.exists
 
     def test_marginal_flagged(self):
-        res = threshold_check(_params(THREE, 1.0))
+        res = _threshold(_params(THREE, 1.0))
         assert res.marginal
 
     def test_marginal_rejected_by_solver(self):
@@ -151,7 +163,7 @@ class TestEigenvalue:
         assume(family is TWO or abs(scale - gap) > 1e-6)
         p = 1 if family is THREE else 0
         params = _params(family, scale / cutoff**p, cutoff, e2=gap)
-        exists = threshold_check(params).exists
+        exists = _threshold(params).exists
         check, e0, w = point_mass(params)
         if e0 is None:
             assert not exists and not check.marginal and w == 0.0
@@ -167,24 +179,24 @@ class TestEigenvalue:
 
 class TestWeight:
     def test_zero_coupling_weight_is_one(self):
-        assert eigen_weight(_params(THREE, 0.0), 0.0) == 1.0
+        assert _weight(_params(THREE, 0.0), 0.0) == 1.0
 
     def test_three_dim_matches_reference(self):
         params = _params(THREE, 2.0)
-        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_3D_G2, abs=1e-9)
+        assert _weight(params, _ln_s(params)) == pytest.approx(W_3D_G2, abs=1e-9)
 
     def test_two_dim_matches_reference(self):
         params = _params(TWO, 0.5)
-        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_2D_G05, abs=1e-9)
+        assert _weight(params, _ln_s(params)) == pytest.approx(W_2D_G05, abs=1e-9)
 
     def test_two_dim_near_edge_matches_reference(self):
         params = _params(TWO, 0.1)
-        assert eigen_weight(params, _ln_s(params)) == pytest.approx(W_2D_G01, rel=1e-7)
+        assert _weight(params, _ln_s(params)) == pytest.approx(W_2D_G01, rel=1e-7)
 
     def test_strictly_inside_unit_interval(self):
         for family, g in ((THREE, 1.2), (THREE, 4.0), (TWO, 0.05), (TWO, 3.0)):
             params = _params(family, g)
-            assert 0.0 < eigen_weight(params, _ln_s(params)) < 1.0
+            assert 0.0 < _weight(params, _ln_s(params)) < 1.0
 
     def test_weight_does_not_depend_on_e1(self):
         # The weight is taken at the solve's own distance a, not at e1 - e0,
@@ -203,7 +215,7 @@ class TestWeight:
         ln_s = _ln_s(params)
         a = -_e0(params)
         assert ln_s < spectrum._EDGE_LN_S and a / cutoff == 0.0
-        assert eigen_weight(params, ln_s) == pytest.approx(a / (a + 1e-3), rel=1e-15)
+        assert _weight(params, ln_s) == pytest.approx(a / (a + 1e-3), rel=1e-15)
 
 
 class TestDensity:
@@ -285,8 +297,8 @@ class TestPointMass:
         params = _params(TWO, 0.5)
         check, e0, w = point_mass(params)
         ln_s = _ln_s(params)
-        assert check.exists and e0 == Units(params).eigenvalue(ln_s)
-        assert w == eigen_weight(params, ln_s)
+        assert check.exists and e0 == params.e1 - math.exp(ln_s + math.log(params.coupling.cutoff))
+        assert w == _weight(params, ln_s)
         assert e0 == pytest.approx(E0_2D_G05, abs=1e-9)
 
 
@@ -332,7 +344,7 @@ class TestSpectralData:
         assert spec.normalization_defect <= 1e-6
 
     def test_nan_weight_fails_normalization(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "eigen_weight", lambda params, ln_s, **_: math.nan)
+        monkeypatch.setattr(spectrum, "eigen_weight", lambda *_: math.nan)
         with pytest.raises(NormalizationFailureError, match="defect nan"):
             build_spectral_data(_params(TWO, 0.5))
 
