@@ -12,9 +12,7 @@ Inside the package a model is ``Canonical`` (e1 = 0, L = 1): the family,
 gamma = g2 L^{p-1} and beta = (e2 - e1) / L, on xi = (lambda - e1) / L and
 tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The public entry points map to and
 from it through ``Units``, which is exact at e1 = 0, L = 1.  ``Canonical.of``
-is that map from bare floats, and the closed forms and checks a sweep reads
-take the model as floats (family, g2, L), so no model object is built per
-point.
+is that map from bare floats, so no model object is built per sweep point.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
 modeled.  Natural units throughout (all energies and times dimensionless).
@@ -122,26 +120,41 @@ def tail_mass(family: CouplingFamily, g2: float, cutoff: float, x0: float) -> fl
     return g2 * cutoff * poly * math.exp(-x0 / cutoff)
 
 
-def certify_tail(model: CouplingModel, cut: float, tol: float) -> None:
-    """Refuse a model whose |V|^2 integrals cannot be cut at a finite
-    x = cut L with a tail remainder over x of at most ``tol``."""
-    certify_cut(model.family, model.strength_sq, model.cutoff, cut, tol)
+# Every |V|^2 integral stops at xi = TAIL_CUT; ``certify_tail`` bounds the rest.
+TAIL_CUT = 60.0
+TAIL_TOL = 1e-10
 
 
-def certify_cut(family: CouplingFamily, g2: float, cutoff: float, cut: float,
-                tol: float) -> None:
-    """``certify_tail`` of the model (family, g2, L), from floats alone.
+def gamma_of(family: CouplingFamily, g2: float, cutoff: float) -> float:
+    """gamma = g2 L^{p-1}, the strength of the coupling (family, g2, L) at L = 1."""
+    return g2 / cutoff if family.power == 0 else g2 * cutoff ** (family.power - 1)
 
-    For fixed family and L the remainder ((g2 L) poly) e^{-x/L} / x is a chain
-    of roundings, each monotone in g2: a finite remainder within ``tol`` at
-    some g2 holds at every smaller g2 >= 0.
-    """
-    upper = cut * cutoff
-    bound = tail_mass(family, g2, cutoff, upper) / upper
-    if not (math.isfinite(upper) and bound <= tol):  # a NaN bound fails
+
+def checked_gamma(family: CouplingFamily, g2: float, cutoff: float) -> float:
+    """gamma of (family, g2, L); refuses a cut TAIL_CUT L that overflows (the maps
+    to lambda need it) and a gamma 0 from g2 > 0, which would read as no coupling."""
+    if not math.isfinite(TAIL_CUT * cutoff):
         raise ValueError(
-            f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x="
-            f"{upper!r}, remainder {bound!r}; x must be finite, the remainder <= {tol!r}"
+            f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x=inf, since "
+            f"{TAIL_CUT!r} cutoffs overflow; x must be finite"
+        )
+    gamma = gamma_of(family, g2, cutoff)
+    if g2 > 0.0 and not gamma > 0.0:
+        raise ValueError(f"coupling g_sq={g2!r}, cutoff={cutoff!r}: gamma underflows to 0")
+    return gamma
+
+
+def certify_tail(coupling: CouplingModel) -> None:
+    """Refuse a coupling ``checked_gamma`` refuses, or whose remainder of
+    gamma xi^p e^{-xi} / xi beyond xi = TAIL_CUT, a pure number rounded monotonically
+    in gamma, exceeds TAIL_TOL (3d g2 < 1.1e16 at any L, 2d g2 / L < 6.9e17)."""
+    g2, cutoff = coupling.strength_sq, coupling.cutoff
+    gamma = checked_gamma(coupling.family, g2, cutoff)
+    bound = tail_mass(coupling.family, gamma, 1.0, TAIL_CUT) / TAIL_CUT
+    if not bound <= TAIL_TOL:
+        raise ValueError(
+            f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x={TAIL_CUT * cutoff!r}, "
+            f"remainder {bound!r}; x must be finite, the remainder <= {TAIL_TOL!r}"
         )
 
 
@@ -187,8 +200,7 @@ class Canonical(NamedTuple):
     def of(cls, family: CouplingFamily, g2: float, cutoff: float, gap: float) -> Canonical:
         """The canonical form of the caller's model (family, g2, L) at level
         gap e2 - e1: gamma = g2 L^{p-1}, beta = gap / L."""
-        gamma = g2 / cutoff if family.power == 0 else g2 * cutoff ** (family.power - 1)
-        return cls(family, gamma, gap / cutoff)
+        return cls(family, gamma_of(family, g2, cutoff), gap / cutoff)
 
     @property
     def coupling(self) -> CouplingModel:
@@ -211,10 +223,8 @@ class Units:
     __slots__ = ("model", "e1", "coupling")
 
     def __init__(self, params: ModelParams) -> None:
-        coupling = self.coupling = params.coupling
-        self.model = Canonical.of(
-            coupling.family, coupling.strength_sq, coupling.cutoff, params.level_gap
-        )
+        c = self.coupling = params.coupling
+        self.model = Canonical.of(c.family, c.strength_sq, c.cutoff, params.level_gap)
         self.e1 = params.e1
 
     def up(self, x):

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import Canonical, ModelParams, Units, certify_tail, coupling_sq
+from .coupling import TAIL_CUT, Canonical, ModelParams, Units, certify_tail, coupling_sq
 
 
 class NumericalError(RuntimeError):
@@ -45,14 +45,11 @@ class NonConvergenceError(NumericalError):
         self.error = error
 
 
-# Integrator tolerances and budget, and the truncation: k and the weight
-# integral stop at xi = TAIL_CUT, the principal value that far beyond its
-# pole, where the caller's closed-form tail remainder must stay below TAIL_TOL.
+# Integrator tolerances and budget; k and the weight integral stop at
+# xi = TAIL_CUT, the principal value that far beyond its pole.
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-8
 _MAX_SUBDIVISIONS = 4000
-TAIL_CUT = 60.0
-TAIL_TOL = 1e-10
 
 
 # Gauss-Kronrod (G7, K15) abscissae and weights on [-1, 1].
@@ -182,11 +179,6 @@ def _edges_toward(lo: float, hi: float, levels: int) -> np.ndarray:
     return np.unique(np.concatenate([[lo], inner, [hi]]))
 
 
-def _check_tail(params: ModelParams) -> None:
-    """Certify that the model's integrals can be cut at TAIL_CUT cutoffs."""
-    certify_tail(params.coupling, TAIL_CUT, TAIL_TOL)
-
-
 class _Integral(NamedTuple):
     """One integral for ``_integrals``: of (|V(x)|^2 - f0) / (x - c)^order
     over its seed edges in x, to the relative tolerance ``rel_tol``."""
@@ -243,7 +235,7 @@ def k_regular(params: ModelParams, lam: float) -> float:
     Requires lambda < e1 (below the continuum edge), where the integrand is
     nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
     """
-    _check_tail(params)
+    certify_tail(params.coupling)
     units = Units(params)
     return units.up(_integrals(units.model, [_k_part(-units.xi(lam), 1)])[0])
 
@@ -251,7 +243,7 @@ def k_regular(params: ModelParams, lam: float) -> float:
 def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
     """The three arrays k at e1 - d, PV k at e1 + d and the weight integral at d
     over the distances d: three integrals per d, refined in one ``_refine`` pass."""
-    _check_tail(params)
+    certify_tail(params.coupling)
     units = Units(params)
     parts, log_terms = [], []
     for s in map(units.down, distances):

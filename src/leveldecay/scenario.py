@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel, certify_cut, check_levels
+from .coupling import CouplingFamily, CouplingModel, certify_tail, check_levels, checked_gamma
 from .evolution import (
     AmplitudeSeries,
     MethodTag,
@@ -36,7 +36,7 @@ from .evolution import (
     asymptotic_limit,
     weak_coupling_rate,
 )
-from .quadrature import TAIL_CUT, TAIL_TOL, NumericalError, _check_tail
+from .quadrature import NumericalError
 from .spectrum import ModelParams, SpectralData, _point, build_spectral_data
 from .volterra import default_step, solve_ide
 
@@ -115,54 +115,51 @@ def check_positive_finite(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, got {value!r}")
 
 
-def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...]) -> None:
-    """Refuse a sweep whose model at some value (``params`` with ``parameter``
-    set to it; level_gap: e2 = e1 + value) ``ModelParams`` or the truncation
-    check would refuse, with the message of the first such value in list
-    order; raises ValueError.  Values are finite, and nonnegative (g_sq) or
-    positive, so every swept ``CouplingModel`` is valid."""
-    c, e1 = params.coupling, params.e1
+def _swept_models(params: ModelParams, parameter: str, values: tuple[float, ...]) -> list:
+    """(g2, L, e2) of ``params`` with ``parameter`` set to each value, in order."""
+    c, e1, e2 = params.coupling, params.e1, params.e2
     if parameter == "g_sq":
-        # Only the tail can fail, and its remainder grows with g2 through
-        # monotone roundings: where the largest value passes, every one does.
-        try:
-            certify_cut(c.family, max(values), c.cutoff, TAIL_CUT, TAIL_TOL)
-        except ValueError:
-            for value in values:
-                certify_cut(c.family, value, c.cutoff, TAIL_CUT, TAIL_TOL)
-    elif parameter == "level_gap":
-        # The tail does not depend on the gap: the base model's certificate holds.
-        for value in values:
-            check_levels(e1, e1 + value, c.cutoff)
-    else:
-        # The 2d remainder is not monotone in L in floating point: each value
-        # is certified.
-        for value in values:
-            check_levels(e1, params.e2, value)
-            certify_cut(c.family, c.strength_sq, value, TAIL_CUT, TAIL_TOL)
+        return [(v, c.cutoff, e2) for v in values]
+    if parameter == "lambda_cutoff":
+        return [(c.strength_sq, v, e2) for v in values]
+    return [(c.strength_sq, c.cutoff, e1 + v) for v in values]
+
+
+def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...]) -> None:
+    """Refuse a sweep (finite values of the sign its parameter takes) whose model at
+    some value ``ModelParams`` or ``certify_tail`` would refuse, naming the first in
+    list order: the levels and ``checked_gamma`` per value, the remainder once at the
+    largest gamma, where it is monotone, and on a failure each value in full."""
+    family, e1 = params.coupling.family, params.e1
+    models = _swept_models(params, parameter, values)
+    try:
+        for g2, cutoff, e2 in models:
+            check_levels(e1, e2, cutoff)
+        g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
+        certify_tail(CouplingModel(family, g2, cutoff))
+    except ValueError:
+        for g2, cutoff, e2 in models:
+            check_levels(e1, e2, cutoff)
+            certify_tail(CouplingModel(family, g2, cutoff))
+        raise
 
 
 def sweep_points(params: ModelParams, sweep: SweepSpec) -> list[tuple]:
     """``point_mass`` at each value of ``sweep``, of ``params`` with the swept
     parameter set to it (level_gap: e2 = e1 + value), without a model object
     per value: the rows of the sweep CSV, shared by the CLI and ``verify``."""
-    c, e1, e2 = params.coupling, params.e1, params.e2
-    family, g2, cutoff = c.family, c.strength_sq, c.cutoff
-    if sweep.parameter == "g_sq":
-        return [_point(family, v, cutoff, e1, e2) for v in sweep.values]
-    if sweep.parameter == "lambda_cutoff":
-        return [_point(family, g2, v, e1, e2) for v in sweep.values]
-    return [_point(family, g2, cutoff, e1, e1 + v) for v in sweep.values]
+    c, e1 = params.coupling, params.e1
+    return [_point(c.family, g2, cutoff, e1, e2)
+            for g2, cutoff, e2 in _swept_models(params, sweep.parameter, sweep.values)]
 
 
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario config from flat key-value text.
 
-    The model is built here, once, and must pass the truncation check (60 L
-    finite and the |V|^2 remainder past it below 1e-10: 3d g2 L < 1.1e16, 2d
-    g2 < 6.9e17).  A sweep keeps its parameter and values; ``_check_sweep``
+    The model is built here, once, and must pass ``certify_tail``, decided on
+    its gamma.  A sweep keeps its parameter and values; ``_check_sweep``
     refuses it where the model at a value would be refused, without building
-    one.  Any invalid model is a ConfigError.
+    one per value.  Any invalid model is a ConfigError.
     """
     table = _parse_kv(text)
     name = table.pop("name", "")
@@ -239,7 +236,7 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ConfigError(f"unknown keys: {sorted(table)}")
     sweep = None
     try:
-        _check_tail(params)
+        certify_tail(params.coupling)
         if sweep_param is not None:
             _check_sweep(params, sweep_param, values)
             sweep = SweepSpec(sweep_param, values)

@@ -43,13 +43,12 @@ import numpy as np
 from scipy import special
 
 from .coupling import (
-    Canonical, CouplingFamily, ModelParams, Units, coupling_sq, sq_over_x_integral,
+    TAIL_CUT, Canonical, CouplingFamily, ModelParams, Units, certify_tail, coupling_sq,
+    sq_over_x_integral,
 )
 from .quadrature import (
     _EPS,
-    TAIL_CUT,
     NumericalError,
-    _check_tail,
     _edges_toward,
     _refine,
     gate_integrals,
@@ -73,21 +72,21 @@ class ClosedFormMismatchError(NumericalError):
 
 
 class ThresholdResult(NamedTuple):
-    """Outcome of the bound-state threshold test.
+    """Outcome of the bound-state threshold test, r = gamma (p - 1)! against beta.
 
-    ``exists`` reports whether the eigenvalue below the continuum edge exists:
-    whether ``rhs``, the integral of |V|^2/x, exceeds the level gap e2 - e1
-    (``inf`` marks the divergent 2d case, where the eigenvalue always exists).
-    ``degenerate`` flags the zero-coupling model, for which the test is
-    meaningless (the unperturbed level e2 survives as a point mass instead).
-    ``marginal`` flags |gap - rhs| < 1e-8: numerically on the threshold, which
-    downstream solvers refuse to resolve.
+    ``exists``: r > beta, the eigenvalue below the edge exists.  ``rhs`` is
+    r L, the integral of |V|^2/x in the caller's units (``inf`` in 2d, where
+    the eigenvalue always exists).  ``degenerate`` flags gamma = 0, where the
+    unperturbed level e2 survives as a point mass.  ``marginal`` flags
+    ``distance`` = |beta - r| < 1e-8, a band relative to L: numerically on the
+    threshold, which downstream solvers refuse to resolve.
     """
 
     exists: bool
     rhs: float
     degenerate: bool = False
     marginal: bool = False
+    distance: float = math.inf
 
 
 _MARGINAL_BAND = 1e-8
@@ -96,16 +95,17 @@ _DEGENERATE = ThresholdResult(exists=False, rhs=0.0, degenerate=True)
 _DIVERGENT = ThresholdResult(exists=True, rhs=math.inf)
 
 
-def threshold_check(family: CouplingFamily, g2: float, cutoff: float,
-                    gap: float) -> ThresholdResult:
-    """Decide whether the discrete eigenvalue below the edge exists, for the
-    model (family, g2, L) at level gap e2 - e1, in the caller's units."""
-    if g2 == 0.0:
+def threshold_check(model: Canonical, cutoff: float) -> ThresholdResult:
+    """Decide whether the eigenvalue below the edge exists on (family, gamma, beta)
+    of ``model`` alone; the caller's cutoff L only states ``rhs`` in its units."""
+    family, gamma, beta = model
+    if gamma == 0.0:
         return _DEGENERATE
-    rhs = sq_over_x_integral(family, g2, cutoff)
-    if math.isinf(rhs):
+    r = sq_over_x_integral(family, gamma, 1.0)
+    if math.isinf(r):
         return _DIVERGENT
-    return ThresholdResult(rhs > gap, rhs, False, abs(gap - rhs) < _MARGINAL_BAND)
+    distance = abs(beta - r)
+    return ThresholdResult(r > beta, r * cutoff, False, distance < _MARGINAL_BAND, distance)
 
 
 # Beyond this s the scaled exponential integrals are 0 * inf in double
@@ -348,18 +348,18 @@ def eigen_weight(family: CouplingFamily, g2: float, cutoff: float, ln_s: float,
 def _point(family: CouplingFamily, g2: float, cutoff: float, e1: float,
            e2: float) -> tuple[ThresholdResult, float | None, float | None]:
     """``point_mass`` of the model (family, g2, L) at levels e1 < e2, from
-    floats alone: the threshold test, the solve on ``Canonical.of`` the
+    floats alone: the threshold test and the solve on one ``Canonical.of`` the
     model, and the map of its ln s0 back to e0 = e1 - exp(ln s0 + ln L) (the
     closest float below e1 where that rounds to e1) and to ``eigen_weight``."""
-    gap = e2 - e1
-    check = threshold_check(family, g2, cutoff, gap)
+    model = Canonical.of(family, g2, cutoff, e2 - e1)
+    check = threshold_check(model, cutoff)
     if check.degenerate:
         return check, e2, 1.0
     if check.marginal:
         return check, None, None
     if not check.exists:
         return check, None, 0.0
-    ln_s, s_dk = _solve_eigenvalue(Canonical.of(family, g2, cutoff, gap))
+    ln_s, s_dk = _solve_eigenvalue(model)
     e0 = e1 - math.exp(ln_s + math.log(cutoff))
     if not e0 < e1:
         e0 = math.nextafter(e1, -math.inf)
@@ -374,10 +374,12 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     core is every sweep row's (``scenario.sweep_points``).
 
     Raises:
+        ValueError: ``certify_tail`` refuses the coupling (gamma 0 from g2 > 0).
         BracketFailureError: the eigenvalue solve failed to bracket, converge
             or meet its residual tolerance.
     """
     c = params.coupling
+    certify_tail(c)
     return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)
 
 
@@ -420,8 +422,8 @@ class SpectralData:
     ``eigenvalue`` is None when no bound state exists; for the degenerate
     zero-coupling model it holds the surviving unperturbed level e2 with
     weight 1 (flagged via ``degenerate``), the one case where it is not
-    below e1.  ``threshold_rhs`` is the threshold test's integral of |V|^2/x
-    (the level gap it is compared with is ``params.level_gap``).
+    below e1.  ``threshold_rhs`` is the threshold test's ``rhs``, r L (the test
+    compares r with beta = ``params.level_gap`` / L).
     ``normalization_defect`` is |weight + mass + tail - 1|, the tail being the
     density's estimated mass beyond the table.
     """
@@ -487,13 +489,11 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         NormalizationFailureError: |weight + mass + tail - 1| > 1e-4.
         ThresholdMarginalError: model numerically on threshold.
     """
-    _check_tail(params)
     check, e0, weight = point_mass(params)
     if check.marginal:
         raise ThresholdMarginalError(
-            "model sits on the bound-state threshold: |gap - rhs| = "
-            f"{abs(params.level_gap - check.rhs)!r} is inside the {_MARGINAL_BAND} "
-            "marginal band; spectral data is not resolvable"
+            f"model sits on the bound-state threshold: |beta - r| = {check.distance!r} "
+            f"is inside the {_MARGINAL_BAND} marginal band; spectral data is not resolvable"
         )
     if check.degenerate:
         empty = np.empty(0)

@@ -128,7 +128,7 @@ def _check_threshold() -> CriterionResult:
     ):
         params = ModelParams(0.0, 1.0, CouplingModel(family, g_sq, 1.0))
         check, e0, _ = point_mass(params)
-        margin = min(margin, abs(params.level_gap - check.rhs))
+        margin = min(margin, check.distance)  # |beta - r|, at L = 1 |gap - rhs|
         got = e0 is not None and e0 < params.e1
         if not got == expected == check.exists:
             failures.append(f"{tag} g2={g_sq}: solver={got}, expected={expected}")

@@ -177,7 +177,7 @@ def _point_mass_per_model(family, parameter, e1, gap, cutoff, g_sq, values):
 
 _RATIOS = st.one_of(
     st.floats(-3.0, 0.5).map(lambda x: 10.0**x),
-    st.floats(1.0 - 1e-9, 1.0 + 1e-9),  # inside the 1e-8 marginal band at gap <= 10
+    st.floats(1.0 - 1e-9, 1.0 + 1e-9),  # |beta - r| < 1e-8 where gap / cutoff <= 10
     st.just(0.0),
 )
 

@@ -735,13 +735,13 @@ class TestSweepCommand:
             ("1.0", "g_sq", "0.5, 1e20, 1e21",
              "coupling g_sq=1e+20, cutoff=1.0: truncated at x=60.0, remainder "
              "8.902452608741462e-07; x must be finite, the remainder <= 1e-10"),
-            # The gap check precedes the tail check, which 3d g2 L = 2e30 fails too.
+            # The gap over the cutoff underflows at the second value.
             ("1e-300", "lambda_cutoff", "1.0, 1e30",
              "level gap 1e-300 over the cutoff underflows to 0"),
             # 60 L overflows: no finite point to certify.
             ("1.0", "lambda_cutoff", "1.0, 1e307",
-             "coupling g_sq=2.0, cutoff=1e+307: truncated at x=inf, remainder nan; "
-             "x must be finite, the remainder <= 1e-10"),
+             "coupling g_sq=2.0, cutoff=1e+307: truncated at x=inf, since 60.0 "
+             "cutoffs overflow; x must be finite"),
         ],
         ids=["g_sq-first-failing", "cutoff-gap-underflow", "cutoff-cut-overflow"],
     )

@@ -251,7 +251,7 @@ def _brentq_eigenvalue(params: ModelParams) -> float | None:
     and the underflow rule of ``spectrum._solve_eigenvalue``: e2 at zero
     coupling, None on the threshold or without a bound state."""
     model = params.coupling
-    check = threshold_check(model.family, model.strength_sq, model.cutoff, params.level_gap)
+    check = threshold_check(Units(params).model, model.cutoff)
     if check.degenerate:
         return params.e2
     if check.marginal or not check.exists:

@@ -14,7 +14,7 @@ from leveldecay import (
     NonConvergenceError,
     k_regular,
 )
-from leveldecay import quadrature
+from leveldecay import coupling, quadrature
 from leveldecay.coupling import tail_mass
 from leveldecay.quadrature import (
     _ABS_TOL,
@@ -270,7 +270,7 @@ def test_pv_k_below_edge_rejected():
 
 def test_uncertified_truncation_rejected(monkeypatch):
     # A cut at 5 cutoffs leaves a remainder bound far above TAIL_TOL for cutoff 1
-    monkeypatch.setattr(quadrature, "TAIL_CUT", 5.0)
+    monkeypatch.setattr(coupling, "TAIL_CUT", 5.0)
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
     with pytest.raises(ValueError):
         k_regular(params, -1.0)

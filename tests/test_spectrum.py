@@ -55,8 +55,7 @@ def _ln_s(params):
 
 def _threshold(params):
     """``threshold_check`` of a caller's model."""
-    c = params.coupling
-    return threshold_check(c.family, c.strength_sq, c.cutoff, params.level_gap)
+    return threshold_check(Units(params).model, params.coupling.cutoff)
 
 
 def _weight(params, ln_s):
@@ -98,7 +97,7 @@ class TestThreshold:
         assert check.marginal and (e0, w) == (None, None)
 
     def test_marginal_rejected_by_builder(self):
-        with pytest.raises(ThresholdMarginalError, match=r"\|gap - rhs\| = .* 1e-08"):
+        with pytest.raises(ThresholdMarginalError, match=r"\|beta - r\| = .* 1e-08"):
             build_spectral_data(_params(THREE, 1.0 + 5e-9))
 
 

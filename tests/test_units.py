@@ -5,6 +5,7 @@ spectrum and the same P(t) once the maps of ``coupling.Units`` are applied."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from leveldecay import (
     solve_ide,
     spectral_density,
 )
-from leveldecay.coupling import Units
+from leveldecay.coupling import Canonical, Units
+from leveldecay.scenario import ConfigError, parse_scenario_text
 
 EPS = float(np.finfo(float).eps)
 
@@ -89,3 +91,67 @@ def test_a_level_gap_that_underflows_over_the_cutoff_is_refused():
     with pytest.raises(ValueError, match="over the cutoff underflows"):
         ModelParams(0.0, 5e-324, model)
     assert Units(ModelParams(0.0, 5e-324, CouplingModel(model.family, 0.5, 0.5))).model.beta > 0
+
+
+def test_a_coupling_whose_gamma_underflows_over_the_cutoff_is_refused():
+    # gamma = g2 / L would be 0 from g2 > 0, which reads as no coupling.
+    text = (
+        "name = tiny\nmodel.e1 = 0.0\nmodel.e2 = 1.0\ncoupling.family = 2d-exp\n"
+        "coupling.g_sq = 1e-300\ncoupling.lambda_cutoff = 1e300\n"
+    )
+    with pytest.raises(ConfigError, match=r"g_sq=1e-300, cutoff=1e\+300: gamma underflows to 0"):
+        parse_scenario_text(text)
+    # point_mass refuses it too, rather than answer as at zero coupling.
+    model = CouplingModel(CouplingFamily.TWO_DIM_EXP, 1e-300, 1e300)
+    with pytest.raises(ValueError, match="gamma underflows to 0"):
+        point_mass(ModelParams(0.0, 1.0, model))
+    # As a swept value the first such value is named, not the smallest.
+    sweep = "sweep.parameter = g_sq\nsweep.values = 0.0, 1.0, 1e-300, 1e-310\n"
+    with pytest.raises(ConfigError, match=r"g_sq=1e-300,"):
+        parse_scenario_text(text.replace("1e-300", "1.0") + sweep)
+
+
+# The numbers of a refusal's message, which name the caller's units.
+_NUMBER = re.compile(r"-?\d[\d.]*(?:e[-+]?\d+)?|\binf\b|\bnan\b")
+
+
+def _verdict(family, g_sq, cutoff, gap):
+    """What the package makes of a model at e1 = 0: the message of the parse
+    check that refuses it, numbers masked, or the threshold test's verdict."""
+    text = (
+        f"name = v\nmodel.e1 = 0.0\nmodel.e2 = {gap!r}\ncoupling.family = {family.value}\n"
+        f"coupling.g_sq = {g_sq!r}\ncoupling.lambda_cutoff = {cutoff!r}\n"
+    )
+    try:
+        params = parse_scenario_text(text).params
+    except ConfigError as exc:
+        return _NUMBER.sub("#", str(exc))
+    check = point_mass(params)[0]
+    return "degenerate" if check.degenerate else "marginal" if check.marginal else check.exists
+
+
+# beta = ratio r, r = gamma (p - 1)! in 3d (gamma in 2d), far from r or
+# within 1e-9 r of it, which straddles the 1e-8 marginal band.
+@settings(max_examples=300)
+@given(
+    family=st.sampled_from(list(CouplingFamily)),
+    gamma=st.floats(-4.0, 19.0).map(lambda u: 10.0**u),
+    ratio=st.one_of(
+        st.floats(-3.0, 3.0).map(lambda u: 10.0**u),
+        st.floats(-1e-9, 1e-9).map(lambda d: 1.0 + d),
+    ),
+    cutoff=st.floats(-12.0, 30.0).map(lambda u: 10.0**u),
+)
+# Twice the 3d threshold coupling: marginal at small L and refused by the
+# truncation check at large L when the band and the certificate read the
+# caller's units; and, at L = 1e9, a 3d model inside the band.
+@example(family=CouplingFamily.THREE_DIM_EXP, gamma=1.0, ratio=0.5, cutoff=1e-12)
+@example(family=CouplingFamily.THREE_DIM_EXP, gamma=1.0, ratio=0.5, cutoff=1e-9)
+@example(family=CouplingFamily.THREE_DIM_EXP, gamma=1.0, ratio=0.5, cutoff=1e20)
+@example(family=CouplingFamily.TWO_DIM_EXP, gamma=1.0, ratio=0.5, cutoff=1e20)
+@example(family=CouplingFamily.THREE_DIM_EXP, gamma=1.0, ratio=1.0 - 1e-11, cutoff=1e9)
+def test_the_verdict_depends_on_family_gamma_and_beta_alone(family, gamma, ratio, cutoff):
+    g_sq = gamma * cutoff ** (1 - family.power)
+    gap = ratio * gamma * cutoff
+    twin = Canonical.of(family, g_sq, cutoff, gap)
+    assert _verdict(family, g_sq, cutoff, gap) == _verdict(family, twin.gamma, 1.0, twin.beta)
