@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .coupling import Units
 from .evolution import AmplitudeSeries
 from .spectrum import SpectralData
 
@@ -218,7 +219,8 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def render_density_csv(spec: SpectralData) -> str:
-    return _render_columns("lambda,rho", (spec.grid, spec.density))
+    units = Units(spec.params)
+    return _render_columns("lambda,rho", (units.energy(spec.grid), units.down(spec.density)))
 
 
 def write_density_csv(path: Path, spec: SpectralData) -> None:

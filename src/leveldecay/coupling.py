@@ -188,6 +188,11 @@ class ModelParams:
     def level_gap(self) -> float:
         return self.e2 - self.e1
 
+    @property
+    def canonical(self) -> Canonical:
+        c = self.coupling
+        return Canonical.of(c.family, c.strength_sq, c.cutoff, self.level_gap)
+
 
 class Canonical(NamedTuple):
     """A model at e1 = 0 and L = 1: the family, gamma and the level gap beta."""
@@ -223,8 +228,8 @@ class Units:
     __slots__ = ("model", "e1", "coupling")
 
     def __init__(self, params: ModelParams) -> None:
-        c = self.coupling = params.coupling
-        self.model = Canonical.of(c.family, c.strength_sq, c.cutoff, params.level_gap)
+        self.coupling = params.coupling
+        self.model = params.canonical
         self.e1 = params.e1
 
     def up(self, x):

@@ -7,7 +7,8 @@ exists, plus the transform of the continuous density,
     C(t) = w exp(-i e0 t) + integral of exp(-i lam t) rho(lam) d lam,
 
 and P(t) = |C(t)|^2.  The transform is canonical (``coupling``): it takes
-C~(tau) on xi = (lam - e1) / L at tau = L t, and C(t) = e^{-i e1 t} C~(L t).
+C~(tau) at tau = L t from the spectral data as stored, in xi = (lam - e1) / L
+with the point at ``xi0``, and C(t) = e^{-i e1 t} C~(L t), its only two maps.
 The continuous term is evaluated with a phase-aware panel rule on the exact
 (closed-form) density, on a uniform grid from 0 only, t_k = k dt: at least
 two increasing times starting at t = 0, off a straight line by at most 64 eps
@@ -157,8 +158,7 @@ def _transform_nodes(
     """Nodes x in xi, weights a (rho~(x) times the rule weight) and the
     lattice indices P of ``_panel_cuts``'s full panels, which come first, in
     increasing P, ten nodes to a panel; the other panels follow."""
-    units = Units(spec.params)
-    first, counts, left, right = _panel_cuts(units.xi(spec.segments), spec.segment_mass, w)
+    first, counts, left, right = _panel_cuts(spec.segments, spec.segment_mass, w)
     # Segment i's panels first_i, first_i + 1, ... in a run starting at offset_i.
     offset = np.cumsum(counts) - counts
     lattice = np.arange(counts.sum()) + np.repeat(first - offset, counts)
@@ -169,7 +169,7 @@ def _transform_nodes(
         (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    dens = spectral_density(units.model.params, nodes)
+    dens = spectral_density(spec.params.canonical.params, nodes)
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 
@@ -252,8 +252,8 @@ def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
     dt, q, w = _uniform_lattice(tau)
     x, a, lattice = _transform_nodes(spec, w)
     out = _uniform_sums(x, a, lattice, tau, dt, q)
-    if spec.eigenvalue is not None:
-        out += spec.weight * np.exp(-1j * units.xi(spec.eigenvalue) * tau)
+    if spec.xi0 is not None:
+        out += spec.weight * np.exp(-1j * spec.xi0 * tau)
     return units.phase(out, times)
 
 

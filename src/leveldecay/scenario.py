@@ -126,17 +126,21 @@ def _swept_models(params: ModelParams, parameter: str, values: tuple[float, ...]
 
 
 def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...]) -> None:
-    """Refuse a sweep (finite values of the sign its parameter takes) whose model at
-    some value ``ModelParams`` or ``certify_tail`` would refuse, naming the first in
-    list order: the levels and ``checked_gamma`` per value, the remainder once at the
-    largest gamma, where it is monotone, and on a failure each value in full."""
+    """Refuse a sweep (finite values of the sign its parameter takes) of a model
+    ``parse_scenario_text`` accepted whose model at some value ``ModelParams`` or
+    ``certify_tail`` would refuse, naming the first in list order.  Per value only
+    what the parameter varies: the levels unless g_sq is swept, ``checked_gamma``
+    unless level_gap is, with the remainder once at the largest gamma, where it is
+    monotone; on a failure each value in full."""
     family, e1 = params.coupling.family, params.e1
     models = _swept_models(params, parameter, values)
     try:
-        for g2, cutoff, e2 in models:
-            check_levels(e1, e2, cutoff)
-        g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
-        certify_tail(CouplingModel(family, g2, cutoff))
+        if parameter != "g_sq":
+            for g2, cutoff, e2 in models:
+                check_levels(e1, e2, cutoff)
+        if parameter != "level_gap":
+            g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
+            certify_tail(CouplingModel(family, g2, cutoff))
     except ValueError:
         for g2, cutoff, e2 in models:
             check_levels(e1, e2, cutoff)
@@ -149,7 +153,7 @@ def sweep_points(params: ModelParams, sweep: SweepSpec) -> list[tuple]:
     parameter set to it (level_gap: e2 = e1 + value), without a model object
     per value: the rows of the sweep CSV, shared by the CLI and ``verify``."""
     c, e1 = params.coupling, params.e1
-    return [_point(c.family, g2, cutoff, e1, e2)
+    return [_point(c.family, g2, cutoff, e1, e2)[:3]
             for g2, cutoff, e2 in _swept_models(params, sweep.parameter, sweep.values)]
 
 

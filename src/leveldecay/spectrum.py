@@ -289,6 +289,11 @@ def _solve_eigenvalue(model: Canonical) -> tuple[float, float]:
     """
     family, gamma, beta = model
     _closed_form_gate(family)
+    if math.isinf(beta / gamma):
+        # 2d alone binds so weakly (3d needs gamma > beta): below u = -700
+        # F = beta + gamma (gamma_E + u), whose root is below the float range.
+        # s0 is 0 there, and s dk/ds its edge limit -1.
+        return -math.inf, -1.0
     equation = functools.partial(_eigen_equation, family, beta, gamma)
 
     d = beta
@@ -346,24 +351,24 @@ def eigen_weight(family: CouplingFamily, g2: float, cutoff: float, ln_s: float,
 
 
 def _point(family: CouplingFamily, g2: float, cutoff: float, e1: float,
-           e2: float) -> tuple[ThresholdResult, float | None, float | None]:
-    """``point_mass`` of the model (family, g2, L) at levels e1 < e2, from
-    floats alone: the threshold test and the solve on one ``Canonical.of`` the
+           e2: float) -> tuple[ThresholdResult, float | None, float | None, float | None]:
+    """``point_mass`` of the model (family, g2, L) at levels e1 < e2 from floats
+    alone, and ln s0: the threshold test and the solve on one ``Canonical.of`` the
     model, and the map of its ln s0 back to e0 = e1 - exp(ln s0 + ln L) (the
     closest float below e1 where that rounds to e1) and to ``eigen_weight``."""
     model = Canonical.of(family, g2, cutoff, e2 - e1)
     check = threshold_check(model, cutoff)
     if check.degenerate:
-        return check, e2, 1.0
+        return check, e2, 1.0, None
     if check.marginal:
-        return check, None, None
+        return check, None, None, None
     if not check.exists:
-        return check, None, 0.0
+        return check, None, 0.0, None
     ln_s, s_dk = _solve_eigenvalue(model)
     e0 = e1 - math.exp(ln_s + math.log(cutoff))
     if not e0 < e1:
         e0 = math.nextafter(e1, -math.inf)
-    return check, e0, eigen_weight(family, g2, cutoff, ln_s, s_dk)
+    return check, e0, eigen_weight(family, g2, cutoff, ln_s, s_dk), ln_s
 
 
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:
@@ -380,7 +385,7 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     """
     c = params.coupling
     certify_tail(c)
-    return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)
+    return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)[:3]
 
 
 def spectral_density(params: ModelParams, t):
@@ -412,24 +417,25 @@ def spectral_density(params: ModelParams, t):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Complete spectral data of one scenario.
+    """Complete spectral data of one scenario, tabulated in xi as its canonical twin's.
 
     ``params`` is the model the data belongs to; the spectral transform
-    evaluates rho from it exactly.  ``grid``/``density`` tabulate rho at the
-    nodes the mass integration evaluated on [e1, e1 + TAIL_CUT * L].
+    evaluates rho from it exactly.  ``grid``/``density`` tabulate rho~ = L rho
+    at the nodes xi the mass integration evaluated on [0, TAIL_CUT].
     ``segments``/``segment_mass`` record the converged integration panels and
     their masses (the coarse partition the transform cuts into its panels).
     ``eigenvalue`` is None when no bound state exists; for the degenerate
     zero-coupling model it holds the surviving unperturbed level e2 with
     weight 1 (flagged via ``degenerate``), the one case where it is not
-    below e1.  ``threshold_rhs`` is the threshold test's ``rhs``, r L (the test
-    compares r with beta = ``params.level_gap`` / L).
+    below e1; ``xi0`` is it in xi.  ``threshold_rhs`` is the threshold test's
+    ``rhs``, r L (the test compares r with beta = ``params.level_gap`` / L).
     ``normalization_defect`` is |weight + mass + tail - 1|, the tail being the
     density's estimated mass beyond the table.
     """
 
     params: ModelParams
     eigenvalue: float | None
+    xi0: float | None
     weight: float
     grid: np.ndarray
     density: np.ndarray
@@ -462,11 +468,12 @@ def _resonance_seeds(model: Canonical, bottom: float) -> np.ndarray:
     return np.concatenate([pts[(pts > 0.0) & (pts < TAIL_CUT)], octaves])
 
 
-def _edge_bump_seeds(family: CouplingFamily, s0: float | None) -> np.ndarray:
-    """Seed the near-edge density bump mirroring a 2d eigenvalue at xi = -s0."""
-    if s0 is None or family.power != 0 or not 0.0 < s0 < 1.0:
+def _edge_bump_seeds(family: CouplingFamily, ln_s: float | None) -> np.ndarray:
+    """Seed the near-edge density bump mirroring a 2d eigenvalue at xi = -s0 > -1,
+    s0 = exp(ln s0) of the solve."""
+    if ln_s is None or family.power != 0 or not ln_s < 0.0:
         return np.empty(0)
-    pts = s0 * np.exp(np.linspace(-8.0, 8.0, 33))
+    pts = math.exp(ln_s) * np.exp(np.linspace(-8.0, 8.0, 33))
     return pts[(pts > 0.0) & (pts < TAIL_CUT)]
 
 
@@ -474,78 +481,69 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
     """Assemble eigenvalue, weight, and an adaptively refined density table.
 
     Eigenvalue and weight are ``point_mass``'s; at zero coupling they are the
-    whole record, with an empty table.  The density is integrated over
-    xi in [0, TAIL_CUT] with the Gauss-Kronrod machinery; panels are
-    bisected until the integrated-mass error estimate is below 1e-9, with
-    extra seed points placed geometrically against the edge, across the
-    resonance bump, and (2d case) around the near-edge structure mirroring
-    the eigenvalue.  All evaluated nodes become the table, at the caller's
-    lambda = e1 + L xi and rho = rho~ / L.  The total measure must
-    come out as a probability measure: a normalization defect above 1e-4
-    raises.
+    whole record, with an empty table.  The canonical density rho~ is
+    integrated over xi in [0, TAIL_CUT] with the Gauss-Kronrod machinery;
+    panels are bisected until the integrated-mass error estimate is below
+    1e-9, with extra seed points placed geometrically against the edge,
+    across the resonance bump, and (2d case) around the near-edge structure
+    mirroring the eigenvalue at s0 = exp(ln s0) of the solve.  All evaluated
+    nodes become the table (xi, rho~), never mapped to the caller's units.
+    The total measure must be a probability measure: a defect above 1e-4 raises.
 
     Raises:
         NonConvergenceError: the table needs more than 12000 bisections.
         NormalizationFailureError: |weight + mass + tail - 1| > 1e-4.
         ThresholdMarginalError: model numerically on threshold.
     """
-    check, e0, weight = point_mass(params)
+    c = params.coupling
+    certify_tail(c)
+    check, e0, weight, ln_s = _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)
     if check.marginal:
         raise ThresholdMarginalError(
             f"model sits on the bound-state threshold: |beta - r| = {check.distance!r} "
             f"is inside the {_MARGINAL_BAND} marginal band; spectral data is not resolvable"
         )
+    model = params.canonical
     if check.degenerate:
         empty = np.empty(0)
         return SpectralData(
-            params, e0, weight, empty, empty, empty, empty,
+            params, e0, model.beta, weight, empty, empty, empty, empty,
             threshold_rhs=check.rhs, normalization_defect=0.0, degenerate=True,
         )
 
-    units = Units(params)
-    model = units.model
     ladder = _edges_toward(0.0, TAIL_CUT, levels=44)
     edges = np.unique(np.concatenate([
         ladder, np.linspace(0.0, TAIL_CUT, 25), _resonance_seeds(model, ladder[1]),
-        _edge_bump_seeds(model.family, None if e0 is None else -units.xi(e0)),
+        _edge_bump_seeds(model.family, ln_s),
     ]))
 
-    # Every node the mass integration evaluates becomes part of the table, with
-    # rho in the caller's units: over xi it integrates to mass / L, and it
-    # stays in range where rho~ = L rho would overflow (L near 1e306).
+    # Every node the mass integration evaluates becomes part of the table.  It
+    # integrates rho~ 2^-n, n the exponent of 1 / gamma as in ``spectral_density``:
+    # exact, and its panel sums stay in range at L = 1e306 (2d gamma = 1e-309).
+    n = -math.frexp(model.gamma)[1]
     nodes: list[np.ndarray] = []
     values: list[np.ndarray] = []
 
     def rho_batch(pts: np.ndarray) -> np.ndarray:
-        rho = units.down(spectral_density(model.params, pts))
         nodes.append(pts)
-        values.append(rho)
-        return rho
+        values.append(spectral_density(model.params, pts))
+        return np.ldexp(values[-1], -n)
 
     a, b, vals, _, _ = _refine(
-        lambda x, _: rho_batch(x), [edges], units.down(_MASS_TOL), 0.0, _MAX_PANELS
+        lambda x, _: rho_batch(x), [edges], math.ldexp(_MASS_TOL, -n), 0.0, _MAX_PANELS
     )
-    rho_end = float(rho_batch(np.array([0.0, TAIL_CUT]))[1])
-    table_t, first = np.unique(units.energy(np.concatenate(nodes)), return_index=True)
-    table_rho = np.concatenate(values)[first]
-    segment_mass = units.up(vals)
-    mass = float(segment_mass.sum())
-    tail = units.up(rho_end)  # the mass beyond xi = TAIL_CUT, where rho falls like e^{-xi}
-
-    defect = abs(weight + mass + tail - 1.0)
+    rho_batch(np.array([0.0, TAIL_CUT]))
+    tail = float(values[-1][1])  # the mass beyond xi = TAIL_CUT, where rho~ falls like e^{-xi}
+    segment_mass = np.ldexp(vals, n)
+    defect = abs(weight + float(segment_mass.sum()) + tail - 1.0)
     if not defect <= _NORMALIZATION_GATE:
         raise NormalizationFailureError(
             f"spectral measure normalization defect {defect!r} exceeds "
             f"{_NORMALIZATION_GATE}; quadrature inconsistent or eigenvalue missed"
         )
+    grid, first = np.unique(np.concatenate(nodes), return_index=True)
     return SpectralData(
-        params=params,
-        eigenvalue=e0,
-        weight=weight,
-        grid=table_t,
-        density=table_rho,
-        segments=units.energy(np.append(a, b[-1])),
-        segment_mass=segment_mass,
-        threshold_rhs=check.rhs,
-        normalization_defect=defect,
+        params, e0, None if ln_s is None else -math.exp(ln_s), weight, grid,
+        np.concatenate(values)[first], np.append(a, b[-1]), segment_mass,
+        threshold_rhs=check.rhs, normalization_defect=defect,
     )

@@ -41,15 +41,17 @@ def test_series_csv_equals_per_element_fmt():
 
 
 def test_density_csv_equals_per_element_fmt():
-    model = CouplingModel(CouplingFamily.THREE_DIM_EXP, 2.0, 1.0)
-    params = ModelParams(0.0, 1.0, model)
-    spec = replace(
-        build_spectral_data(params),
-        grid=np.array([-0.0, 5e-324, 1.0, 1e300]),
-        density=np.array([1e300, -0.0, 5e-324, 0.25]),
-    )
-    rows = zip(spec.grid, spec.density)
-    assert render_density_csv(spec) == _per_element("lambda,rho", rows)
+    # The table holds xi and rho~; each row renders at lambda = e1 + L xi
+    # and rho = rho~ / L.
+    for e1, cutoff in ((0.0, 1.0), (5.0, 0.5)):
+        model = CouplingModel(CouplingFamily.THREE_DIM_EXP, 2.0, cutoff)
+        spec = replace(
+            build_spectral_data(ModelParams(e1, e1 + cutoff, model)),
+            grid=np.array([-0.0, 5e-324, 1.0, 1e300]),
+            density=np.array([1e300, -0.0, 5e-324, 0.25]),
+        )
+        rows = ((e1 + cutoff * x, rho / cutoff) for x, rho in zip(spec.grid, spec.density))
+        assert render_density_csv(spec) == _per_element("lambda,rho", rows)
 
 
 @given(st.data())

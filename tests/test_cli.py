@@ -421,8 +421,8 @@ class TestDecayCommand:
         assert summary["p_infinity"] > 0.0
 
     def test_two_dim_eigenvalue_at_nextafter_edge(self, tmp_path, capsys):
-        # e0 = nextafter(e1): the edge distance is subnormal, and so were the
-        # near-edge table seeds placed around it.
+        # e0 = nextafter(e1): the edge distance underflows, and the near-edge
+        # bump, seeded at s0 = exp(ln s0) = 0, has no seed.
         cfg = _write(
             tmp_path,
             BASE_CONFIG.replace("3d-exp", "2d-exp").replace(

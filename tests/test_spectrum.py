@@ -120,6 +120,16 @@ class TestEigenvalue:
         _, got, w = point_mass(_params(TWO, 1e-3))
         assert got < 0.0 and w == 0.0
 
+    @pytest.mark.parametrize("g_sq, gap", [(1e-309, 1.0), (1e-200, 1e200)])
+    def test_two_dim_root_below_the_float_range(self, g_sq, gap):
+        # beta / gamma overflows, so the root ln s0 = -beta / gamma - gamma_E
+        # is below -1.8e308: the answer at gamma = 1e-308, e0 the float
+        # below e1 and w = 0, where the solve used not to converge.
+        for e1 in (0.0, 5.0):
+            check, e0, w = point_mass(_params(TWO, g_sq, e1=e1, e2=e1 + gap))
+            assert check.exists and e0 == np.nextafter(e1, -np.inf) and w == 0.0
+        assert _ln_s(_params(TWO, g_sq, e2=gap)) == -math.inf
+
     def test_below_threshold_has_none(self):
         check, e0, w = point_mass(_params(THREE, 0.9))
         assert not check.exists and not check.marginal and (e0, w) == (None, 0.0)
@@ -324,9 +334,10 @@ class TestSpectralData:
     @pytest.mark.parametrize("cutoff", [1e24, 1e50, 1e100, 2.9e306])
     @pytest.mark.parametrize("g_sq", [0.1, 1.0])
     def test_two_dim_large_cutoff_normalizes(self, g_sq, cutoff):
-        # a0 = e1 - e0 is 4 to 700 here, below the rounding of the table's
-        # span of 60 cutoffs, yet e1 = 0 resolves every edge-bump seed at
-        # e1 + a0 e^{-8..8}; at 2.9e306 the sum of two panel ends overflows.
+        # a0 = e1 - e0 is 4 to 700 here, below the rounding of a span of 60
+        # cutoffs in lambda, where the sum of two panel ends at 2.9e306
+        # overflows; the table is built in xi, with every edge-bump seed at
+        # s0 e^{-8..8}, s0 = exp(ln s0) of the solve.
         # Defects read 4.8e-7 to 7.8e-6.
         spec = build_spectral_data(_params(TWO, g_sq, cutoff=cutoff))
         assert spec.normalization_defect <= 1e-5

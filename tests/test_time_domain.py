@@ -8,7 +8,10 @@ a 6-point rule on the lattice of quarter periods of the largest time, summed
 directly, and ``_node_sum`` the transform's own node sum with an exact exp at
 every node and time.  The solver must reproduce its reference to rounding,
 the transform the per-time panels to the panel rule's own error, the
-quarter-period sums and its own node sum to rounding.
+quarter-period sums and its own node sum to rounding.  The transform
+references read the spectral data as it is stored, in xi, on the canonical
+density and with the point at ``xi0``: they give C~(tau), which is C(t) for
+every model they see, all at e1 = 0 and L = 1.
 """
 
 from __future__ import annotations
@@ -138,15 +141,15 @@ def _per_time_transform(spec, times) -> np.ndarray:
         sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
         half = 0.5 * sub_w
         nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
-        dens = spectral_density(spec.params, nodes)
+        dens = spectral_density(spec.params.canonical.params, nodes)
         out[i] = complex(((dens * np.exp(-1j * t * nodes)) @ _GL_W * half).sum())
-    if spec.eigenvalue is not None:
-        out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(times))
+    if spec.xi0 is not None:
+        out += spec.weight * np.exp(-1j * spec.xi0 * np.asarray(times))
     return out
 
 
 def _quarter_period_sum(spec, times, at) -> np.ndarray:
-    """C(t) at the times ``at`` from the 6-point rule on the lattice e1 + P w,
+    """C(t) at the times ``at`` from the 6-point rule on the lattice P w in xi,
     w = pi / (Q dt), Q = ceil(2 max|t| / dt): a quarter of the period of the
     largest time of ``times``, four times finer than the transform's.  Each
     live segment is cut at the lattice points inside it; the sum is direct.
@@ -154,30 +157,30 @@ def _quarter_period_sum(spec, times, at) -> np.ndarray:
     dt = float(times[-1] - times[0]) / (times.size - 1)
     w = math.pi / (math.ceil(2.0 * float(np.max(np.abs(times))) / dt) * dt)
     gl_x, gl_w = np.polynomial.legendre.leggauss(6)
-    e1 = spec.params.e1
     lattice, left, right = [], [], []
     for lo, hi, mass in zip(spec.segments[:-1], spec.segments[1:], spec.segment_mass):
-        first, last = math.ceil((lo - e1) / w), math.floor((hi - e1) / w)
+        first, last = math.ceil(lo / w), math.floor(hi / w)
         if mass < 1e-15 or first > last:
             left.append(lo)
             right.append(hi)
             continue
         lattice.append(np.arange(first, last))
-        left += [lo, e1 + last * w]
-        right += [e1 + first * w, hi]
+        left += [lo, last * w]
+        right += [first * w, hi]
     lattice = np.concatenate(lattice)
     left, right = np.array(left), np.array(right)
     keep = right > left
     half = 0.5 * (right - left)[keep]
     nodes = np.concatenate([
-        (e1 + w * (lattice[:, None] + 0.5 * (1.0 + gl_x)[None, :])).ravel(),
+        (w * (lattice[:, None] + 0.5 * (1.0 + gl_x)[None, :])).ravel(),
         ((left[keep] + half)[:, None] + half[:, None] * gl_x[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    a = spectral_density(spec.params, nodes) * (scale[:, None] * gl_w[None, :]).ravel()
+    rho = spectral_density(spec.params.canonical.params, nodes)
+    a = rho * (scale[:, None] * gl_w[None, :]).ravel()
     out = np.array([a @ np.exp(-1j * t * nodes) for t in at])
-    if spec.eigenvalue is not None:
-        out += spec.weight * np.exp(-1j * spec.eigenvalue * np.asarray(at))
+    if spec.xi0 is not None:
+        out += spec.weight * np.exp(-1j * spec.xi0 * np.asarray(at))
     return out
 
 
@@ -185,8 +188,8 @@ def _node_sum(spec, times) -> np.ndarray:
     """sum of a_j exp(-i t x_j) over a uniform grid's node set, one t at a time."""
     x, a, _ = _transform_nodes(spec, _lattice_width(times))
     out = np.array([a @ np.exp(-1j * t * x) for t in times])
-    if spec.eigenvalue is not None:
-        out += spec.weight * np.exp(-1j * spec.eigenvalue * times)
+    if spec.xi0 is not None:
+        out += spec.weight * np.exp(-1j * spec.xi0 * times)
     return out
 
 
@@ -554,12 +557,11 @@ class TestTransform:
         base = spectra[name]
         times = UNIFORM_GRIDS["t0=0, 301 times"]
         w = _lattice_width(times)
-        seg = base.segments
-        e1 = float(seg[0])
+        seg = base.segments  # in xi, from the threshold 0
         # P is the second lattice point inside a live segment over 4 w wide.
         wide = np.flatnonzero((np.diff(seg) > 4.0 * w) & (base.segment_mass >= 1e-15))[0]
-        p = math.ceil((seg[wide] - e1) / w) + 1
-        edges = [e1 + (p + c) * w for c in LATTICE_CUTS[cuts]]
+        p = math.ceil(seg[wide] / w) + 1
+        edges = [(p + c) * w for c in LATTICE_CUTS[cuts]]
         spec = _split_segments(base, edges)
         x, _, _ = _transform_nodes(spec, w)
         assert x.size == _GL_X.size * int(_panel_counts(spec, times).sum())
@@ -577,13 +579,12 @@ class TestTransform:
         base = spectra[name]
         times = UNIFORM_GRIDS["t0=0, 301 times"]
         w = _lattice_width(times)
-        seg = base.segments
-        e1 = float(seg[0])
+        seg = base.segments  # in xi, from the threshold 0
         wide = np.flatnonzero((np.diff(seg) > 4.0 * w) & (base.segment_mass >= 1e-15))[0]
-        p = math.ceil((seg[wide] - e1) / w) + 1
-        spec = _split_segments(base, [e1 + (p + 0.5) * w])
+        p = math.ceil(seg[wide] / w) + 1
+        spec = _split_segments(base, [(p + 0.5) * w])
         x, _, lattice = _transform_nodes(spec, w)
-        cell = np.flatnonzero((x > e1 + p * w) & (x < e1 + (p + 1) * w))
+        cell = np.flatnonzero((x > p * w) & (x < (p + 1) * w))
         assert cell.size == _GL_X.size
         assert p in lattice and cell.max() < _GL_X.size * lattice.size
         assert x.size == _transform_nodes(base, w)[0].size

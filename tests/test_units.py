@@ -22,21 +22,24 @@ from leveldecay import (
     solve_ide,
     spectral_density,
 )
+from leveldecay import spectrum
 from leveldecay.coupling import Canonical, Units
 from leveldecay.scenario import ConfigError, parse_scenario_text
 
 EPS = float(np.finfo(float).eps)
+_DEEP = settings.default is settings.get_profile("deep")
 
 
 # Largest errors read over 36,500 random bound states (family, gamma and beta
 # in [0.05, 5] and [0.2, 5], e1 in [-10, 10], L in [1e-3, 1e3]), in units of
-# each map's own rounding: e0 1.59, w 1.08; over 80 models, rho 0; and over
-# 90 more, C(t) 3.0e-12 from the transform and 8.8e-12 from the Volterra
-# route.  The two density tables refine on error estimates that differ by
-# rounding, so their segments, and the transform's panels, need not coincide;
-# the solves see identical kernels, and C differs there by the rounding of
-# e2 t against e1 t + beta tau.
-@settings(max_examples=30)
+# each map's own rounding: e0 1.59, w 1.08; over 80 models, rho 0.  The
+# density tables are built in xi, so the model's is its twin's bit for bit,
+# and C(t) differs from the phase of the twin's C~ at the model's own tau = L t
+# by the weight's rounding alone (4.4e-16 over 2,000 draws); the solves see
+# identical kernels, and C differs there by the rounding of e2 t against
+# e1 t + beta tau.  Tier-1 draws 30 models, the deep profile
+# (HYPOTHESIS_PROFILE=deep, tests/conftest.py) 2,000.
+@settings(max_examples=settings.default.max_examples if _DEEP else 30)
 @given(
     family=st.sampled_from(list(CouplingFamily)),
     gamma=st.floats(0.05, 5.0),
@@ -47,12 +50,17 @@ EPS = float(np.finfo(float).eps)
 # Weak 2d bound states whose distance a is far below the rounding of e1.
 @example(family=CouplingFamily.TWO_DIM_EXP, gamma=0.02, beta=1.0, e1=5.0, log10_cutoff=0.0)
 @example(family=CouplingFamily.TWO_DIM_EXP, gamma=0.05, beta=1.0, e1=-8.0, log10_cutoff=1.5)
+# e1 t reaches 2.7e5: with the table in lambda this read 1.1e-11.
+@example(
+    family=CouplingFamily.TWO_DIM_EXP, gamma=3.9453125, beta=1.0, e1=9.0, log10_cutoff=-2.875
+)
 def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1, log10_cutoff):
     assume(family.power == 0 or abs(gamma - beta) > 0.05 * beta)
     cutoff = 10.0**log10_cutoff
     g_sq = gamma * cutoff ** (1 - family.power)
     params = ModelParams(e1, e1 + beta * cutoff, CouplingModel(family, g_sq, cutoff))
-    twin = Units(params).model.params
+    units = Units(params)
+    twin = units.model.params
 
     check, e0, w = point_mass(params)
     check_twin, xi0, w_twin = point_mass(twin)
@@ -71,18 +79,41 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1, log10_cut
     rho = spectral_density(params, lam)
     assert rho.tobytes() == (spectral_density(twin, (lam - e1) / cutoff) / cutoff).tobytes()
 
+    spec, spec_twin = build_spectral_data(params), build_spectral_data(twin)
+    for table in ("grid", "density", "segments", "segment_mass"):
+        assert getattr(spec, table).tobytes() == getattr(spec_twin, table).tobytes()
     # C(t) = e^{-i e1 t} C~(L t), with C~ the twin's amplitude.
-    tau = np.linspace(0.0, 40.0 / max(beta, 1.0), 201)
-    t = tau / cutoff
-    c = amplitude_spectral(build_spectral_data(params), t).amplitude
-    c_twin = amplitude_spectral(build_spectral_data(twin), tau).amplitude
-    assert float(np.max(np.abs(c - np.exp(-1j * e1 * t) * c_twin))) <= 1e-11
+    t = np.linspace(0.0, 40.0 / max(beta, 1.0), 201) / cutoff
+    tau = units.up(t)
+    c = amplitude_spectral(spec, t).amplitude
+    c_twin = amplitude_spectral(spec_twin, tau).amplitude
+    assert float(np.max(np.abs(c - units.phase(c_twin, t)))) <= 1e-14
 
     h = 0.01 / max(1.0, beta)
     series = solve_ide(params, 2000 * (h / cutoff), h / cutoff)
     c_twin = solve_ide(twin, 2000 * h, h).amplitude
     phase = np.exp(-1j * e1 * series.times)
     assert float(np.max(np.abs(series.amplitude - phase * c_twin))) <= 1e-10
+
+
+def test_a_table_far_above_zero_energy_is_its_twins(monkeypatch):
+    # 2d g2 0.05, gap 1, L 1 at e1 = 1e6: the 125 segments are 125 values in
+    # xi (in lambda they rounded to 105), P(0) - 1 is the e1 = 0 twin's, and
+    # the edge bump is seeded at exp(ln s0) of the solve, not at e1 - e0.
+    seeds = []
+    seed = spectrum._edge_bump_seeds
+    monkeypatch.setattr(
+        spectrum, "_edge_bump_seeds", lambda *args: seeds.append(seed(*args)) or seeds[-1]
+    )
+    model = CouplingModel(CouplingFamily.TWO_DIM_EXP, 0.05, 1.0)
+    far, twin = (build_spectral_data(ModelParams(e1, e1 + 1.0, model)) for e1 in (1e6, 0.0))
+    assert np.unique(far.segments).size == far.segments.size == 125
+    p0, p0_twin = (amplitude_spectral(s, [0.0, 1.0]).probability[0] for s in (far, twin))
+    assert abs(p0 - p0_twin) <= 4.0 * EPS
+    # The bump's middle seed is s0 itself.
+    ln_s = spectrum._solve_eigenvalue(Units(twin.params).model)[0]
+    assert [s[16] for s in seeds] == [math.exp(ln_s)] * 2
+    assert seeds[0].tobytes() == seeds[1].tobytes()
 
 
 def test_a_level_gap_that_underflows_over_the_cutoff_is_refused():
