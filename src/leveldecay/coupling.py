@@ -221,9 +221,9 @@ class Canonical(NamedTuple):
 class Units:
     """The map between a caller's model (``coupling`` its |V|^2) and its
     ``Canonical`` form ``model``: lambda = e1 + L xi, tau = L t, rho = rho~ / L,
-    k = L k~ with gamma = g2 L^{p-1} and C(t) = e^{-i e1 t} C~(L t).  The
-    eigenvalue e0 = e1 - L s0 and its weight are mapped back from ln s0 in
-    floats, without a ``Units``, by ``spectrum.point_mass``."""
+    k = L k~, a rate L r~, with gamma = g2 L^{p-1} and C(t) = e^{-i e1 t} C~(L t).
+    Every result is the twin's, mapped here, but e0 = e1 - L s0, which
+    ``spectrum.point_mass`` maps from ln s0, and the threshold's r L."""
 
     __slots__ = ("model", "e1", "coupling")
 

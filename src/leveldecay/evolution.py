@@ -276,12 +276,14 @@ def asymptotic_limit(spec: SpectralData) -> float:
 
 
 def weak_coupling_rate(params: ModelParams) -> float:
-    """Resonance width gamma = 2*pi*|V(e2 - e1)|^2, the golden-rule decay rate.
+    """Resonance width gamma = 2*pi*|V(e2 - e1)|^2, the golden-rule decay rate,
+    as L times the canonical twin's 2*pi*|V~(beta)|^2.
 
     In the weak-coupling decaying regime, ln P(t) falls with slope -gamma over
     the first few lifetimes; the estimate degrades as coupling grows.
     """
-    return 2.0 * math.pi * coupling_sq(params.coupling, params.level_gap)
+    units = Units(params)
+    return units.up(2.0 * math.pi * coupling_sq(units.model.coupling, units.model.beta))
 
 
 # fitted_decay_rate's window: the samples with _FIT_P_LO < P < _FIT_P_HI.

@@ -130,19 +130,25 @@ def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...])
     ``parse_scenario_text`` accepted whose model at some value ``ModelParams`` or
     ``certify_tail`` would refuse, naming the first in list order.  Per value only
     what the parameter varies: the levels unless g_sq is swept, ``checked_gamma``
-    unless level_gap is, with the remainder once at the largest gamma, where it is
-    monotone; on a failure each value in full."""
+    over a swept cutoff, with the remainder once at the largest gamma, where it is
+    monotone.  At a fixed L, gamma rounds monotonically in g2, so a g_sq sweep
+    checks its smallest positive value for underflow and certifies its largest.
+    On a failure each value in full."""
     family, e1 = params.coupling.family, params.e1
-    models = _swept_models(params, parameter, values)
     try:
-        if parameter != "g_sq":
+        if parameter == "g_sq":
+            cutoff = params.coupling.cutoff
+            checked_gamma(family, min((v for v in values if v > 0.0), default=0.0), cutoff)
+            certify_tail(CouplingModel(family, max(values), cutoff))
+        else:
+            models = _swept_models(params, parameter, values)
             for g2, cutoff, e2 in models:
                 check_levels(e1, e2, cutoff)
-        if parameter != "level_gap":
-            g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
-            certify_tail(CouplingModel(family, g2, cutoff))
+            if parameter == "lambda_cutoff":
+                g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
+                certify_tail(CouplingModel(family, g2, cutoff))
     except ValueError:
-        for g2, cutoff, e2 in models:
+        for g2, cutoff, e2 in _swept_models(params, parameter, values):
             check_levels(e1, e2, cutoff)
             certify_tail(CouplingModel(family, g2, cutoff))
         raise

@@ -119,6 +119,8 @@ _GATE_TOL = 1e-8
 # (n, (n - 1)!) for every n whose (n - 1)! is a finite float.  The recurrences
 # in p slice it, which costs less per call than counting n and n! in the loop.
 _STEPS = tuple((n, float(math.factorial(n - 1))) for n in range(1, 172))
+# ln 2 = hi + lo (Cody & Waite): m hi is exact for |m| < 2^11.
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 
 
 def _asymptotic_series(s: np.ndarray, sign: float) -> np.ndarray:
@@ -282,7 +284,7 @@ def _solve_eigenvalue(model: Canonical) -> tuple[float, float]:
     as u_hi is before it.  Newton steps in u on the slope s dk/ds,
     safeguarded as ``_newton_in_bracket`` says.  The root is certified by
     the residual gate |F| <= 1e-10 (beta + s), the scale of the terms F
-    cancels.  ln s, not s, crosses the map to e0 and w.
+    cancels.  ln s, not s, crosses the map to e0 and gives w.
 
     Raises:
         BracketFailureError: bracketing, iteration or residual tolerance failed.
@@ -327,35 +329,32 @@ def _solve_eigenvalue(model: Canonical) -> tuple[float, float]:
     return u_root, at[2]
 
 
-def eigen_weight(family: CouplingFamily, g2: float, cutoff: float, ln_s: float,
-                 s_dk: float | None = None) -> float:
-    """Weight w of the eigenvalue e0 = e1 - a of the model (family, g2, L) in
-    the initial state's spectral measure, at ln s0 = ln(a / L), the root of
-    the eigenvalue solve.
-
-    w = 1 / (1 + integral of |V(x)|^2 / (x + a)^2), the residue of the
-    resolvent: w = s / (s - gamma s dk_p/ds) at s = s0, taken as
-    a / (a - L gamma s dk_p/ds) at a = exp(ln s0 + ln L), the float e0
-    subtracts from e1.  The slope s dk/ds is the eigenvalue equation's at
-    ln s0, with its edge limit where s0 underflows; ``point_mass`` passes the
-    one the solve took at its root as ``s_dk``, the same bits.  w is
-    1.0 at g2 = 0, 0.0 where a underflows, and strictly inside (0, 1) between.
+def eigen_weight(model: Canonical, ln_s: float, s_dk: float | None = None) -> float:
+    """Weight w of the eigenvalue xi0 = -s0 of a canonical model, the twin's w
+    of every caller's model, at the solve's root ln s0: the resolvent's residue
+    w = s / (s - gamma s dk_p/ds) at s = exp(ln s0), 1.0 at gamma = 0.  Below
+    the normal range s and gamma = f 2^m are both taken times 2^-m, with
+    s 2^-m = exp((ln s0 - m ln2_hi) - m ln2_lo), so w keeps its digits where
+    s0 underflows.  The slope s dk/ds is the eigenvalue equation's at ln s0,
+    edge limit included; ``point_mass`` passes the solve's own, the same bits.
     """
     if s_dk is None:
-        _closed_form_gate(family)
+        _closed_form_gate(model.family)
         # s dk/ds depends on neither beta nor gamma.
-        s_dk = _eigen_equation(family, 0.0, 0.0, ln_s)[2]
-    a = math.exp(ln_s + math.log(cutoff))
-    # L gamma = g2 L^p, exact in the caller's units.
-    return a / (a - g2 * cutoff ** family.power * s_dk)
+        s_dk = _eigen_equation(model.family, 0.0, 0.0, ln_s)[2]
+    gamma, s = model.gamma, math.exp(ln_s)
+    if s < 2.0**-1022:
+        gamma, m = math.frexp(gamma)
+        s = math.exp((ln_s - m * _LN2_HI) - m * _LN2_LO)
+    return s / (s - gamma * s_dk)
 
 
 def _point(family: CouplingFamily, g2: float, cutoff: float, e1: float,
            e2: float) -> tuple[ThresholdResult, float | None, float | None, float | None]:
     """``point_mass`` of the model (family, g2, L) at levels e1 < e2 from floats
-    alone, and ln s0: the threshold test and the solve on one ``Canonical.of`` the
-    model, and the map of its ln s0 back to e0 = e1 - exp(ln s0 + ln L) (the
-    closest float below e1 where that rounds to e1) and to ``eigen_weight``."""
+    alone, and ln s0: the threshold test, solve and weight on one ``Canonical.of``
+    the model, and the map of its ln s0 back to e0 = e1 - exp(ln s0 + ln L) (the
+    closest float below e1 where that rounds to e1) in the caller's units."""
     model = Canonical.of(family, g2, cutoff, e2 - e1)
     check = threshold_check(model, cutoff)
     if check.degenerate:
@@ -368,7 +367,7 @@ def _point(family: CouplingFamily, g2: float, cutoff: float, e1: float,
     e0 = e1 - math.exp(ln_s + math.log(cutoff))
     if not e0 < e1:
         e0 = math.nextafter(e1, -math.inf)
-    return check, e0, eigen_weight(family, g2, cutoff, ln_s, s_dk), ln_s
+    return check, e0, eigen_weight(model, ln_s, s_dk), ln_s
 
 
 def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, float | None]:

@@ -9,10 +9,11 @@ with the memory kernel K(tau) = -exp(i beta tau) * F(tau), F the Fourier
 transform of |V(xi)|^2 = gamma xi^p e^{-xi}: the closed form
 F(tau) = gamma p! / (1 + i tau)^{p+1}, verified against direct oscillatory
 quadrature before a family's first use, so a mismatch cannot silently
-corrupt this route.  It runs at the step L h; C(t) = e^{-i e1 t} C~(L t),
-and the caller's kernel L^2 K(L t) has g2 L^{p+1} p! for gamma p!.  No
-spectral data enters anywhere, which is what makes the solution an
-independent cross-check of the spectral route.
+corrupt this route.  It runs at the step L h and forms C~ at tau = k L h;
+C(t) = e^{-i e1 t} C~(L t) is ``Units.phase``, the spectral route's map, so
+a model's series is its canonical twin's.  The caller's kernel L^2 K(L t)
+has g2 L^{p+1} p! for gamma p!.  No spectral data enters anywhere, which is
+what makes the solution an independent cross-check of the spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
@@ -210,7 +211,7 @@ def solve_ide(
     products.  ``step`` defaults to ``default_step(params)``.  The overshoot
     budget on |C|^2 = |y|^2 is checked at every step before the output rows
     t = 0, stride h, 2 stride h, ... are taken, so a stride hides no
-    overshoot.
+    overshoot.  C(t) is ``Units.phase`` of the twin's C~ = e^{-i beta tau} y.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -307,10 +308,7 @@ def solve_ide(
     del block  # a cycle through itself: it would hold y and K to the next gc
 
     check_probability(MethodTag.VOLTERRA, np.abs(y) ** 2)
-    times = np.arange(0, n_steps + 1, stride) * h
-    # C(t) = e^{-i e2 t} y(L t), phase first: numpy's complex product is not
-    # bitwise commutative, and this is the order the rows of every solve of
-    # 16,384 steps or more have been computed in (numpy swapped the operands
-    # of the full-grid product).
-    amplitude = np.exp(-1j * params.e2 * times) * y[::stride]
-    return AmplitudeSeries(times, amplitude, MethodTag.VOLTERRA)
+    rows = np.arange(0, n_steps + 1, stride)
+    times = rows * h
+    c = np.exp(-1j * units.model.beta * (rows * h_tau)) * y[::stride]
+    return AmplitudeSeries(times, units.phase(c, times), MethodTag.VOLTERRA)

@@ -172,7 +172,7 @@ class TestWeakCoupling:
 
     def test_rate_closed_form(self):
         rate = weak_coupling_rate(_params(THREE, 0.01))
-        assert rate == pytest.approx(GAMMA_WEAK_3D, rel=1e-12)
+        assert rate == pytest.approx(GAMMA_WEAK_3D, rel=1e-12, abs=0)
 
     def test_fitted_slope_matches_rate(self):
         params = _params(THREE, 0.01)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -59,9 +60,8 @@ def _threshold(params):
 
 
 def _weight(params, ln_s):
-    """``eigen_weight`` of a caller's model at ln s0."""
-    c = params.coupling
-    return eigen_weight(c.family, c.strength_sq, c.cutoff, ln_s)
+    """``eigen_weight`` of a caller's model at ln s0, its canonical twin's."""
+    return eigen_weight(Units(params).model, ln_s)
 
 
 def test_params_validation():
@@ -112,7 +112,7 @@ class TestEigenvalue:
 
     def test_two_dim_near_edge_matches_reference(self):
         got = _e0(_params(TWO, 0.1))
-        assert got == pytest.approx(E0_2D_G01, rel=1e-8)
+        assert got == pytest.approx(E0_2D_G01, rel=1e-8, abs=0)
 
     def test_two_dim_underflow_regime_stays_below_edge(self):
         # e1 - e0 is about e^-1000: e0 is the float below e1, and the weight
@@ -216,15 +216,29 @@ class TestWeight:
             for e1 in (-3.0, 5.0, 1e6):
                 assert point_mass(_params(TWO, g, e1=e1, e2=e1 + 1.0))[2] == w_twin
 
-    @pytest.mark.parametrize("cutoff", [1e300, 1e306])
-    def test_two_dim_where_the_scaled_distance_underflows(self, cutoff):
-        # a = e1 - e0 is about 3e-132 here, so s0 = a / L underflows, where
-        # e^s E1(s) is infinite; the 2d slope's limit -1 gives w = a / (a + g2).
-        params = _params(TWO, 1e-3, cutoff=cutoff)
-        ln_s = _ln_s(params)
-        a = -_e0(params)
-        assert ln_s < spectrum._EDGE_LN_S and a / cutoff == 0.0
-        assert _weight(params, ln_s) == pytest.approx(a / (a + 1e-3), rel=1e-15)
+    @pytest.mark.parametrize("g_sq, cutoff, gap", [
+        (1e-3, 1e300, 1.0),
+        (1e-3, 1e306, 1.0),
+        # The first model's canonical twin at L = 1: gamma 1e-303, beta 1e-300.
+        (1e-303, 1.0, 1e-300),
+    ])
+    def test_two_dim_where_the_scaled_distance_underflows(self, g_sq, cutoff, gap):
+        # s0 is about 3e-435 here, far below the float range, where e^s E1(s)
+        # is infinite; the 2d slope's limit -1 gives w = s0 / (s0 + gamma),
+        # about 3e-132 and 3e-126.  s0 and gamma are scaled by 2^-m, gamma =
+        # f 2^m, and s0 2^-m = exp(ln s0 - m ln 2) rounds by half an ulp of
+        # that exponent, about 290: 2.8e-14 (measured 4.3e-16 and 2.0e-14).
+        params = _params(TWO, g_sq, cutoff=cutoff, e2=gap)
+        model = Units(params).model
+        ln_s, s_dk = spectrum._solve_eigenvalue(model)
+        assert ln_s < spectrum._EDGE_LN_S and math.exp(ln_s) == 0.0
+        with mpmath.workdps(50):
+            gamma_over_s = mpmath.mpf(model.gamma) / mpmath.exp(mpmath.mpf(ln_s))
+            want = float(1 / (1 - mpmath.mpf(s_dk) * gamma_over_s))
+        w = _weight(params, ln_s)
+        assert w == pytest.approx(want, rel=3e-14, abs=0)
+        # The weight is a pure number: the model's is its canonical twin's.
+        assert point_mass(params)[2] == point_mass(model.params)[2] == w
 
 
 class TestDensity:
