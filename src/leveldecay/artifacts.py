@@ -219,8 +219,12 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def render_density_csv(spec: SpectralData) -> str:
+    """The table at lambda = e1 + L xi, rho = rho~ / L; a rho past the float
+    range (at a subnormal L) is written ``inf``, as the sweep CSV writes the 2d rhs."""
     units = Units(spec.params)
-    return _render_columns("lambda,rho", (units.energy(spec.grid), units.down(spec.density)))
+    with np.errstate(over="ignore"):
+        rho = units.down(spec.density)
+    return _render_columns("lambda,rho", (units.energy(spec.grid), rho))
 
 
 def write_density_csv(path: Path, spec: SpectralData) -> None:

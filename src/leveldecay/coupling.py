@@ -102,12 +102,12 @@ def sq_over_x_integral(family: CouplingFamily, g2: float, cutoff: float) -> floa
     return rhs
 
 
-def tail_mass(family: CouplingFamily, g2: float, cutoff: float, x0: float) -> float:
-    """Closed-form remainder of the |V|^2 integral of the model (family, g2, L)
-    beyond ``x0`` >= 0.
+def tail_mass(family: CouplingFamily, gamma: float, x0: float) -> float:
+    """Closed-form remainder of the integral of gamma xi^p e^{-xi}, the canonical
+    |V|^2 of strength gamma, beyond ``x0`` >= 0.
 
     Used to certify truncation of semi-infinite integrals: every integrand in
-    this package is |V(x)|^2 times a factor bounded on the tail, so its
+    this package is |V(xi)|^2 times a factor bounded on the tail, so its
     truncation remainder is bounded by a multiple of this value.  Products,
     not powers, so a remainder too large for a float is inf, not an error.
     """
@@ -116,8 +116,8 @@ def tail_mass(family: CouplingFamily, g2: float, cutoff: float, x0: float) -> fl
     poly, x0_n = 1.0, 1.0
     for n in range(1, family.power + 1):
         x0_n *= x0
-        poly = x0_n + n * cutoff * poly
-    return g2 * cutoff * poly * math.exp(-x0 / cutoff)
+        poly = x0_n + n * poly
+    return gamma * poly * math.exp(-x0)
 
 
 # Every |V|^2 integral stops at xi = TAIL_CUT; ``certify_tail`` bounds the rest.
@@ -130,27 +130,22 @@ def gamma_of(family: CouplingFamily, g2: float, cutoff: float) -> float:
     return g2 / cutoff if family.power == 0 else g2 * cutoff ** (family.power - 1)
 
 
-def checked_gamma(family: CouplingFamily, g2: float, cutoff: float) -> float:
-    """gamma of (family, g2, L); refuses a cut TAIL_CUT L that overflows (the maps
-    to lambda need it) and a gamma 0 from g2 > 0, which would read as no coupling."""
+def certify_tail(coupling: CouplingModel) -> None:
+    """The tail certificate: refuse a coupling whose cut TAIL_CUT L overflows (the
+    maps to lambda need it), whose gamma underflows to 0 from g2 > 0 (it would
+    read as no coupling), or whose remainder of gamma xi^p e^{-xi} / xi beyond
+    xi = TAIL_CUT, a pure number rounded monotonically in gamma, exceeds TAIL_TOL
+    (3d g2 < 1.1e16 at any L, 2d g2 / L < 6.9e17).  ``ModelParams`` runs it."""
+    g2, cutoff = coupling.strength_sq, coupling.cutoff
     if not math.isfinite(TAIL_CUT * cutoff):
         raise ValueError(
             f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x=inf, since "
             f"{TAIL_CUT!r} cutoffs overflow; x must be finite"
         )
-    gamma = gamma_of(family, g2, cutoff)
+    gamma = gamma_of(coupling.family, g2, cutoff)
     if g2 > 0.0 and not gamma > 0.0:
         raise ValueError(f"coupling g_sq={g2!r}, cutoff={cutoff!r}: gamma underflows to 0")
-    return gamma
-
-
-def certify_tail(coupling: CouplingModel) -> None:
-    """Refuse a coupling ``checked_gamma`` refuses, or whose remainder of
-    gamma xi^p e^{-xi} / xi beyond xi = TAIL_CUT, a pure number rounded monotonically
-    in gamma, exceeds TAIL_TOL (3d g2 < 1.1e16 at any L, 2d g2 / L < 6.9e17)."""
-    g2, cutoff = coupling.strength_sq, coupling.cutoff
-    gamma = checked_gamma(coupling.family, g2, cutoff)
-    bound = tail_mass(coupling.family, gamma, 1.0, TAIL_CUT) / TAIL_CUT
+    bound = tail_mass(coupling.family, gamma, TAIL_CUT) / TAIL_CUT
     if not bound <= TAIL_TOL:
         raise ValueError(
             f"coupling g_sq={g2!r}, cutoff={cutoff!r}: truncated at x={TAIL_CUT * cutoff!r}, "
@@ -158,31 +153,30 @@ def certify_tail(coupling: CouplingModel) -> None:
         )
 
 
-def check_levels(e1: float, e2: float, cutoff: float) -> None:
-    """Refuse levels that are not finite with e1 < e2, whose gap e2 - e1
-    overflows, or whose gap over the cutoff L underflows to 0; raises
-    ValueError."""
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise ValueError("level energies must be finite")
-    if not e2 > e1:
-        raise ValueError(f"e2 must exceed e1, got e1={e1!r}, e2={e2!r}")
-    gap = e2 - e1
-    if not math.isfinite(gap):
-        raise ValueError(f"level gap e2 - e1 must be finite, got e1={e1!r}, e2={e2!r}")
-    if not gap / cutoff > 0.0:
-        raise ValueError(f"level gap {gap!r} over the cutoff underflows to 0")
-
-
 @dataclass(frozen=True)
 class ModelParams:
-    """One physical scenario: level energies e1 < e2 and the coupling model."""
+    """One physical scenario: level energies e1 < e2 and the coupling model, one
+    the package can solve.  Construction is the one model check and raises
+    ValueError for levels that are not finite with e1 < e2, whose gap e2 - e1
+    overflows, or whose gap over the cutoff L underflows to 0, and then for a
+    coupling ``certify_tail`` refuses."""
 
     e1: float
     e2: float
     coupling: CouplingModel
 
     def __post_init__(self) -> None:
-        check_levels(self.e1, self.e2, self.coupling.cutoff)
+        e1, e2 = self.e1, self.e2
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            raise ValueError("level energies must be finite")
+        if not e2 > e1:
+            raise ValueError(f"e2 must exceed e1, got e1={e1!r}, e2={e2!r}")
+        gap = e2 - e1
+        if not math.isfinite(gap):
+            raise ValueError(f"level gap e2 - e1 must be finite, got e1={e1!r}, e2={e2!r}")
+        if not gap / self.coupling.cutoff > 0.0:
+            raise ValueError(f"level gap {gap!r} over the cutoff underflows to 0")
+        certify_tail(self.coupling)
 
     @property
     def level_gap(self) -> float:

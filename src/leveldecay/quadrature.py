@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import TAIL_CUT, Canonical, ModelParams, Units, certify_tail, coupling_sq
+from .coupling import TAIL_CUT, Canonical, ModelParams, Units, coupling_sq
 
 
 class NumericalError(RuntimeError):
@@ -234,16 +234,16 @@ def k_regular(params: ModelParams, lam: float) -> float:
 
     Requires lambda < e1 (below the continuum edge), where the integrand is
     nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
+    The truncation at xi = TAIL_CUT is certified with the model (``ModelParams``).
     """
-    certify_tail(params.coupling)
     units = Units(params)
     return units.up(_integrals(units.model, [_k_part(-units.xi(lam), 1)])[0])
 
 
 def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
     """The three arrays k at e1 - d, PV k at e1 + d and the weight integral at d
-    over the distances d: three integrals per d, refined in one ``_refine`` pass."""
-    certify_tail(params.coupling)
+    over the distances d: three integrals per d, refined in one ``_refine`` pass,
+    each truncated at xi = TAIL_CUT as certified with the model (``ModelParams``)."""
     units = Units(params)
     parts, log_terms = [], []
     for s in map(units.down, distances):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel, certify_tail, check_levels, checked_gamma
+from .coupling import CouplingFamily, CouplingModel
 from .evolution import (
     AmplitudeSeries,
     MethodTag,
@@ -58,13 +58,14 @@ class SweepSpec:
 class Scenario:
     """A parsed scenario: model, horizon, output, optional sweep.
 
+    ``horizon`` is ``run_decay``'s alone; None takes 200 / (e2 - e1) there.
     ``volterra_step`` is the target of the nominal step h of ``run_decay``'s
     pair of solves at 2h and 4h; None takes ``default_step``.
     """
 
     name: str
     params: ModelParams
-    horizon: float
+    horizon: float | None = None
     output_dir: Path | None = None
     sweep: SweepSpec | None = None
     series_points: int = 2000
@@ -115,7 +116,7 @@ def check_positive_finite(what: str, value: float) -> None:
         raise ConfigError(f"{what} must be positive and finite, got {value!r}")
 
 
-def _swept_models(params: ModelParams, parameter: str, values: tuple[float, ...]) -> list:
+def _swept_models(params: ModelParams, parameter: str, values: Iterable[float]) -> list:
     """(g2, L, e2) of ``params`` with ``parameter`` set to each value, in order."""
     c, e1, e2 = params.coupling, params.e1, params.e2
     if parameter == "g_sq":
@@ -127,30 +128,24 @@ def _swept_models(params: ModelParams, parameter: str, values: tuple[float, ...]
 
 def _check_sweep(params: ModelParams, parameter: str, values: tuple[float, ...]) -> None:
     """Refuse a sweep (finite values of the sign its parameter takes) of a model
-    ``parse_scenario_text`` accepted whose model at some value ``ModelParams`` or
-    ``certify_tail`` would refuse, naming the first in list order.  Per value only
-    what the parameter varies: the levels unless g_sq is swept, ``checked_gamma``
-    over a swept cutoff, with the remainder once at the largest gamma, where it is
-    monotone.  At a fixed L, gamma rounds monotonically in g2, so a g_sq sweep
-    checks its smallest positive value for underflow and certifies its largest.
-    On a failure each value in full."""
+    ``parse_scenario_text`` accepted where ``ModelParams`` refuses the model at
+    some value, with that model's message for the first such value in list
+    order.  Every check rounds monotonically in the swept value (gamma =
+    g2 L^{p-1}, TAIL_CUT L, e2 = e1 + v, the gap, gap / L and the remainder in
+    gamma), so the models at the smallest, the smallest positive and the
+    largest value decide; only on a failure is one built per value, in order."""
     family, e1 = params.coupling.family, params.e1
+
+    def build(swept: Iterable[float]) -> None:
+        for g2, cutoff, e2 in _swept_models(params, parameter, swept):
+            ModelParams(e1, e2, CouplingModel(family, g2, cutoff))
+
+    low = min(values)
     try:
-        if parameter == "g_sq":
-            cutoff = params.coupling.cutoff
-            checked_gamma(family, min((v for v in values if v > 0.0), default=0.0), cutoff)
-            certify_tail(CouplingModel(family, max(values), cutoff))
-        else:
-            models = _swept_models(params, parameter, values)
-            for g2, cutoff, e2 in models:
-                check_levels(e1, e2, cutoff)
-            if parameter == "lambda_cutoff":
-                g2, cutoff, _ = max(models, key=lambda m: checked_gamma(family, m[0], m[1]))
-                certify_tail(CouplingModel(family, g2, cutoff))
+        build(dict.fromkeys((low, min((v for v in values if v > 0.0), default=low),
+                             max(values))))
     except ValueError:
-        for g2, cutoff, e2 in _swept_models(params, parameter, values):
-            check_levels(e1, e2, cutoff)
-            certify_tail(CouplingModel(family, g2, cutoff))
+        build(values)
         raise
 
 
@@ -166,10 +161,11 @@ def sweep_points(params: ModelParams, sweep: SweepSpec) -> list[tuple]:
 def parse_scenario_text(text: str) -> Scenario:
     """Parse a scenario config from flat key-value text.
 
-    The model is built here, once, and must pass ``certify_tail``, decided on
-    its gamma.  A sweep keeps its parameter and values; ``_check_sweep``
-    refuses it where the model at a value would be refused, without building
-    one per value.  Any invalid model is a ConfigError.
+    The model is built here, once: ``ModelParams`` is the one model check.
+    A sweep keeps its parameter and values; ``_check_sweep`` refuses it where
+    the model at a value would be refused, building it only at the extreme
+    values.  Any invalid model is a ConfigError.  The default horizon is
+    ``run_decay``'s: an explicit ``horizon =`` is checked here.
     """
     table = _parse_kv(text)
     name = table.pop("name", "")
@@ -206,9 +202,8 @@ def parse_scenario_text(text: str) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
     horizon = _take_float(table, "horizon", required=False)
-    if horizon is None:
-        horizon = 200.0 / params.level_gap
-    check_positive_finite("horizon", horizon)
+    if horizon is not None:
+        check_positive_finite("horizon", horizon)
 
     series_points = 2000
     if "series.points" in table:
@@ -245,13 +240,12 @@ def parse_scenario_text(text: str) -> Scenario:
     if table:
         raise ConfigError(f"unknown keys: {sorted(table)}")
     sweep = None
-    try:
-        certify_tail(params.coupling)
-        if sweep_param is not None:
+    if sweep_param is not None:
+        try:
             _check_sweep(params, sweep_param, values)
-            sweep = SweepSpec(sweep_param, values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        sweep = SweepSpec(sweep_param, values)
     return Scenario(
         name=name,
         params=params,
@@ -291,6 +285,8 @@ class DecayRun:
 def run_decay(scenario: Scenario) -> DecayRun:
     """The spectral and the time-domain series of a scenario on a shared grid.
 
+    The horizon is the scenario's or, if None, 200 / (e2 - e1); one that is
+    not finite (the default at a subnormal gap) is a ConfigError before any work.
     The time-domain series is the Richardson extrapolation (4 v_2h - v_4h) / 3
     of two solves at steps 2h and 4h, h the nominal step: the Heun scheme's
     h^2 error cancels, and the larger solve holds half the samples of one at
@@ -305,7 +301,15 @@ def run_decay(scenario: Scenario) -> DecayRun:
     overshoot budget, where each solve kept it, raises ProbabilityBoundError
     naming the extrapolation and the fix.
     """
-    dt = scenario.horizon / (scenario.series_points - 1)
+    horizon = scenario.horizon
+    if horizon is None:
+        horizon = 200.0 / scenario.params.level_gap
+    if not math.isfinite(horizon):
+        raise ConfigError(
+            f"the horizon (default 200 / (e2 - e1)) is {horizon!r}; give a finite "
+            "one with --horizon (horizon =)"
+        )
+    dt = horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
     # Steps of h per output interval: the smallest multiple of 4 that is at
     # least dt / h_target, ceiled as a float, so that an infinite ratio is
@@ -325,7 +329,7 @@ def run_decay(scenario: Scenario) -> DecayRun:
     times = np.arange(0, n + 1, per_output) * step
     spectral = amplitude_spectral(spec, times)
     v2h, v4h = (
-        solve_ide(scenario.params, horizon=scenario.horizon, step=f * step,
+        solve_ide(scenario.params, horizon=horizon, step=f * step,
                   stride=per_output // f)
         for f in (2, 4)
     )

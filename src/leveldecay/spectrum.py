@@ -43,7 +43,7 @@ import numpy as np
 from scipy import special
 
 from .coupling import (
-    TAIL_CUT, Canonical, CouplingFamily, ModelParams, Units, certify_tail, coupling_sq,
+    TAIL_CUT, Canonical, CouplingFamily, ModelParams, Units, coupling_sq,
     sq_over_x_integral,
 )
 from .quadrature import (
@@ -377,13 +377,14 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     ``eigen_weight``.  It is the package's one route to e0, and its float
     core is every sweep row's (``scenario.sweep_points``).
 
+    A ``ModelParams`` is certified when built, so nothing is refused here
+    but a failed solve.
+
     Raises:
-        ValueError: ``certify_tail`` refuses the coupling (gamma 0 from g2 > 0).
         BracketFailureError: the eigenvalue solve failed to bracket, converge
             or meet its residual tolerance.
     """
     c = params.coupling
-    certify_tail(c)
     return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)[:3]
 
 
@@ -495,7 +496,6 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
         ThresholdMarginalError: model numerically on threshold.
     """
     c = params.coupling
-    certify_tail(c)
     check, e0, weight, ln_s = _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)
     if check.marginal:
         raise ThresholdMarginalError(

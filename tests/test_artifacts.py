@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,19 @@ def test_density_csv_equals_per_element_fmt():
         )
         rows = ((e1 + cutoff * x, rho / cutoff) for x, rho in zip(spec.grid, spec.density))
         assert render_density_csv(spec) == _per_element("lambda,rho", rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_density_csv_writes_a_rho_past_the_float_range_as_inf():
+    # 3d g2 2 at L = gap = 1e-320: rho = rho~ / L overflows at most nodes,
+    # which is written inf, as the sweep CSV writes the 2d rhs, not warned.
+    model = CouplingModel(CouplingFamily.THREE_DIM_EXP, 2.0, 1e-320)
+    spec = build_spectral_data(ModelParams(0.0, 1e-320, model))
+    with np.errstate(over="ignore"):
+        rows = list(zip(1e-320 * spec.grid, spec.density / 1e-320))
+    text = render_density_csv(spec)
+    assert text == _per_element("lambda,rho", rows)
+    assert 0 < text.count(",inf\n") < len(rows)
 
 
 @given(st.data())

@@ -62,7 +62,7 @@ class TestParsing:
         assert scen.name == "demo"
         assert scen.params.e1 == 0.0 and scen.params.e2 == 1.0
         assert scen.params.coupling.family is CouplingFamily.THREE_DIM_EXP
-        assert scen.horizon == pytest.approx(200.0)  # default 200 / gap
+        assert scen.horizon is None  # run_decay takes 200 / gap
         assert scen.series_points == 2000
         assert scen.sweep is None
 
@@ -269,6 +269,32 @@ class TestSpectrumCommand:
         assert err == (
             "error: config: level gap e2 - e1 must be finite, got e1=-1e+308, e2=1e+308\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_gap_needs_a_horizon_only_for_decay(self, tmp_path, capsys):
+        # At L = gap = 1e-320 the default horizon 200 / gap is inf.  Only
+        # decay reads a horizon: spectrum and a g_sq sweep give the weights of
+        # L = gap = 1, and decay is a config error before any work.
+        weights = {}
+        for cut in ("1e-320", "1.0"):
+            text = BASE_CONFIG.replace("model.e2 = 1.0", f"model.e2 = {cut}").replace(
+                "lambda_cutoff = 1.0", f"lambda_cutoff = {cut}"
+            )
+            sweep = "sweep.parameter = g_sq\nsweep.values = 0.5, 2, 4\n"
+            cfg = _write(tmp_path, text + sweep, f"{cut}.cfg")
+            out = tmp_path / cut
+            assert main(["spectrum", str(cfg), "--out", str(out)]) == 0
+            assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+            summary = json.loads((out / "demo_spectral.json").read_text())
+            rows = (out / "demo_sweep.csv").read_text().splitlines()
+            weights[cut] = summary["weight"], [row.split(",")[4] for row in rows]
+        assert weights["1e-320"] == weights["1.0"]
+        out = tmp_path / "decay"
+        assert main(["decay", str(tmp_path / "1e-320.cfg"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: the horizon (default") and err.count("\n") == 1
+        assert "--horizon" in err and "horizon =" in err
         assert not out.exists()
 
     def test_uncertified_sweep_value_is_config_error(self, tmp_path, capsys):
@@ -619,6 +645,7 @@ class TestDecayRoutesInOrder:
         run = scenario.run_decay(parse_scenario_text(text.replace("g_sq = 2.0", "g_sq = 0.1")))
         h = 800 / 1999 / 44
         assert [(step, stride) for step, stride, _ in solves] == [(2 * h, 22), (4 * h, 11)]
+        assert run.spectral.times[-1] == pytest.approx(800.0)  # the default 200 / gap
         for _, _, times in solves:
             assert times.tobytes() == run.spectral.times.tobytes()
 

@@ -140,7 +140,7 @@ def test_three_dim_edge_slope_limit():
 
 @pytest.mark.parametrize("family", [TWO, THREE])
 def test_tail_mass_matches_complement(family):
-    model = CouplingModel(family, 1.7, 0.9)
+    model = CouplingModel(family, 1.7, 1.0)
     x0 = 3.0
     head, _ = _adapt(lambda x: coupling_sq(model, x), np.linspace(0.0, x0, 9))
-    assert tail_mass(family, 1.7, 0.9, x0) == pytest.approx(l2_norm_sq(model) - head, abs=1e-9)
+    assert tail_mass(family, 1.7, x0) == pytest.approx(l2_norm_sq(model) - head, abs=1e-9)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import types
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -17,14 +18,13 @@ from hypothesis import strategies as st
 from leveldecay import (
     CouplingFamily,
     CouplingModel,
-    ModelParams,
     coupling_sq,
     l2_norm_sq,
     spectrum,
     sq_over_x_integral,
     volterra,
 )
-from leveldecay.coupling import Units, tail_mass
+from leveldecay.coupling import Canonical, tail_mass
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -147,8 +147,10 @@ def _check_model_forms(model, x):
     assert _same_bits(coupling_sq(model, xs), _ref_coupling_sq(model, xs))
     floats = (model.family, model.strength_sq, model.cutoff)
     assert _same_bits(sq_over_x_integral(*floats), _ref_sq_over_x_integral(model))
-    assert _same_bits(tail_mass(*floats, x), _ref_tail_mass(model, x))
-    assert _same_bits(Units(ModelParams(0.0, 1.0, model)).model.gamma, _ref_k_scale(model))
+    # tail_mass is the canonical model's (L = 1), of strength gamma.
+    assert _same_bits(tail_mass(model.family, model.strength_sq, x),
+                      _ref_tail_mass(replace(model, cutoff=1.0), x))
+    assert _same_bits(Canonical.of(*floats, 1.0).gamma, _ref_k_scale(model))
     if model.cutoff < 1e154:  # beyond it both square forms raise OverflowError
         assert _same_bits(l2_norm_sq(model), _ref_l2_norm_sq(model))
         for t in (ts[1], ts):
@@ -201,6 +203,6 @@ def test_equation_is_positive_from_the_norm_bound(family, g_sq, cutoff, gap):
     # a = sqrt(integral of |V|^2) on, for every family: the bracket's bound.
     model = CouplingModel(family, g_sq, cutoff)
     a = math.sqrt(l2_norm_sq(model))
-    gamma = Units(ModelParams(0.0, 1.0, model)).model.gamma
+    gamma = Canonical.of(family, g_sq, cutoff, 1.0).gamma
     f = spectrum._eigen_equation(family, gap / cutoff, gamma, math.log(a) - math.log(cutoff))[0]
     assert f > 0.0

@@ -269,15 +269,12 @@ def test_pv_k_below_edge_rejected():
 
 
 def test_uncertified_truncation_rejected(monkeypatch):
-    # A cut at 5 cutoffs leaves a remainder bound far above TAIL_TOL for cutoff 1
+    # A cut at 5 cutoffs leaves a remainder bound far above TAIL_TOL for cutoff 1:
+    # the model is refused when built, so no integral can be truncated there.
     monkeypatch.setattr(coupling, "TAIL_CUT", 5.0)
-    params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    with pytest.raises(ValueError):
-        k_regular(params, -1.0)
-    # gate_integrals certifies the principal value's truncation first, at a = 0
-    pv_bound = tail_mass(params.coupling.family, 1.0, 1.0, 5.0) / 5.0
-    with pytest.raises(ValueError, match=re.escape(f"remainder {pv_bound!r};")):
-        gate_integrals(params, [2.0])
+    bound = tail_mass(CouplingFamily.THREE_DIM_EXP, 1.0, 5.0) / 5.0
+    with pytest.raises(ValueError, match=re.escape(f"remainder {bound!r};")):
+        _params(CouplingFamily.THREE_DIM_EXP, 1.0)
 
 
 def test_gauss_legendre_literals_are_the_ten_point_rule():

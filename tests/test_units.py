@@ -156,7 +156,7 @@ def test_a_coupling_whose_gamma_underflows_over_the_cutoff_is_refused():
     )
     with pytest.raises(ConfigError, match=r"g_sq=1e-300, cutoff=1e\+300: gamma underflows to 0"):
         parse_scenario_text(text)
-    # point_mass refuses it too, rather than answer as at zero coupling.
+    # Nor can the model be built, so point_mass never answers as at zero coupling.
     model = CouplingModel(CouplingFamily.TWO_DIM_EXP, 1e-300, 1e300)
     with pytest.raises(ValueError, match="gamma underflows to 0"):
         point_mass(ModelParams(0.0, 1.0, model))
