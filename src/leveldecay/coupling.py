@@ -10,8 +10,9 @@ checkable against a closed form, which is why these families were chosen.
 
 Inside the package a model is ``Canonical`` (e1 = 0, L = 1): the family,
 gamma = g2 L^{p-1} and beta = (e2 - e1) / L, on xi = (lambda - e1) / L and
-tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The public entry points map to and
-from it through ``Units``, which is exact at e1 = 0, L = 1.  ``Canonical.of``
+tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The entry points that take a
+caller's ``ModelParams`` map to and from it through ``Units``, which is exact
+at e1 = 0, L = 1; inner code takes the ``Canonical`` it holds.  ``Canonical.of``
 is that map from bare floats, so no model object is built per sweep point.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
@@ -205,11 +206,6 @@ class Canonical(NamedTuple):
     def coupling(self) -> CouplingModel:
         """|V(xi)|^2 = gamma xi^p e^{-xi}, the coupling at L = 1."""
         return CouplingModel(self.family, self.gamma, 1.0)
-
-    @property
-    def params(self) -> ModelParams:
-        """The model at e1 = 0, L = 1, where every entry point's map is exact."""
-        return ModelParams(0.0, self.beta, self.coupling)
 
 
 class Units:

@@ -169,7 +169,7 @@ def _transform_nodes(
         (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    dens = spectral_density(spec.params.canonical.params, nodes)
+    dens = spectral_density(spec.params.canonical, nodes)
     return nodes, dens * (scale[:, None] * _GL_W[None, :]).ravel(), lattice
 
 

@@ -3,15 +3,16 @@ its principal value and the weight integral.
 
 For the built-in coupling families the spectral layer evaluates these three
 integrals from exponential-integral closed forms (see ``leveldecay.spectrum``).
-Quadrature has two entry points: ``gate_integrals`` takes all three at a list
-of distances from the edge in one pass, the gate those closed forms must pass
-before first use and the tests' reference; ``k_regular`` takes k alone, for
-the eigenvalue oracle of ``verify`` criterion 8.  In the canonical model
-(``coupling``) all three are one integral in xi, of (|V(xi)|^2 - f0) /
-(xi - c)^n: k and the weight integral at c = -s, f0 = 0 and n = 1, 2, seeded
-geometrically in xi + s; the principal value at the pole c = s with
-f0 = |V(s)|^2, smooth at s, plus the exact log term of the subtracted
-f0 / (xi - c).  k and PV k are L times these in the caller's units.
+Quadrature has two entry points: ``gate_integrals`` takes all three of a
+``Canonical`` model at a list of distances s in xi from the edge in one pass,
+the gate those closed forms must pass before first use and the tests'
+reference; ``k_regular`` takes k alone of a caller's ``ModelParams``, for the
+eigenvalue oracle of ``verify`` criterion 8, and is L times the canonical k.
+In the canonical model (``coupling``) all three are one integral in xi, of
+(|V(xi)|^2 - f0) / (xi - c)^n: k and the weight integral at c = -s, f0 = 0
+and n = 1, 2, seeded geometrically in xi + s; the principal value at the pole
+c = s with f0 = |V(s)|^2, smooth at s, plus the exact log term of the
+subtracted f0 / (xi - c).
 
 The engine is a vectorized adaptive Gauss-Kronrod (G7, K15) scheme: every
 panel is evaluated with the embedded pair, the |K15 - G7| difference serves as
@@ -207,10 +208,10 @@ def _integrals(model: Canonical, parts: list[_Integral]) -> list[float]:
 
 
 def _k_part(s: float, order: int) -> _Integral:
-    """k (order 1) or the weight integral (order 2) at s > 0, to a relative
-    1e-11, seeded with 1.5 panels an octave in xi + s."""
-    if not s > 0.0:
-        raise ValueError(f"requires lambda < e1, i.e. s = (e1 - lambda) / L > 0; got s={s!r}")
+    """k (order 1) or the weight integral (order 2) at 0 < s < inf, to a
+    relative 1e-11, seeded with 1.5 panels an octave in xi + s."""
+    if not (s > 0.0 and math.isfinite(s)):
+        raise ValueError(f"k requires -inf < lambda < e1, got s = (e1 - lambda) / L = {s!r}")
     ln_lo, ln_hi = math.log(s), math.log(TAIL_CUT + s)
     n_seed = max(16, math.ceil(1.5 * (ln_hi - ln_lo) / math.log(2.0)))
     edges = np.exp(np.linspace(ln_lo, ln_hi, n_seed + 1)) - s
@@ -240,15 +241,14 @@ def k_regular(params: ModelParams, lam: float) -> float:
     return units.up(_integrals(units.model, [_k_part(-units.xi(lam), 1)])[0])
 
 
-def gate_integrals(params: ModelParams, distances) -> tuple[np.ndarray, ...]:
-    """The three arrays k at e1 - d, PV k at e1 + d and the weight integral at d
-    over the distances d: three integrals per d, refined in one ``_refine`` pass,
-    each truncated at xi = TAIL_CUT as certified with the model (``ModelParams``)."""
-    units = Units(params)
+def gate_integrals(model: Canonical, distances) -> tuple[np.ndarray, ...]:
+    """The three arrays k~ at xi = -s, PV k~ at xi = s and the weight integral
+    at s of the canonical ``model`` over the distances s in xi: three integrals
+    per s, refined in one ``_refine`` pass, each truncated at xi = TAIL_CUT."""
     parts, log_terms = [], []
-    for s in map(units.down, distances):
-        pv, log_term = _pv_part(units.model, s)
+    for s in distances:
+        pv, log_term = _pv_part(model, s)
         parts += [_k_part(s, 1), pv, _k_part(s, 2)]
         log_terms.append(log_term)
-    v = np.array(_integrals(units.model, parts)).reshape(-1, 3)
-    return units.up(v[:, 0]), units.up(v[:, 1] + np.array(log_terms)), v[:, 2]
+    v = np.array(_integrals(model, parts)).reshape(-1, 3)
+    return v[:, 0], v[:, 1] + np.array(log_terms), v[:, 2]

@@ -43,8 +43,7 @@ import numpy as np
 from scipy import special
 
 from .coupling import (
-    TAIL_CUT, Canonical, CouplingFamily, ModelParams, Units, coupling_sq,
-    sq_over_x_integral,
+    TAIL_CUT, Canonical, CouplingFamily, ModelParams, coupling_sq, sq_over_x_integral,
 )
 from .quadrature import (
     _EPS,
@@ -175,7 +174,7 @@ def _closed_form_gate(family: CouplingFamily) -> bool:
     The relative 1e-8 checks values far below 1, such as the weight integral
     at s = 1e3 (about 1e-6), to the same digits as the rest.
     """
-    unit = Canonical(family, 1.0, 1.0).params
+    unit = Canonical(family, 1.0, 1.0)
     k, pv, weight = (q.tolist() for q in gate_integrals(unit, _GATE_POINTS))
     for s, k_s, pv_s, weight_s in zip(_GATE_POINTS, k, pv, weight):
         k_closed, s_dk = _k_unit_and_slope(family, s, _scaled_e1(s))
@@ -388,17 +387,16 @@ def point_mass(params: ModelParams) -> tuple[ThresholdResult, float | None, floa
     return _point(c.family, c.strength_sq, c.cutoff, params.e1, params.e2)[:3]
 
 
-def spectral_density(params: ModelParams, t):
-    """Density rho(t) of the absolutely continuous spectral part at energies t
-    (scalar or array; a float for a scalar).
+def spectral_density(model: Canonical, xi):
+    """Density rho~(xi) of the canonical model's absolutely continuous
+    spectral part (scalar or array; a float for a scalar).  A caller's
+    density is rho(lambda) = rho~((lambda - e1) / L) / L.
 
-    Zero for t <= e1 (at the edge itself every family gives the limit 0: for
+    Zero for xi <= 0 (at the edge itself every family gives the limit 0: for
     p >= 1 the numerator vanishes, at p = 0 the principal value diverges).
     """
-    scalar = np.ndim(t) == 0
-    units = Units(params)
-    model = units.model
-    xi = units.xi(np.atleast_1d(np.asarray(t, dtype=float)))
+    scalar = np.ndim(xi) == 0
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     inside = xi > 0.0
     xi = np.where(inside, xi, 1.0)
     v = coupling_sq(model.coupling, xi)
@@ -411,7 +409,7 @@ def spectral_density(params: ModelParams, t):
         v_n, shift_n = np.ldexp(v, n), np.ldexp(shift, n)
         denom = shift_n * shift_n + (math.pi * v_n) ** 2
         rho = np.divide(v_n, denom, out=np.zeros_like(v), where=inside & (v > 0.0))
-        rho = units.down(np.ldexp(rho, n))
+        rho = np.ldexp(rho, n)
     return float(rho[0]) if scalar else rho
 
 
@@ -420,8 +418,9 @@ class SpectralData:
     """Complete spectral data of one scenario, tabulated in xi as its canonical twin's.
 
     ``params`` is the model the data belongs to; the spectral transform
-    evaluates rho from it exactly.  ``grid``/``density`` tabulate rho~ = L rho
-    at the nodes xi the mass integration evaluated on [0, TAIL_CUT].
+    evaluates rho~ of its canonical twin exactly.  ``grid``/``density``
+    tabulate rho~ = L rho at the nodes xi the mass integration evaluated on
+    [0, TAIL_CUT].
     ``segments``/``segment_mass`` record the converged integration panels and
     their masses (the coarse partition the transform cuts into its panels).
     ``eigenvalue`` is None when no bound state exists; for the degenerate
@@ -525,7 +524,7 @@ def build_spectral_data(params: ModelParams) -> SpectralData:
 
     def rho_batch(pts: np.ndarray) -> np.ndarray:
         nodes.append(pts)
-        values.append(spectral_density(model.params, pts))
+        values.append(spectral_density(model, pts))
         return np.ldexp(values[-1], -n)
 
     a, b, vals, _, _ = _refine(

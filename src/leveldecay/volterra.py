@@ -3,17 +3,19 @@
 The solve is canonical (``coupling``): in tau = L t, with
 y(tau) = C~(tau) * exp(i beta tau), the survival amplitude satisfies
 
-    dy/dtau = integral over [0, tau] of K(tau - sigma) y(sigma) d sigma,    y(0) = 1,
+    dy/dtau = integral over [0, tau] of K~(tau - sigma) y(sigma) d sigma,    y(0) = 1,
 
-with the memory kernel K(tau) = -exp(i beta tau) * F(tau), F the Fourier
+with the memory kernel K~(tau) = -exp(i beta tau) * F(tau), F the Fourier
 transform of |V(xi)|^2 = gamma xi^p e^{-xi}: the closed form
 F(tau) = gamma p! / (1 + i tau)^{p+1}, verified against direct oscillatory
 quadrature before a family's first use, so a mismatch cannot silently
-corrupt this route.  It runs at the step L h and forms C~ at tau = k L h;
-C(t) = e^{-i e1 t} C~(L t) is ``Units.phase``, the spectral route's map, so
-a model's series is its canonical twin's.  The caller's kernel L^2 K(L t)
-has g2 L^{p+1} p! for gamma p!.  No spectral data enters anywhere, which is
-what makes the solution an independent cross-check of the spectral route.
+corrupt this route.  ``kernel`` and ``build_kernel_table`` take the
+``Canonical`` model and tau; a caller's kernel is K(t) = L^2 K~(L t).
+``solve_ide`` takes the caller's ``ModelParams``: it runs at the step L h and
+forms C~ at tau = k L h; C(t) = e^{-i e1 t} C~(L t) is ``Units.phase``, the
+spectral route's map, so a model's series is its canonical twin's.  No
+spectral data enters anywhere, which is what makes the solution an
+independent cross-check of the spectral route.
 
 The stepper is trapezoidal convolution quadrature with a predictor-corrector
 update (Heun), second-order accurate.  Each step needs the lagged history sum
@@ -49,7 +51,7 @@ import math
 
 import numpy as np
 
-from .coupling import CouplingFamily, CouplingModel, Units, coupling_sq, l2_norm_sq
+from .coupling import Canonical, CouplingFamily, CouplingModel, Units, coupling_sq, l2_norm_sq
 from .evolution import AmplitudeSeries, MethodTag, check_probability
 from .quadrature import _GL_W, _GL_X, NumericalError
 from .spectrum import ModelParams
@@ -77,13 +79,13 @@ def _fourier_closed_form(model: CouplingModel, tau) -> np.ndarray:
     return out
 
 
-def kernel(params: ModelParams, t) -> complex | np.ndarray:
-    """Memory kernel K(t) for t >= 0 (scalar or array), via the closed form."""
-    ta = np.asarray(t, dtype=float)
+def kernel(model: Canonical, tau) -> complex | np.ndarray:
+    """Memory kernel K~(tau) of the canonical model for tau >= 0 (scalar or
+    array), via the closed form."""
+    ta = np.asarray(tau, dtype=float)
     if np.any(ta < 0.0):
-        raise ValueError("kernel requires t >= 0")
-    tau = Units(params).up(ta)
-    out = -np.exp(1j * params.level_gap * ta) * _fourier_closed_form(params.coupling, tau)
+        raise ValueError("kernel requires tau >= 0")
+    out = -np.exp(1j * model.beta * ta) * _fourier_closed_form(model.coupling, ta)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -127,16 +129,17 @@ def _self_check(family: CouplingFamily) -> bool:
     return True
 
 
-def build_kernel_table(params: ModelParams, horizon: float, step: float) -> np.ndarray:
-    """Kernel samples K(j h), j = 0..round(horizon / h), after the self-check gate.
+def build_kernel_table(model: Canonical, horizon: float, step: float) -> np.ndarray:
+    """Kernel samples K~(j h), j = 0..round(horizon / h), of the canonical
+    model in tau, after the self-check gate.
 
-    K(0) = -l2_norm_sq; the samples lie on the solver grid j * step.
+    K~(0) = -gamma p!; the samples lie on the solver grid j * step.
     """
     if not (step > 0.0 and horizon >= step):
         raise ValueError("need step > 0 and horizon >= step")
-    _self_check(params.coupling.family)
+    _self_check(model.family)
     n = int(round(horizon / step))
-    return np.asarray(kernel(params, np.arange(n + 1) * step))
+    return np.asarray(kernel(model, np.arange(n + 1) * step))
 
 
 def default_step(params: ModelParams) -> float:
@@ -222,7 +225,7 @@ def solve_ide(
         raise ValueError("horizon must cover at least one step")
     units = Units(params)
     h_tau = units.up(h)
-    k = build_kernel_table(units.model.params, units.up(horizon), h_tau)
+    k = build_kernel_table(units.model, units.up(horizon), h_tau)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j

@@ -29,7 +29,7 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay.cli import main
-from leveldecay.coupling import Units
+from leveldecay.coupling import Canonical, Units
 from leveldecay.quadrature import gate_integrals
 
 TOL = 1e-8
@@ -56,7 +56,11 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     x = s * cutoff
 
     # k at e1 - x, PV k at e1 + x and the weight integral at x, in one pass
-    k_ref, pv_ref, weight_ref = (float(q[0]) for q in gate_integrals(params, [x]))
+    # on the canonical twin at x / L; k and PV k are L times the twin's.
+    k_ref, pv_ref, weight_ref = (
+        float(q[0]) for q in gate_integrals(params.canonical, [x / cutoff])
+    )
+    k_ref, pv_ref = cutoff * k_ref, cutoff * pv_ref
 
     k_unit = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))[0]
     k_below = cutoff * Units(params).model.gamma * k_unit
@@ -71,7 +75,8 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     shift = 1.0 - x - pv_ref
     rho_ref = v / (shift * shift + (math.pi * v) ** 2) if v > 0.0 else 0.0
     slope = 2.0 * rho_ref**2 * abs(shift) / v if v > 0.0 else 0.0
-    assert _close(spectral_density(params, x), rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
+    rho = spectral_density(params.canonical, x / cutoff) / cutoff
+    assert _close(rho, rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
     w_ref = 1.0 / (1.0 + weight_ref)
     assert _close(eigen_weight(Units(params).model, math.log(s)), w_ref)
@@ -83,9 +88,9 @@ def test_mismatch_detected(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         spectrum, "_pv_k_unit", lambda family, s: 1.001 * true_form(family, s)
     )
-    params = ModelParams(0.0, 1.0, CouplingModel(CouplingFamily.THREE_DIM_EXP, 0.5, 1.0))
+    model = Canonical(CouplingFamily.THREE_DIM_EXP, 0.5, 1.0)
     with pytest.raises(ClosedFormMismatchError):
-        spectral_density(params, 0.7)
+        spectral_density(model, 0.7)
     cfg = tmp_path / "scen.cfg"
     cfg.write_text(
         "name = demo\nmodel.e1 = 0.0\nmodel.e2 = 1.0\ncoupling.family = 3d-exp\n"
@@ -133,9 +138,11 @@ def test_gate_integrals_equal_one_pass_per_point(family):
     # One pass over all 36 integrals against one pass per distance, and
     # k against k_regular's pass of the one integral.
     params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
-    k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
+    k, pv, weight = gate_integrals(Canonical(family, 1.0, 1.0), spectrum._GATE_POINTS)
     for i, s in enumerate(spectrum._GATE_POINTS):
-        k_s, pv_s, weight_s = (float(q[0]) for q in gate_integrals(params, [s]))
+        k_s, pv_s, weight_s = (
+            float(q[0]) for q in gate_integrals(Canonical(family, 1.0, 1.0), [s])
+        )
         for got, ref in ((k[i], k_regular(params, -s)), (k[i], k_s), (pv[i], pv_s),
                          (weight[i], weight_s)):
             assert abs(got - ref) <= 1e-15 * abs(ref)
@@ -147,8 +154,7 @@ def test_gate_integrals_hold_the_closed_forms_to_1e11(family):
     # times tighter, so a 1000-fold loss of its accuracy fails here first.
     # The worst, about 2e-12, is the 3d weight integral at s = 1e3, where the
     # closed-form slope s (1 - (1 + s) e^s E1(s)) cancels.
-    params = ModelParams(0.0, 1.0, CouplingModel(family, 1.0, 1.0))
-    k, pv, weight = gate_integrals(params, spectrum._GATE_POINTS)
+    k, pv, weight = gate_integrals(Canonical(family, 1.0, 1.0), spectrum._GATE_POINTS)
     for i, s in enumerate(spectrum._GATE_POINTS):
         k_closed, s_dk = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))
         for quad, closed in ((k[i], k_closed), (pv[i], spectrum._pv_k_unit(family, s)),

@@ -95,7 +95,8 @@ def test_l2_norm_finite_where_the_cutoff_power_overflows():
     params = ModelParams(0.0, 1.0, CouplingModel(THREE, 1e-154, 1e160))
     l2 = l2_norm_sq(params.coupling)
     assert l2 == pytest.approx(1e166, rel=1e-15)
-    assert volterra.kernel(params, 0.0) == -l2
+    # The canonical K~(0) is -gamma p!, here -gamma = -g2.
+    assert volterra.kernel(params.canonical, 0.0) == -1e-154
     assert l2_norm_sq(CouplingModel(THREE, 0.0, 1e160)) == 0.0
 
 

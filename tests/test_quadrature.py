@@ -58,8 +58,9 @@ NOT_INSIDE = r"PV k requires e1 < t < inf"
 
 
 def pv_k(params, s):
-    """PV k at e1 + s, from the gate's pass at the one distance s."""
-    return float(gate_integrals(params, [s])[1][0])
+    """PV k at e1 + s of a model at e1 = 0 and L = 1, from the gate's pass on
+    its canonical twin at the one distance s."""
+    return float(gate_integrals(params.canonical, [s])[1][0])
 
 
 def simpson_oracle(f, a, b, n):
@@ -174,7 +175,7 @@ def test_pv_truncation_independence(monkeypatch, family, s):
 @pytest.mark.parametrize("c", [0.0, -1.0])
 def test_pv_invalid_singularity(c):
     with pytest.raises(ValueError, match=NOT_INSIDE):
-        gate_integrals(EXP_UNIT, [c])
+        gate_integrals(EXP_UNIT.canonical, [c])
 
 
 def test_k_regular_zero_coupling():
@@ -196,6 +197,15 @@ def test_k_regular_above_edge_rejected(family, lam):
     # lambda = e1 as well: 2d's k diverges there, and the integral needs e1 - lambda > 0
     params = _params(family, 1.0)
     with pytest.raises(ValueError):
+        k_regular(params, lam)
+
+
+@pytest.mark.parametrize("lam, cutoff", [(-math.inf, 1.0), (-1e308, 1e-10)])
+def test_k_regular_needs_a_finite_distance(lam, cutoff):
+    # s = (e1 - lambda) / L is inf, where the panel seeds in ln s would be
+    # NaN: refused with its own message, as PV k refuses its pole.
+    params = _params(CouplingFamily.THREE_DIM_EXP, 1.0, cutoff=cutoff)
+    with pytest.raises(ValueError, match=r"k requires -inf < lambda < e1, got .* = inf$"):
         k_regular(params, lam)
 
 
@@ -265,7 +275,7 @@ def test_pv_k_matches_closed_form_both_families():
 def test_pv_k_below_edge_rejected():
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
     with pytest.raises(ValueError, match=NOT_INSIDE):
-        gate_integrals(params, [-0.5])
+        gate_integrals(params.canonical, [-0.5])
 
 
 def test_uncertified_truncation_rejected(monkeypatch):

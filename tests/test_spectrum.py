@@ -25,6 +25,7 @@ from leveldecay import (
 )
 from leveldecay import spectrum
 from leveldecay.coupling import Units
+from leveldecay.verification import MATRIX
 
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
@@ -42,6 +43,11 @@ W_2D_G01 = 2.549087113894817e-04
 
 def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
     return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
+
+
+def _model(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
+    """The canonical twin of ``_params``, the model ``spectral_density`` takes."""
+    return _params(family, g_sq, cutoff, e1, e2).canonical
 
 
 def _e0(params):
@@ -238,30 +244,31 @@ class TestWeight:
         w = _weight(params, ln_s)
         assert w == pytest.approx(want, rel=3e-14, abs=0)
         # The weight is a pure number: the model's is its canonical twin's.
-        assert point_mass(params)[2] == point_mass(model.params)[2] == w
+        twin = ModelParams(0.0, model.beta, CouplingModel(TWO, model.gamma, 1.0))
+        assert point_mass(params)[2] == point_mass(twin)[2] == w
 
 
 class TestDensity:
     def test_zero_below_edge(self):
-        assert spectral_density(_params(THREE, 2.0), -0.5) == 0.0
-        assert spectral_density(_params(TWO, 0.5), -1e-9) == 0.0
+        assert spectral_density(_model(THREE, 2.0), -0.5) == 0.0
+        assert spectral_density(_model(TWO, 0.5), -1e-9) == 0.0
 
     def test_zero_at_edge(self):
-        assert spectral_density(_params(THREE, 2.0), 0.0) == 0.0
-        assert spectral_density(_params(TWO, 0.5), 0.0) == 0.0
+        assert spectral_density(_model(THREE, 2.0), 0.0) == 0.0
+        assert spectral_density(_model(TWO, 0.5), 0.0) == 0.0
 
     def test_zero_coupling(self):
-        assert spectral_density(_params(THREE, 0.0), 1.3) == 0.0
+        assert spectral_density(_model(THREE, 0.0), 1.3) == 0.0
 
     def test_nonnegative_on_grid(self):
-        params = _params(TWO, 0.5)
+        model = _model(TWO, 0.5)
         for t in np.linspace(0.001, 20.0, 40):
-            assert spectral_density(params, float(t)) >= 0.0
+            assert spectral_density(model, float(t)) >= 0.0
 
     @pytest.mark.parametrize("t", [0.4, 0.9, 1.0, 1.4, 3.0])
     def test_matches_independent_pv_oracle(self, t):
         # denominator principal value via scipy's Cauchy-weight quadrature
-        params = _params(THREE, 0.5)
+        model = _model(THREE, 0.5)
         g2, cut = 0.5, 1.0
         v = g2 * t * math.exp(-t / cut)
         pv, _ = integrate.quad(
@@ -269,34 +276,34 @@ class TestDensity:
             limit=400,
         )
         oracle = v / ((1.0 - t - pv) ** 2 + (math.pi * v) ** 2)
-        assert spectral_density(params, t) == pytest.approx(oracle, rel=1e-8)
+        assert spectral_density(model, t) == pytest.approx(oracle, rel=1e-8)
 
     @pytest.mark.parametrize("family, g_sq", [(TWO, 0.5), (THREE, 2.0)])
     def test_array_equals_its_scalar_calls_bit_for_bit(self, family, g_sq):
-        params = _params(family, g_sq, e1=0.3, e2=1.3)
-        ts = np.array([-1.0, 0.3 - 1e-12, 0.3, 0.3 + 1e-12, 0.31, 1.0, 1.3, 5.0, 40.0])
-        scalars = [spectral_density(params, float(t)) for t in ts]
+        model = _model(family, g_sq)
+        xs = np.array([-1.3, -1e-12, 0.0, 1e-12, 0.01, 0.7, 1.0, 4.7, 39.7])
+        scalars = [spectral_density(model, float(x)) for x in xs]
         assert all(type(rho) is float for rho in scalars)
-        assert type(spectral_density(params, np.float64(1.0))) is float
-        assert spectral_density(params, ts).tobytes() == np.array(scalars).tobytes()
-        grid = ts.reshape(3, 3)
-        assert spectral_density(params, grid).tobytes() == np.array(scalars).tobytes()
+        assert type(spectral_density(model, np.float64(1.0))) is float
+        assert spectral_density(model, xs).tobytes() == np.array(scalars).tobytes()
+        grid = xs.reshape(3, 3)
+        assert spectral_density(model, grid).tobytes() == np.array(scalars).tobytes()
 
     @pytest.mark.parametrize("e2", [1e155, 1e200, 1e300])
     def test_shift_that_squares_past_overflow_gives_zero(self, e2):
         # (e2 - t - PV k)^2 overflows to inf; rho = v / inf = 0 is the exact
         # limit, reached without an overflow warning.
-        params = _params(THREE, 2.0, e2=e2)
+        model = _model(THREE, 2.0, e2=e2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert spectral_density(params, 1.0) == 0.0
-            assert not np.any(spectral_density(params, np.linspace(0.5, 60.0, 7)))
+            assert spectral_density(model, 1.0) == 0.0
+            assert not np.any(spectral_density(model, np.linspace(0.5, 60.0, 7)))
 
     def test_weak_coupling_peak_location_and_height(self):
         # narrow resonance near the shifted upper level
-        params = _params(THREE, 0.01)
+        model = _model(THREE, 0.01)
         ts = np.linspace(0.9, 1.1, 81)
-        rho = [spectral_density(params, float(t)) for t in ts]
+        rho = [spectral_density(model, float(t)) for t in ts]
         t_peak = ts[int(np.argmax(rho))]
         assert abs(t_peak - 1.0) < 0.02
         v_peak = 0.01 * t_peak * math.exp(-t_peak)
@@ -377,3 +384,30 @@ class TestSpectralData:
         monkeypatch.setattr(spectrum, "_MAX_PANELS", 3)
         with pytest.raises(NonConvergenceError):
             build_spectral_data(_params(THREE, 0.5, cutoff=0.1))
+
+
+# 20-point Gauss-Legendre on each converged panel of the density table.
+_GL20_X, _GL20_W = np.polynomial.legendre.leggauss(20)
+
+
+@pytest.mark.parametrize("ms", MATRIX, ids=lambda ms: ms.name)
+def test_the_spectral_sum_rules_hold_on_the_verify_models(ms):
+    # The excited level's spectral measure has the moments <2|H^k|2>: 1,
+    # beta and beta^2 + gamma p! (the norm of |V|^2) in the canonical model.  The point at xi0 plus rho~ integrated on spec.segments holds
+    # all three to 1e-14 (measured at most 8.9e-16, 7.8e-16 and 8.8e-16).
+    # The point enters the higher moments as w xi0^k, so this check sees e0:
+    # an xi0 off by 1e-9 relative moves the first by 1.3e-10 at 3d g2 2.
+    params = ms.scenario().params
+    spec = build_spectral_data(params)
+    model = params.canonical
+    family, gamma, beta = model
+    a, b = spec.segments[:-1], spec.segments[1:]
+    half = 0.5 * (b - a)
+    xi = (a + half)[:, None] + half[:, None] * _GL20_X
+    mass = spectral_density(model, xi) * half[:, None] * _GL20_W
+    m0, m1, m2 = (float((mass * xi**k).sum()) for k in range(3))
+    w, xi0 = spec.weight, spec.xi0 if spec.xi0 is not None else 0.0
+    second = beta**2 + gamma * math.factorial(family.power)
+    assert abs(w + m0 - 1.0) <= 1e-14
+    assert abs(w * xi0 + m1 - beta) <= 1e-14 * (beta + abs(xi0))
+    assert abs(w * xi0**2 + m2 - second) <= 1e-14 * second

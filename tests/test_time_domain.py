@@ -51,8 +51,10 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
 
 
 def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
-    """C(t) from trapezoidal convolution with both history sums as full dots."""
-    k = build_kernel_table(params, horizon, h)
+    """C(t) from trapezoidal convolution with both history sums as full dots,
+    for a model at e1 = 0 and L = 1, where t is tau."""
+    model = params.canonical
+    k = build_kernel_table(model, horizon, h)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0
@@ -75,16 +77,18 @@ def _direct_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
         y[n + 1] = y[n] + 0.5 * h * (phi_n + phi_next)
         if n + 1 < n_steps:
             phi_n = history_integral(n + 1)
-    return y * np.exp(-1j * params.e2 * (np.arange(n_steps + 1) * h))
+    return y * np.exp(-1j * model.beta * (np.arange(n_steps + 1) * h))
 
 
 def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
-    """C(t) from the Heun recurrence one step at a time in np.clongdouble.
+    """C(t) from the Heun recurrence one step at a time in np.clongdouble, for
+    a model at e1 = 0 and L = 1.
 
     The kernel samples are the solver's own doubles, so this differs from the
     solver only by the solver's rounding.
     """
-    k = build_kernel_table(params, horizon, h).astype(np.clongdouble)
+    model = params.canonical
+    k = build_kernel_table(model, horizon, h).astype(np.clongdouble)
     hl = np.longdouble(h)
     n_steps = len(k) - 1
     y = np.zeros(n_steps + 1, dtype=np.clongdouble)
@@ -97,7 +101,7 @@ def _extended_heun(params: ModelParams, horizon: float, h: float) -> np.ndarray:
         phi_next = hl * (s + half_k0 * (y[m - 1] + hl * phi))
         y[m] = y[m - 1] + hl / 2 * (phi + phi_next)
         phi = hl * (s + half_k0 * y[m])
-    return y.astype(complex) * np.exp(-1j * params.e2 * (np.arange(n_steps + 1) * h))
+    return y.astype(complex) * np.exp(-1j * model.beta * (np.arange(n_steps + 1) * h))
 
 
 def _lattice_width(times) -> float:
@@ -141,7 +145,7 @@ def _per_time_transform(spec, times) -> np.ndarray:
         sub_a = np.repeat(edges[:-1], reps) + offset * sub_w
         half = 0.5 * sub_w
         nodes = (sub_a + half)[:, None] + half[:, None] * _GL_X[None, :]
-        dens = spectral_density(spec.params.canonical.params, nodes)
+        dens = spectral_density(spec.params.canonical, nodes)
         out[i] = complex(((dens * np.exp(-1j * t * nodes)) @ _GL_W * half).sum())
     if spec.xi0 is not None:
         out += spec.weight * np.exp(-1j * spec.xi0 * np.asarray(times))
@@ -176,7 +180,7 @@ def _quarter_period_sum(spec, times, at) -> np.ndarray:
         ((left[keep] + half)[:, None] + half[:, None] * gl_x[None, :]).ravel(),
     ])
     scale = np.concatenate([np.full(lattice.size, 0.5 * w), half])
-    rho = spectral_density(spec.params.canonical.params, nodes)
+    rho = spectral_density(spec.params.canonical, nodes)
     a = rho * (scale[:, None] * gl_w[None, :]).ravel()
     out = np.array([a @ np.exp(-1j * t * nodes) for t in at])
     if spec.xi0 is not None:
@@ -377,7 +381,7 @@ class TestSolver:
         n_steps = 20_000
         params = _params(THREE, 2.0)
         h = 0.01
-        k = build_kernel_table(params, n_steps * h, h)
+        k = build_kernel_table(params.canonical, n_steps * h, h)
         partitions = {
             (size, delta): k[(delta - 1) * size + 1:(delta + 1) * size]
             for size, deltas in ((_CHUNK, range(1, _RADIX)), (_RADIX * _CHUNK, (1, 2)))
@@ -454,7 +458,7 @@ class TestSolver:
         # here (forward substitution in doubles read 9.7e-20 to 4.2e-17, a
         # Newton reciprocal by FFT products 7.1e-17 to 2.1e-16).
         n = _CHUNK
-        k = build_kernel_table(_params(family, g_sq), n * h, h)
+        k = build_kernel_table(_params(family, g_sq).canonical, n * h, h)
         delta, b, c, g, u = _chunk_operators(k, h, n)
         t = np.empty(n, dtype=np.clongdouble)
         t[0] = 1
@@ -469,7 +473,7 @@ class TestSolver:
         # No loop of n Python steps: two direct products per doubling, and
         # a few lines of Python each.
         n = _CHUNK
-        k = build_kernel_table(_params(THREE, 2.0), n * 0.01, 0.01)
+        k = build_kernel_table(_params(THREE, 2.0).canonical, n * 0.01, 0.01)
         calls = []
         convolve = np.convolve
         monkeypatch.setattr(

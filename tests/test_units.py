@@ -20,12 +20,11 @@ from leveldecay import (
     build_spectral_data,
     point_mass,
     solve_ide,
-    spectral_density,
     weak_coupling_rate,
 )
-from leveldecay import spectrum
+from leveldecay import spectrum, volterra
 from leveldecay.coupling import Canonical, Units
-from leveldecay.scenario import ConfigError, parse_scenario_text
+from leveldecay.scenario import ConfigError, parse_scenario_text, run_decay
 
 EPS = float(np.finfo(float).eps)
 _DEEP = settings.default is settings.get_profile("deep")
@@ -74,7 +73,7 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1_over_cutof
     g_sq = gamma * cutoff ** (1 - family.power)
     params = ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
     units = Units(params)
-    twin = units.model.params
+    twin = ModelParams(0.0, units.model.beta, CouplingModel(family, units.model.gamma, 1.0))
 
     check, e0, w = point_mass(params)
     check_twin, xi0, w_twin = point_mass(twin)
@@ -90,13 +89,6 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1_over_cutof
         assert abs((e0 - e1) / cutoff - xi0) <= 2.0 * EPS * scale + floor
     rate = weak_coupling_rate(params)
     assert rate == units.up(weak_coupling_rate(twin))
-
-    lam = e1 + cutoff * np.array([1e-6, 0.01, 0.3, 1.0, beta, 2.0, 10.0, 59.0])
-    # At a subnormal L, rho = rho~ / L overflows, on both sides alike.
-    with np.errstate(over="ignore"):
-        rho = spectral_density(params, lam)
-        rho_twin = spectral_density(twin, (lam - e1) / cutoff) / cutoff
-    assert rho.tobytes() == rho_twin.tobytes()
 
     spec, spec_twin = build_spectral_data(params), build_spectral_data(twin)
     for table in ("grid", "density", "segments", "segment_mass"):
@@ -138,6 +130,27 @@ def test_a_table_far_above_zero_energy_is_its_twins(monkeypatch):
     ln_s = spectrum._solve_eigenvalue(Units(twin.params).model)[0]
     assert [s[16] for s in seeds] == [math.exp(ln_s)] * 2
     assert seeds[0].tobytes() == seeds[1].tobytes()
+
+
+def test_a_decay_run_builds_no_model_below_its_entry_point(monkeypatch):
+    # Building a ModelParams is the model check, made once at parse.  Below
+    # the entry point the density table, the transform, the kernel tables
+    # and both gates (caches cleared, so they run) take the Canonical they
+    # hold.
+    scen = parse_scenario_text(
+        "name = twin\nmodel.e1 = 0.0\nmodel.e2 = 1.0\ncoupling.family = 3d-exp\n"
+        "coupling.g_sq = 2.0\ncoupling.lambda_cutoff = 1.0\nhorizon = 50\n"
+        "series.points = 501\n"
+    )
+    builds = []
+    post_init = ModelParams.__post_init__
+    monkeypatch.setattr(
+        ModelParams, "__post_init__", lambda self: builds.append(self) or post_init(self)
+    )
+    spectrum._closed_form_gate.cache_clear()
+    volterra._self_check.cache_clear()
+    run_decay(scen)
+    assert builds == []
 
 
 def test_a_level_gap_that_underflows_over_the_cutoff_is_refused():

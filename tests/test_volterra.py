@@ -23,7 +23,7 @@ import leveldecay.volterra as volterra
 TWO = CouplingFamily.TWO_DIM_EXP
 THREE = CouplingFamily.THREE_DIM_EXP
 
-# K(1) for the 3d family at g2=1, cutoff=1, gap=1:
+# K~(1) for the 3d family at gamma=1, beta=1:
 # -exp(i) / (1 + i)^2 = (i/2) exp(i).
 K1_3D = complex(-0.42073549240394825, 0.2701511529340699)
 
@@ -32,30 +32,38 @@ def _params(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
     return ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
 
 
+def _model(family, g_sq, cutoff=1.0, e1=0.0, e2=1.0):
+    """The canonical twin of ``_params``, the model ``kernel`` takes."""
+    return _params(family, g_sq, cutoff, e1, e2).canonical
+
+
 class TestKernel:
     def test_at_zero_equals_minus_norm(self):
+        # The caller's K(0) = L^2 K~(0) is minus the norm of |V|^2.
         for family, g2, cut in ((TWO, 0.8, 1.5), (THREE, 2.0, 0.7)):
             params = _params(family, g2, cutoff=cut)
-            assert kernel(params, 0.0) == pytest.approx(-l2_norm_sq(params.coupling))
+            got = cut**2 * kernel(params.canonical, 0.0)
+            assert got == pytest.approx(-l2_norm_sq(params.coupling))
 
     def test_three_dim_frozen_value(self):
-        got = kernel(_params(THREE, 1.0), 1.0)
+        got = kernel(_model(THREE, 1.0), 1.0)
         assert got == pytest.approx(K1_3D, abs=1e-14)
 
     def test_decays_at_long_times(self):
-        assert abs(kernel(_params(THREE, 1.0), 100.0)) < 1e-3
+        assert abs(kernel(_model(THREE, 1.0), 100.0)) < 1e-3
 
     @pytest.mark.filterwarnings("error")
     def test_finite_where_the_denominator_power_overflows(self):
-        # At L = 1e160 and t = 1, (1 + i L t)^2 overflows, but
-        # K(1) = -e^i g2 L^2 / (1 + i L)^2 = e^i 1e-154 is a normal float.
-        got = kernel(_params(THREE, 1e-154, cutoff=1e160), np.array([0.0, 1.0]))
-        want = np.exp(1j) * 1e-154
+        # At L = 1e160 and t = 1, (1 + i L t)^2 overflows, but the Fourier
+        # transform g2 L^2 / (1 + i L)^2 = -1e-154 is a normal float.
+        model = CouplingModel(THREE, 1e-154, 1e160)
+        got = volterra._fourier_closed_form(model, model.cutoff * np.array([0.0, 1.0]))
+        want = -1e-154
         assert abs(got[1] - want) <= 1e-15 * abs(want)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            kernel(_params(TWO, 1.0), -1.0)
+            kernel(_model(TWO, 1.0), -1.0)
 
     @pytest.mark.parametrize("family", [TWO, THREE])
     def test_closed_form_agrees_with_quadrature(self, family):
@@ -67,7 +75,7 @@ class TestKernel:
 
     def test_table_gated_by_self_check(self):
         params = _params(THREE, 0.9)
-        k = build_kernel_table(params, horizon=2.0, step=0.1)
+        k = build_kernel_table(params.canonical, horizon=2.0, step=0.1)
         assert k[0] == pytest.approx(-l2_norm_sq(params.coupling))
 
     def test_mismatch_detected(self, monkeypatch):
@@ -77,7 +85,7 @@ class TestKernel:
             volterra, "_fourier_closed_form", lambda model, t: 1.001 * true_form(model, t)
         )
         with pytest.raises(KernelMismatchError):
-            build_kernel_table(_params(THREE, 0.654321), horizon=1.0, step=0.1)
+            build_kernel_table(_model(THREE, 0.654321), horizon=1.0, step=0.1)
         volterra._self_check.cache_clear()
 
 
