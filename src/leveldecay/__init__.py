@@ -9,6 +9,7 @@ against an independent memory-kernel time-domain solver.
 from .coupling import (
     CouplingFamily,
     CouplingModel,
+    ModelParams,
     coupling_sq,
     l2_norm_sq,
     sq_over_x_integral,
@@ -31,7 +32,6 @@ from .quadrature import (
 from .spectrum import (
     BracketFailureError,
     ClosedFormMismatchError,
-    ModelParams,
     NormalizationFailureError,
     SpectralData,
     ThresholdMarginalError,

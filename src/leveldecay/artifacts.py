@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import Units
 from .evolution import AmplitudeSeries
 from .spectrum import SpectralData
 
@@ -221,10 +220,9 @@ def write_json(path: Path, obj: dict) -> None:
 def render_density_csv(spec: SpectralData) -> str:
     """The table at lambda = e1 + L xi, rho = rho~ / L; a rho past the float
     range (at a subnormal L) is written ``inf``, as the sweep CSV writes the 2d rhs."""
-    units = Units(spec.params)
     with np.errstate(over="ignore"):
-        rho = units.down(spec.density)
-    return _render_columns("lambda,rho", (units.energy(spec.grid), rho))
+        rho = spec.params.down(spec.density)
+    return _render_columns("lambda,rho", (spec.params.energy(spec.grid), rho))
 
 
 def write_density_csv(path: Path, spec: SpectralData) -> None:

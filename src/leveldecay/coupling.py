@@ -1,5 +1,5 @@
 """Coupling-function families |V(x)|^2 between the discrete level and the continuum,
-and the one map between a caller's units and the package's own.
+and the caller's model, which holds the one map between its units and the package's own.
 
 Each family is one power law, |V(x)|^2 = g2 x^p exp(-x/L) with p = d - 2 for
 a continuum of dimension d: ``TWO_DIM_EXP`` (p = 0) is nonzero at the edge
@@ -10,10 +10,10 @@ checkable against a closed form, which is why these families were chosen.
 
 Inside the package a model is ``Canonical`` (e1 = 0, L = 1): the family,
 gamma = g2 L^{p-1} and beta = (e2 - e1) / L, on xi = (lambda - e1) / L and
-tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  The entry points that take a
-caller's ``ModelParams`` map to and from it through ``Units``, which is exact
-at e1 = 0, L = 1; inner code takes the ``Canonical`` it holds.  ``Canonical.of``
-is that map from bare floats, so no model object is built per sweep point.
+tau = L t, with |V|^2 = gamma xi^p e^{-xi}.  A caller's ``ModelParams`` maps
+to and from its twin ``canonical`` (``xi``, ``energy``, ``up``, ``down``,
+``phase``), exactly at e1 = 0, L = 1; inner code takes the ``Canonical`` it
+holds.  ``Canonical.of`` maps bare floats, so no sweep point builds a model.
 
 Only |V|^2 enters any formula in this package, so the phase of V is never
 modeled.  Natural units throughout (all energies and times dimensionless).
@@ -160,7 +160,10 @@ class ModelParams:
     the package can solve.  Construction is the one model check and raises
     ValueError for levels that are not finite with e1 < e2, whose gap e2 - e1
     overflows, or whose gap over the cutoff L underflows to 0, and then for a
-    coupling ``certify_tail`` refuses."""
+    coupling ``certify_tail`` refuses.  Its maps to and from its twin
+    ``canonical``: lambda = e1 + L xi, tau = L t, rho = rho~ / L, k = L k~, a
+    rate L r~ and C(t) = e^{-i e1 t} C~(L t); every result is the twin's so
+    mapped but e0, which ``spectrum.point_mass`` maps, and the threshold's r L."""
 
     e1: float
     e2: float
@@ -188,6 +191,22 @@ class ModelParams:
         c = self.coupling
         return Canonical.of(c.family, c.strength_sq, c.cutoff, self.level_gap)
 
+    def up(self, x):
+        return self.coupling.cutoff * x
+
+    def down(self, x):
+        return x / self.coupling.cutoff
+
+    def xi(self, lam):
+        return (lam - self.e1) / self.coupling.cutoff
+
+    def energy(self, xi):
+        return self.e1 + self.coupling.cutoff * xi
+
+    def phase(self, c: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """C(t) from C~(L t): e^{-i e1 t} C~, none at e1 = 0."""
+        return c * np.exp(-1j * self.e1 * t) if self.e1 else c
+
 
 class Canonical(NamedTuple):
     """A model at e1 = 0 and L = 1: the family, gamma and the level gap beta."""
@@ -206,34 +225,3 @@ class Canonical(NamedTuple):
     def coupling(self) -> CouplingModel:
         """|V(xi)|^2 = gamma xi^p e^{-xi}, the coupling at L = 1."""
         return CouplingModel(self.family, self.gamma, 1.0)
-
-
-class Units:
-    """The map between a caller's model (``coupling`` its |V|^2) and its
-    ``Canonical`` form ``model``: lambda = e1 + L xi, tau = L t, rho = rho~ / L,
-    k = L k~, a rate L r~, with gamma = g2 L^{p-1} and C(t) = e^{-i e1 t} C~(L t).
-    Every result is the twin's, mapped here, but e0 = e1 - L s0, which
-    ``spectrum.point_mass`` maps from ln s0, and the threshold's r L."""
-
-    __slots__ = ("model", "e1", "coupling")
-
-    def __init__(self, params: ModelParams) -> None:
-        self.coupling = params.coupling
-        self.model = params.canonical
-        self.e1 = params.e1
-
-    def up(self, x):
-        return self.coupling.cutoff * x
-
-    def down(self, x):
-        return x / self.coupling.cutoff
-
-    def xi(self, lam):
-        return (lam - self.e1) / self.coupling.cutoff
-
-    def energy(self, xi):
-        return self.e1 + self.coupling.cutoff * xi
-
-    def phase(self, c: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """C(t) from C~(L t): e^{-i e1 t} C~, none at e1 = 0."""
-        return c * np.exp(-1j * self.e1 * t) if self.e1 else c

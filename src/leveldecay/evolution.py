@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Units, coupling_sq
+from .coupling import ModelParams, coupling_sq
 from .quadrature import _EPS, _GL_W, _GL_X, NumericalError
-from .spectrum import _NORMALIZATION_GATE, ModelParams, SpectralData, spectral_density
+from .spectrum import _NORMALIZATION_GATE, SpectralData, spectral_density
 
 
 class OscillatoryBudgetExceededError(NumericalError):
@@ -110,7 +110,7 @@ class AmplitudeSeries:
         p = self.probability
         check_probability(self.method_tag, p)
         if t[0] == 0.0 and abs(p[0] - 1.0) > 1e-6:
-            raise ValueError(f"P(0) = {p[0]!r} deviates from 1 beyond 1e-6")
+            raise ProbabilityBoundError(f"P(0) = {float(p[0])!r} deviates from 1 beyond 1e-6")
 
 
 _SEGMENT_MASS_FLOOR = 1e-15
@@ -218,43 +218,46 @@ def _uniform_sums(
     return out
 
 
-def _uniform_lattice(times: np.ndarray) -> tuple[float, int, float]:
-    """(dt, Q, w) of a grid t_k = k dt: Q = ceil(t_max / (2 dt)), w = pi / (Q dt).
-
-    Raises ValueError unless the grid holds at least two increasing times
-    from t = 0, off a straight line by at most 64 eps t_max.
-    """
-    n = times.size
-    t_max = float(times[-1]) if n > 1 and times[0] == 0.0 else 0.0
-    dt = t_max / (n - 1) if t_max > 0.0 else 0.0
-    # Uniform means increasing and off a straight line by rounding only.
-    uniform = dt > 0.0 and float(
-        np.max(np.abs(times - dt * np.arange(n)))
-    ) <= 64.0 * _EPS * t_max
-    if not uniform:
-        raise ValueError(
-            "the spectral transform needs a uniform grid from 0: at least two "
-            "increasing times t_k = k dt, off a straight line by at most 64 eps "
-            "t_max; for one late time t, pass [0, t]"
-        )
+def _lattice(t_max: float, n: int) -> tuple[float, int, float] | None:
+    """(dt, Q, w) of n >= 2 times t_k = k dt from 0 to t_max: Q = ceil(t_max /
+    (2 dt)), w = pi / (Q dt); None unless dt > 0 and t_max and w are finite."""
+    dt = t_max / (n - 1)
+    if not (dt > 0.0 and math.isfinite(t_max)):
+        return None
     q = math.ceil(0.5 * t_max / dt)
-    return dt, q, math.pi / (q * dt)
+    w = math.pi / (q * dt)
+    return (dt, q, w) if math.isfinite(w) else None
 
 
 def _amplitude_points(spec: SpectralData, times: np.ndarray) -> np.ndarray:
-    """C(t) on a uniform grid from 0, from C~ at tau = L t on the lattice
-    ``_uniform_lattice`` gives; no series-level validation."""
+    """C(t) on a uniform grid from 0, from C~ at tau = L t on the ``_lattice``
+    of tau; no series-level validation.  Raises ValueError unless the grid
+    holds at least two increasing times from t = 0, off a straight line by
+    at most 64 eps t_max, with a lattice."""
     if spec.normalization_defect > _NORMALIZATION_GATE:
         raise ValueError("spectral data failed its normalization check")
     times = np.asarray(times, dtype=float)
-    units = Units(spec.params)
-    tau = units.up(times)
-    dt, q, w = _uniform_lattice(tau)
+    with np.errstate(over="ignore"):  # an L t past the float range has no lattice
+        tau = spec.params.up(times)
+    n = tau.size
+    t_max = float(tau[-1]) if n > 1 and tau[0] == 0.0 else 0.0
+    grid = _lattice(t_max, n) if t_max > 0.0 else None
+    # Uniform means increasing and off a straight line by rounding only.
+    if grid is None or not float(
+        np.max(np.abs(tau - grid[0] * np.arange(n)))
+    ) <= 64.0 * _EPS * t_max:
+        raise ValueError(
+            "the spectral transform needs a uniform grid from 0: at least two "
+            "increasing times t_k = k dt, off a straight line by at most 64 eps "
+            "t_max, with a finite t_max and lattice width pi / (Q dt); for one "
+            "late time t, pass [0, t]"
+        )
+    dt, q, w = grid
     x, a, lattice = _transform_nodes(spec, w)
     out = _uniform_sums(x, a, lattice, tau, dt, q)
     if spec.xi0 is not None:
         out += spec.weight * np.exp(-1j * spec.xi0 * tau)
-    return units.phase(out, times)
+    return spec.params.phase(out, times)
 
 
 def amplitude_spectral(spec: SpectralData, times) -> AmplitudeSeries:
@@ -282,8 +285,8 @@ def weak_coupling_rate(params: ModelParams) -> float:
     In the weak-coupling decaying regime, ln P(t) falls with slope -gamma over
     the first few lifetimes; the estimate degrades as coupling grows.
     """
-    units = Units(params)
-    return units.up(2.0 * math.pi * coupling_sq(units.model.coupling, units.model.beta))
+    model = params.canonical
+    return params.up(2.0 * math.pi * coupling_sq(model.coupling, model.beta))
 
 
 # fitted_decay_rate's window: the samples with _FIT_P_LO < P < _FIT_P_HI.

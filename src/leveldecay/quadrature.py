@@ -1,4 +1,4 @@
-"""The gate of the closed forms and its engine: adaptive quadrature of k(lambda),
+"""The gate of the closed forms and its engine: adaptive quadrature of k~(xi),
 its principal value and the weight integral.
 
 For the built-in coupling families the spectral layer evaluates these three
@@ -6,8 +6,8 @@ integrals from exponential-integral closed forms (see ``leveldecay.spectrum``).
 Quadrature has two entry points: ``gate_integrals`` takes all three of a
 ``Canonical`` model at a list of distances s in xi from the edge in one pass,
 the gate those closed forms must pass before first use and the tests'
-reference; ``k_regular`` takes k alone of a caller's ``ModelParams``, for the
-eigenvalue oracle of ``verify`` criterion 8, and is L times the canonical k.
+reference; ``k_regular`` takes k~ alone of a ``Canonical`` model at one
+distance, for the eigenvalue oracle of ``verify`` criterion 8.
 In the canonical model (``coupling``) all three are one integral in xi, of
 (|V(xi)|^2 - f0) / (xi - c)^n: k and the weight integral at c = -s, f0 = 0
 and n = 1, 2, seeded geometrically in xi + s; the principal value at the pole
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coupling import TAIL_CUT, Canonical, ModelParams, Units, coupling_sq
+from .coupling import TAIL_CUT, Canonical, coupling_sq
 
 
 class NumericalError(RuntimeError):
@@ -211,7 +211,7 @@ def _k_part(s: float, order: int) -> _Integral:
     """k (order 1) or the weight integral (order 2) at 0 < s < inf, to a
     relative 1e-11, seeded with 1.5 panels an octave in xi + s."""
     if not (s > 0.0 and math.isfinite(s)):
-        raise ValueError(f"k requires -inf < lambda < e1, got s = (e1 - lambda) / L = {s!r}")
+        raise ValueError(f"k requires 0 < s < inf, got s = {s!r}")
     ln_lo, ln_hi = math.log(s), math.log(TAIL_CUT + s)
     n_seed = max(16, math.ceil(1.5 * (ln_hi - ln_lo) / math.log(2.0)))
     edges = np.exp(np.linspace(ln_lo, ln_hi, n_seed + 1)) - s
@@ -230,15 +230,12 @@ def _pv_part(model: Canonical, c: float) -> tuple[_Integral, float]:
     return _Integral(edges, _REL_TOL, c, f0=fc), fc * math.log((upper - c) / c)
 
 
-def k_regular(params: ModelParams, lam: float) -> float:
-    """The transform k(lambda): integral of |V(x)|^2 / (x + e1 - lambda) over [0, inf).
-
-    Requires lambda < e1 (below the continuum edge), where the integrand is
-    nonsingular; k is positive for g2 > 0 and strictly increasing in lambda.
-    The truncation at xi = TAIL_CUT is certified with the model (``ModelParams``).
-    """
-    units = Units(params)
-    return units.up(_integrals(units.model, [_k_part(-units.xi(lam), 1)])[0])
+def k_regular(model: Canonical, s: float) -> float:
+    """k~ at xi = -s of the canonical ``model``: the integral of |V(xi)|^2 /
+    (xi + s) over [0, inf), nonsingular for 0 < s < inf (below the edge),
+    positive for gamma > 0 and decreasing in s.  A caller's k(lambda) is L k~
+    at s = (e1 - lambda) / L, its truncation certified with the caller's model."""
+    return _integrals(model, [_k_part(s, 1)])[0]
 
 
 def gate_integrals(model: Canonical, distances) -> tuple[np.ndarray, ...]:

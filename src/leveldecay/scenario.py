@@ -27,17 +27,18 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel
+from .coupling import CouplingFamily, CouplingModel, ModelParams
 from .evolution import (
     AmplitudeSeries,
     MethodTag,
     ProbabilityBoundError,
+    _lattice,
     amplitude_spectral,
     asymptotic_limit,
     weak_coupling_rate,
 )
 from .quadrature import NumericalError
-from .spectrum import ModelParams, SpectralData, _point, build_spectral_data
+from .spectrum import SpectralData, _point, build_spectral_data
 from .volterra import default_step, solve_ide
 
 
@@ -294,12 +295,13 @@ def run_decay(scenario: Scenario) -> DecayRun:
     multiple of 4, so every ``per_output // 2``-th sample of the 2h solve and
     every ``per_output // 4``-th of the 4h solve is an output time, and the
     solves return only those; the run keeps them as its ``pair``.  A grid of
-    more than 2**26 steps at h is a ConfigError before any work.  The
-    transform runs first: it checks its panel budget before it builds a node,
-    so a horizon past the budget raises before either solve starts.  Then the
-    2h solve runs, then the 4h solve.  An extrapolation that leaves the
-    overshoot budget, where each solve kept it, raises ProbabilityBoundError
-    naming the extrapolation and the fix.
+    more than 2**26 steps at h, or without the transform's ``_lattice`` at
+    tau = L t, is a ConfigError before any work.  The transform runs first: it
+    checks its panel budget before it builds a node, so a horizon past the
+    budget raises before either solve starts.  Then the 2h solve runs, then
+    the 4h solve.  An extrapolation that leaves the overshoot budget, where
+    each solve kept it, raises ProbabilityBoundError naming the extrapolation
+    and the fix.
     """
     horizon = scenario.horizon
     if horizon is None:
@@ -312,9 +314,9 @@ def run_decay(scenario: Scenario) -> DecayRun:
     dt = horizon / (scenario.series_points - 1)
     h_target = scenario.volterra_step or default_step(scenario.params)
     # Steps of h per output interval: the smallest multiple of 4 that is at
-    # least dt / h_target, ceiled as a float, so that an infinite ratio is
-    # refused below instead of raising in math.ceil.
-    per_output = 4.0 * np.ceil(dt / h_target / 4.0)
+    # least dt / h_target and 4, ceiled as a float, so that an infinite ratio
+    # is refused below instead of raising in math.ceil.
+    per_output = max(4.0, 4.0 * np.ceil(dt / h_target / 4.0))
     steps = (scenario.series_points - 1) * per_output
     if not steps <= _MAX_STEPS:
         raise ConfigError(
@@ -322,11 +324,17 @@ def run_decay(scenario: Scenario) -> DecayRun:
             f"{_MAX_STEPS:,}; lower --horizon (horizon =) or series.points, "
             "or raise volterra.step"
         )
-    spec = build_spectral_data(scenario.params)
     per_output = int(per_output)
     step = dt / per_output
     n = (scenario.series_points - 1) * per_output
     times = np.arange(0, n + 1, per_output) * step
+    if _lattice(scenario.params.up(float(times[-1])), times.size) is None:
+        raise ConfigError(
+            f"the spectral transform cannot represent {times.size} times to the "
+            f"horizon {horizon!r}: at tau = L t it needs a step > 0, a finite end and "
+            "lattice width pi / (Q dtau); change --horizon (horizon =) or series.points"
+        )
+    spec = build_spectral_data(scenario.params)
     spectral = amplitude_spectral(spec, times)
     v2h, v4h = (
         solve_ide(scenario.params, horizon=horizon, step=f * step,

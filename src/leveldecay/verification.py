@@ -7,7 +7,7 @@ reproduction, late-time plateau vs decay, cross-route agreement, short-time
 law, weak-coupling exponential rate, eigenvalue correctness against an
 independent root search on the adaptive quadrature of k, and byte determinism
 of rendered artifacts.  Criteria 2 and 8 read ``point_mass``, the pipeline's
-one route to the threshold test and e0; criterion 8's oracle solves on
+one route to the threshold test and e0; criterion 8's oracle solves in xi on
 ``quadrature.k_regular`` from its own bracket and never sees the solver's e0.
 Criteria 2 to 6 and 8 list their failures, and ``_result`` makes each pass
 exactly when its list is empty.
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
-from .coupling import CouplingFamily, CouplingModel, l2_norm_sq
+from .coupling import CouplingFamily, CouplingModel, ModelParams, l2_norm_sq
 from .evolution import (
     AmplitudeSeries,
     amplitude_spectral,
@@ -48,7 +48,7 @@ from .scenario import (
     write_spectrum,
     write_sweep,
 )
-from .spectrum import ModelParams, build_spectral_data, point_mass
+from .spectrum import build_spectral_data, point_mass
 from .volterra import solve_ide
 
 
@@ -243,22 +243,23 @@ def _check_weak_coupling(runs: dict[MatrixScenario, DecayRun]) -> CriterionResul
 
 
 def _oracle_eigenvalue(params: ModelParams) -> float:
-    """Illinois false position (Dowell & Jarratt 1971) on F(lam) = e2 - lam -
-    k_regular(lam): secant steps inside the bracket, halving the F of an end
-    kept twice in a row so that both ends close on the root, until the
-    bracket is narrower than 1e-15 + 4 eps |lam|.  It starts on the wide
-    bracket [e1 - 8 max(1, gap), e1 - 1e-9 L] and never sees the solver's e0.
+    """Illinois false position (Dowell & Jarratt 1971) on the twin's F(xi) =
+    beta - xi - k_regular(-xi): secant steps inside the bracket, halving the F
+    of an end kept twice in a row so that both ends close on the root, until
+    the bracket is narrower than 1e-15 + 4 eps |xi|.  It starts on the wide
+    bracket [-8 max(1, beta), -1e-9], never sees the solver's e0 and returns
+    e0 = ``params.energy`` of the root.
 
     It is independent of ``point_mass``'s solve: ``k_regular`` is adaptive
     (G7, K15) quadrature of |V(xi)|^2 / (xi + s) in xi, built from
     ``coupling_sq`` alone, while the solver takes Newton steps in u = ln s on
     the scipy exp1 closed forms of k and never evaluates ``k_regular`` (only
     the one-time gate of those closed forms, at gamma = 1, does)."""
-    lo = params.e1 - 8.0 * max(1.0, params.level_gap)
-    hi = params.e1 - 1e-9 * params.coupling.cutoff
+    model = params.canonical
+    lo, hi = -8.0 * max(1.0, model.beta), -1e-9
 
-    def f_of(lam: float) -> float:
-        return params.e2 - lam - k_regular(params, lam)
+    def f_of(xi: float) -> float:
+        return model.beta - xi - k_regular(model, -xi)
 
     f_lo, f_hi = f_of(lo), f_of(hi)
     if not (f_lo > 0.0 > f_hi):
@@ -266,23 +267,23 @@ def _oracle_eigenvalue(params: ModelParams) -> float:
     kept = 0  # +1: lo was kept last step, -1: hi was kept
     for _ in range(200):
         if hi - lo < 1e-15 + 4.0 * _EPS * max(abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
-        lam = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        f = f_of(lam)
+            return params.energy(0.5 * (lo + hi))
+        xi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < xi < hi:
+            xi = 0.5 * (lo + hi)
+        f = f_of(xi)
         if f > 0.0:
-            lo, f_lo = lam, f
+            lo, f_lo = xi, f
             if kept < 0:
                 f_hi *= 0.5
             kept = -1
         elif f < 0.0:
-            hi, f_hi = lam, f
+            hi, f_hi = xi, f
             if kept > 0:
                 f_lo *= 0.5
             kept = 1
         else:
-            return lam
+            return params.energy(xi)
     raise NumericalError("oracle root search did not converge in 200 steps")
 
 

@@ -12,8 +12,8 @@ quadrature before a family's first use, so a mismatch cannot silently
 corrupt this route.  ``kernel`` and ``build_kernel_table`` take the
 ``Canonical`` model and tau; a caller's kernel is K(t) = L^2 K~(L t).
 ``solve_ide`` takes the caller's ``ModelParams``: it runs at the step L h and
-forms C~ at tau = k L h; C(t) = e^{-i e1 t} C~(L t) is ``Units.phase``, the
-spectral route's map, so a model's series is its canonical twin's.  No
+forms C~ at tau = k L h; C(t) = e^{-i e1 t} C~(L t) is the model's ``phase``,
+the spectral route's map, so a model's series is its canonical twin's.  No
 spectral data enters anywhere, which is what makes the solution an
 independent cross-check of the spectral route.
 
@@ -51,10 +51,11 @@ import math
 
 import numpy as np
 
-from .coupling import Canonical, CouplingFamily, CouplingModel, Units, coupling_sq, l2_norm_sq
+from .coupling import (
+    Canonical, CouplingFamily, CouplingModel, ModelParams, coupling_sq, l2_norm_sq,
+)
 from .evolution import AmplitudeSeries, MethodTag, check_probability
 from .quadrature import _GL_W, _GL_X, NumericalError
-from .spectrum import ModelParams
 
 
 class KernelMismatchError(NumericalError):
@@ -214,7 +215,7 @@ def solve_ide(
     products.  ``step`` defaults to ``default_step(params)``.  The overshoot
     budget on |C|^2 = |y|^2 is checked at every step before the output rows
     t = 0, stride h, 2 stride h, ... are taken, so a stride hides no
-    overshoot.  C(t) is ``Units.phase`` of the twin's C~ = e^{-i beta tau} y.
+    overshoot.  C(t) is ``params.phase`` of the twin's C~ = e^{-i beta tau} y.
     """
     h = step if step is not None else default_step(params)
     if not (h > 0.0 and math.isfinite(h)):
@@ -223,9 +224,9 @@ def solve_ide(
         raise ValueError("stride must be a positive integer")
     if horizon < h:
         raise ValueError("horizon must cover at least one step")
-    units = Units(params)
-    h_tau = units.up(h)
-    k = build_kernel_table(units.model, units.up(horizon), h_tau)
+    model = params.canonical
+    h_tau = params.up(h)
+    k = build_kernel_table(model, params.up(horizon), h_tau)
     n_steps = len(k) - 1
     y = np.empty(n_steps + 1, dtype=complex)
     y[0] = 1.0 + 0.0j
@@ -313,5 +314,5 @@ def solve_ide(
     check_probability(MethodTag.VOLTERRA, np.abs(y) ** 2)
     rows = np.arange(0, n_steps + 1, stride)
     times = rows * h
-    c = np.exp(-1j * units.model.beta * (rows * h_tau)) * y[::stride]
-    return AmplitudeSeries(times, units.phase(c, times), MethodTag.VOLTERRA)
+    c = np.exp(-1j * model.beta * (rows * h_tau)) * y[::stride]
+    return AmplitudeSeries(times, params.phase(c, times), MethodTag.VOLTERRA)

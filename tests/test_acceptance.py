@@ -185,7 +185,7 @@ def test_oracle_finds_e0_from_its_own_bracket(monkeypatch, ms):
     calls = []
     k_regular = verification.k_regular
     monkeypatch.setattr(
-        verification, "k_regular", lambda *args: calls.append(1) or k_regular(*args)
+        verification, "k_regular", lambda model, s: calls.append(1) or k_regular(model, s)
     )
     assert abs(verification._oracle_eigenvalue(params) - point_mass(params)[1]) <= 1e-15
     assert len(calls) <= 25

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import leveldecay.cli as cli
+import leveldecay.evolution as evolution
 import leveldecay.scenario as scenario
 import leveldecay.volterra as volterra
 from leveldecay import (
@@ -553,6 +554,56 @@ class TestDecayCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config: the time-domain solve needs 1040 steps")
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [("horizon = 1e-323\n", []),
+         ("series.points = 3\n", ["--horizon", "1e-310"]),
+         ("series.points = 3\n", ["--horizon", "2e-308"]),
+         ("volterra.step = 1e9\n", ["--horizon", "1e10"])],
+        ids=["step-underflows", "width-overflows", "width-overflows-at-2e-308", "end-overflows"],
+    )
+    def test_grid_without_a_transform_lattice_is_config_error(
+        self, tmp_path, capsys, monkeypatch, lines, argv
+    ):
+        # dt = 0, pi / (Q dtau) = inf and L horizon = inf (gap = L = 1e300):
+        # each refused before the density table is built.
+        monkeypatch.setattr(scenario, "build_spectral_data", None)
+        text = BASE_CONFIG + lines
+        if "1e10" in argv:
+            text = text.replace("e2 = 1.0", "e2 = 1e300").replace("cutoff = 1.0", "cutoff = 1e300")
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, text)), "--out", str(out), *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: the spectral transform cannot represent")
+        assert err.count("\n") == 1
+        assert "--horizon (horizon =)" in err and "series.points" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, argv",
+        [("series.points = 3\n", ["--horizon", "4e-308"]),
+         ("horizon = 1e-28\nvolterra.step = 1e300\n", [])],
+        ids=["finite-width", "ratio-underflows"],
+    )
+    def test_grid_with_a_transform_lattice_runs(self, tmp_path, lines, argv):
+        # pi / (Q dtau) = 1.57e308 is finite; dt / h = 5e-332 underflows to
+        # 0, and the grid still takes 4 steps per output interval.
+        out = tmp_path / "out"
+        assert main(["decay", str(_write(tmp_path, BASE_CONFIG + lines)), "--out", str(out),
+                     *argv]) == 0
+
+    def test_initial_probability_off_one_exits_two(self, tmp_path, capsys, monkeypatch):
+        points = evolution._amplitude_points
+        monkeypatch.setattr(
+            evolution, "_amplitude_points", lambda spec, times: 0.5 * points(spec, times)
+        )
+        out = tmp_path / "out"
+        text = BASE_CONFIG + "horizon = 10\nseries.points = 11\n"
+        assert main(["decay", str(_write(tmp_path, text)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical: P(0) = ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_deviation_above_the_gate_writes_then_exits_two(
         self, tmp_path, capsys, monkeypatch

@@ -29,7 +29,7 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay.cli import main
-from leveldecay.coupling import Canonical, Units
+from leveldecay.coupling import Canonical
 from leveldecay.quadrature import gate_integrals
 
 TOL = 1e-8
@@ -42,7 +42,13 @@ def _close(got: float, ref: float, slack: float = 0.0) -> bool:
     return math.isfinite(got) and abs(got - ref) <= TOL * max(1.0, abs(ref)) + slack
 
 
-@settings(max_examples=60)
+def _at_least(count: int) -> settings:
+    """``count`` examples, or the loaded profile's where that is larger: 2,000
+    under HYPOTHESIS_PROFILE=deep (tests/conftest.py)."""
+    return settings(max_examples=max(count, settings.default.max_examples))
+
+
+@_at_least(60)
 @given(
     family=st.sampled_from(list(CouplingFamily)),
     g_sq=st.floats(1e-3, 10.0),
@@ -63,10 +69,10 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     k_ref, pv_ref = cutoff * k_ref, cutoff * pv_ref
 
     k_unit = spectrum._k_unit_and_slope(family, s, spectrum._scaled_e1(s))[0]
-    k_below = cutoff * Units(params).model.gamma * k_unit
+    k_below = cutoff * params.canonical.gamma * k_unit
     assert _close(k_below, k_ref)
 
-    pv = cutoff * float(spectrum.k_pv_closed(Units(params).model, s))
+    pv = cutoff * float(spectrum.k_pv_closed(params.canonical, s))
     assert _close(pv, pv_ref)
 
     # rho inherits the reference principal value's tolerance, amplified by
@@ -79,7 +85,7 @@ def test_closed_forms_match_quadrature(family, g_sq, cutoff, log10_s):
     assert _close(rho, rho_ref, slope * TOL * max(1.0, abs(pv_ref)))
 
     w_ref = 1.0 / (1.0 + weight_ref)
-    assert _close(eigen_weight(Units(params).model, math.log(s)), w_ref)
+    assert _close(eigen_weight(params.canonical, math.log(s)), w_ref)
 
 
 def test_mismatch_detected(tmp_path, monkeypatch, capsys):
@@ -143,7 +149,7 @@ def test_gate_integrals_equal_one_pass_per_point(family):
         k_s, pv_s, weight_s = (
             float(q[0]) for q in gate_integrals(Canonical(family, 1.0, 1.0), [s])
         )
-        for got, ref in ((k[i], k_regular(params, -s)), (k[i], k_s), (pv[i], pv_s),
+        for got, ref in ((k[i], k_regular(params.canonical, s)), (k[i], k_s), (pv[i], pv_s),
                          (weight[i], weight_s)):
             assert abs(got - ref) <= 1e-15 * abs(ref)
 
@@ -226,7 +232,7 @@ def _weight_from_its_closed_form(model: CouplingModel, a: float) -> float:
     return 1.0 / (1.0 + model.strength_sq * ((1.0 + s) * e - 1.0))
 
 
-@settings(max_examples=300)
+@_at_least(300)
 @given(
     family=st.sampled_from(list(CouplingFamily)),
     log10_g_sq=st.floats(-3.0, 6.0),
@@ -243,7 +249,7 @@ def test_weight_from_the_slope_matches_its_closed_form(
     s = 10.0**log10_s
     a = s * model.cutoff
     want = _weight_from_its_closed_form(model, a)
-    got = eigen_weight(Units(ModelParams(0.0, 1.0, model)).model, math.log(s))
+    got = eigen_weight(ModelParams(0.0, 1.0, model).canonical, math.log(s))
     assert abs(got - want) <= 1e-14 * max(1.0, s * s) * want
 
 
@@ -257,7 +263,7 @@ def _brentq_eigenvalue(params: ModelParams) -> float | None:
     and the underflow rule of ``spectrum._solve_eigenvalue``: e2 at zero
     coupling, None on the threshold or without a bound state."""
     model = params.coupling
-    check = threshold_check(Units(params).model, model.cutoff)
+    check = threshold_check(params.canonical, model.cutoff)
     if check.degenerate:
         return params.e2
     if check.marginal or not check.exists:
@@ -358,6 +364,8 @@ def test_wide_models_match_frozen_roots(params, e0):
     assert abs(_e0(params) - e0) <= E0_TOL * abs(e0)
 
 
+# 300, not the profile's count, until ROADMAP item 13 lands: at depth 3 of
+# 13,839 bound states fail where k_1 = 1 - s e^s E1(s) cancels.
 @settings(max_examples=300)
 @given(params=_eigen_models())
 @example(params=_EDGE_MODELS[0])

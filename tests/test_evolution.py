@@ -114,8 +114,11 @@ class TestAmplitude:
         np.linspace(-30.0, 60.0, 301),
         np.linspace(1000.0, 1001.0, 201),
         np.linspace(3000.0, 3000.1, 201),
+        [0.0, 1e-310],
+        [0.0, math.inf],
     ], ids=["one time", "not increasing", "decreasing", "off a line", "off by 1e-9",
-            "offset", "signed", "far window", "farther window"])
+            "offset", "signed", "far window", "farther window", "infinite width",
+            "infinite end"])
     def test_rejects_a_grid_that_is_not_uniform(
         self, spec_3d_above, spec_degenerate, times, monkeypatch
     ):
@@ -125,6 +128,13 @@ class TestAmplitude:
         for spec in (spec_3d_above, spec_degenerate):
             with pytest.raises(ValueError, match="uniform grid"):
                 _amplitude_points(spec, np.array(times))
+
+
+    def test_rejects_a_grid_whose_tau_overflows(self):
+        # L t = 1e310 at L = 1e300: no lattice, refused without an overflow warning.
+        params = ModelParams(0.0, 1e300, CouplingModel(CouplingFamily.THREE_DIM_EXP, 2.0, 1e300))
+        with pytest.raises(ValueError, match="uniform grid"):
+            _amplitude_points(build_spectral_data(params), np.array([0.0, 1e10]))
 
 
 class TestAsymptotics:
@@ -206,6 +216,12 @@ class TestSeriesValidation:
         c = np.array([0.99 + 0.0j, 0.5 + 0.0j])
         with pytest.raises(ValueError):
             AmplitudeSeries(t, c, MethodTag.SPECTRAL)
+
+    @pytest.mark.parametrize("tag", list(MethodTag))
+    def test_initial_probability_off_one_is_a_numerical_error(self, tag):
+        c = np.array([0.99 + 0.0j, 0.5 + 0.0j])
+        with pytest.raises(ProbabilityBoundError, match=r"P\(0\) = 0\.98\d* deviates from 1"):
+            AmplitudeSeries(np.array([0.0, 1.0]), c, tag)
 
     def test_rejects_overshoot(self):
         t = np.array([0.0, 1.0])

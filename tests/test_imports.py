@@ -186,10 +186,10 @@ def test_detects_a_named_family_member():
 
 
 # The caller's units: read only where a public entry point maps them to the
-# canonical model (family, gamma, beta) or back, or in the one map helper.
+# canonical model (family, gamma, beta) or back, through the model's maps.
 UNIT_FIELDS = {"cutoff", "e1", "e2", "strength_sq", "level_gap"}
 INNER_MODULES = ("quadrature.py", "spectrum.py", "evolution.py", "volterra.py")
-MAP_HELPER = "Units"
+MAPS = {"xi", "energy", "up", "down", "phase"}
 
 
 def _public_names() -> set[str]:
@@ -217,8 +217,7 @@ def unit_readers(source: str, allowed: set[str]) -> set[str]:
 
 @pytest.mark.parametrize("module", INNER_MODULES)
 def test_only_entry_points_and_the_map_read_the_callers_units(module):
-    allowed = _public_names() | {MAP_HELPER}
-    assert unit_readers((PACKAGE / module).read_text(), allowed) == set()
+    assert unit_readers((PACKAGE / module).read_text(), _public_names()) == set()
 
 
 def test_detects_a_unit_read_outside_the_entry_points():
@@ -229,3 +228,35 @@ def test_detects_a_unit_read_outside_the_entry_points():
         "x = p.level_gap\n"
     )
     assert unit_readers(source, {"entry"}) == {"inner", "<module>"}
+
+
+def caller_model_uses(source: str) -> set[str]:
+    """Where ``source`` names ``ModelParams`` (a name, an attribute or an
+    import) and the map methods of ``MAPS`` it calls."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "ModelParams":
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "ModelParams":
+            found.add(node.attr)
+        elif isinstance(node, ast.alias) and node.name == "ModelParams":
+            found.add(node.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MAPS):
+            found.add(node.func.attr)
+    return found
+
+
+def test_quadrature_works_on_the_canonical_model_alone():
+    # k_regular takes the Canonical and a distance in xi; no caller's model
+    # and none of its maps reach the integrator.
+    assert caller_model_uses((PACKAGE / "quadrature.py").read_text()) == set()
+
+
+def test_detects_a_caller_model_or_a_map_call():
+    source = (
+        "from .coupling import ModelParams\n"
+        "def k(params: coupling.ModelParams, lam):\n"
+        "    return params.up(f(params.xi(lam))) + params.energy\n"
+    )
+    assert caller_model_uses(source) == {"ModelParams", "up", "xi"}

@@ -180,24 +180,24 @@ def test_pv_invalid_singularity(c):
 
 def test_k_regular_zero_coupling():
     params = _params(CouplingFamily.THREE_DIM_EXP, 0.0)
-    assert k_regular(params, -3.0) == 0.0
+    assert k_regular(params.canonical, 3.0) == 0.0
 
 
 def test_k_regular_near_edge_three_dim_is_sq_over_x():
     # 3d: k(e1-) is the finite integral of |V|^2 / x, g2 L
     params = _params(CouplingFamily.THREE_DIM_EXP, 2.0, cutoff=1.0)
-    assert k_regular(params, -1e-14) == pytest.approx(2.0, rel=1e-9)
-    # a distance below 60 L / DBL_MAX, where (U + a) / a overflows
-    assert k_regular(params, -1e-310) == pytest.approx(2.0, rel=1e-9)
+    assert k_regular(params.canonical, 1e-14) == pytest.approx(2.0, rel=1e-9)
+    # a distance below 60 / DBL_MAX, where (U + s) / s overflows
+    assert k_regular(params.canonical, 1e-310) == pytest.approx(2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("family", list(CouplingFamily))
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_k_regular_above_edge_rejected(family, lam):
-    # lambda = e1 as well: 2d's k diverges there, and the integral needs e1 - lambda > 0
+@pytest.mark.parametrize("s", [0.0, -0.5])
+def test_k_regular_above_edge_rejected(family, s):
+    # s = 0 (lambda = e1) as well: 2d's k diverges there, and the integral needs s > 0
     params = _params(family, 1.0)
     with pytest.raises(ValueError):
-        k_regular(params, lam)
+        k_regular(params.canonical, s)
 
 
 @pytest.mark.parametrize("lam, cutoff", [(-math.inf, 1.0), (-1e308, 1e-10)])
@@ -205,19 +205,19 @@ def test_k_regular_needs_a_finite_distance(lam, cutoff):
     # s = (e1 - lambda) / L is inf, where the panel seeds in ln s would be
     # NaN: refused with its own message, as PV k refuses its pole.
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0, cutoff=cutoff)
-    with pytest.raises(ValueError, match=r"k requires -inf < lambda < e1, got .* = inf$"):
-        k_regular(params, lam)
+    with pytest.raises(ValueError, match=r"k requires 0 < s < inf, got s = inf$"):
+        k_regular(params.canonical, -params.xi(lam))
 
 
 def test_k_regular_far_below_edge_is_small():
     params = _params(CouplingFamily.THREE_DIM_EXP, 1.0)
-    assert k_regular(params, -1e6) < 1e-4
+    assert k_regular(params.canonical, 1e6) < 1e-4
 
 
 def test_k_regular_monotone_increasing():
     params = _params(CouplingFamily.TWO_DIM_EXP, 0.8)
     lams = [-10.0, -3.0, -1.0, -0.3, -0.05, -0.001]
-    values = [k_regular(params, lam) for lam in lams]
+    values = [k_regular(params.canonical, -lam) for lam in lams]
     assert all(b > a for a, b in zip(values[:-1], values[1:]))
     assert all(v > 0.0 for v in values)
 
@@ -239,7 +239,7 @@ def test_k_regular_monotone_increasing():
 def test_k_regular_matches_closed_form(family, closed_form, a):
     g2 = 0.7
     params = _params(family, g2, cutoff=1.0)
-    got = k_regular(params, -a)
+    got = k_regular(params.canonical, a)
     assert got == pytest.approx(closed_form(g2, a), rel=1e-8)
 
 

@@ -24,7 +24,6 @@ from leveldecay import (
     threshold_check,
 )
 from leveldecay import spectrum
-from leveldecay.coupling import Units
 from leveldecay.verification import MATRIX
 
 TWO = CouplingFamily.TWO_DIM_EXP
@@ -57,17 +56,17 @@ def _e0(params):
 
 def _ln_s(params):
     """ln s0 of the eigenvalue solve, the distance ``eigen_weight`` takes."""
-    return spectrum._solve_eigenvalue(Units(params).model)[0]
+    return spectrum._solve_eigenvalue(params.canonical)[0]
 
 
 def _threshold(params):
     """``threshold_check`` of a caller's model."""
-    return threshold_check(Units(params).model, params.coupling.cutoff)
+    return threshold_check(params.canonical, params.coupling.cutoff)
 
 
 def _weight(params, ln_s):
     """``eigen_weight`` of a caller's model at ln s0, its canonical twin's."""
-    return eigen_weight(Units(params).model, ln_s)
+    return eigen_weight(params.canonical, ln_s)
 
 
 def test_params_validation():
@@ -235,7 +234,7 @@ class TestWeight:
         # f 2^m, and s0 2^-m = exp(ln s0 - m ln 2) rounds by half an ulp of
         # that exponent, about 290: 2.8e-14 (measured 4.3e-16 and 2.0e-14).
         params = _params(TWO, g_sq, cutoff=cutoff, e2=gap)
-        model = Units(params).model
+        model = params.canonical
         ln_s, s_dk = spectrum._solve_eigenvalue(model)
         assert ln_s < spectrum._EDGE_LN_S and math.exp(ln_s) == 0.0
         with mpmath.workdps(50):

@@ -1,6 +1,7 @@
 """Scale invariance: a model in the caller's units (e1, L) and its canonical
 twin at e1 = 0, L = 1 with the same (family, gamma, beta) give the same
-spectrum and the same P(t) once the maps of ``coupling.Units`` are applied."""
+spectrum and the same P(t) once the model's maps (``ModelParams.up``,
+``phase`` and the others) are applied."""
 
 from __future__ import annotations
 
@@ -23,14 +24,14 @@ from leveldecay import (
     weak_coupling_rate,
 )
 from leveldecay import spectrum, volterra
-from leveldecay.coupling import Canonical, Units
+from leveldecay.coupling import Canonical
 from leveldecay.scenario import ConfigError, parse_scenario_text, run_decay
 
 EPS = float(np.finfo(float).eps)
 _DEEP = settings.default is settings.get_profile("deep")
 
 
-# Every result but e0 is the canonical twin's, mapped by ``Units``: the
+# Every result but e0 is the canonical twin's, mapped by the model: the
 # density tables, w, the golden-rule rate and both routes' C(t) equal the
 # twin's byte for byte.  e0 = e1 - exp(ln s0 + ln L) alone is taken in the
 # caller's units; over the 2,000 draws of the deep profile its largest error
@@ -72,8 +73,8 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1_over_cutof
     assume(math.isfinite(e2) and math.isfinite(e2 - e1) and e2 > e1)
     g_sq = gamma * cutoff ** (1 - family.power)
     params = ModelParams(e1, e2, CouplingModel(family, g_sq, cutoff))
-    units = Units(params)
-    twin = ModelParams(0.0, units.model.beta, CouplingModel(family, units.model.gamma, 1.0))
+    model = params.canonical
+    twin = ModelParams(0.0, model.beta, CouplingModel(family, model.gamma, 1.0))
 
     check, e0, w = point_mass(params)
     check_twin, xi0, w_twin = point_mass(twin)
@@ -88,7 +89,7 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1_over_cutof
         floor = math.ulp(0.0) * (1.0 + 1.0 / cutoff)
         assert abs((e0 - e1) / cutoff - xi0) <= 2.0 * EPS * scale + floor
     rate = weak_coupling_rate(params)
-    assert rate == units.up(weak_coupling_rate(twin))
+    assert rate == params.up(weak_coupling_rate(twin))
 
     spec, spec_twin = build_spectral_data(params), build_spectral_data(twin)
     for table in ("grid", "density", "segments", "segment_mass"):
@@ -100,16 +101,16 @@ def test_a_model_and_its_canonical_twin_agree(family, gamma, beta, e1_over_cutof
     # C(t) = e^{-i e1 t} C~(L t), with C~ the twin's amplitude at tau = L t,
     # which the twin's Volterra solve reaches at step L h and horizon L T.
     t = np.linspace(0.0, 40.0 / max(beta, 1.0), 201) / cutoff
-    tau = units.up(t)
+    tau = params.up(t)
     c = amplitude_spectral(spec, t).amplitude
     c_twin = amplitude_spectral(spec_twin, tau).amplitude
-    assert c.tobytes() == units.phase(c_twin, t).tobytes()
+    assert c.tobytes() == params.phase(c_twin, t).tobytes()
 
     h = 0.01 / max(1.0, beta)
     step, horizon = h / cutoff, 2000 * (h / cutoff)
     series = solve_ide(params, horizon, step)
-    c_twin = solve_ide(twin, units.up(horizon), units.up(step)).amplitude
-    assert series.amplitude.tobytes() == units.phase(c_twin, series.times).tobytes()
+    c_twin = solve_ide(twin, params.up(horizon), params.up(step)).amplitude
+    assert series.amplitude.tobytes() == params.phase(c_twin, series.times).tobytes()
 
 
 def test_a_table_far_above_zero_energy_is_its_twins(monkeypatch):
@@ -127,7 +128,7 @@ def test_a_table_far_above_zero_energy_is_its_twins(monkeypatch):
     p0, p0_twin = (amplitude_spectral(s, [0.0, 1.0]).probability[0] for s in (far, twin))
     assert abs(p0 - p0_twin) <= 4.0 * EPS
     # The bump's middle seed is s0 itself.
-    ln_s = spectrum._solve_eigenvalue(Units(twin.params).model)[0]
+    ln_s = spectrum._solve_eigenvalue(twin.params.canonical)[0]
     assert [s[16] for s in seeds] == [math.exp(ln_s)] * 2
     assert seeds[0].tobytes() == seeds[1].tobytes()
 
@@ -158,7 +159,7 @@ def test_a_level_gap_that_underflows_over_the_cutoff_is_refused():
     model = CouplingModel(CouplingFamily.THREE_DIM_EXP, 0.5, 10.0)
     with pytest.raises(ValueError, match="over the cutoff underflows"):
         ModelParams(0.0, 5e-324, model)
-    assert Units(ModelParams(0.0, 5e-324, CouplingModel(model.family, 0.5, 0.5))).model.beta > 0
+    assert ModelParams(0.0, 5e-324, CouplingModel(model.family, 0.5, 0.5)).canonical.beta > 0
 
 
 def test_a_coupling_whose_gamma_underflows_over_the_cutoff_is_refused():
